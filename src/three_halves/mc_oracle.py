@@ -356,30 +356,3 @@ def _floating_leg(spec, ens: PathEnsemble, params: ModelParams) -> np.ndarray:
             w = spec.weight_value(s[:, ik], params)
         total += w * powered[:, k - 1]
     return total / spec.maturity
-
-
-def ensemble_summary_csv(ens: PathEnsemble, path: str,
-                         include_paths: bool = False, seed=None) -> None:
-    """Write ensemble summary (and optionally per-path terminal values)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mean_x", "mean_i", "mean_i_discrete",
-                         "mean_v"])
-        for k, t in enumerate(ens.times):
-            writer.writerow([repr(float(t)),
-                             repr(float(np.mean(ens.x[:, k]))),
-                             repr(float(np.mean(ens.i[:, k]))),
-                             repr(float(np.mean(ens.i_discrete[:, k]))),
-                             repr(float(np.mean(ens.v[:, k])))])
-        if include_paths:
-            writer.writerow([])
-            writer.writerow(["path", "x_T", "i_T", "i_discrete_T", "v_T"])
-            for p in range(ens.n_paths):
-                writer.writerow([p, repr(float(ens.x[p, -1])),
-                                 repr(float(ens.i[p, -1])),
-                                 repr(float(ens.i_discrete[p, -1])),
-                                 repr(float(ens.v[p, -1]))])

@@ -16,13 +16,12 @@ Conventions
   are independent of summation order.
 
 Default numeric controls live on :class:`QuadratureConfig`; every default is
-listed in the README reference table and is overridable per product.
+overridable per product.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
@@ -35,25 +34,6 @@ from .errors import (
     ThreeHalvesError,
     TruncationWarning,
 )
-
-
-def worker_cap() -> int:
-    """Parallelism cap from THREE_HALVES_THREADS (>=1).
-
-    Node evaluation is vectorized and runs on a single worker in this
-    implementation, so any cap >= 1 is honored trivially; the value is
-    still validated and recorded for diagnostics.
-    """
-    raw = os.environ.get("THREE_HALVES_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidParametersError(
-            f"THREE_HALVES_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if cap < 1:
-        raise InvalidParametersError("THREE_HALVES_THREADS must be >= 1")
-    return cap
 
 
 @dataclass(frozen=True)

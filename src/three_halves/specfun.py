@@ -8,6 +8,22 @@ are implemented here with explicit series/asymptotic regime switches and
 log-space variants so that callers can compose values spanning hundreds of
 orders of magnitude without overflow.
 
+The power series of ``I_nu(z)`` is summed by one of two routes, chosen by
+the layout of the inputs, never by their values:
+
+* orders on the leading axes (size-1 last axis) against arguments that vary
+  only along the last axis -- the (omega, eta) x v' tensor of the timer
+  kernel -- sum as a matrix product, coefficients (orders x terms) times
+  powers (terms x arguments), with the arguments grouped into bands of
+  similar |z| so that no scaled coefficient or power leaves the double
+  range;
+* every other layout (paired elements, as in the swap and European
+  pricers) sums by a running product per element.
+
+Both routes stop only when every element's last terms are at most
+SERIES_STOP_REL x |sum|, raise SeriesNonConvergenceError past
+SERIES_MAX_TERMS terms and share the prefactor and the order check.
+
 All operations are pure; arrays are never mutated in place across calls.
 """
 
@@ -41,6 +57,9 @@ BESSEL_ASYMPTOTIC_ORDER_FACTOR = 2.5
 # Kummer asymptotic switch for the large negative-real-argument branch.
 KUMMER_ASYM_MIN_X = 60.0
 KUMMER_ASYM_ORDER_FACTOR = 3.0
+
+# Width in |z| of one argument band of the outer-layout Bessel series.
+_SERIES_BAND_WIDTH = 300.0
 
 _RESCALE_LIMIT = 1e250
 _RESCALE_SHIFT = 2.0**-512
@@ -150,19 +169,47 @@ def _check_bessel_order(nu):
             raise SpecfunDomainError("bessel_i order at a negative integer")
 
 
+def _series_prefactor(nu, z):
+    """log of (z/2)^nu / Gamma(nu + 1), the factor both series routes share."""
+    return nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0)
+
+
 def _log_bessel_series(nu, z):
-    """log I_nu(z) by the defining power series with dynamic rescaling.
+    """log I_nu(z) by the defining power series.
 
-    Intended for Re(z) >= 0 (callers reflect first).  Terms are accumulated
-    as c_0 = 1, c_k = c_{k-1} * (z^2/4) / (k (nu + k)); the prefactor
-    (z/2)^nu / Gamma(nu+1) is applied in log space at the end.
+    Intended for Re(z) >= 0 and z != 0 (callers reflect first).  The series
+    is I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k) with
+    q = z^2/4; the prefactor is applied in log space at the end.  Two
+    routes sum it, chosen by the layout of the inputs:
 
-    ``nu`` and ``z`` may have unexpanded broadcast shapes; the heavy loop
-    materializes only the output-shaped term/total arrays, so an
-    (omega-grid x v-grid) call pays the gamma evaluations once per order,
-    not once per element.
+    * Outer layout: orders on the leading axes with a size-1 last axis
+      (``nu.ndim >= 2``) and arguments varying only along the last axis,
+      as in the (omega, eta) x v' tensor of the timer kernel.  The sum
+      is a matrix product, see ``_series_outer``.
+    * Any other layout (paired or materialized elements): a running
+      product per element, see ``_series_paired``.
+
+    Both stop only once every element's last terms are at most
+    SERIES_STOP_REL x |sum| (the terms at two consecutive checkpoints for
+    the running product, the last two terms for the matrix product), and
+    raise SeriesNonConvergenceError past SERIES_MAX_TERMS terms.
     """
     _check_bessel_order(nu)
+    if nu.ndim >= 2 and nu.shape[-1] == 1 and 0 < z.size == z.shape[-1]:
+        return _series_outer(nu, z)
+    return _series_paired(nu, z)
+
+
+def _series_paired(nu, z):
+    """Series by a running product per element, with dynamic rescaling.
+
+    Terms are accumulated as c_0 = 1, c_k = c_{k-1} * q / (k (nu + k)); a
+    partial sum beyond 1e250 is shifted down by 2^-512 and the shift is
+    kept in a per-element log scale.  ``nu`` and ``z`` may have unexpanded
+    broadcast shapes; only the output-shaped term/total arrays are
+    materialized.  Checkpoints are every 8 terms up to k = 60 and every
+    term after; two consecutive checkpoints must pass the stopping rule.
+    """
     out_shape = np.broadcast_shapes(nu.shape, z.shape)
     q = z * z * 0.25
     term = np.ones(out_shape, dtype=complex)
@@ -189,7 +236,117 @@ def _log_bessel_series(nu, z):
         raise SeriesNonConvergenceError(
             f"bessel_i series did not converge within {SERIES_MAX_TERMS} terms"
         )
-    return nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0) + np.log(total) + scale
+    return _series_prefactor(nu, z) + np.log(total) + scale
+
+
+def _series_outer(nu, z):
+    """Series for orders x arguments as one matrix product per band.
+
+    With q_j = z_j^2/4 and a band scale s, the sum for order nu_i and
+    argument z_j is  sum_k C[i, k] P[k, j]  with  C[i, k] = s^k / (k!
+    (nu_i+1)_k)  (a cumulative product over k on the n_nu x K table) and
+    P[k, j] = (q_j / s)^k.  So the whole (n_nu x n_z) block costs one
+    complex matrix product instead of K elementwise passes over it.
+
+    Bands keep every factor in range.  The columns are grouped by |z|:
+    column j belongs to band floor((max|z| - |z_j|) / _SERIES_BAND_WIDTH),
+    and each band takes s = max |q| over its columns, so |P| <= 1.  Each
+    order carries a log scale: when its sum at q = s passes 1e250 at a
+    checkpoint, all its coefficients are shifted by 2^-512.  For Re(nu) >= -1/2
+    and real z, d log(sum)/d|z| = I_{nu+1}(z)/I_nu(z) <= 1, so within a
+    band no column's sum is below e^{-_SERIES_BAND_WIDTH} of the row scale:
+    the scaled sums (the k = 0 term included wherever it is not negligible)
+    stay far above the underflow threshold e^{-708}.  The N=4 timer
+    kernel (|z| < 20) needs a single band.
+
+    The number of terms K is first set by the paired route's rule applied
+    to the table at x = q/s = 1 (the band's largest argument), then checked
+    against every element: its last two terms C[i, K-1] P[K-1, j] and
+    C[i, K] P[K, j] must be at most SERIES_STOP_REL x |sum|, else K grows
+    by half (at least 8) and the band is summed again.
+    """
+    out_shape = np.broadcast_shapes(nu.shape, z.shape)
+    nu_col = nu.reshape(-1)
+    q = (z * z * 0.25).reshape(-1)
+    z_mag = np.abs(z).reshape(-1)
+    band = ((np.max(z_mag) - z_mag) // _SERIES_BAND_WIDTH).astype(int)
+    if np.all(band == 0):
+        log_sum = _log_series_band(nu_col, q)
+    else:
+        log_sum = np.empty((nu_col.size, q.size), dtype=complex)
+        for b in np.unique(band):
+            cols = np.flatnonzero(band == b)
+            log_sum[:, cols] = _log_series_band(nu_col, q[cols])
+    out = _series_prefactor(nu, z)
+    out += log_sum.reshape(out_shape)
+    return out
+
+
+def _log_series_band(nu, q):
+    """log of the series for 1-D orders x 1-D arguments of one band."""
+    s = float(np.max(np.abs(q)))
+    x = q / s
+    min_terms = 0
+    while True:
+        coef, row_scale = _series_table(nu, s, min_terms)
+        n_terms = coef.shape[0] - 1
+        powers = np.empty((n_terms + 1, x.size), dtype=complex)
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(x, (n_terms, x.size)), axis=0,
+                   out=powers[1:])
+        total = coef.T @ powers
+        mag = np.abs(total)
+        limit = SERIES_STOP_REL * mag
+        if all(np.all(np.multiply.outer(np.abs(coef[k]),
+                                        np.abs(powers[k])) <= limit)
+               for k in (n_terms - 1, n_terms)):
+            break
+        min_terms = n_terms + max(8, n_terms // 2)
+    # log(total) in place; np.log on complex arrays is several times
+    # slower than log|total| + i arg(total).
+    arg = np.arctan2(total.imag, total.real)
+    np.log(mag, out=mag)
+    mag += row_scale[:, None]
+    total.real = mag
+    total.imag = arg
+    return total
+
+
+def _series_table(nu, s, min_terms):
+    """The table C[i, k] = s^k / (k! (nu_i+1)_k) for k = 0..K, stored
+    transposed (one row per k), and the per-order log scales.
+
+    Built by the running product of the paired route, with the same
+    checkpoints, stopping rule (applied to the sums at q = s) and 1e250
+    rescaling, which shifts every stored coefficient of that order.  Stops
+    at the first passing checkpoint at or beyond ``min_terms``.
+    """
+    a = np.ones(nu.shape, dtype=complex)
+    coef = [a]
+    total = a.copy()
+    row_scale = np.zeros(nu.shape, dtype=float)
+    small_prev = False
+    for k in range(1, SERIES_MAX_TERMS + 1):
+        a = a * (s / (k * (nu + k)))
+        coef.append(a)
+        total += a
+        if k % 8 == 0 or k > 60:
+            sm = _mag(total)
+            small = bool(np.all(_mag(a) <= SERIES_STOP_REL * sm))
+            if small and small_prev and k >= min_terms:
+                break
+            small_prev = small
+            if np.max(sm) > _RESCALE_LIMIT:
+                big = sm > _RESCALE_LIMIT
+                for c in coef:
+                    c[big] *= _RESCALE_SHIFT
+                total[big] *= _RESCALE_SHIFT
+                row_scale[big] += _RESCALE_LOG
+    else:
+        raise SeriesNonConvergenceError(
+            f"bessel_i series did not converge within {SERIES_MAX_TERMS} terms"
+        )
+    return np.stack(coef), row_scale
 
 
 def _log_bessel_asym(nu, z):

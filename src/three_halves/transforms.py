@@ -253,20 +253,6 @@ def conditional_cf_integrated_variance(xi: complex, t: float, t_prime: float,
         log_num - log_den, "conditional_cf_integrated_variance"))[0])
 
 
-def _conditional_cf_vec(xi, t, t_prime, v, v_prime, params: ModelParams):
-    """Vectorized conditional CF of integrated variance (arrays broadcast)."""
-    _require_dt(t, t_prime)
-    xi = np.asarray(xi, dtype=complex)
-    A = coef_A(params.theta, t, t_prime)
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
-    b1 = 1.0 + 2.0 * params.kappa / params.eps2
-    nuhat = np.sqrt(b1 * b1 - 8j * xi / params.eps2)
-    z = (2.0 / C) * np.sqrt(A / (np.asarray(v, float) * np.asarray(v_prime, float)))
-    log_num = specfun._log_bessel_i_vec(nuhat, z)
-    log_den = specfun._log_bessel_i_vec(b1 + np.zeros_like(nuhat), z)
-    return _exp_checked(log_num - log_den, "conditional_cf_integrated_variance")
-
-
 # ---------------------------------------------------------------------------
 # Probabilistic factorization of g (the paper-independent second route).
 # ---------------------------------------------------------------------------

@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from three_halves import specfun
+from three_halves import transforms as tr
 from three_halves.errors import (
     PrecisionLossError,
+    SeriesNonConvergenceError,
     SpecfunDomainError,
+)
+from three_halves.model import coef_A, coef_C
+from three_halves.quadrature import (
+    QuadratureConfig,
+    log_density_grid,
+    parseval_grid,
 )
 
 mp.mp.dps = 40
@@ -158,6 +166,116 @@ class TestBesselRegimes:
             got = specfun.bessel_i(1.2 + 0.4j, z)
             want = mp.besseli(mp.mpc(1.2, 0.4), mp.mpc(complex(z).real, complex(z).imag))
             assert rel_err(got, complex(want)) < 1e-9
+
+
+def log_err(got, want):
+    """|got - want| for logs, with the imaginary part taken modulo 2 pi."""
+    d = complex(got) - complex(want)
+    return abs(complex(d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi))
+
+
+def mp_log_bessel_i(nu, z):
+    nu, z = complex(nu), complex(z)
+    return complex(mp.log(mp.besseli(mp.mpc(nu.real, nu.imag),
+                                     mp.mpc(z.real, z.imag))))
+
+
+def outer_and_paired(nu, z):
+    """The series on orders x arguments (outer layout) and on the same
+    inputs materialized element by element (paired layout)."""
+    outer = specfun._log_bessel_series(nu, z)
+    nu_b, z_b = (np.ascontiguousarray(a) for a in np.broadcast_arrays(nu, z))
+    return outer, specfun._log_bessel_series(nu_b, z_b)
+
+
+class TestBesselSeriesOuter:
+    """The matrix-product route of the series against the running-product
+    route on the same inputs and against mpmath."""
+
+    def test_timer_grid_orders(self, timer_params):
+        # Orders 2c(omega, eta) on a subsample of the N=4 timer grid (first
+        # monitoring date) x the 64 v' nodes of that date's density grid.
+        p = timer_params
+        cfg = QuadratureConfig()
+        grid = parseval_grid(cfg)
+        t_j = 0.25
+        nodes, _ = log_density_grid(
+            lambda vp: tr._log_density_v_vec(0.0, p.v0, t_j, vp, p), cfg)
+        assert nodes.size == cfg.v_nodes
+        A = coef_A(p.theta, 0.0, t_j)
+        C = coef_C(p.theta, p.epsilon, 0.0, t_j)
+        z = ((2.0 / C) * np.sqrt(A / (p.v0 * nodes)))[None, None, :]
+        omega = grid.omega[::29][:, None, None]
+        eta = grid.eta[::29][None, :, None]
+        nu = 2.0 * tr._c_exponent(omega, eta, p)
+        z = z.astype(complex)
+        outer, paired = outer_and_paired(nu, z)
+        assert outer.shape == (omega.size, eta.size, nodes.size)
+        assert np.max(np.abs(outer - paired)) <= 1e-13
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            i, j, k = (rng.integers(n) for n in outer.shape)
+            want = mp_log_bessel_i(nu[i, j, 0], z[0, 0, k])
+            assert log_err(outer[i, j, k], want) <= 1e-13, (i, j, k)
+
+    def test_huge_terms_need_several_bands(self):
+        # |nu|^2 > 2.5 |z| keeps every pair in the series regime; at z=1400
+        # the terms pass 1e250 and the |z| spread needs three bands.
+        nu = np.array([60.0, 60.0 + 5.0j])[:, None]
+        z = np.array([1.0, 50.0, 600.0, 1400.0], dtype=complex)[None, :]
+        assert np.ptp(np.abs(z)) > 2 * specfun._SERIES_BAND_WIDTH
+        outer, paired = outer_and_paired(nu, z)
+        for i in range(nu.shape[0]):
+            for j in range(z.shape[1]):
+                want = mp_log_bessel_i(nu[i, 0], z[0, j])
+                tol = 1e-13 + 2e-15 * abs(want)
+                assert log_err(outer[i, j], want) <= tol, (i, j)
+                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+
+    def test_order_imaginary_part_dominates(self):
+        nu = np.array([0.5 + 200.0j, 3.0 - 500.0j, 1000.0j])[:, None]
+        z = np.array([0.1, 2.0, 10.0, 30.0], dtype=complex)[None, :]
+        outer, paired = outer_and_paired(nu, z)
+        for i in range(nu.shape[0]):
+            for j in range(z.shape[1]):
+                want = mp_log_bessel_i(nu[i, 0], z[0, j])
+                tol = 1e-13 + 2e-15 * abs(want)
+                assert log_err(outer[i, j], want) <= tol, (i, j)
+                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+
+    def test_element_rule_rejects_a_short_table(self, monkeypatch):
+        # Every element's last two terms are checked after the product: a
+        # table cut after 4 terms must be rejected and rebuilt longer.
+        nu = np.array([1.5, 2.0 + 1.0j, 7.0 - 3.0j])[:, None]
+        z = np.array([1.0, 4.0, 9.0 + 2.0j], dtype=complex)[None, :]
+        want = specfun._log_bessel_series(nu, z)
+        calls = []
+        table = specfun._series_table
+
+        def short_first(nu, s, min_terms):
+            calls.append(min_terms)
+            coef, row_scale = table(nu, s, min_terms)
+            return (coef[:5] if len(calls) == 1 else coef), row_scale
+
+        monkeypatch.setattr(specfun, "_series_table", short_first)
+        got = specfun._log_bessel_series(nu, z)
+        assert calls == [0, 12]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
+        nu = np.array([1.5, 2.0 + 1.0j])[:, None]
+        z = np.array([1.0, 4.0], dtype=complex)[None, :]
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_bessel_series(nu, z)
+
+    def test_negative_integer_order_raises(self):
+        nu = np.array([1.5, -3.0])[:, None].astype(complex)
+        z = np.array([1.0, 4.0], dtype=complex)[None, :]
+        with pytest.raises(SpecfunDomainError):
+            specfun._log_bessel_series(nu, z)
+        with pytest.raises(SpecfunDomainError):
+            specfun._log_bessel_i_vec(nu, z)
 
 
 class TestKummerM:

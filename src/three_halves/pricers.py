@@ -726,14 +726,11 @@ def fair_strike_self_quantoed(schedule: Sequence[float] | MomentSwapSpec,
     return stable_sum(total) / T
 
 
-def _expect_phi_deriv_ik_eq_k(params, cfg, t_km1, t_k, omega, m,
-                              collapse: bool = True):
+def _expect_phi_deriv_ik_eq_k(params, cfg, t_km1, t_k, omega, m):
     """i^{-m} d^m/dphi^m E_0[e^{i w X_{t_k} + i phi dX_k}] / e^{i w X0}.
 
     Collapsed single-integral form (h(t_k,.;t_k)=1):
         int h(t_{k-1}, v; t_k, w+phi, 0) g1(0,V0;t_{k-1}, w, v) dv.
-    ``collapse=False`` evaluates the general double-integral form instead
-    (used by the internal-consistency tests).
     """
     omega = complex(omega)
     phis = [-2 * PHI_STEP, -PHI_STEP, -PHI_STEP / 2, 0.0, PHI_STEP / 2,
@@ -743,25 +740,15 @@ def _expect_phi_deriv_ik_eq_k(params, cfg, t_km1, t_k, omega, m,
                                       params)) for p in phis]
         return _c0(_phi_derivative_complex(m, fvals))
     v_nodes, v_w, g1_outer = _outer_weight_grid(params, cfg, t_km1, omega)
-    if collapse:
-        fvals = []
-        for p in phis:
-            h = np.exp(tr._log_h_vec(t_km1, v_nodes, t_k, omega + p, 0.0,
-                                     params))
-            fvals.append(stable_complex_sum(v_w * g1_outer * h))
-        return _c0(_phi_derivative_complex(m, fvals))
-    inner_nodes, inner_w = _transition_grid(params, t_km1, t_k, v_nodes, cfg)
     fvals = []
     for p in phis:
-        g1_in = np.exp(tr._log_g_vec(t_km1, v_nodes[:, None], t_k,
-                                     omega + p, 0.0, inner_nodes, params))
-        inner = np.einsum("vs,vs->v", inner_w, g1_in)
-        fvals.append(stable_complex_sum(v_w * g1_outer * inner))
+        h = np.exp(tr._log_h_vec(t_km1, v_nodes, t_k, omega + p, 0.0,
+                                 params))
+        fvals.append(stable_complex_sum(v_w * g1_outer * h))
     return _c0(_phi_derivative_complex(m, fvals))
 
 
-def _expect_phi_deriv_ik_eq_km1(params, cfg, t_km1, t_k, omega, m,
-                                collapse: bool = True):
+def _expect_phi_deriv_ik_eq_km1(params, cfg, t_km1, t_k, omega, m):
     """Same for i_k = k-1: int h(t_{k-1}, v; t_k, phi, 0) g1(0,V0;t_{k-1},w,v) dv
     (Dirac collapse of the intermediate transition)."""
     omega = complex(omega)
@@ -772,39 +759,11 @@ def _expect_phi_deriv_ik_eq_km1(params, cfg, t_km1, t_k, omega, m,
                                       params)) for p in phis]
         return _c0(_phi_derivative_complex(m, fvals))
     v_nodes, v_w, g1_outer = _outer_weight_grid(params, cfg, t_km1, omega)
-    if collapse:
-        fvals = []
-        for p in phis:
-            h = np.exp(tr._log_h_vec(t_km1, v_nodes, t_k, complex(p), 0.0,
-                                     params))
-            fvals.append(stable_complex_sum(v_w * g1_outer * h))
-        return _c0(_phi_derivative_complex(m, fvals))
-    # general form: transition density from v at t_{k-1} ... here the
-    # intermediate date equals t_{k-1}, so the general route inserts the
-    # V-transition over [t_ik, t_{k-1}] explicitly; exercised via
-    # _expect_phi_deriv_general below.
-    raise ThreeHalvesError("use _expect_phi_deriv_general for the non-collapsed form")
-
-
-def _expect_phi_deriv_general(params, cfg, t_ik, t_km1, t_k, omega, m):
-    """General i_k <= k-1 double-integral form:
-
-    int int h(t_{k-1}, v'; t_k, phi, 0) G_V(t_ik, v; t_{k-1}, v')
-            g1(0, V0; t_ik, omega, v) dv' dv.
-    """
-    omega = complex(omega)
-    phis = [-2 * PHI_STEP, -PHI_STEP, -PHI_STEP / 2, 0.0, PHI_STEP / 2,
-            PHI_STEP, 2 * PHI_STEP]
-    v_nodes, v_w, g1_outer = _outer_weight_grid(params, cfg, t_ik, omega)
-    inner_nodes, inner_w = _transition_grid(params, t_ik, t_km1, v_nodes, cfg)
-    dens = np.exp(tr._log_g_vec(t_ik, v_nodes[:, None], t_km1, 0.0, 0.0,
-                                inner_nodes, params)).real
     fvals = []
     for p in phis:
-        h = np.exp(tr._log_h_vec(t_km1, inner_nodes, t_k, complex(p), 0.0,
+        h = np.exp(tr._log_h_vec(t_km1, v_nodes, t_k, complex(p), 0.0,
                                  params))
-        inner = np.einsum("vs,vs,vs->v", inner_w, dens, h)
-        fvals.append(stable_complex_sum(v_w * g1_outer * inner))
+        fvals.append(stable_complex_sum(v_w * g1_outer * h))
     return _c0(_phi_derivative_complex(m, fvals))
 
 

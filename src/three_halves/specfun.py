@@ -8,21 +8,29 @@ are implemented here with explicit series/asymptotic regime switches and
 log-space variants so that callers can compose values spanning hundreds of
 orders of magnitude without overflow.
 
-The power series of ``I_nu(z)`` is summed by one of two routes, chosen by
-the layout of the inputs, never by their values:
+The power series of ``I_nu(z)`` (a 0F1 in z^2/4) and the Taylor series of
+``M(a, b, x)`` (a 1F1) are summed by one of two routes, chosen by the
+layout of the inputs, never by their values:
 
-* orders on the leading axes (size-1 last axis) against arguments that vary
-  only along the last axis -- the (omega, eta) x v' tensor of the timer
-  kernel -- sum as a matrix product, coefficients (orders x terms) times
-  powers (terms x arguments), with the arguments grouped into bands of
-  similar |z| so that no scaled coefficient or power leaves the double
-  range;
-* every other layout (paired elements, as in the swap and European
-  pricers) sums by a running product per element.
+* parameters (orders, or Kummer's a and b) on the leading axes with a
+  size-1 last axis, against arguments that vary only along the last axis
+  -- the (omega, eta) x v' tensor of the timer kernel, the omega x v grid
+  of the joint characteristic function (real x only for Kummer) -- sum as
+  a matrix product, coefficients (parameters x terms) times powers (terms
+  x arguments).  Both series share this route (``_log_series_outer``):
+  the coefficient table is one cumulative product per row block, each row
+  carries a log scale so no stored coefficient passes 1e250, and rows
+  whose terms needed that scale group the arguments into bands over which
+  the sum changes by at most e^300, so nothing significant underflows;
+* every other layout (paired elements, as in the scalar ``kummer_m`` and
+  the per-element Bessel fallback) sums by a running product per element.
 
 Both routes stop only when every element's last terms are at most
 SERIES_STOP_REL x |sum|, raise SeriesNonConvergenceError past
-SERIES_MAX_TERMS terms and share the prefactor and the order check.
+SERIES_MAX_TERMS terms and share the prefactor, the order check and the
+Kummer b-pole check.  The Kummer routes also return the digits the series
+lost to cancellation: log(peak partial sum / |M|) for the running product,
+log(sum of |terms| / |M|), which is never smaller, for the matrix product.
 
 All operations are pure; arrays are never mutated in place across calls.
 """
@@ -58,8 +66,15 @@ BESSEL_ASYMPTOTIC_ORDER_FACTOR = 2.5
 KUMMER_ASYM_MIN_X = 60.0
 KUMMER_ASYM_ORDER_FACTOR = 3.0
 
-# Width in |z| of one argument band of the outer-layout Bessel series.
+# Growth of log(sum of |terms|) allowed across one argument band of the
+# outer-layout series: a band spans 300 in |z| for the Bessel series and
+# 300 / rho in x for Kummer's (see _log_series_outer).
 _SERIES_BAND_WIDTH = 300.0
+# Size of the row blocks of the coefficient table and of the column blocks
+# of the power table in the outer-layout series.
+_SERIES_BLOCK_BYTES = 2**19
+# Tables with at least this many columns are multiplied row by row.
+_CUMPROD_LOOP_MIN_COLUMNS = 64
 
 _RESCALE_LIMIT = 1e250
 _RESCALE_SHIFT = 2.0**-512
@@ -98,9 +113,34 @@ def _log_sin_pi(z):
 
 
 def _log_gamma_right(z):
-    """Stirling expansion with upward recurrence; requires Re(z) > 0."""
-    z = np.array(z, dtype=complex)
+    """Stirling expansion with upward recurrence; requires Re(z) > 0.
+
+    Each element is shifted, adding log z to its correction and then 1 to
+    z, while Re z < _STIRLING_MIN_RE.  The shift counts are estimated once
+    as ceil(_STIRLING_MIN_RE - Re z); with the elements sorted by count,
+    pass p runs over the contiguous prefix still expected to shift and
+    tests Re z there.  Rounding in z += 1 can end an element's shifts a
+    pass early (it is then masked) or late (a final masked loop finishes
+    it), so every element sees exactly the sequence of the per-element
+    rule.
+    """
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    count = _shift_counts(z.real.reshape(-1))
+    order = np.argsort(-count, kind="stable")
+    z = z.reshape(-1)[order]
     correction = np.zeros_like(z)
+    ends = np.searchsorted(-count[order], -np.arange(1, count.max(initial=0) + 1),
+                           side="right")
+    for end in ends:
+        head = z[:end]
+        needs = head.real < _STIRLING_MIN_RE
+        if np.all(needs):
+            correction[:end] += np.log(head)
+            head += 1.0
+        else:
+            correction[:end][needs] += np.log(head[needs])
+            head[needs] += 1.0
     needs = z.real < _STIRLING_MIN_RE
     while np.any(needs):
         correction[needs] += np.log(z[needs])
@@ -113,7 +153,16 @@ def _log_gamma_right(z):
     for coeff in _STIRLING_COEFFS:
         tail += coeff * power
         power = power * w2
-    return (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + tail - correction
+    value = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + tail - correction
+    correction[order] = value  # back to the input order, in a spent buffer
+    return correction.reshape(shape)
+
+
+def _shift_counts(re):
+    """ceil(_STIRLING_MIN_RE - re) clipped to 0..127 (0 for NaN), as int8."""
+    deficit = _STIRLING_MIN_RE - re
+    np.fmin(np.fmax(deficit, 0.0, out=deficit), 127.0, out=deficit)
+    return np.ceil(deficit, out=deficit).astype(np.int8)
 
 
 def _log_gamma_vec(z):
@@ -240,113 +289,265 @@ def _series_paired(nu, z):
 
 
 def _series_outer(nu, z):
-    """Series for orders x arguments as one matrix product per band.
+    """Bessel series for orders x arguments by the matrix route.
 
-    With q_j = z_j^2/4 and a band scale s, the sum for order nu_i and
-    argument z_j is  sum_k C[i, k] P[k, j]  with  C[i, k] = s^k / (k!
-    (nu_i+1)_k)  (a cumulative product over k on the n_nu x K table) and
-    P[k, j] = (q_j / s)^k.  So the whole (n_nu x n_z) block costs one
-    complex matrix product instead of K elementwise passes over it.
-
-    Bands keep every factor in range.  The columns are grouped by |z|:
-    column j belongs to band floor((max|z| - |z_j|) / _SERIES_BAND_WIDTH),
-    and each band takes s = max |q| over its columns, so |P| <= 1.  Each
-    order carries a log scale: when its sum at q = s passes 1e250 at a
-    checkpoint, all its coefficients are shifted by 2^-512.  For Re(nu) >= -1/2
-    and real z, d log(sum)/d|z| = I_{nu+1}(z)/I_nu(z) <= 1, so within a
-    band no column's sum is below e^{-_SERIES_BAND_WIDTH} of the row scale:
-    the scaled sums (the k = 0 term included wherever it is not negligible)
-    stay far above the underflow threshold e^{-708}.  The N=4 timer
-    kernel (|z| < 20) needs a single band.
-
-    The number of terms K is first set by the paired route's rule applied
-    to the table at x = q/s = 1 (the band's largest argument), then checked
-    against every element: its last two terms C[i, K-1] P[K-1, j] and
-    C[i, K] P[K, j] must be at most SERIES_STOP_REL x |sum|, else K grows
-    by half (at least 8) and the band is summed again.
+    With q = z^2/4 the sum is sum_k q^k / (k! (nu+1)_k), the shared table
+    with den = nu and no numerator (see ``_log_series_outer``).  The
+    powers stay complex: on the timer's wide tables (about 40 terms) one
+    complex product is cheaper than two real ones plus assembling their
+    parts.  Bands group the columns by |z|: for
+    Re(nu) >= -1/2 and real z, d log(sum)/d|z| = I_{nu+1}(z)/I_nu(z) <= 1,
+    so a band _SERIES_BAND_WIDTH wide in |z| keeps every column's sum
+    within e^-300 of the band's largest.  The N=4 timer kernel (|z| < 20)
+    needs one band and about 40 terms.
     """
     out_shape = np.broadcast_shapes(nu.shape, z.shape)
-    nu_col = nu.reshape(-1)
     q = (z * z * 0.25).reshape(-1)
-    z_mag = np.abs(z).reshape(-1)
-    band = ((np.max(z_mag) - z_mag) // _SERIES_BAND_WIDTH).astype(int)
-    if np.all(band == 0):
-        log_sum = _log_series_band(nu_col, q)
-    else:
-        log_sum = np.empty((nu_col.size, q.size), dtype=complex)
-        for b in np.unique(band):
-            cols = np.flatnonzero(band == b)
-            log_sum[:, cols] = _log_series_band(nu_col, q[cols])
+    log_sum, _ = _log_series_outer(nu.reshape(-1), q, np.abs(z).reshape(-1),
+                                   _SERIES_BAND_WIDTH)
     out = _series_prefactor(nu, z)
     out += log_sum.reshape(out_shape)
     return out
 
 
-def _log_series_band(nu, q):
-    """log of the series for 1-D orders x 1-D arguments of one band."""
-    s = float(np.max(np.abs(q)))
+def _log_series_outer(den, q, key, width, num=None):
+    """log sum_k C[i, k] q_j^k for 1-D rows i x 1-D columns j, the matrix
+    route shared by the Bessel (0F1) and Kummer (1F1) series.
+
+    The terms are c_0 = 1, c_k = c_{k-1} q num_k / (k (den + k)) with
+    num_k = num + k - 1 (1F1) or 1 (0F1, ``num`` is None).  With the
+    largest |q_j| as s, C[i, k] = s^k (num_i)_k / (k! (den_i+1)_k) is
+    built once per row block (``_series_table``) and P[k, j] = (q_j / s)^k
+    per column block, so |P| <= 1 and the sum is one matrix product: two
+    real ones (the real and imaginary parts of C against P, as one product
+    of C viewed as reals) when q is real, one complex otherwise.
+
+    Every element is checked after the product: its last two terms must
+    be at most SERIES_STOP_REL x |sum| (term magnitudes taken as
+    |Re| + |Im|, so the rule is no looser than the running product's),
+    else the table grows by half (at least 8 terms) and the row block is
+    summed again.
+
+    Bands.  No stored coefficient passes 1e250 (e^575) and |P| <= 1, so
+    a product C P that underflows (|P| < e^-708) is below e^-133.  A row
+    whose terms at q = s stay below 1e250 keeps scale 0: each column's sum
+    of |terms| is at least its k = 0 term, 1, and what underflows is
+    negligible, so one band holds every column.  Only when some row of the
+    block needs a log scale are the columns split: the columns whose
+    ``key`` is within ``width`` of the largest form one band and the rest
+    are summed again on their own (recursively).  The caller picks ``key``
+    and ``width`` so that log(sum of |terms|) falls by at most
+    _SERIES_BAND_WIDTH (300) across a band; the scale leaves the band's
+    largest term above 1e250 / 2^512 (e^220), so every column's scaled sum
+    of |terms| stays above e^-80 and again nothing that matters underflows.
+
+    Returns (log sums, lost) as (rows x columns) arrays; ``lost`` is
+    log(sum of |terms| / |sum|) for 1F1 and None for 0F1.
+    """
+    n, m = den.size, q.size
+    out = np.empty((n, m), dtype=complex)
+    lost = None if num is None else np.empty((n, m))
+    s = float(np.max(np.abs(q))) or 1.0
+    step = max(1, _SERIES_BLOCK_BYTES // (16 * (_first_terms(den, s, num) + 1)))
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        _log_series_rows(den[rows], None if num is None else num[rows], q,
+                         key, width, out[rows],
+                         None if lost is None else lost[rows])
+    return out, lost
+
+
+def _log_series_rows(den, num, q, key, width, out, lost):
+    """``_log_series_outer`` for one row block, written into ``out`` (and
+    ``lost``)."""
+    s = float(np.max(np.abs(q))) or 1.0
     x = q / s
     min_terms = 0
     while True:
-        coef, row_scale = _series_table(nu, s, min_terms)
+        coef, row_scale = _series_table(den, s, min_terms, num)
+        if np.any(row_scale) and np.ptp(key) > width:
+            top = key > np.max(key) - width
+            for cols in (top, ~top):
+                part = out[:, cols]
+                part_lost = None if lost is None else lost[:, cols]
+                _log_series_rows(den, num, q[cols], key[cols], width, part,
+                                 part_lost)
+                out[:, cols] = part
+                if lost is not None:
+                    lost[:, cols] = part_lost
+            return
         n_terms = coef.shape[0] - 1
-        powers = np.empty((n_terms + 1, x.size), dtype=complex)
-        powers[0] = 1.0
-        np.cumprod(np.broadcast_to(x, (n_terms, x.size)), axis=0,
-                   out=powers[1:])
-        total = coef.T @ powers
-        mag = np.abs(total)
-        limit = SERIES_STOP_REL * mag
-        if all(np.all(np.multiply.outer(np.abs(coef[k]),
-                                        np.abs(powers[k])) <= limit)
-               for k in (n_terms - 1, n_terms)):
-            break
-        min_terms = n_terms + max(8, n_terms // 2)
-    # log(total) in place; np.log on complex arrays is several times
-    # slower than log|total| + i arg(total).
-    arg = np.arctan2(total.imag, total.real)
-    np.log(mag, out=mag)
-    mag += row_scale[:, None]
-    total.real = mag
-    total.imag = arg
-    return total
-
-
-def _series_table(nu, s, min_terms):
-    """The table C[i, k] = s^k / (k! (nu_i+1)_k) for k = 0..K, stored
-    transposed (one row per k), and the per-order log scales.
-
-    Built by the running product of the paired route, with the same
-    checkpoints, stopping rule (applied to the sums at q = s) and 1e250
-    rescaling, which shifts every stored coefficient of that order.  Stops
-    at the first passing checkpoint at or beyond ``min_terms``.
-    """
-    a = np.ones(nu.shape, dtype=complex)
-    coef = [a]
-    total = a.copy()
-    row_scale = np.zeros(nu.shape, dtype=float)
-    small_prev = False
-    for k in range(1, SERIES_MAX_TERMS + 1):
-        a = a * (s / (k * (nu + k)))
-        coef.append(a)
-        total += a
-        if k % 8 == 0 or k > 60:
-            sm = _mag(total)
-            small = bool(np.all(_mag(a) <= SERIES_STOP_REL * sm))
-            if small and small_prev and k >= min_terms:
+        abs_coef = None if num is None else np.abs(coef)
+        step = max(1, _SERIES_BLOCK_BYTES // (8 * (n_terms + 1)))
+        for c0 in range(0, q.size, step):
+            cols = slice(c0, c0 + step)
+            if not _sum_columns(coef, abs_coef, row_scale, x[cols],
+                                out[:, cols],
+                                None if lost is None else lost[:, cols]):
                 break
-            small_prev = small
-            if np.max(sm) > _RESCALE_LIMIT:
-                big = sm > _RESCALE_LIMIT
-                for c in coef:
-                    c[big] *= _RESCALE_SHIFT
-                total[big] *= _RESCALE_SHIFT
-                row_scale[big] += _RESCALE_LOG
+        else:
+            return
+        min_terms = n_terms + max(8, n_terms // 2)
+
+
+def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
+    """One column block: writes log sums (and lost digits) into ``out``
+    (and ``lost``); False if some element's last two terms are too big.
+
+    The last two terms are bounded together by max(|C[K-1]|, |C[K]|) x
+    |P[K-1]| (|P[K]| <= |P[K-1]|), magnitudes taken as |Re| + |Im|.
+    """
+    n_terms = coef.shape[0] - 1
+    powers = np.empty((n_terms + 1, x.size), dtype=x.dtype)
+    powers[0] = 1.0
+    np.cumprod(np.broadcast_to(x, (n_terms, x.size)), axis=0, out=powers[1:])
+    if powers.dtype.kind == "f":
+        pair = coef.view(float).T @ powers  # rows Re C_i, Im C_i alternate
+        total = np.empty((coef.shape[1], x.size), dtype=complex)
+        total.real = pair[0::2]
+        total.imag = pair[1::2]
     else:
+        total = coef.T @ powers
+    mag = np.abs(total)
+    last = np.maximum(_mag(coef[-2]), _mag(coef[-1])) / SERIES_STOP_REL
+    if not np.all(np.multiply.outer(last, _mag(powers[-2])) <= mag):
+        return False
+    if lost is not None:
+        np.log(abs_coef.T @ np.abs(powers), out=lost)
+        lost -= np.log(mag)
+    np.arctan2(total.imag, total.real, out=out.imag)
+    np.log(mag, out=mag)
+    np.add(mag, row_scale[:, None], out=out.real)
+    return True
+
+
+def _first_terms(den, s, num):
+    """Initial table length: past the peak of the terms at q = s.
+
+    The 1F1 terms at x = s behave like a Poisson(s) weight times
+    k^(a - b), which falls to 1e-16 of its peak about 9 sqrt(s) terms past
+    k = s + Re(a - b); the 0F1 terms s^k / (k! (nu+1)_k) peak near
+    k = sqrt(s) - Re(nu) and fall to 1e-16 of it by about 2.7 sqrt(s).
+    """
+    root = math.sqrt(s)
+    if num is None:
+        lead = 2.7 * root + max(0.0, -float(np.min(den.real)))
+    else:
+        lead = s + 9.0 * root + max(0.0, float(np.max((num - den).real)) - 1.0)
+    return int(lead) + 16
+
+
+def _series_table(den, s, min_terms, num=None):
+    """The table C[k, i] = s^k (num_i)_k / (k! (den_i+1)_k) for k = 0..K,
+    one row per k, and the per-row log scales (see ``_scaled_cumprod``).
+
+    Without ``num`` the factor (num_i)_k is dropped.  K starts at the
+    larger of ``min_terms`` and ``_first_terms`` and grows by half (at
+    least 8 terms) until, at q = s, the last two terms are at most
+    SERIES_STOP_REL x |sum| and the last is the smaller of the two.
+
+    Raises:
+        SpecfunDomainError: a denominator den + k, k = 1..K, is zero (the
+            Kummer b-pole; Bessel orders are checked before).
+        SeriesNonConvergenceError: K would pass SERIES_MAX_TERMS.
+    """
+    what = "bessel_i" if num is None else "kummer_m"
+    if min_terms > SERIES_MAX_TERMS:
         raise SeriesNonConvergenceError(
-            f"bessel_i series did not converge within {SERIES_MAX_TERMS} terms"
-        )
-    return np.stack(coef), row_scale
+            f"{what} series did not converge within {SERIES_MAX_TERMS} terms")
+    n_terms = min(max(min_terms, _first_terms(den, s, num)), SERIES_MAX_TERMS)
+    on_axis = (np.abs(den.imag) < 1e-300) & (den.real == np.round(den.real))
+    while True:
+        if np.any(on_axis & (den.real <= -1.0) & (den.real >= -n_terms)):
+            raise SpecfunDomainError(
+                f"{what} parameter pole at a non-positive integer")
+        # ratio = s num_k / (k (den + k)), dividing by den + k = u + iv as
+        # (u - iv) / (u^2 + v^2) in real arithmetic (about twice as fast as
+        # complex division).
+        k = np.arange(1.0, n_terms + 1.0)[:, None]
+        u = den.real + k
+        f = s / (k * (u * u + den.imag * den.imag))
+        ratio = np.empty(u.shape, dtype=complex)
+        np.multiply(f, u, out=ratio.real)
+        np.multiply(f, -den.imag, out=ratio.imag)
+        if num is not None:
+            ratio *= num + (k - 1.0)
+        coef, row_scale = _scaled_cumprod(ratio)
+        limit = SERIES_STOP_REL * np.abs(coef.sum(axis=0))
+        last, prev = coef[-1], coef[-2]
+        if (np.all(_mag(last) <= limit) and np.all(_mag(prev) <= limit)
+                and np.all(np.abs(last) <= np.abs(prev))):
+            return coef, row_scale
+        if n_terms == SERIES_MAX_TERMS:
+            raise SeriesNonConvergenceError(
+                f"{what} series did not converge within {SERIES_MAX_TERMS} "
+                "terms")
+        n_terms = min(n_terms + max(8, n_terms // 2), SERIES_MAX_TERMS)
+
+
+def _scaled_cumprod(ratio):
+    """Partial products 1, r_1, r_1 r_2, ... of each column of ``ratio``
+    (one row per k) and a log scale per column.
+
+    A column whose products pass 1e250 is multiplied again with its ratios
+    scaled by 2^-512 at each step where the running peak of log|product|
+    passes another multiple of 512 log 2 beyond log 1e250; then every
+    product is brought to the column's final scale.  Powers of two scale
+    exactly, so the stored products are those of the unscaled recurrence
+    times one power of two per column (products far below the peak flush
+    to zero), none passes 1e250 and the largest stays above
+    1e250 / 2^512.  The log scale is the number of shifts x 512 log 2.
+    """
+    coef = _cumprod_rows(ratio)
+    row_scale = np.zeros(ratio.shape[1])
+    flat = coef.view(float)
+    with np.errstate(invalid="ignore"):
+        if max(flat.max(), -flat.min()) <= _RESCALE_LIMIT / 2.0:
+            return coef, row_scale  # |coef| <= sqrt(2) x max(|Re|, |Im|)
+        big = ~(np.max(np.abs(coef), axis=0) <= _RESCALE_LIMIT)
+    if not np.any(big):
+        return coef, row_scale
+    r = ratio[:, big]
+    with np.errstate(divide="ignore"):  # a zero ratio ends the column
+        log_r = np.log(np.abs(r))
+    peak = np.maximum.accumulate(np.cumsum(log_r, axis=0), axis=0)
+    shifts = np.ceil(np.maximum(peak - math.log(_RESCALE_LIMIT), 0.0)
+                     / _RESCALE_LOG).astype(int)
+    step = np.diff(shifts, axis=0, prepend=0)
+    shifted = _cumprod_rows(_ldexp(r, -512 * step))
+    final = shifts[-1]
+    lag = final - np.vstack([np.zeros_like(final), shifts])
+    coef[:, big] = _ldexp(shifted, -512 * lag)
+    row_scale[big] = final * _RESCALE_LOG
+    return coef, row_scale
+
+
+def _cumprod_rows(ratio):
+    """1, r_1, r_1 r_2, ... down each column of ``ratio`` (one row per k).
+
+    Narrow tables use np.cumprod; from _CUMPROD_LOOP_MIN_COLUMNS columns on,
+    one vector multiply per row is faster (NumPy's accumulate runs about
+    four times slower per element than a multiply, which amortizes the
+    per-row call on wide tables).  Both multiply in the same order.
+    """
+    n_terms, n = ratio.shape
+    coef = np.empty((n_terms + 1, n), dtype=complex)
+    coef[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < _CUMPROD_LOOP_MIN_COLUMNS:
+            np.cumprod(ratio, axis=0, out=coef[1:])
+        else:
+            for k in range(n_terms):
+                np.multiply(coef[k], ratio[k], out=coef[k + 1])
+    return coef
+
+
+def _ldexp(c, e):
+    """c * 2^e for complex ``c`` and integer ``e``, exact barring underflow."""
+    out = np.empty(np.broadcast_shapes(c.shape, np.shape(e)), dtype=complex)
+    out.real = np.ldexp(c.real, e)
+    out.imag = np.ldexp(c.imag, e)
+    return out
 
 
 def _log_bessel_asym(nu, z):
@@ -522,16 +723,40 @@ def _check_b_pole(b):
 
 
 def _log_kummer_taylor(a, b, z):
-    """log M(a,b,z) by the Taylor series with rescaling.
+    """log M(a,b,z) by the Taylor series.
 
-    Returns (log M, digits-lost proxy).  The proxy is the ratio of the peak
-    partial-sum magnitude to the final magnitude; large values mean the
-    series cancelled catastrophically (happens for Re(z) << 0, which callers
-    avoid via the Kummer transformation).
+    Returns (log M, digits-lost proxy).  The proxy is log of the ratio of
+    the partial sums' magnitude (peak partial sum, or the sum of |terms|,
+    which is never smaller) to |M|; large values mean the series cancelled
+    catastrophically (happens for Re(z) << 0, which callers avoid via the
+    Kummer transformation).  Two routes, chosen by layout:
+
+    * Outer layout: a and b on the leading axes with a size-1 last axis
+      (ndim >= 2), against two or more real (float-dtype) z along the
+      last axis -- the omega x v grid of the joint characteristic
+      function.  M = C @ P by the matrix route shared with the Bessel
+      series (``_log_series_outer`` with den = b - 1, num = a); the
+      proxy is log((|C| @ |P|) / |M|).  Bands group the columns by |z|,
+      ``_SERIES_BAND_WIDTH / rho`` wide, where rho = 1 + max|a - b| /
+      min_k |b + k| bounds |a + k| / |b + k| and hence, since
+      (k+1)|t_{k+1}(x)| = |t_k(x)| |a + k| / |b + k|, the slope
+      d/dx log sum_k |t_k(x)| (M itself grows like e^x x^(a-b), so the
+      slope can exceed 1).
+    * Any other layout, including a single argument (``kummer_m``,
+      ``joint_cf_h``, the omega grid at one variance), where no powers
+      are shared: a running product per element with dynamic rescaling,
+      until every element's term is below SERIES_STOP_REL x |sum| at two
+      consecutive checkpoints.
     """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    z = np.asarray(z)
+    rows = np.broadcast_shapes(a.shape, b.shape)
+    if (z.dtype.kind == "f" and len(rows) >= 2 and rows[-1] == 1
+            and z.ndim >= 1 and 1 < z.size == z.shape[-1]):
+        return _kummer_outer(a, b, z)
     a, b, z = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=complex)),
-        np.atleast_1d(np.asarray(b, dtype=complex)),
+        np.atleast_1d(a), np.atleast_1d(b),
         np.atleast_1d(np.asarray(z, dtype=complex)),
     )
     term = np.ones_like(z)
@@ -565,6 +790,19 @@ def _log_kummer_taylor(a, b, z):
     logm = np.log(total) + scale
     lost = peak_log - logm.real
     return logm, lost
+
+
+def _kummer_outer(a, b, x):
+    """The outer-layout route of ``_log_kummer_taylor``."""
+    a, b = np.broadcast_arrays(a, b)
+    out_shape = np.broadcast_shapes(a.shape, x.shape)
+    a, b, x = a.reshape(-1), b.reshape(-1), x.reshape(-1)
+    nearest = np.abs(b + np.maximum(np.round(-b.real), 0.0))
+    with np.errstate(divide="ignore"):
+        rho = 1.0 + float(np.max(np.abs(a - b) / nearest))
+    logm, lost = _log_series_outer(b - 1.0, x, np.abs(x),
+                                   _SERIES_BAND_WIDTH / rho, num=a)
+    return logm.reshape(out_shape), lost.reshape(out_shape)
 
 
 def _log_kummer_asym_sum(a, b, x):

@@ -28,6 +28,7 @@ the exponent c.  The two are kept in separate named variables everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -312,10 +313,26 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     h = e^{a dt} [Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x),
     x = 1/(C v), at = -1/2 - kt/eps^2 + c, bt = 1 + 2c.
 
-    Two regimes: for moderate x the Kummer transformation plus the Taylor
-    series (positive argument, no cancellation); for large x the algebraic
-    asymptotic branch, in which the Gamma ratio and the power cancel
-    analytically, leaving log h = a dt + log(asymptotic sum).
+    Two regimes, chosen per element: for large x (beyond
+    KUMMER_ASYM_MIN_X and beyond KUMMER_ASYM_ORDER_FACTOR x max(|at|,
+    |at - bt + 1|)^2 + 50) the algebraic asymptotic branch, in which the
+    Gamma ratio and the power cancel analytically, leaving
+    log h = a dt + log(asymptotic sum); otherwise the Kummer
+    transformation plus the Taylor series (positive argument, no
+    cancellation).  A Taylor element that lost more than 10 digits
+    (log ratio > 23) raises.
+
+    The parameters depend on (omega, eta) only and x on v only.  When the
+    broadcast splits into parameter rows x two or more variance columns
+    (a single parameter point, or parameters with a size-1 last axis
+    against v varying only along the last axis), they are kept that way:
+    the Gamma ratio is taken per row, x^{at} as the outer product of at
+    and log x, and the Taylor series is summed by the matrix route of
+    ``specfun._log_kummer_taylor`` for every row of each column that some
+    row takes Taylor in; the mask then picks per element, and the digits
+    check applies to the Taylor-selected elements only.  Any other layout,
+    a single variance included, is materialized as paired elements, and
+    only its Taylor elements are summed (by the running product).
     """
     dt = t_prime - t
     omega = np.asarray(omega, dtype=complex)
@@ -337,41 +354,50 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     beta_t = 1.0 + 2.0 * c
     x = 1.0 / (C * v)
 
-    alpha_t, beta_t, x, a = np.broadcast_arrays(
-        np.atleast_1d(alpha_t), np.atleast_1d(beta_t),
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(a)
-    )
-    out = np.empty(x.shape, dtype=complex)
+    p_shape = np.broadcast_shapes(alpha_t.shape, np.shape(a))
+    shape = np.broadcast_shapes(p_shape, x.shape, (1,))
+    outer = x.size > 1 and (math.prod(p_shape) == 1 or (
+        p_shape[-1:] == (1,) and x.size == x.shape[-1]))
+    if outer:
+        at, bt, a = (np.broadcast_to(p, p_shape).reshape(-1, 1)
+                     for p in (alpha_t, beta_t, a))
+        x = x.reshape(-1)
+    else:
+        at, bt, a, x = (np.broadcast_to(p, shape).reshape(-1)
+                        for p in (alpha_t, beta_t, a, x))
 
-    m1 = np.abs(alpha_t)
-    m2 = np.abs(alpha_t - beta_t + 1.0)
-    mx = np.maximum(m1, m2)
+    mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
     asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
                           specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
-
+    out = np.empty(asym.shape, dtype=complex)
     if np.any(asym):
         out[asym] = specfun._log_kummer_asym_sum(
-            alpha_t[asym], beta_t[asym], x[asym]
-        )
-    rest = ~asym
-    if np.any(rest):
-        at = alpha_t[rest]
-        bt = beta_t[rest]
-        xr = x[rest]
-        logm, lost = specfun._log_kummer_taylor(bt - at, bt, xr.astype(complex))
-        if np.any(lost > 23.0):
+            *(np.broadcast_to(p, asym.shape)[asym] for p in (at, bt, x)))
+
+    if outer:
+        cols = ~np.all(asym, axis=0)
+        part = (slice(None), cols)
+    else:
+        cols = part = ~asym
+        at, bt = at[cols], bt[cols]
+    if np.any(cols):
+        xt = x[cols]
+        taylor = ~asym[part]
+        logm, lost = specfun._log_kummer_taylor(bt - at, bt, xt)
+        if np.any(lost[taylor] > 23.0):
             raise ThreeHalvesError(
                 "joint CF Taylor branch lost more than 10 digits; "
                 "contour outside the supported strip"
             )
-        out[rest] = (
+        log_taylor = (
             specfun._log_gamma_vec(bt - at)
             - specfun._log_gamma_vec(bt)
-            + at * np.log(xr)
-            - xr
+            + at * np.log(xt)
+            - xt
             + logm
         )
-    return a * dt + out
+        out[part] = np.where(taylor, log_taylor, out[part])
+    return (a * dt + out).reshape(shape)
 
 
 def joint_cf_h(t: float, v: float, t_prime: float, point: TransformPoint,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from three_halves import specfun
+from three_halves import pricers, specfun
 from three_halves import transforms as tr
 from three_halves.errors import (
     PrecisionLossError,
@@ -252,9 +252,9 @@ class TestBesselSeriesOuter:
         calls = []
         table = specfun._series_table
 
-        def short_first(nu, s, min_terms):
+        def short_first(den, s, min_terms, num=None):
             calls.append(min_terms)
-            coef, row_scale = table(nu, s, min_terms)
+            coef, row_scale = table(den, s, min_terms, num)
             return (coef[:5] if len(calls) == 1 else coef), row_scale
 
         monkeypatch.setattr(specfun, "_series_table", short_first)
@@ -276,6 +276,117 @@ class TestBesselSeriesOuter:
             specfun._log_bessel_series(nu, z)
         with pytest.raises(SpecfunDomainError):
             specfun._log_bessel_i_vec(nu, z)
+
+
+def corridor_kummer_grid(params):
+    """Kummer parameters of the joint CF on the corridor contour (rows) and
+    x = 1/(C v) on the variance nodes of the N=2 lag-0 swap's second
+    period that some row sums by the Taylor series (columns): a = bt - at,
+    b = bt after the Kummer transformation.
+    """
+    cfg = QuadratureConfig()
+    omega = (np.linspace(-80.0, 80.0, 769) - 0.5j)[::16] + 1e-3
+    c = tr._c_exponent(omega, 0.0, params)
+    at = -0.5 - tr._kappa_tilde(omega, params) / params.eps2 + c
+    bt = 1.0 + 2.0 * c
+    nodes, _ = pricers._transition_grid(params, 0.0, 0.5, params.v0, cfg)
+    x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, 1.0) * nodes[0])
+    mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
+    reach = max(specfun.KUMMER_ASYM_MIN_X,
+                np.max(specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0))
+    return (bt - at)[:, None], bt[:, None], x[x <= reach]
+
+
+def mp_log_hyp1f1(a, b, x):
+    a, b = complex(a), complex(b)
+    return complex(mp.log(mp.hyp1f1(mp.mpc(a.real, a.imag),
+                                    mp.mpc(b.real, b.imag), mp.mpf(x))))
+
+
+def kummer_outer_and_paired(a, b, x):
+    """Kummer's Taylor series on parameters x real arguments (matrix route)
+    and on the same inputs materialized as complex pairs (running product)."""
+    outer = specfun._log_kummer_taylor(a, b, x)
+    a_b, b_b, x_b = (np.ascontiguousarray(v)
+                     for v in np.broadcast_arrays(a, b, x.astype(complex)))
+    return outer, specfun._log_kummer_taylor(a_b, b_b, x_b)
+
+
+class TestKummerTaylorOuter:
+    """The matrix-product route of Kummer's Taylor series against the
+    running product on the same inputs and against mpmath."""
+
+    def test_corridor_grid(self, snp_params):
+        a, b, x = corridor_kummer_grid(snp_params)
+        assert x.min() < 1e-4 and x.max() > 400.0
+        (outer, lost), (paired, lost_paired) = kummer_outer_and_paired(a, b, x)
+        assert outer.shape == (a.shape[0], x.size)
+        assert max(log_err(o, p) for o, p in zip(outer.flat, paired.flat)) \
+            <= 1e-13
+        # sum |terms| >= |peak partial sum|; the running route measures the
+        # partial sums as |Re| + |Im|, up to sqrt(2) above their modulus.
+        assert np.all(lost >= lost_paired - 0.5 * math.log(2.0) - 1e-12)
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            i, j = (rng.integers(n) for n in outer.shape)
+            want = mp_log_hyp1f1(a[i, 0], b[i, 0], x[j])
+            assert log_err(outer[i, j], want) <= 1e-13, (i, j)
+
+    def test_terms_past_1e250_split_the_bands(self, monkeypatch):
+        # At x = 1400 the terms pass 1e250, so those rows carry a log scale
+        # and the x spread is summed in several bands, each with its own s.
+        a = np.array([1.3 + 0.3j, 4.0 - 2.0j])[:, None]
+        b = np.array([3.1, 2.0 + 1.0j])[:, None]
+        x = np.array([1e-3, 1.0, 50.0, 600.0, 1400.0])
+        scales = []
+        table = specfun._series_table
+
+        def spy(den, s, min_terms, num=None):
+            coef, row_scale = table(den, s, min_terms, num)
+            scales.append((s, bool(np.any(row_scale))))
+            return coef, row_scale
+
+        monkeypatch.setattr(specfun, "_series_table", spy)
+        (outer, _), (paired, _) = kummer_outer_and_paired(a, b, x)
+        assert (1400.0, True) in scales
+        assert len({s for s, _ in scales}) >= 3
+        for i in range(a.shape[0]):
+            for j in range(x.size):
+                want = mp_log_hyp1f1(a[i, 0], b[i, 0], x[j])
+                tol = 1e-13 + 2e-15 * abs(want)
+                assert log_err(outer[i, j], want) <= tol, (i, j)
+                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+
+    def test_single_argument_takes_the_running_product(self, snp_params):
+        a, b, x = corridor_kummer_grid(snp_params)
+        one = x[-1:]
+        logm, lost = specfun._log_kummer_taylor(a, b, one)
+        want, want_lost = specfun._log_kummer_taylor(
+            a, b, one.astype(complex))
+        assert np.array_equal(logm, want) and np.array_equal(lost, want_lost)
+
+    def test_lost_digits_measured(self):
+        # Negative real arguments cancel: the raw series loses ~15 digits at
+        # x = -80 on both routes (kummer_m raises PrecisionLossError there).
+        a = np.array([0.8, 0.8 + 0.5j])[:, None]
+        b = np.array([2.3, 2.3])[:, None]
+        x = np.array([-80.0, -1.0])
+        (_, lost), (_, lost_paired) = kummer_outer_and_paired(a, b, x)
+        assert np.all(lost[:, 0] > 23.0) and np.all(lost_paired[:, 0] > 23.0)
+        assert np.all(lost[:, 1] < 2.0)
+
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
+        a = np.array([1.5, 2.0 + 1.0j])[:, None]
+        b = np.array([2.5, 3.0])[:, None]
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_kummer_taylor(a, b, np.array([1.0, 4.0]))
+
+    def test_b_pole_raises(self):
+        a = np.array([1.5, 1.5])[:, None].astype(complex)
+        b = np.array([2.5, -3.0])[:, None].astype(complex)
+        with pytest.raises(SpecfunDomainError):
+            specfun._log_kummer_taylor(a, b, np.array([1.0, 4.0]))
 
 
 class TestKummerM:

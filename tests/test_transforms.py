@@ -196,6 +196,79 @@ class TestJointCF:
         assert abs(val - h) <= 1e-6 * abs(h)
 
 
+def log_err(got, want):
+    """|got - want| for logs, with the imaginary part taken modulo 2 pi."""
+    d = np.asarray(got) - np.asarray(want)
+    return np.abs(d.real + 1j * ((d.imag + math.pi) % (2.0 * math.pi) - math.pi))
+
+
+def corridor_h_grid(params):
+    """omega on the corridor contour x the variance nodes of the N=2 lag-0
+    swap's second period, and the mask of asymptotic-branch elements."""
+    from three_halves import specfun
+    from three_halves.model import coef_C
+    from three_halves.pricers import _transition_grid
+
+    omega = (np.linspace(-80.0, 80.0, 769) - 0.5j)[::8]
+    nodes, _ = _transition_grid(params, 0.0, 0.5, params.v0, CFG)
+    v = nodes[0]
+    c = tr._c_exponent(omega, 0.0, params)
+    at = -0.5 - tr._kappa_tilde(omega, params) / params.eps2 + c
+    mx = np.maximum(np.abs(at), np.abs(at - 2.0 * c))[:, None]
+    x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, 1.0) * v)
+    asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
+                          specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
+    return omega, v, asym
+
+
+class TestLogHLayouts:
+    """h on omega rows x variance columns (the pricers' layout) against the
+    same inputs materialized as paired elements."""
+
+    def test_rows_by_columns_equal_paired(self, snp_params):
+        omega, v, asym = corridor_h_grid(snp_params)
+        mixed = np.any(asym, axis=0) & ~np.all(asym, axis=0)
+        assert np.count_nonzero(mixed) >= 3
+        outer = tr._log_h_vec(0.5, v[None, :], 1.0, omega[:, None], 0.0,
+                              snp_params)
+        om_b, v_b = np.broadcast_arrays(omega[:, None], v[None, :])
+        paired = tr._log_h_vec(0.5, v_b.ravel(), 1.0, om_b.ravel(), 0.0,
+                               snp_params).reshape(outer.shape)
+        err = log_err(outer, paired)
+        assert np.max(err[asym]) == 0.0  # same asymptotic sums
+        assert np.max(err) <= 1e-13
+        # One parameter point against many variances takes the same route.
+        row = tr._log_h_vec(0.5, v, 1.0, omega[3], 0.0, snp_params)
+        assert np.max(log_err(row, outer[3])) <= 1e-13
+
+    def test_digits_check_skips_asymptotic_elements(self, snp_params,
+                                                    monkeypatch):
+        # Taylor is summed for every row of a mixed column; a lost-digit
+        # reading on an element that takes the asymptotic value must not
+        # raise, one on a Taylor element must.
+        from three_halves import specfun
+
+        omega, v, asym = corridor_h_grid(snp_params)
+        taylor = specfun._log_kummer_taylor
+        mark = {}
+
+        def marked(a, b, x):
+            logm, lost = taylor(a, b, x)
+            cols = ~np.all(asym, axis=0)
+            lost = lost.copy()
+            lost[mark["where"][:, cols]] = 30.0
+            return logm, lost
+
+        monkeypatch.setattr(specfun, "_log_kummer_taylor", marked)
+        mark["where"] = asym
+        tr._log_h_vec(0.5, v[None, :], 1.0, omega[:, None], 0.0, snp_params)
+        mark["where"] = np.zeros_like(asym)
+        mark["where"][np.nonzero(~asym)[0][0], np.nonzero(~asym)[1][0]] = True
+        with pytest.raises(ThreeHalvesError):
+            tr._log_h_vec(0.5, v[None, :], 1.0, omega[:, None], 0.0,
+                          snp_params)
+
+
 class TestG1:
     def test_equals_g_at_eta_zero(self, snp_params):
         got = tr.partial_transform_g1(0.0, 0.06, 0.5, 2.0 - 1.0j, 0.08,

@@ -349,10 +349,6 @@ def _floating_leg(spec, ens: PathEnsemble, params: ModelParams) -> np.ndarray:
     powered = dx**spec.m
     total = np.zeros(len(s))
     for k in range(1, n_periods + 1):
-        ik = spec.weight_index(k, n_periods)
-        if ik is None:
-            w = 1.0
-        else:
-            w = spec.weight_value(s[:, ik], params)
+        w = spec.weight_value(s[:, spec.weight_index(k, n_periods)], params)
         total += w * powered[:, k - 1]
     return total / spec.maturity

@@ -26,14 +26,20 @@ eta integral is known in closed form (the indicator of 0 < B), so it is
 priced as a European call with maturity t_1 and only the decaying remainder
 goes through the 2-D rule.
 
-Two contours are supported.  "direct" evaluates the telescoped sum as
-written (eta_I = +damping_eta).  "complement" rewrites every indicator as
-1 - 1{I >= B}, which flips the eta contour to -damping_eta and turns the
-price into European(T) minus the same 2-D integral; since
-|e^{-i eta B}| = e^{eta_I B}, the complement contour is the numerically
-stable choice once B is large (the direct contour's integrand grows like
-e^{damping_eta * B} and must cancel back down to the price).  "auto" picks
-direct for small B and complement beyond TIMER_CONTOUR_SWITCH_B.
+Every timerlet W_j is evaluated exactly, and the eta contour follows the
+budget B alone: direct up to TIMER_CONTOUR_SWITCH_B, complement beyond.
+"direct" evaluates the telescoped sum as written (eta_I = +damping_eta).
+"complement" rewrites every indicator as 1 - 1{I >= B}, which flips the
+eta contour to -damping_eta and turns the price into European(T) minus the
+same 2-D integral.  Since |e^{-i eta B}| = e^{eta_I B}, the direct
+integrand grows like e^{damping_eta * B} and must cancel back down to the
+price, so complement is the stable choice once B is large.  For small B
+the complement contour is wrong by far more than its error estimate (at
+N = 2, B = 0.087 it prices above the European(T) bound), so it is never
+used there.  Near the switch the two contours still disagree by more than
+their estimates, because the eta truncation dominates the error: at N = 4,
+direct minus complement is -6.7e-4, 2.8e-3, -3.7e-4 and 1.8e-3 at
+B = 0.3, 0.5, 0.6 and 1.0.
 
 Moment swaps
 ------------
@@ -49,9 +55,8 @@ MOMENT_RADIUS with MOMENT_NODES nodes (``_cauchy_moment``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +76,8 @@ from .quadrature import (
     parseval_grid,
 )
 
-# Contour auto-switch: direct representation up to this variance budget,
-# complement beyond (see module docstring).
+# Variance budget up to which the timer takes the direct contour; beyond
+# it, the complement contour (see module docstring).
 TIMER_CONTOUR_SWITCH_B = 0.5
 
 _REL_IMAG_TOL = 1e-8
@@ -204,23 +209,14 @@ def _call_transform(omega, strike: float):
     return -strike ** (1.0 - 1j * omega) / (1j * omega + omega * omega)
 
 
-def payoff_transform_timer(omega, eta, strike: float, budget: float):
+def _timer_transform_raw(omega, eta, strike: float, budget: float):
     """F(omega, eta) = K^{1-i w} e^{-i e B} / ((i w + w^2) i e).
 
-    Defined on contours Im(omega) < -1, Im(eta) > 0 (the {y < B} payoff);
-    the same algebraic expression on Im(eta) < 0 is the transform of the
-    complementary {y >= B} payoff and is used internally by the complement
-    contour.
+    On contours Im(omega) < -1, Im(eta) > 0 this is the transform of the
+    {y < B} call payoff; the same expression on Im(eta) < 0 is the
+    transform of the complementary {y >= B} payoff, used by the complement
+    contour.  The caller keeps omega and eta on those contours.
     """
-    omega = np.asarray(omega, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    if np.any(omega.imag >= -1.0) or np.any(eta.imag <= 0.0):
-        raise ContourViolationError(
-            "payoff_transform_timer needs Im(omega) < -1 and Im(eta) > 0")
-    return _timer_transform_raw(omega, eta, strike, budget)
-
-
-def _timer_transform_raw(omega, eta, strike: float, budget: float):
     return (strike ** (1.0 - 1j * omega) * np.exp(-1j * eta * budget)
             / ((1j * omega + omega * omega) * (1j * eta)))
 
@@ -265,27 +261,6 @@ def _price_european_detailed(spec: EuropeanSpec, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def _timerlet_sample_indices(n_monitoring: int, budget_nodes: int):
-    """Indices j in [1, N-1] where the timerlet curve is evaluated exactly.
-
-    Small j are kept exact (the curve is steepest near t = 0); the rest are
-    Chebyshev points in sqrt(t_j).  budget_nodes >= N-1 means all exact.
-    """
-    n_inner = n_monitoring - 1
-    if n_inner <= 0:
-        return []
-    if budget_nodes >= n_inner:
-        return list(range(1, n_monitoring))
-    explicit = [1, 2, 3]
-    n_cheb = max(budget_nodes - len(explicit), 4)
-    lo, hi = math.sqrt(4.0), math.sqrt(n_inner)
-    k = np.arange(n_cheb)
-    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k + 1) * math.pi
-                                                   / (2 * n_cheb))
-    js = sorted(set(explicit) | {int(round(x * x)) for x in s})
-    return [j for j in js if 1 <= j <= n_inner]
-
-
 def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
                     cfg: QuadratureConfig, omega: np.ndarray,
                     eta: np.ndarray) -> np.ndarray:
@@ -304,105 +279,38 @@ def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
 
 def _timer_h_tilde(T: float, N: int, params: ModelParams,
                    cfg: QuadratureConfig, omega: np.ndarray,
-                   eta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                   eta: np.ndarray) -> np.ndarray:
     """The decaying part of the timer kernel H on the node grid.
 
     H_tilde = e^{i w X0} [ e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
-              + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ].
+              + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ],
 
-    Returns (matrix, interpolation residual matrix).  With
-    cfg.timerlet_nodes >= N-1 every timerlet difference D_j is evaluated
-    exactly and the residual is zero.  Otherwise D_j is *demodulated* by
-    the carrier P_j = h(0, V0; t_j, omega, eta): the ratio D_j / P_j is a
-    short-horizon quantity, smooth and non-oscillatory in t_j (the carrier
-    holds all the e^{i eta I}-type oscillation), so it interpolates
-    accurately from Chebyshev samples in sqrt(t_j); the carrier itself is
-    cheap (one Kummer evaluation per date) and is summed exactly.  The
-    residual matrix is the demodulated interpolation error at a held-out
-    index, re-modulated, for the caller to fold into its error estimate.
+    with every timerlet W_j evaluated exactly (``_timer_w_matrix``) and
+    the terms accumulated in the order written.  The same kernel serves
+    both contours; only the eta nodes differ.
     """
     om = omega[:, None]
     et = eta[None, :]
     r = params.r
 
-    def h_at(t_prime, eta_arg):
-        return np.exp(tr._log_h_vec(0.0, params.v0, t_prime, om, eta_arg,
-                                    params))
+    def h_at(t_prime):
+        return np.exp(tr._log_h_vec(0.0, params.v0, t_prime, om, et, params))
 
-    acc = math.exp(-r * T) * h_at(T, et)
-    acc -= math.exp(-r * T / N) * h_at(T / N, et)
-    resid = np.zeros_like(acc)
-
-    if N < 2:
-        return np.exp(1j * om * params.x0) * acc, resid
-
-    samples = _timerlet_sample_indices(N, cfg.timerlet_nodes)
-    exact_all = len(samples) == N - 1
-
-    def d_j(j):
-        w = _timer_w_matrix(T, N, j, params, cfg, omega, eta)
-        return w - h_at(T * (j + 1) / N, et)
-
-    if exact_all:
-        for j in samples:
-            acc += math.exp(-r * T * (j + 1) / N) * d_j(j)
-        return np.exp(1j * om * params.x0) * acc, resid
-
-    def carrier(j):
-        return h_at(T * j / N, et)
-
-    def demod(d, p):
-        safe = np.abs(p) > 1e-250
-        return np.where(safe, d / np.where(safe, p, 1.0), 0.0)
-
-    d_tilde = {}
-    p_samples = {}
-    for j in samples:
-        p_samples[j] = carrier(j)
-        d_tilde[j] = demod(d_j(j), p_samples[j])
-
-    s_samp = np.sqrt([T * j / N for j in samples])
-    bary = np.array([1.0 / np.prod(s - np.delete(s_samp, i))
-                     for i, s in enumerate(s_samp)])
-
-    def lagrange_at(j):
-        sj = math.sqrt(T * j / N)
-        lam = bary / (sj - s_samp)
-        return lam / lam.sum()
-
-    # Exact carrier sum: acc += sum_j disc_j * interp(D~)(t_j) * P_j
-    # reorganized as sum_m D~_m * C_m with per-sample carrier accumulators.
-    carriers = [np.zeros_like(acc) for _ in samples]
+    acc = math.exp(-r * T) * h_at(T)
+    acc -= math.exp(-r * T / N) * h_at(T / N)
     for j in range(1, N):
-        disc = math.exp(-r * T * (j + 1) / N)
-        p_j = p_samples[j] if j in p_samples else carrier(j)
-        if j in d_tilde:
-            carriers[samples.index(j)] += disc * p_j
-            continue
-        for m, lam in enumerate(lagrange_at(j)):
-            carriers[m] += disc * lam * p_j
-    for m, j in enumerate(samples):
-        acc += d_tilde[j] * carriers[m]
-
-    gaps = [(b - a, (a + b) // 2) for a, b in zip(samples, samples[1:])
-            if b - a > 1]
-    if gaps:
-        holdout = max(gaps)[1]
-        p_h = carrier(holdout)
-        d_true = d_j(holdout)
-        lam = lagrange_at(holdout)
-        d_interp = sum(l * d_tilde[j] for l, j in zip(lam, samples)) * p_h
-        resid = d_interp - d_true
-
-    return np.exp(1j * om * params.x0) * acc, resid
+        acc += math.exp(-r * T * (j + 1) / N) * (
+            _timer_w_matrix(T, N, j, params, cfg, omega, eta)
+            - h_at(T * (j + 1) / N))
+    return np.exp(1j * om * params.x0) * acc
 
 
 def _hermitian_residual(T, N, params, cfg, contour_eta):
     """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e)."""
     pts_w = np.array([0.7 - 1.5j, 3.0 - 1.5j])
     pts_e = np.array([0.9 + 1j * contour_eta, 4.0 + 1j * contour_eta])
-    a, _ = _timer_h_tilde(T, N, params, cfg, pts_w, pts_e)
-    b, _ = _timer_h_tilde(T, N, params, cfg, -np.conj(pts_w), -np.conj(pts_e))
+    a = _timer_h_tilde(T, N, params, cfg, pts_w, pts_e)
+    b = _timer_h_tilde(T, N, params, cfg, -np.conj(pts_w), -np.conj(pts_e))
     denom = np.max(np.abs(a)) or 1.0
     return float(np.max(np.abs(b - np.conj(a))) / denom)
 
@@ -420,15 +328,11 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
     require_valid(params)
     cfg.require_timer_contour()
 
-    def contour_for(spec):
-        if cfg.timer_contour != "auto":
-            return cfg.timer_contour
-        return ("direct" if spec.variance_budget <= TIMER_CONTOUR_SWITCH_B
-                else "complement")
-
     groups = {}
     for idx, spec in enumerate(specs):
-        key = (spec.mandatory_maturity, spec.n_monitoring, contour_for(spec))
+        contour = ("direct" if spec.variance_budget <= TIMER_CONTOUR_SWITCH_B
+                   else "complement")
+        key = (spec.mandatory_maturity, spec.n_monitoring, contour)
         groups.setdefault(key, []).append(idx)
 
     results = [None] * len(specs)
@@ -436,14 +340,12 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         sign = 1.0 if contour == "direct" else -1.0
         d_eta = cfg.damping_eta if contour == "direct" else -cfg.damping_eta
         grid = parseval_grid(cfg, damping_eta=d_eta)
-        h_tilde, resid = _timer_h_tilde(T, N, params, cfg, grid.omega,
-                                        grid.eta)
+        h_tilde = _timer_h_tilde(T, N, params, cfg, grid.omega, grid.eta)
         herm = _hermitian_residual(T, N, params, cfg, d_eta)
         if herm > _REL_IMAG_TOL:
             raise ThreeHalvesError(
                 f"timer kernel failed the Hermitian-symmetry check "
                 f"({herm:.2e}); imaginary residual would not cancel")
-        resid_scale = np.exp(1j * grid.omega[:, None] * params.x0) * resid
         for idx in indices:
             spec = specs[idx]
             base_maturity = T / N if contour == "direct" else T
@@ -453,20 +355,10 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                                         grid.eta[None, :], spec.strike,
                                         spec.variance_budget)
             value, q_err, diag = parseval_contract(grid, fhat * h_tilde, cfg)
-            # interpolation residual at the holdout date, propagated through
-            # the same contraction and scaled by the number of timerlets
-            interp_err = 0.0
-            if np.any(resid):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    i_val, _, _ = parseval_contract(grid, fhat * resid_scale,
-                                                    cfg)
-                interp_err = abs(i_val) * (N - 1)
             price = base.price + sign * value
-            err = q_err + base.err_estimate + interp_err
+            err = q_err + base.err_estimate
             diag.update({"contour": contour, "base_price": base.price,
                          "integral": sign * value,
-                         "interp_err": interp_err,
                          "hermitian_residual": herm})
             if price < -err:
                 raise ThreeHalvesError(

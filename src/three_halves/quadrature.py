@@ -15,8 +15,8 @@ Conventions
 * Final reductions use math.fsum (an error-free transformation), so results
   are independent of summation order.
 
-Default numeric controls live on :class:`QuadratureConfig`; every default is
-overridable per product.
+Default numeric controls live on :class:`QuadratureConfig`; a product that
+needs other values passes ``dataclasses.replace(cfg, ...)``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class QuadratureConfig:
     timer_first_panel: float = 0.25
     timer_max_panel_omega: float = 24.0
     timer_max_panel_eta: float = 16.0
-    timerlet_nodes: int = 16
-    timer_contour: str = "auto"  # direct | complement | auto
     max_refinements: int = 12
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ class QuadratureConfig:
                      "timer_max_panel_omega", "timer_max_panel_eta"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0")
-        if self.timer_contour not in ("direct", "complement", "auto"):
-            problems.append("timer_contour must be direct|complement|auto")
         if problems:
             raise InvalidParametersError(
                 "bad quadrature config: " + "; ".join(problems)
@@ -332,24 +328,17 @@ class ParsevalGrid:
 
 
 def parseval_grid(cfg: QuadratureConfig,
-                  omega_truncation: Optional[float] = None,
-                  eta_truncation: Optional[float] = None,
                   damping_omega: Optional[float] = None,
-                  damping_eta: Optional[float] = None,
-                  first_panel: Optional[float] = None,
-                  panel_nodes: Optional[int] = None) -> ParsevalGrid:
-    Lw = float(omega_truncation or cfg.timer_omega_truncation)
-    Le = float(eta_truncation or cfg.timer_eta_truncation)
+                  damping_eta: Optional[float] = None) -> ParsevalGrid:
     dw = cfg.damping_omega if damping_omega is None else damping_omega
     de = cfg.damping_eta if damping_eta is None else damping_eta
-    first = float(first_panel or cfg.timer_first_panel)
-    pnodes = int(panel_nodes or cfg.timer_panel_nodes)
-
     w_nodes, w_wf, w_wc, outer_w = _graded_axis(
-        Lw, first, cfg.timer_max_panel_omega, pnodes, two_sided=True
+        cfg.timer_omega_truncation, cfg.timer_first_panel,
+        cfg.timer_max_panel_omega, cfg.timer_panel_nodes, two_sided=True
     )
     e_nodes, e_wf, e_wc, outer_e = _graded_axis(
-        Le, first, cfg.timer_max_panel_eta, pnodes, two_sided=False
+        cfg.timer_eta_truncation, cfg.timer_first_panel,
+        cfg.timer_max_panel_eta, cfg.timer_panel_nodes, two_sided=False
     )
     # No node-sharing correction is needed at eta_R = 0: the fold doubles a
     # half-axis *panel* rule, whose boundary node keeps its natural weight.
@@ -401,12 +390,8 @@ def parseval_contract(grid: ParsevalGrid, mat: np.ndarray,
 
 
 def parseval_double(integrand: Callable, cfg: QuadratureConfig,
-                    omega_truncation: Optional[float] = None,
-                    eta_truncation: Optional[float] = None,
                     damping_omega: Optional[float] = None,
                     damping_eta: Optional[float] = None,
-                    first_panel: Optional[float] = None,
-                    panel_nodes: Optional[int] = None,
                     ) -> Tuple[float, float, dict]:
     """(1/4pi^2) double integral of ``integrand`` over shifted contours.
 
@@ -420,7 +405,6 @@ def parseval_double(integrand: Callable, cfg: QuadratureConfig,
     the nested half-order rule; per-axis truncation diagnostics report the
     outermost-panel contribution.
     """
-    grid = parseval_grid(cfg, omega_truncation, eta_truncation, damping_omega,
-                         damping_eta, first_panel, panel_nodes)
+    grid = parseval_grid(cfg, damping_omega, damping_eta)
     mat = integrand(grid.omega, grid.eta)
     return parseval_contract(grid, mat, cfg)

@@ -138,6 +138,18 @@ def _chunk_seeds(seed: int, n_chunks: int):
     return root.spawn(n_chunks)
 
 
+def _add_jumps(x, ivar, dt: float, jp, rng: np.random.Generator):
+    """Superpose one step of compound-Poisson normal jumps on x, and their
+    squares on ivar, in place; returns the jump counts."""
+    counts = rng.poisson(jp.lam * dt, size=x.size)
+    for k in range(int(counts.max()) if x.size else 0):
+        idx = np.nonzero(counts > k)[0]
+        sizes = rng.normal(jp.mu, jp.sigma, size=len(idx))
+        x[idx] += sizes
+        ivar[idx] += sizes * sizes
+    return counts
+
+
 def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
                     params: ModelParams, scheme: str,
                     chunk_seed: np.random.SeedSequence):
@@ -169,45 +181,24 @@ def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
         keep_i[:, k0] = ivar
         keep_v[:, k0] = v
 
-    if scheme == "exact_variance_transition":
-        u = 1.0 / v
-        df = 4.0 + 4.0 * params.kappa / params.eps2
-        for s in range(n_steps):
-            t0, t1 = times[s], times[s + 1]
-            dt = t1 - t0
-            A = coef_A(params.theta, t0, t1)
-            C = coef_C(params.theta, params.epsilon, t0, t1)
-            log_a = math.log(A)  # = int theta over the step
-            u_next = (C / (2.0 * A)) * rng.noncentral_chisquare(df, 2.0 * u / C,
-                                                                size=n)
-            v_next = 1.0 / u_next
+    exact = scheme == "exact_variance_transition"
+    u = 1.0 / v
+    for s in range(n_steps):
+        t0, t1 = times[s], times[s + 1]
+        dt = t1 - t0
+        if exact:
+            u = sample_variance_transition(u, dt, params, rng, t=t0)
+            v_next = 1.0 / u
             iv_step = 0.5 * (v + v_next) * dt
             z = rng.standard_normal(n)
             x = (x + drift_rq * dt
-                 + rho_over_eps * (np.log(v_next) - np.log(v) - log_a)
+                 + rho_over_eps * (np.log(v_next) - np.log(v)
+                                   - math.log(coef_A(params.theta, t0, t1)))
                  + slope * iv_step
                  + sq1mr2 * np.sqrt(iv_step) * z)
             ivar = ivar + iv_step
             v = v_next
-            u = u_next
-            if has_jumps:
-                counts = rng_jump.poisson(jp.lam * dt, size=n)
-                jumps_total += counts
-                kmax = int(counts.max()) if n else 0
-                for k in range(kmax):
-                    idx = np.nonzero(counts > k)[0]
-                    sizes = rng_jump.normal(jp.mu, jp.sigma, size=len(idx))
-                    x[idx] += sizes
-                    ivar[idx] += sizes * sizes
-            if (s + 1) in keep_pos:
-                k0 = keep_pos[s + 1]
-                keep_x[:, k0] = x
-                keep_i[:, k0] = ivar
-                keep_v[:, k0] = v
-    else:  # euler_full_truncation
-        for s in range(n_steps):
-            t0, t1 = times[s], times[s + 1]
-            dt = t1 - t0
+        else:  # euler_full_truncation
             th = params.theta.value_at(t0)
             vp = np.maximum(v, 0.0)
             z1 = rng.standard_normal(n)
@@ -217,20 +208,13 @@ def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
             ivar = ivar + vp * dt
             v = (v + vp * (th - params.kappa * vp) * dt
                  + params.epsilon * vp**1.5 * math.sqrt(dt) * z1)
-            if has_jumps:
-                counts = rng_jump.poisson(jp.lam * dt, size=n)
-                jumps_total += counts
-                kmax = int(counts.max()) if n else 0
-                for k in range(kmax):
-                    idx = np.nonzero(counts > k)[0]
-                    sizes = rng_jump.normal(jp.mu, jp.sigma, size=len(idx))
-                    x[idx] += sizes
-                    ivar[idx] += sizes * sizes
-            if (s + 1) in keep_pos:
-                k0 = keep_pos[s + 1]
-                keep_x[:, k0] = x
-                keep_i[:, k0] = ivar
-                keep_v[:, k0] = np.maximum(v, 1e-14)
+        if has_jumps:
+            jumps_total += _add_jumps(x, ivar, dt, jp, rng_jump)
+        if (s + 1) in keep_pos:
+            k0 = keep_pos[s + 1]
+            keep_x[:, k0] = x
+            keep_i[:, k0] = ivar
+            keep_v[:, k0] = v if exact else np.maximum(v, 1e-14)
     return keep_x, keep_i, keep_v, jumps_total
 
 
@@ -309,22 +293,11 @@ def mc_price(product, params: ModelParams,
         return MCPriceResult(est, se)
 
     if isinstance(product, pricers.TimerOptionSpec):
-        schedule = product.schedule()
-        ens = simulate_paths(product.mandatory_maturity, schedule, params,
-                             sim_cfg)
-        disc = np.exp(-params.r * ens.times)
-        payoffs = {}
-        for label, running in (("proxy", ens.i), ("discrete", ens.i_discrete)):
-            hit = running[:, 1:] >= product.variance_budget
-            first = np.argmax(hit, axis=1)
-            none_hit = ~hit[np.arange(len(first)), first]
-            stop_col = np.where(none_hit, len(schedule) - 1, first) + 1
-            rows = np.arange(len(first))
-            s_stop = np.exp(ens.x[rows, stop_col])
-            pay = np.maximum(s_stop - product.strike, 0.0) * disc[stop_col]
-            payoffs[label] = pay
-        est, se = _mean_se(payoffs["proxy"])
-        est_d, se_d = _mean_se(payoffs["discrete"])
+        ens = simulate_paths(product.mandatory_maturity, product.schedule(),
+                             params, sim_cfg)
+        est, se = _mean_se(_timer_payoff(product, ens, params, ens.i))
+        est_d, se_d = _mean_se(_timer_payoff(product, ens, params,
+                                             ens.i_discrete))
         return MCPriceResult(est, se, extras={
             "discrete_estimate": est_d,
             "discrete_std_error": se_d,
@@ -339,6 +312,19 @@ def mc_price(product, params: ModelParams,
         return MCPriceResult(est, se)
 
     raise InvalidParametersError(f"unsupported product {type(product).__name__}")
+
+
+def _timer_payoff(spec, ens: PathEnsemble, params: ModelParams,
+                  running: np.ndarray) -> np.ndarray:
+    """Discounted timer-call payoff per path, stopping at the first
+    monitoring date where ``running`` (a variance column per date) reaches
+    the budget, else at maturity."""
+    hit = running[:, 1:] >= spec.variance_budget
+    first = np.argmax(hit, axis=1)
+    rows = np.arange(len(first))
+    stop_col = np.where(hit[rows, first], first, hit.shape[1] - 1) + 1
+    disc = np.exp(-params.r * ens.times[stop_col])
+    return np.maximum(np.exp(ens.x[rows, stop_col]) - spec.strike, 0.0) * disc
 
 
 def _floating_leg(spec, ens: PathEnsemble, params: ModelParams) -> np.ndarray:

@@ -203,6 +203,20 @@ def coef_C(theta: ThetaCurve, epsilon: float, t: float, t_prime: float) -> float
     return 0.5 * epsilon * epsilon * acc
 
 
+# A jump-transform point this close to the cut of sqrt(w), relative to |w|,
+# could land on either side of it under rounding of eta.
+_CUT_REL_TOL = 1e-8
+
+
+def _jump_exponent(omega, eta, jp: JumpParams):
+    """(num / (2 w), w) with E[e^{i omega J + i eta J^2}] = e^{num/(2w)}/sqrt(w),
+    w = 1 - 2 i eta sigma^2; singular at w = 0 (s = -i eta = -1/(2 sigma^2))."""
+    sig2 = jp.sigma * jp.sigma
+    w = 1.0 - 2j * eta * sig2
+    num = 2j * jp.mu * (omega + eta * jp.mu) - omega * omega * sig2
+    return num / (2.0 * w), w
+
+
 def _drift_a_vec(omega, eta, params: ModelParams):
     """Vectorized drift coefficient; omega/eta may be complex ndarrays."""
     omega = np.asarray(omega, dtype=complex)
@@ -211,17 +225,15 @@ def _drift_a_vec(omega, eta, params: ModelParams):
     if jp is None or jp.lam == 0.0:
         # lam == 0 agrees exactly with the no-jump value
         return 1j * omega * (params.r - params.q)
-    sig2 = jp.sigma * jp.sigma
-    w = 1.0 - 2j * eta * sig2
-    if np.any(np.real(w) <= 0.0):
+    expo, w = _jump_exponent(omega, eta, jp)
+    if np.any((w.real <= 0.0) & (np.abs(w.imag) <= _CUT_REL_TOL * np.abs(w))):
         warnings.warn(
-            "sqrt(1 - 2 i eta sigma^2) evaluated left of the branch cut along "
-            "this contour; jump transform may be discontinuous",
+            "sqrt(1 - 2 i eta sigma^2) evaluated on or next to its branch "
+            "cut w <= 0; the jump transform is discontinuous there",
             BranchCutWarning,
             stacklevel=2,
         )
-    num = 2j * jp.mu * (omega + eta * jp.mu) - omega * omega * sig2
-    jump_cf = np.exp(num / (2.0 * w)) / np.sqrt(w)
+    jump_cf = np.exp(expo) / np.sqrt(w)
     return (
         1j * omega * (params.r - params.q - jp.lam * jp.compensator)
         + jp.lam * jump_cf

@@ -13,33 +13,36 @@ and prices by Parseval against the payoff transform
 
     F(omega, eta) = K^{1 - i omega} e^{-i eta B} / ((i omega + omega^2) i eta)
 
-on contours omega_I < -1, eta_I > 0.  The kernel is
+on Im(omega) < -1.  The kernel is
 
     H(omega, eta) = e^{i omega X0} [ e^{-rT} h(0,V0;T)
         + sum_j e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ],
     W_j = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv',
 
-where the j = 0 term collapses analytically (the transform at zero elapsed
-time is a Dirac mass at V0, so W_0 = h(0,V0;t_1,omega,0), constant in eta).
-That constant-in-eta piece decays too slowly to integrate numerically; its
-eta integral is known in closed form (the indicator of 0 < B), so it is
-priced as a European call with maturity t_1 and only the decaying remainder
-goes through the 2-D rule.
+where W_0 = h(0,V0;t_1,omega,0), constant in eta (the transform at zero
+elapsed time is a Dirac mass at V0).  That constant part prices as a
+European call at t_1; the rest is H_tilde (``_timer_h_tilde``).
 
-Every timerlet W_j is evaluated exactly, and the eta contour follows the
-budget B alone: direct up to TIMER_CONTOUR_SWITCH_B, complement beyond.
-"direct" evaluates the telescoped sum as written (eta_I = +damping_eta).
-"complement" rewrites every indicator as 1 - 1{I >= B}, which flips the
-eta contour to -damping_eta and turns the price into European(T) minus the
-same 2-D integral.  Since |e^{-i eta B}| = e^{eta_I B}, the direct
-integrand grows like e^{damping_eta * B} and must cancel back down to the
-price, so complement is the stable choice once B is large.  For small B
-the complement contour is wrong by far more than its error estimate (at
-N = 2, B = 0.087 it prices above the European(T) bound), so it is never
-used there.  Near the switch the two contours still disagree by more than
-their estimates, because the eta truncation dominates the error: at N = 4,
-direct minus complement is -6.7e-4, 2.8e-3, -3.7e-4 and 1.8e-3 at
-B = 0.3, 0.5, 0.6 and 1.0.
+With s = -i eta, the eta integral is a Bromwich integral in the budget:
+F = -K^{1-i omega} e^{sB} / ((i omega + omega^2) s).  Its one pole, at
+s = 0, picks out H_tilde(omega, 0), which the tower property
+W_j(omega, 0) = h(0,V0;t_{j+1},omega,0) makes the European kernel at T
+less the one at t_1.  So the pole and the constant part together give
+European(T) exactly, and F [H_tilde - H_tilde(omega, 0)], which has no
+pole, is summed on a Talbot contour (Talbot 1979; Weideman & Trefethen
+2007) that wraps the kernel's cuts, on which e^{sB} decays:
+
+    price = European(T) + (1 / (2 pi^2)) Re sum_omega w_omega J(omega).
+
+The omega axis is folded to omega_R >= 0 through (omega, s) ->
+(-conj omega, conj s).  Each omega's contour of M nodes has scale M / B and
+is centred on the branch point of c(omega, eta), or with jumps between it
+and the jump transform's singularity (``_talbot_contour``); an omega whose
+contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  The
+sums on M and on M - TALBOT_STEP nodes are compared, their gap goes into
+err_estimate, and M grows by TALBOT_STEP until they agree to rel_tol.
+e^{sB} peaks at e^{0.171 M} on the contour, so once e^{0.171 M} eps passes
+rel_tol, more nodes cannot help and the pricer raises.
 
 Moment swaps
 ------------
@@ -67,18 +70,14 @@ from .errors import (
     QuadratureNonConvergenceError,
     ThreeHalvesError,
 )
-from .model import ModelParams, coef_A, coef_C, require_valid
+from .model import ModelParams, _jump_exponent, coef_A, coef_C, require_valid
 from .quadrature import (
     QuadratureConfig,
     fourier_invert_1d,
     log_density_grid,
+    omega_grid,
     parseval_contract,
-    parseval_grid,
 )
-
-# Variance budget up to which the timer takes the direct contour; beyond
-# it, the complement contour (see module docstring).
-TIMER_CONTOUR_SWITCH_B = 0.5
 
 _REL_IMAG_TOL = 1e-8
 
@@ -210,13 +209,9 @@ def _call_transform(omega, strike: float):
 
 
 def _timer_transform_raw(omega, eta, strike: float, budget: float):
-    """F(omega, eta) = K^{1-i w} e^{-i e B} / ((i w + w^2) i e).
-
-    On contours Im(omega) < -1, Im(eta) > 0 this is the transform of the
-    {y < B} call payoff; the same expression on Im(eta) < 0 is the
-    transform of the complementary {y >= B} payoff, used by the complement
-    contour.  The caller keeps omega and eta on those contours.
-    """
+    """F(omega, eta) = K^{1-i w} e^{-i e B} / ((i w + w^2) i e), the
+    transform of the {y < B} call payoff on Im(omega) < -1, Im(eta) > 0,
+    and its continuation in eta beyond."""
     return (strike ** (1.0 - 1j * omega) * np.exp(-1j * eta * budget)
             / ((1j * omega + omega * omega) * (1j * eta)))
 
@@ -260,11 +255,90 @@ def _price_european_detailed(spec: EuropeanSpec, params: ModelParams,
 # Timer pricing.
 # ---------------------------------------------------------------------------
 
+# Talbot's contour s(theta) = mu (a + b theta cot(c theta) + i d theta),
+# theta in (-pi, pi), mu = M / B (Weideman & Trefethen 2007).
+_TALBOT = (-0.6122, 0.5017, 0.6407, 0.2645)
+TALBOT_NODES = 24  # nodes of the first contour
+TALBOT_STEP = 8  # the error estimate compares M nodes with M - TALBOT_STEP
+TALBOT_MARGIN = 2.0  # singular points lie inside the contour shrunk by this
+TALBOT_MAX_NODES = 400
+
+
+def _talbot_shape(m: int):
+    """The unit contour (mu = 1) and its derivative at the m midpoint nodes
+    theta_k = -pi + (k + 1/2) 2 pi / m."""
+    a, b, c, d = _TALBOT
+    theta = -math.pi + (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+    cot = 1.0 / np.tan(c * theta)
+    return (a + b * theta * cot + 1j * d * theta,
+            b * (cot - c * theta * (1.0 + cot * cot)) + 1j * d)
+
+
+# Upper half of the unit contour; Re s falls from s(0) to s(pi).
+_UNIT = _talbot_shape(2048)[0][1024:]
+
+
+def _talbot_contour(m: int, budget: float, T: float, omega,
+                    params: ModelParams):
+    """Nodes s_k and s'(theta_k), shape (n_omega, m), of each omega's
+    contour of m nodes, and whether that contour is admissible.
+
+    In s = -i eta the kernel is analytic but for cuts running left from the
+    branch point s* = -(eps^2/2) [b0^2 + (i w + w^2)/eps^2] of
+    c = sqrt(2 (s - s*) / eps^2), b0 = 1/2 + kt/eps^2, and with jumps from
+    the essential singularity s_J = -1/(2 sigma_J^2) of the jump transform.
+    The contour is centred as near Im s* as keeps both inside it shrunk by
+    TALBOT_MARGIN.  With jumps it must also keep |e^{sB} e^{a T}| below
+    e^{sB} at its right end, so that the jump factor cannot swamp the sum.
+    """
+    mu = m / budget
+    b0 = 0.5 + tr._kappa_tilde(omega, params) / params.eps2
+    points = [-0.5 * params.eps2 * b0 * b0 - 0.5 * (1j * omega + omega**2)]
+    jp = params.jumps
+    jumps = jp is not None and jp.lam > 0.0 and jp.sigma > 0.0
+    if jumps:
+        points.append(np.full(omega.shape, -0.5 / jp.sigma**2 + 0j))
+    # each point p allows centres within its reach of Im p
+    reach = [mu / TALBOT_MARGIN * np.interp(
+        p.real * TALBOT_MARGIN / mu, _UNIT.real[::-1], _UNIT.imag[::-1],
+        right=0.0) for p in points]
+    lo = np.max([p.imag - r for p, r in zip(points, reach)], axis=0)
+    hi = np.min([p.imag + r for p, r in zip(points, reach)], axis=0)
+    shift = 1j * np.clip(points[0].imag, lo, np.maximum(lo, hi))[:, None]
+    z, dz = _talbot_shape(m)
+    ok = lo < hi
+    if jumps:  # checked between the nodes too
+        s = mu * _talbot_shape(4 * m)[0] + shift
+        expo, w = _jump_exponent(omega[:, None], 1j * s, jp)
+        with np.errstate(over="ignore"):
+            growth = budget * s.real + jp.lam * T * np.expm1(
+                expo.real - 0.5 * np.log(np.abs(w)))
+        ok &= np.all(growth <= budget * mu * _UNIT[0].real, axis=-1)
+    return mu * z + shift, mu * dz, ok
+
+
+def _talbot_counts(budget: float, T: float, omega, params: ModelParams):
+    """Per omega, TALBOT_STEP more than the least admissible node count
+    (at least TALBOT_NODES), so that the contour of M - TALBOT_STEP nodes
+    the error estimate uses is admissible too; larger contours hold the
+    same points."""
+    counts = np.zeros(omega.shape, dtype=int)
+    for m in range(TALBOT_NODES - TALBOT_STEP, TALBOT_MAX_NODES, TALBOT_STEP):
+        todo = np.flatnonzero(counts == 0)
+        ok = _talbot_contour(m, budget, T, omega[todo], params)[2]
+        counts[todo[ok]] = m + TALBOT_STEP
+        if counts.all():
+            return counts
+    raise QuadratureNonConvergenceError(
+        f"no Talbot contour of up to {TALBOT_MAX_NODES} nodes holds the "
+        f"timer kernel's singularities at B = {budget}")
+
 
 def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
                     cfg: QuadratureConfig, omega: np.ndarray,
                     eta: np.ndarray) -> np.ndarray:
-    """W_j(omega, eta) = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'."""
+    """W_j(omega, eta) = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'
+    for eta of shape (n_omega, n_eta), row i paired with omega[i]."""
     t_j = T * j / N
     t_j1 = T * (j + 1) / N
     nodes, wq = log_density_grid(
@@ -272,7 +346,7 @@ def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
     log_h = tr._log_h_vec(t_j, nodes[None, :], t_j1, omega[:, None], 0.0,
                           params)
     log_g = tr._log_g_vec(0.0, params.v0, t_j, omega[:, None, None],
-                          eta[None, :, None], nodes[None, None, :], params)
+                          eta[:, :, None], nodes[None, None, :], params)
     inner = np.exp(log_g + log_h[:, None, :])
     return inner @ wq
 
@@ -280,21 +354,19 @@ def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
 def _timer_h_tilde(T: float, N: int, params: ModelParams,
                    cfg: QuadratureConfig, omega: np.ndarray,
                    eta: np.ndarray) -> np.ndarray:
-    """The decaying part of the timer kernel H on the node grid.
+    """The timer kernel less its European-at-t_1 part,
 
     H_tilde = e^{i w X0} [ e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
               + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ],
 
-    with every timerlet W_j evaluated exactly (``_timer_w_matrix``) and
-    the terms accumulated in the order written.  The same kernel serves
-    both contours; only the eta nodes differ.
+    for eta of shape (n_omega, n_eta), row i paired with omega[i], with
+    every timerlet W_j evaluated exactly (``_timer_w_matrix``).
     """
     om = omega[:, None]
-    et = eta[None, :]
     r = params.r
 
     def h_at(t_prime):
-        return np.exp(tr._log_h_vec(0.0, params.v0, t_prime, om, et, params))
+        return np.exp(tr._log_h_vec(0.0, params.v0, t_prime, om, eta, params))
 
     acc = math.exp(-r * T) * h_at(T)
     acc -= math.exp(-r * T / N) * h_at(T / N)
@@ -305,14 +377,40 @@ def _timer_h_tilde(T: float, N: int, params: ModelParams,
     return np.exp(1j * om * params.x0) * acc
 
 
-def _hermitian_residual(T, N, params, cfg, contour_eta):
-    """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e)."""
-    pts_w = np.array([0.7 - 1.5j, 3.0 - 1.5j])
-    pts_e = np.array([0.9 + 1j * contour_eta, 4.0 + 1j * contour_eta])
+def _hermitian_residual(T, N, budget, params, cfg):
+    """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e) on Talbot
+    nodes."""
+    pts_w = np.array([0.7, 3.0]) + 1j * cfg.damping_omega
+    m = int(_talbot_counts(budget, T, pts_w, params).max())
+    pts_e = 1j * _talbot_contour(m, budget, T, pts_w, params)[0][:, ::m // 4]
     a = _timer_h_tilde(T, N, params, cfg, pts_w, pts_e)
     b = _timer_h_tilde(T, N, params, cfg, -np.conj(pts_w), -np.conj(pts_e))
-    denom = np.max(np.abs(a)) or 1.0
-    return float(np.max(np.abs(b - np.conj(a))) / denom)
+    return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
+
+
+def _budget_integrals(T, N, B, strikes, params, cfg, grid, counts):
+    """The Parseval contraction, per strike, of J(omega) = -i (2 pi / M)
+    sum_k F(omega, eta_k) s'(theta_k) [H_tilde(omega, eta_k) -
+    H_tilde(omega, 0)], eta_k = i s_k, on each omega's contour of
+    M = counts[i] nodes.  H_tilde(omega, 0) comes from the same v' rule as
+    the nodes, so the summand has no pole at s = 0 even where a contour
+    encloses it (the pole term itself is exact)."""
+    omega = grid.omega
+    h_zero = _timer_h_tilde(T, N, params, cfg, omega,
+                            np.zeros((omega.size, 1)))
+    rows = np.empty((strikes.size, omega.size), dtype=complex)
+    for m in np.unique(counts):
+        sel = counts == m
+        s, ds, _ = _talbot_contour(m, B, T, omega[sel], params)
+        h_tilde = _timer_h_tilde(T, N, params, cfg, omega[sel], 1j * s)
+        if not np.all(np.isfinite(h_tilde)):
+            raise ThreeHalvesError(
+                f"timer kernel is not finite on the {m}-node contour")
+        fhat = _timer_transform_raw(omega[sel][:, None], 1j * s,
+                                    strikes[:, None, None], B)
+        rows[:, sel] = (-2j * math.pi / m) * np.sum(
+            fhat * (h_tilde - h_zero[sel]) * ds, axis=-1)
+    return [parseval_contract(grid, row, cfg) for row in rows]
 
 
 def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
@@ -323,42 +421,55 @@ def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
 
 def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                      cfg: QuadratureConfig) -> list:
-    """Price several timer calls, sharing the kernel assembly across specs
-    that differ only in strike or variance budget."""
+    """Price several timer calls, sharing the kernel across specs that
+    differ only in strike."""
     require_valid(params)
     cfg.require_timer_contour()
-
     groups = {}
     for idx, spec in enumerate(specs):
-        contour = ("direct" if spec.variance_budget <= TIMER_CONTOUR_SWITCH_B
-                   else "complement")
-        key = (spec.mandatory_maturity, spec.n_monitoring, contour)
+        key = (spec.mandatory_maturity, spec.n_monitoring,
+               spec.variance_budget)
         groups.setdefault(key, []).append(idx)
 
+    grid = omega_grid(cfg)
     results = [None] * len(specs)
-    for (T, N, contour), indices in groups.items():
-        sign = 1.0 if contour == "direct" else -1.0
-        d_eta = cfg.damping_eta if contour == "direct" else -cfg.damping_eta
-        grid = parseval_grid(cfg, damping_eta=d_eta)
-        h_tilde = _timer_h_tilde(T, N, params, cfg, grid.omega, grid.eta)
-        herm = _hermitian_residual(T, N, params, cfg, d_eta)
-        if herm > _REL_IMAG_TOL:
+    for (T, N, B), indices in groups.items():
+        herm = _hermitian_residual(T, N, B, params, cfg)
+        if not herm <= _REL_IMAG_TOL:
             raise ThreeHalvesError(
                 f"timer kernel failed the Hermitian-symmetry check "
                 f"({herm:.2e}); imaginary residual would not cancel")
-        for idx in indices:
-            spec = specs[idx]
-            base_maturity = T / N if contour == "direct" else T
-            base = _price_european_detailed(
-                EuropeanSpec(spec.strike, base_maturity), params, cfg)
-            fhat = _timer_transform_raw(grid.omega[:, None],
-                                        grid.eta[None, :], spec.strike,
-                                        spec.variance_budget)
-            value, q_err, diag = parseval_contract(grid, fhat * h_tilde, cfg)
-            price = base.price + sign * value
-            err = q_err + base.err_estimate
-            diag.update({"contour": contour, "base_price": base.price,
-                         "integral": sign * value,
+        strikes = np.array([specs[i].strike for i in indices])
+        bases = [_price_european_detailed(EuropeanSpec(k, T), params, cfg)
+                 for k in strikes]
+        counts = _talbot_counts(B, T, grid.omega, params)
+        coarse = _budget_integrals(T, N, B, strikes, params, cfg, grid,
+                                   counts - TALBOT_STEP)
+        while True:
+            fine = _budget_integrals(T, N, B, strikes, params, cfg, grid,
+                                     counts)
+            gaps = [abs(f[0] - c[0]) for f, c in zip(fine, coarse)]
+            if not all(math.isfinite(b.price + b.err_estimate + f[0] + f[1])
+                       for b, f in zip(bases, fine)):
+                raise ThreeHalvesError("timer price is not finite")
+            if all(gap <= max(cfg.rel_tol * abs(b.price + f[0]), cfg.abs_tol)
+                   for gap, b, f in zip(gaps, bases, fine)):
+                break
+            # e^{sB} peaks at e^{s(0) B} = e^{0.171 M}, which the sum loses
+            # to roundoff
+            if (math.exp(_UNIT[0].real * counts.min()) * np.finfo(float).eps
+                    > cfg.rel_tol):
+                raise QuadratureNonConvergenceError(
+                    f"Talbot contours of M and M - {TALBOT_STEP} nodes "
+                    f"disagree by {max(gaps):.2e} at B = {B}, and roundoff "
+                    f"bars a larger M", achieved=max(gaps))
+            coarse, counts = fine, counts + TALBOT_STEP
+        for idx, base, (value, q_err, diag), gap in zip(indices, bases, fine,
+                                                        gaps):
+            price = base.price + value
+            err = gap + q_err + base.err_estimate
+            diag.update({"talbot_nodes": int(counts.max()), "talbot_err": gap,
+                         "base_price": base.price, "integral": value,
                          "hermitian_residual": herm})
             if price < -err:
                 raise ThreeHalvesError(

@@ -1,5 +1,5 @@
 """Numerical integration: semi-infinite variance integrals, damped-contour
-Fourier inversion, and the two-dimensional Parseval integral.
+Fourier inversion, and the omega axis of the timer's Parseval integral.
 
 Conventions
 -----------
@@ -9,9 +9,9 @@ Conventions
   is handled by a doubling trapezoid rule.
 * Fourier inversions run along damped contours (fixed imaginary part) with
   conjugate folding when the result is known to be real.
-* The 2-D Parseval rule is a tensor product of graded Clenshaw-Curtis
-  panels per axis (nested, so the half-order result is a free error
-  estimate), with per-axis truncation diagnostics.
+* The timer's Parseval rule over omega uses graded Clenshaw-Curtis panels
+  (nested, so the half-order result is a free error estimate) with a
+  truncation diagnostic; its budget axis is a Talbot sum in the pricer.
 * Final reductions use math.fsum (an error-free transformation), so results
   are independent of summation order.
 
@@ -40,8 +40,9 @@ from .errors import (
 class QuadratureConfig:
     """Numeric controls for every integral in the package.
 
-    Contour constraints for the timer payoff transform (damping_omega < -1,
-    damping_eta > 0) are enforced at the point of use.
+    The call and timer payoff transforms need damping_omega < -1, which is
+    enforced at the point of use.  The timer's budget axis has no knobs
+    here: its Talbot contour is sized from rel_tol (see ``pricers``).
     """
 
     v_nodes: int = 64
@@ -49,18 +50,14 @@ class QuadratureConfig:
     fourier_nodes: int = 4096
     fourier_truncation: float = 200.0
     damping_omega: float = -1.5
-    damping_eta: float = 0.5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    # Per-product overrides for the 2-D timer integral.  Axes are covered by
-    # Clenshaw-Curtis panels whose widths double away from the origin (where
-    # the eta payoff pole and the CF peak live) up to a cap.
+    # The timer's omega axis: Clenshaw-Curtis panels whose widths double
+    # away from the origin (where the CF peaks) up to a cap.
     timer_omega_truncation: float = 120.0
-    timer_eta_truncation: float = 240.0
     timer_panel_nodes: int = 13
     timer_first_panel: float = 0.25
     timer_max_panel_omega: float = 24.0
-    timer_max_panel_eta: float = 16.0
     max_refinements: int = 12
 
     def __post_init__(self):
@@ -70,8 +67,7 @@ class QuadratureConfig:
                 problems.append(f"{name} must be >= 8")
         for name in ("v_upper_mass_tol", "rel_tol", "abs_tol",
                      "fourier_truncation", "timer_omega_truncation",
-                     "timer_eta_truncation", "timer_first_panel",
-                     "timer_max_panel_omega", "timer_max_panel_eta"):
+                     "timer_first_panel", "timer_max_panel_omega"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0")
         if problems:
@@ -84,11 +80,6 @@ class QuadratureConfig:
             raise InvalidParametersError(
                 f"timer payoff transform needs damping_omega < -1 "
                 f"(got {self.damping_omega})"
-            )
-        if not self.damping_eta > 0.0:
-            raise InvalidParametersError(
-                f"timer payoff transform needs damping_eta > 0 "
-                f"(got {self.damping_eta})"
             )
 
 
@@ -249,7 +240,7 @@ def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
 
 
 # ---------------------------------------------------------------------------
-# 2-D Parseval integral on graded Clenshaw-Curtis panels.
+# The Parseval rule over omega on graded Clenshaw-Curtis panels.
 # ---------------------------------------------------------------------------
 
 
@@ -271,140 +262,73 @@ def _cc_nodes_weights(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return x[::-1], w[::-1]
 
 
-def _panel_edges(L: float, first: float, max_width: float):
-    """Panel edges on [0, L]: widths double from ``first`` up to ``max_width``."""
-    edges = [0.0]
-    width = min(first, L)
-    while edges[-1] < L:
-        edges.append(min(edges[-1] + width, L))
-        width = min(2.0 * width, max_width)
-    return edges
-
-
-def _graded_axis(L: float, first: float, max_width: float, panel_nodes: int,
-                 two_sided: bool):
-    """Panel grid on [0, L] (or mirrored to [-L, L]) graded toward 0.
-
-    Returns (nodes, weights_fine, weights_coarse, outer_mask); the coarse
-    weights use every second node per panel (nested CC), giving a free error
-    estimate, and outer_mask flags the outermost panel(s) for truncation
-    diagnostics.
-    """
-    m = panel_nodes - 1
-    if m % 2:
-        m += 1
-    x_f, w_f = _cc_nodes_weights(m)
-    x_c, w_c = _cc_nodes_weights(m // 2)
-    edges = _panel_edges(L, first, max_width)
-    npanels = len(edges) - 1
-    nodes, wf, wc, outer = [], [], [], []
-    sides = (1.0, -1.0) if two_sided else (1.0,)
-    for sign in sides:
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            mid = 0.5 * (a + b) * sign
-            halfw = 0.5 * (b - a)
-            nodes.append(mid + sign * halfw * x_f)
-            wf.append(np.full(m + 1, halfw) * w_f)
-            coarse = np.zeros(m + 1)
-            coarse[::2] = halfw * w_c
-            wc.append(coarse)
-            outer.append(np.full(m + 1, i == npanels - 1))
-    return (np.concatenate(nodes), np.concatenate(wf), np.concatenate(wc),
-            np.concatenate(outer))
-
-
 @dataclass(frozen=True)
 class ParsevalGrid:
-    """Tensor node set for the 2-D Parseval rule (eta folded to eta_R >= 0)."""
+    """Nodes of the Parseval rule's omega axis, folded to omega_R >= 0."""
 
     omega: np.ndarray
-    eta: np.ndarray
     w_fine: np.ndarray
     w_coarse: np.ndarray
-    e_fine: np.ndarray
-    e_coarse: np.ndarray
-    outer_w: np.ndarray
-    outer_e: np.ndarray
+    outer: np.ndarray
 
 
-def parseval_grid(cfg: QuadratureConfig,
-                  damping_omega: Optional[float] = None,
-                  damping_eta: Optional[float] = None) -> ParsevalGrid:
-    dw = cfg.damping_omega if damping_omega is None else damping_omega
-    de = cfg.damping_eta if damping_eta is None else damping_eta
-    w_nodes, w_wf, w_wc, outer_w = _graded_axis(
-        cfg.timer_omega_truncation, cfg.timer_first_panel,
-        cfg.timer_max_panel_omega, cfg.timer_panel_nodes, two_sided=True
-    )
-    e_nodes, e_wf, e_wc, outer_e = _graded_axis(
-        cfg.timer_eta_truncation, cfg.timer_first_panel,
-        cfg.timer_max_panel_eta, cfg.timer_panel_nodes, two_sided=False
-    )
-    # No node-sharing correction is needed at eta_R = 0: the fold doubles a
-    # half-axis *panel* rule, whose boundary node keeps its natural weight.
-    return ParsevalGrid(omega=w_nodes + 1j * dw, eta=e_nodes + 1j * de,
-                        w_fine=w_wf, w_coarse=w_wc, e_fine=e_wf,
-                        e_coarse=e_wc, outer_w=outer_w, outer_e=outer_e)
+def omega_grid(cfg: QuadratureConfig) -> ParsevalGrid:
+    """Clenshaw-Curtis panels on [0, timer_omega_truncation] at
+    Im(omega) = damping_omega, graded toward 0: their widths double from
+    timer_first_panel up to timer_max_panel_omega.
+
+    The coarse weights use every second node of each panel (nested CC),
+    giving a free error estimate, and ``outer`` flags the outermost panel
+    for the truncation diagnostic.  No node-sharing correction is needed at
+    omega_R = 0: the fold doubles a half-axis *panel* rule, whose boundary
+    node keeps its natural weight.
+    """
+    m = cfg.timer_panel_nodes - 1
+    m += m % 2
+    x_f, w_f = _cc_nodes_weights(m)
+    x_c, w_c = _cc_nodes_weights(m // 2)
+    L, edges = cfg.timer_omega_truncation, [0.0]
+    width = min(cfg.timer_first_panel, L)
+    while edges[-1] < L:
+        edges.append(min(edges[-1] + width, L))
+        width = min(2.0 * width, cfg.timer_max_panel_omega)
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    half = 0.5 * (b - a)
+    coarse = np.zeros((a.size, m + 1))
+    coarse[:, ::2] = half * w_c
+    outer = np.zeros(coarse.shape, dtype=bool)
+    outer[-1] = True
+    return ParsevalGrid(
+        omega=(0.5 * (a + b) + half * x_f).ravel() + 1j * cfg.damping_omega,
+        w_fine=(half * w_f).ravel(), w_coarse=coarse.ravel(),
+        outer=outer.ravel())
 
 
-def parseval_contract(grid: ParsevalGrid, mat: np.ndarray,
+def parseval_contract(grid: ParsevalGrid, row: np.ndarray,
                       cfg: QuadratureConfig) -> Tuple[float, float, dict]:
-    """Contract an integrand matrix against the grid weights.
+    """(1/4pi^2) int J(omega) d omega_R over the whole omega line, from
+    J on the folded grid (J(-conj w) = conj J(w); the result is real).
 
-    Returns (value, error_estimate, diagnostics) as for parseval_double.
+    Returns (value, error_estimate, diagnostics).  The error estimate is
+    the gap to the nested half-order rule; the outermost panel's share is
+    reported as the truncation diagnostic.
     """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (grid.omega.size, grid.eta.size):
+    row = np.asarray(row, dtype=complex)
+    if row.shape != grid.omega.shape:
         raise ThreeHalvesError(
-            f"integrand returned shape {mat.shape}, expected "
-            f"{(grid.omega.size, grid.eta.size)}"
-        )
-    re = mat.real
+            f"integrand returned shape {row.shape}, expected "
+            f"{grid.omega.shape}")
+    re = row.real
     scale = 2.0 / (4.0 * math.pi**2)  # folding factor x Parseval prefactor
-    fine = scale * stable_sum(np.outer(grid.w_fine, grid.e_fine) * re)
-    coarse = scale * stable_sum(np.outer(grid.w_coarse, grid.e_coarse) * re)
-    err = abs(fine - coarse)
-
-    tail_w = abs(scale * stable_sum(
-        np.outer(grid.w_fine[grid.outer_w], grid.e_fine)
-        * re[grid.outer_w, :]))
-    tail_e = abs(scale * stable_sum(
-        np.outer(grid.w_fine, grid.e_fine[grid.outer_e])
-        * re[:, grid.outer_e]))
-    diagnostics = {
-        "omega_tail": tail_w,
-        "eta_tail": tail_e,
-        "omega_nodes": grid.omega.size,
-        "eta_nodes": grid.eta.size,
-        "err_estimate": err,
-    }
-    for axis, tail in (("omega", tail_w), ("eta", tail_e)):
-        if tail > max(cfg.abs_tol, 1e-6 * abs(fine)):
-            warnings.warn(
-                f"parseval rule {axis}-axis outermost panel contributes "
-                f"{tail:.3e}; truncation may be insufficient",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    return fine, err, diagnostics
-
-
-def parseval_double(integrand: Callable, cfg: QuadratureConfig,
-                    damping_omega: Optional[float] = None,
-                    damping_eta: Optional[float] = None,
-                    ) -> Tuple[float, float, dict]:
-    """(1/4pi^2) double integral of ``integrand`` over shifted contours.
-
-    ``integrand(omega, eta)`` receives the full omega node vector (complex,
-    damped) and the eta node vector restricted to eta_R >= 0 (conjugate
-    folding in the pair (omega_R, eta_R) -> (-omega_R, -eta_R) covers the
-    other half; the result must be real), and returns an (n_omega, n_eta)
-    complex matrix.
-
-    Returns (value, error_estimate, diagnostics).  Error estimate comes from
-    the nested half-order rule; per-axis truncation diagnostics report the
-    outermost-panel contribution.
-    """
-    grid = parseval_grid(cfg, damping_omega, damping_eta)
-    mat = integrand(grid.omega, grid.eta)
-    return parseval_contract(grid, mat, cfg)
+    fine = scale * stable_sum(grid.w_fine * re)
+    err = abs(fine - scale * stable_sum(grid.w_coarse * re))
+    tail = abs(scale * stable_sum(grid.w_fine[grid.outer] * re[grid.outer]))
+    if tail > max(cfg.abs_tol, 1e-6 * abs(fine)):
+        warnings.warn(
+            f"parseval rule omega-axis outermost panel contributes "
+            f"{tail:.3e}; truncation may be insufficient",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return fine, err, {"omega_tail": tail, "omega_nodes": grid.omega.size,
+                       "err_estimate": err}

@@ -1,12 +1,17 @@
 """Tests for model parameters, theta-curve coefficients, and the jump drift."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from three_halves.errors import CurveDomainError, InvalidParametersError
+from three_halves.errors import (
+    BranchCutWarning,
+    CurveDomainError,
+    InvalidParametersError,
+)
 from three_halves.model import (
     JumpParams,
     ModelParams,
@@ -168,3 +173,23 @@ class TestDriftA:
     def test_frozen_oracle_value(self, jump_params):
         want = complex(-0.012349118629891832, 0.004513535532231361)
         assert abs(drift_a(1.0, 0.0, jump_params) - want) < 1e-15
+
+    @staticmethod
+    def eta_at(w, jump_params):
+        """The eta with w = 1 - 2 i eta sigma_J^2."""
+        return (1.0 - w) / (2j * jump_params.jumps.sigma**2)
+
+    @pytest.mark.parametrize("w", [-1.0, -1.0 + 1e-12j])
+    def test_on_or_next_to_the_cut_warns(self, jump_params, w):
+        # sqrt(w) is discontinuous across w in (-inf, 0]; a point there,
+        # or within rounding of it, may sit on either sheet.
+        with pytest.warns(BranchCutWarning):
+            drift_a(0.5 - 1.5j, self.eta_at(w, jump_params), jump_params)
+
+    def test_left_of_the_origin_off_the_cut_is_silent(self, jump_params):
+        # Re(w) < 0 but well off the cut, where a Talbot contour passes as
+        # it wraps the cut: the principal root is continuous there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BranchCutWarning)
+            drift_a(0.5 - 1.5j, self.eta_at(-1.0 + 0.5j, jump_params),
+                    jump_params)

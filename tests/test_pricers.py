@@ -2,18 +2,23 @@
 primitive, converged reference prices and agreement with the Monte Carlo
 oracle."""
 
-import math
+import warnings
 
 import numpy as np
 import pytest
 
 import three_halves
 from three_halves import pricers
-from three_halves.errors import QuadratureNonConvergenceError
+from three_halves.errors import (
+    BranchCutWarning,
+    QuadratureNonConvergenceError,
+    ThreeHalvesError,
+)
 from three_halves.mc_oracle import (
     SimulationConfig,
     _floating_leg,
     _mean_se,
+    _timer_payoff,
     mc_price,
     simulate_paths,
 )
@@ -26,6 +31,7 @@ from three_halves.pricers import (
     fair_strike_weighted,
     price_european,
     price_timer_call,
+    price_timer_grid,
 )
 from three_halves.quadrature import QuadratureConfig
 
@@ -53,22 +59,22 @@ class TestTimerIdentities:
     def test_huge_budget_is_european(self, timer_params):
         # With a budget the quadratic variation never reaches, the timer
         # call is exercised at the mandatory maturity: a European call at
-        # T.  The default contour choice takes the complement contour here,
-        # whose kernel sums the Bessel series of the exact date on the
-        # (omega, eta) x v' tensor.
+        # T.  The Talbot sum is then the tail e^{sB} leaves.  The
+        # route this replaced was 0.6% low at N = 4, B = 3.
         cfg = QuadratureConfig()
-        timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 2, 10.0),
-                                 timer_params, cfg)
         european = price_european(EuropeanSpec(100.0, 1.0), timer_params,
                                   cfg)
-        assert timer.diagnostics["contour"] == "complement"
-        assert abs(timer.price - european) <= timer.err_estimate
+        for n, budget in [(2, 10.0), (4, 3.0), (4, 10.0)]:
+            timer = price_timer_call(TimerOptionSpec(100.0, 1.0, n, budget),
+                                     timer_params, cfg)
+            assert abs(timer.price - european) <= timer.err_estimate, (
+                n, budget)
 
-    @pytest.mark.parametrize("budget", [0.087, 10.0])
+    @pytest.mark.parametrize("budget", [0.087, 3.0, 10.0])
     def test_one_date_is_european(self, timer_params, budget):
         # With N = 1 the only stopping date is the maturity, whatever the
         # budget: the kernel's two terms cancel and the European base at T
-        # is the whole price, on either contour.
+        # is the whole price.
         cfg = QuadratureConfig()
         timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 1, budget),
                                  timer_params, cfg)
@@ -76,38 +82,80 @@ class TestTimerIdentities:
                                   cfg)
         assert abs(timer.price - european) <= timer.err_estimate
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: the eta truncation at 240 dominates the timer error "
-        "and is not in err_estimate, so the contours differ by 1.4e-3 "
-        "against an estimate of 1e-4"))
-    def test_contours_agree(self, timer_params, monkeypatch):
-        # Both contours are valid at B = 0.5, the switch itself; each is
-        # forced by moving the switch to one side of the budget.  Were the
-        # forcing lost, both prices would come from one contour, agree, and
-        # fail the strict xfail.
-        spec = TimerOptionSpec(100.0, 1.0, 2, 0.5)
+    def test_more_nodes_agree_off_axis_branch_point(self, snp_params,
+                                                    monkeypatch):
+        # On snp_params (rho = -0.99) the branch point of c runs far off
+        # the real axis, to -178 - 882i at omega_R = 120, and each omega's
+        # contour follows it.  M + 8 nodes must agree with M within the
+        # error estimate; the node count in the diagnostics shows the
+        # forcing took.
+        spec = TimerOptionSpec(100.0, 1.0, 12, 0.06)
         cfg = QuadratureConfig()
-        prices = []
-        for switch in (math.inf, 0.0):
-            monkeypatch.setattr(pricers, "TIMER_CONTOUR_SWITCH_B", switch)
-            prices.append(price_timer_call(spec, timer_params, cfg))
-        direct, complement = prices
-        assert abs(direct.price - complement.price) <= (
-            direct.err_estimate + complement.err_estimate)
+        default = price_timer_call(spec, snp_params, cfg)
+        monkeypatch.setattr(pricers, "TALBOT_NODES",
+                            pricers.TALBOT_NODES + 8)
+        more = price_timer_call(spec, snp_params, cfg)
+        assert (more.diagnostics["talbot_nodes"]
+                == default.diagnostics["talbot_nodes"] + 8)
+        assert abs(default.price - more.price) <= default.err_estimate
+
+    @pytest.mark.parametrize("stage", ["kernel", "price"])
+    def test_non_finite_stage_raises(self, timer_params, monkeypatch, stage):
+        # max(nan, 0) is nan and nan < -err is false, so a NaN would pass
+        # every other check; the pricer names the stage instead.
+        monkeypatch.setattr(pricers, "_hermitian_residual",
+                            lambda *args: 0.0)
+        if stage == "kernel":
+            monkeypatch.setattr(pricers, "_timer_h_tilde",
+                                lambda *args: np.full((1, 1), np.nan))
+        else:
+            monkeypatch.setattr(pricers, "_price_european_detailed",
+                                lambda *args: pricers.PriceResult(np.nan, 0.0))
+        with pytest.raises(ThreeHalvesError, match=stage):
+            price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
+                             timer_params, QuadratureConfig())
+
+
+@pytest.fixture(scope="module")
+def timer_mc(timer_params):
+    """One ensemble for the N = 4 timers on timer_params: 100k paths at 256
+    steps a year."""
+    spec = TimerOptionSpec(100.0, 1.0, 4, 0.087)
+    return simulate_paths(1.0, spec.schedule(), timer_params,
+                          SimulationConfig(n_paths=100_000,
+                                           steps_per_year=256, seed=29))
 
 
 class TestTimerAgainstMonteCarlo:
-    def test_direct_contour_within_three_standard_errors(self,
-                                                         timer_params):
-        # The benchmark's timer path: four dates, a budget below the
-        # switch, so the direct contour with three exact timerlets.
-        spec = TimerOptionSpec(100.0, 1.0, 4, 0.087)
+    @pytest.mark.parametrize("budget", [0.087, 0.005])
+    def test_within_three_standard_errors(self, timer_params, timer_mc,
+                                          budget):
+        # The benchmark's timer and a budget small enough that nearly
+        # every path stops at the first date (the eta line this replaced
+        # sat 2.8 SE below MC there).
+        spec = TimerOptionSpec(100.0, 1.0, 4, budget)
         timer = price_timer_call(spec, timer_params, QuadratureConfig())
-        mc = mc_price(spec, timer_params,
+        mean, se = _mean_se(_timer_payoff(spec, timer_mc, timer_params,
+                                          timer_mc.i))
+        z = (timer.price - mean) / se
+        assert abs(z) <= 3.0, f"{timer.price} vs MC {mean} +- {se}: z = {z:.2f}"
+
+    def test_jumps_within_three_standard_errors(self, jump_params):
+        # The jump transform's essential singularity at s = -12.5 and the
+        # branch point of c far off the axis (rho = -0.99) must both stay
+        # inside every contour: the omegas that cannot hold them get more
+        # nodes.  Every kernel value on every contour the rule picks is
+        # finite (the pricer raises otherwise), and no node lies on the cut
+        # of the jump transform's square root.
+        spec = TimerOptionSpec(100.0, 1.0, 4, 0.087)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BranchCutWarning)
+            timer = price_timer_call(spec, jump_params, QuadratureConfig())
+        assert timer.diagnostics["talbot_nodes"] > pricers.TALBOT_NODES
+        mc = mc_price(spec, jump_params,
                       SimulationConfig(n_paths=100_000, steps_per_year=256,
-                                       seed=29))
+                                       seed=31))
         z = (timer.price - mc.estimate) / mc.std_error
-        assert timer.diagnostics["contour"] == "direct"
         assert abs(z) <= 3.0, (
             f"{timer.price} vs MC {mc.estimate} +- {mc.std_error}: z = {z:.2f}")
 
@@ -140,8 +188,9 @@ class TestCauchyMoment:
             _cauchy_moment(2, pole, False)
 
 
-# Converged references of the benchmark's swaps (bench/references.json),
-# T = 1 on snp_params: (n_periods, m, weight_kind, lag[, lower, upper]).
+# Converged references of the benchmark (bench/references.json): swaps at
+# T = 1 on snp_params, (n_periods, m, weight_kind, lag[, lower, upper]), and
+# the N = 4, B = 0.087 timer calls on timer_params.
 REFERENCES = [
     ((12, 2, "constant", 0), 0.0862245211228722),
     ((52, 2, "constant", 0), 0.08387024719928397),
@@ -152,15 +201,37 @@ REFERENCES = [
     ((12, 2, "terminal_price", 0), 0.07284414896816896),
     ((2, 2, "corridor", 0, 80.0, 120.0), 0.018579535610086066),
     ((12, 2, "corridor", 1, 80.0, 120.0), 0.062265447900503944),
+    (TimerOptionSpec(90.0, 1.0, 4, 0.087), 17.37558169048536),
+    (TimerOptionSpec(100.0, 1.0, 4, 0.087), 11.801307230415539),
+    (TimerOptionSpec(110.0, 1.0, 4, 0.087), 7.6064313193798885),
 ]
+TIMER_REFERENCES = [f for f, _ in REFERENCES if isinstance(f, TimerOptionSpec)]
+
+
+def _reference_id(fields):
+    if isinstance(fields, TimerOptionSpec):
+        return f"timer-N{fields.n_monitoring}-K{fields.strike:g}"
+    return "-".join(map(str, fields[:4]))
+
+
+@pytest.fixture(scope="module")
+def timer_reference_prices(timer_params):
+    """The reference timers, priced in one call as the benchmark does."""
+    results = price_timer_grid(TIMER_REFERENCES, timer_params,
+                               QuadratureConfig())
+    return {spec: res.price for spec, res in zip(TIMER_REFERENCES, results)}
 
 
 class TestConvergedReferences:
     @pytest.mark.parametrize(
         "fields,ref", REFERENCES,
-        ids=["-".join(map(str, f[:4])) for f, _ in REFERENCES])
-    def test_within_one_in_a_million(self, swap_price, fields, ref):
-        price = swap_price(MomentSwapSpec(1.0, *fields))
+        ids=[_reference_id(f) for f, _ in REFERENCES])
+    def test_within_one_in_a_million(self, request, fields, ref):
+        if isinstance(fields, TimerOptionSpec):
+            price = request.getfixturevalue("timer_reference_prices")[fields]
+        else:
+            price = request.getfixturevalue("swap_price")(
+                MomentSwapSpec(1.0, *fields))
         assert abs(price - ref) <= 1e-6 * abs(ref)
 
 

@@ -55,7 +55,3 @@ class QuadratureNonConvergenceError(ThreeHalvesError):
 
 class BranchCutWarning(UserWarning):
     """A complex square root came close to its branch cut along a contour."""
-
-
-class TruncationWarning(UserWarning):
-    """Integrand tail beyond the truncation bound may exceed the tolerance."""

@@ -1,6 +1,10 @@
 """Product pricers: European vanillas, finite-maturity discrete timer calls,
 and discretely sampled weighted moment swaps.
 
+Every omega integral is summed by the one omega rule of ``quadrature``, whose
+panels run until the integrand is spent: a European call is one
+``fourier_invert_1d`` of the marginal CF against the call transform.
+
 Timer decomposition
 -------------------
 With the quadratic variation I as the realized-variance proxy, the timer
@@ -35,7 +39,8 @@ pole, is summed on a Talbot contour (Talbot 1979; Weideman & Trefethen
     price = European(T) + (1 / (2 pi^2)) Re sum_omega w_omega J(omega).
 
 The omega axis is folded to omega_R >= 0 through (omega, s) ->
-(-conj omega, conj s).  Each omega's contour of M nodes has scale M / B and
+(-conj omega, conj s); the first Talbot pass fixes its panels, and every
+later pass reuses them.  Each omega's contour of M nodes has scale M / B and
 is centred on the branch point of c(omega, eta), or with jumps between it
 and the jump transform's singularity (``_talbot_contour``); an omega whose
 contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  The
@@ -52,7 +57,9 @@ constant weight, -i for the price ratio and terminal price, the contour
 for the corridor), so every term comes from one kernel,
 E[e^{i omega X_{t_i}} e^{i phi dX_k}], whose m-th phi-derivative at
 phi = 0 is one Cauchy integral: the trapezoid rule on a circle of radius
-MOMENT_RADIUS with MOMENT_NODES nodes (``_cauchy_moment``).
+MOMENT_RADIUS with MOMENT_NODES nodes (``_cauchy_moment``).  The corridor
+inverts its weight's transform by ``fourier_invert_1d``; its v grids are
+sized so that g1's phase in ln v does not alias at the largest omega_R.
 """
 
 from __future__ import annotations
@@ -75,8 +82,7 @@ from .quadrature import (
     QuadratureConfig,
     fourier_invert_1d,
     log_density_grid,
-    omega_grid,
-    parseval_contract,
+    omega_integral,
 )
 
 _REL_IMAG_TOL = 1e-8
@@ -242,13 +248,14 @@ def _price_european_detailed(spec: EuropeanSpec, params: ModelParams,
     def pt(w):
         return _call_transform(w, spec.strike)
 
-    undiscounted, diag = fourier_invert_1d(cf, pt, cfg, with_diagnostics=True)
-    call = math.exp(-params.r * T) * undiscounted
+    undiscounted, diag = fourier_invert_1d(cf, pt, cfg)
+    discount = math.exp(-params.r * T)
+    err = discount * diag["err_estimate"]
+    call = discount * undiscounted
     if spec.is_call:
-        return PriceResult(call, diag["err_estimate"], diag)
-    put = call - params.s0 * math.exp(-params.q * T) \
-        + spec.strike * math.exp(-params.r * T)
-    return PriceResult(put, diag["err_estimate"], diag)
+        return PriceResult(call, err, diag)
+    put = call - params.s0 * math.exp(-params.q * T) + spec.strike * discount
+    return PriceResult(put, err, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +395,13 @@ def _hermitian_residual(T, N, budget, params, cfg):
     return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
 
 
-def _budget_integrals(T, N, B, strikes, params, cfg, grid, counts):
-    """The Parseval contraction, per strike, of J(omega) = -i (2 pi / M)
-    sum_k F(omega, eta_k) s'(theta_k) [H_tilde(omega, eta_k) -
-    H_tilde(omega, 0)], eta_k = i s_k, on each omega's contour of
-    M = counts[i] nodes.  H_tilde(omega, 0) comes from the same v' rule as
-    the nodes, so the summand has no pole at s = 0 even where a contour
-    encloses it (the pole term itself is exact)."""
-    omega = grid.omega
+def _budget_integrals(T, N, B, strikes, params, cfg, omega, counts):
+    """J(omega) = -i (2 pi / M) sum_k F(omega, eta_k) s'(theta_k)
+    [H_tilde(omega, eta_k) - H_tilde(omega, 0)], eta_k = i s_k, per strike
+    (rows) and omega (columns), on each omega's contour of M = counts[i]
+    nodes.  H_tilde(omega, 0) comes from the same v' rule as the nodes, so
+    the summand has no pole at s = 0 even where a contour encloses it (the
+    pole term itself is exact)."""
     h_zero = _timer_h_tilde(T, N, params, cfg, omega,
                             np.zeros((omega.size, 1)))
     rows = np.empty((strikes.size, omega.size), dtype=complex)
@@ -410,7 +416,7 @@ def _budget_integrals(T, N, B, strikes, params, cfg, grid, counts):
                                     strikes[:, None, None], B)
         rows[:, sel] = (-2j * math.pi / m) * np.sum(
             fhat * (h_tilde - h_zero[sel]) * ds, axis=-1)
-    return [parseval_contract(grid, row, cfg) for row in rows]
+    return rows
 
 
 def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
@@ -431,7 +437,6 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                spec.variance_budget)
         groups.setdefault(key, []).append(idx)
 
-    grid = omega_grid(cfg)
     results = [None] * len(specs)
     for (T, N, B), indices in groups.items():
         herm = _hermitian_residual(T, N, B, params, cfg)
@@ -442,40 +447,52 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         strikes = np.array([specs[i].strike for i in indices])
         bases = [_price_european_detailed(EuropeanSpec(k, T), params, cfg)
                  for k in strikes]
-        counts = _talbot_counts(B, T, grid.omega, params)
-        coarse = _budget_integrals(T, N, B, strikes, params, cfg, grid,
-                                   counts - TALBOT_STEP)
+        base = np.array([b.price for b in bases])
+        if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
+            raise ThreeHalvesError("timer base price is not finite")
+        counts = []  # least and most Talbot nodes of the last omega batch
+
+        def integral(extra, panels=None):
+            # the Parseval integral, on contours of ``extra`` more nodes
+            # than _talbot_counts asks
+            def rows(omega):
+                m = _talbot_counts(B, T, omega, params) + extra
+                counts[:] = m.min(), m.max()
+                return _budget_integrals(T, N, B, strikes, params, cfg,
+                                         omega, m)
+            return omega_integral(rows, cfg, cfg.damping_omega,
+                                  0.5 / math.pi**2, base, panels)
+
+        # The contours of M - TALBOT_STEP nodes fix the omega grid.
+        coarse, _, grid = integral(-TALBOT_STEP)
+        extra = 0
         while True:
-            fine = _budget_integrals(T, N, B, strikes, params, cfg, grid,
-                                     counts)
-            gaps = [abs(f[0] - c[0]) for f, c in zip(fine, coarse)]
-            if not all(math.isfinite(b.price + b.err_estimate + f[0] + f[1])
-                       for b, f in zip(bases, fine)):
-                raise ThreeHalvesError("timer price is not finite")
-            if all(gap <= max(cfg.rel_tol * abs(b.price + f[0]), cfg.abs_tol)
-                   for gap, b, f in zip(gaps, bases, fine)):
+            fine, q_err, diag = integral(extra, grid["omega_panels"])
+            gaps = np.abs(fine - coarse)
+            if np.all(gaps <= np.maximum(cfg.rel_tol * np.abs(base + fine),
+                                         cfg.abs_tol)):
                 break
             # e^{sB} peaks at e^{s(0) B} = e^{0.171 M}, which the sum loses
             # to roundoff
-            if (math.exp(_UNIT[0].real * counts.min()) * np.finfo(float).eps
+            if (math.exp(_UNIT[0].real * counts[0]) * np.finfo(float).eps
                     > cfg.rel_tol):
                 raise QuadratureNonConvergenceError(
                     f"Talbot contours of M and M - {TALBOT_STEP} nodes "
-                    f"disagree by {max(gaps):.2e} at B = {B}, and roundoff "
-                    f"bars a larger M", achieved=max(gaps))
-            coarse, counts = fine, counts + TALBOT_STEP
-        for idx, base, (value, q_err, diag), gap in zip(indices, bases, fine,
-                                                        gaps):
-            price = base.price + value
-            err = gap + q_err + base.err_estimate
-            diag.update({"talbot_nodes": int(counts.max()), "talbot_err": gap,
-                         "base_price": base.price, "integral": value,
-                         "hermitian_residual": herm})
+                    f"disagree by {gaps.max():.2e} at B = {B}, and roundoff "
+                    f"bars a larger M", achieved=float(gaps.max()))
+            coarse, extra = fine, extra + TALBOT_STEP
+        for i, idx in enumerate(indices):
+            price = base[i] + fine[i]
+            err = gaps[i] + q_err[i] + bases[i].err_estimate
             if price < -err:
                 raise ThreeHalvesError(
                     f"timer price came out negative ({price}) beyond the "
                     f"error budget")
-            results[idx] = PriceResult(max(price, 0.0), err, diag)
+            results[idx] = PriceResult(max(float(price), 0.0), float(err), {
+                **diag, "omega_tail": float(diag["omega_tail"][i]),
+                "talbot_nodes": int(counts[1]), "talbot_err": float(gaps[i]),
+                "base_price": bases[i].price, "integral": float(fine[i]),
+                "hermitian_residual": herm})
     return results
 
 
@@ -486,17 +503,23 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
 _GRID_STD_SPAN = 9.0
 _GRID_LOG_MARGIN = 2.0
 _GRID_MAX_NODES = 192
+_GRID_NYQUIST_MARGIN = 4.0
 _STATIONARY_WIDTH_CAP = 0.9
 
 
 def _transition_grid(params: ModelParams, t_from: float, t_to: float,
-                     v_center, cfg: QuadratureConfig):
+                     v_center, cfg: QuadratureConfig, omega_max: float = 0.0):
     """Log-space trapezoid grid adapted to the V-transition from v_center.
 
     Center/width come from the noncentral chi-square moments of U = 1/V:
     std(ln V') ~ sqrt(2 C / u) (capped near the stationary spread).  Weights
     include the v' jacobian.  ``v_center`` may be an array, giving one grid
     row per center (shape (n_centers, n)).
+
+    The phase of g(omega, v') turns |rho| omega_R / eps radians per unit
+    ln v', so pi / h stays _GRID_NYQUIST_MARGIN above that at omega_R =
+    ``omega_max`` (a margin of 2 is 3e-10 off, 4 and 8 agree to 12 digits);
+    a grid that needs more than _GRID_MAX_NODES for it raises.
     """
     v_center = np.atleast_1d(np.asarray(v_center, dtype=float))
     A = coef_A(params.theta, t_from, t_to)
@@ -509,6 +532,14 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
     half = _GRID_STD_SPAN * width + _GRID_LOG_MARGIN
     need = int(np.ceil(np.max(2.0 * half / (np.min(width) / 4.0))))
     n = min(max(cfg.v_nodes, need), _GRID_MAX_NODES)
+    h_max = math.pi / (abs(params.rho) * omega_max / params.epsilon
+                       + _GRID_NYQUIST_MARGIN)
+    nyquist = int(np.ceil(np.max(2.0 * half) / h_max)) + 1
+    if nyquist > _GRID_MAX_NODES:
+        raise QuadratureNonConvergenceError(
+            f"a v' grid that resolves the phase at omega_R = {omega_max:g} "
+            f"needs {nyquist} nodes, more than {_GRID_MAX_NODES}")
+    n = max(n, nyquist)
     grid01 = np.linspace(-1.0, 1.0, n)
     lnv = center[:, None] + half[:, None] * grid01[None, :]
     du = 2.0 * half / (n - 1)
@@ -604,11 +635,13 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
       the tower rule through t_k.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
+    omega_max = float(np.max(np.abs(omega.real)))
     if t_km1 == 0.0:
         v = np.array([params.v0])
         wv = np.ones((omega.size, 1))
     else:
-        v, w = _transition_grid(params, 0.0, t_km1, params.v0, cfg)
+        v, w = _transition_grid(params, 0.0, t_km1, params.v0, cfg,
+                                omega_max)
         v, w = v[0], w[0]
         wv = w * np.exp(tr._log_g_vec(0.0, params.v0, t_km1, omega[:, None],
                                       0.0, v, params))
@@ -627,7 +660,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                 for p in phis])
         return _cauchy_moment(m, f, real_weight)
 
-    inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg)
+    inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg, omega_max)
     h_after = w_in * np.exp(tr._log_h_vec(t_k, inner, t_i,
                                           omega[:, None, None], 0.0, params))
 
@@ -685,9 +718,7 @@ def fair_strike_weighted(spec: MomentSwapSpec, params: ModelParams,
     def pt(w):
         return _corridor_fhat(w, lo, up)
 
-    value = fourier_invert_1d(cf, pt, cfg, damping=CORRIDOR_DAMPING,
-                              truncation=CORRIDOR_TRUNCATION,
-                              nodes=CORRIDOR_NODES)
+    value, _ = fourier_invert_1d(cf, pt, cfg, damping=CORRIDOR_DAMPING)
     # With lag = 1 the first period's weight is the number f(S0), kept out
     # of the omega integral (inverting an indicator transform numerically
     # would only add Gibbs error).
@@ -706,8 +737,6 @@ def _realize(val: complex, what: str) -> float:
 
 
 CORRIDOR_DAMPING = -0.5
-CORRIDOR_TRUNCATION = 80.0
-CORRIDOR_NODES = 768
 
 
 def _corridor_fhat(omega, lower: float, upper: float):

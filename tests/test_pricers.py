@@ -189,9 +189,19 @@ class TestCauchyMoment:
 
 
 # Converged references of the benchmark (bench/references.json): swaps at
-# T = 1 on snp_params, (n_periods, m, weight_kind, lag[, lower, upper]), and
-# the N = 4, B = 0.087 timer calls on timer_params.
+# T = 1 on snp_params, (n_periods, m, weight_kind, lag[, lower, upper]), the
+# N = 4, B = 0.087 timer calls on timer_params, and European calls (the
+# parameter set's fixture, spec).  The T = 0.25 calls at K = 80 and 120 set
+# the omega rule's panel node count; the timer_params call is the smoke
+# timer's base (its N = 1 reference).  The T = 0.02 call is the trapezoid
+# rule this rule replaced at 16384 nodes on [0, 800], where 8192 nodes on
+# [0, 400] agree to roundoff.
 REFERENCES = [
+    (("snp_params", EuropeanSpec(80.0, 0.25)), 20.97959125853978),
+    (("snp_params", EuropeanSpec(120.0, 0.25)), 0.1231498771451646),
+    (("snp_params", EuropeanSpec(100.0, 2.0)), 16.75230580463142),
+    (("timer_params", EuropeanSpec(100.0, 1.0)), 12.115563134009195),
+    (("snp_params", EuropeanSpec(100.0, 0.02)), 1.4068944742983183),
     ((12, 2, "constant", 0), 0.0862245211228722),
     ((52, 2, "constant", 0), 0.08387024719928397),
     ((252, 2, "constant", 0), 0.0830358894997792),
@@ -211,7 +221,20 @@ TIMER_REFERENCES = [f for f, _ in REFERENCES if isinstance(f, TimerOptionSpec)]
 def _reference_id(fields):
     if isinstance(fields, TimerOptionSpec):
         return f"timer-N{fields.n_monitoring}-K{fields.strike:g}"
+    if isinstance(fields[1], EuropeanSpec):
+        return (f"european-{fields[0].split('_')[0]}-T{fields[1].maturity:g}"
+                f"-K{fields[1].strike:g}")
     return "-".join(map(str, fields[:4]))
+
+
+def _reference_rel_tol(fields):
+    """One in a million; ten digits for a European call, the benchmark's
+    tolerance, but nine at T = 0.02, whose omega rule stops once its last
+    panel's share falls below rel_tol times the price (1.4e-8)."""
+    if isinstance(fields, TimerOptionSpec) or not isinstance(
+            fields[1], EuropeanSpec):
+        return 1e-6
+    return 1e-9 if fields[1].maturity < 0.1 else 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +252,56 @@ class TestConvergedReferences:
     def test_within_one_in_a_million(self, request, fields, ref):
         if isinstance(fields, TimerOptionSpec):
             price = request.getfixturevalue("timer_reference_prices")[fields]
+        elif isinstance(fields[1], EuropeanSpec):
+            price = price_european(fields[1],
+                                   request.getfixturevalue(fields[0]),
+                                   QuadratureConfig())
         else:
             price = request.getfixturevalue("swap_price")(
                 MomentSwapSpec(1.0, *fields))
-        assert abs(price - ref) <= 1e-6 * abs(ref)
+        assert abs(price - ref) <= _reference_rel_tol(fields) * abs(ref)
+
+
+CORRIDOR_LAG1 = MomentSwapSpec(1.0, 12, 2, "corridor", 1, 80.0, 120.0)
+
+
+class TestCorridorVGrid:
+    """The v grids of the corridor's moments resolve the phase of g1 at
+    every omega the rule reaches: a 90-node grid aliased it past
+    omega_R = 100, and the price drifted as the cutoff grew."""
+
+    def integrand(self, monkeypatch, params, v_nodes, omega_r):
+        captured = {}
+
+        def capture(cf, payoff_transform, cfg, damping=None):
+            captured["at"] = lambda w: complex(
+                payoff_transform(w) * cf(np.array([w]))[0])
+            captured["damping"] = damping
+            return 0.0, {}
+        with monkeypatch.context() as m:
+            m.setattr(pricers, "fourier_invert_1d", capture)
+            fair_strike_weighted(CORRIDOR_LAG1, params,
+                                 QuadratureConfig(v_nodes=v_nodes))
+        return captured["at"](omega_r + 1j * captured["damping"]).real
+
+    def test_integrand_does_not_alias(self, snp_params, monkeypatch):
+        # The route this replaced gave -2.0e-10 on 64 nodes and 4.4e-14
+        # on 128.
+        coarse, fine = (self.integrand(monkeypatch, snp_params, n, 140.0)
+                        for n in (64, 128))
+        assert abs(coarse - fine) <= 1e-12
+
+    def test_price_converged_in_v(self, snp_params, swap_price):
+        fine = fair_strike_weighted(CORRIDOR_LAG1, snp_params,
+                                    QuadratureConfig(v_nodes=128))
+        assert abs(swap_price(CORRIDOR_LAG1) - fine) <= 1e-9 * abs(fine)
+
+    def test_grid_beyond_its_node_cap_raises(self, snp_params):
+        # At omega_R = 1000 the 1/12-year grid from V0 needs 616 nodes.
+        with pytest.raises(QuadratureNonConvergenceError, match="needs"):
+            pricers._transition_grid(snp_params, 0.0, 1.0 / 12.0,
+                                     snp_params.v0, QuadratureConfig(),
+                                     1000.0)
 
 
 class TestCorridorAgainstMonteCarlo:

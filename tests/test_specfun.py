@@ -17,9 +17,10 @@ from three_halves.errors import (
 )
 from three_halves.model import coef_A, coef_C
 from three_halves.quadrature import (
+    FIRST_BATCH,
     QuadratureConfig,
+    _panels,
     log_density_grid,
-    omega_grid,
 )
 
 mp.mp.dps = 40
@@ -193,13 +194,13 @@ class TestBesselSeriesOuter:
     route on the same inputs and against mpmath."""
 
     def test_timer_grid_orders(self, timer_params):
-        # Orders 2c(omega, eta) on a subsample of the benchmark timer's
-        # omega grid and Talbot nodes (N = 4, B = 0.087; first monitoring
-        # date) x the 64 v' nodes of that date's density grid.
+        # Orders 2c(omega, eta) on a subsample of the omega rule's first
+        # batch and the benchmark timer's Talbot nodes (N = 4, B = 0.087;
+        # first monitoring date) x the 64 v' nodes of that date's density
+        # grid.
         p = timer_params
         cfg = QuadratureConfig()
-        grid = omega_grid(cfg)
-        omega = grid.omega[::13]
+        omega = _panels(0, FIRST_BATCH)[0].ravel()[::13] + 1j * cfg.damping_omega
         s = pricers._talbot_contour(pricers.TALBOT_NODES, 0.087, 1.0, omega,
                                     p)[0]
         t_j = 0.25

@@ -60,6 +60,16 @@ phi = 0 is one Cauchy integral: the trapezoid rule on a circle of radius
 MOMENT_RADIUS with MOMENT_NODES nodes (``_cauchy_moment``).  The corridor
 inverts its weight's transform by ``fourier_invert_1d``; its v grids are
 sized so that g1's phase in ln v does not alias at the largest omega_R.
+
+The periods of a swap differ only in their dates, so they are priced
+together (``_weighted_moment``): on the routes with the weight at t_{k-1}
+or t_k, every period's v grid is stacked on one node axis whose nodes carry
+their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
+h are each one kernel call per block of periods.  A block holds as many
+periods as keep omega x phi x nodes within _MOMENT_BLOCK_ELEMENTS, which
+bounds the kernels' memory.  The terminal-price weight's tower route
+(t_i > t_k) pairs some 16k (v, v') nodes per period and stays one period at
+a time: it is bound by elements, not by calls.
 """
 
 from __future__ import annotations
@@ -559,8 +569,16 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
 MOMENT_NODES = 8
 MOMENT_RADIUS = 0.25
 
+# Largest omega x phi x v-node count of one batched kernel call of the moment
+# swaps (see _weighted_moment), sized by measurement (2 vCPUs, median of
+# three runs): the six strip benchmark swaps other than the terminal-price
+# one take 0.39 / 0.25 / 0.20 s at 2^11 / 2^14 / 2^17 elements (1.30 s one
+# period at a time), at heap peaks of 1.6 / 2.9 / 10.3 MB; 2^14 stays below
+# the 5 MB the terminal-price swap peaks at.
+_MOMENT_BLOCK_ELEMENTS = 2**14
 
-def _cauchy_moment(m: int, f, conj_symmetric: bool):
+
+def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
     """i^{-m} f^{(m)}(0) for a characteristic function f: the m-th moment.
 
     Cauchy's integral f^{(m)}(0) = m!/(2 pi i) oint f(phi) phi^{-m-1} dphi
@@ -590,7 +608,10 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool):
     coefficients decay geometrically; it stays within 5.4e-5 of the largest
     value on those swaps.  A disagreement beyond 1e-3 (a full-rule error
     near 1e-6) means f is not analytic enough on the disc, e.g. a pole
-    inside it, and raises.
+    inside it, and raises.  The check is taken over all values at once,
+    or with ``starts`` (indices into the last axis) over each segment of
+    the last axis on its own, so that one swap period's failure cannot hide
+    behind another's larger values.
     """
     j = np.arange(MOMENT_NODES)
     theta = 2.0 * math.pi * (j + 0.5) / MOMENT_NODES
@@ -607,68 +628,174 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool):
             * (-1j) ** m * np.exp(-1j * m * theta))
     full = np.tensordot(coef, vals, axes=1)
     half = 2.0 * np.tensordot(coef[::2], vals[::2], axes=1)
-    gap = np.max(np.abs(full - half))
+    gap = np.abs(full - half)
     if conj_symmetric:
         full = full.real
-    if not gap <= 1e-3 * np.max(np.abs(full)):
+    size = np.abs(full)
+    if starts is None:
+        gap, size = np.max(gap), np.max(size)
+    else:
+        gap, size = (np.maximum.reduceat(
+            x.reshape(-1, x.shape[-1]).max(axis=0), starts)
+            for x in (gap, size))
+    bad = ~(gap <= 1e-3 * size)
+    if np.any(bad):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.argmax(np.where(bad, gap / size, 0.0))
+        gap, size = np.ravel(gap)[worst], np.ravel(size)[worst]
         raise QuadratureNonConvergenceError(
             f"Cauchy moment of order {m}: the {MOMENT_NODES}- and "
             f"{MOMENT_NODES // 2}-node rules disagree by {gap:.3e} relative "
-            f"to {np.max(np.abs(full)):.3e}; the function is not analytic "
-            f"on the disc of radius {MOMENT_RADIUS}", achieved=gap)
+            f"to {size:.3e}; the function is not analytic "
+            f"on the disc of radius {MOMENT_RADIUS}", achieved=float(gap))
     return full
 
 
+def _period_grid(params: ModelParams, cfg: QuadratureConfig, t_km1: float,
+                 t_k: float, omega_max: float):
+    """The v grid at t_{k-1} of the period (t_{k-1}, t_k): nodes, weights
+    and each node's t_{k-1} and t_k.  From t_{k-1} = 0 it is the one node
+    V0 of weight 1, where g1 is a Dirac mass."""
+    if t_km1 == 0.0:
+        v, w = np.array([params.v0]), np.ones(1)
+    else:
+        v, w = (x[0] for x in _transition_grid(params, 0.0, t_km1, params.v0,
+                                               cfg, omega_max))
+    return v, w, np.full(v.size, t_km1), np.full(v.size, t_k)
+
+
+def _g1_weights(params: ModelParams, v, w, t_km1, omega):
+    """w g1(0, V0; t_{k-1}, omega, v) per omega (rows) and node, with the
+    nodes' own dates t_{k-1}; 1 at a node from t_{k-1} = 0."""
+    wv = np.ones((omega.size, v.size), dtype=complex)
+    live = t_km1 > 0.0
+    if np.any(live):
+        wv[:, live] = w[live] * np.exp(tr._log_g_vec(
+            0.0, params.v0, t_km1[live], omega[:, None], 0.0, v[live],
+            params))
+    return wv
+
+
+def _blocks(grids, per_node: int):
+    """The period grids of ``grids``, built as they are consumed, stacked
+    into blocks of consecutive periods with at most
+    _MOMENT_BLOCK_ELEMENTS / per_node nodes each, or a single period:
+    (v, w, t_{k-1}, t_k) on one node axis and the index where each period
+    starts."""
+    block, nodes = [], 0
+
+    def stacked():
+        starts = np.cumsum([0] + [g[0].size for g in block[:-1]])
+        return (*(np.concatenate(x) for x in zip(*block)), starts)
+
+    for grid in grids:
+        n = grid[0].size
+        if block and (nodes + n) * per_node > _MOMENT_BLOCK_ELEMENTS:
+            yield stacked()
+            block, nodes = [], 0
+        block.append(grid)
+        nodes += n
+    yield stacked()
+
+
+def _phi_chunks(phis, per_phi: int):
+    """Consecutive runs of the Cauchy nodes ``phis`` with at most
+    _MOMENT_BLOCK_ELEMENTS / per_phi nodes each, or a single node."""
+    step = max(1, _MOMENT_BLOCK_ELEMENTS // per_phi)
+    return [phis[j:j + step] for j in range(0, phis.size, step)]
+
+
 def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
-                     t_km1: float, t_k: float, t_i: float, omega):
-    """i^{-m} d^m/dphi^m E[e^{i omega (X_{t_i} - X0)} e^{i phi dX_k}] at
+                     periods, omega):
+    """sum over the periods (t_{k-1}, t_k, t_i) of ``periods`` of
+    i^{-m} d^m/dphi^m E[e^{i omega (X_{t_i} - X0)} e^{i phi dX_k}] at
     phi = 0, with dX_k = X_{t_k} - X_{t_{k-1}}, for each omega of an array.
 
     The weight date t_i picks the route; g1(0, V0; t_{k-1}, omega, v) weighs
     the variance v at t_{k-1} (at t_{k-1} = 0 it is a Dirac mass at V0):
 
     * t_i = t_{k-1}: the phi-factor h(t_{k-1}, v; t_k, phi) is free of
-      omega; its moment D(v) is taken once and contracted against g1.
+      omega; its moment D(v) is taken per node and contracted against g1.
     * t_i = t_k:  int h(t_{k-1}, v; t_k, omega + phi) g1 dv.
     * t_i > t_k:  int int h(t_k, v'; t_i, omega)
                   g(t_{k-1}, v; t_k, omega + phi, v') g1 dv' dv,
       the tower rule through t_k.
+
+    Period axis.  The periods of the first two routes differ only in their
+    dates, so each route stacks its periods' v grids (each built by
+    ``_transition_grid`` as for a lone period) on one node axis, each node
+    carrying its own dates, and takes g1 and h for a block of periods in
+    one kernel call each, with the Cauchy nodes phi on a leading axis.  A
+    block holds as many consecutive periods as keep omega x phi x nodes
+    within _MOMENT_BLOCK_ELEMENTS (at least one period; phi is split where
+    one period alone passes it), which bounds the memory of the Kummer and
+    Bessel tensors.  The second route sums each period's nodes
+    (``np.add.reduceat``) before the Cauchy rule and the periods after it,
+    so the rule's gap check stays per period, as it does on D(v) in the
+    first route.
+
+    The tower route stays one period at a time: each period pairs some 16k
+    (v, v') nodes per omega and phi, so its calls are bound by elements,
+    and stacking periods would only multiply its largest tensor, and the
+    peak memory, by their number.  Its phi nodes share a call where the
+    budget allows (the first period's single v node).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))
-    if t_km1 == 0.0:
-        v = np.array([params.v0])
-        wv = np.ones((omega.size, 1))
-    else:
-        v, w = _transition_grid(params, 0.0, t_km1, params.v0, cfg,
-                                omega_max)
-        v, w = v[0], w[0]
-        wv = w * np.exp(tr._log_g_vec(0.0, params.v0, t_km1, omega[:, None],
-                                      0.0, v, params))
     # A purely imaginary omega makes the weight e^{i omega X} real.
     real_weight = not np.any(omega.real)
+    total = np.zeros(omega.size, dtype=complex)
+    for weight_at_start in (True, False):
+        spans = [(a, b) for a, b, i in periods
+                 if i == (a if weight_at_start else b)]
+        if not spans:
+            continue
+        grids = (_period_grid(params, cfg, a, b, omega_max)
+                 for a, b in spans)
+        phi_evals = (MOMENT_NODES // 2 if weight_at_start or real_weight
+                     else MOMENT_NODES)
+        for v, w, t_km1, t_k, starts in _blocks(grids,
+                                                omega.size * phi_evals):
+            wv = _g1_weights(params, v, w, t_km1, omega)
+            if weight_at_start:
+                d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(
+                    t_km1, v, t_k, p[:, None], 0.0, params)), True, starts)
+                total += wv @ d_v
+                continue
 
-    if t_i == t_km1:
-        d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(
-            t_km1, v, t_k, p[:, None], 0.0, params)), True)
-        return wv @ d_v
+            def f(phis):
+                out = []
+                for p in _phi_chunks(phis, wv.size):
+                    h = np.exp(tr._log_h_vec(t_km1, v, t_k, omega[:, None]
+                                             + p[:, None, None], 0.0, params))
+                    h *= wv
+                    out.append(np.add.reduceat(h, starts, axis=-1))
+                return np.concatenate(out)
+            total += _cauchy_moment(m, f, real_weight,
+                                    np.arange(starts.size)).sum(axis=-1)
+    for t_km1, t_k, t_i in periods:
+        if t_i > t_k:
+            total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
+                                   omega_max, real_weight)
+    return total
 
-    if t_i == t_k:
-        def f(phis):
-            return np.stack([np.einsum("wv,wv->w", wv, np.exp(tr._log_h_vec(
-                t_km1, v, t_k, omega[:, None] + p, 0.0, params)))
-                for p in phis])
-        return _cauchy_moment(m, f, real_weight)
 
+def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
+                  t_km1: float, t_k: float, t_i: float, omega,
+                  omega_max: float, real_weight: bool):
+    """One period's term of ``_weighted_moment`` on the route t_i > t_k."""
+    v, w, t_from, _ = _period_grid(params, cfg, t_km1, t_k, omega_max)
+    wv = _g1_weights(params, v, w, t_from, omega)
     inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg, omega_max)
     h_after = w_in * np.exp(tr._log_h_vec(t_k, inner, t_i,
                                           omega[:, None, None], 0.0, params))
 
     def f(phis):
-        return np.stack([np.einsum("wv,wvs,wvs->w", wv, h_after, np.exp(
+        return np.concatenate([np.einsum("wv,pwvs,wvs->pw", wv, np.exp(
             tr._log_g_vec(t_km1, v[:, None], t_k,
-                          omega[:, None, None] + p, 0.0, inner, params)))
-            for p in phis])
+                          omega[:, None, None] + p[:, None, None, None], 0.0,
+                          inner, params)), h_after)
+            for p in _phi_chunks(phis, h_after.size)])
     return _cauchy_moment(m, f, real_weight)
 
 
@@ -699,10 +826,9 @@ def fair_strike_weighted(spec: MomentSwapSpec, params: ModelParams,
     T, n = spec.maturity, spec.n_periods
 
     def moments(omega, periods):
-        return sum(_weighted_moment(params, cfg, spec.m, spec.date(k - 1),
-                                    spec.date(k),
-                                    spec.date(spec.weight_index(k, n)), omega)
-                   for k in periods)
+        return _weighted_moment(params, cfg, spec.m, [
+            (spec.date(k - 1), spec.date(k),
+             spec.date(spec.weight_index(k, n))) for k in periods], omega)
 
     if spec.weight_kind != "corridor":
         omega = 0.0 if spec.weight_kind == "constant" else -1j

@@ -218,12 +218,15 @@ def _check_bessel_order(nu):
             raise SpecfunDomainError("bessel_i order at a negative integer")
 
 
-def _series_prefactor(nu, z):
-    """log of (z/2)^nu / Gamma(nu + 1), the factor both series routes share."""
-    return nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0)
+def _series_prefactor(nu, z, log_gamma=None):
+    """log of (z/2)^nu / Gamma(nu + 1), the factor both series routes share;
+    ``log_gamma`` is log Gamma(nu + 1) where the caller has it already."""
+    if log_gamma is None:
+        log_gamma = _log_gamma_vec(nu + 1.0)
+    return nu * np.log(z * 0.5) - log_gamma
 
 
-def _log_bessel_series(nu, z):
+def _log_bessel_series(nu, z, log_gamma=None):
     """log I_nu(z) by the defining power series.
 
     Intended for Re(z) >= 0 and z != 0 (callers reflect first).  The series
@@ -242,14 +245,17 @@ def _log_bessel_series(nu, z):
     SERIES_STOP_REL x |sum| (the terms at two consecutive checkpoints for
     the running product, the last two terms for the matrix product), and
     raise SeriesNonConvergenceError past SERIES_MAX_TERMS terms.
+
+    ``log_gamma``, log Gamma(nu + 1) shaped like ``nu``, spares the paired
+    route its prefactor's log-gamma.
     """
     _check_bessel_order(nu)
     if nu.ndim >= 2 and nu.shape[-1] == 1 and 0 < z.size == z.shape[-1]:
         return _series_outer(nu, z)
-    return _series_paired(nu, z)
+    return _series_paired(nu, z, log_gamma)
 
 
-def _series_paired(nu, z):
+def _series_paired(nu, z, log_gamma=None):
     """Series by a running product per element, with dynamic rescaling.
 
     Terms are accumulated as c_0 = 1, c_k = c_{k-1} * q / (k (nu + k)); a
@@ -285,7 +291,7 @@ def _series_paired(nu, z):
         raise SeriesNonConvergenceError(
             f"bessel_i series did not converge within {SERIES_MAX_TERMS} terms"
         )
-    return _series_prefactor(nu, z) + np.log(total) + scale
+    return _series_prefactor(nu, z, log_gamma) + np.log(total) + scale
 
 
 def _series_outer(nu, z):
@@ -470,9 +476,11 @@ def _series_table(den, s, min_terms, num=None):
         ratio = np.empty(u.shape, dtype=complex)
         np.multiply(f, u, out=ratio.real)
         np.multiply(f, -den.imag, out=ratio.imag)
+        del u, f
         if num is not None:
             ratio *= num + (k - 1.0)
         coef, row_scale = _scaled_cumprod(ratio)
+        del ratio
         limit = SERIES_STOP_REL * np.abs(coef.sum(axis=0))
         last, prev = coef[-1], coef[-2]
         if (np.all(_mag(last) <= limit) and np.all(_mag(prev) <= limit)
@@ -497,6 +505,8 @@ def _scaled_cumprod(ratio):
     times one power of two per column (products far below the peak flush
     to zero), none passes 1e250 and the largest stays above
     1e250 / 2^512.  The log scale is the number of shifts x 512 log 2.
+    The rescaling works in place where it can: a table of many terms is
+    long, and its temporaries set the peak memory of the series.
     """
     coef = _cumprod_rows(ratio)
     row_scale = np.zeros(ratio.shape[1])
@@ -509,15 +519,29 @@ def _scaled_cumprod(ratio):
         return coef, row_scale
     r = ratio[:, big]
     with np.errstate(divide="ignore"):  # a zero ratio ends the column
-        log_r = np.log(np.abs(r))
-    peak = np.maximum.accumulate(np.cumsum(log_r, axis=0), axis=0)
-    shifts = np.ceil(np.maximum(peak - math.log(_RESCALE_LIMIT), 0.0)
-                     / _RESCALE_LOG).astype(int)
+        peak = np.log(np.abs(r))
+    # the running peak of log|product| sets the shift count of each step
+    np.cumsum(peak, axis=0, out=peak)
+    np.maximum.accumulate(peak, axis=0, out=peak)
+    peak -= math.log(_RESCALE_LIMIT)
+    np.maximum(peak, 0.0, out=peak)
+    peak /= _RESCALE_LOG
+    shifts = np.ceil(peak, out=peak).astype(int)
+    del peak
     step = np.diff(shifts, axis=0, prepend=0)
-    shifted = _cumprod_rows(_ldexp(r, -512 * step))
+    step *= -512
+    _ldexp_inplace(r, step)
+    del step
+    shifted = _cumprod_rows(r)
+    del r
     final = shifts[-1]
-    lag = final - np.vstack([np.zeros_like(final), shifts])
-    coef[:, big] = _ldexp(shifted, -512 * lag)
+    lag = np.empty(shifted.shape, dtype=int)  # final - shifts, row 0 final
+    lag[0] = final
+    np.subtract(final, shifts, out=lag[1:])
+    del shifts
+    lag *= -512
+    _ldexp_inplace(shifted, lag)
+    coef[:, big] = shifted
     row_scale[big] = final * _RESCALE_LOG
     return coef, row_scale
 
@@ -542,12 +566,11 @@ def _cumprod_rows(ratio):
     return coef
 
 
-def _ldexp(c, e):
-    """c * 2^e for complex ``c`` and integer ``e``, exact barring underflow."""
-    out = np.empty(np.broadcast_shapes(c.shape, np.shape(e)), dtype=complex)
-    out.real = np.ldexp(c.real, e)
-    out.imag = np.ldexp(c.imag, e)
-    return out
+def _ldexp_inplace(c, e):
+    """c *= 2^e for complex ``c`` and integer ``e`` of c's shape, exact
+    barring underflow."""
+    np.ldexp(c.real, e, out=c.real)
+    np.ldexp(c.imag, e, out=c.imag)
 
 
 def _log_bessel_asym(nu, z):
@@ -652,8 +675,9 @@ def _log_bessel_i_vec(nu, z):
     nr = nu_b[live]
     # Map Re(z) < 0 into the right half-plane: I_nu(z) = e^{+-i pi nu} I_nu(-z).
     reflect = zr.real < 0.0
-    phase = np.where(reflect, np.where(zr.imag >= 0.0, 1.0, -1.0), 0.0)
-    zr = np.where(reflect, -zr, zr)
+    if np.any(reflect):
+        phase = np.where(reflect, np.where(zr.imag >= 0.0, 1.0, -1.0), 0.0)
+        zr = np.where(reflect, -zr, zr)
 
     abs_z = np.abs(zr)
     abs_nu2 = nr.real * nr.real + nr.imag * nr.imag
@@ -666,9 +690,18 @@ def _log_bessel_i_vec(nu, z):
     res = np.empty(zr.shape, dtype=complex)
     if np.any(use_asym):
         res[use_asym] = _log_bessel_asym(nr[use_asym], zr[use_asym])
-    if np.any(~use_asym):
-        res[~use_asym] = _log_bessel_series(nr[~use_asym], zr[~use_asym])
-    res = res + phase * 1j * np.pi * nr
+    series = ~use_asym
+    if np.any(series):
+        log_gamma = None
+        if nu.size < np.count_nonzero(series):
+            # log Gamma(nu + 1) on the orders before they are broadcast; an
+            # order at a pole is rejected by the series' order check
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_gamma = _log_gamma_vec(nu + 1.0)
+            log_gamma = np.broadcast_to(log_gamma, z_b.shape)[live][series]
+        res[series] = _log_bessel_series(nr[series], zr[series], log_gamma)
+    if np.any(reflect):
+        res = res + phase * 1j * np.pi * nr
     out[live] = res
     return out
 

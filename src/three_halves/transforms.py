@@ -136,15 +136,36 @@ def _exp_checked(logv, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _date_coefficients(t, t_prime, params: ModelParams):
+    """dt, A and C of each date pair of the arrays ``t`` and ``t_prime``
+    (broadcast against each other), taken once per distinct pair."""
+    t, t_prime = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                     np.asarray(t_prime, dtype=float))
+    pairs, inverse = np.unique(np.stack([t.ravel(), t_prime.ravel()]),
+                               axis=1, return_inverse=True)
+    dt, A, C = np.array([
+        (_require_dt(a, b), coef_A(params.theta, a, b),
+         coef_C(params.theta, params.epsilon, a, b)) for a, b in pairs.T]).T
+    return tuple(x[inverse].reshape(t.shape) for x in (dt, A, C))
+
+
 def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
     """log g(t, v; t', omega, eta, v') with numpy broadcasting.
 
     g = e^{a(t'-t)} (A/C) exp(-(A v + v')/(C v v')) v'^{-2}
         (A v / v')^{1/2 + kt/eps^2} I_{2c}((2/C) sqrt(A/(v v'))).
+
+    ``t`` and ``t_prime`` are scalars or arrays that broadcast against the
+    other arguments, one date pair per element (the moment swaps stack
+    the v grids of several periods on one node axis); every pair needs
+    t' - t >= SMALL_DT_DELTA.
     """
-    dt = _require_dt(t, t_prime)
-    A = coef_A(params.theta, t, t_prime)
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
+    if np.ndim(t) == 0 and np.ndim(t_prime) == 0:
+        dt = _require_dt(t, t_prime)
+        A = coef_A(params.theta, t, t_prime)
+        C = coef_C(params.theta, params.epsilon, t, t_prime)
+    else:
+        dt, A, C = _date_coefficients(t, t_prime, params)
     v = np.asarray(v, dtype=float)
     v_prime = np.asarray(v_prime, dtype=float)
     omega = np.asarray(omega, dtype=complex)
@@ -333,20 +354,29 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     check applies to the Taylor-selected elements only.  Any other layout,
     a single variance included, is materialized as paired elements, and
     only its Taylor elements are summed (by the running product).
+
+    ``t`` and ``t_prime`` may be arrays that broadcast into the shape of
+    ``v``, one date pair per variance (see ``_log_g_vec``); x then still
+    varies along the variance axes only, so the layouts above are
+    unchanged.  Scalar dates allow t' = t (h = 1); array dates need
+    t' - t >= SMALL_DT_DELTA.
     """
-    dt = t_prime - t
     omega = np.asarray(omega, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     v = np.asarray(v, dtype=float)
-    if dt == 0.0:
-        shape = np.broadcast_shapes(omega.shape, eta.shape, v.shape)
-        return np.zeros(shape, dtype=complex)
-    if dt < 0.0:
-        raise ThreeHalvesError("t_prime must be >= t")
+    if np.ndim(t) == 0 and np.ndim(t_prime) == 0:
+        dt = t_prime - t
+        if dt == 0.0:
+            shape = np.broadcast_shapes(omega.shape, eta.shape, v.shape)
+            return np.zeros(shape, dtype=complex)
+        if dt < 0.0:
+            raise ThreeHalvesError("t_prime must be >= t")
+        C = coef_C(params.theta, params.epsilon, t, t_prime)
+    else:
+        dt, _, C = _date_coefficients(t, t_prime, params)
     if np.any(v <= 0.0):
         raise ThreeHalvesError("variance must be positive")
 
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
     kt = _kappa_tilde(omega, params)
     c = _c_exponent(omega, eta, params)
     a = _drift_a_vec(omega, eta, params)
@@ -358,13 +388,18 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     shape = np.broadcast_shapes(p_shape, x.shape, (1,))
     outer = x.size > 1 and (math.prod(p_shape) == 1 or (
         p_shape[-1:] == (1,) and x.size == x.shape[-1]))
+    # per-element dates follow x into its layout
     if outer:
         at, bt, a = (np.broadcast_to(p, p_shape).reshape(-1, 1)
                      for p in (alpha_t, beta_t, a))
+        if np.ndim(dt):
+            dt = np.broadcast_to(dt, x.shape).reshape(-1)
         x = x.reshape(-1)
     else:
         at, bt, a, x = (np.broadcast_to(p, shape).reshape(-1)
                         for p in (alpha_t, beta_t, a, x))
+        if np.ndim(dt):
+            dt = np.broadcast_to(dt, shape).reshape(-1)
 
     mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
     asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
@@ -397,7 +432,8 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
             + logm
         )
         out[part] = np.where(taylor, log_taylor, out[part])
-    return (a * dt + out).reshape(shape)
+    out += a * dt
+    return out.reshape(shape)
 
 
 def joint_cf_h(t: float, v: float, t_prime: float, point: TransformPoint,

@@ -2,6 +2,7 @@
 primitive, converged reference prices and agreement with the Monte Carlo
 oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -187,6 +188,17 @@ class TestCauchyMoment:
         with pytest.raises(QuadratureNonConvergenceError):
             _cauchy_moment(2, pole, False)
 
+    def test_each_segment_is_checked(self):
+        # A small function with a pole inside the circle next to a large
+        # smooth one: the check over all values passes, the one per
+        # segment of the last axis raises.
+        def pair(phi):
+            return np.stack([1e-3 / (1.0 - 2.0 * phi / MOMENT_RADIUS),
+                             1e3 * self.gaussian_cf(phi)], axis=-1)
+        _cauchy_moment(2, pair, False)
+        with pytest.raises(QuadratureNonConvergenceError):
+            _cauchy_moment(2, pair, False, np.array([0, 1]))
+
 
 # Converged references of the benchmark (bench/references.json): swaps at
 # T = 1 on snp_params, (n_periods, m, weight_kind, lag[, lower, upper]), the
@@ -263,6 +275,61 @@ class TestConvergedReferences:
 
 
 CORRIDOR_LAG1 = MomentSwapSpec(1.0, 12, 2, "corridor", 1, 80.0, 120.0)
+
+
+class TestSwapPeriodBlocks:
+    """The moment swaps price their periods in blocks of a bounded element
+    count; one period per block, which repeats the kernel calls of pricing
+    each period on its own, must give the same fair strikes.
+
+    The kernels round differently in the last bit when a block holds other
+    periods (Kummer's coefficient tables are sized by the block's largest
+    argument), and the Cauchy rule multiplies that by m! / r^m per period:
+    on these swaps the skew moves by 4.9e-13 (4.1e-11 relative), the
+    price-ratio lag-0 swap by 2.0e-14 and the others by at most 1e-15.  The
+    bound is 1e-13 relative plus that roundoff floor, N eps m! / r^m.
+    """
+
+    @pytest.mark.parametrize("fields", [
+        (12, 2, "constant", 0), (12, 3, "constant", 0),
+        (12, 2, "price_ratio", 0), (12, 2, "price_ratio", 1),
+        (2, 2, "corridor", 0, 80.0, 120.0)],
+        ids=lambda f: "-".join(map(str, f[:4])))
+    def test_one_period_per_block(self, snp_params, swap_price, monkeypatch,
+                                  fields):
+        spec = MomentSwapSpec(1.0, *fields)
+        batched = swap_price(spec)
+        monkeypatch.setattr(pricers, "_MOMENT_BLOCK_ELEMENTS", 1)
+        alone = fair_strike_weighted(spec, snp_params, QuadratureConfig())
+        floor = (spec.n_periods * np.finfo(float).eps
+                 * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
+        assert abs(alone - batched) <= 1e-13 * abs(batched) + floor
+
+
+class TestSelfQuantoRoutes:
+    """With S a martingale under the pricing measure, E[S_T dX_k^2] =
+    e^{(r-q)(T-t_k)} E[S_{t_k} dX_k^2]: the terminal-price fair strike (the
+    tower route through t_k) is (1/T) sum_k e^{(r-q)(T-t_k)} M_k, with M_k
+    the price-ratio lag-0 moment of period k."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the tower route's inner v' grid (_GRID_STD_SPAN = 9 plus "
+        "_GRID_LOG_MARGIN = 2 in ln v') truncates its integral: the "
+        "terminal-price swap is 4.4e-8 below the identity, and a span of 14 "
+        "moves it onto it"))
+    def test_terminal_price_is_discounted_price_ratio_sum(self, snp_params,
+                                                         swap_price):
+        spec = MomentSwapSpec(1.0, 12, 2, "terminal_price")
+        cfg = QuadratureConfig()
+        T, growth = spec.maturity, snp_params.r - snp_params.q
+        total = 0.0
+        for k in range(1, spec.n_periods + 1):
+            t_k = spec.date(k)
+            m_k = pricers._weighted_moment(
+                snp_params, cfg, spec.m, [(spec.date(k - 1), t_k, t_k)], -1j)
+            total += np.exp(growth * (T - t_k)) * m_k[0].real
+        identity = total / T
+        assert abs(swap_price(spec) - identity) <= 1e-9 * abs(identity)
 
 
 class TestCorridorVGrid:

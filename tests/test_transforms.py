@@ -269,6 +269,84 @@ class TestLogHLayouts:
                           snp_params)
 
 
+class TestPerNodeDates:
+    """g and h with one date pair per node, the layout of the moment swaps'
+    stacked period grids, against one scalar-date call per node."""
+
+    # One-day steps from small variances reach the asymptotic branches
+    # (Kummer x = 1/(C v) and Bessel z beyond their switches); the long
+    # steps stay in the Taylor and series branches.
+    T_FROM = np.array([0.0, 0.2, 0.5, 0.5, 0.25, 0.75])
+    T_TO = T_FROM + np.array([1.0, 1.0, 1.0, 63.0, 126.0, 63.0]) / 252.0
+    V = np.array([0.03, 0.05, 0.2, 0.1, 0.3, 1.0])
+    OMEGA = np.array([0.25j, 0.2 - 0.1j, -1j, 3.0 - 0.5j])
+
+    def per_node(self, fn, *columns):
+        return np.stack([fn(*col) for col in zip(*columns)], axis=-1)
+
+    def test_log_h_equals_scalar_dates(self, snp_params):
+        from three_halves import specfun
+        from three_halves.model import coef_C
+
+        got = tr._log_h_vec(self.T_FROM, self.V, self.T_TO,
+                            self.OMEGA[:, None], 0.0, snp_params)
+        want = self.per_node(
+            lambda a, v, b: tr._log_h_vec(a, v, b, self.OMEGA, 0.0,
+                                          snp_params),
+            self.T_FROM, self.V, self.T_TO)
+        c = tr._c_exponent(self.OMEGA, 0.0, snp_params)
+        kt = tr._kappa_tilde(self.OMEGA, snp_params)
+        at = -0.5 - kt / snp_params.eps2 + c
+        mx = np.maximum(np.abs(at), np.abs(at - 2.0 * c))[:, None]
+        x = 1.0 / (np.array([coef_C(snp_params.theta, snp_params.epsilon,
+                                    a, b)
+                             for a, b in zip(self.T_FROM, self.T_TO)])
+                   * self.V)
+        asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
+                              specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx
+                              + 50.0)
+        assert np.any(asym) and np.any(~asym)
+        assert np.max(log_err(got, want)
+                      / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+    @pytest.mark.parametrize("from_v0", [True, False])
+    def test_log_g_equals_scalar_dates(self, snp_params, from_v0):
+        # from V0 at 0 (the swaps' g1 weights) or from each node's own
+        # date and variance
+        from three_halves import specfun
+        from three_halves.model import coef_A, coef_C
+
+        if from_v0:
+            t = np.zeros_like(self.T_TO)
+            v = np.full_like(self.V, snp_params.v0)
+        else:
+            t, v = self.T_FROM, self.V
+        v_prime = 1.3 * self.V
+        got = tr._log_g_vec(0.0 if from_v0 else t, snp_params.v0 if from_v0
+                            else v, self.T_TO, self.OMEGA[:, None], 0.0,
+                            v_prime, snp_params)
+        want = self.per_node(
+            lambda a, x, b, y: tr._log_g_vec(a, x, b, self.OMEGA, 0.0, y,
+                                             snp_params),
+            t, v, self.T_TO, v_prime)
+        pairs = list(zip(t, self.T_TO))
+        A = np.array([coef_A(snp_params.theta, a, b) for a, b in pairs])
+        C = np.array([coef_C(snp_params.theta, snp_params.epsilon, a, b)
+                      for a, b in pairs])
+        z = (2.0 / C) * np.sqrt(A / (v * v_prime))
+        nu2 = np.abs(2.0 * tr._c_exponent(self.OMEGA, 0.0, snp_params)) ** 2
+        asym = ((z > specfun.BESSEL_ASYMPTOTIC_MIN_Z)
+                & (nu2[:, None] <= specfun.BESSEL_ASYMPTOTIC_ORDER_FACTOR * z))
+        assert np.any(asym) and np.any(~asym)
+        assert np.max(log_err(got, want)
+                      / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+    def test_array_dates_need_a_step(self, snp_params):
+        with pytest.raises(DeltaRegimeError):
+            tr._log_h_vec(self.T_FROM, self.V, self.T_FROM, 0.0, 0.0,
+                          snp_params)
+
+
 class TestG1:
     def test_equals_g_at_eta_zero(self, snp_params):
         got = tr.partial_transform_g1(0.0, 0.06, 0.5, 2.0 - 1.0j, 0.08,

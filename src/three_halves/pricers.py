@@ -69,7 +69,8 @@ h are each one kernel call per block of periods.  A block holds as many
 periods as keep omega x phi x nodes within _MOMENT_BLOCK_ELEMENTS, which
 bounds the kernels' memory.  The terminal-price weight's tower route
 (t_i > t_k) pairs some 16k (v, v') nodes per period and stays one period at
-a time: it is bound by elements, not by calls.
+a time; each g call takes every phi node against a chunk of the outer v
+rows, within the same element count.
 """
 
 from __future__ import annotations
@@ -364,8 +365,8 @@ def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
                           params)
     log_g = tr._log_g_vec(0.0, params.v0, t_j, omega[:, None, None],
                           eta[:, :, None], nodes[None, None, :], params)
-    inner = np.exp(log_g + log_h[:, None, :])
-    return inner @ wq
+    log_g += log_h[:, None, :]
+    return np.exp(log_g, out=log_g) @ wq
 
 
 def _timer_h_tilde(T: float, N: int, params: ModelParams,
@@ -735,10 +736,14 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     first route.
 
     The tower route stays one period at a time: each period pairs some 16k
-    (v, v') nodes per omega and phi, so its calls are bound by elements,
-    and stacking periods would only multiply its largest tensor, and the
-    peak memory, by their number.  Its phi nodes share a call where the
-    budget allows (the first period's single v node).
+    (v, v') nodes per omega and phi, so stacking periods would only
+    multiply its largest tensor, and the peak memory, by their number.
+    Each g call takes every phi node the Cauchy rule asks for against a
+    chunk of the outer v rows, as many rows as keep omega x phi x rows x
+    inner nodes within _MOMENT_BLOCK_ELEMENTS (at least one).  The orders
+    2c(omega + phi) then sit on the rows of one Bessel table against the
+    chunk's (v, v') arguments, so the phi nodes share its series' power
+    table (``specfun._log_bessel_table``).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))
@@ -791,11 +796,17 @@ def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                                           omega[:, None, None], 0.0, params))
 
     def f(phis):
-        return np.concatenate([np.einsum("wv,pwvs,wvs->pw", wv, np.exp(
-            tr._log_g_vec(t_km1, v[:, None], t_k,
-                          omega[:, None, None] + p[:, None, None, None], 0.0,
-                          inner, params)), h_after)
-            for p in _phi_chunks(phis, h_after.size)])
+        per_row = omega.size * phis.size * inner.shape[1]
+        step = max(1, _MOMENT_BLOCK_ELEMENTS // per_row)
+        total = 0.0
+        for r in range(0, v.size, step):
+            rows = slice(r, r + step)
+            g = tr._log_g_vec(t_km1, v[rows, None], t_k,
+                              omega[:, None, None] + phis[:, None, None, None],
+                              0.0, inner[rows], params)
+            total = total + np.einsum("wv,pwvs,wvs->pw", wv[:, rows],
+                                      np.exp(g, out=g), h_after[:, rows])
+        return total
     return _cauchy_moment(m, f, real_weight)
 
 

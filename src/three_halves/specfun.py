@@ -23,7 +23,12 @@ layout of the inputs, never by their values:
   whose terms needed that scale group the arguments into bands over which
   the sum changes by at most e^300, so nothing significant underflows;
 * every other layout (paired elements, as in the scalar ``kummer_m`` and
-  the per-element Bessel fallback) sums by a running product per element.
+  the Bessel general path of paired orders and arguments, z = 0 or
+  Re z < 0) sums by a running product per element.
+
+The Bessel call also takes its regime per element; where the regimes mix
+and the orders and arguments vary along disjoint axes, it still sums the
+series as orders x arguments (``_log_bessel_table``).
 
 Both routes stop only when every element's last terms are at most
 SERIES_STOP_REL x |sum|, raise SeriesNonConvergenceError past
@@ -99,6 +104,14 @@ _STIRLING_MIN_RE = 9.0
 def _mag(z):
     """Cheap magnitude proxy |Re| + |Im| (within sqrt(2) of |z|)."""
     return np.abs(z.real) + np.abs(z.imag)
+
+
+def _mag_into(z, out, part):
+    """``_mag(z)`` written into ``out``, with ``part`` as scratch."""
+    np.abs(z.real, out=out)
+    np.abs(z.imag, out=part)
+    out += part
+    return out
 
 
 def _log_sin_pi(z):
@@ -236,8 +249,9 @@ def _log_bessel_series(nu, z, log_gamma=None):
 
     * Outer layout: orders on the leading axes with a size-1 last axis
       (``nu.ndim >= 2``) and arguments varying only along the last axis,
-      as in the (omega, eta) x v' tensor of the timer kernel.  The sum
-      is a matrix product, see ``_series_outer``.
+      as in the (omega, eta) x v' tensor of the timer kernel and the rows
+      x columns of ``_log_bessel_table``.  The sum is a matrix product,
+      see ``_series_outer``.
     * Any other layout (paired or materialized elements): a running
       product per element, see ``_series_paired``.
 
@@ -581,28 +595,48 @@ def _log_bessel_asym(nu, z):
     positive it underflows harmlessly.  Truncates at the smallest term
     (optimal truncation of the divergent expansion) and signals if that term
     is not small enough.
+
+    The loop updates its arrays in place, so it keeps no temporaries of
+    the output's size from one term to the next.
     """
     out_shape = np.broadcast_shapes(nu.shape, z.shape)
     nu2 = 4.0 * nu * nu
+    ratio = np.empty(nu2.shape, dtype=complex)
     ak = np.ones(out_shape, dtype=complex)
     s_alt = np.ones(out_shape, dtype=complex)
     s_plus = np.ones(out_shape, dtype=complex)
+    contrib = np.empty(out_shape, dtype=complex)
     zinv = 1.0 / z
-    prev_mag = np.full(out_shape, np.inf)
     active = np.ones(out_shape, dtype=bool)
+    going = np.empty(out_shape, dtype=bool)
     floor_mag = np.full(out_shape, np.inf)
+    tm = np.empty(out_shape)
+    limit = np.empty(out_shape)
+    part = np.empty(out_shape)
     for k in range(1, 60):
-        ak = ak * ((nu2 - (2 * k - 1) ** 2) / (8.0 * k)) * zinv
-        tm = _mag(ak)
-        active &= tm < prev_mag
-        sign = -1.0 if k % 2 else 1.0
-        contrib = np.where(active, ak, 0.0)
-        s_alt += sign * contrib
-        s_plus += contrib
-        prev_mag = np.where(active, tm, prev_mag)
+        np.subtract(nu2, (2 * k - 1) ** 2, out=ratio)
+        ratio /= 8.0 * k
+        ak *= ratio
+        ak *= zinv
+        _mag_into(ak, tm, part)
+        # an active element's terms have fallen so far, so its last term
+        # is the smallest: it stays active while the terms keep falling
+        np.less(tm, floor_mag, out=going)
+        active &= going
         np.minimum(floor_mag, tm, out=floor_mag)
-        if not np.any(active & (tm > 1e-17 * _mag(s_alt))):
+        np.multiply(ak, active, out=contrib)
+        if k % 2:
+            s_alt -= contrib
+        else:
+            s_alt += contrib
+        s_plus += contrib
+        _mag_into(s_alt, limit, part)
+        limit *= 1e-17
+        np.greater(tm, limit, out=going)
+        going &= active
+        if not np.any(going):
             break
+    del ak, contrib, active, going, tm, limit, part
     if np.any(floor_mag > 1e-11 * _mag(s_alt)):
         raise SeriesNonConvergenceError(
             "bessel asymptotic expansion cannot reach tolerance; |z| too small "
@@ -613,6 +647,19 @@ def _log_bessel_asym(nu, z):
     return z - 0.5 * np.log(2.0 * np.pi * z) + np.log(s_alt + recessive * s_plus)
 
 
+def _bessel_asym_mask(nu, z):
+    """Where I_nu(z) takes the asymptotic branch, per element of the
+    broadcast: |z| beyond BESSEL_ASYMPTOTIC_MIN_Z, |nu|^2 within
+    BESSEL_ASYMPTOTIC_ORDER_FACTOR |z| and z away from the imaginary axis."""
+    abs_z = np.abs(z)
+    abs_nu2 = nu.real * nu.real + nu.imag * nu.imag
+    return (
+        (abs_z > BESSEL_ASYMPTOTIC_MIN_Z)
+        & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * abs_z)
+        & (z.real >= 0.35 * abs_z)
+    )
+
+
 def _log_bessel_i_vec(nu, z):
     """Vectorized log I_nu(z); ``nu`` and ``z`` broadcast against each other.
 
@@ -620,44 +667,46 @@ def _log_bessel_i_vec(nu, z):
     exp() of it recovers I_nu(z) exactly, which is all the transform
     formulas need.
 
-    The asymptotic branch is gated on |z| beyond the named threshold, |z|
-    dominating |nu|^2, and a sector away from the imaginary axis; the
-    rescaled power series owns everything else (production arguments are
-    real positive, so the sector test only bites exotic inputs).  When the
-    whole call falls in one regime the inputs are kept in unexpanded
-    broadcast form, which is what makes grid-shaped transform evaluations
-    cheap.
+    The regime is taken per element (``_bessel_asym_mask``): the
+    asymptotic branch where |z| is large against the threshold and |nu|^2,
+    the rescaled power series everywhere else (production arguments are
+    real positive, so the sector test only bites exotic inputs).  Three
+    routes, chosen by the regimes and the layout:
+
+    * one regime for the whole call: that branch on the inputs in their
+      unexpanded broadcast form;
+    * mixed regimes, with nu and z varying along disjoint axes -- the
+      production layout, since the order 2c depends on the transform
+      variables only and the argument on the variances and dates only
+      (the timer's (omega, eta) x v', the corridor's omega x v, the
+      tower's phi x (v, v')): ``_log_bessel_table`` on the orders as rows
+      x the arguments as columns;
+    * any other layout, or some z = 0 or Re z < 0: the broadcast is
+      materialized and each element takes its own branch (Re z < 0 is
+      reflected into the right half-plane first).
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-
-    abs_z = np.abs(z)
-    abs_nu2 = nu.real * nu.real + nu.imag * nu.imag
-    use_asym = (
-        (abs_z > BESSEL_ASYMPTOTIC_MIN_Z)
-        & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * abs_z)
-        & (z.real >= 0.35 * abs_z)
-    )
-
-    clean = not (np.any(z == 0.0) or np.any(z.real < 0.0))
-    if clean and not np.any(use_asym):
+    if np.any(z == 0.0) or np.any(z.real < 0.0):
+        return _log_bessel_elements(nu, z)
+    table = all(a == 1 or b == 1
+                for a, b in zip(nu.shape[::-1], z.shape[::-1]))
+    if table:
+        use_asym = _bessel_asym_mask(nu.reshape(-1, 1), z.reshape(1, -1))
+    else:
+        use_asym = _bessel_asym_mask(nu, z)
+    if not np.any(use_asym):
         return _log_bessel_series(nu, z)
-    if clean and np.all(use_asym):
+    if np.all(use_asym):
         return _log_bessel_asym(nu, z)
+    if table:
+        return _log_bessel_table(nu, z, use_asym)
+    return _log_bessel_elements(nu, z)
 
-    # Mixed regimes with z varying only along the last axis (the common
-    # tensor layout: orders on a Fourier grid x arguments on a variance
-    # grid): dispatch per z slice so each slice is single-regime or a cheap
-    # small materialization, instead of materializing the full tensor.
-    if (z.shape[-1] > 1 and all(s == 1 for s in z.shape[:-1])
-            and nu.shape[-1] == 1 and nu.size > 64 * z.shape[-1]):
-        shape = np.broadcast_shapes(nu.shape, z.shape)
-        out = np.empty(shape, dtype=complex)
-        for i in range(z.shape[-1]):
-            out[..., i:i + 1] = _log_bessel_i_vec(nu, z[..., i:i + 1])
-        return out
 
-    # General path: materialize the broadcast and dispatch per element.
+def _log_bessel_elements(nu, z):
+    """The general path of ``_log_bessel_i_vec``: the broadcast of ``nu``
+    and ``z`` materialized, each element on its own branch."""
     nu_b, z_b = np.broadcast_arrays(nu, z)
     nu_b = np.ascontiguousarray(nu_b)
     z_b = np.ascontiguousarray(z_b)
@@ -679,14 +728,7 @@ def _log_bessel_i_vec(nu, z):
         phase = np.where(reflect, np.where(zr.imag >= 0.0, 1.0, -1.0), 0.0)
         zr = np.where(reflect, -zr, zr)
 
-    abs_z = np.abs(zr)
-    abs_nu2 = nr.real * nr.real + nr.imag * nr.imag
-    use_asym = (
-        (abs_z > BESSEL_ASYMPTOTIC_MIN_Z)
-        & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * abs_z)
-        & (zr.real >= 0.35 * abs_z)
-    )
-
+    use_asym = _bessel_asym_mask(nr, zr)
     res = np.empty(zr.shape, dtype=complex)
     if np.any(use_asym):
         res[use_asym] = _log_bessel_asym(nr[use_asym], zr[use_asym])
@@ -704,6 +746,39 @@ def _log_bessel_i_vec(nu, z):
         res = res + phase * 1j * np.pi * nr
     out[live] = res
     return out
+
+
+def _log_bessel_table(nu, z, use_asym):
+    """log I_nu(z) for ``nu`` and ``z`` varying along disjoint axes, in
+    mixed regimes, ``use_asym`` the regime mask of the orders as rows
+    (n, 1) x the arguments as columns (1, m).
+
+    The series is summed once, on every row of each column that some row
+    needs it in, by the matrix route of ``_log_bessel_series`` (orders x
+    arguments), so all the rows share one power table; the columns that
+    every row takes asymptotically take ``_log_bessel_asym`` in broadcast
+    form, and in the other columns it runs on the asymptotic elements
+    only, which then replace their series values.  The (n, m) result is
+    returned in the broadcast layout of ``nu`` and ``z``.
+    """
+    rows, cols = nu.reshape(-1, 1), z.reshape(1, -1)
+    out = np.empty(use_asym.shape, dtype=complex)
+    series = ~np.all(use_asym, axis=0)
+    part = _log_bessel_series(rows, cols[:, series])
+    mixed = use_asym[:, series]
+    if np.any(mixed):
+        part[mixed] = _log_bessel_asym(
+            *(np.broadcast_to(x, mixed.shape)[mixed]
+              for x in (rows, cols[:, series])))
+    out[:, series] = part
+    if not np.all(series):
+        out[:, ~series] = _log_bessel_asym(rows, cols[:, ~series])
+    # rows x columns -> nu's axes interleaved with z's
+    d = max(nu.ndim, z.ndim)
+    padded = [(1,) * (d - x.ndim) + x.shape for x in (nu, z)]
+    out = out.reshape(padded[0] + padded[1])
+    out = out.transpose(np.arange(2 * d).reshape(2, d).T.ravel())
+    return out.reshape(np.broadcast_shapes(nu.shape, z.shape))
 
 
 def log_bessel_i(nu, z):

@@ -305,6 +305,28 @@ class TestSwapPeriodBlocks:
                  * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
         assert abs(alone - batched) <= 1e-13 * abs(batched) + floor
 
+    def test_tower_one_outer_row_per_call(self, snp_params, swap_price,
+                                          monkeypatch):
+        # The tower route takes all its phi nodes in each g call and splits
+        # the outer v rows into chunks; one row per call must agree.
+        spec = MomentSwapSpec(1.0, 12, 2, "terminal_price")
+        chunked = swap_price(spec)
+        rows = []
+        log_g = pricers.tr._log_g_vec
+
+        def spy(t, v, *args):
+            if np.ndim(v) == 2:  # the tower's outer rows, v[:, None]
+                rows.append(np.shape(v)[0])
+            return log_g(t, v, *args)
+
+        monkeypatch.setattr(pricers, "_MOMENT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(pricers.tr, "_log_g_vec", spy)
+        alone = fair_strike_weighted(spec, snp_params, QuadratureConfig())
+        assert set(rows) == {1}
+        floor = (spec.n_periods * np.finfo(float).eps
+                 * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
+        assert abs(alone - chunked) <= 1e-13 * abs(chunked) + floor
+
 
 class TestSelfQuantoRoutes:
     """With S a martingale under the pricing measure, E[S_T dX_k^2] =

@@ -282,6 +282,127 @@ class TestBesselSeriesOuter:
             specfun._log_bessel_i_vec(nu, z)
 
 
+def series_layouts(monkeypatch):
+    """Record the (nu, z) shapes of every ``_log_bessel_series`` call."""
+    shapes = []
+    series = specfun._log_bessel_series
+
+    def spy(nu, z, log_gamma=None):
+        shapes.append((nu.shape, z.shape))
+        return series(nu, z, log_gamma)
+
+    monkeypatch.setattr(specfun, "_log_bessel_series", spy)
+    return shapes
+
+
+class TestBesselTable:
+    """Orders and arguments on disjoint axes in mixed regimes: the orders as
+    rows x the arguments as columns, the series by the matrix route, against
+    the same inputs materialized element by element.  Each layout has
+    columns whose regime differs across rows."""
+
+    def table_and_elements(self, monkeypatch, nu, z):
+        nu, z = nu.astype(complex), z.astype(complex)
+        use_asym = specfun._bessel_asym_mask(nu.reshape(-1, 1),
+                                             z.reshape(1, -1))
+        assert np.any(np.any(use_asym, axis=0) & ~np.all(use_asym, axis=0))
+        shapes = series_layouts(monkeypatch)
+        table = specfun._log_bessel_i_vec(nu, z)
+        # one series call, on orders (n, 1) x arguments (1, k)
+        [(rows, cols)] = shapes
+        assert rows == (nu.size, 1) and len(cols) == 2 and cols[0] == 1
+        elements = specfun._log_bessel_i_vec(
+            *(np.ascontiguousarray(x) for x in np.broadcast_arrays(nu, z)))
+        assert len(shapes) == 2 and len(shapes[1][0]) == 1
+        assert table.shape == elements.shape
+        assert np.max([log_err(a, b) for a, b in
+                       zip(table.ravel(), elements.ravel())]) <= 1e-13
+        return table
+
+    def test_timer_orders_at_an_n12_date(self, monkeypatch, timer_params):
+        # (omega, eta, 1) x v' at t_1 = T/12 of an N = 12 timer, where
+        # |z| reaches 44: omega_R from 30 to 70 puts |nu|^2 on both sides
+        # of 2.5 |z| for the largest v' arguments.
+        p = timer_params
+        cfg = QuadratureConfig()
+        t_j = 1.0 / 12.0
+        nodes, _ = log_density_grid(
+            lambda vp: tr._log_density_v_vec(0.0, p.v0, t_j, vp, p), cfg)
+        A = coef_A(p.theta, 0.0, t_j)
+        C = coef_C(p.theta, p.epsilon, 0.0, t_j)
+        z = ((2.0 / C) * np.sqrt(A / (p.v0 * nodes)))[None, None, :]
+        omega = np.linspace(30.0, 70.0, 6) + 1j * cfg.damping_omega
+        s = pricers._talbot_contour(pricers.TALBOT_NODES, 0.087, 1.0, omega,
+                                    p)[0]
+        nu = 2.0 * tr._c_exponent(omega[:, None, None], 1j * s[:, ::4, None],
+                                  p)
+        table = self.table_and_elements(monkeypatch, nu, z)
+        assert table.shape == nu.shape[:2] + (nodes.size,)
+
+    def test_corridor_g1_orders(self, monkeypatch, snp_params):
+        # (omega, 1) x the stacked period nodes of the N = 12 lag-1
+        # corridor swap, each node with its own date t_{k-1}.
+        p = snp_params
+        cfg = QuadratureConfig()
+        v, _, t_km1, _ = (np.concatenate(x) for x in zip(*(
+            pricers._period_grid(p, cfg, k / 12.0, (k + 1) / 12.0, 130.0)
+            for k in range(1, 12))))
+        _, A, C = tr._date_coefficients(0.0, t_km1, p)
+        z = (2.0 / C) * np.sqrt(A / (p.v0 * v))
+        omega = np.linspace(60.0, 130.0, 8) + 1j * pricers.CORRIDOR_DAMPING
+        nu = 2.0 * tr._c_exponent(omega[:, None], 0.0, p)
+        self.table_and_elements(monkeypatch, nu, z)
+
+    def test_tower_orders(self, monkeypatch, snp_params):
+        # (phi, 1, 1, 1) x (rows, inner) of the tower route's second
+        # period, with orders 2c(omega - i) at omega_R = 0, 80, 100, 120 on
+        # the phi axis: the production phi nodes all take one regime per
+        # column.
+        p = snp_params
+        cfg = QuadratureConfig()
+        t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
+        v, _, _, _ = pricers._period_grid(p, cfg, t_km1, t_k, 1.0)
+        inner, _ = pricers._transition_grid(p, t_km1, t_k, v, cfg, 1.0)
+        A = coef_A(p.theta, t_km1, t_k)
+        C = coef_C(p.theta, p.epsilon, t_km1, t_k)
+        z = (2.0 / C) * np.sqrt(A / (v[::12, None] * inner[::12]))
+        omega = np.array([0.0, 80.0, 100.0, 120.0]) - 1j
+        nu = 2.0 * tr._c_exponent(omega[:, None, None, None], 0.0, p)
+        table = self.table_and_elements(monkeypatch, nu, z)
+        assert table.shape == (4, 1) + z.shape
+
+    def test_orders_after_the_arguments(self, monkeypatch):
+        # disjoint axes in either order: z on the leading axis, nu last
+        nu = np.array([0.5, 1.0, 14.0, 20.0 + 3.0j])
+        z = np.array([2.0, 35.0, 80.0, 150.0])[:, None]
+        table = self.table_and_elements(monkeypatch, nu, z)
+        assert table.shape == (4, 4)
+
+    @pytest.mark.parametrize("edge", [0.0, -3.0 + 1.0j])
+    def test_zero_or_left_argument_takes_the_general_path(self, monkeypatch,
+                                                          edge):
+        nu = np.array([0.5, 1.0, 14.0])[:, None].astype(complex)
+        z = np.array([edge, 2.0, 35.0, 80.0], dtype=complex)[None, :]
+        shapes = series_layouts(monkeypatch)
+        got = specfun._log_bessel_i_vec(nu, z)
+        assert shapes and all(len(s) == 1 for shape in shapes for s in shape)
+        for i in range(nu.shape[0]):
+            for j in range(z.shape[1]):
+                want = specfun.log_bessel_i(nu[i, 0], z[0, j])
+                if np.isinf(want.real):
+                    assert got[i, j].real == want.real
+                else:
+                    assert log_err(got[i, j], want) <= 1e-13, (i, j)
+
+    def test_negative_integer_order_raises(self):
+        nu = np.array([1.5, -3.0, 14.0])[:, None].astype(complex)
+        z = np.array([1.0, 35.0, 200.0], dtype=complex)[None, :]
+        mask = specfun._bessel_asym_mask(nu, z)
+        assert np.any(mask) and not np.all(mask)
+        with pytest.raises(SpecfunDomainError):
+            specfun._log_bessel_i_vec(nu, z)
+
+
 def corridor_kummer_grid(params):
     """Kummer parameters of the joint CF on the corridor contour (rows) and
     x = 1/(C v) on the variance nodes of the N=2 lag-0 swap's second

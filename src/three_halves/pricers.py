@@ -571,11 +571,12 @@ MOMENT_NODES = 8
 MOMENT_RADIUS = 0.25
 
 # Largest omega x phi x v-node count of one batched kernel call of the moment
-# swaps (see _weighted_moment), sized by measurement (2 vCPUs, median of
-# three runs): the six strip benchmark swaps other than the terminal-price
-# one take 0.39 / 0.25 / 0.20 s at 2^11 / 2^14 / 2^17 elements (1.30 s one
-# period at a time), at heap peaks of 1.6 / 2.9 / 10.3 MB; 2^14 stays below
-# the 5 MB the terminal-price swap peaks at.
+# swaps (see _weighted_moment; the tower route chunks its outer rows by it
+# too), sized by measurement (2 vCPUs, median of three runs, tracemalloc
+# heap peaks): the six strip benchmark swaps other than the terminal-price
+# one take 0.52 / 0.26 / 0.27 s at 2^11 / 2^14 / 2^17 elements, at heap
+# peaks of 0.8 / 2.3 / 11.1 MB, and the terminal-price swap peaks at
+# 1.2 / 2.8 / 6.8 MB; 2^14 is as fast as 2^17 at under 3 MB.
 _MOMENT_BLOCK_ELEMENTS = 2**14
 
 
@@ -743,7 +744,10 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     inner nodes within _MOMENT_BLOCK_ELEMENTS (at least one).  The orders
     2c(omega + phi) then sit on the rows of one Bessel table against the
     chunk's (v, v') arguments, so the phi nodes share its series' power
-    table (``specfun._log_bessel_table``).
+    table (``specfun._log_bessel_table``).  The phi-free factor
+    h(t_k, v'; t_i, omega) is taken once per period; at omega = -i (the
+    terminal-price weight) it is exactly e^{(r - q)(t_i - t_k)}, which
+    ``transforms._log_h_vec`` returns without a Kummer call.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))

@@ -114,6 +114,18 @@ def _mag_into(z, out, part):
     return out
 
 
+def _clog(w):
+    """Principal complex log, log|w| + i atan2(Im w, Re w): np.log's branch,
+    signed zeros included, at a quarter of its cost or less (NumPy's
+    complex log is slowest near |w| = 1, where the asymptotic sums lie).
+    log|w| carries about an ulp of |w| more error than np.log's, and the
+    angle NumPy's arctan2, within an ulp of libm's."""
+    out = np.empty(np.shape(w), dtype=complex)
+    np.arctan2(w.imag, w.real, out=out.imag)
+    np.log(np.abs(w), out=out.real)
+    return out
+
+
 def _log_sin_pi(z):
     """log(sin(pi z)) stable for large |Im z| (used by the reflection formula)."""
     w = np.pi * np.atleast_1d(np.asarray(z, dtype=complex))
@@ -305,7 +317,7 @@ def _series_paired(nu, z, log_gamma=None):
         raise SeriesNonConvergenceError(
             f"bessel_i series did not converge within {SERIES_MAX_TERMS} terms"
         )
-    return _series_prefactor(nu, z, log_gamma) + np.log(total) + scale
+    return _series_prefactor(nu, z, log_gamma) + _clog(total) + scale
 
 
 def _series_outer(nu, z):
@@ -414,13 +426,12 @@ def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
     """One column block: writes log sums (and lost digits) into ``out``
     (and ``lost``); False if some element's last two terms are too big.
 
-    The last two terms are bounded together by max(|C[K-1]|, |C[K]|) x
+    The powers P[k] = x^k come from ``_power_table`` (doubling).  The
+    last two terms are bounded together by max(|C[K-1]|, |C[K]|) x
     |P[K-1]| (|P[K]| <= |P[K-1]|), magnitudes taken as |Re| + |Im|.
     """
     n_terms = coef.shape[0] - 1
-    powers = np.empty((n_terms + 1, x.size), dtype=x.dtype)
-    powers[0] = 1.0
-    np.cumprod(np.broadcast_to(x, (n_terms, x.size)), axis=0, out=powers[1:])
+    powers = _power_table(x, n_terms)
     if powers.dtype.kind == "f":
         pair = coef.view(float).T @ powers  # rows Re C_i, Im C_i alternate
         total = np.empty((coef.shape[1], x.size), dtype=complex)
@@ -439,6 +450,40 @@ def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
     np.log(mag, out=mag)
     np.add(mag, row_scale[:, None], out=out.real)
     return True
+
+
+def _power_table(x, n_terms):
+    """P[k] = x^k for k = 0..n_terms, one row per k, by doubling: with
+    P[0..b] filled, P[b+1 .. 2b-1] = P[1 .. b-1] x P[b], and P[2b] is the
+    next anchor.  That is log2 K vector products where a running product
+    takes K steps (NumPy's accumulate along axis 0 runs several times
+    slower per element than a multiply).
+
+    Each anchor P[2^j] multiplies the error it carries into the 2^j rows
+    that follow it, so it is taken by ``np.power`` (within an ulp) where x
+    is real, a complex table whose imaginary parts are all zero (the
+    production Bessel series) included: P[k] then carries at most one
+    rounding and one anchor's error per binary digit of k, a few ulps at
+    the corridor's 1400 terms, where squaring the anchors lets the error
+    grow like k/3 ulps.  A truly complex x squares its anchors; its tables
+    are the Bessel series' tens of terms.
+    """
+    powers = np.empty((n_terms + 1, x.size), dtype=x.dtype)
+    powers[0] = 1.0
+    real = x.dtype.kind == "f" or not np.any(x.imag)
+    if real:
+        anchors = 2 ** np.arange(n_terms.bit_length())
+        powers[anchors] = np.power(x.real, anchors[:, None])
+    elif n_terms:
+        powers[1] = x
+    b = 1
+    while b <= n_terms:
+        if not real and b > 1:
+            np.multiply(powers[b // 2], powers[b // 2], out=powers[b])
+        e = min(2 * b, n_terms + 1)
+        np.multiply(powers[1:e - b], powers[b], out=powers[b + 1:e])
+        b *= 2
+    return powers
 
 
 def _first_terms(den, s, num):
@@ -597,7 +642,8 @@ def _log_bessel_asym(nu, z):
     is not small enough.
 
     The loop updates its arrays in place, so it keeps no temporaries of
-    the output's size from one term to the next.
+    the output's size from one term to the next, and the sum's log is
+    ``_clog``'s.
     """
     out_shape = np.broadcast_shapes(nu.shape, z.shape)
     nu2 = 4.0 * nu * nu
@@ -644,7 +690,9 @@ def _log_bessel_asym(nu, z):
         )
     sigma = np.where(z.imag >= 0.0, 1.0, -1.0)
     recessive = np.exp(sigma * (nu + 0.5) * 1j * np.pi - 2.0 * z)
-    return z - 0.5 * np.log(2.0 * np.pi * z) + np.log(s_alt + recessive * s_plus)
+    np.multiply(recessive, s_plus, out=s_plus)
+    s_plus += s_alt
+    return z - 0.5 * np.log(2.0 * np.pi * z) + _clog(s_plus)
 
 
 def _bessel_asym_mask(nu, z):
@@ -895,7 +943,7 @@ def _log_kummer_taylor(a, b, z):
         raise SeriesNonConvergenceError(
             f"kummer_m series did not converge within {SERIES_MAX_TERMS} terms"
         )
-    logm = np.log(total) + scale
+    logm = _clog(total) + scale
     lost = peak_log - logm.real
     return logm, lost
 
@@ -919,34 +967,50 @@ def _log_kummer_asym_sum(a, b, x):
     This is M(a, b, -x) stripped of its Gamma(b)/Gamma(b-a) x^{-a} prefactor
     (which cancels analytically inside the joint characteristic function).
     Optimal truncation of the divergent tail; raises if it cannot reach
-    1e-11 relative.
+    1e-11 relative.  The loop runs in place, as ``_log_bessel_asym``'s.
     """
     a, b, x = np.broadcast_arrays(
         np.atleast_1d(np.asarray(a, dtype=complex)),
         np.atleast_1d(np.asarray(b, dtype=complex)),
         np.atleast_1d(np.asarray(x, dtype=float)),
     )
-    term = np.ones_like(a)
-    total = np.ones_like(a)
-    prev_mag = np.full(x.shape, np.inf)
-    floor_mag = np.full(x.shape, np.inf)
-    active = np.ones(x.shape, dtype=bool)
+    shape = x.shape
+    amb = a - b + 1.0
+    term = np.ones(shape, dtype=complex)
+    total = np.ones(shape, dtype=complex)
+    # scratch: the factors, then the added term; its parts hold magnitudes
+    work = np.empty(shape, dtype=complex)
+    active = np.ones(shape, dtype=bool)
+    going = np.empty(shape, dtype=bool)
+    floor_mag = np.full(shape, np.inf)
+    tm = np.empty(shape)
     for s in range(60):
-        term = term * (a + s) * (a - b + 1.0 + s) / ((s + 1.0) * x)
-        tm = _mag(term)
-        active = active & (tm < prev_mag)
-        total = total + np.where(active, term, 0.0)
-        prev_mag = np.where(active, tm, prev_mag)
-        floor_mag = np.minimum(floor_mag, tm)
-        if not np.any(active & (tm > 1e-17 * _mag(total))):
+        np.add(a, s, out=work)
+        term *= work
+        np.add(amb, s, out=work)
+        term *= work
+        np.multiply(x, s + 1.0, out=tm)
+        term /= tm
+        _mag_into(term, tm, work.real)
+        # an active element's terms have fallen so far, so its last term
+        # is the smallest: it stays active while the terms keep falling
+        np.less(tm, floor_mag, out=going)
+        active &= going
+        np.minimum(floor_mag, tm, out=floor_mag)
+        np.multiply(term, active, out=work)
+        total += work
+        limit = _mag_into(total, work.real, work.imag)
+        limit *= 1e-17
+        np.greater(tm, limit, out=going)
+        going &= active
+        if not np.any(going):
             break
-    bad = floor_mag > 1e-11 * _mag(total)
-    if np.any(bad):
+    if np.any(floor_mag > 1e-11 * _mag(total)):
         raise SeriesNonConvergenceError(
             "kummer asymptotic branch cannot reach tolerance; argument too small "
             "relative to parameters"
         )
-    return np.log(total)
+    return _clog(total)
 
 
 def _log_kummer_asym_neg(a, b, x):

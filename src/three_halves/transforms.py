@@ -334,26 +334,35 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     h = e^{a dt} [Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x),
     x = 1/(C v), at = -1/2 - kt/eps^2 + c, bt = 1 + 2c.
 
-    Two regimes, chosen per element: for large x (beyond
-    KUMMER_ASYM_MIN_X and beyond KUMMER_ASYM_ORDER_FACTOR x max(|at|,
-    |at - bt + 1|)^2 + 50) the algebraic asymptotic branch, in which the
-    Gamma ratio and the power cancel analytically, leaving
-    log h = a dt + log(asymptotic sum); otherwise the Kummer
-    transformation plus the Taylor series (positive argument, no
-    cancellation).  A Taylor element that lost more than 10 digits
-    (log ratio > 23) raises.
+    Three regimes, chosen per element:
+
+    * at = 0 exactly: M(0, bt, -x) = 1, the Gamma ratio is 1 and x^0 = 1,
+      so log h = a dt.  With eta = 0 this is omega = -i, where h is
+      E[S_{t'}/S_t | v] = e^{(r - q)(t' - t)} by the martingale property
+      (``model.validate``: b0 = 1/2 + (kappa - rho eps)/eps^2 >= 0, so
+      c = sqrt(b0^2) = b0 and at comes out exactly 0.0, unless rounding
+      leaves b0 a hair below 0 at the admissibility boundary), and
+      omega = 0, where h = 1;
+    * large x (beyond KUMMER_ASYM_MIN_X and beyond
+      KUMMER_ASYM_ORDER_FACTOR x max(|at|, |at - bt + 1|)^2 + 50): the
+      algebraic asymptotic branch, in which the Gamma ratio and the power
+      cancel analytically, leaving log h = a dt + log(asymptotic sum);
+    * otherwise the Kummer transformation plus the Taylor series
+      (positive argument, no cancellation).  A Taylor element that lost
+      more than 10 digits (log ratio > 23) raises.
 
     The parameters depend on (omega, eta) only and x on v only.  When the
     broadcast splits into parameter rows x two or more variance columns
     (a single parameter point, or parameters with a size-1 last axis
     against v varying only along the last axis), they are kept that way:
-    the Gamma ratio is taken per row, x^{at} as the outer product of at
-    and log x, and the Taylor series is summed by the matrix route of
-    ``specfun._log_kummer_taylor`` for every row of each column that some
-    row takes Taylor in; the mask then picks per element, and the digits
-    check applies to the Taylor-selected elements only.  Any other layout,
-    a single variance included, is materialized as paired elements, and
-    only its Taylor elements are summed (by the running product).
+    the at = 0 regime takes whole rows, the Gamma ratio is taken per row,
+    x^{at} as the outer product of at and log x, and the Taylor series is
+    summed by the matrix route of ``specfun._log_kummer_taylor`` for every
+    other row of each column that some row takes Taylor in; the mask then
+    picks per element, and the digits check applies to the
+    Taylor-selected elements only.  Any other layout, a single variance
+    included, is materialized as paired elements, and only its Taylor
+    elements are summed (by the running product).
 
     ``t`` and ``t_prime`` may be arrays that broadcast into the shape of
     ``v``, one date pair per variance (see ``_log_g_vec``); x then still
@@ -400,7 +409,24 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
                         for p in (alpha_t, beta_t, a, x))
         if np.ndim(dt):
             dt = np.broadcast_to(dt, shape).reshape(-1)
+    live = at.reshape(-1) != 0.0
+    if np.all(live):
+        out = _log_kummer_factor(at, bt, x)
+    else:
+        # rows (outer) or elements (paired) with at = 0 keep log h = a dt
+        out = np.zeros(np.broadcast_shapes(at.shape, x.shape), dtype=complex)
+        if np.any(live):
+            out[live] = _log_kummer_factor(at[live], bt[live],
+                                           x if outer else x[live])
+    out += a * dt
+    return out.reshape(shape)
 
+
+def _log_kummer_factor(at, bt, x):
+    """log([Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x)), the part of
+    log h after a dt, for parameter rows ``at``, ``bt`` of shape (n, 1)
+    against columns ``x`` of shape (m,), or for paired 1-D elements; the
+    asymptotic and Taylor regimes of ``_log_h_vec``."""
     mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
     asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
                           specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
@@ -409,7 +435,7 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
         out[asym] = specfun._log_kummer_asym_sum(
             *(np.broadcast_to(p, asym.shape)[asym] for p in (at, bt, x)))
 
-    if outer:
+    if at.ndim == 2:
         cols = ~np.all(asym, axis=0)
         part = (slice(None), cols)
     else:
@@ -432,8 +458,7 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
             + logm
         )
         out[part] = np.where(taylor, log_taylor, out[part])
-    out += a * dt
-    return out.reshape(shape)
+    return out
 
 
 def joint_cf_h(t: float, v: float, t_prime: float, point: TransformPoint,

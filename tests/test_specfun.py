@@ -403,6 +403,93 @@ class TestBesselTable:
             specfun._log_bessel_i_vec(nu, z)
 
 
+EPS = np.finfo(float).eps
+
+
+class TestClog:
+    """``specfun._clog`` against ``np.log``: log|w| from the rounded |w|
+    carries about an ulp of |w| (an absolute error near eps where |w| is
+    near 1), and its angle is NumPy's arctan2, within an ulp of libm's."""
+
+    @staticmethod
+    def check(w):
+        got, want = specfun._clog(w), np.log(w)
+        assert np.all(np.abs(got.real - want.real)
+                      <= 2.0 * EPS * (1.0 + np.abs(want.real)))
+        assert np.all(np.abs(got.imag - want.imag)
+                      <= np.spacing(np.abs(want.imag)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_random_points(self, scale):
+        rng = np.random.default_rng(3)
+        n = 20000
+        spread = rng.choice([1e-3, 1e-9, 1e-15], n)
+        r = scale * (1.0 + spread * rng.standard_normal(n))
+        self.check(r * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+
+    def test_wide_magnitudes(self):
+        rng = np.random.default_rng(4)
+        n = 20000
+        self.check(np.exp(rng.uniform(-700.0, 700.0, n)
+                          + 1j * rng.uniform(-np.pi, np.pi, n)))
+
+    def test_real_axis_exact(self):
+        # the branch cut and the positive axis: signed zeros pick +-pi
+        w = np.array([complex(-2.0, 0.0), complex(-2.0, -0.0),
+                      complex(-1e-300, 0.0), complex(-1e300, -0.0),
+                      complex(-1.0, 0.0), complex(1.0, -0.0),
+                      complex(3.5, 0.0), complex(1e-300, 0.0)])
+        got, want = specfun._clog(w), np.log(w)
+        assert np.array_equal(got.imag, want.imag)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert np.array_equal(got.real, want.real)
+
+
+class TestPowerTable:
+    """``specfun._power_table`` (doubling) against exact powers."""
+
+    @staticmethod
+    def worst_ulps(x, n_terms):
+        table = specfun._power_table(x, n_terms)
+        worst = 0.0
+        with mp.workdps(40):
+            for j, xj in enumerate(x):
+                base = mp.mpc(xj.real, xj.imag)
+                exact = mp.mpf(1)
+                for k in range(n_terms + 1):
+                    if abs(exact) < 1e-300:
+                        break
+                    got = mp.mpc(table[k, j].real, table[k, j].imag)
+                    worst = max(worst, float(abs(got - exact) / abs(exact)))
+                    exact *= base
+        return worst / EPS
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_tables_to_corridor_lengths(self, dtype):
+        # Kummer's real arguments, and the Bessel series' complex arrays
+        # of real q, up to the corridor's table lengths (about 1400 terms)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 12),
+                            1.0 - rng.uniform(0.0, 1e-3, 4), [1.0, 0.5]])
+        assert self.worst_ulps(x.astype(dtype), 1400) <= 6.0
+
+    def test_complex_tables(self):
+        # complex x squares its anchors: the error grows about like K / 3
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.5, 1.0, 12) * np.exp(1j * rng.uniform(-np.pi,
+                                                                 np.pi, 12))
+        assert self.worst_ulps(x, 64) <= 0.5 * 64
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 2, 3, 7, 8, 9])
+    def test_short_tables(self, n_terms):
+        x = np.array([0.3, -0.7, 1.0, 0.0])
+        for xx in (x, x + 0.25j):
+            want = xx ** np.arange(n_terms + 1)[:, None]
+            got = specfun._power_table(xx, n_terms)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=4 * EPS, atol=0.0)
+
+
 def corridor_kummer_grid(params):
     """Kummer parameters of the joint CF on the corridor contour (rows) and
     x = 1/(C v) on the variance nodes of the N=2 lag-0 swap's second

@@ -9,9 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from three_halves import specfun
 from three_halves.errors import DeltaRegimeError, ThreeHalvesError
-from three_halves.model import ModelParams
+from three_halves.model import (JumpParams, ModelParams, _drift_a_vec,
+                                coef_C, validate)
 from three_halves.quadrature import QuadratureConfig, integrate_semi_infinite
 from three_halves import transforms as tr
 
@@ -345,6 +349,109 @@ class TestPerNodeDates:
         with pytest.raises(DeltaRegimeError):
             tr._log_h_vec(self.T_FROM, self.V, self.T_FROM, 0.0, 0.0,
                           snp_params)
+
+
+@st.composite
+def admissible_params(draw):
+    """Parameters that ``model.validate`` admits, with or without jumps,
+    whose b0 = 1/2 + (kappa - rho eps)/eps^2 comes out >= 0 (at the
+    admissibility boundary rounding can leave it a hair below zero)."""
+    eps = draw(st.floats(0.3, 12.0))
+    rho = draw(st.floats(-1.0, 1.0))
+    kappa = rho * eps - 0.5 * eps * eps + draw(st.floats(0.0, 60.0))
+    jumps = draw(st.one_of(st.none(), st.builds(
+        JumpParams, lam=st.floats(0.0, 2.0), mu=st.floats(-0.3, 0.3),
+        sigma=st.floats(0.0, 0.5))))
+    params = ModelParams.with_constant_theta(
+        kappa=kappa, theta=draw(st.floats(0.5, 10.0)), epsilon=eps, rho=rho,
+        r=draw(st.floats(-0.05, 0.1)), q=draw(st.floats(0.0, 0.05)),
+        s0=100.0, v0=draw(st.floats(0.005, 1.0)), jumps=jumps)
+    assume(not validate(params))
+    b0 = 0.5 + tr._kappa_tilde(-1j, params) / params.eps2
+    assume(b0.real >= 0.0)
+    return params
+
+
+class TestMartingaleRegime:
+    """At omega = -i, eta = 0, h is E[S_t'/S_t | v] = e^{a dt}: at = 0
+    exactly, and _log_h_vec returns a dt without a Kummer call (as at
+    omega = eta = 0, where h = 1)."""
+
+    V = np.geomspace(1e-3, 5.0, 9)
+    # one month from 0.5: x = 1/(C v) reaches both Kummer branches
+    T1 = 0.5 + 1.0 / 12.0
+    T_FROM = np.linspace(0.0, 0.8, 9)
+    T_TO = T_FROM + np.geomspace(1.0 / 252.0, 1.0, 9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_params())
+    def test_exact_in_every_layout(self, params):
+        c = tr._c_exponent(-1j, 0.0, params)
+        assert -0.5 - tr._kappa_tilde(-1j, params) / params.eps2 + c == 0.0
+        a = _drift_a_vec(-1j, 0.0, params)
+        n = self.V.size
+        # outer: one parameter point (and one row) against the variances
+        for omega in (-1j, np.array([[-1j]])):
+            got = tr._log_h_vec(0.25, self.V, 1.0, omega, 0.0, params)
+            assert np.array_equal(got, np.broadcast_to(a * 0.75, got.shape))
+        # paired elements
+        got = tr._log_h_vec(0.25, self.V, 1.0, np.full(n, -1j), 0.0, params)
+        assert np.array_equal(got, np.full(n, a * 0.75))
+        # per-node dates, outer and paired
+        want = a * (self.T_TO - self.T_FROM)
+        for omega in (-1j, np.full(n, -1j)):
+            got = tr._log_h_vec(self.T_FROM, self.V, self.T_TO, omega, 0.0,
+                                params)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fixture", ["snp_params", "timer_params",
+                                         "jump_params"])
+    def test_equals_the_kummer_branches(self, fixture, request):
+        # the asymptotic and Taylor branches on (at = 0, bt, x), as h
+        # took them before the exact regime
+        params = request.getfixturevalue(fixture)
+        v = np.geomspace(1e-3, 5.0, 40)
+        bt = 1.0 + 2.0 * tr._c_exponent(-1j, 0.0, params)
+        x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, self.T1) * v)
+        mx = np.abs(bt - 1.0)
+        asym = x > max(specfun.KUMMER_ASYM_MIN_X,
+                       specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
+        assert np.any(asym) and np.any(~asym)
+        a = _drift_a_vec(-1j, 0.0, params)
+        want = a * (self.T1 - 0.5) + tr._log_kummer_factor(
+            np.zeros((1, 1)), np.reshape(bt, (1, 1)), x)
+        got = tr._log_h_vec(0.5, v, self.T1, -1j, 0.0, params)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_generic_points_take_the_kummer_branches(self, snp_params,
+                                                     monkeypatch):
+        calls = []
+        for name in ("_log_kummer_taylor", "_log_kummer_asym_sum"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        v = np.geomspace(1e-3, 5.0, 40)
+        tr._log_h_vec(0.5, v, self.T1, -1j, 0.0, snp_params)
+        # omega = 0 is the other root of c = b0 at eta = 0: h = 1
+        assert np.array_equal(tr._log_h_vec(0.5, v, self.T1, 0.0, 0.0,
+                                            snp_params), np.zeros(v.size))
+        assert calls == []
+        for omega, eta in ((-1j + 0.25, 0.0), (-1j, 0.5), (0.5, 0.0),
+                           (-1j * (1.0 + 1e-12), 0.0)):
+            calls.clear()
+            tr._log_h_vec(0.5, v, self.T1, omega, eta, snp_params)
+            assert calls, (omega, eta)
+
+    def test_exact_rows_beside_generic_rows(self, snp_params):
+        # rows at omega = -i are exact; the other rows of the same call
+        # equal a call on them alone
+        omega = np.array([-1j, 0.25 - 1j, -1j, 2.0 + 0.1j])[:, None]
+        v = np.geomspace(1e-3, 5.0, 40)
+        got = tr._log_h_vec(0.5, v, 1.0, omega, 0.0, snp_params)
+        a = _drift_a_vec(-1j, 0.0, snp_params)
+        assert np.array_equal(got[[0, 2]], np.full((2, v.size), a * 0.5))
+        alone = tr._log_h_vec(0.5, v, 1.0, omega[[1, 3]], 0.0, snp_params)
+        assert np.max(log_err(got[[1, 3]], alone)) <= 1e-13
 
 
 class TestG1:

@@ -141,11 +141,12 @@ def _date_coefficients(t, t_prime, params: ModelParams):
     (broadcast against each other), taken once per distinct pair."""
     t, t_prime = np.broadcast_arrays(np.asarray(t, dtype=float),
                                      np.asarray(t_prime, dtype=float))
-    pairs, inverse = np.unique(np.stack([t.ravel(), t_prime.ravel()]),
-                               axis=1, return_inverse=True)
+    pairs, inverse = np.unique(t.ravel() + 1j * t_prime.ravel(),
+                               return_inverse=True)
     dt, A, C = np.array([
         (_require_dt(a, b), coef_A(params.theta, a, b),
-         coef_C(params.theta, params.epsilon, a, b)) for a, b in pairs.T]).T
+         coef_C(params.theta, params.epsilon, a, b))
+        for a, b in zip(pairs.real, pairs.imag)]).T
     return tuple(x[inverse].reshape(t.shape) for x in (dt, A, C))
 
 
@@ -362,7 +363,7 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     picks per element, and the digits check applies to the
     Taylor-selected elements only.  Any other layout, a single variance
     included, is materialized as paired elements, and only its Taylor
-    elements are summed (by the running product).
+    elements are summed (each by its own coefficient table).
 
     ``t`` and ``t_prime`` may be arrays that broadcast into the shape of
     ``v``, one date pair per variance (see ``_log_g_vec``); x then still

@@ -181,17 +181,88 @@ def mp_log_bessel_i(nu, z):
                                      mp.mpc(z.real, z.imag))))
 
 
+def running_bessel_series(nu, z):
+    """Oracle: log I_nu(z) by the series summed with a running product per
+    element, c_0 = 1, c_k = c_{k-1} q / (k (nu + k)) with q = z^2/4.  A
+    partial sum past 1e250 is shifted down by 2^-512 and the shift kept in
+    a per-element log scale.  Checkpoints are every 8 terms up to k = 60
+    and every term after; the sum stops once every element's term is at
+    most SERIES_STOP_REL x |sum| at two consecutive checkpoints."""
+    nu, z = (np.ascontiguousarray(x, dtype=complex)
+             for x in np.broadcast_arrays(nu, z))
+    q = z * z * 0.25
+    term = np.ones(z.shape, dtype=complex)
+    total = np.ones(z.shape, dtype=complex)
+    scale = np.zeros(z.shape)
+    small_prev = False
+    for k in range(1, specfun.SERIES_MAX_TERMS + 1):
+        term *= q / (k * (nu + k))
+        total += term
+        if k % 8 == 0 or k > 60:
+            sm = specfun._mag(total)
+            small = bool(np.all(specfun._mag(term)
+                                <= specfun.SERIES_STOP_REL * sm))
+            if small and small_prev:
+                break
+            small_prev = small
+            big = sm > specfun._RESCALE_LIMIT
+            term[big] *= specfun._RESCALE_SHIFT
+            total[big] *= specfun._RESCALE_SHIFT
+            scale[big] += specfun._RESCALE_LOG
+    else:
+        raise SeriesNonConvergenceError("oracle series did not converge")
+    return (nu * np.log(z * 0.5) - specfun._log_gamma_vec(nu + 1.0)
+            + np.log(total) + scale)
+
+
+def running_kummer_taylor(a, b, z):
+    """Oracle: (log M(a, b, z), lost) by the Taylor series summed with a
+    running product per element, t_{k+1} = t_k (a + k) z / ((b + k)(k + 1)),
+    rescaled as in ``running_bessel_series``, with checkpoints every 4
+    terms up to k = 40 and every term after.  ``lost`` is the digits-lost
+    proxy log(peak partial sum / |M|), the partial sums measured as
+    |Re| + |Im| after every term."""
+    a, b, z = (np.ascontiguousarray(x, dtype=complex)
+               for x in np.broadcast_arrays(a, b, z))
+    term = np.ones(z.shape, dtype=complex)
+    total = np.ones(z.shape, dtype=complex)
+    scale = np.zeros(z.shape)
+    peak_log = np.zeros(z.shape)
+    small_prev = np.zeros(z.shape, dtype=bool)
+    for k in range(specfun.SERIES_MAX_TERMS):
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        total += term
+        sm = specfun._mag(total)
+        peak_log = np.maximum(peak_log, np.log(np.maximum(sm, 1e-300)) + scale)
+        if k % 4 == 3 or k > 40:
+            tm = specfun._mag(term)
+            small = tm <= specfun.SERIES_STOP_REL * sm
+            if np.all(small & small_prev):
+                break
+            small_prev = small
+            big = np.maximum(sm, tm) > specfun._RESCALE_LIMIT
+            term[big] *= specfun._RESCALE_SHIFT
+            total[big] *= specfun._RESCALE_SHIFT
+            scale[big] += specfun._RESCALE_LOG
+    else:
+        raise SeriesNonConvergenceError("oracle series did not converge")
+    logm = np.log(total) + scale
+    return logm, peak_log - logm.real
+
+
 def outer_and_paired(nu, z):
-    """The series on orders x arguments (outer layout) and on the same
-    inputs materialized element by element (paired layout)."""
+    """The series on orders x arguments (rows x columns), on the same
+    inputs materialized element by element (paired) and by the running
+    product oracle."""
     outer = specfun._log_bessel_series(nu, z)
     nu_b, z_b = (np.ascontiguousarray(a) for a in np.broadcast_arrays(nu, z))
-    return outer, specfun._log_bessel_series(nu_b, z_b)
+    paired = specfun._log_bessel_series(nu_b.ravel(), z_b.ravel())
+    return outer, paired.reshape(nu_b.shape), running_bessel_series(nu, z)
 
 
 class TestBesselSeriesOuter:
-    """The matrix-product route of the series against the running-product
-    route on the same inputs and against mpmath."""
+    """The matrix-product route of the series against the paired route on
+    the same inputs, the running-product oracle and mpmath."""
 
     def test_timer_grid_orders(self, timer_params):
         # Orders 2c(omega, eta) on a subsample of the omega rule's first
@@ -213,9 +284,11 @@ class TestBesselSeriesOuter:
         eta = 1j * s[:, ::3, None]
         nu = 2.0 * tr._c_exponent(omega[:, None, None], eta, p)
         z = z.astype(complex)
-        outer, paired = outer_and_paired(nu, z)
+        outer, paired, oracle = outer_and_paired(nu, z)
         assert outer.shape == eta.shape[:2] + (nodes.size,)
         assert np.max(np.abs(outer - paired)) <= 1e-13
+        assert np.max(np.abs(outer - oracle)) <= 1e-13
+        assert np.max(np.abs(paired - oracle)) <= 1e-13
         rng = np.random.default_rng(5)
         for _ in range(12):
             i, j, k = (rng.integers(n) for n in outer.shape)
@@ -228,23 +301,25 @@ class TestBesselSeriesOuter:
         nu = np.array([60.0, 60.0 + 5.0j])[:, None]
         z = np.array([1.0, 50.0, 600.0, 1400.0], dtype=complex)[None, :]
         assert np.ptp(np.abs(z)) > 2 * specfun._SERIES_BAND_WIDTH
-        outer, paired = outer_and_paired(nu, z)
+        outer, paired, oracle = outer_and_paired(nu, z)
         for i in range(nu.shape[0]):
             for j in range(z.shape[1]):
                 want = mp_log_bessel_i(nu[i, 0], z[0, j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                assert log_err(outer[i, j], want) <= tol, (i, j)
+                for got in (outer, paired, oracle):
+                    assert log_err(got[i, j], want) <= tol, (i, j)
                 assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
 
     def test_order_imaginary_part_dominates(self):
         nu = np.array([0.5 + 200.0j, 3.0 - 500.0j, 1000.0j])[:, None]
         z = np.array([0.1, 2.0, 10.0, 30.0], dtype=complex)[None, :]
-        outer, paired = outer_and_paired(nu, z)
+        outer, paired, oracle = outer_and_paired(nu, z)
         for i in range(nu.shape[0]):
             for j in range(z.shape[1]):
                 want = mp_log_bessel_i(nu[i, 0], z[0, j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                assert log_err(outer[i, j], want) <= tol, (i, j)
+                for got in (outer, paired, oracle):
+                    assert log_err(got[i, j], want) <= tol, (i, j)
                 assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
 
     def test_element_rule_rejects_a_short_table(self, monkeypatch):
@@ -287,9 +362,9 @@ def series_layouts(monkeypatch):
     shapes = []
     series = specfun._log_bessel_series
 
-    def spy(nu, z, log_gamma=None):
+    def spy(nu, z):
         shapes.append((nu.shape, z.shape))
-        return series(nu, z, log_gamma)
+        return series(nu, z)
 
     monkeypatch.setattr(specfun, "_log_bessel_series", spy)
     return shapes
@@ -370,6 +445,33 @@ class TestBesselTable:
         nu = 2.0 * tr._c_exponent(omega[:, None, None, None], 0.0, p)
         table = self.table_and_elements(monkeypatch, nu, z)
         assert table.shape == (4, 1) + z.shape
+
+    def test_all_series_tower_layout_is_one_table_call(self, monkeypatch,
+                                                       snp_params):
+        # The tower's g factor at omega = -i plus the Cauchy nodes phi,
+        # (phi, 1, 1, 1) x (rows, inner), on the rows whose arguments all
+        # stay below the asymptotic threshold: one series call on the
+        # orders as rows x every (row, inner) argument as columns.
+        p = snp_params
+        cfg = QuadratureConfig()
+        t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
+        v, _, _, _ = pricers._period_grid(p, cfg, t_km1, t_k, 1.0)
+        inner, _ = pricers._transition_grid(p, t_km1, t_k, v, cfg, 1.0)
+        A = coef_A(p.theta, t_km1, t_k)
+        C = coef_C(p.theta, p.epsilon, t_km1, t_k)
+        z = (2.0 / C) * np.sqrt(A / (v[:, None] * inner))
+        z = z[np.max(z, axis=1) < specfun.BESSEL_ASYMPTOTIC_MIN_Z]
+        assert z.shape[0] > 1
+        phis = pricers.MOMENT_RADIUS * np.exp(
+            2j * np.pi * (np.arange(pricers.MOMENT_NODES) + 0.5)
+            / pricers.MOMENT_NODES)
+        nu = 2.0 * tr._c_exponent(-1j + phis[:, None, None, None], 0.0, p)
+        shapes = series_layouts(monkeypatch)
+        got = specfun._log_bessel_i_vec(nu, z)
+        assert shapes == [((phis.size, 1), (1, z.size))]
+        assert got.shape == (phis.size, 1) + z.shape
+        oracle = running_bessel_series(nu, z)
+        assert np.max(np.abs(got - oracle)) <= 1e-13
 
     def test_orders_after_the_arguments(self, monkeypatch):
         # disjoint axes in either order: z on the leading axis, nu last
@@ -516,26 +618,37 @@ def mp_log_hyp1f1(a, b, x):
 
 
 def kummer_outer_and_paired(a, b, x):
-    """Kummer's Taylor series on parameters x real arguments (matrix route)
-    and on the same inputs materialized as complex pairs (running product)."""
+    """Kummer's Taylor series on parameters x real arguments (matrix route),
+    on the same inputs materialized as complex pairs (paired route) and by
+    the running-product oracle, each as (log M, lost)."""
     outer = specfun._log_kummer_taylor(a, b, x)
     a_b, b_b, x_b = (np.ascontiguousarray(v)
                      for v in np.broadcast_arrays(a, b, x.astype(complex)))
-    return outer, specfun._log_kummer_taylor(a_b, b_b, x_b)
+    return (outer, specfun._log_kummer_taylor(a_b, b_b, x_b),
+            running_kummer_taylor(a_b, b_b, x_b))
+
+
+def max_log_err(got, want):
+    return max(log_err(g, w) for g, w in zip(np.ravel(got), np.ravel(want)))
 
 
 class TestKummerTaylorOuter:
     """The matrix-product route of Kummer's Taylor series against the
-    running product on the same inputs and against mpmath."""
+    paired route on the same inputs, the running-product oracle and
+    mpmath."""
 
     def test_corridor_grid(self, snp_params):
         a, b, x = corridor_kummer_grid(snp_params)
         assert x.min() < 1e-4 and x.max() > 400.0
-        (outer, lost), (paired, lost_paired) = kummer_outer_and_paired(a, b, x)
+        (outer, lost), (paired, lost_paired), (oracle, lost_oracle) = \
+            kummer_outer_and_paired(a, b, x)
         assert outer.shape == (a.shape[0], x.size)
-        assert max(log_err(o, p) for o, p in zip(outer.flat, paired.flat)) \
-            <= 1e-13
-        # sum |terms| >= |peak partial sum|; the running route measures the
+        assert max_log_err(outer, paired) <= 1e-13
+        assert max_log_err(outer, oracle) <= 1e-13
+        assert max_log_err(paired, oracle) <= 1e-13
+        # both paired routes take the peak partial sum, as |Re| + |Im|
+        assert np.max(np.abs(lost_paired - lost_oracle)) <= 1e-12
+        # sum |terms| >= |peak partial sum|; the paired route measures the
         # partial sums as |Re| + |Im|, up to sqrt(2) above their modulus.
         assert np.all(lost >= lost_paired - 0.5 * math.log(2.0) - 1e-12)
         rng = np.random.default_rng(7)
@@ -555,27 +668,43 @@ class TestKummerTaylorOuter:
 
         def spy(den, s, min_terms, num=None):
             coef, row_scale = table(den, s, min_terms, num)
-            scales.append((s, bool(np.any(row_scale))))
+            if np.ndim(s) == 0:  # the outer route's tables only
+                scales.append((s, bool(np.any(row_scale))))
             return coef, row_scale
 
         monkeypatch.setattr(specfun, "_series_table", spy)
-        (outer, _), (paired, _) = kummer_outer_and_paired(a, b, x)
+        (outer, _), (paired, _), (oracle, _) = kummer_outer_and_paired(a, b,
+                                                                       x)
         assert (1400.0, True) in scales
         assert len({s for s, _ in scales}) >= 3
         for i in range(a.shape[0]):
             for j in range(x.size):
                 want = mp_log_hyp1f1(a[i, 0], b[i, 0], x[j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                assert log_err(outer[i, j], want) <= tol, (i, j)
+                for got in (outer, paired, oracle):
+                    assert log_err(got[i, j], want) <= tol, (i, j)
                 assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
 
-    def test_single_argument_takes_the_running_product(self, snp_params):
+    def test_single_argument_takes_the_paired_table(self, snp_params,
+                                                    monkeypatch):
         a, b, x = corridor_kummer_grid(snp_params)
         one = x[-1:]
+        shapes = []
+        table = specfun._series_table
+
+        def spy(den, s, min_terms, num=None):
+            shapes.append(np.shape(s))
+            return table(den, s, min_terms, num)
+
+        monkeypatch.setattr(specfun, "_series_table", spy)
         logm, lost = specfun._log_kummer_taylor(a, b, one)
+        assert shapes and all(shape == (a.size,) for shape in shapes)
         want, want_lost = specfun._log_kummer_taylor(
             a, b, one.astype(complex))
         assert np.array_equal(logm, want) and np.array_equal(lost, want_lost)
+        oracle, oracle_lost = running_kummer_taylor(a, b, one)
+        assert max_log_err(logm, oracle) <= 1e-13
+        assert np.max(np.abs(lost - oracle_lost)) <= 1e-12
 
     def test_lost_digits_measured(self):
         # Negative real arguments cancel: the raw series loses ~15 digits at
@@ -583,9 +712,13 @@ class TestKummerTaylorOuter:
         a = np.array([0.8, 0.8 + 0.5j])[:, None]
         b = np.array([2.3, 2.3])[:, None]
         x = np.array([-80.0, -1.0])
-        (_, lost), (_, lost_paired) = kummer_outer_and_paired(a, b, x)
+        (_, lost), (_, lost_paired), (_, lost_oracle) = \
+            kummer_outer_and_paired(a, b, x)
         assert np.all(lost[:, 0] > 23.0) and np.all(lost_paired[:, 0] > 23.0)
         assert np.all(lost[:, 1] < 2.0)
+        # at x = -80 |M| itself is lost, so the readings agree only there
+        assert np.all(lost_oracle[:, 0] > 23.0)
+        assert np.max(np.abs(lost_paired[:, 1] - lost_oracle[:, 1])) <= 1e-12
 
     def test_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
@@ -599,6 +732,115 @@ class TestKummerTaylorOuter:
         b = np.array([2.5, -3.0])[:, None].astype(complex)
         with pytest.raises(SpecfunDomainError):
             specfun._log_kummer_taylor(a, b, np.array([1.0, 4.0]))
+
+
+class TestPairedTable:
+    """The paired layout, each element summing its own coefficient table
+    (``_series_table`` with one q per column), against the running-product
+    oracle and mpmath."""
+
+    @staticmethod
+    def scaled_tables(monkeypatch):
+        """Record, per paired ``_series_table`` call, whether a column
+        needed a log scale."""
+        scaled = []
+        table = specfun._series_table
+
+        def spy(den, s, min_terms, num=None):
+            coef, row_scale = table(den, s, min_terms, num)
+            if np.ndim(s):
+                scaled.append(bool(np.any(row_scale)))
+            return coef, row_scale
+
+        monkeypatch.setattr(specfun, "_series_table", spy)
+        return scaled
+
+    def test_bessel_complex_arguments(self, monkeypatch):
+        nu = np.array([0.5, 1.6 + 0.7j, 6.0 - 3.0j, 12.0 + 20.0j,
+                       0.3 + 150.0j])
+        z = np.array([2.0 + 3.0j, 15.0 - 8.0j, 0.4 + 0.1j, 25.0 + 12.0j,
+                      9.0 - 4.0j])
+        scaled = self.scaled_tables(monkeypatch)
+        got = specfun._log_bessel_series(nu, z)
+        assert scaled
+        oracle = running_bessel_series(nu, z)
+        for i in range(nu.size):
+            want = mp_log_bessel_i(nu[i], z[i])
+            tol = 1e-13 + 2e-15 * abs(want)
+            assert log_err(got[i], want) <= tol, i
+            assert log_err(oracle[i], want) <= tol, i
+            assert log_err(got[i], oracle[i]) <= tol, i
+
+    def test_bessel_reflected_and_zero_arguments(self, monkeypatch):
+        nu = np.array([0.5, 1.2 + 0.4j, 2.0, 0.0, 2.5, 3.0 - 1.0j])
+        z = np.array([-4.0 + 1.0j, -12.0 - 3.0j, -0.5, 0.0, 0.0, 1.0 + 2.0j])
+        shapes = series_layouts(monkeypatch)
+        got = specfun._log_bessel_i_vec(nu, z)
+        assert shapes and all(len(s) == 1 for shape in shapes for s in shape)
+        assert got[3] == 0.0 and got[4].real == -np.inf
+        for i in (0, 1, 2, 5):
+            want = mp_log_bessel_i(nu[i], z[i])
+            assert log_err(got[i], want) <= 1e-13 + 2e-15 * abs(want), i
+            # I_nu(z) = e^{+-i pi nu} I_nu(-z) for Re z < 0
+            sign = 0.0 if z[i].real >= 0 else (1.0 if z[i].imag >= 0 else -1.0)
+            oracle = running_bessel_series(nu[i], -z[i] if sign else z[i])
+            assert log_err(got[i], oracle[0] + sign * 1j * np.pi * nu[i]) \
+                <= 1e-13 + 2e-15 * abs(want), i
+
+    def test_kummer_negative_and_complex_arguments(self):
+        a = np.array([0.8, 0.8 + 0.5j, 1.3 - 2.0j, 4.0 + 1.0j, 2.0, 0.5])
+        b = np.array([2.3, 1.7 - 0.4j, 3.1 + 1.0j, 0.6 + 0.2j, 5.0, 1.5])
+        x = np.array([-5.0, -3.0 + 2.0j, 4.0 - 6.0j, -2.0 - 1.0j, 10.0j,
+                      -12.0])
+        logm, lost = specfun._log_kummer_taylor(a, b, x)
+        oracle, oracle_lost = running_kummer_taylor(a, b, x)
+        assert np.max(lost) > 5.0  # some of these cancel
+        for i in range(x.size):
+            want = complex(mp.log(mp.hyp1f1(
+                mp.mpc(a[i].real, a[i].imag), mp.mpc(b[i].real, b[i].imag),
+                mp.mpc(x[i].real, x[i].imag))))
+            # the series' roundoff bound of ``kummer_m``
+            tol = 1e-14 + 20.0 * EPS * math.exp(lost[i])
+            assert log_err(logm[i], want) <= tol, i
+            assert log_err(logm[i], oracle[i]) <= tol, i
+            assert abs(lost[i] - oracle_lost[i]) <= 1e-12 + tol, i
+
+    def test_terms_past_1e250_take_a_log_scale(self, monkeypatch):
+        scaled = self.scaled_tables(monkeypatch)
+        nu = np.array([60.0, 60.0 + 5.0j, 20.0, 1.5])
+        z = np.array([1400.0, 1000.0 + 50.0j, 1400.0, 2.0])
+        got = specfun._log_bessel_series(nu, z.astype(complex))
+        assert scaled == [True]
+        oracle = running_bessel_series(nu, z)
+        for i in range(nu.size):
+            want = mp_log_bessel_i(nu[i], z[i])
+            tol = 1e-13 + 2e-15 * abs(want)
+            assert log_err(got[i], want) <= tol, i
+            assert log_err(got[i], oracle[i]) <= tol, i
+        scaled.clear()
+        a = np.array([1.3 + 0.3j, 4.0 - 2.0j, 0.5])
+        b = np.array([3.1, 2.0 + 1.0j, 1.5])
+        x = np.array([1400.0, 900.0, 1.0])
+        logm, _ = specfun._log_kummer_taylor(a, b, x)
+        assert scaled == [True]
+        oracle, _ = running_kummer_taylor(a, b, x)
+        for i in range(x.size):
+            want = mp_log_hyp1f1(a[i], b[i], x[i])
+            tol = 1e-13 + 2e-15 * abs(want)
+            assert log_err(logm[i], want) <= tol, i
+            assert log_err(logm[i], oracle[i]) <= tol, i
+
+    def test_b_pole_and_term_cap(self, monkeypatch):
+        a = np.array([1.5, 1.5], dtype=complex)
+        with pytest.raises(SpecfunDomainError):
+            specfun._log_kummer_taylor(a, np.array([2.5, -3.0]),
+                                       np.array([1.0, 4.0]))
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_kummer_taylor(a, np.array([2.5, 3.0]),
+                                       np.array([1.0, 4.0]))
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_bessel_series(a, np.array([1.0, 4.0 + 1.0j]))
 
 
 class TestKummerM:
@@ -645,11 +887,16 @@ class TestKummerM:
             specfun.kummer_m(0.8, 2.3, -80.0, transform="never")
 
     def test_asymptotic_negative_branch(self):
-        # internal branch used by the joint CF for tiny time steps
+        # the algebraic sum the joint CF uses for large x, with the
+        # Gamma(b)/Gamma(b - a) x^{-a} prefactor that cancels inside h:
+        # M(a, b, -x) ~ Gamma(b)/Gamma(b - a) x^{-a} sum_s ...
         a = np.array([0.9 + 0.4j])
         b = np.array([2.6 + 0.8j])
         for x in (80.0, 400.0, 2000.0):
-            got = np.exp(specfun._log_kummer_asym_neg(a, b, np.array([x])))[0]
+            xs = np.array([x])
+            got = np.exp(specfun._log_gamma_vec(b)
+                         - specfun._log_gamma_vec(b - a) - a * np.log(xs)
+                         + specfun._log_kummer_asym_sum(a, b, xs))[0]
             want = mp.hyp1f1(mp.mpc(0.9, 0.4), mp.mpc(2.6, 0.8), mp.mpf(-x))
             assert rel_err(got, complex(want)) < 1e-10, x
 

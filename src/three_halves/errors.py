@@ -6,7 +6,8 @@ class ThreeHalvesError(Exception):
 
 
 class SpecfunDomainError(ThreeHalvesError):
-    """Argument outside the domain of a special function (e.g. gamma pole)."""
+    """Input outside the domain of a special function (e.g. a gamma pole)
+    or of its rows x columns layout."""
 
 
 class SeriesNonConvergenceError(ThreeHalvesError):

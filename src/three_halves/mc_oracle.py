@@ -218,15 +218,11 @@ def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
     return keep_x, keep_i, keep_v, jumps_total
 
 
-def simulate_paths(horizon: float, monitoring_schedule: Sequence[float],
-                   params: ModelParams,
-                   sim_cfg: SimulationConfig) -> PathEnsemble:
-    """Simulate the ensemble, retaining state at t=0 and monitoring dates.
-
-    Monitoring dates must be ascending and end at ``horizon``; the fine
-    integration grid refines each monitoring interval so the dates are hit
-    exactly.  Same seed implies a bit-identical ensemble.
-    """
+def _chunks(horizon: float, monitoring_schedule: Sequence[float],
+            params: ModelParams, sim_cfg: SimulationConfig, use):
+    """``use(ensemble)`` of each chunk of at most CHUNK_PATHS paths, in path
+    order, each chunk's ensemble dropped once used (see
+    ``simulate_paths``)."""
     require_valid(params)
     monitoring = np.asarray(sorted(monitoring_schedule), dtype=float)
     if len(monitoring) == 0 or monitoring[0] <= 0.0:
@@ -234,30 +230,44 @@ def simulate_paths(horizon: float, monitoring_schedule: Sequence[float],
     if abs(monitoring[-1] - horizon) > 1e-12:
         raise InvalidParametersError("last monitoring date must equal horizon")
     times, midx = _fine_grid(monitoring, sim_cfg.steps_per_year)
+    keep_times = np.concatenate([[0.0], monitoring])
+    has_jumps = params.jumps is not None and params.jumps.lam > 0.0
+
+    def ensemble(x, ivar, v, jumps):
+        dx = np.diff(x, axis=1)
+        i_disc = np.concatenate(
+            [np.zeros((x.shape[0], 1)), np.cumsum(dx * dx, axis=1)], axis=1)
+        return PathEnsemble(times=keep_times, x=x, i=ivar, i_discrete=i_disc,
+                            v=v, jump_counts=jumps if has_jumps else None)
 
     n = sim_cfg.n_paths
     n_chunks = (n + CHUNK_PATHS - 1) // CHUNK_PATHS
     seeds = _chunk_seeds(sim_cfg.seed, n_chunks)
-    xs, is_, vs, jc = [], [], [], []
-    for c in range(n_chunks):
-        size = min(CHUNK_PATHS, n - c * CHUNK_PATHS)
-        kx, ki, kv, kj = _simulate_chunk(size, times, midx, params,
-                                         sim_cfg.scheme, seeds[c])
-        xs.append(kx)
-        is_.append(ki)
-        vs.append(kv)
-        jc.append(kj)
-    x = np.vstack(xs)
-    ivar = np.vstack(is_)
-    v = np.vstack(vs)
-    jumps = np.concatenate(jc)
-    dx = np.diff(x, axis=1)
-    i_disc = np.concatenate(
-        [np.zeros((n, 1)), np.cumsum(dx * dx, axis=1)], axis=1)
-    keep_times = np.concatenate([[0.0], monitoring])
-    has_jumps = params.jumps is not None and params.jumps.lam > 0.0
-    return PathEnsemble(times=keep_times, x=x, i=ivar, i_discrete=i_disc, v=v,
-                        jump_counts=jumps if has_jumps else None)
+    return [use(ensemble(*_simulate_chunk(
+        min(CHUNK_PATHS, n - c * CHUNK_PATHS), times, midx, params,
+        sim_cfg.scheme, seeds[c]))) for c in range(n_chunks)]
+
+
+def simulate_paths(horizon: float, monitoring_schedule: Sequence[float],
+                   params: ModelParams,
+                   sim_cfg: SimulationConfig) -> PathEnsemble:
+    """Simulate the ensemble, retaining state at t=0 and monitoring dates.
+
+    Monitoring dates must be ascending and end at ``horizon``; the fine
+    integration grid refines each monitoring interval so the dates are hit
+    exactly.  Same seed implies a bit-identical ensemble.  The chunks are
+    stacked, so the ensemble holds every path's states at once;
+    ``mc_price`` instead keeps only each path's payoff.
+    """
+    chunks = _chunks(horizon, monitoring_schedule, params, sim_cfg,
+                     lambda ens: ens)
+
+    def stacked(name):
+        parts = [getattr(ens, name) for ens in chunks]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return PathEnsemble(chunks[0].times, *map(stacked, (
+        "x", "i", "i_discrete", "v", "jump_counts")))
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -280,24 +290,30 @@ def mc_price(product, params: ModelParams,
     """
     from . import pricers  # local import to avoid a cycle
 
+    def per_path(horizon, schedule, payoff):
+        # each chunk is priced as it is simulated: only payoffs are kept
+        return np.concatenate(_chunks(horizon, schedule, params, sim_cfg,
+                                      payoff), axis=-1)
+
     if isinstance(product, pricers.EuropeanSpec):
-        ens = simulate_paths(product.maturity, [product.maturity], params,
-                             sim_cfg)
-        s_t = np.exp(ens.x[:, -1])
-        if product.is_call:
-            payoff = np.maximum(s_t - product.strike, 0.0)
-        else:
-            payoff = np.maximum(product.strike - s_t, 0.0)
+        def payoff(ens):
+            s_t = np.exp(ens.x[:, -1])
+            if product.is_call:
+                return np.maximum(s_t - product.strike, 0.0)
+            return np.maximum(product.strike - s_t, 0.0)
+
         disc = math.exp(-params.r * product.maturity)
-        est, se = _mean_se(disc * payoff)
+        est, se = _mean_se(disc * per_path(product.maturity,
+                                           [product.maturity], payoff))
         return MCPriceResult(est, se)
 
     if isinstance(product, pricers.TimerOptionSpec):
-        ens = simulate_paths(product.mandatory_maturity, product.schedule(),
-                             params, sim_cfg)
-        est, se = _mean_se(_timer_payoff(product, ens, params, ens.i))
-        est_d, se_d = _mean_se(_timer_payoff(product, ens, params,
-                                             ens.i_discrete))
+        proxy, discrete = per_path(
+            product.mandatory_maturity, product.schedule(), lambda ens:
+            np.stack([_timer_payoff(product, ens, params, running)
+                      for running in (ens.i, ens.i_discrete)]))
+        est, se = _mean_se(proxy)
+        est_d, se_d = _mean_se(discrete)
         return MCPriceResult(est, se, extras={
             "discrete_estimate": est_d,
             "discrete_std_error": se_d,
@@ -306,8 +322,8 @@ def mc_price(product, params: ModelParams,
 
     if isinstance(product, pricers.MomentSwapSpec):
         schedule = np.asarray(product.schedule_times(), dtype=float)
-        ens = simulate_paths(schedule[-1], schedule, params, sim_cfg)
-        legs = _floating_leg(product, ens, params)
+        legs = per_path(schedule[-1], schedule,
+                        lambda ens: _floating_leg(product, ens, params))
         est, se = _mean_se(legs)
         return MCPriceResult(est, se)
 

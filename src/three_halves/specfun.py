@@ -9,34 +9,34 @@ log-space variants so that callers can compose values spanning hundreds of
 orders of magnitude without overflow.
 
 The power series of ``I_nu(z)`` (a 0F1 in q = z^2/4) and the Taylor
-series of ``M(a, b, x)`` (a 1F1) are summed by one kernel: the
-coefficient table C[k, i] = s^k (num_i)_k / (k! (den_i+1)_k) of
-``_series_table``, built as one cumulative product of the term ratios
-with an exact power-of-two log scale per column, grown until every
-column's last two terms are at most SERIES_STOP_REL x |sum| and falling.
-It raises SeriesNonConvergenceError past SERIES_MAX_TERMS terms and
-SpecfunDomainError at a Kummer b-pole.  Two layouts use it, chosen by
-the shapes of the inputs, never by their values:
+series of ``M(a, b, x)`` (a 1F1) are summed by one kernel on one layout:
+parameters (orders, or Kummer's a and b) as rows against arguments as
+columns.  It is the layout of every transform: the Bessel order 2c and
+the Kummer parameters depend on the transform variables only, the
+arguments on the variances and dates only.  ``_rows_by_columns`` alone
+maps inputs to it -- parameters broadcasting to one shape and arguments
+to another, along disjoint axes, become (n, 1) rows and (m,) columns, and
+the (n, m) result goes back to their broadcast -- and raises
+SpecfunDomainError where a parameter and an argument share an axis.  A
+single point (``bessel_i``, ``kummer_m``) is a 1 x 1 table.
 
-* rows x columns: parameters (orders, or Kummer's a and b) on the
-  leading axes with a size-1 last axis, against arguments along the last
-  axis -- the (omega, eta) x v' tensor of the timer kernel, the omega x v
-  grid of the joint characteristic function (real x only for Kummer).  The
-  table is built at s = max |q| and the sum is one matrix product with
-  the powers (q_j / s)^k (``_log_series_outer``); rows whose terms needed
-  a log scale group the arguments into bands over which the sum changes
-  by at most e^300, so nothing significant underflows.  Kummer's
-  lost-digits proxy is log(sum of |terms| / |M|);
-* paired elements (the scalar ``kummer_m``, the omega grid at one
-  variance, the Bessel general path of z = 0, Re z < 0 or orders and
-  arguments that share an axis): the table
-  is built at each element's own q, so it holds that element's terms and
-  the sum is a column sum (``_log_series_paired``).  Kummer's proxy is
-  log(peak partial sum / |M|).
+The kernel builds the coefficient table C[k, i] = s^k (num_i)_k /
+(k! (den_i+1)_k) at s = max |q| (``_series_table``) as one cumulative
+product of the term ratios with an exact power-of-two log scale per
+parameter, grown until every parameter's last two terms are at most
+SERIES_STOP_REL x |sum| and falling, and sums it as one matrix product
+with the powers (q_j / s)^k (``_log_series_outer``), real or complex;
+parameters whose terms needed a log scale group the arguments into bands
+over which the sum changes by at most e^300, so nothing significant
+underflows.  It raises SeriesNonConvergenceError past SERIES_MAX_TERMS
+terms and SpecfunDomainError at a Kummer b-pole.  Kummer's lost-digits
+proxy is log(sum of |terms| / |M|), +inf where the sum cancels to
+exactly 0.
 
-The Bessel call takes its regime per element; whenever the orders and
-arguments vary along disjoint axes it works on orders x arguments
-(``_log_bessel_table``), every other layout element by element.
+The Bessel call takes its regime per element of that table
+(``_log_bessel_table``): the asymptotic expansion for large |z|, the
+series elsewhere.  It takes Re z >= 0 and z != 0 only and raises
+SpecfunDomainError otherwise; ``bessel_i`` has the closed form at z = 0.
 
 All operations are pure; arrays are never mutated in place across calls.
 """
@@ -44,6 +44,7 @@ All operations are pure; arrays are never mutated in place across calls.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,11 +74,11 @@ KUMMER_ASYM_MIN_X = 60.0
 KUMMER_ASYM_ORDER_FACTOR = 3.0
 
 # Growth of log(sum of |terms|) allowed across one argument band of the
-# outer-layout series: a band spans 300 in |z| for the Bessel series and
+# series: a band spans 300 in |z| for the Bessel series and
 # 300 / rho in x for Kummer's (see _log_series_outer).
 _SERIES_BAND_WIDTH = 300.0
 # Size of the row blocks of the coefficient table and of the column blocks
-# of the power table in the outer-layout series.
+# of the power table in the series.
 _SERIES_BLOCK_BYTES = 2**19
 # Tables with at least this many columns are multiplied row by row.
 _CUMPROD_LOOP_MIN_COLUMNS = 64
@@ -244,55 +245,27 @@ def _check_bessel_order(nu):
             raise SpecfunDomainError("bessel_i order at a negative integer")
 
 
-def _series_prefactor(nu, z):
-    """log of (z/2)^nu / Gamma(nu + 1), the factor both layouts share."""
-    return nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0)
-
-
 def _log_bessel_series(nu, z):
-    """log I_nu(z) by the defining power series.
+    """log I_nu(z) by the defining power series, for orders ``nu`` as
+    (n, 1) rows x arguments ``z`` as (m,) columns: an (n, m) table.
 
-    Intended for Re(z) >= 0 and z != 0 (callers reflect first).  The series
-    is I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k) with
-    q = z^2/4, the shared table with den = nu and no numerator; the
-    prefactor is applied in log space at the end.  Two layouts:
-
-    * rows x columns: orders on the leading axes with a size-1 last axis
-      (``nu.ndim >= 2``) and arguments varying only along the last axis,
-      as ``_log_bessel_table`` passes them; the matrix route, see
-      ``_series_outer``;
-    * any other layout (1-D pairs from ``_log_bessel_elements``): the
-      broadcast is materialized and each element sums its own table
-      (``_log_series_paired``).
-    """
-    _check_bessel_order(nu)
-    if nu.ndim >= 2 and nu.shape[-1] == 1 and 0 < z.size == z.shape[-1]:
-        return _series_outer(nu, z)
-    nu_b, z_b = np.broadcast_arrays(nu, z)
-    log_sum, _ = _log_series_paired(nu_b.reshape(-1),
-                                    (z_b * z_b * 0.25).reshape(-1))
-    return _series_prefactor(nu, z) + log_sum.reshape(nu_b.shape)
-
-
-def _series_outer(nu, z):
-    """Bessel series for orders x arguments by the matrix route.
-
-    With q = z^2/4 the sum is sum_k q^k / (k! (nu+1)_k), the shared table
-    with den = nu and no numerator (see ``_log_series_outer``).  The
-    powers stay complex: on the timer's wide tables (about 40 terms) one
-    complex product is cheaper than two real ones plus assembling their
-    parts.  Bands group the columns by |z|: for
+    I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k) with
+    q = z^2/4: the shared table with den = nu and no numerator, summed by
+    ``_log_series_outer``; the prefactor is applied in log space at the
+    end.  The powers stay complex: on the timer's wide tables (about 40
+    terms) one complex product is cheaper than two real ones plus
+    assembling their parts.  Bands group the columns by |z|: for
     Re(nu) >= -1/2 and real z, d log(sum)/d|z| = I_{nu+1}(z)/I_nu(z) <= 1,
     so a band _SERIES_BAND_WIDTH wide in |z| keeps every column's sum
     within e^-300 of the band's largest.  The N=4 timer kernel (|z| < 20)
-    needs one band and about 40 terms.
+    needs one band and about 40 terms.  The arguments must have Re z >= 0
+    and z != 0, as ``_log_bessel_i_vec`` checks.
     """
-    out_shape = np.broadcast_shapes(nu.shape, z.shape)
-    q = (z * z * 0.25).reshape(-1)
-    log_sum, _ = _log_series_outer(nu.reshape(-1), q, np.abs(z).reshape(-1),
+    _check_bessel_order(nu)
+    log_sum, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
                                    _SERIES_BAND_WIDTH)
-    out = _series_prefactor(nu, z)
-    out += log_sum.reshape(out_shape)
+    out = nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0)
+    out += log_sum
     return out
 
 
@@ -327,7 +300,9 @@ def _log_series_outer(den, q, key, width, num=None):
     of |terms| stays above e^-80 and again nothing that matters underflows.
 
     Returns (log sums, lost) as (rows x columns) arrays; ``lost`` is
-    log(sum of |terms| / |sum|) for 1F1 and None for 0F1.
+    log(sum of |terms| / |sum|) for 1F1 and None for 0F1.  A sum that
+    cancels to exactly 0 has no relative accuracy to reach: it passes the
+    check, its log is -inf and its ``lost`` +inf.
     """
     n, m = den.size, q.size
     out = np.empty((n, m), dtype=complex)
@@ -345,7 +320,9 @@ def _log_series_outer(den, q, key, width, num=None):
 def _log_series_rows(den, num, q, key, width, out, lost):
     """``_log_series_outer`` for one row block, written into ``out`` (and
     ``lost``)."""
-    s = float(np.max(np.abs(q))) or 1.0
+    s = float(np.max(np.abs(q)))
+    if not s >= sys.float_info.min:  # 0 or subnormal: q / s would overflow
+        s = 1.0
     x = q / s
     min_terms = 0
     while True:
@@ -394,43 +371,17 @@ def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
         total = coef.T @ powers
     mag = np.abs(total)
     last = np.maximum(_mag(coef[-2]), _mag(coef[-1])) / SERIES_STOP_REL
-    if not np.all(np.multiply.outer(last, _mag(powers[-2])) <= mag):
+    small = np.multiply.outer(last, _mag(powers[-2])) <= mag
+    if not np.all(small) and not np.all(small | (mag == 0.0)):
         return False
-    if lost is not None:
-        np.log(abs_coef.T @ np.abs(powers), out=lost)
-        lost -= np.log(mag)
-    np.arctan2(total.imag, total.real, out=out.imag)
-    np.log(mag, out=mag)
+    with np.errstate(divide="ignore"):  # a sum of exactly 0
+        if lost is not None:
+            np.log(abs_coef.T @ np.abs(powers), out=lost)
+            lost -= np.log(mag)
+        np.arctan2(total.imag, total.real, out=out.imag)
+        np.log(mag, out=mag)
     np.add(mag, row_scale[:, None], out=out.real)
     return True
-
-
-def _log_series_paired(den, q, num=None):
-    """log sum_k t_k for 1-D paired elements (den_i, num_i, q_i), the
-    paired layout of the shared kernel.
-
-    ``_series_table`` at one q per column is each element's own term
-    table, t_k = q^k (num)_k / (k! (den+1)_k), with its stopping rule,
-    log scale, b-pole check and term cap, so the sum is a column sum.
-    Columns are taken in blocks of about _SERIES_BLOCK_BYTES.
-
-    Returns (log sums, lost); ``lost`` is log(peak partial sum / |sum|),
-    partial sums measured as |Re| + |Im|, for 1F1 and None for 0F1.
-    """
-    out = np.empty(q.shape, dtype=complex)
-    lost = None if num is None else np.empty(q.shape)
-    n_terms = _first_terms(den, float(np.max(np.abs(q), initial=0.0)), num)
-    step = max(1, _SERIES_BLOCK_BYTES // (16 * (n_terms + 1)))
-    for c0 in range(0, q.size, step):
-        cols = slice(c0, c0 + step)
-        coef, scale = _series_table(den[cols], q[cols], 0,
-                                    None if num is None else num[cols])
-        out[cols] = _clog(coef.sum(axis=0))
-        out.real[cols] += scale
-        if lost is not None:
-            peak = np.max(_mag(np.cumsum(coef, axis=0, out=coef)), axis=0)
-            np.subtract(np.log(peak) + scale, out.real[cols], out=lost[cols])
-    return out, lost
 
 
 def _power_table(x, n_terms):
@@ -485,11 +436,11 @@ def _first_terms(den, s, num):
 
 def _series_table(den, s, min_terms, num=None):
     """The table C[k, i] = s^k (num_i)_k / (k! (den_i+1)_k) for k = 0..K,
-    one row per k, and the per-row log scales (see ``_scaled_cumprod``).
+    one row per k, and the per-parameter log scales (see
+    ``_scaled_cumprod``).
 
-    ``s`` is a scalar (the rows x columns layout: the largest |q|, the
-    powers follow) or one q per column (the paired layout: the table is
-    then the terms themselves).  Without ``num`` the factor (num_i)_k is
+    ``s`` is the largest |q| of the arguments; their powers (q / s)^k
+    follow in ``_sum_columns``.  Without ``num`` the factor (num_i)_k is
     dropped.  K starts at the larger of ``min_terms`` and ``_first_terms``
     and grows by half (at least 8 terms) until, at q = s, the last two
     terms are at most SERIES_STOP_REL x |sum| and the last is the smaller
@@ -504,9 +455,7 @@ def _series_table(den, s, min_terms, num=None):
     if min_terms > SERIES_MAX_TERMS:
         raise SeriesNonConvergenceError(
             f"{what} series did not converge within {SERIES_MAX_TERMS} terms")
-    paired = np.ndim(s) > 0
-    reach = float(np.max(np.abs(s), initial=0.0)) if paired else s
-    n_terms = min(max(min_terms, _first_terms(den, reach, num)),
+    n_terms = min(max(min_terms, _first_terms(den, s, num)),
                   SERIES_MAX_TERMS)
     on_axis = (np.abs(den.imag) < 1e-300) & (den.real == np.round(den.real))
     while True:
@@ -515,18 +464,16 @@ def _series_table(den, s, min_terms, num=None):
                 f"{what} parameter pole at a non-positive integer")
         # ratio = s num_k / (k (den + k)), dividing by den + k = u + iv as
         # (u - iv) / (u^2 + v^2) in real arithmetic (about twice as fast as
-        # complex division); a per-column s multiplies in afterwards.
+        # complex division).
         k = np.arange(1.0, n_terms + 1.0)[:, None]
         u = den.real + k
-        f = (1.0 if paired else s) / (k * (u * u + den.imag * den.imag))
+        f = s / (k * (u * u + den.imag * den.imag))
         ratio = np.empty(u.shape, dtype=complex)
         np.multiply(f, u, out=ratio.real)
         np.multiply(f, -den.imag, out=ratio.imag)
         del u, f
         if num is not None:
             ratio *= num + (k - 1.0)
-        if paired:
-            ratio *= s
         coef, row_scale = _scaled_cumprod(ratio)
         del ratio
         limit = SERIES_STOP_REL * np.abs(coef.sum(axis=0))
@@ -697,119 +644,111 @@ def _bessel_asym_mask(nu, z):
     )
 
 
+def _rows_by_columns(fn, params, args):
+    """``fn`` on the parameters as rows x the arguments as columns, mapped
+    back to their broadcast: the one layout of the series kernel.
+
+    ``params`` (Bessel orders, Kummer parameters) broadcast together to
+    one shape and ``args`` (their arguments) to another; the two must vary
+    along disjoint axes (aligned from the right, every axis of size 1 in
+    one of them).  ``fn`` gets each parameter as an (n, 1) row and each
+    argument as an (m,) column and returns the (n, m) table, whose axes
+    are then interleaved back into the broadcast shape, at least 1-D.
+
+    Raises:
+        SpecfunDomainError: a parameter and an argument vary along one axis.
+    """
+    p_shape, a_shape = np.broadcast(*params).shape, np.broadcast(*args).shape
+    d = max(len(p_shape), len(a_shape), 1)
+    p_pad, a_pad = ((1,) * (d - len(x)) + x for x in (p_shape, a_shape))
+    if any(p != 1 and a != 1 for p, a in zip(p_pad, a_pad)):
+        raise SpecfunDomainError(
+            f"parameters of shape {p_shape} and arguments of shape "
+            f"{a_shape} vary along one axis; the series kernel takes them "
+            "only on disjoint axes, as rows x columns")
+
+    def flat(x, shape, to):
+        if np.shape(x) != shape:
+            x = np.broadcast_to(x, shape)
+        return np.reshape(x, to)
+
+    out = fn(*(flat(p, p_shape, (-1, 1)) for p in params),
+             *(flat(a, a_shape, -1) for a in args))
+    # rows x columns -> the parameters' axes interleaved with the arguments'
+    order = [k for pair in zip(range(d), range(d, 2 * d)) for k in pair]
+    return out.reshape(p_pad + a_pad).transpose(order).reshape(
+        [a if p == 1 else p for p, a in zip(p_pad, a_pad)])
+
+
 def _log_bessel_i_vec(nu, z):
-    """Vectorized log I_nu(z); ``nu`` and ``z`` broadcast against each other.
+    """Vectorized log I_nu(z) for orders ``nu`` and arguments ``z`` that
+    vary along disjoint axes, in the shape of their broadcast.
 
     The imaginary part of the result is *some* branch of the logarithm;
     exp() of it recovers I_nu(z) exactly, which is all the transform
     formulas need.
 
-    The regime is taken per element (``_bessel_asym_mask``): the
-    asymptotic branch where |z| is large against the threshold and |nu|^2,
-    the rescaled power series everywhere else (production arguments are
-    real positive, so the sector test only bites exotic inputs).  Two
-    routes, chosen by the layout alone:
+    The transforms always call it so: the order 2c depends on the
+    transform variables only and the argument on the variances and dates
+    only (the timer's (omega, eta) x v', the corridor's omega x v, the
+    tower's phi x (v, v')).  ``_rows_by_columns`` lays them out as orders
+    x arguments for ``_log_bessel_table``, which takes the regime per
+    element.
 
-    * nu and z varying along disjoint axes -- the production layout,
-      since the order 2c depends on the transform variables only and the
-      argument on the variances and dates only (the timer's (omega, eta)
-      x v', the corridor's omega x v, the tower's phi x (v, v')):
-      ``_log_bessel_table`` on the orders as rows x the arguments as
-      columns, whatever the regime mix;
-    * any other layout, or some z = 0 or Re z < 0: the broadcast is
-      materialized and each element takes its own branch (Re z < 0 is
-      reflected into the right half-plane first).
+    Raises:
+        SpecfunDomainError: an order and an argument vary along one axis;
+            some z is 0 (``bessel_i`` has the closed form there) or has
+            Re z < 0; an order sits at a negative integer.
     """
-    nu = np.atleast_1d(np.asarray(nu, dtype=complex))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    disjoint = all(a == 1 or b == 1
-                   for a, b in zip(nu.shape[::-1], z.shape[::-1]))
-    if not disjoint or np.any(z == 0.0) or np.any(z.real < 0.0):
-        return _log_bessel_elements(nu, z)
-    return _log_bessel_table(nu, z)
-
-
-def _log_bessel_elements(nu, z):
-    """The general path of ``_log_bessel_i_vec``: the broadcast of ``nu``
-    and ``z`` materialized, each element on its own branch."""
-    nu_b, z_b = np.broadcast_arrays(nu, z)
-    nu_b = np.ascontiguousarray(nu_b)
-    z_b = np.ascontiguousarray(z_b)
-    out = np.empty(z_b.shape, dtype=complex)
-
-    zero = z_b == 0.0
-    if np.any(zero):
-        nz = nu_b[zero]
-        if np.any(nz.real < 0.0):
-            raise SpecfunDomainError("bessel_i(nu, 0) undefined for Re(nu) < 0")
-        out[zero] = np.where(nz == 0.0, 0.0, -np.inf)
-
-    live = ~zero
-    zr = z_b[live]
-    nr = nu_b[live]
-    # Map Re(z) < 0 into the right half-plane: I_nu(z) = e^{+-i pi nu} I_nu(-z).
-    reflect = zr.real < 0.0
-    if np.any(reflect):
-        phase = np.where(reflect, np.where(zr.imag >= 0.0, 1.0, -1.0), 0.0)
-        zr = np.where(reflect, -zr, zr)
-
-    use_asym = _bessel_asym_mask(nr, zr)
-    res = np.empty(zr.shape, dtype=complex)
-    if np.any(use_asym):
-        res[use_asym] = _log_bessel_asym(nr[use_asym], zr[use_asym])
-    series = ~use_asym
-    if np.any(series):
-        res[series] = _log_bessel_series(nr[series], zr[series])
-    if np.any(reflect):
-        res = res + phase * 1j * np.pi * nr
-    out[live] = res
-    return out
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0.0):
+        raise SpecfunDomainError(
+            "log I_nu(z) takes z != 0; bessel_i has the closed form at z = 0")
+    if np.any(z.real < 0.0):
+        raise SpecfunDomainError("log I_nu(z) takes Re z >= 0 only")
+    return _rows_by_columns(_log_bessel_table,
+                            (np.asarray(nu, dtype=complex),), (z,))
 
 
 def _log_bessel_table(nu, z):
-    """log I_nu(z) for ``nu`` and ``z`` varying along disjoint axes, on the
-    orders as rows (n, 1) x the arguments as columns (1, m).
+    """log I_nu(z) on orders ``nu`` as (n, 1) rows x arguments ``z`` as
+    (m,) columns: an (n, m) table, the regime taken per element
+    (``_bessel_asym_mask``): the asymptotic branch where |z| is large
+    against the threshold and |nu|^2, the rescaled power series everywhere
+    else (production arguments are real positive, so the sector test only
+    bites exotic inputs).
 
     The series is summed once, on every row of each column that some row
-    needs it in, by the matrix route of ``_log_bessel_series``, so all the
-    rows share one power table; the columns that every row takes
-    asymptotically take ``_log_bessel_asym`` in broadcast form, and in the
-    other columns it runs on the asymptotic elements only, which then
-    replace their series values.  Where one branch covers every column,
-    its result is the table itself.  The (n, m) result is returned in the
-    broadcast layout of ``nu`` and ``z``.
+    needs it in, by ``_log_bessel_series``, so all the rows share one
+    power table; the columns that every row takes asymptotically take
+    ``_log_bessel_asym`` in broadcast form, and in the other columns it
+    runs on the asymptotic elements only, which then replace their series
+    values.  Where one branch covers every column, its result is the
+    table itself.
     """
-    rows, cols = nu.reshape(-1, 1), z.reshape(1, -1)
-    use_asym = _bessel_asym_mask(rows, cols)
+    use_asym = _bessel_asym_mask(nu, z)
     series = ~np.all(use_asym, axis=0)
     if not np.any(series):
-        out = _log_bessel_asym(rows, cols)
-    else:
-        every = np.all(series)
-        s_cols, mixed = ((cols, use_asym) if every
-                         else (cols[:, series], use_asym[:, series]))
-        out = _log_bessel_series(rows, s_cols)
-        if np.any(mixed):
-            out[mixed] = _log_bessel_asym(
-                *(np.broadcast_to(x, mixed.shape)[mixed]
-                  for x in (rows, s_cols)))
-        if not every:
-            part, out = out, np.empty(use_asym.shape, dtype=complex)
-            out[:, series] = part
-            out[:, ~series] = _log_bessel_asym(rows, cols[:, ~series])
-    # rows x columns -> nu's axes interleaved with z's
-    d = max(nu.ndim, z.ndim)
-    padded = [(1,) * (d - x.ndim) + x.shape for x in (nu, z)]
-    out = out.reshape(padded[0] + padded[1])
-    out = out.transpose(np.arange(2 * d).reshape(2, d).T.ravel())
-    return out.reshape(np.broadcast_shapes(nu.shape, z.shape))
+        return _log_bessel_asym(nu, z)
+    every = np.all(series)
+    s_cols, mixed = (z, use_asym) if every else (z[series],
+                                                 use_asym[:, series])
+    out = _log_bessel_series(nu, s_cols)
+    if np.any(mixed):
+        out[mixed] = _log_bessel_asym(
+            *(np.broadcast_to(x, mixed.shape)[mixed] for x in (nu, s_cols)))
+    if every:
+        return out
+    part, out = out, np.empty(use_asym.shape, dtype=complex)
+    out[:, series] = part
+    out[:, ~series] = _log_bessel_asym(nu, z[~series])
+    return out
 
 
 def log_bessel_i(nu, z):
-    """``log I_nu(z)`` for scalar complex arguments (branch only fixed by exp)."""
-    return complex(
-        _log_bessel_i_vec(np.array([complex(nu)]), np.array([complex(z)]))[0]
-    )
+    """``log I_nu(z)`` for scalar complex arguments (branch only fixed by
+    exp), a 1 x 1 table; Re z >= 0 and z != 0."""
+    return complex(_log_bessel_i_vec(complex(nu), complex(z))[0])
 
 
 def bessel_i(nu, z, scaled=False):
@@ -817,11 +756,13 @@ def bessel_i(nu, z, scaled=False):
 
     Args:
         nu: complex order.  Principal branch is used for ``z**nu``.
-        z: complex argument; must be nonzero when ``Re(nu) < 0``.
+        z: complex argument with Re(z) >= 0; z = 0 is taken in closed
+            form and needs Re(nu) > 0 or nu = 0.
         scaled: if True, return ``exp(-Re(z)) * I_nu(z)`` (overflow-safe form
             for the Bessel ratios in the conditional characteristic function).
 
     Raises:
+        SpecfunDomainError: Re(z) < 0, or z = 0 with Re(nu) <= 0, nu != 0.
         OverflowSignalError: if the (scaled) value overflows.
         SeriesNonConvergenceError: if the power series hits the term cap.
     """
@@ -854,56 +795,28 @@ def _check_b_pole(b):
         raise SpecfunDomainError(f"kummer_m parameter pole at b={b}")
 
 
-def _log_kummer_taylor(a, b, z):
-    """log M(a,b,z) by the Taylor series, the shared table with
-    den = b - 1 and num = a.
+def _log_kummer_taylor(a, b, x):
+    """log M(a, b, x) by the Taylor series for parameters ``a``, ``b`` as
+    (n, 1) rows x arguments ``x``, real or complex, as (m,) columns: the
+    shared table with den = b - 1 and num = a, summed by
+    ``_log_series_outer``.
 
-    Returns (log M, digits-lost proxy).  The proxy is log of the ratio of
-    the partial sums' magnitude to |M|; large values mean the series
-    cancelled catastrophically (happens for Re(z) << 0, which callers
-    avoid via the Kummer transformation).  Two layouts:
-
-    * rows x columns: a and b on the leading axes with a size-1 last axis
-      (ndim >= 2), against two or more real (float-dtype) z along the
-      last axis -- the omega x v grid of the joint characteristic
-      function.  M = C @ P by the matrix route shared with the Bessel
-      series (``_log_series_outer``); the proxy is log((|C| @ |P|) / |M|),
-      the sum of |terms|.  Bands group the columns by |z|,
-      ``_SERIES_BAND_WIDTH / rho`` wide, where rho = 1 + max|a - b| /
-      min_k |b + k| bounds |a + k| / |b + k| and hence, since
-      (k+1)|t_{k+1}(x)| = |t_k(x)| |a + k| / |b + k|, the slope
-      d/dx log sum_k |t_k(x)| (M itself grows like e^x x^(a-b), so the
-      slope can exceed 1).
-    * any other layout, including a single argument (``kummer_m``,
-      ``joint_cf_h``, the omega grid at one variance), where no powers
-      are shared: paired elements, each summing its own table
-      (``_log_series_paired``); the proxy is the peak partial sum.
+    Returns (log M, lost) as (n, m) arrays.  ``lost`` is the digits-lost
+    proxy log((|C| @ |P|) / |M|), the sum of |terms| over |M|; large values
+    mean the series cancelled catastrophically (Re x << 0, which callers
+    avoid via the Kummer transformation), +inf where it cancelled to
+    exactly 0.  Bands group the columns by |x|, ``_SERIES_BAND_WIDTH /
+    rho`` wide, where rho = 1 + max|a - b| / min_k |b + k| bounds
+    |a + k| / |b + k| and hence, since (k+1)|t_{k+1}(x)| = |t_k(x)|
+    |a + k| / |b + k|, the slope d/d|x| log sum_k |t_k(x)| (M itself grows
+    like e^x x^(a-b), so the slope can exceed 1).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    z = np.asarray(z)
-    rows = np.broadcast_shapes(a.shape, b.shape)
-    if (z.dtype.kind == "f" and len(rows) >= 2 and rows[-1] == 1
-            and z.ndim >= 1 and 1 < z.size == z.shape[-1]):
-        return _kummer_outer(a, b, z)
-    a, b, z = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b),
-                                  np.atleast_1d(z))
-    logm, lost = _log_series_paired(b.reshape(-1) - 1.0, z.reshape(-1),
-                                    num=a.reshape(-1))
-    return logm.reshape(z.shape), lost.reshape(z.shape)
-
-
-def _kummer_outer(a, b, x):
-    """The outer-layout route of ``_log_kummer_taylor``."""
-    a, b = np.broadcast_arrays(a, b)
-    out_shape = np.broadcast_shapes(a.shape, x.shape)
-    a, b, x = a.reshape(-1), b.reshape(-1), x.reshape(-1)
+    a, b = a[:, 0], b[:, 0]
     nearest = np.abs(b + np.maximum(np.round(-b.real), 0.0))
     with np.errstate(divide="ignore"):
         rho = 1.0 + float(np.max(np.abs(a - b) / nearest))
-    logm, lost = _log_series_outer(b - 1.0, x, np.abs(x),
-                                   _SERIES_BAND_WIDTH / rho, num=a)
-    return logm.reshape(out_shape), lost.reshape(out_shape)
+    return _log_series_outer(b - 1.0, x, np.abs(x), _SERIES_BAND_WIDTH / rho,
+                             num=a)
 
 
 def _log_kummer_asym_sum(a, b, x):
@@ -974,11 +887,12 @@ def kummer_m(a, b, z, transform="auto"):
 
     The result is accurate to KUMMER_REL_TOL relative.  The series'
     roundoff stays below 20 eps e^lost, with ``lost`` the digits-lost proxy
-    of ``_log_kummer_taylor`` in nats, here the peak partial sum (measured
+    of ``_log_kummer_taylor`` in nats, log(sum of |terms| / |M|) (measured
     against mpmath on 9000 random points with Re a in [0.5, 6],
     Re b in [0.6, 5], |Re z| <= 6, |Im a|, |Im z| <= 4, |Im b| <= 2: at
-    most 9.8 eps e^lost); where that bound passes KUMMER_REL_TOL, the
-    function raises instead of returning.
+    most 8.2 eps e^lost; 428 of the points raise); where that bound passes
+    KUMMER_REL_TOL, or the sum cancels to exactly 0, the function raises
+    instead of returning.
 
     Raises:
         SpecfunDomainError: ``b`` at a non-positive integer.
@@ -995,16 +909,15 @@ def kummer_m(a, b, z, transform="auto"):
     shift = 0.0 + 0.0j
     if transform == "always" or (transform == "auto" and z.real < 0.0):
         a, z, shift = b - a, -z, z
-    logm, lost = _log_kummer_taylor(
-        np.array([a]), np.array([b]), np.array([z])
-    )
-    if float(lost[0]) > _KUMMER_MAX_LOST:
+    logm, lost = _log_kummer_taylor(np.array([[a]]), np.array([[b]]),
+                                    np.array([z]))
+    if lost[0, 0] > _KUMMER_MAX_LOST:
         raise PrecisionLossError(
-            f"kummer_m({a}, {b}, {z}) lost {float(lost[0]):.1f} nats to "
+            f"kummer_m({a}, {b}, {z}) lost {lost[0, 0]:.1f} nats to "
             f"cancellation in the raw series, beyond its {KUMMER_REL_TOL:g} "
             f"accuracy; use the Kummer transformation"
         )
-    val = logm[0] + shift
+    val = logm[0, 0] + shift
     if val.real > 709.0:
         raise OverflowSignalError(f"kummer_m overflow at (a={a}, b={b}, z={z})")
     return complex(np.exp(val))

@@ -28,7 +28,6 @@ the exponent c.  The two are kept in separate named variables everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -335,41 +334,36 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     h = e^{a dt} [Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x),
     x = 1/(C v), at = -1/2 - kt/eps^2 + c, bt = 1 + 2c.
 
-    Three regimes, chosen per element:
+    The parameters at, bt depend on (omega, eta) only and x on the
+    variances and dates only, so ``specfun._rows_by_columns`` takes them
+    as parameter rows x variance columns: the timer's (omega, eta) grid
+    at one variance is one column, the tower's omega against its (v, v')
+    grid one row per omega.  (omega, eta) and v varying along one axis
+    raise SpecfunDomainError.  Three regimes:
 
-    * at = 0 exactly: M(0, bt, -x) = 1, the Gamma ratio is 1 and x^0 = 1,
-      so log h = a dt.  With eta = 0 this is omega = -i, where h is
-      E[S_{t'}/S_t | v] = e^{(r - q)(t' - t)} by the martingale property
-      (``model.validate``: b0 = 1/2 + (kappa - rho eps)/eps^2 >= 0, so
-      c = sqrt(b0^2) = b0 and at comes out exactly 0.0, unless rounding
-      leaves b0 a hair below 0 at the admissibility boundary), and
-      omega = 0, where h = 1;
+    * at = 0 exactly, on whole rows: M(0, bt, -x) = 1, the Gamma ratio is
+      1 and x^0 = 1, so log h = a dt.  With eta = 0 this is omega = -i,
+      where h is E[S_{t'}/S_t | v] = e^{(r - q)(t' - t)} by the martingale
+      property (``model.validate``: b0 = 1/2 + (kappa - rho eps)/eps^2 >=
+      0, so c = sqrt(b0^2) = b0 and at comes out exactly 0.0, unless
+      rounding leaves b0 a hair below 0 at the admissibility boundary),
+      and omega = 0, where h = 1;
     * large x (beyond KUMMER_ASYM_MIN_X and beyond
-      KUMMER_ASYM_ORDER_FACTOR x max(|at|, |at - bt + 1|)^2 + 50): the
-      algebraic asymptotic branch, in which the Gamma ratio and the power
-      cancel analytically, leaving log h = a dt + log(asymptotic sum);
+      KUMMER_ASYM_ORDER_FACTOR x max(|at|, |at - bt + 1|)^2 + 50), per
+      element: the algebraic asymptotic branch, in which the Gamma ratio
+      and the power cancel analytically, leaving log h = a dt + log
+      (asymptotic sum);
     * otherwise the Kummer transformation plus the Taylor series
-      (positive argument, no cancellation).  A Taylor element that lost
-      more than 10 digits (log ratio > 23) raises.
-
-    The parameters depend on (omega, eta) only and x on v only.  When the
-    broadcast splits into parameter rows x two or more variance columns
-    (a single parameter point, or parameters with a size-1 last axis
-    against v varying only along the last axis), they are kept that way:
-    the at = 0 regime takes whole rows, the Gamma ratio is taken per row,
-    x^{at} as the outer product of at and log x, and the Taylor series is
-    summed by the matrix route of ``specfun._log_kummer_taylor`` for every
-    other row of each column that some row takes Taylor in; the mask then
-    picks per element, and the digits check applies to the
-    Taylor-selected elements only.  Any other layout, a single variance
-    included, is materialized as paired elements, and only its Taylor
-    elements are summed (each by its own coefficient table).
+      (positive argument, no cancellation), summed by the matrix route of
+      ``specfun._log_kummer_taylor`` for every other row of each column
+      that some row takes Taylor in; the mask then picks per element.  A
+      Taylor-selected element that lost more than 10 digits (log ratio
+      > 23) raises.
 
     ``t`` and ``t_prime`` may be arrays that broadcast into the shape of
-    ``v``, one date pair per variance (see ``_log_g_vec``); x then still
-    varies along the variance axes only, so the layouts above are
-    unchanged.  Scalar dates allow t' = t (h = 1); array dates need
-    t' - t >= SMALL_DT_DELTA.
+    ``v``, one date pair per variance (see ``_log_g_vec``); x and dt then
+    vary along the variance axes only.  Scalar dates allow t' = t (h = 1);
+    array dates need t' - t >= SMALL_DT_DELTA.
     """
     omega = np.asarray(omega, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -389,45 +383,31 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
 
     kt = _kappa_tilde(omega, params)
     c = _c_exponent(omega, eta, params)
-    a = _drift_a_vec(omega, eta, params)
     alpha_t = -0.5 - kt / params.eps2 + c
-    beta_t = 1.0 + 2.0 * c
-    x = 1.0 / (C * v)
+    out = specfun._rows_by_columns(_log_kummer_rows, (alpha_t, 1.0 + 2.0 * c),
+                                   (1.0 / (C * v),))
+    out += _drift_a_vec(omega, eta, params) * dt
+    return out
 
-    p_shape = np.broadcast_shapes(alpha_t.shape, np.shape(a))
-    shape = np.broadcast_shapes(p_shape, x.shape, (1,))
-    outer = x.size > 1 and (math.prod(p_shape) == 1 or (
-        p_shape[-1:] == (1,) and x.size == x.shape[-1]))
-    # per-element dates follow x into its layout
-    if outer:
-        at, bt, a = (np.broadcast_to(p, p_shape).reshape(-1, 1)
-                     for p in (alpha_t, beta_t, a))
-        if np.ndim(dt):
-            dt = np.broadcast_to(dt, x.shape).reshape(-1)
-        x = x.reshape(-1)
-    else:
-        at, bt, a, x = (np.broadcast_to(p, shape).reshape(-1)
-                        for p in (alpha_t, beta_t, a, x))
-        if np.ndim(dt):
-            dt = np.broadcast_to(dt, shape).reshape(-1)
-    live = at.reshape(-1) != 0.0
+
+def _log_kummer_rows(at, bt, x):
+    """``_log_kummer_factor`` on rows ``at``, ``bt`` of shape (n, 1)
+    against columns ``x`` of shape (m,), with 0 on the rows where at = 0
+    (where log h = a dt exactly)."""
+    live = at[:, 0] != 0.0
     if np.all(live):
-        out = _log_kummer_factor(at, bt, x)
-    else:
-        # rows (outer) or elements (paired) with at = 0 keep log h = a dt
-        out = np.zeros(np.broadcast_shapes(at.shape, x.shape), dtype=complex)
-        if np.any(live):
-            out[live] = _log_kummer_factor(at[live], bt[live],
-                                           x if outer else x[live])
-    out += a * dt
-    return out.reshape(shape)
+        return _log_kummer_factor(at, bt, x)
+    out = np.zeros((live.size, x.size), dtype=complex)
+    if np.any(live):
+        out[live] = _log_kummer_factor(at[live], bt[live], x)
+    return out
 
 
 def _log_kummer_factor(at, bt, x):
     """log([Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x)), the part of
     log h after a dt, for parameter rows ``at``, ``bt`` of shape (n, 1)
-    against columns ``x`` of shape (m,), or for paired 1-D elements; the
-    asymptotic and Taylor regimes of ``_log_h_vec``."""
+    against columns ``x`` of shape (m,); the asymptotic and Taylor
+    regimes of ``_log_h_vec``."""
     mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
     asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
                           specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
@@ -435,16 +415,10 @@ def _log_kummer_factor(at, bt, x):
     if np.any(asym):
         out[asym] = specfun._log_kummer_asym_sum(
             *(np.broadcast_to(p, asym.shape)[asym] for p in (at, bt, x)))
-
-    if at.ndim == 2:
-        cols = ~np.all(asym, axis=0)
-        part = (slice(None), cols)
-    else:
-        cols = part = ~asym
-        at, bt = at[cols], bt[cols]
+    cols = ~np.all(asym, axis=0)
     if np.any(cols):
         xt = x[cols]
-        taylor = ~asym[part]
+        taylor = ~asym[:, cols]
         logm, lost = specfun._log_kummer_taylor(bt - at, bt, xt)
         if np.any(lost[taylor] > 23.0):
             raise ThreeHalvesError(
@@ -458,7 +432,7 @@ def _log_kummer_factor(at, bt, x):
             - xt
             + logm
         )
-        out[part] = np.where(taylor, log_taylor, out[part])
+        out[:, cols] = np.where(taylor, log_taylor, out[:, cols])
     return out
 
 

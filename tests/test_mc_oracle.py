@@ -2,14 +2,19 @@
 reconstruction, and pathwise pricing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from three_halves import mc_oracle
 from three_halves.errors import InvalidParametersError
 from three_halves.mc_oracle import (
     MCPriceResult,
     SimulationConfig,
+    _floating_leg,
+    _mean_se,
+    _timer_payoff,
     mc_price,
     sample_variance_transition,
     simulate_paths,
@@ -226,3 +231,59 @@ class TestMCPrice:
                                        seed=61))
         ratio = r1.std_error / r2.std_error
         assert ratio == pytest.approx(math.sqrt(2.0), rel=0.2)
+
+
+class TestStreamedPricing:
+    """``mc_price`` prices each chunk of paths as it is simulated and keeps
+    only the per-path payoffs.  Small chunks (CHUNK_PATHS patched down)
+    give several chunks at a test's path counts."""
+
+    def test_estimates_equal_the_stacked_ensemble(self, snp_params,
+                                                  jump_params, monkeypatch):
+        monkeypatch.setattr(mc_oracle, "CHUNK_PATHS", 256)
+        # three chunks, the last one partial
+        cfg = SimulationConfig(n_paths=700, steps_per_year=64, seed=71)
+        for params in (snp_params, jump_params):
+            swap = MomentSwapSpec(maturity=0.5, n_periods=6, m=2,
+                                  weight_kind="price_ratio", lag=1)
+            ens = simulate_paths(0.5, swap.schedule_times(), params, cfg)
+            got = mc_price(swap, params, cfg)
+            assert (got.estimate, got.std_error) == _mean_se(
+                _floating_leg(swap, ens, params))
+
+            timer = TimerOptionSpec(strike=100.0, mandatory_maturity=0.5,
+                                    n_monitoring=6, variance_budget=0.03)
+            ens = simulate_paths(0.5, timer.schedule(), params, cfg)
+            got = mc_price(timer, params, cfg)
+            assert (got.estimate, got.std_error) == _mean_se(
+                _timer_payoff(timer, ens, params, ens.i))
+            assert (got.extras["discrete_estimate"],
+                    got.extras["discrete_std_error"]) == _mean_se(
+                _timer_payoff(timer, ens, params, ens.i_discrete))
+
+            ens = simulate_paths(0.5, [0.5], params, cfg)
+            s_t = np.exp(ens.x[:, -1])
+            disc = math.exp(-params.r * 0.5)
+            for is_call, payoff in ((True, np.maximum(s_t - 95.0, 0.0)),
+                                    (False, np.maximum(95.0 - s_t, 0.0))):
+                got = mc_price(EuropeanSpec(strike=95.0, maturity=0.5,
+                                            is_call=is_call), params, cfg)
+                assert (got.estimate, got.std_error) == _mean_se(
+                    disc * payoff)
+
+    def test_daily_swap_memory_flat_in_paths(self, snp_params, monkeypatch):
+        # a 252-date swap: the peak traced memory at two chunks of paths
+        # stays within 1.5x the peak at one
+        monkeypatch.setattr(mc_oracle, "CHUNK_PATHS", 1024)
+        spec = MomentSwapSpec(maturity=1.0, n_periods=252, m=2)
+        peaks = []
+        for chunks in (1, 2):
+            cfg = SimulationConfig(n_paths=chunks * mc_oracle.CHUNK_PATHS,
+                                   steps_per_year=252, seed=73)
+            tracemalloc.start()
+            try:
+                mc_price(spec, snp_params, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -162,12 +162,6 @@ class TestBesselRegimes:
                 ) * mp.e ** (-complex(z).real)
                 assert rel_err(got, complex(want)) < 1e-9, (nu, z)
 
-    def test_negative_real_part_reflection(self):
-        for z in (-4.0 + 1.0j, -12.0 - 3.0j):
-            got = specfun.bessel_i(1.2 + 0.4j, z)
-            want = mp.besseli(mp.mpc(1.2, 0.4), mp.mpc(complex(z).real, complex(z).imag))
-            assert rel_err(got, complex(want)) < 1e-9
-
 
 def log_err(got, want):
     """|got - want| for logs, with the imaginary part taken modulo 2 pi."""
@@ -220,49 +214,52 @@ def running_kummer_taylor(a, b, z):
     running product per element, t_{k+1} = t_k (a + k) z / ((b + k)(k + 1)),
     rescaled as in ``running_bessel_series``, with checkpoints every 4
     terms up to k = 40 and every term after.  ``lost`` is the digits-lost
-    proxy log(peak partial sum / |M|), the partial sums measured as
-    |Re| + |Im| after every term."""
+    proxy log(sum of |terms| / |M|)."""
     a, b, z = (np.ascontiguousarray(x, dtype=complex)
                for x in np.broadcast_arrays(a, b, z))
     term = np.ones(z.shape, dtype=complex)
     total = np.ones(z.shape, dtype=complex)
+    abs_total = np.ones(z.shape)
     scale = np.zeros(z.shape)
-    peak_log = np.zeros(z.shape)
     small_prev = np.zeros(z.shape, dtype=bool)
     for k in range(specfun.SERIES_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        sm = specfun._mag(total)
-        peak_log = np.maximum(peak_log, np.log(np.maximum(sm, 1e-300)) + scale)
+        abs_total += np.abs(term)
         if k % 4 == 3 or k > 40:
             tm = specfun._mag(term)
-            small = tm <= specfun.SERIES_STOP_REL * sm
+            small = tm <= specfun.SERIES_STOP_REL * specfun._mag(total)
             if np.all(small & small_prev):
                 break
             small_prev = small
-            big = np.maximum(sm, tm) > specfun._RESCALE_LIMIT
+            big = abs_total > specfun._RESCALE_LIMIT
             term[big] *= specfun._RESCALE_SHIFT
             total[big] *= specfun._RESCALE_SHIFT
+            abs_total[big] *= specfun._RESCALE_SHIFT
             scale[big] += specfun._RESCALE_LOG
     else:
         raise SeriesNonConvergenceError("oracle series did not converge")
     logm = np.log(total) + scale
-    return logm, peak_log - logm.real
+    return logm, np.log(abs_total) + scale - logm.real
 
 
-def outer_and_paired(nu, z):
-    """The series on orders x arguments (rows x columns), on the same
-    inputs materialized element by element (paired) and by the running
-    product oracle."""
-    outer = specfun._log_bessel_series(nu, z)
-    nu_b, z_b = (np.ascontiguousarray(a) for a in np.broadcast_arrays(nu, z))
-    paired = specfun._log_bessel_series(nu_b.ravel(), z_b.ravel())
-    return outer, paired.reshape(nu_b.shape), running_bessel_series(nu, z)
+def bessel_point(nu, z):
+    """The series at one (nu, z), a 1 x 1 table."""
+    return specfun._log_bessel_series(np.array([[nu]]), np.array([z]))[0, 0]
+
+
+def table_points_oracle(nu, z):
+    """The series on orders x arguments in their layout (one table), at
+    every element as a 1 x 1 table, and by the running-product oracle."""
+    table = specfun._rows_by_columns(specfun._log_bessel_series, (nu,), (z,))
+    points = np.vectorize(bessel_point, otypes=[complex])(nu, z)
+    return table, points, running_bessel_series(nu, z)
 
 
 class TestBesselSeriesOuter:
-    """The matrix-product route of the series against the paired route on
-    the same inputs, the running-product oracle and mpmath."""
+    """The matrix-product route of the series on orders x arguments against
+    1 x 1 tables of the same inputs, the running-product oracle and
+    mpmath."""
 
     def test_timer_grid_orders(self, timer_params):
         # Orders 2c(omega, eta) on a subsample of the omega rule's first
@@ -284,11 +281,11 @@ class TestBesselSeriesOuter:
         eta = 1j * s[:, ::3, None]
         nu = 2.0 * tr._c_exponent(omega[:, None, None], eta, p)
         z = z.astype(complex)
-        outer, paired, oracle = outer_and_paired(nu, z)
+        outer, points, oracle = table_points_oracle(nu, z)
         assert outer.shape == eta.shape[:2] + (nodes.size,)
-        assert np.max(np.abs(outer - paired)) <= 1e-13
+        assert np.max(np.abs(outer - points)) <= 1e-13
         assert np.max(np.abs(outer - oracle)) <= 1e-13
-        assert np.max(np.abs(paired - oracle)) <= 1e-13
+        assert np.max(np.abs(points - oracle)) <= 1e-13
         rng = np.random.default_rng(5)
         for _ in range(12):
             i, j, k = (rng.integers(n) for n in outer.shape)
@@ -301,32 +298,32 @@ class TestBesselSeriesOuter:
         nu = np.array([60.0, 60.0 + 5.0j])[:, None]
         z = np.array([1.0, 50.0, 600.0, 1400.0], dtype=complex)[None, :]
         assert np.ptp(np.abs(z)) > 2 * specfun._SERIES_BAND_WIDTH
-        outer, paired, oracle = outer_and_paired(nu, z)
+        outer, points, oracle = table_points_oracle(nu, z)
         for i in range(nu.shape[0]):
             for j in range(z.shape[1]):
                 want = mp_log_bessel_i(nu[i, 0], z[0, j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                for got in (outer, paired, oracle):
+                for got in (outer, points, oracle):
                     assert log_err(got[i, j], want) <= tol, (i, j)
-                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+                assert log_err(outer[i, j], points[i, j]) <= tol, (i, j)
 
     def test_order_imaginary_part_dominates(self):
         nu = np.array([0.5 + 200.0j, 3.0 - 500.0j, 1000.0j])[:, None]
         z = np.array([0.1, 2.0, 10.0, 30.0], dtype=complex)[None, :]
-        outer, paired, oracle = outer_and_paired(nu, z)
+        outer, points, oracle = table_points_oracle(nu, z)
         for i in range(nu.shape[0]):
             for j in range(z.shape[1]):
                 want = mp_log_bessel_i(nu[i, 0], z[0, j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                for got in (outer, paired, oracle):
+                for got in (outer, points, oracle):
                     assert log_err(got[i, j], want) <= tol, (i, j)
-                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+                assert log_err(outer[i, j], points[i, j]) <= tol, (i, j)
 
     def test_element_rule_rejects_a_short_table(self, monkeypatch):
         # Every element's last two terms are checked after the product: a
         # table cut after 4 terms must be rejected and rebuilt longer.
         nu = np.array([1.5, 2.0 + 1.0j, 7.0 - 3.0j])[:, None]
-        z = np.array([1.0, 4.0, 9.0 + 2.0j], dtype=complex)[None, :]
+        z = np.array([1.0, 4.0, 9.0 + 2.0j], dtype=complex)
         want = specfun._log_bessel_series(nu, z)
         calls = []
         table = specfun._series_table
@@ -344,13 +341,13 @@ class TestBesselSeriesOuter:
     def test_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         nu = np.array([1.5, 2.0 + 1.0j])[:, None]
-        z = np.array([1.0, 4.0], dtype=complex)[None, :]
+        z = np.array([1.0, 4.0], dtype=complex)
         with pytest.raises(SeriesNonConvergenceError):
             specfun._log_bessel_series(nu, z)
 
     def test_negative_integer_order_raises(self):
         nu = np.array([1.5, -3.0])[:, None].astype(complex)
-        z = np.array([1.0, 4.0], dtype=complex)[None, :]
+        z = np.array([1.0, 4.0], dtype=complex)
         with pytest.raises(SpecfunDomainError):
             specfun._log_bessel_series(nu, z)
         with pytest.raises(SpecfunDomainError):
@@ -373,8 +370,8 @@ def series_layouts(monkeypatch):
 class TestBesselTable:
     """Orders and arguments on disjoint axes in mixed regimes: the orders as
     rows x the arguments as columns, the series by the matrix route, against
-    the same inputs materialized element by element.  Each layout has
-    columns whose regime differs across rows."""
+    every element as a 1 x 1 table.  Each layout has columns whose regime
+    differs across rows."""
 
     def table_and_elements(self, monkeypatch, nu, z):
         nu, z = nu.astype(complex), z.astype(complex)
@@ -383,15 +380,20 @@ class TestBesselTable:
         assert np.any(np.any(use_asym, axis=0) & ~np.all(use_asym, axis=0))
         shapes = series_layouts(monkeypatch)
         table = specfun._log_bessel_i_vec(nu, z)
-        # one series call, on orders (n, 1) x arguments (1, k)
+        # one series call, on orders (n, 1) x arguments (k,)
         [(rows, cols)] = shapes
-        assert rows == (nu.size, 1) and len(cols) == 2 and cols[0] == 1
-        elements = specfun._log_bessel_i_vec(
-            *(np.ascontiguousarray(x) for x in np.broadcast_arrays(nu, z)))
-        assert len(shapes) == 2 and len(shapes[1][0]) == 1
-        assert table.shape == elements.shape
+        assert rows == (nu.size, 1) and len(cols) == 1
+        assert table.shape == np.broadcast_shapes(nu.shape, z.shape)
+        # up to 1500 elements, each of both regimes
+        nu_b, z_b = (x.ravel() for x in np.broadcast_arrays(nu, z))
+        pick = np.random.default_rng(9).permutation(nu_b.size)[:1500]
+        assert 0 < np.count_nonzero(
+            specfun._bessel_asym_mask(nu_b[pick], z_b[pick])) < pick.size
+        elements = np.vectorize(specfun.log_bessel_i, otypes=[complex])(
+            nu_b[pick], z_b[pick])
+        assert all(shape == ((1, 1), (1,)) for shape in shapes[1:])
         assert np.max([log_err(a, b) for a, b in
-                       zip(table.ravel(), elements.ravel())]) <= 1e-13
+                       zip(table.ravel()[pick], elements)]) <= 1e-13
         return table
 
     def test_timer_orders_at_an_n12_date(self, monkeypatch, timer_params):
@@ -468,7 +470,7 @@ class TestBesselTable:
         nu = 2.0 * tr._c_exponent(-1j + phis[:, None, None, None], 0.0, p)
         shapes = series_layouts(monkeypatch)
         got = specfun._log_bessel_i_vec(nu, z)
-        assert shapes == [((phis.size, 1), (1, z.size))]
+        assert shapes == [((phis.size, 1), (z.size,))]
         assert got.shape == (phis.size, 1) + z.shape
         oracle = running_bessel_series(nu, z)
         assert np.max(np.abs(got - oracle)) <= 1e-13
@@ -481,20 +483,33 @@ class TestBesselTable:
         assert table.shape == (4, 4)
 
     @pytest.mark.parametrize("edge", [0.0, -3.0 + 1.0j])
-    def test_zero_or_left_argument_takes_the_general_path(self, monkeypatch,
-                                                          edge):
+    def test_zero_or_left_argument_raises(self, monkeypatch, edge):
+        # z = 0 and Re z < 0 are outside the kernel: a typed error naming
+        # the cause, before any series is summed
         nu = np.array([0.5, 1.0, 14.0])[:, None].astype(complex)
         z = np.array([edge, 2.0, 35.0, 80.0], dtype=complex)[None, :]
         shapes = series_layouts(monkeypatch)
-        got = specfun._log_bessel_i_vec(nu, z)
-        assert shapes and all(len(s) == 1 for shape in shapes for s in shape)
-        for i in range(nu.shape[0]):
-            for j in range(z.shape[1]):
-                want = specfun.log_bessel_i(nu[i, 0], z[0, j])
-                if np.isinf(want.real):
-                    assert got[i, j].real == want.real
-                else:
-                    assert log_err(got[i, j], want) <= 1e-13, (i, j)
+        cause = "z != 0" if edge == 0.0 else "Re z >= 0"
+        with pytest.raises(SpecfunDomainError, match=cause):
+            specfun._log_bessel_i_vec(nu, z)
+        with pytest.raises(SpecfunDomainError, match=cause):
+            specfun.log_bessel_i(0.5, edge)
+        assert shapes == []
+        if edge:
+            with pytest.raises(SpecfunDomainError, match=cause):
+                specfun.bessel_i(1.2 + 0.4j, edge)
+
+    def test_shared_axis_raises(self):
+        # orders and arguments varying along one axis have no rows x
+        # columns layout
+        nu = np.array([0.5, 1.0, 14.0])
+        z = np.array([2.0, 35.0, 80.0])
+        with pytest.raises(SpecfunDomainError, match="vary along one axis"):
+            specfun._log_bessel_i_vec(nu, z)
+        with pytest.raises(SpecfunDomainError, match="vary along one axis"):
+            specfun._log_bessel_i_vec(nu[:, None], z[None, :, None])
+        # a size-1 axis is shared by nobody
+        assert specfun._log_bessel_i_vec(nu[:1], z).shape == (3,)
 
     def test_negative_integer_order_raises(self):
         nu = np.array([1.5, -3.0, 14.0])[:, None].astype(complex)
@@ -617,40 +632,59 @@ def mp_log_hyp1f1(a, b, x):
                                     mp.mpc(b.real, b.imag), mp.mpf(x))))
 
 
-def kummer_outer_and_paired(a, b, x):
-    """Kummer's Taylor series on parameters x real arguments (matrix route),
-    on the same inputs materialized as complex pairs (paired route) and by
-    the running-product oracle, each as (log M, lost)."""
-    outer = specfun._log_kummer_taylor(a, b, x)
-    a_b, b_b, x_b = (np.ascontiguousarray(v)
-                     for v in np.broadcast_arrays(a, b, x.astype(complex)))
-    return (outer, specfun._log_kummer_taylor(a_b, b_b, x_b),
-            running_kummer_taylor(a_b, b_b, x_b))
+def kummer_point(a, b, x):
+    """Kummer's Taylor series at one (a, b, x), a 1 x 1 table:
+    (log M, lost)."""
+    logm, lost = specfun._log_kummer_taylor(np.array([[a]]), np.array([[b]]),
+                                            np.array([x]))
+    return logm[0, 0], lost[0, 0]
+
+
+def kummer_table_points_oracle(a, b, x):
+    """Kummer's Taylor series on parameter rows x argument columns (one
+    table), at every element as a 1 x 1 table, and by the running-product
+    oracle, each as (log M, lost)."""
+    points = np.vectorize(kummer_point, otypes=[complex, float])(a, b, x)
+    return (specfun._log_kummer_taylor(a, b, x), points,
+            running_kummer_taylor(a, b, x))
 
 
 def max_log_err(got, want):
     return max(log_err(g, w) for g, w in zip(np.ravel(got), np.ravel(want)))
 
 
+def recorded_tables(monkeypatch):
+    """Record (s, whether a column needed a log scale) per
+    ``_series_table`` call."""
+    tables = []
+    table = specfun._series_table
+
+    def spy(den, s, min_terms, num=None):
+        coef, row_scale = table(den, s, min_terms, num)
+        tables.append((s, bool(np.any(row_scale))))
+        return coef, row_scale
+
+    monkeypatch.setattr(specfun, "_series_table", spy)
+    return tables
+
+
 class TestKummerTaylorOuter:
-    """The matrix-product route of Kummer's Taylor series against the
-    paired route on the same inputs, the running-product oracle and
-    mpmath."""
+    """The matrix-product route of Kummer's Taylor series on parameters x
+    arguments against 1 x 1 tables of the same inputs, the running-product
+    oracle and mpmath."""
 
     def test_corridor_grid(self, snp_params):
         a, b, x = corridor_kummer_grid(snp_params)
         assert x.min() < 1e-4 and x.max() > 400.0
-        (outer, lost), (paired, lost_paired), (oracle, lost_oracle) = \
-            kummer_outer_and_paired(a, b, x)
+        (outer, lost), (points, lost_points), (oracle, lost_oracle) = \
+            kummer_table_points_oracle(a, b, x)
         assert outer.shape == (a.shape[0], x.size)
-        assert max_log_err(outer, paired) <= 1e-13
+        assert max_log_err(outer, points) <= 1e-13
         assert max_log_err(outer, oracle) <= 1e-13
-        assert max_log_err(paired, oracle) <= 1e-13
-        # both paired routes take the peak partial sum, as |Re| + |Im|
-        assert np.max(np.abs(lost_paired - lost_oracle)) <= 1e-12
-        # sum |terms| >= |peak partial sum|; the paired route measures the
-        # partial sums as |Re| + |Im|, up to sqrt(2) above their modulus.
-        assert np.all(lost >= lost_paired - 0.5 * math.log(2.0) - 1e-12)
+        assert max_log_err(points, oracle) <= 1e-13
+        # every route reads the sum of |terms| over |M|
+        assert np.max(np.abs(lost - lost_points)) <= 1e-12
+        assert np.max(np.abs(lost - lost_oracle)) <= 1e-12
         rng = np.random.default_rng(7)
         for _ in range(12):
             i, j = (rng.integers(n) for n in outer.shape)
@@ -663,62 +697,74 @@ class TestKummerTaylorOuter:
         a = np.array([1.3 + 0.3j, 4.0 - 2.0j])[:, None]
         b = np.array([3.1, 2.0 + 1.0j])[:, None]
         x = np.array([1e-3, 1.0, 50.0, 600.0, 1400.0])
-        scales = []
-        table = specfun._series_table
-
-        def spy(den, s, min_terms, num=None):
-            coef, row_scale = table(den, s, min_terms, num)
-            if np.ndim(s) == 0:  # the outer route's tables only
-                scales.append((s, bool(np.any(row_scale))))
-            return coef, row_scale
-
-        monkeypatch.setattr(specfun, "_series_table", spy)
-        (outer, _), (paired, _), (oracle, _) = kummer_outer_and_paired(a, b,
-                                                                       x)
-        assert (1400.0, True) in scales
-        assert len({s for s, _ in scales}) >= 3
+        tables = recorded_tables(monkeypatch)
+        outer, _ = specfun._log_kummer_taylor(a, b, x)
+        assert (1400.0, True) in tables
+        assert len({s for s, _ in tables}) >= 3
+        (_, _), (points, _), (oracle, _) = kummer_table_points_oracle(a, b, x)
         for i in range(a.shape[0]):
             for j in range(x.size):
                 want = mp_log_hyp1f1(a[i, 0], b[i, 0], x[j])
                 tol = 1e-13 + 2e-15 * abs(want)
-                for got in (outer, paired, oracle):
+                for got in (outer, points, oracle):
                     assert log_err(got[i, j], want) <= tol, (i, j)
-                assert log_err(outer[i, j], paired[i, j]) <= tol, (i, j)
+                assert log_err(outer[i, j], points[i, j]) <= tol, (i, j)
 
-    def test_single_argument_takes_the_paired_table(self, snp_params,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_single_argument_is_one_column(self, snp_params, monkeypatch,
+                                           dtype):
+        # one variance (the European CF, the timer's h): every parameter
+        # row against one column, the table built at s = that argument
         a, b, x = corridor_kummer_grid(snp_params)
-        one = x[-1:]
-        shapes = []
-        table = specfun._series_table
-
-        def spy(den, s, min_terms, num=None):
-            shapes.append(np.shape(s))
-            return table(den, s, min_terms, num)
-
-        monkeypatch.setattr(specfun, "_series_table", spy)
+        one = x[-1:].astype(dtype)
+        tables = recorded_tables(monkeypatch)
         logm, lost = specfun._log_kummer_taylor(a, b, one)
-        assert shapes and all(shape == (a.size,) for shape in shapes)
-        want, want_lost = specfun._log_kummer_taylor(
-            a, b, one.astype(complex))
-        assert np.array_equal(logm, want) and np.array_equal(lost, want_lost)
+        assert logm.shape == lost.shape == (a.size, 1)
+        assert tables and all(s == abs(one[0]) for s, _ in tables)
         oracle, oracle_lost = running_kummer_taylor(a, b, one)
         assert max_log_err(logm, oracle) <= 1e-13
         assert np.max(np.abs(lost - oracle_lost)) <= 1e-12
 
     def test_lost_digits_measured(self):
         # Negative real arguments cancel: the raw series loses ~15 digits at
-        # x = -80 on both routes (kummer_m raises PrecisionLossError there).
+        # x = -80 on every route (kummer_m raises PrecisionLossError there).
         a = np.array([0.8, 0.8 + 0.5j])[:, None]
         b = np.array([2.3, 2.3])[:, None]
         x = np.array([-80.0, -1.0])
-        (_, lost), (_, lost_paired), (_, lost_oracle) = \
-            kummer_outer_and_paired(a, b, x)
-        assert np.all(lost[:, 0] > 23.0) and np.all(lost_paired[:, 0] > 23.0)
+        (_, lost), (_, lost_points), (_, lost_oracle) = \
+            kummer_table_points_oracle(a, b, x)
+        for got in (lost, lost_points, lost_oracle):
+            assert np.all(got[:, 0] > 23.0)
         assert np.all(lost[:, 1] < 2.0)
-        # at x = -80 |M| itself is lost, so the readings agree only there
-        assert np.all(lost_oracle[:, 0] > 23.0)
-        assert np.max(np.abs(lost_paired[:, 1] - lost_oracle[:, 1])) <= 1e-12
+        # at x = -80 |M| itself is lost, so the readings agree only at -1
+        assert np.max(np.abs(lost[:, 1] - lost_oracle[:, 1])) <= 1e-12
+        assert np.max(np.abs(lost_points[:, 1] - lost_oracle[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("x", [2.0, 2.0 + 0.0j])
+    def test_sum_cancelled_to_zero(self, x):
+        # M(-1, 2, x) = 1 - x/2: at x = 2 the terms 1 and -1 are exact and
+        # cancel to exactly 0, so log M = -inf and lost = +inf, with no
+        # warning (RuntimeWarnings are errors in this suite)
+        logm, lost = kummer_point(-1.0, 2.0, x)
+        assert logm.real == -np.inf and lost == np.inf
+        with pytest.raises(PrecisionLossError, match="lost inf nats"):
+            specfun.kummer_m(-1.0, 2.0, x, transform="never")
+
+    def test_zero_sum_keeps_its_table(self, monkeypatch):
+        # a sum of exactly 0 has no relative accuracy to reach, so its
+        # table is not grown for it, though its last terms are as big as
+        # the first: 1 - 1 + 1 - 1
+        calls = []
+
+        def ones(den, s, min_terms, num=None):
+            assert not calls, "the table was grown"
+            calls.append(min_terms)
+            return np.ones((4, den.size), dtype=complex), np.zeros(den.size)
+
+        monkeypatch.setattr(specfun, "_series_table", ones)
+        logm, lost = kummer_point(0.5, 1.5, -1.0)
+        assert calls == [0]
+        assert logm.real == -np.inf and lost == np.inf
 
     def test_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
@@ -735,34 +781,19 @@ class TestKummerTaylorOuter:
 
 
 class TestPairedTable:
-    """The paired layout, each element summing its own coefficient table
-    (``_series_table`` with one q per column), against the running-product
-    oracle and mpmath."""
-
-    @staticmethod
-    def scaled_tables(monkeypatch):
-        """Record, per paired ``_series_table`` call, whether a column
-        needed a log scale."""
-        scaled = []
-        table = specfun._series_table
-
-        def spy(den, s, min_terms, num=None):
-            coef, row_scale = table(den, s, min_terms, num)
-            if np.ndim(s):
-                scaled.append(bool(np.any(row_scale)))
-            return coef, row_scale
-
-        monkeypatch.setattr(specfun, "_series_table", spy)
-        return scaled
+    """Paired inputs (parameter_i, argument_i) beyond the production grids,
+    each summed as a 1 x 1 table, against the running-product oracle and
+    mpmath: complex Bessel arguments, negative and complex Kummer
+    arguments, terms past 1e250, b-poles and term caps."""
 
     def test_bessel_complex_arguments(self, monkeypatch):
         nu = np.array([0.5, 1.6 + 0.7j, 6.0 - 3.0j, 12.0 + 20.0j,
                        0.3 + 150.0j])
         z = np.array([2.0 + 3.0j, 15.0 - 8.0j, 0.4 + 0.1j, 25.0 + 12.0j,
                       9.0 - 4.0j])
-        scaled = self.scaled_tables(monkeypatch)
-        got = specfun._log_bessel_series(nu, z)
-        assert scaled
+        tables = recorded_tables(monkeypatch)
+        got = np.vectorize(bessel_point, otypes=[complex])(nu, z)
+        assert len(tables) == nu.size
         oracle = running_bessel_series(nu, z)
         for i in range(nu.size):
             want = mp_log_bessel_i(nu[i], z[i])
@@ -771,28 +802,13 @@ class TestPairedTable:
             assert log_err(oracle[i], want) <= tol, i
             assert log_err(got[i], oracle[i]) <= tol, i
 
-    def test_bessel_reflected_and_zero_arguments(self, monkeypatch):
-        nu = np.array([0.5, 1.2 + 0.4j, 2.0, 0.0, 2.5, 3.0 - 1.0j])
-        z = np.array([-4.0 + 1.0j, -12.0 - 3.0j, -0.5, 0.0, 0.0, 1.0 + 2.0j])
-        shapes = series_layouts(monkeypatch)
-        got = specfun._log_bessel_i_vec(nu, z)
-        assert shapes and all(len(s) == 1 for shape in shapes for s in shape)
-        assert got[3] == 0.0 and got[4].real == -np.inf
-        for i in (0, 1, 2, 5):
-            want = mp_log_bessel_i(nu[i], z[i])
-            assert log_err(got[i], want) <= 1e-13 + 2e-15 * abs(want), i
-            # I_nu(z) = e^{+-i pi nu} I_nu(-z) for Re z < 0
-            sign = 0.0 if z[i].real >= 0 else (1.0 if z[i].imag >= 0 else -1.0)
-            oracle = running_bessel_series(nu[i], -z[i] if sign else z[i])
-            assert log_err(got[i], oracle[0] + sign * 1j * np.pi * nu[i]) \
-                <= 1e-13 + 2e-15 * abs(want), i
-
     def test_kummer_negative_and_complex_arguments(self):
         a = np.array([0.8, 0.8 + 0.5j, 1.3 - 2.0j, 4.0 + 1.0j, 2.0, 0.5])
         b = np.array([2.3, 1.7 - 0.4j, 3.1 + 1.0j, 0.6 + 0.2j, 5.0, 1.5])
         x = np.array([-5.0, -3.0 + 2.0j, 4.0 - 6.0j, -2.0 - 1.0j, 10.0j,
                       -12.0])
-        logm, lost = specfun._log_kummer_taylor(a, b, x)
+        logm, lost = np.vectorize(kummer_point, otypes=[complex, float])(
+            a, b, x)
         oracle, oracle_lost = running_kummer_taylor(a, b, x)
         assert np.max(lost) > 5.0  # some of these cancel
         for i in range(x.size):
@@ -806,23 +822,23 @@ class TestPairedTable:
             assert abs(lost[i] - oracle_lost[i]) <= 1e-12 + tol, i
 
     def test_terms_past_1e250_take_a_log_scale(self, monkeypatch):
-        scaled = self.scaled_tables(monkeypatch)
+        tables = recorded_tables(monkeypatch)
         nu = np.array([60.0, 60.0 + 5.0j, 20.0, 1.5])
         z = np.array([1400.0, 1000.0 + 50.0j, 1400.0, 2.0])
-        got = specfun._log_bessel_series(nu, z.astype(complex))
-        assert scaled == [True]
+        got = np.vectorize(bessel_point, otypes=[complex])(nu, z)
+        assert [scaled for _, scaled in tables] == [True, True, True, False]
         oracle = running_bessel_series(nu, z)
         for i in range(nu.size):
             want = mp_log_bessel_i(nu[i], z[i])
             tol = 1e-13 + 2e-15 * abs(want)
             assert log_err(got[i], want) <= tol, i
             assert log_err(got[i], oracle[i]) <= tol, i
-        scaled.clear()
+        tables.clear()
         a = np.array([1.3 + 0.3j, 4.0 - 2.0j, 0.5])
         b = np.array([3.1, 2.0 + 1.0j, 1.5])
         x = np.array([1400.0, 900.0, 1.0])
-        logm, _ = specfun._log_kummer_taylor(a, b, x)
-        assert scaled == [True]
+        logm, _ = np.vectorize(kummer_point, otypes=[complex, float])(a, b, x)
+        assert [scaled for _, scaled in tables] == [True, True, False]
         oracle, _ = running_kummer_taylor(a, b, x)
         for i in range(x.size):
             want = mp_log_hyp1f1(a[i], b[i], x[i])
@@ -831,16 +847,16 @@ class TestPairedTable:
             assert log_err(logm[i], oracle[i]) <= tol, i
 
     def test_b_pole_and_term_cap(self, monkeypatch):
-        a = np.array([1.5, 1.5], dtype=complex)
+        a = np.array([1.5, 1.5], dtype=complex)[:, None]
         with pytest.raises(SpecfunDomainError):
-            specfun._log_kummer_taylor(a, np.array([2.5, -3.0]),
-                                       np.array([1.0, 4.0]))
+            specfun._log_kummer_taylor(a, np.array([2.5, -3.0])[:, None],
+                                       np.array([1.0]))
         monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 5)
         with pytest.raises(SeriesNonConvergenceError):
-            specfun._log_kummer_taylor(a, np.array([2.5, 3.0]),
-                                       np.array([1.0, 4.0]))
+            specfun._log_kummer_taylor(a, np.array([2.5, 3.0])[:, None],
+                                       np.array([1.0]))
         with pytest.raises(SeriesNonConvergenceError):
-            specfun._log_bessel_series(a, np.array([1.0, 4.0 + 1.0j]))
+            specfun._log_bessel_series(a, np.array([4.0 + 1.0j]))
 
 
 class TestKummerM:
@@ -913,6 +929,8 @@ class TestKummerM:
 # The raw series cancels 16.1 nats here; it used to return a value 3.5e-9
 # off mpmath.
 @example(6.0, 2.0, 0.609375, 0.0, -5.0, 2.0)
+# A subnormal argument: the table is built at s = 1, not at s = |z|.
+@example(1.0, 0.0, 1.0, 0.0, 0.0, 2.225073858507e-311)
 def test_kummer_transform_property(ar, ai, br, bi, zr, zi):
     """Kummer transformation holds on random complex triples (rel 1e-9)
     wherever the raw series keeps its accuracy; elsewhere it raises."""

@@ -7,13 +7,15 @@ vs the probabilistic factorization) and the marginalization identity
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from three_halves import specfun
-from three_halves.errors import DeltaRegimeError, ThreeHalvesError
+from three_halves.errors import (DeltaRegimeError, SpecfunDomainError,
+                                 ThreeHalvesError)
 from three_halves.model import (JumpParams, ModelParams, _drift_a_vec,
                                 coef_C, validate)
 from three_halves.quadrature import QuadratureConfig, integrate_semi_infinite
@@ -225,9 +227,24 @@ def corridor_h_grid(params):
     return omega, v, asym
 
 
+def mp_log_h(t, v, t_prime, omega, eta, params):
+    """log h by mpmath: a dt + log(Gamma(bt - at)/Gamma(bt) x^at
+    M(at, bt, -x)), with the coefficients of ``_log_h_vec``."""
+    C = coef_C(params.theta, params.epsilon, t, t_prime)
+    c = complex(tr._c_exponent(omega, eta, params))
+    at = mp.mpc(complex(-0.5 - tr._kappa_tilde(omega, params) / params.eps2
+                        + c))
+    bt = mp.mpc(1.0 + 2.0 * c)
+    x = 1.0 / (C * mp.mpf(v))
+    a_dt = complex(_drift_a_vec(omega, eta, params)) * (t_prime - t)
+    with mp.workdps(30):
+        return a_dt + complex(mp.log(mp.gamma(bt - at) / mp.gamma(bt)
+                                     * x ** at * mp.hyp1f1(at, bt, -x)))
+
+
 class TestLogHLayouts:
-    """h on omega rows x variance columns (the pricers' layout) against the
-    same inputs materialized as paired elements."""
+    """h on parameter rows x variance columns (the one layout) against
+    the same inputs one row or one point at a time, and mpmath."""
 
     def test_rows_by_columns_equal_paired(self, snp_params):
         omega, v, asym = corridor_h_grid(snp_params)
@@ -235,15 +252,60 @@ class TestLogHLayouts:
         assert np.count_nonzero(mixed) >= 3
         outer = tr._log_h_vec(0.5, v[None, :], 1.0, omega[:, None], 0.0,
                               snp_params)
-        om_b, v_b = np.broadcast_arrays(omega[:, None], v[None, :])
-        paired = tr._log_h_vec(0.5, v_b.ravel(), 1.0, om_b.ravel(), 0.0,
-                               snp_params).reshape(outer.shape)
-        err = log_err(outer, paired)
-        assert np.max(err[asym]) == 0.0  # same asymptotic sums
-        assert np.max(err) <= 1e-13
-        # One parameter point against many variances takes the same route.
-        row = tr._log_h_vec(0.5, v, 1.0, omega[3], 0.0, snp_params)
-        assert np.max(log_err(row, outer[3])) <= 1e-13
+        # one omega against every variance, row by row
+        rows = np.array([tr._log_h_vec(0.5, v, 1.0, om, 0.0, snp_params)
+                         for om in omega])
+        assert np.max(log_err(outer, rows)) <= 1e-13
+        # (omega, v) pairs, each a 1 x 1 table, on every mixed column
+        for i, j in zip(*np.nonzero(np.broadcast_to(mixed, asym.shape))):
+            one = tr._log_h_vec(0.5, v[j], 1.0, omega[i], 0.0, snp_params)
+            assert one.shape == (1,)
+            assert log_err(one[0], outer[i, j]) <= 1e-13, (i, j)
+
+    def test_shared_axis_raises(self, snp_params):
+        omega, v, _ = corridor_h_grid(snp_params)
+        with pytest.raises(SpecfunDomainError, match="vary along one axis"):
+            tr._log_h_vec(0.5, v[:5], 1.0, omega[:5], 0.0, snp_params)
+
+    def test_tower_layout_with_per_node_dates(self, snp_params):
+        # the tower's h after t_k: omega (w, 1, 1) at generic points
+        # against an inner (rows, n) variance grid, here with one date pair
+        # per node, reaching both Kummer branches
+        p = snp_params
+        omega = np.array([0.3 - 1j, 2.0 - 0.5j, -15.0 + 0.2j])[:, None, None]
+        v = np.geomspace(1e-3, 2.0, 12).reshape(3, 4)
+        t = np.linspace(0.1, 0.6, 12).reshape(3, 4)
+        t_prime = t + np.geomspace(1.0 / 252.0, 0.5, 12).reshape(3, 4)
+        got = tr._log_h_vec(t, v, t_prime, omega, 0.0, p)
+        assert got.shape == (3, 3, 4)
+        x = 1.0 / (np.vectorize(lambda a, b: coef_C(p.theta, p.epsilon, a,
+                                                    b))(t, t_prime) * v)
+        assert x.min() < specfun.KUMMER_ASYM_MIN_X < x.max()
+        for i in range(omega.shape[0]):
+            for r, n in np.ndindex(v.shape):
+                one = tr._log_h_vec(t[r, n], v[r, n], t_prime[r, n],
+                                    omega[i, 0, 0], 0.0, p)
+                assert log_err(one[0], got[i, r, n]) <= 1e-13, (i, r, n)
+        for i, r, n in ((0, 0, 0), (1, 1, 2), (2, 2, 3), (2, 0, 1)):
+            want = mp_log_h(t[r, n], v[r, n], t_prime[r, n],
+                            omega[i, 0, 0], 0.0, p)
+            assert log_err(got[i, r, n], want) <= 1e-11, (i, r, n)
+
+    def test_timer_single_variance_grid(self, timer_params):
+        # the timer's h(0, V0; t', omega, eta): an (omega, eta) grid at
+        # one variance, one column of the table
+        p = timer_params
+        omega = np.linspace(-40.0, 40.0, 7)[:, None] - 0.5j
+        eta = np.array([0.5, 3.0 + 2.0j, -1.0 + 10.0j, 40.0j])[None, :]
+        eta = eta + 0.1 * omega.real
+        got = tr._log_h_vec(0.0, p.v0, 0.25, omega, eta, p)
+        assert got.shape == (7, 4)
+        for i, j in np.ndindex(got.shape):
+            one = tr._log_h_vec(0.0, p.v0, 0.25, omega[i, 0], eta[i, j], p)
+            assert log_err(one[0], got[i, j]) <= 1e-13, (i, j)
+        for i, j in ((0, 0), (3, 1), (5, 2), (6, 3)):
+            want = mp_log_h(0.0, p.v0, 0.25, omega[i, 0], eta[i, j], p)
+            assert log_err(got[i, j], want) <= 1e-11, (i, j)
 
     def test_digits_check_skips_asymptotic_elements(self, snp_params,
                                                     monkeypatch):
@@ -389,20 +451,19 @@ class TestMartingaleRegime:
         c = tr._c_exponent(-1j, 0.0, params)
         assert -0.5 - tr._kappa_tilde(-1j, params) / params.eps2 + c == 0.0
         a = _drift_a_vec(-1j, 0.0, params)
-        n = self.V.size
-        # outer: one parameter point (and one row) against the variances
-        for omega in (-1j, np.array([[-1j]])):
-            got = tr._log_h_vec(0.25, self.V, 1.0, omega, 0.0, params)
-            assert np.array_equal(got, np.broadcast_to(a * 0.75, got.shape))
-        # paired elements
-        got = tr._log_h_vec(0.25, self.V, 1.0, np.full(n, -1j), 0.0, params)
-        assert np.array_equal(got, np.full(n, a * 0.75))
-        # per-node dates, outer and paired
+        # one parameter point (and one row), or three rows, against the
+        # variances, or against one variance
+        for omega in (-1j, np.array([[-1j]]), np.full((3, 1), -1j)):
+            for v in (self.V, self.V[0]):
+                got = tr._log_h_vec(0.25, v, 1.0, omega, 0.0, params)
+                assert np.array_equal(got,
+                                      np.broadcast_to(a * 0.75, got.shape))
+        # per-node dates, one row or three
         want = a * (self.T_TO - self.T_FROM)
-        for omega in (-1j, np.full(n, -1j)):
+        for omega in (-1j, np.full((3, 1), -1j)):
             got = tr._log_h_vec(self.T_FROM, self.V, self.T_TO, omega, 0.0,
                                 params)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.broadcast_to(want, got.shape))
 
     @pytest.mark.parametrize("fixture", ["snp_params", "timer_params",
                                          "jump_params"])

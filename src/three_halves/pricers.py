@@ -66,11 +66,12 @@ together (``_weighted_moment``): on the routes with the weight at t_{k-1}
 or t_k, every period's v grid is stacked on one node axis whose nodes carry
 their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
 h are each one kernel call per block of periods.  A block holds as many
-periods as keep omega x phi x nodes within _MOMENT_BLOCK_ELEMENTS, which
-bounds the kernels' memory.  The terminal-price weight's tower route
-(t_i > t_k) pairs some 16k (v, v') nodes per period and stays one period at
-a time; each g call takes every phi node against a chunk of the outer v
-rows, within the same element count.
+periods as keep the largest table its route builds within
+_MOMENT_BLOCK_ELEMENTS, which bounds the kernels' memory.  The
+terminal-price weight's tower route (t_i > t_k) pairs some 16k (v, v')
+nodes per period and stays one period at a time; each g call takes every
+phi node against a chunk of the outer v rows, within the same element
+count.
 """
 
 from __future__ import annotations
@@ -570,13 +571,15 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
 MOMENT_NODES = 8
 MOMENT_RADIUS = 0.25
 
-# Largest omega x phi x v-node count of one batched kernel call of the moment
-# swaps (see _weighted_moment; the tower route chunks its outer rows by it
-# too), sized by measurement (2 vCPUs, median of three runs, tracemalloc
-# heap peaks): the six strip benchmark swaps other than the terminal-price
-# one take 0.52 / 0.26 / 0.27 s at 2^11 / 2^14 / 2^17 elements, at heap
-# peaks of 0.8 / 2.3 / 11.1 MB, and the terminal-price swap peaks at
-# 1.2 / 2.8 / 6.8 MB; 2^14 is as fast as 2^17 at under 3 MB.
+# Largest table one batched kernel call of the moment swaps builds, per
+# route (see _weighted_moment): omega x nodes for g1 and phi x nodes for
+# h with the weight at t_{k-1}, omega x phi x nodes with it at t_k, and
+# omega x phi x outer rows x inner nodes on the tower route.  Sized by
+# measurement (2 vCPUs, median of three runs, tracemalloc heap peaks): the
+# six strip benchmark swaps other than the terminal-price one take
+# 0.52 / 0.26 / 0.27 s at 2^11 / 2^14 / 2^17 elements, at heap peaks of
+# 0.8 / 2.3 / 11.1 MB, and the terminal-price swap peaks at 1.2 / 2.8 /
+# 6.8 MB; 2^14 is as fast as 2^17 at under 3 MB.
 _MOMENT_BLOCK_ELEMENTS = 2**14
 
 
@@ -728,13 +731,18 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     ``_transition_grid`` as for a lone period) on one node axis, each node
     carrying its own dates, and takes g1 and h for a block of periods in
     one kernel call each, with the Cauchy nodes phi on a leading axis.  A
-    block holds as many consecutive periods as keep omega x phi x nodes
-    within _MOMENT_BLOCK_ELEMENTS (at least one period; phi is split where
-    one period alone passes it), which bounds the memory of the Kummer and
-    Bessel tensors.  The second route sums each period's nodes
-    (``np.add.reduceat``) before the Cauchy rule and the periods after it,
-    so the rule's gap check stays per period, as it does on D(v) in the
-    first route.
+    block holds as many consecutive periods as keep the largest table its
+    route builds within _MOMENT_BLOCK_ELEMENTS (at least one period),
+    which bounds the memory of the Kummer and Bessel tensors.  The first
+    route never builds an omega x phi table: g1 is omega x nodes and h is
+    phi x nodes, so its blocks are sized by max(omega, phi) per node (the
+    lag-1 corridor's twelve periods then share a few kernel calls, where
+    omega x phi per node gave each its own).  The second route builds
+    h(omega + phi) on omega x phi x nodes, so its blocks are sized by that
+    product, and phi is split where one period alone passes the cap.  It
+    sums each period's nodes (``np.add.reduceat``) before the Cauchy rule
+    and the periods after it, so the rule's gap check stays per period, as
+    it does on D(v) in the first route.
 
     The tower route stays one period at a time: each period pairs some 16k
     (v, v') nodes per omega and phi, so stacking periods would only
@@ -763,8 +771,9 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                  for a, b in spans)
         phi_evals = (MOMENT_NODES // 2 if weight_at_start or real_weight
                      else MOMENT_NODES)
-        for v, w, t_km1, t_k, starts in _blocks(grids,
-                                                omega.size * phi_evals):
+        per_node = (max(omega.size, phi_evals) if weight_at_start
+                    else omega.size * phi_evals)
+        for v, w, t_km1, t_k, starts in _blocks(grids, per_node):
             wv = _g1_weights(params, v, w, t_km1, omega)
             if weight_at_start:
                 d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(

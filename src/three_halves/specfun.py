@@ -69,9 +69,9 @@ SERIES_STOP_REL = 1e-16
 BESSEL_ASYMPTOTIC_MIN_Z = 30.0
 BESSEL_ASYMPTOTIC_ORDER_FACTOR = 2.5
 
-# Kummer asymptotic switch for the large negative-real-argument branch.
+# Kummer asymptotic switch for the large negative-real-argument branch
+# (see ``_kummer_asym_mask``).
 KUMMER_ASYM_MIN_X = 60.0
-KUMMER_ASYM_ORDER_FACTOR = 3.0
 
 # Growth of log(sum of |terms|) allowed across one argument band of the
 # series: a band spans 300 in |z| for the Bessel series and
@@ -642,6 +642,29 @@ def _bessel_asym_mask(nu, z):
         & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * abs_z)
         & (z.real >= 0.35 * abs_z)
     )
+
+
+def _kummer_asym_mask(at, bt, x):
+    """Where the joint CF's Kummer factor Gamma(bt - at)/Gamma(bt) x^at
+    M(at, bt, -x) takes the algebraic asymptotic branch
+    (``_log_kummer_asym_sum``), per element of the broadcast: x beyond
+    KUMMER_ASYM_MIN_X and beyond mx^2 + 50, mx = max(|at|, |at - bt + 1|).
+
+    The gate is where the branch provably converges.  Its term ratio is
+    |at + s| |at - bt + 1 + s| / ((s + 1) x) <= (mx + s)^2 / ((s + 1) x),
+    so with x >= max(60, mx^2 + 50) the smallest of the first 60 terms is
+    at most 10^-17.8 of the first for every mx (the worst case is
+    mx = 3.3): the branch's 60-term loop always reaches full precision.
+    Against mpmath's log of the whole factor (which keeps the e^{-x}
+    companion the branch drops, below e^{-73} of it there), on the
+    corridor swaps' elements that x > 3 mx^2 + 50 used to send to the
+    Taylor series (200 of 3,097, x/mx^2 from 1.1 to 17): the branch is
+    within 7.2e-16 and the Taylor series off by up to 1.2e-13.  Taylor
+    tables grow like x + 9 sqrt(x) terms, so the gate also keeps them
+    short: the corridor's largest Taylor x falls from 1,076 to 395.
+    """
+    mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
+    return x > np.maximum(KUMMER_ASYM_MIN_X, mx * mx + 50.0)
 
 
 def _rows_by_columns(fn, params, args):

@@ -348,11 +348,15 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
       0, so c = sqrt(b0^2) = b0 and at comes out exactly 0.0, unless
       rounding leaves b0 a hair below 0 at the admissibility boundary),
       and omega = 0, where h = 1;
-    * large x (beyond KUMMER_ASYM_MIN_X and beyond
-      KUMMER_ASYM_ORDER_FACTOR x max(|at|, |at - bt + 1|)^2 + 50), per
-      element: the algebraic asymptotic branch, in which the Gamma ratio
-      and the power cancel analytically, leaving log h = a dt + log
-      (asymptotic sum);
+    * large x, per element (``specfun._kummer_asym_mask``: x beyond
+      KUMMER_ASYM_MIN_X and beyond mx^2 + 50, mx = max(|at|,
+      |at - bt + 1|)): the algebraic asymptotic branch, in which the Gamma
+      ratio and the power cancel analytically, leaving log h = a dt + log
+      (asymptotic sum).  Its term ratio is at most (mx + s)^2 /
+      ((s + 1) x), so its 60-term loop provably falls below 10^-17.8 of
+      the first term; against mpmath it is within 7.2e-16 where the
+      Taylor series it replaces is off by up to 1.2e-13, and it keeps the
+      Taylor tables, which grow like x + 9 sqrt(x) terms, short;
     * otherwise the Kummer transformation plus the Taylor series
       (positive argument, no cancellation), summed by the matrix route of
       ``specfun._log_kummer_taylor`` for every other row of each column
@@ -408,9 +412,7 @@ def _log_kummer_factor(at, bt, x):
     log h after a dt, for parameter rows ``at``, ``bt`` of shape (n, 1)
     against columns ``x`` of shape (m,); the asymptotic and Taylor
     regimes of ``_log_h_vec``."""
-    mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
-    asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
-                          specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
+    asym = specfun._kummer_asym_mask(at, bt, x)
     out = np.empty(asym.shape, dtype=complex)
     if np.any(asym):
         out[asym] = specfun._log_kummer_asym_sum(

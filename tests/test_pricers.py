@@ -285,15 +285,17 @@ class TestSwapPeriodBlocks:
     The kernels round differently in the last bit when a block holds other
     periods (Kummer's coefficient tables are sized by the block's largest
     argument), and the Cauchy rule multiplies that by m! / r^m per period:
-    on these swaps the skew moves by 4.9e-13 (4.1e-11 relative), the
-    price-ratio lag-0 swap by 2.0e-14 and the others by at most 1e-15.  The
-    bound is 1e-13 relative plus that roundoff floor, N eps m! / r^m.
+    on these swaps the skew moves by 4.3e-13 (3.6e-11 relative), the
+    price-ratio lag-0 swap by 3.2e-14 and the others by at most 7e-16 (the
+    lag-1 corridor by 6.9e-17).  The bound is 1e-13 relative plus that
+    roundoff floor, N eps m! / r^m.
     """
 
     @pytest.mark.parametrize("fields", [
         (12, 2, "constant", 0), (12, 3, "constant", 0),
         (12, 2, "price_ratio", 0), (12, 2, "price_ratio", 1),
-        (2, 2, "corridor", 0, 80.0, 120.0)],
+        (2, 2, "corridor", 0, 80.0, 120.0),
+        (12, 2, "corridor", 1, 80.0, 120.0)],
         ids=lambda f: "-".join(map(str, f[:4])))
     def test_one_period_per_block(self, snp_params, swap_price, monkeypatch,
                                   fields):
@@ -304,6 +306,54 @@ class TestSwapPeriodBlocks:
         floor = (spec.n_periods * np.finfo(float).eps
                  * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
         assert abs(alone - batched) <= 1e-13 * abs(batched) + floor
+
+    @pytest.mark.parametrize("fields", [
+        (12, 2, "corridor", 1, 80.0, 120.0), (252, 2, "constant", 0)],
+        ids=lambda f: "-".join(map(str, f[:4])))
+    def test_weight_at_start_tables_within_the_cap(self, snp_params,
+                                                    swap_price, monkeypatch,
+                                                    fields):
+        # With the weight at t_{k-1} g1 is omega x nodes and h is phi x
+        # nodes: a block of several periods keeps each within
+        # _MOMENT_BLOCK_ELEMENTS.  On the lag-1 corridor omega x phi x
+        # nodes passes it, where sizing blocks by that product gave each
+        # period its own; the constant swap's one omega must not let h's
+        # phi x nodes pass it.
+        spec = MomentSwapSpec(1.0, *fields)
+        blocks, current = [], {}
+        make_blocks = pricers._blocks
+
+        def spy_blocks(grids, per_node):
+            for block in make_blocks(grids, per_node):
+                current["tables"] = {"periods": block[-1].size}
+                blocks.append(current["tables"])
+                yield block
+                current.pop("tables")  # the next period grids are built
+
+        def spy(name, fn):
+            def kernel(*args):
+                out = fn(*args)
+                if "tables" in current:
+                    current["tables"].setdefault(name, []).append(out.shape)
+                return out
+            monkeypatch.setattr(pricers.tr, name, kernel)
+
+        monkeypatch.setattr(pricers, "_blocks", spy_blocks)
+        for name in ("_log_g_vec", "_log_h_vec"):
+            spy(name, getattr(pricers.tr, name))
+        price = fair_strike_weighted(spec, snp_params, QuadratureConfig())
+        assert price == swap_price(spec)
+        cap = pricers._MOMENT_BLOCK_ELEMENTS
+        stacked_past_product = False
+        for b in blocks:
+            shapes = b.get("_log_g_vec", []) + b.get("_log_h_vec", [])
+            if b["periods"] > 1:
+                assert max(math.prod(s) for s in shapes) <= cap, b
+            for (rows, _), (phis, nodes) in zip(b.get("_log_g_vec", []),
+                                                b["_log_h_vec"]):
+                stacked_past_product |= (b["periods"] > 1
+                                         and rows * phis * nodes > cap)
+        assert stacked_past_product == (spec.weight_kind == "corridor")
 
     def test_tower_one_outer_row_per_call(self, snp_params, swap_price,
                                           monkeypatch):

@@ -18,6 +18,7 @@ from three_halves.errors import (
 from three_halves.model import coef_A, coef_C
 from three_halves.quadrature import (
     FIRST_BATCH,
+    OMEGA_LIMIT,
     QuadratureConfig,
     _panels,
     log_density_grid,
@@ -620,10 +621,9 @@ def corridor_kummer_grid(params):
     bt = 1.0 + 2.0 * c
     nodes, _ = pricers._transition_grid(params, 0.0, 0.5, params.v0, cfg)
     x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, 1.0) * nodes[0])
-    mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
-    reach = max(specfun.KUMMER_ASYM_MIN_X,
-                np.max(specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0))
-    return (bt - at)[:, None], bt[:, None], x[x <= reach]
+    taylor = ~np.all(specfun._kummer_asym_mask(at[:, None], bt[:, None], x),
+                     axis=0)
+    return (bt - at)[:, None], bt[:, None], x[taylor]
 
 
 def mp_log_hyp1f1(a, b, x):
@@ -675,7 +675,10 @@ class TestKummerTaylorOuter:
 
     def test_corridor_grid(self, snp_params):
         a, b, x = corridor_kummer_grid(snp_params)
-        assert x.min() < 1e-4 and x.max() > 400.0
+        # the columns the gate sends to Taylor reach past KUMMER_ASYM_MIN_X
+        # to about 190 (mx^2 + 50 of the largest row is 207);
+        # test_terms_past_1e250_split_the_bands covers x = 600 and 1400
+        assert x.min() < 1e-4 and x.max() > 150.0
         (outer, lost), (points, lost_points), (oracle, lost_oracle) = \
             kummer_table_points_oracle(a, b, x)
         assert outer.shape == (a.shape[0], x.size)
@@ -915,6 +918,72 @@ class TestKummerM:
                          + specfun._log_kummer_asym_sum(a, b, xs))[0]
             want = mp.hyp1f1(mp.mpc(0.9, 0.4), mp.mpc(2.6, 0.8), mp.mpf(-x))
             assert rel_err(got, complex(want)) < 1e-10, x
+
+
+def mp_log_kummer_factor(a, b, x):
+    """log(Gamma(b - a)/Gamma(b) x^a M(a, b, -x)) by mpmath, the imaginary
+    part reduced to (-pi, pi] before rounding (it can reach thousands)."""
+    a, b = (mp.mpc(complex(p).real, complex(p).imag) for p in (a, b))
+    x = mp.mpf(float(x))
+    w = (mp.loggamma(b - a) - mp.loggamma(b) + a * mp.log(x)
+         + mp.log(mp.hyp1f1(a, b, -x)))
+    im = w.imag - 2 * mp.pi * mp.floor((w.imag + mp.pi) / (2 * mp.pi))
+    return complex(w.real, im)
+
+
+class TestKummerAsymGate:
+    """The joint CF's Kummer factor takes the algebraic asymptotic branch
+    where x > max(KUMMER_ASYM_MIN_X, mx^2 + 50), mx = max(|at|,
+    |at - bt + 1|): there its 60-term loop provably reaches full
+    precision."""
+
+    def test_worst_case_bound(self):
+        # The term ratio is at most (mx + s)^2 / ((s + 1) x), and falls as
+        # x grows; at the smallest x the gate admits, the smallest of the
+        # first 60 running products of that bound is below 1e-17 for
+        # every mx.
+        mx = np.concatenate([np.linspace(0.0, 10.0, 1001),
+                             np.geomspace(10.0, 1e4, 300)])
+        at, bt = mx, np.ones_like(mx)  # mx = max(|at|, |at - bt + 1|)
+        edge = np.maximum(specfun.KUMMER_ASYM_MIN_X, mx * mx + 50.0)
+        assert not np.any(specfun._kummer_asym_mask(at, bt, edge))
+        assert np.all(specfun._kummer_asym_mask(at, bt,
+                                                np.nextafter(edge, np.inf)))
+        s = np.arange(60.0)[:, None]
+        with np.errstate(divide="ignore"):
+            log_terms = np.cumsum(2.0 * np.log(mx + s)
+                                  - np.log((s + 1.0) * edge), axis=0)
+        assert np.max(np.min(log_terms, axis=0)) <= math.log(1e-17)
+
+    def test_admitted_band_against_mpmath(self, snp_params):
+        # (at, bt) on the corridor contour omega_R - 0.5i out to
+        # OMEGA_LIMIT, and at the Cauchy offsets omega + r e^{i theta} of
+        # its moments; x on the band [mx^2 + 50, 3 mx^2 + 50] (x >= 60)
+        # that the Taylor series used to take
+        theta = 2.0 * math.pi * (np.arange(pricers.MOMENT_NODES) + 0.5) \
+            / pricers.MOMENT_NODES
+        offsets = np.append(0.0, pricers.MOMENT_RADIUS * np.exp(1j * theta))
+        omega = ((np.linspace(0.0, OMEGA_LIMIT, 21) - 0.5j)[:, None]
+                 + offsets).ravel()
+        c = tr._c_exponent(omega, 0.0, snp_params)
+        at = -0.5 - tr._kappa_tilde(omega, snp_params) / snp_params.eps2 + c
+        bt = 1.0 + 2.0 * c
+        mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
+        lo = np.maximum(specfun.KUMMER_ASYM_MIN_X, mx * mx + 50.0)
+        hi = 3.0 * mx * mx + 50.0
+        keep = hi > lo  # the band is empty only at omega_R = 0
+        assert np.count_nonzero(keep) == omega.size - offsets.size
+        at, bt, lo, hi = at[keep], bt[keep], lo[keep], hi[keep]
+        x = np.nextafter(lo[:, None] * (hi / lo)[:, None]
+                         ** np.linspace(0.0, 1.0, 16), np.inf)
+        at, bt = (np.broadcast_to(p[:, None], x.shape) for p in (at, bt))
+        assert np.all(specfun._kummer_asym_mask(at, bt, x))
+        got = specfun._log_kummer_asym_sum(at.ravel(), bt.ravel(),
+                                           x.ravel())
+        rng = np.random.default_rng(11)
+        for k in rng.choice(got.size, 60, replace=False):
+            want = mp_log_kummer_factor(at.flat[k], bt.flat[k], x.flat[k])
+            assert log_err(got[k], want) <= 1e-13, (at.flat[k], x.flat[k])
 
 
 @settings(max_examples=60, deadline=None)

@@ -220,10 +220,8 @@ def corridor_h_grid(params):
     v = nodes[0]
     c = tr._c_exponent(omega, 0.0, params)
     at = -0.5 - tr._kappa_tilde(omega, params) / params.eps2 + c
-    mx = np.maximum(np.abs(at), np.abs(at - 2.0 * c))[:, None]
     x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, 1.0) * v)
-    asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
-                          specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
+    asym = specfun._kummer_asym_mask(at[:, None], 1.0 + 2.0 * c[:, None], x)
     return omega, v, asym
 
 
@@ -363,14 +361,12 @@ class TestPerNodeDates:
         c = tr._c_exponent(self.OMEGA, 0.0, snp_params)
         kt = tr._kappa_tilde(self.OMEGA, snp_params)
         at = -0.5 - kt / snp_params.eps2 + c
-        mx = np.maximum(np.abs(at), np.abs(at - 2.0 * c))[:, None]
         x = 1.0 / (np.array([coef_C(snp_params.theta, snp_params.epsilon,
                                     a, b)
                              for a, b in zip(self.T_FROM, self.T_TO)])
                    * self.V)
-        asym = x > np.maximum(specfun.KUMMER_ASYM_MIN_X,
-                              specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx
-                              + 50.0)
+        asym = specfun._kummer_asym_mask(at[:, None], 1.0 + 2.0 * c[:, None],
+                                         x)
         assert np.any(asym) and np.any(~asym)
         assert np.max(log_err(got, want)
                       / np.maximum(1.0, np.abs(want))) <= 1e-14
@@ -474,9 +470,7 @@ class TestMartingaleRegime:
         v = np.geomspace(1e-3, 5.0, 40)
         bt = 1.0 + 2.0 * tr._c_exponent(-1j, 0.0, params)
         x = 1.0 / (coef_C(params.theta, params.epsilon, 0.5, self.T1) * v)
-        mx = np.abs(bt - 1.0)
-        asym = x > max(specfun.KUMMER_ASYM_MIN_X,
-                       specfun.KUMMER_ASYM_ORDER_FACTOR * mx * mx + 50.0)
+        asym = specfun._kummer_asym_mask(0.0, bt, x)
         assert np.any(asym) and np.any(~asym)
         a = _drift_a_vec(-1j, 0.0, params)
         want = a * (self.T1 - 0.5) + tr._log_kummer_factor(

@@ -25,7 +25,8 @@ on Im(omega) < -1.  The kernel is
 
 where W_0 = h(0,V0;t_1,omega,0), constant in eta (the transform at zero
 elapsed time is a Dirac mass at V0).  That constant part prices as a
-European call at t_1; the rest is H_tilde (``_timer_h_tilde``).
+European call at t_1; the rest is H_tilde (``_timer_h_tilde``), whose h
+terms telescope to one per inner date.
 
 With s = -i eta, the eta integral is a Bromwich integral in the budget:
 F = -K^{1-i omega} e^{sB} / ((i omega + omega^2) s).  Its one pole, at
@@ -48,6 +49,10 @@ sums on M and on M - TALBOT_STEP nodes are compared, their gap goes into
 err_estimate, and M grows by TALBOT_STEP until they agree to rel_tol.
 e^{sB} peaks at e^{0.171 M} on the contour, so once e^{0.171 M} eps passes
 rel_tol, more nodes cannot help and the pricer raises.
+
+Neither the v' rules of the timerlets nor H_tilde(omega, 0) depend on the
+strike or the budget, so one ``_TimerKernel`` per (T, N) builds each once
+and serves every strike, budget and pass.
 
 Moment swaps
 ------------
@@ -353,74 +358,139 @@ def _talbot_counts(budget: float, T: float, omega, params: ModelParams):
         f"timer kernel's singularities at B = {budget}")
 
 
-def _timer_w_matrix(T: float, N: int, j: int, params: ModelParams,
-                    cfg: QuadratureConfig, omega: np.ndarray,
-                    eta: np.ndarray) -> np.ndarray:
+class _TimerKernel:
+    """What every timer price of one (T, N) shares, whatever its strike,
+    budget or Talbot pass: the v' rule of each inner date t_j = j T / N
+    (j = 1..N-1), built once, and H_tilde(omega, 0) at the omega rule's
+    nodes, built once per node (``zero``)."""
+
+    def __init__(self, T: float, N: int, params: ModelParams,
+                 cfg: QuadratureConfig):
+        self.T, self.N, self.params = T, N, params
+        self.grids = [log_density_grid(
+            lambda vp, t=self.date(j): tr._log_density_v_vec(
+                0.0, params.v0, t, vp, params), cfg) for j in range(1, N)]
+        self._omega = np.empty(0, dtype=complex)
+        self._zero = np.empty(0, dtype=complex)
+
+    def date(self, j: int) -> float:
+        return self.T * j / self.N
+
+    def inner(self, omega):
+        """log h(t_j, v'; t_{j+1}, omega, 0) on date j's v' nodes, omega as
+        rows, for j = 1..N-1: the eta-free factor of each timerlet."""
+        return [tr._log_h_vec(self.date(j), nodes[None, :], self.date(j + 1),
+                              omega[:, None], 0.0, self.params)
+                for j, (nodes, _) in enumerate(self.grids, start=1)]
+
+    def zero(self, omega, start: int, inner):
+        """H_tilde(omega, 0) at the omega rule's nodes from ``start`` on,
+        ``omega``, whose ``inner`` factors are given.  Every pass of the
+        rule runs through its panels in order from the first, so a value is
+        built the first time a pass reaches its node, and every later pass
+        and every budget of this (T, N) reads it back.
+
+        Raises:
+            ThreeHalvesError: a value built here is not finite; a NaN would
+                reach every later pass.
+        """
+        known = min(max(self._omega.size - start, 0), omega.size)
+        if start > self._omega.size or not np.array_equal(
+                self._omega[start:start + known], omega[:known]):
+            raise ThreeHalvesError(
+                "timer kernel at eta = 0 asked off the omega rule's order")
+        if known < omega.size:
+            new = _timer_h_tilde(self, omega[known:],
+                                 np.zeros((omega.size - known, 1)),
+                                 [x[known:] for x in inner])[:, 0]
+            if not np.all(np.isfinite(new)):
+                raise ThreeHalvesError("timer kernel is not finite at eta = 0")
+            self._omega = np.concatenate([self._omega, omega[known:]])
+            self._zero = np.concatenate([self._zero, new])
+        return self._zero[start:start + omega.size]
+
+
+def _timer_w_matrix(kernel: _TimerKernel, j: int, omega: np.ndarray,
+                    eta: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """W_j(omega, eta) = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'
-    for eta of shape (n_omega, n_eta), row i paired with omega[i]."""
-    t_j = T * j / N
-    t_j1 = T * (j + 1) / N
-    nodes, wq = log_density_grid(
-        lambda vp: tr._log_density_v_vec(0.0, params.v0, t_j, vp, params), cfg)
-    log_h = tr._log_h_vec(t_j, nodes[None, :], t_j1, omega[:, None], 0.0,
-                          params)
-    log_g = tr._log_g_vec(0.0, params.v0, t_j, omega[:, None, None],
-                          eta[:, :, None], nodes[None, None, :], params)
-    log_g += log_h[:, None, :]
+    on date j's v' rule, for eta of shape (n_omega, n_eta), row i paired
+    with omega[i]; ``inner`` is log h on that rule
+    (``_TimerKernel.inner``)."""
+    nodes, wq = kernel.grids[j - 1]
+    p = kernel.params
+    log_g = tr._log_g_vec(0.0, p.v0, kernel.date(j), omega[:, None, None],
+                          eta[:, :, None], nodes[None, None, :], p)
+    log_g += inner[:, None, :]
     return np.exp(log_g, out=log_g) @ wq
 
 
-def _timer_h_tilde(T: float, N: int, params: ModelParams,
-                   cfg: QuadratureConfig, omega: np.ndarray,
-                   eta: np.ndarray) -> np.ndarray:
+def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray, eta: np.ndarray,
+                   inner=None) -> np.ndarray:
     """The timer kernel less its European-at-t_1 part,
 
-    H_tilde = e^{i w X0} [ e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
-              + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ],
+        H_tilde = e^{i w X0} [ sum_{j=1}^{N-1} e^{-r t_{j+1}} W_j
+                               - sum_{j=1}^{N-1} e^{-r t_j} h(0,V0;t_j) ],
 
     for eta of shape (n_omega, n_eta), row i paired with omega[i], with
-    every timerlet W_j evaluated exactly (``_timer_w_matrix``).
+    every timerlet W_j evaluated exactly (``_timer_w_matrix``; ``inner``
+    as ``_TimerKernel.inner`` gives it, or built here).
+
+    This telescopes e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
+    + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})): the last sum's
+    h terms run over t_2..t_N, so the one at t_N = T cancels the first
+    term, and the rest join -e^{-r t_1} h(0,V0;t_1) in the second sum.
+    Its h terms are one ``_log_h_vec`` call, the dates as columns against
+    the (omega, eta) rows.  With N = 1 both sums are empty: H_tilde = 0.
     """
+    if kernel.N == 1:
+        return np.zeros(np.broadcast_shapes(omega[:, None].shape, eta.shape),
+                        dtype=complex)
+    if inner is None:
+        inner = kernel.inner(omega)
+    p = kernel.params
     om = omega[:, None]
-    r = params.r
-
-    def h_at(t_prime):
-        return np.exp(tr._log_h_vec(0.0, params.v0, t_prime, om, eta, params))
-
-    acc = math.exp(-r * T) * h_at(T)
-    acc -= math.exp(-r * T / N) * h_at(T / N)
-    for j in range(1, N):
-        acc += math.exp(-r * T * (j + 1) / N) * (
-            _timer_w_matrix(T, N, j, params, cfg, omega, eta)
-            - h_at(T * (j + 1) / N))
-    return np.exp(1j * om * params.x0) * acc
+    dates = np.array([kernel.date(j) for j in range(1, kernel.N)])
+    acc = np.exp(tr._log_h_vec(0.0, p.v0, dates, om[..., None],
+                               eta[..., None], p)) @ -np.exp(-p.r * dates)
+    for j in range(1, kernel.N):
+        acc += math.exp(-p.r * kernel.date(j + 1)) * _timer_w_matrix(
+            kernel, j, omega, eta, inner[j - 1])
+    return np.exp(1j * om * p.x0) * acc
 
 
-def _hermitian_residual(T, N, budget, params, cfg):
+def _hermitian_residual(kernel: _TimerKernel, budget: float,
+                        cfg: QuadratureConfig) -> float:
     """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e) on Talbot
     nodes."""
+    T, params = kernel.T, kernel.params
     pts_w = np.array([0.7, 3.0]) + 1j * cfg.damping_omega
     m = int(_talbot_counts(budget, T, pts_w, params).max())
     pts_e = 1j * _talbot_contour(m, budget, T, pts_w, params)[0][:, ::m // 4]
-    a = _timer_h_tilde(T, N, params, cfg, pts_w, pts_e)
-    b = _timer_h_tilde(T, N, params, cfg, -np.conj(pts_w), -np.conj(pts_e))
+    a = _timer_h_tilde(kernel, pts_w, pts_e)
+    b = _timer_h_tilde(kernel, -np.conj(pts_w), -np.conj(pts_e))
     return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
 
 
-def _budget_integrals(T, N, B, strikes, params, cfg, omega, counts):
+def _budget_integrals(kernel, B, strikes, omega, counts, start):
     """J(omega) = -i (2 pi / M) sum_k F(omega, eta_k) s'(theta_k)
     [H_tilde(omega, eta_k) - H_tilde(omega, 0)], eta_k = i s_k, per strike
     (rows) and omega (columns), on each omega's contour of M = counts[i]
-    nodes.  H_tilde(omega, 0) comes from the same v' rule as the nodes, so
-    the summand has no pole at s = 0 even where a contour encloses it (the
-    pole term itself is exact)."""
-    h_zero = _timer_h_tilde(T, N, params, cfg, omega,
-                            np.zeros((omega.size, 1)))
+    nodes; ``omega`` are the omega rule's nodes from ``start`` on.
+
+    H_tilde(omega, 0) comes from ``kernel.zero``: built from the same v'
+    rules as the contour values on the first pass that reaches each node,
+    and read back after, so the summand has no pole at s = 0 even where a
+    contour encloses it (the pole term itself is exact).  The timerlets'
+    eta-free factors are built once per call for both."""
+    inner = kernel.inner(omega)
+    h_zero = kernel.zero(omega, start, inner)[:, None]
     rows = np.empty((strikes.size, omega.size), dtype=complex)
     for m in np.unique(counts):
         sel = counts == m
-        s, ds, _ = _talbot_contour(m, B, T, omega[sel], params)
-        h_tilde = _timer_h_tilde(T, N, params, cfg, omega[sel], 1j * s)
+        s, ds, _ = _talbot_contour(m, B, kernel.T, omega[sel], kernel.params)
+        h_tilde = _timer_h_tilde(
+            kernel, omega[sel], 1j * s,
+            inner if sel.all() else [x[sel] for x in inner])
         if not np.all(np.isfinite(h_tilde)):
             raise ThreeHalvesError(
                 f"timer kernel is not finite on the {m}-node contour")
@@ -439,8 +509,9 @@ def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
 
 def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                      cfg: QuadratureConfig) -> list:
-    """Price several timer calls, sharing the kernel across specs that
-    differ only in strike."""
+    """Price several timer calls: specs that share (T, N) share one
+    ``_TimerKernel``, and those that also share the budget one Parseval
+    integral, a row per strike."""
     require_valid(params)
     cfg.require_timer_contour()
     groups = {}
@@ -450,8 +521,12 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         groups.setdefault(key, []).append(idx)
 
     results = [None] * len(specs)
+    kernels = {}
     for (T, N, B), indices in groups.items():
-        herm = _hermitian_residual(T, N, B, params, cfg)
+        if (T, N) not in kernels:
+            kernels[T, N] = _TimerKernel(T, N, params, cfg)
+        kernel = kernels[T, N]
+        herm = _hermitian_residual(kernel, B, cfg)
         if not herm <= _REL_IMAG_TOL:
             raise ThreeHalvesError(
                 f"timer kernel failed the Hermitian-symmetry check "
@@ -467,11 +542,13 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         def integral(extra, panels=None):
             # the Parseval integral, on contours of ``extra`` more nodes
             # than _talbot_counts asks
+            done = [0]  # omega nodes this pass has evaluated
+
             def rows(omega):
                 m = _talbot_counts(B, T, omega, params) + extra
                 counts[:] = m.min(), m.max()
-                return _budget_integrals(T, N, B, strikes, params, cfg,
-                                         omega, m)
+                start, done[0] = done[0], done[0] + omega.size
+                return _budget_integrals(kernel, B, strikes, omega, m, start)
             return omega_integral(rows, cfg, cfg.damping_omega,
                                   0.5 / math.pi**2, base, panels)
 

@@ -1,10 +1,10 @@
-"""Numerical integration: semi-infinite variance integrals and the one rule
+"""Numerical integration: the v' rule of a variance density and the one rule
 for every Fourier inversion over the log-price frequency omega.
 
-* Semi-infinite integrals over v' in (0, inf) are computed after the log
-  substitution v' = e^u, which flattens both the essential singularity
-  exp(-const/v') at the origin and the power-law tail; the mapped integrand
-  is handled by a doubling trapezoid rule summed by math.fsum.
+* A v' rule (``log_density_grid``) is a fixed trapezoid in u = ln v' over
+  the span where the density is not negligible: the log substitution
+  flattens both the essential singularity exp(-const/v') at the origin and
+  the power-law tail.
 * Every omega integral (the European call, the timer's Parseval integral,
   the corridor swap) runs along a damped contour Im(omega) = const, folded
   to omega_R >= 0 since its result is real, and is summed by one rule,
@@ -49,8 +49,9 @@ class QuadratureConfig:
     """Numeric controls for every integral in the package; a product that
     needs other values passes ``dataclasses.replace(cfg, ...)``.
 
-    ``v_nodes``, ``v_upper_mass_tol`` and ``max_refinements`` size the v'
-    rules; ``rel_tol`` and ``abs_tol`` stop the adaptive ones, the omega
+    ``v_nodes`` and ``v_upper_mass_tol`` size the v' rules, and
+    ``max_refinements`` caps the doublings of an adaptive v' integral;
+    ``rel_tol`` and ``abs_tol`` stop the adaptive integrals, the omega
     rule's panels and the timer's Talbot contours.  The call and timer
     contours sit at Im(omega) = ``damping_omega`` < -1 (enforced at the
     point of use).  The omega rule's panels are fixed by measurement.
@@ -83,74 +84,11 @@ class QuadratureConfig:
             )
 
 
-def stable_complex_sum(values) -> complex:
-    """Order-insensitive compensated sum of complex values."""
-    arr = np.asarray(values, dtype=complex).ravel()
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
-
-
 # ---------------------------------------------------------------------------
-# Semi-infinite integrals over v'.
+# The v' rule.
 # ---------------------------------------------------------------------------
 
 _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
-
-
-def _trapezoid_complex(fu, lo, hi, n) -> complex:
-    u = np.linspace(lo, hi, n + 1)
-    vals = fu(u)
-    h = (hi - lo) / n
-    interior = stable_complex_sum(vals[1:-1])
-    return h * (interior + 0.5 * (complex(vals[0]) + complex(vals[-1])))
-
-
-def integrate_semi_infinite(f: Callable, cfg: QuadratureConfig,
-                            ) -> Tuple[complex, float]:
-    """Adaptive integral of ``f`` over v' in (0, inf).
-
-    ``f`` must accept a float ndarray of v' values and return complex
-    values elementwise.  Returns (value, achieved error estimate).
-
-    Raises:
-        QuadratureNonConvergenceError: refinement stalled above rel_tol.
-    """
-
-    def fu(u):
-        vp = np.exp(u)
-        try:
-            vals = np.asarray(f(vp), dtype=complex)
-        except ThreeHalvesError as exc:
-            raise ThreeHalvesError(
-                f"integrand failed near v'={vp.ravel()[0]:.3g}.."
-                f"{vp.ravel()[-1]:.3g}: {exc}"
-            ) from exc
-        return vals * vp  # jacobian of v' = e^u
-
-    # Coarse scan to locate the support of the mapped integrand.
-    u_scan = np.arange(_SCAN_LO, _SCAN_HI + 0.5, 1.0)
-    mags = np.abs(fu(u_scan))
-    peak = mags.max()
-    if peak == 0.0:
-        return 0.0 + 0.0j, 0.0
-    keep = np.nonzero(mags > peak * 1e-18)[0]
-    lo = u_scan[max(keep[0] - 2, 0)]
-    hi = u_scan[min(keep[-1] + 2, len(u_scan) - 1)]
-
-    n = max(int(cfg.v_nodes), 32)
-    prev = _trapezoid_complex(fu, lo, hi, n)
-    for _ in range(cfg.max_refinements):
-        n *= 2
-        cur = _trapezoid_complex(fu, lo, hi, n)
-        err = abs(cur - prev)
-        scale = max(abs(cur), cfg.abs_tol / max(cfg.rel_tol, 1e-300))
-        if err <= cfg.rel_tol * scale:
-            return cur, err
-        prev = cur
-    raise QuadratureNonConvergenceError(
-        f"semi-infinite integral did not converge below rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_refinements} doublings",
-        achieved=abs(cur - prev) if "cur" in locals() else None,
-    )
 
 
 def log_density_grid(log_density: Callable, cfg: QuadratureConfig,

@@ -10,9 +10,7 @@ Implemented here:
 * ``transition_density_v`` - transition density of the instantaneous variance,
 * ``cir_transition_density_u`` - transition density of the reciprocal
   variance U = 1/V (an inhomogeneous CIR process),
-* ``conditional_cf_integrated_variance`` - CF of int V dt given endpoints,
-* ``bivariate_cf_phi``     - the two-date joint CF, by quadrature over the
-  intermediate variance.
+* ``conditional_cf_integrated_variance`` - CF of int V dt given endpoints.
 
 Everything is assembled in log space: the dynamic range of the density
 factors spans hundreds of orders of magnitude and the Bessel argument
@@ -29,7 +27,6 @@ the exponent c.  The two are kept in separate named variables everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -450,41 +447,3 @@ def joint_cf_h(t: float, v: float, t_prime: float, point: TransformPoint,
     log_h = _log_h_vec(t, v, t_prime, point.omega, point.eta, params)
     return complex(np.ravel(_exp_checked(log_h, "joint_cf_h"))[0])
 
-
-# ---------------------------------------------------------------------------
-# Bivariate (two-date) characteristic function.
-# ---------------------------------------------------------------------------
-
-
-def bivariate_cf_phi(t: float, state: Tuple[float, float, float], t1: float,
-                     t2: float, w: Tuple[complex, complex],
-                     e: Tuple[complex, complex], params: ModelParams,
-                     cfg) -> complex:
-    """Joint CF of ((X_{t1}, I_{t1}), (X_{t2}, I_{t2})) from state (x, y, v).
-
-    Phi = e^{i(w1+w2)x + i(e1+e2)y}
-          int_0^inf g(t, v; t1, w1+w2, e1+e2, v') h(t1, v'; t2, w2, e2) dv'.
-
-    Degenerate cases are taken analytically: at t1 == t2 the inner h is 1
-    and the integral collapses to h(t, v; t1, w1+w2, e1+e2).
-    """
-    from .quadrature import integrate_semi_infinite
-
-    x, y, v = state
-    w1, w2 = complex(w[0]), complex(w[1])
-    e1, e2 = complex(e[0]), complex(e[1])
-    if not t < t1 <= t2:
-        raise ThreeHalvesError("need t < t1 <= t2")
-    pref = np.exp(1j * (w1 + w2) * x + 1j * (e1 + e2) * y)
-    if t1 == t2:
-        return complex(
-            pref * joint_cf_h(t, v, t1, TransformPoint(w1 + w2, e1 + e2), params)
-        )
-
-    def integrand(vp):
-        lg = _log_g_vec(t, v, t1, w1 + w2, e1 + e2, vp, params)
-        lh = _log_h_vec(t1, vp, t2, w2, e2, params)
-        return _exp_checked(lg + lh, "bivariate_cf_phi integrand")
-
-    value, _err = integrate_semi_infinite(integrand, cfg)
-    return complex(pref * value)

@@ -10,6 +10,7 @@ import pytest
 
 import three_halves
 from three_halves import pricers
+from three_halves import transforms as tr
 from three_halves.errors import (
     BranchCutWarning,
     QuadratureNonConvergenceError,
@@ -35,6 +36,8 @@ from three_halves.pricers import (
     price_timer_grid,
 )
 from three_halves.quadrature import QuadratureConfig
+
+from oracles import bivariate_cf_phi
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +103,151 @@ class TestTimerIdentities:
                 == default.diagnostics["talbot_nodes"] + 8)
         assert abs(default.price - more.price) <= default.err_estimate
 
-    @pytest.mark.parametrize("stage", ["kernel", "price"])
+    @pytest.mark.parametrize("stage", ["kernel", "zero", "contour", "price"])
     def test_non_finite_stage_raises(self, timer_params, monkeypatch, stage):
         # max(nan, 0) is nan and nan < -err is false, so a NaN would pass
         # every other check; the pricer names the stage instead.
+        # H_tilde(omega, 0) is built once and read by every later pass, so
+        # a NaN there alone ("zero") must raise where it is built; one on
+        # the Talbot contours alone ("contour") where those are summed.
         monkeypatch.setattr(pricers, "_hermitian_residual",
                             lambda *args: 0.0)
+        match = stage
         if stage == "kernel":
             monkeypatch.setattr(pricers, "_timer_h_tilde",
                                 lambda *args: np.full((1, 1), np.nan))
+        elif stage in ("zero", "contour"):
+            kernel = pricers._timer_h_tilde
+
+            def poisoned(k, omega, eta, *rest):
+                out = kernel(k, omega, eta, *rest)
+                return np.where((eta == 0.0) == (stage == "zero"), np.nan,
+                                out)
+            monkeypatch.setattr(pricers, "_timer_h_tilde", poisoned)
+            match = {"zero": "kernel is not finite at eta = 0",
+                     "contour": "kernel is not finite on the"}[stage]
         else:
             monkeypatch.setattr(pricers, "_price_european_detailed",
                                 lambda *args: pricers.PriceResult(np.nan, 0.0))
-        with pytest.raises(ThreeHalvesError, match=stage):
+        with pytest.raises(ThreeHalvesError, match=match):
             price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
                              timer_params, QuadratureConfig())
+
+
+def _untelescoped_h_tilde(kernel, omega, eta):
+    """H_tilde as the sum the kernel telescopes: e^{-rT} h(0,V0;T)
+    - e^{-r t_1} h(0,V0;t_1) + sum_j e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})),
+    one h call per date."""
+    p, T, N = kernel.params, kernel.T, kernel.N
+    om = omega[:, None]
+
+    def h_at(t):
+        return np.exp(tr._log_h_vec(0.0, p.v0, t, om, eta, p))
+
+    acc = math.exp(-p.r * T) * h_at(T) - math.exp(-p.r * T / N) * h_at(T / N)
+    inner = kernel.inner(omega)
+    for j in range(1, N):
+        w_j = pricers._timer_w_matrix(kernel, j, omega, eta, inner[j - 1])
+        acc += math.exp(-p.r * T * (j + 1) / N) * (w_j - h_at(T * (j + 1) / N))
+    return np.exp(1j * om * p.x0) * acc
+
+
+def _talbot_points(params, T=1.0, budget=0.087):
+    """Three omegas on the timer contour and four etas on each one's Talbot
+    contour, from its start to its end."""
+    omega = np.array([0.3, 5.0, 40.0]) + 1j * QuadratureConfig().damping_omega
+    m = int(pricers._talbot_counts(budget, T, omega, params).max())
+    s = pricers._talbot_contour(m, budget, T, omega, params)[0]
+    return omega, 1j * s[:, [0, m // 4, m // 2, m - 1]]
+
+
+class TestTimerKernel:
+    def test_timerlets_are_the_two_date_cf(self, timer_params):
+        # W_j = Phi(0; t_j, t_{j+1}; (0, omega), (eta, 0)), the paper's
+        # two-date joint CF, here by the oracle's adaptive v' integral
+        # instead of the kernel's fixed trapezoid.
+        cfg = QuadratureConfig()
+        kernel = pricers._TimerKernel(1.0, 4, timer_params, cfg)
+        omega, eta = _talbot_points(timer_params)
+        inner = kernel.inner(omega)
+        for j in range(1, 4):
+            w_j = pricers._timer_w_matrix(kernel, j, omega, eta, inner[j - 1])
+            for i, l in np.ndindex(eta.shape):
+                want = bivariate_cf_phi(
+                    0.0, (0.0, 0.0, timer_params.v0), kernel.date(j),
+                    kernel.date(j + 1), (0.0, omega[i]), (eta[i, l], 0.0),
+                    timer_params, cfg)
+                assert abs(w_j[i, l] - want) <= 1e-9 * abs(want), (j, i, l)
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_telescoped_sum(self, timer_params, n):
+        kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
+        omega, eta = _talbot_points(timer_params)
+        for e in (eta, np.zeros((omega.size, 1))):
+            got = pricers._timer_h_tilde(kernel, omega, e)
+            want = _untelescoped_h_tilde(kernel, omega, e)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
+        grids = []
+        monkeypatch.setattr(pricers, "log_density_grid",
+                            lambda *args: grids.append(args))
+        kernel = pricers._TimerKernel(1.0, 1, timer_params, QuadratureConfig())
+        omega, eta = _talbot_points(timer_params)
+        got = pricers._timer_h_tilde(kernel, omega, eta)
+        assert got.shape == eta.shape and not np.any(got)
+        assert grids == []
+
+
+class TestTimerBuildOnce:
+    SPEC = TimerOptionSpec(100.0, 1.0, 4, 0.087)
+
+    def test_one_v_rule_per_inner_date(self, timer_params, monkeypatch):
+        built = []
+        grid = pricers.log_density_grid
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return grid(*args, **kwargs)
+        monkeypatch.setattr(pricers, "log_density_grid", spy)
+        specs = [TimerOptionSpec(k, 1.0, 4, 0.087) for k in (90.0, 110.0)]
+        price_timer_grid(specs, timer_params, QuadratureConfig())
+        assert len(built) == 4 - 1
+
+    def test_zero_kernel_once_per_omega_node(self, timer_params,
+                                             monkeypatch):
+        nodes = []
+        kernel = pricers._timer_h_tilde
+
+        def spy(k, omega, eta, *rest):
+            if not np.any(eta):
+                nodes.append(omega.size)
+            return kernel(k, omega, eta, *rest)
+        monkeypatch.setattr(pricers, "_timer_h_tilde", spy)
+        timer = price_timer_call(self.SPEC, timer_params, QuadratureConfig())
+        assert sum(nodes) == timer.diagnostics["omega_nodes"]
+
+    def test_mixed_groups_price_as_alone(self, timer_params):
+        # Two (T, N) groups, one of them at two budgets that share its
+        # kernel; each price is the one its (T, N, B) gets alone, bit for
+        # bit.
+        cfg = QuadratureConfig()
+        specs = [TimerOptionSpec(90.0, 1.0, 4, 0.087),
+                 TimerOptionSpec(100.0, 0.5, 2, 0.087),
+                 TimerOptionSpec(110.0, 1.0, 4, 0.2),
+                 TimerOptionSpec(100.0, 1.0, 4, 0.087)]
+        mixed = price_timer_grid(specs, timer_params, cfg)
+        alone = {}
+        for spec in specs:
+            alone.setdefault((spec.mandatory_maturity, spec.n_monitoring,
+                              spec.variance_budget), []).append(spec)
+        for group in alone.values():
+            for spec, res in zip(group,
+                                 price_timer_grid(group, timer_params, cfg)):
+                got = mixed[specs.index(spec)]
+                assert (got.price, got.err_estimate) == (
+                    res.price, res.err_estimate), spec
+                assert got.diagnostics == res.diagnostics
 
 
 @pytest.fixture(scope="module")

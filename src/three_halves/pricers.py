@@ -73,10 +73,15 @@ their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
 h are each one kernel call per block of periods.  A block holds as many
 periods as keep the largest table its route builds within
 _MOMENT_BLOCK_ELEMENTS, which bounds the kernels' memory.  The
-terminal-price weight's tower route (t_i > t_k) pairs some 16k (v, v')
+terminal-price weight's tower route (t_i > t_k) pairs some 11k (v, v')
 nodes per period and stays one period at a time; each g call takes every
-phi node against a chunk of the outer v rows, within the same element
-count.
+phi node against a block of whole outer rows of live pairs, within the
+same element count.
+
+Every v grid is a fixed lattice of ``_transition_grid``, but the kernels
+are evaluated only on its live nodes: ``_live_nodes`` drops the nodes
+where a bound that needs no Bessel function puts g below 1e-3 eps of its
+mass (about a third of each lattice), so prices move only by roundoff.
 """
 
 from __future__ import annotations
@@ -94,7 +99,14 @@ from .errors import (
     QuadratureNonConvergenceError,
     ThreeHalvesError,
 )
-from .model import ModelParams, _jump_exponent, coef_A, coef_C, require_valid
+from .model import (
+    ModelParams,
+    _drift_a_vec,
+    _jump_exponent,
+    coef_A,
+    coef_C,
+    require_valid,
+)
 from .quadrature import (
     QuadratureConfig,
     fourier_invert_1d,
@@ -510,8 +522,9 @@ def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
 def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                      cfg: QuadratureConfig) -> list:
     """Price several timer calls: specs that share (T, N) share one
-    ``_TimerKernel``, and those that also share the budget one Parseval
-    integral, a row per strike."""
+    ``_TimerKernel``, those that also share the budget one Parseval
+    integral, a row per strike, and those that share (T, K) one European
+    base, whatever their N and B."""
     require_valid(params)
     cfg.require_timer_contour()
     groups = {}
@@ -522,6 +535,14 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
 
     results = [None] * len(specs)
     kernels = {}
+    europeans = {}
+
+    def european(T, strike):
+        if (T, strike) not in europeans:
+            europeans[T, strike] = _price_european_detailed(
+                EuropeanSpec(strike, T), params, cfg)
+        return europeans[T, strike]
+
     for (T, N, B), indices in groups.items():
         if (T, N) not in kernels:
             kernels[T, N] = _TimerKernel(T, N, params, cfg)
@@ -532,8 +553,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                 f"timer kernel failed the Hermitian-symmetry check "
                 f"({herm:.2e}); imaginary residual would not cancel")
         strikes = np.array([specs[i].strike for i in indices])
-        bases = [_price_european_detailed(EuropeanSpec(k, T), params, cfg)
-                 for k in strikes]
+        bases = [european(T, k) for k in strikes]
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")
@@ -639,6 +659,63 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
     return nodes, w * nodes
 
 
+# A lattice node is dead where its share of the kernel's mass is below this.
+_DEAD_SHARE = 1e-3 * np.finfo(float).eps
+
+
+def _live_nodes(params: ModelParams, t, v, t_prime, v_prime, w, imag):
+    """Which nodes v' of ``_transition_grid`` lattices (weights ``w``,
+    jacobian included) carry g(t, v; t', omega, 0, v') at transform points
+    omega whose imaginary parts are ``imag``: a mask of v_prime's shape.
+    ``t``, ``v`` and ``t_prime`` are scalars, or (rows, 1) arrays against
+    (rows, n) lattices, one transition per row; each row is pruned on its
+    own, and a node of weight 0 counts as dead.
+
+    Proof.  With y = Im omega, |e^{i omega dX}| = e^{-y dX}, so the
+    triangle inequality in g(omega) = E[e^{i omega dX}; V' in dv'] / dv'
+    gives |g(omega, v')| <= g(iy, v').  At omega = iy the exponent
+    c = sqrt(b0^2 - (y + y^2)/eps^2), b0 = 1/2 + kt/eps^2 with
+    kt = kappa + y rho eps, and a(iy, 0) are real; where c^2 >= 0 the
+    order 2c is real and >= 0, so I_{2c}(z) <= I_0(z) <= e^z, and since
+    z - (A v + v')/(C v v') = -(sqrt(A/v') - sqrt(1/v))^2 / C,
+
+        g(iy, v') <= B = e^{a dt} (A/C) v'^{-2} (A v/v')^{b0}
+                         e^{-(sqrt(A/v') - sqrt(1/v))^2 / C},
+
+    which needs no Bessel function.  The mass of g(iy, .) is
+    h(t, v; t', iy, 0) in closed form.  Each node gets the share
+    s = max_y w B(y) / h(iy), and the nodes of least share are dropped
+    while their shares sum to at most _DEAD_SHARE.  For every omega with
+    an imaginary part in ``imag`` the dropped nodes then carry
+    sum w |g(omega)| <= sum w B(y) <= _DEAD_SHARE h(iy): they move any
+    integral of g against a factor F by at most 1e-3 eps of h(iy) max|F|,
+    far below the roundoff of the kept sum.  Where c^2 < 0 at some y the
+    bound does not hold, and every node is kept.
+    """
+    y = np.array(sorted(set(np.ravel(imag).tolist())))
+    p = params
+    b0 = 0.5 + (p.kappa + y * p.rho * p.epsilon) / p.eps2
+    keep = np.asarray(w) > 0.0
+    if np.any(b0 * b0 < (y + y * y) / p.eps2):
+        return keep
+    dt, A, C = tr._date_coefficients(t, t_prime, p)
+    a = _drift_a_vec(1j * y, 0.0, p).real
+    log_mass = tr._log_h_vec(t, v, t_prime, 1j * y.reshape(
+        (-1,) + (1,) * np.ndim(v_prime)), 0.0, p).real
+    log_base = (np.log(A / C) - 2.0 * np.log(v_prime)
+                - (np.sqrt(A / v_prime) - np.sqrt(1.0 / v)) ** 2 / C)
+    log_ratio = np.log(A * v / v_prime)
+    share = np.zeros(np.shape(v_prime))
+    for j in range(y.size):  # log B(y) - log h(iy), one y at a time
+        log_b = log_base + b0[j] * log_ratio + (a[j] * dt - log_mass[j])
+        np.maximum(share, w * np.exp(log_b, out=log_b), out=share)
+    order = np.argsort(share, axis=-1)
+    dead = np.cumsum(np.take_along_axis(share, order, axis=-1),
+                     axis=-1) <= _DEAD_SHARE
+    np.put_along_axis(keep, order, ~dead, axis=-1)
+    return keep
+
+
 # ---------------------------------------------------------------------------
 # Moments by the Cauchy integral in the transform variable.
 # ---------------------------------------------------------------------------
@@ -651,12 +728,14 @@ MOMENT_RADIUS = 0.25
 # Largest table one batched kernel call of the moment swaps builds, per
 # route (see _weighted_moment): omega x nodes for g1 and phi x nodes for
 # h with the weight at t_{k-1}, omega x phi x nodes with it at t_k, and
-# omega x phi x outer rows x inner nodes on the tower route.  Sized by
-# measurement (2 vCPUs, median of three runs, tracemalloc heap peaks): the
-# six strip benchmark swaps other than the terminal-price one take
-# 0.52 / 0.26 / 0.27 s at 2^11 / 2^14 / 2^17 elements, at heap peaks of
-# 0.8 / 2.3 / 11.1 MB, and the terminal-price swap peaks at 1.2 / 2.8 /
-# 6.8 MB; 2^14 is as fast as 2^17 at under 3 MB.
+# omega x phi x live (v, v') pairs on the tower route.  Sized by
+# measurement (2 vCPUs shared with other jobs, medians of five runs in
+# each of three processes, tracemalloc heap peaks): the six strip
+# benchmark swaps other than the terminal-price one take 0.19-0.31 /
+# 0.10-0.11 / 0.10-0.11 s at 2^11 / 2^14 / 2^17 elements, at heap peaks
+# of 1.3 / 2.7 / 6.1 MB, and the terminal-price swap 0.18-0.21 /
+# 0.12-0.14 / 0.12-0.18 s at 1.2 / 2.9 / 3.1 MB; 2^14 is as fast as 2^17
+# at under 3 MB.
 _MOMENT_BLOCK_ELEMENTS = 2**14
 
 
@@ -733,17 +812,37 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
     return full
 
 
-def _period_grid(params: ModelParams, cfg: QuadratureConfig, t_km1: float,
-                 t_k: float, omega_max: float):
-    """The v grid at t_{k-1} of the period (t_{k-1}, t_k): nodes, weights
-    and each node's t_{k-1} and t_k.  From t_{k-1} = 0 it is the one node
-    V0 of weight 1, where g1 is a Dirac mass."""
-    if t_km1 == 0.0:
-        v, w = np.array([params.v0]), np.ones(1)
-    else:
-        v, w = (x[0] for x in _transition_grid(params, 0.0, t_km1, params.v0,
-                                               cfg, omega_max))
-    return v, w, np.full(v.size, t_km1), np.full(v.size, t_k)
+def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
+    """The v grid at t_{k-1} of each period (t_{k-1}, t_k) of ``spans``,
+    for g1 at the transform points ``omega``, built as they are consumed:
+    nodes, weights and each node's t_{k-1} and t_k.  From t_{k-1} = 0 it
+    is the one node V0 of weight 1, where g1 is a Dirac mass.  Otherwise
+    it is the lattice of ``_transition_grid`` from V0, sized against g1's
+    phase at the largest |Re omega|, less the nodes where g1 is dead at
+    every omega (``_live_nodes``).  The lattices of consecutive periods
+    are pruned in one call, padded with nodes of weight 0 to one table of
+    at most _MOMENT_BLOCK_ELEMENTS nodes."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=complex))
+    omega_max = float(np.max(np.abs(omega.real)))
+    step = max(1, _MOMENT_BLOCK_ELEMENTS // _GRID_MAX_NODES)
+    for j in range(0, len(spans), step):
+        group = spans[j:j + step]
+        dates = np.array([a for a, _ in group if a > 0.0])
+        lattices = [_transition_grid(params, 0.0, a, params.v0, cfg,
+                                     omega_max) for a in dates]
+        pruned = iter(())
+        if lattices:
+            n = max(v.shape[1] for v, _ in lattices)
+            v_tab, w_tab = np.ones((dates.size, n)), np.zeros((dates.size, n))
+            for r, (v, w) in enumerate(lattices):
+                v_tab[r, :v.shape[1]], w_tab[r, :w.shape[1]] = v[0], w[0]
+            live = _live_nodes(params, 0.0, params.v0, dates[:, None], v_tab,
+                               w_tab, omega.imag)
+            pruned = ((v[m], w[m]) for v, w, m in zip(v_tab, w_tab, live))
+        for t_km1, t_k in group:
+            v, w = (next(pruned) if t_km1 > 0.0
+                    else (np.array([params.v0]), np.ones(1)))
+            yield v, w, np.full(v.size, t_km1), np.full(v.size, t_k)
 
 
 def _g1_weights(params: ModelParams, v, w, t_km1, omega):
@@ -759,11 +858,11 @@ def _g1_weights(params: ModelParams, v, w, t_km1, omega):
 
 
 def _blocks(grids, per_node: int):
-    """The period grids of ``grids``, built as they are consumed, stacked
-    into blocks of consecutive periods with at most
-    _MOMENT_BLOCK_ELEMENTS / per_node nodes each, or a single period:
-    (v, w, t_{k-1}, t_k) on one node axis and the index where each period
-    starts."""
+    """The grids of ``grids`` (tuples of arrays on one node axis, such as
+    a period's v, w, t_{k-1} and t_k), taken as they are consumed, stacked
+    into blocks of consecutive grids with at most
+    _MOMENT_BLOCK_ELEMENTS / per_node nodes each, or a single grid: each
+    array on one node axis and the index where each grid starts."""
     block, nodes = [], 0
 
     def stacked():
@@ -804,38 +903,40 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
       the tower rule through t_k.
 
     Period axis.  The periods of the first two routes differ only in their
-    dates, so each route stacks its periods' v grids (each built by
-    ``_transition_grid`` as for a lone period) on one node axis, each node
-    carrying its own dates, and takes g1 and h for a block of periods in
-    one kernel call each, with the Cauchy nodes phi on a leading axis.  A
-    block holds as many consecutive periods as keep the largest table its
-    route builds within _MOMENT_BLOCK_ELEMENTS (at least one period),
-    which bounds the memory of the Kummer and Bessel tensors.  The first
-    route never builds an omega x phi table: g1 is omega x nodes and h is
-    phi x nodes, so its blocks are sized by max(omega, phi) per node (the
-    lag-1 corridor's twelve periods then share a few kernel calls, where
-    omega x phi per node gave each its own).  The second route builds
-    h(omega + phi) on omega x phi x nodes, so its blocks are sized by that
-    product, and phi is split where one period alone passes the cap.  It
-    sums each period's nodes (``np.add.reduceat``) before the Cauchy rule
-    and the periods after it, so the rule's gap check stays per period, as
-    it does on D(v) in the first route.
+    dates, so each route stacks its periods' v grids (``_period_grids``:
+    each the lattice of a lone period, less its dead nodes) on one node
+    axis, each node carrying its own dates, and takes g1 and h for a block
+    of periods in one kernel call each, with the Cauchy nodes phi on a
+    leading axis.  A block holds as many consecutive periods as keep the
+    largest table its route builds within _MOMENT_BLOCK_ELEMENTS (at least
+    one period), which bounds the memory of the Kummer and Bessel tensors.
+    The first route never builds an omega x phi table: g1 is omega x nodes
+    and h is phi x nodes, so its blocks are sized by max(omega, phi) per
+    node (the lag-1 corridor's twelve periods then share a few kernel
+    calls, where omega x phi per node gave each its own).  The second
+    route builds h(omega + phi) on omega x phi x nodes, so its blocks are
+    sized by that product, and phi is split where one period alone passes
+    the cap.  It sums each period's nodes (``np.add.reduceat``) before the
+    Cauchy rule and the periods after it, so the rule's gap check stays
+    per period, as it does on D(v) in the first route.
 
-    The tower route stays one period at a time: each period pairs some 16k
-    (v, v') nodes per omega and phi, so stacking periods would only
-    multiply its largest tensor, and the peak memory, by their number.
-    Each g call takes every phi node the Cauchy rule asks for against a
-    chunk of the outer v rows, as many rows as keep omega x phi x rows x
-    inner nodes within _MOMENT_BLOCK_ELEMENTS (at least one).  The orders
+    The tower route stays one period at a time: on the terminal-price
+    swap each period's lattices pair some 11k (v, v') nodes, 7.2k of them
+    live (``_live_nodes`` at every omega + phi), so stacking periods would
+    only multiply its largest tensor, and the peak memory, by their
+    number.  g is evaluated on the live pairs as one flat axis: each call
+    takes every phi node the Cauchy rule asks for against a block of
+    whole outer v rows' pairs, as many rows as keep omega x phi x pairs
+    within _MOMENT_BLOCK_ELEMENTS (at least one).  The orders
     2c(omega + phi) then sit on the rows of one Bessel table against the
-    chunk's (v, v') arguments, so the phi nodes share its series' power
+    block's (v, v') arguments, so the phi nodes share its series' power
     table (``specfun._log_bessel_table``).  The phi-free factor
-    h(t_k, v'; t_i, omega) is taken once per period; at omega = -i (the
-    terminal-price weight) it is exactly e^{(r - q)(t_i - t_k)}, which
-    ``transforms._log_h_vec`` returns without a Kummer call.
+    h(t_k, v'; t_i, omega) is taken once per period on the live pairs; at
+    omega = -i (the terminal-price weight) it is exactly
+    e^{(r - q)(t_i - t_k)}, which ``transforms._log_h_vec`` returns
+    without a Kummer call.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
-    omega_max = float(np.max(np.abs(omega.real)))
     # A purely imaginary omega makes the weight e^{i omega X} real.
     real_weight = not np.any(omega.real)
     total = np.zeros(omega.size, dtype=complex)
@@ -844,8 +945,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                  if i == (a if weight_at_start else b)]
         if not spans:
             continue
-        grids = (_period_grid(params, cfg, a, b, omega_max)
-                 for a, b in spans)
+        grids = _period_grids(params, cfg, spans, omega)
         phi_evals = (MOMENT_NODES // 2 if weight_at_start or real_weight
                      else MOMENT_NODES)
         per_node = (max(omega.size, phi_evals) if weight_at_start
@@ -871,31 +971,38 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     for t_km1, t_k, t_i in periods:
         if t_i > t_k:
             total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
-                                   omega_max, real_weight)
+                                   real_weight)
     return total
 
 
 def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                   t_km1: float, t_k: float, t_i: float, omega,
-                  omega_max: float, real_weight: bool):
+                  real_weight: bool):
     """One period's term of ``_weighted_moment`` on the route t_i > t_k."""
-    v, w, t_from, _ = _period_grid(params, cfg, t_km1, t_k, omega_max)
+    v, w, t_from, _ = next(_period_grids(params, cfg, [(t_km1, t_k)], omega))
     wv = _g1_weights(params, v, w, t_from, omega)
-    inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg, omega_max)
-    h_after = w_in * np.exp(tr._log_h_vec(t_k, inner, t_i,
-                                          omega[:, None, None], 0.0, params))
+    inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg,
+                                   float(np.max(np.abs(omega.real))))
 
     def f(phis):
-        per_row = omega.size * phis.size * inner.shape[1]
-        step = max(1, _MOMENT_BLOCK_ELEMENTS // per_row)
+        # g on the live (v, v') pairs of every omega + phi, flat, a block
+        # of whole outer rows per call
+        live = _live_nodes(params, t_km1, v[:, None], t_k, inner, w_in,
+                           (omega[:, None] + phis).imag)
+        v_in = inner[live]
+        weight = wv[:, np.nonzero(live)[0]] * w_in[live] * np.exp(
+            tr._log_h_vec(t_k, v_in, t_i, omega[:, None], 0.0, params))
+        pairs = (np.broadcast_to(v[:, None], live.shape)[live], v_in, weight.T)
+        ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
+        rows = zip(*(np.split(x, ends) for x in pairs))
         total = 0.0
-        for r in range(0, v.size, step):
-            rows = slice(r, r + step)
-            g = tr._log_g_vec(t_km1, v[rows, None], t_k,
-                              omega[:, None, None] + phis[:, None, None, None],
-                              0.0, inner[rows], params)
-            total = total + np.einsum("wv,pwvs,wvs->pw", wv[:, rows],
-                                      np.exp(g, out=g), h_after[:, rows])
+        for v_b, v_in_b, weight_b, _ in _blocks(rows, omega.size * phis.size):
+            g = tr._log_g_vec(t_km1, v_b, t_k,
+                              omega[:, None] + phis[:, None, None], 0.0,
+                              v_in_b, params)
+            g = np.exp(g, out=g)
+            g *= weight_b.T
+            total = total + g.sum(axis=-1)
         return total
     return _cauchy_moment(m, f, real_weight)
 

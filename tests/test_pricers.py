@@ -24,6 +24,7 @@ from three_halves.mc_oracle import (
     mc_price,
     simulate_paths,
 )
+from three_halves.model import coef_A, coef_C
 from three_halves.pricers import (
     MOMENT_RADIUS,
     EuropeanSpec,
@@ -242,6 +243,33 @@ class TestTimerBuildOnce:
             alone.setdefault((spec.mandatory_maturity, spec.n_monitoring,
                               spec.variance_budget), []).append(spec)
         for group in alone.values():
+            for spec, res in zip(group,
+                                 price_timer_grid(group, timer_params, cfg)):
+                got = mixed[specs.index(spec)]
+                assert (got.price, got.err_estimate) == (
+                    res.price, res.err_estimate), spec
+                assert got.diagnostics == res.diagnostics
+
+
+    def test_one_european_base_per_strike(self, timer_params, monkeypatch):
+        # The European base at T depends on neither N nor B: three strikes
+        # at two budgets price it three times, and every price is the one
+        # its (T, N, B) group gets alone, bit for bit.
+        cfg = QuadratureConfig()
+        budgets = (0.087, 0.2)
+        specs = [TimerOptionSpec(k, 1.0, 4, b) for b in budgets
+                 for k in (90.0, 100.0, 110.0)]
+        bases = []
+        european = pricers._price_european_detailed
+
+        def spy(spec, *args):
+            bases.append(spec)
+            return european(spec, *args)
+        monkeypatch.setattr(pricers, "_price_european_detailed", spy)
+        mixed = price_timer_grid(specs, timer_params, cfg)
+        assert len(bases) == 3
+        for b in budgets:
+            group = [s for s in specs if s.variance_budget == b]
             for spec, res in zip(group,
                                  price_timer_grid(group, timer_params, cfg)):
                 got = mixed[specs.index(spec)]
@@ -490,16 +518,17 @@ class TestSwapPeriodBlocks:
 
     def test_tower_one_outer_row_per_call(self, snp_params, swap_price,
                                           monkeypatch):
-        # The tower route takes all its phi nodes in each g call and splits
-        # the outer v rows into chunks; one row per call must agree.
+        # The tower route takes all its phi nodes in each g call on its
+        # flat live (v, v') pairs, a block of whole outer rows at a time;
+        # one row per call must agree.
         spec = MomentSwapSpec(1.0, 12, 2, "terminal_price")
         chunked = swap_price(spec)
         rows = []
         log_g = pricers.tr._log_g_vec
 
         def spy(t, v, *args):
-            if np.ndim(v) == 2:  # the tower's outer rows, v[:, None]
-                rows.append(np.shape(v)[0])
+            if np.ndim(v) == 1:  # the tower's pairs; g1 starts from V0
+                rows.append(np.unique(v).size)
             return log_g(t, v, *args)
 
         monkeypatch.setattr(pricers, "_MOMENT_BLOCK_ELEMENTS", 1)
@@ -509,6 +538,132 @@ class TestSwapPeriodBlocks:
         floor = (spec.n_periods * np.finfo(float).eps
                  * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
         assert abs(alone - chunked) <= 1e-13 * abs(chunked) + floor
+
+
+# The seven strip swaps and the two corridor swaps of the benchmark.
+BENCHMARK_SWAPS = [
+    (12, 2, "constant", 0), (52, 2, "constant", 0), (252, 2, "constant", 0),
+    (12, 3, "constant", 0), (12, 2, "price_ratio", 0),
+    (12, 2, "price_ratio", 1), (12, 2, "terminal_price", 0),
+    (2, 2, "corridor", 0, 80.0, 120.0), (12, 2, "corridor", 1, 80.0, 120.0)]
+
+
+def _log_bound(params, t, v, t_prime, v_prime, y):
+    """log B, the bound on g(t, v; t', iy, 0, v') that needs no Bessel
+    function, written out from its formula (no jumps)."""
+    A = coef_A(params.theta, t, t_prime)
+    C = coef_C(params.theta, params.epsilon, t, t_prime)
+    b0 = 0.5 + (params.kappa + y * params.rho * params.epsilon) / params.eps2
+    return (-y * (params.r - params.q) * (t_prime - t) + np.log(A / C)
+            - 2.0 * np.log(v_prime) + b0 * np.log(A * v / v_prime)
+            - (np.sqrt(A / v_prime) - np.sqrt(1.0 / v)) ** 2 / C)
+
+
+def _tower_band(params, cfg):
+    """The tower route's (v, v') lattice of the terminal-price swap's
+    second period, from its live outer nodes, and its transform points
+    omega + phi at omega = -i."""
+    t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
+    v = next(pricers._period_grids(params, cfg, [(t_km1, t_k)], -1j))[0]
+    inner, w_in = pricers._transition_grid(params, t_km1, t_k, v, cfg)
+    phis = MOMENT_RADIUS * np.exp(
+        2j * np.pi * (np.arange(pricers.MOMENT_NODES) + 0.5)
+        / pricers.MOMENT_NODES)
+    return t_km1, v[:, None], t_k, inner, w_in, -1j + phis
+
+
+def _period_lattices(params, cfg):
+    """Whole lattices of the period grids from V0 with the transform
+    points of their g1: the lag-1 corridor's on its contour out to the
+    rule's last node, the lag-0 corridor's second period, the price ratio
+    and the constant weight."""
+    corridor = np.array([0.0, 60.0, 127.75]) + 1j * pricers.CORRIDOR_DAMPING
+    cases = [(k / 12.0, corridor) for k in (1, 6, 11)]
+    cases += [(0.5, corridor), (1.0 / 12.0, np.array([-1j])),
+              (11.0 / 12.0, np.array([0.0]))]
+    for t, omega in cases:
+        nodes, w = pricers._transition_grid(
+            params, 0.0, t, params.v0, cfg, float(np.max(omega.real)))
+        yield 0.0, params.v0, t, nodes[0], w[0], omega
+
+
+class TestDeadNodePrune:
+    """The swaps evaluate g only on the lattice nodes ``_live_nodes``
+    keeps; the nodes it drops carry at most _DEAD_SHARE of g's mass."""
+
+    @pytest.mark.parametrize("fields", BENCHMARK_SWAPS,
+                             ids=lambda f: "-".join(map(str, f[:4])))
+    def test_price_as_on_the_whole_lattice(self, snp_params, swap_price,
+                                           monkeypatch, fields):
+        # The bound against the whole lattice is 1e-13 relative plus the
+        # Cauchy rule's roundoff floor N eps m! / r^m, as for the blocks.
+        spec = MomentSwapSpec(1.0, *fields)
+        pruned = swap_price(spec)
+        dropped = []
+        rule = pricers._live_nodes
+
+        def keep_all(*args):
+            live = rule(*args)
+            w = args[5]  # nodes of weight 0 pad the period lattices
+            dropped.append(np.count_nonzero((w > 0.0) & ~live))
+            return w > 0.0
+        monkeypatch.setattr(pricers, "_live_nodes", keep_all)
+        full = fair_strike_weighted(spec, snp_params, QuadratureConfig())
+        assert sum(dropped) > 0
+        floor = (spec.n_periods * np.finfo(float).eps
+                 * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
+        assert abs(pruned - full) <= 1e-13 * abs(full) + floor
+
+    @pytest.mark.parametrize("band", ["period", "tower"])
+    def test_dropped_nodes_within_the_bound(self, snp_params, band):
+        # On every node g(iy) <= B; on every dropped node |g(omega)| <= B
+        # at y = Im omega, computed with the Bessel function (both in log,
+        # to 1e-9 for the roundoff of the logs); at every y the dropped
+        # nodes' w B sums to at most _DEAD_SHARE of each row's mass h(iy),
+        # and so does their w |g(omega)|.
+        cfg = QuadratureConfig()
+        p = snp_params
+        lattices = (_period_lattices(p, cfg) if band == "period"
+                    else [_tower_band(p, cfg)])
+        dropped = 0
+        for t, v, t_prime, nodes, w, omega in lattices:
+            live = pricers._live_nodes(p, t, v, t_prime, nodes, w,
+                                       omega.imag)
+            dropped += np.count_nonzero(~live)
+            shape = (-1,) + (1,) * nodes.ndim
+            y = np.unique(omega.imag).reshape(shape)
+            log_b = _log_bound(p, t, v, t_prime, nodes, y)
+            log_gy = tr._log_g_vec(t, v, t_prime, 1j * y, 0.0, nodes, p)
+            assert np.all(log_gy.real <= log_b + 1e-9)
+            mass_y = np.exp(tr._log_h_vec(t, v, t_prime, 1j * y, 0.0,
+                                          p).real)
+            bound_share = np.sum(np.where(live, 0.0, w * np.exp(log_b)),
+                                 axis=-1, keepdims=True) / mass_y
+            assert np.all(bound_share <= pricers._DEAD_SHARE * (1 + 1e-12))
+            at = omega.reshape(shape)
+            log_g = tr._log_g_vec(t, v, t_prime, at, 0.0, nodes, p).real
+            bound = _log_bound(p, t, v, t_prime, nodes, at.imag)
+            assert np.all((log_g <= bound + 1e-9) | live)
+            mass = np.exp(tr._log_h_vec(t, v, t_prime, 1j * at.imag, 0.0,
+                                        p).real)
+            carried = np.sum(np.where(live, 0.0, w * np.exp(log_g)), axis=-1,
+                             keepdims=True)
+            assert np.all(carried <= pricers._DEAD_SHARE * mass)
+        assert dropped > 0
+
+    def test_every_node_kept_where_c_is_not_real(self, snp_params):
+        # At y = Im omega = 5, c(iy)^2 = b0^2 - (y + y^2)/eps^2 < 0: the
+        # order is not real and the bound does not hold.
+        cfg = QuadratureConfig()
+        nodes, w = pricers._transition_grid(snp_params, 0.0, 0.5,
+                                            snp_params.v0, cfg)
+        for imag in ([5.0], [0.0, 5.0]):
+            assert np.all(pricers._live_nodes(snp_params, 0.0,
+                                              snp_params.v0, 0.5, nodes, w,
+                                              imag))
+        assert not np.all(pricers._live_nodes(snp_params, 0.0,
+                                               snp_params.v0, 0.5, nodes, w,
+                                               [0.0]))
 
 
 class TestSelfQuantoRoutes:
@@ -562,6 +717,22 @@ class TestCorridorVGrid:
         coarse, fine = (self.integrand(monkeypatch, snp_params, n, 140.0)
                         for n in (64, 128))
         assert abs(coarse - fine) <= 1e-12
+
+    @pytest.mark.parametrize("omega_r", [140.0, 200.0])
+    def test_integrand_unmoved_by_the_prune(self, snp_params, monkeypatch,
+                                            omega_r):
+        # Past the rule's last node (127.75), up to where the 11/12-year
+        # grid still resolves g1's phase in 192 nodes (about omega_R =
+        # 222; OMEGA_LIMIT = 1000 needs more, and raises): the integrand
+        # on the live nodes is the one on the whole lattice, within the
+        # roundoff of its sums, eps times its value at omega_R = 0.
+        n = QuadratureConfig().v_nodes
+        floor = np.finfo(float).eps * abs(
+            self.integrand(monkeypatch, snp_params, n, 0.0))
+        pruned = self.integrand(monkeypatch, snp_params, n, omega_r)
+        monkeypatch.setattr(pricers, "_live_nodes", lambda *args: args[5] > 0)
+        full = self.integrand(monkeypatch, snp_params, n, omega_r)
+        assert abs(pruned - full) <= floor
 
     def test_price_converged_in_v(self, snp_params, swap_price):
         fine = fair_strike_weighted(CORRIDOR_LAG1, snp_params,

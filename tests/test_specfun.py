@@ -423,8 +423,8 @@ class TestBesselTable:
         p = snp_params
         cfg = QuadratureConfig()
         v, _, t_km1, _ = (np.concatenate(x) for x in zip(*(
-            pricers._period_grid(p, cfg, k / 12.0, (k + 1) / 12.0, 130.0)
-            for k in range(1, 12))))
+            pricers._period_grids(p, cfg, [(k / 12.0, (k + 1) / 12.0)
+                                           for k in range(1, 12)], 130.0))))
         _, A, C = tr._date_coefficients(0.0, t_km1, p)
         z = (2.0 / C) * np.sqrt(A / (p.v0 * v))
         omega = np.linspace(60.0, 130.0, 8) + 1j * pricers.CORRIDOR_DAMPING
@@ -439,7 +439,7 @@ class TestBesselTable:
         p = snp_params
         cfg = QuadratureConfig()
         t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
-        v, _, _, _ = pricers._period_grid(p, cfg, t_km1, t_k, 1.0)
+        v = next(pricers._period_grids(p, cfg, [(t_km1, t_k)], 1.0))[0]
         inner, _ = pricers._transition_grid(p, t_km1, t_k, v, cfg, 1.0)
         A = coef_A(p.theta, t_km1, t_k)
         C = coef_C(p.theta, p.epsilon, t_km1, t_k)
@@ -458,7 +458,7 @@ class TestBesselTable:
         p = snp_params
         cfg = QuadratureConfig()
         t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
-        v, _, _, _ = pricers._period_grid(p, cfg, t_km1, t_k, 1.0)
+        v = next(pricers._period_grids(p, cfg, [(t_km1, t_k)], 1.0))[0]
         inner, _ = pricers._transition_grid(p, t_km1, t_k, v, cfg, 1.0)
         A = coef_A(p.theta, t_km1, t_k)
         C = coef_C(p.theta, p.epsilon, t_km1, t_k)

@@ -40,19 +40,22 @@ pole, is summed on a Talbot contour (Talbot 1979; Weideman & Trefethen
     price = European(T) + (1 / (2 pi^2)) Re sum_omega w_omega J(omega).
 
 The omega axis is folded to omega_R >= 0 through (omega, s) ->
-(-conj omega, conj s); the first Talbot pass fixes its panels, and every
-later pass reuses them.  Each omega's contour of M nodes has scale M / B and
+(-conj omega, conj s).  Each omega's contour of M nodes has scale M / B and
 is centred on the branch point of c(omega, eta), or with jumps between it
 and the jump transform's singularity (``_talbot_contour``); an omega whose
-contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  The
-sums on M and on M - TALBOT_STEP nodes are compared, their gap goes into
-err_estimate, and M grows by TALBOT_STEP until they agree to rel_tol.
-e^{sB} peaks at e^{0.171 M} on the contour, so once e^{0.171 M} eps passes
-rel_tol, more nodes cannot help and the pricer raises.
+contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  One
+pass of the omega rule sums the contours of M and of M - TALBOT_STEP nodes
+side by side, from one build of H_tilde(omega, 0) and of the timerlets'
+eta-free factors per batch, and stops when both are spent.  Their gap goes
+into err_estimate.  Where it exceeds rel_tol, M grows by TALBOT_STEP: each
+growth pass sums only the new contour, on the panels the first pass chose,
+and compares it with the last.  e^{sB} peaks at e^{0.171 M} on the
+contour, so once e^{0.171 M} eps passes rel_tol, more nodes cannot help
+and the pricer raises.
 
-Neither the v' rules of the timerlets nor H_tilde(omega, 0) depend on the
-strike or the budget, so one ``_TimerKernel`` per (T, N) builds each once
-and serves every strike, budget and pass.
+The v' rules of the timerlets depend on neither the strike nor the budget,
+so one ``_TimerKernel`` per (T, N) builds them once for every strike and
+budget.
 
 Moment swaps
 ------------
@@ -371,10 +374,9 @@ def _talbot_counts(budget: float, T: float, omega, params: ModelParams):
 
 
 class _TimerKernel:
-    """What every timer price of one (T, N) shares, whatever its strike,
-    budget or Talbot pass: the v' rule of each inner date t_j = j T / N
-    (j = 1..N-1), built once, and H_tilde(omega, 0) at the omega rule's
-    nodes, built once per node (``zero``)."""
+    """What every timer price of one (T, N) shares, whatever its strike or
+    budget: the v' rule of each inner date t_j = j T / N (j = 1..N-1),
+    built once."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
@@ -382,8 +384,6 @@ class _TimerKernel:
         self.grids = [log_density_grid(
             lambda vp, t=self.date(j): tr._log_density_v_vec(
                 0.0, params.v0, t, vp, params), cfg) for j in range(1, N)]
-        self._omega = np.empty(0, dtype=complex)
-        self._zero = np.empty(0, dtype=complex)
 
     def date(self, j: int) -> float:
         return self.T * j / self.N
@@ -394,32 +394,6 @@ class _TimerKernel:
         return [tr._log_h_vec(self.date(j), nodes[None, :], self.date(j + 1),
                               omega[:, None], 0.0, self.params)
                 for j, (nodes, _) in enumerate(self.grids, start=1)]
-
-    def zero(self, omega, start: int, inner):
-        """H_tilde(omega, 0) at the omega rule's nodes from ``start`` on,
-        ``omega``, whose ``inner`` factors are given.  Every pass of the
-        rule runs through its panels in order from the first, so a value is
-        built the first time a pass reaches its node, and every later pass
-        and every budget of this (T, N) reads it back.
-
-        Raises:
-            ThreeHalvesError: a value built here is not finite; a NaN would
-                reach every later pass.
-        """
-        known = min(max(self._omega.size - start, 0), omega.size)
-        if start > self._omega.size or not np.array_equal(
-                self._omega[start:start + known], omega[:known]):
-            raise ThreeHalvesError(
-                "timer kernel at eta = 0 asked off the omega rule's order")
-        if known < omega.size:
-            new = _timer_h_tilde(self, omega[known:],
-                                 np.zeros((omega.size - known, 1)),
-                                 [x[known:] for x in inner])[:, 0]
-            if not np.all(np.isfinite(new)):
-                raise ThreeHalvesError("timer kernel is not finite at eta = 0")
-            self._omega = np.concatenate([self._omega, omega[known:]])
-            self._zero = np.concatenate([self._zero, new])
-        return self._zero[start:start + omega.size]
 
 
 def _timer_w_matrix(kernel: _TimerKernel, j: int, omega: np.ndarray,
@@ -483,33 +457,36 @@ def _hermitian_residual(kernel: _TimerKernel, budget: float,
     return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
 
 
-def _budget_integrals(kernel, B, strikes, omega, counts, start):
+def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
     """J(omega) = -i (2 pi / M) sum_k F(omega, eta_k) s'(theta_k)
-    [H_tilde(omega, eta_k) - H_tilde(omega, 0)], eta_k = i s_k, per strike
-    (rows) and omega (columns), on each omega's contour of M = counts[i]
-    nodes; ``omega`` are the omega rule's nodes from ``start`` on.
+    [H_tilde(omega, eta_k) - H_tilde(omega, 0)], eta_k = i s_k, on each
+    omega's contour of M = counts[i] + offset nodes, for every offset in
+    ``offsets``: shape (offsets, strikes, omega).
 
-    H_tilde(omega, 0) comes from ``kernel.zero``: built from the same v'
-    rules as the contour values on the first pass that reaches each node,
-    and read back after, so the summand has no pole at s = 0 even where a
-    contour encloses it (the pole term itself is exact).  The timerlets'
-    eta-free factors are built once per call for both."""
+    H_tilde(omega, 0) is built here from the same v' rules as the contour
+    values, so the summand has no pole at s = 0 even where a contour
+    encloses it (the pole term itself is exact).  It and the timerlets'
+    eta-free factors are built once per call and serve every contour."""
     inner = kernel.inner(omega)
-    h_zero = kernel.zero(omega, start, inner)[:, None]
-    rows = np.empty((strikes.size, omega.size), dtype=complex)
-    for m in np.unique(counts):
-        sel = counts == m
-        s, ds, _ = _talbot_contour(m, B, kernel.T, omega[sel], kernel.params)
-        h_tilde = _timer_h_tilde(
-            kernel, omega[sel], 1j * s,
-            inner if sel.all() else [x[sel] for x in inner])
-        if not np.all(np.isfinite(h_tilde)):
-            raise ThreeHalvesError(
-                f"timer kernel is not finite on the {m}-node contour")
-        fhat = _timer_transform_raw(omega[sel][:, None], 1j * s,
-                                    strikes[:, None, None], B)
-        rows[:, sel] = (-2j * math.pi / m) * np.sum(
-            fhat * (h_tilde - h_zero[sel]) * ds, axis=-1)
+    h_zero = _timer_h_tilde(kernel, omega, np.zeros((omega.size, 1)), inner)
+    if not np.all(np.isfinite(h_zero)):
+        raise ThreeHalvesError("timer kernel is not finite at eta = 0")
+    rows = np.empty((len(offsets), strikes.size, omega.size), dtype=complex)
+    for row, offset in zip(rows, offsets):
+        for m in np.unique(counts + offset):
+            sel = counts + offset == m
+            s, ds, _ = _talbot_contour(m, B, kernel.T, omega[sel],
+                                       kernel.params)
+            h_tilde = _timer_h_tilde(
+                kernel, omega[sel], 1j * s,
+                inner if sel.all() else [x[sel] for x in inner])
+            if not np.all(np.isfinite(h_tilde)):
+                raise ThreeHalvesError(
+                    f"timer kernel is not finite on the {m}-node contour")
+            fhat = _timer_transform_raw(omega[sel][:, None], 1j * s,
+                                        strikes[:, None, None], B)
+            row[:, sel] = (-2j * math.pi / m) * np.sum(
+                fhat * (h_tilde - h_zero[sel]) * ds, axis=-1)
     return rows
 
 
@@ -557,39 +534,38 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")
-        counts = []  # least and most Talbot nodes of the last omega batch
+        span = [TALBOT_MAX_NODES, 0]  # least and most M the rule asks
 
-        def integral(extra, panels=None):
-            # the Parseval integral, on contours of ``extra`` more nodes
-            # than _talbot_counts asks
-            done = [0]  # omega nodes this pass has evaluated
-
+        def integral(offsets, panels=None):
+            # the Parseval integral on contours of M + offset nodes, per
+            # offset
             def rows(omega):
-                m = _talbot_counts(B, T, omega, params) + extra
-                counts[:] = m.min(), m.max()
-                start, done[0] = done[0], done[0] + omega.size
-                return _budget_integrals(kernel, B, strikes, omega, m, start)
+                m = _talbot_counts(B, T, omega, params)
+                span[:] = min(span[0], m.min()), max(span[1], m.max())
+                return _budget_integrals(kernel, B, strikes, omega, m,
+                                         offsets)
             return omega_integral(rows, cfg, cfg.damping_omega,
                                   0.5 / math.pi**2, base, panels)
 
-        # The contours of M - TALBOT_STEP nodes fix the omega grid.
-        coarse, _, grid = integral(-TALBOT_STEP)
+        # One pass sums the contours of M - TALBOT_STEP and M nodes and
+        # fixes the omega grid; a growth pass sums only the next contour.
+        (coarse, fine), (_, q_err), diag = integral((-TALBOT_STEP, 0))
         extra = 0
         while True:
-            fine, q_err, diag = integral(extra, grid["omega_panels"])
             gaps = np.abs(fine - coarse)
             if np.all(gaps <= np.maximum(cfg.rel_tol * np.abs(base + fine),
                                          cfg.abs_tol)):
                 break
             # e^{sB} peaks at e^{s(0) B} = e^{0.171 M}, which the sum loses
             # to roundoff
-            if (math.exp(_UNIT[0].real * counts[0]) * np.finfo(float).eps
-                    > cfg.rel_tol):
+            if (math.exp(_UNIT[0].real * (span[0] + extra))
+                    * np.finfo(float).eps > cfg.rel_tol):
                 raise QuadratureNonConvergenceError(
                     f"Talbot contours of M and M - {TALBOT_STEP} nodes "
                     f"disagree by {gaps.max():.2e} at B = {B}, and roundoff "
                     f"bars a larger M", achieved=float(gaps.max()))
             coarse, extra = fine, extra + TALBOT_STEP
+            (fine,), (q_err,), diag = integral((extra,), diag["omega_panels"])
         for i, idx in enumerate(indices):
             price = base[i] + fine[i]
             err = gaps[i] + q_err[i] + bases[i].err_estimate
@@ -598,8 +574,9 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                     f"timer price came out negative ({price}) beyond the "
                     f"error budget")
             results[idx] = PriceResult(max(float(price), 0.0), float(err), {
-                **diag, "omega_tail": float(diag["omega_tail"][i]),
-                "talbot_nodes": int(counts[1]), "talbot_err": float(gaps[i]),
+                **diag, "omega_tail": float(diag["omega_tail"][-1, i]),
+                "talbot_nodes": int(span[1] + extra),
+                "talbot_err": float(gaps[i]),
                 "base_price": bases[i].price, "integral": float(fine[i]),
                 "hermitian_residual": herm})
     return results

@@ -49,12 +49,11 @@ class QuadratureConfig:
     """Numeric controls for every integral in the package; a product that
     needs other values passes ``dataclasses.replace(cfg, ...)``.
 
-    ``v_nodes`` and ``v_upper_mass_tol`` size the v' rules, and
-    ``max_refinements`` caps the doublings of an adaptive v' integral;
-    ``rel_tol`` and ``abs_tol`` stop the adaptive integrals, the omega
-    rule's panels and the timer's Talbot contours.  The call and timer
-    contours sit at Im(omega) = ``damping_omega`` < -1 (enforced at the
-    point of use).  The omega rule's panels are fixed by measurement.
+    ``v_nodes`` and ``v_upper_mass_tol`` size the v' rules; ``rel_tol``
+    and ``abs_tol`` stop the omega rule's panels and the timer's Talbot
+    contours.  The call and timer contours sit at Im(omega) =
+    ``damping_omega`` < -1 (enforced at the point of use).  The omega
+    rule's panels are fixed by measurement.
     """
 
     v_nodes: int = 64
@@ -62,7 +61,6 @@ class QuadratureConfig:
     damping_omega: float = -1.5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_refinements: int = 12
 
     def __post_init__(self):
         problems = []
@@ -89,16 +87,16 @@ class QuadratureConfig:
 # ---------------------------------------------------------------------------
 
 _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
+_GRID_MARGIN = 1.5  # in ln v', beyond the scan's last kept points
 
 
 def log_density_grid(log_density: Callable, cfg: QuadratureConfig,
-                     n: Optional[int] = None,
-                     margin: float = 1.5) -> Tuple[np.ndarray, np.ndarray]:
+                     n: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed trapezoid grid (nodes, weights) in v' adapted to a density.
 
     ``log_density`` maps a v' ndarray to log-density values; the grid spans
     the region where the density is above ``v_upper_mass_tol`` relative to
-    its peak, extended by ``margin`` in log space.  Weights include the
+    its peak, extended by _GRID_MARGIN in log space.  Weights include the
     e^u jacobian, so ``sum(w * f(nodes))`` approximates int f dv'.
     """
     u_scan = np.arange(_SCAN_LO, _SCAN_HI + 0.25, 0.25)
@@ -108,8 +106,8 @@ def log_density_grid(log_density: Callable, cfg: QuadratureConfig,
         raise ThreeHalvesError("density scan found no finite values")
     thresh = math.log(cfg.v_upper_mass_tol) + peak
     keep = np.nonzero(ld > thresh)[0]
-    lo = u_scan[keep[0]] - margin
-    hi = u_scan[keep[-1]] + margin
+    lo = u_scan[keep[0]] - _GRID_MARGIN
+    hi = u_scan[keep[-1]] + _GRID_MARGIN
     n = int(n or cfg.v_nodes)
     u = np.linspace(lo, hi, n)
     du = (hi - lo) / (n - 1)
@@ -173,8 +171,8 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
     outside the integral.  Batches of panels are added until every
     component's last panel is spent (see the module docstring).  With
     ``panels`` the first that many panels are evaluated in one batch and
-    no stopping test is made: a later pass on the grid an earlier one
-    chose.
+    no stopping test is made: the timer's growth pass, which sums a larger
+    Talbot contour on the panels its first pass chose.
 
     Returns (value, err_estimate, diagnostics); value and err_estimate
     have the leading shape of ``f``, err_estimate is the gap to the nested

@@ -108,9 +108,10 @@ class TestTimerIdentities:
     def test_non_finite_stage_raises(self, timer_params, monkeypatch, stage):
         # max(nan, 0) is nan and nan < -err is false, so a NaN would pass
         # every other check; the pricer names the stage instead.
-        # H_tilde(omega, 0) is built once and read by every later pass, so
-        # a NaN there alone ("zero") must raise where it is built; one on
-        # the Talbot contours alone ("contour") where those are summed.
+        # H_tilde(omega, 0) is built once per omega batch and subtracted
+        # from every contour's values, so a NaN there alone ("zero") must
+        # raise where it is built; one on the Talbot contours alone
+        # ("contour") where those are summed.
         monkeypatch.setattr(pricers, "_hermitian_residual",
                             lambda *args: 0.0)
         match = stage
@@ -227,6 +228,63 @@ class TestTimerBuildOnce:
         monkeypatch.setattr(pricers, "_timer_h_tilde", spy)
         timer = price_timer_call(self.SPEC, timer_params, QuadratureConfig())
         assert sum(nodes) == timer.diagnostics["omega_nodes"]
+
+    @staticmethod
+    def spy_passes(monkeypatch):
+        """Record each ``_budget_integrals`` call's offsets, omega nodes
+        and Talbot counts, and the omega rows it hands to
+        ``_TimerKernel.inner``."""
+        calls, inside = [], []
+        integrals = pricers._budget_integrals
+        inner = pricers._TimerKernel.inner
+
+        def spy_integrals(kernel, B, strikes, omega, counts, offsets):
+            calls.append({"offsets": tuple(offsets), "omega": omega,
+                          "counts": counts, "inner_rows": 0})
+            inside.append(calls[-1])
+            try:
+                return integrals(kernel, B, strikes, omega, counts, offsets)
+            finally:
+                inside.pop()
+
+        def spy_inner(kernel, omega):
+            for call in inside:
+                call["inner_rows"] += omega.size
+            return inner(kernel, omega)
+        monkeypatch.setattr(pricers, "_budget_integrals", spy_integrals)
+        monkeypatch.setattr(pricers._TimerKernel, "inner", spy_inner)
+        return calls
+
+    def test_one_pass_sums_both_contours(self, timer_params, monkeypatch):
+        # On the common path one pass of the omega rule sums the contours
+        # of M - 8 and M nodes together, so each omega node's eta-free
+        # factors are built once.
+        calls = self.spy_passes(monkeypatch)
+        specs = [TimerOptionSpec(k, 1.0, 4, 0.087)
+                 for k in (90.0, 100.0, 110.0)]
+        timer = price_timer_grid(specs, timer_params, QuadratureConfig())[0]
+        assert {c["offsets"] for c in calls} == {(-pricers.TALBOT_STEP, 0)}
+        assert (sum(c["inner_rows"] for c in calls)
+                == timer.diagnostics["omega_nodes"])
+
+    def test_growth_pass_sums_only_the_new_contour(self, jump_params,
+                                                   monkeypatch):
+        # The jump timer's M and M - 8 sums disagree, so M grows twice.
+        # Each growth pass sums one new contour on the first pass's omega
+        # nodes.
+        calls = self.spy_passes(monkeypatch)
+        timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
+                                 jump_params, QuadratureConfig())
+        n = sum(c["offsets"] == (-8, 0) for c in calls)
+        first, growth = calls[:n], calls[n:]
+        assert [c["offsets"] for c in growth] == [(8,), (16,)]
+        omega = np.concatenate([c["omega"] for c in first])
+        counts = np.concatenate([c["counts"] for c in first])
+        assert omega.size == timer.diagnostics["omega_nodes"]
+        for c in growth:
+            assert np.array_equal(c["omega"], omega)
+            assert np.array_equal(c["counts"], counts)
+        assert counts.max() + 16 == timer.diagnostics["talbot_nodes"] == 160
 
     def test_mixed_groups_price_as_alone(self, timer_params):
         # Two (T, N) groups, one of them at two budgets that share its

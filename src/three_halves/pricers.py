@@ -45,17 +45,24 @@ is centred on the branch point of c(omega, eta), or with jumps between it
 and the jump transform's singularity (``_talbot_contour``); an omega whose
 contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  One
 pass of the omega rule sums the contours of M and of M - TALBOT_STEP nodes
-side by side, from one build of H_tilde(omega, 0) and of the timerlets'
-eta-free factors per batch, and stops when both are spent.  Their gap goes
-into err_estimate.  Where it exceeds rel_tol, M grows by TALBOT_STEP: each
-growth pass sums only the new contour, on the panels the first pass chose,
-and compares it with the last.  e^{sB} peaks at e^{0.171 M} on the
-contour, so once e^{0.171 M} eps passes rel_tol, more nodes cannot help
-and the pricer raises.
+side by side: the omegas of a batch that share M take eta = 0 and both
+contours' nodes in one kernel call, so H_tilde(omega, 0) and the
+timerlets' eta-free factors are built once per omega node, and the rule
+stops when both contours are spent.  Their gap goes into err_estimate.
+Where it exceeds rel_tol, M grows by TALBOT_STEP: each growth pass sums
+only the new contour, on the panels the first pass chose, and compares it
+with the last.  e^{sB} peaks at e^{0.171 M} on the contour, so once
+e^{0.171 M} eps passes rel_tol, more nodes cannot help and the pricer
+raises.
 
 The v' rules of the timerlets depend on neither the strike nor the budget,
 so one ``_TimerKernel`` per (T, N) builds them once for every strike and
-budget.
+budget, every inner date's nodes side by side as columns.  The kernel is
+built in tiles (``_tiles``) of omega rows x consecutive dates: each tile's
+eta-free factors are one ``_log_h_vec`` call and its g one ``_log_g_vec``
+call per sub-tile, contracted against the dates' weights e^{-r t_{j+1}} w.
+No table passes _BLOCK_ELEMENTS, so a call's memory does not grow with N
+or with the omega rule's batch.
 
 Moment swaps
 ------------
@@ -75,7 +82,7 @@ or t_k, every period's v grid is stacked on one node axis whose nodes carry
 their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
 h are each one kernel call per block of periods.  A block holds as many
 periods as keep the largest table its route builds within
-_MOMENT_BLOCK_ELEMENTS, which bounds the kernels' memory.  The
+_BLOCK_ELEMENTS, the timer's cap, which bounds the kernels' memory.  The
 terminal-price weight's tower route (t_i > t_k) pairs some 11k (v, v')
 nodes per period and stays one period at a time; each g call takes every
 phi node against a block of whole outer rows of live pairs, within the
@@ -376,72 +383,164 @@ def _talbot_counts(budget: float, T: float, omega, params: ModelParams):
 class _TimerKernel:
     """What every timer price of one (T, N) shares, whatever its strike or
     budget: the v' rule of each inner date t_j = j T / N (j = 1..N-1),
-    built once."""
+    built once, with every date's nodes side by side as columns.
+
+    Inner date j's columns are ``starts[j - 1]:starts[j]`` (``columns``).
+    Each column carries its own t_j and t_{j+1} (``t``, ``t_next``) and the
+    weight e^{-r t_{j+1}} w of its timerlet's term in H_tilde
+    (``weights``), w the trapezoid weight of date j's v' rule."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
         self.T, self.N, self.params = T, N, params
-        self.grids = [log_density_grid(
-            lambda vp, t=self.date(j): tr._log_density_v_vec(
-                0.0, params.v0, t, vp, params), cfg) for j in range(1, N)]
+        self.dates = np.array([self.date(j) for j in range(1, N)])
+        grids = [log_density_grid(
+            lambda vp, t=t: tr._log_density_v_vec(
+                0.0, params.v0, t, vp, params), cfg) for t in self.dates]
+        self.sizes = np.array([nodes.size for nodes, _ in grids], dtype=int)
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)])
+        date_of = np.repeat(np.arange(1, N), self.sizes)
+        # "+ [[]]": with N = 1 there are no inner dates and no columns
+        self.nodes = np.concatenate([nodes for nodes, _ in grids] + [[]])
+        self.t = self.T * date_of / N
+        self.t_next = self.T * (date_of + 1) / N
+        self.weights = np.exp(-params.r * self.t_next) * np.concatenate(
+            [w for _, w in grids] + [[]])
 
     def date(self, j: int) -> float:
         return self.T * j / self.N
 
-    def inner(self, omega):
-        """log h(t_j, v'; t_{j+1}, omega, 0) on date j's v' nodes, omega as
-        rows, for j = 1..N-1: the eta-free factor of each timerlet."""
-        return [tr._log_h_vec(self.date(j), nodes[None, :], self.date(j + 1),
-                              omega[:, None], 0.0, self.params)
-                for j, (nodes, _) in enumerate(self.grids, start=1)]
+    def columns(self, dates: slice) -> slice:
+        """The v' columns of the inner dates ``dates``, a slice of
+        ``self.dates``."""
+        start, stop, _ = dates.indices(self.dates.size)
+        return slice(self.starts[start], self.starts[stop])
+
+    def inner(self, omega, dates: slice = slice(None)):
+        """log h(t_j, v'; t_{j+1}, omega, 0) on the v' columns of the
+        inner dates ``dates``, omega as rows: the eta-free factors of those
+        timerlets, one ``_log_h_vec`` call."""
+        cols = self.columns(dates)
+        return tr._log_h_vec(self.t[cols], self.nodes[cols],
+                             self.t_next[cols], omega[:, None], 0.0,
+                             self.params)
 
 
-def _timer_w_matrix(kernel: _TimerKernel, j: int, omega: np.ndarray,
+# Largest table one batched kernel call builds, for the timer and the
+# moment swaps alike: the timer's (omega, eta) pairs x v' columns for g,
+# omega x v' columns and (omega, eta) pairs x dates for h
+# (``_timer_h_tilde``); the swaps' omega x nodes for g1 and phi x nodes
+# for h with the weight at t_{k-1}, omega x phi x nodes with it at t_k,
+# and omega x phi x live (v, v') pairs on the tower route
+# (``_weighted_moment``).  Sized by measurement on 2 vCPUs shared with
+# other jobs: each ``_log_g_vec`` call costs 0.4-0.9 ms before any element
+# work, so the timer wants few large tables, and the swaps run as fast at
+# 2^14 as at 2^17, so they want small ones.  At 2^14 / 2^15 / 2^16
+# elements three N = 52 timer strikes take 1.05 / 1 / 1.02 times the 2^15
+# time (interleaved in one process; 2^14 is 1.06 times the whole-batch
+# tables' time, 2^15 0.90), and the benchmark's peak RSS reads
+# 37.6 / 38.8 / 41.6 MB on the timer, 37.7 / 38.8 / 41.0 on the corridor
+# and 37.5 / 39.1 / 41.1 on the strip (whole-batch timer tables:
+# 47.7 / 37.7 / 37.7).
+_BLOCK_ELEMENTS = 2**15
+
+
+def _tiles(n_rows: int, sizes, per: int):
+    """Tiles (rows, items), as slices, that cover n_rows rows x the items
+    of sizes ``sizes`` (a date's v' columns, or 1 for a date's h term),
+    each table rows x per x (sum of its items' sizes) within
+    _BLOCK_ELEMENTS: as many rows as fit beside the largest item, then
+    runs of as many consecutive items as fit beside those rows (at least
+    one row and one item)."""
+    step = max(1, _BLOCK_ELEMENTS // (per * int(max(sizes))))
+    for r in range(0, n_rows, step):
+        limit = _BLOCK_ELEMENTS // (per * min(step, n_rows - r))
+        start, total = 0, 0
+        for i, n in enumerate(sizes):
+            if i > start and total + n > limit:
+                yield slice(r, r + step), slice(start, i)
+                start, total = i, 0
+            total += n
+        yield slice(r, r + step), slice(start, len(sizes))
+
+
+def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
                     eta: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """W_j(omega, eta) = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'
+    """sum_j e^{-r t_{j+1}} W_j(omega, eta) over the inner dates ``dates``
+    (a slice of ``kernel.dates``), with
+
+        W_j = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'
+
     on date j's v' rule, for eta of shape (n_omega, n_eta), row i paired
-    with omega[i]; ``inner`` is log h on that rule
-    (``_TimerKernel.inner``)."""
-    nodes, wq = kernel.grids[j - 1]
+    with omega[i]; ``inner`` is log h on those dates' columns
+    (``_TimerKernel.inner``).
+
+    g is one ``_log_g_vec`` call per tile (``_tiles``) of omega rows x
+    consecutive dates, the rows' (omega, eta) pairs against the dates' v'
+    columns side by side, contracted against ``kernel.weights``.  Dates
+    join a tile in order and only as many as fit beside its rows, because
+    the Bessel series runs to the length its table's largest argument
+    2/C sqrt(A/(V0 v')) needs, and that falls with t_j: one table across
+    a row's dates made N = 52 slower, not faster."""
     p = kernel.params
-    log_g = tr._log_g_vec(0.0, p.v0, kernel.date(j), omega[:, None, None],
-                          eta[:, :, None], nodes[None, None, :], p)
-    log_g += inner[:, None, :]
-    return np.exp(log_g, out=log_g) @ wq
+    first, last, _ = dates.indices(kernel.dates.size)
+    base = kernel.starts[first]
+    out = np.zeros(eta.shape, dtype=complex)
+    for rows, group in _tiles(omega.size, kernel.sizes[first:last],
+                              eta.shape[1]):
+        cols = kernel.columns(slice(first + group.start, first + group.stop))
+        log_g = tr._log_g_vec(0.0, p.v0, kernel.t[cols],
+                              omega[rows, None, None], eta[rows, :, None],
+                              kernel.nodes[cols], p)
+        log_g += inner[rows, None, cols.start - base:cols.stop - base]
+        out[rows] += np.exp(log_g, out=log_g) @ kernel.weights[cols]
+    return out
 
 
-def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray, eta: np.ndarray,
-                   inner=None) -> np.ndarray:
+def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray,
+                   eta: np.ndarray) -> np.ndarray:
     """The timer kernel less its European-at-t_1 part,
 
         H_tilde = e^{i w X0} [ sum_{j=1}^{N-1} e^{-r t_{j+1}} W_j
                                - sum_{j=1}^{N-1} e^{-r t_j} h(0,V0;t_j) ],
 
     for eta of shape (n_omega, n_eta), row i paired with omega[i], with
-    every timerlet W_j evaluated exactly (``_timer_w_matrix``; ``inner``
-    as ``_TimerKernel.inner`` gives it, or built here).
+    every timerlet W_j evaluated exactly (``_timer_w_matrix``).
 
     This telescopes e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
     + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})): the last sum's
     h terms run over t_2..t_N, so the one at t_N = T cancels the first
     term, and the rest join -e^{-r t_1} h(0,V0;t_1) in the second sum.
-    Its h terms are one ``_log_h_vec`` call, the dates as columns against
-    the (omega, eta) rows.  With N = 1 both sums are empty: H_tilde = 0.
+    With N = 1 both sums are empty: H_tilde = 0.
+
+    Every table is one tile of ``_tiles``, so none passes _BLOCK_ELEMENTS
+    whatever N and the number of rows: the h terms are one ``_log_h_vec``
+    call per tile of (omega, eta) pairs x dates, and the eta-free factors
+    one per tile of omega rows x the dates' v' columns side by side, in
+    which ``_timer_w_matrix`` then tiles g.  A tile takes all the rows one
+    date fits before it adds dates, so each Kummer call builds its
+    per-parameter coefficient table for many rows at once and its
+    per-argument power table once per few dates, not once per sliver of
+    rows (every date's columns against blocks of 5-10 rows ran N = 52
+    about a fifth slower).
     """
+    shape = np.broadcast_shapes(omega[:, None].shape, eta.shape)
     if kernel.N == 1:
-        return np.zeros(np.broadcast_shapes(omega[:, None].shape, eta.shape),
-                        dtype=complex)
-    if inner is None:
-        inner = kernel.inner(omega)
+        return np.zeros(shape, dtype=complex)
     p = kernel.params
-    om = omega[:, None]
-    dates = np.array([kernel.date(j) for j in range(1, kernel.N)])
-    acc = np.exp(tr._log_h_vec(0.0, p.v0, dates, om[..., None],
-                               eta[..., None], p)) @ -np.exp(-p.r * dates)
-    for j in range(1, kernel.N):
-        acc += math.exp(-p.r * kernel.date(j + 1)) * _timer_w_matrix(
-            kernel, j, omega, eta, inner[j - 1])
-    return np.exp(1j * om * p.x0) * acc
+    eta = np.broadcast_to(eta, shape)
+    acc = np.zeros(shape, dtype=complex)
+    for rows, dates in _tiles(shape[0], np.ones(kernel.N - 1, dtype=int),
+                              shape[1]):
+        t = kernel.dates[dates]
+        acc[rows] -= np.exp(tr._log_h_vec(
+            0.0, p.v0, t, omega[rows, None, None], eta[rows, :, None], p)
+        ) @ np.exp(-p.r * t)
+    for rows, dates in _tiles(shape[0], kernel.sizes, 1):
+        om = omega[rows]
+        acc[rows] += _timer_w_matrix(kernel, dates, om, eta[rows],
+                                     kernel.inner(om, dates))
+    return np.exp(1j * omega[:, None] * p.x0) * acc
 
 
 def _hermitian_residual(kernel: _TimerKernel, budget: float,
@@ -465,28 +564,32 @@ def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
 
     H_tilde(omega, 0) is built here from the same v' rules as the contour
     values, so the summand has no pole at s = 0 even where a contour
-    encloses it (the pole term itself is exact).  It and the timerlets'
-    eta-free factors are built once per call and serve every contour."""
-    inner = kernel.inner(omega)
-    h_zero = _timer_h_tilde(kernel, omega, np.zeros((omega.size, 1)), inner)
-    if not np.all(np.isfinite(h_zero)):
-        raise ThreeHalvesError("timer kernel is not finite at eta = 0")
+    encloses it (the pole term itself is exact).  The omegas that share a
+    node count take eta = 0 and every contour's nodes side by side in one
+    ``_timer_h_tilde`` call, so their eta-free factors are built once for
+    all of them."""
     rows = np.empty((len(offsets), strikes.size, omega.size), dtype=complex)
-    for row, offset in zip(rows, offsets):
-        for m in np.unique(counts + offset):
-            sel = counts + offset == m
-            s, ds, _ = _talbot_contour(m, B, kernel.T, omega[sel],
-                                       kernel.params)
-            h_tilde = _timer_h_tilde(
-                kernel, omega[sel], 1j * s,
-                inner if sel.all() else [x[sel] for x in inner])
-            if not np.all(np.isfinite(h_tilde)):
+    for m in np.unique(counts):
+        sel = counts == m
+        om = omega[sel]
+        contours = [_talbot_contour(m + offset, B, kernel.T, om,
+                                    kernel.params)[:2] for offset in offsets]
+        h_tilde = _timer_h_tilde(kernel, om, np.concatenate(
+            [np.zeros((om.size, 1))] + [1j * s for s, _ in contours], axis=1))
+        h_zero = h_tilde[:, :1]
+        if not np.all(np.isfinite(h_zero)):
+            raise ThreeHalvesError("timer kernel is not finite at eta = 0")
+        end = 1
+        for row, (s, ds) in zip(rows, contours):
+            n = s.shape[1]
+            h_s, end = h_tilde[:, end:end + n], end + n
+            if not np.all(np.isfinite(h_s)):
                 raise ThreeHalvesError(
-                    f"timer kernel is not finite on the {m}-node contour")
-            fhat = _timer_transform_raw(omega[sel][:, None], 1j * s,
+                    f"timer kernel is not finite on the {n}-node contour")
+            fhat = _timer_transform_raw(om[:, None], 1j * s,
                                         strikes[:, None, None], B)
-            row[:, sel] = (-2j * math.pi / m) * np.sum(
-                fhat * (h_tilde - h_zero[sel]) * ds, axis=-1)
+            row[:, sel] = (-2j * math.pi / n) * np.sum(
+                fhat * (h_s - h_zero) * ds, axis=-1)
     return rows
 
 
@@ -702,19 +805,6 @@ def _live_nodes(params: ModelParams, t, v, t_prime, v_prime, w, imag):
 MOMENT_NODES = 8
 MOMENT_RADIUS = 0.25
 
-# Largest table one batched kernel call of the moment swaps builds, per
-# route (see _weighted_moment): omega x nodes for g1 and phi x nodes for
-# h with the weight at t_{k-1}, omega x phi x nodes with it at t_k, and
-# omega x phi x live (v, v') pairs on the tower route.  Sized by
-# measurement (2 vCPUs shared with other jobs, medians of five runs in
-# each of three processes, tracemalloc heap peaks): the six strip
-# benchmark swaps other than the terminal-price one take 0.19-0.31 /
-# 0.10-0.11 / 0.10-0.11 s at 2^11 / 2^14 / 2^17 elements, at heap peaks
-# of 1.3 / 2.7 / 6.1 MB, and the terminal-price swap 0.18-0.21 /
-# 0.12-0.14 / 0.12-0.18 s at 1.2 / 2.9 / 3.1 MB; 2^14 is as fast as 2^17
-# at under 3 MB.
-_MOMENT_BLOCK_ELEMENTS = 2**14
-
 
 def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
     """i^{-m} f^{(m)}(0) for a characteristic function f: the m-th moment.
@@ -798,10 +888,10 @@ def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
     phase at the largest |Re omega|, less the nodes where g1 is dead at
     every omega (``_live_nodes``).  The lattices of consecutive periods
     are pruned in one call, padded with nodes of weight 0 to one table of
-    at most _MOMENT_BLOCK_ELEMENTS nodes."""
+    at most _BLOCK_ELEMENTS nodes."""
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))
-    step = max(1, _MOMENT_BLOCK_ELEMENTS // _GRID_MAX_NODES)
+    step = max(1, _BLOCK_ELEMENTS // _GRID_MAX_NODES)
     for j in range(0, len(spans), step):
         group = spans[j:j + step]
         dates = np.array([a for a, _ in group if a > 0.0])
@@ -838,7 +928,7 @@ def _blocks(grids, per_node: int):
     """The grids of ``grids`` (tuples of arrays on one node axis, such as
     a period's v, w, t_{k-1} and t_k), taken as they are consumed, stacked
     into blocks of consecutive grids with at most
-    _MOMENT_BLOCK_ELEMENTS / per_node nodes each, or a single grid: each
+    _BLOCK_ELEMENTS / per_node nodes each, or a single grid: each
     array on one node axis and the index where each grid starts."""
     block, nodes = [], 0
 
@@ -848,7 +938,7 @@ def _blocks(grids, per_node: int):
 
     for grid in grids:
         n = grid[0].size
-        if block and (nodes + n) * per_node > _MOMENT_BLOCK_ELEMENTS:
+        if block and (nodes + n) * per_node > _BLOCK_ELEMENTS:
             yield stacked()
             block, nodes = [], 0
         block.append(grid)
@@ -858,8 +948,8 @@ def _blocks(grids, per_node: int):
 
 def _phi_chunks(phis, per_phi: int):
     """Consecutive runs of the Cauchy nodes ``phis`` with at most
-    _MOMENT_BLOCK_ELEMENTS / per_phi nodes each, or a single node."""
-    step = max(1, _MOMENT_BLOCK_ELEMENTS // per_phi)
+    _BLOCK_ELEMENTS / per_phi nodes each, or a single node."""
+    step = max(1, _BLOCK_ELEMENTS // per_phi)
     return [phis[j:j + step] for j in range(0, phis.size, step)]
 
 
@@ -885,7 +975,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     axis, each node carrying its own dates, and takes g1 and h for a block
     of periods in one kernel call each, with the Cauchy nodes phi on a
     leading axis.  A block holds as many consecutive periods as keep the
-    largest table its route builds within _MOMENT_BLOCK_ELEMENTS (at least
+    largest table its route builds within _BLOCK_ELEMENTS (at least
     one period), which bounds the memory of the Kummer and Bessel tensors.
     The first route never builds an omega x phi table: g1 is omega x nodes
     and h is phi x nodes, so its blocks are sized by max(omega, phi) per
@@ -904,7 +994,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     number.  g is evaluated on the live pairs as one flat axis: each call
     takes every phi node the Cauchy rule asks for against a block of
     whole outer v rows' pairs, as many rows as keep omega x phi x pairs
-    within _MOMENT_BLOCK_ELEMENTS (at least one).  The orders
+    within _BLOCK_ELEMENTS (at least one).  The orders
     2c(omega + phi) then sit on the rows of one Bessel table against the
     block's (v, v') arguments, so the phi nodes share its series' power
     table (``specfun._log_bessel_table``).  The phi-free factor

@@ -142,37 +142,25 @@ def _log_sin_pi(z):
 def _log_gamma_right(z):
     """Stirling expansion with upward recurrence; requires Re(z) > 0.
 
-    Each element is shifted, adding log z to its correction and then 1 to
-    z, while Re z < _STIRLING_MIN_RE.  The shift counts are estimated once
-    as ceil(_STIRLING_MIN_RE - Re z); with the elements sorted by count,
-    pass p runs over the contiguous prefix still expected to shift and
-    tests Re z there.  Rounding in z += 1 can end an element's shifts a
-    pass early (it is then masked) or late (a final masked loop finishes
-    it), so every element sees exactly the sequence of the per-element
-    rule.
+    Each element is shifted n = ceil(_STIRLING_MIN_RE - Re z) times (0 for
+    NaN), adding log z to its correction and then 1 to z per shift.  Pass
+    k runs over the whole array, adding log 1 = 0 and 0 to the elements
+    whose n is spent, so every element sees exactly its own sequence of
+    shifts with no sort and no gather.  One n per call for every element
+    (the least Re z's) takes fewer operations, but it moves the elements
+    further right of the expansion's range than they need, where its terms
+    are larger and round coarser: a timer kernel built from one omega row
+    per table then drifts 1.9e-13 of its largest value from the per-date
+    route, against 7e-14 with each element's own n.
     """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    count = _shift_counts(z.real.reshape(-1))
-    order = np.argsort(-count, kind="stable")
-    z = z.reshape(-1)[order]
+    z = np.array(z, dtype=complex)
+    count = _STIRLING_MIN_RE - z.real
+    np.fmax(np.ceil(count, out=count), 0.0, out=count)
     correction = np.zeros_like(z)
-    ends = np.searchsorted(-count[order], -np.arange(1, count.max(initial=0) + 1),
-                           side="right")
-    for end in ends:
-        head = z[:end]
-        needs = head.real < _STIRLING_MIN_RE
-        if np.all(needs):
-            correction[:end] += np.log(head)
-            head += 1.0
-        else:
-            correction[:end][needs] += np.log(head[needs])
-            head[needs] += 1.0
-    needs = z.real < _STIRLING_MIN_RE
-    while np.any(needs):
-        correction[needs] += np.log(z[needs])
-        z[needs] += 1.0
-        needs = z.real < _STIRLING_MIN_RE
+    for k in range(int(count.max(initial=0.0))):
+        live = count > k
+        correction += np.log(np.where(live, z, 1.0))
+        z += live
     w = 1.0 / z
     w2 = w * w
     tail = np.zeros_like(z)
@@ -180,16 +168,7 @@ def _log_gamma_right(z):
     for coeff in _STIRLING_COEFFS:
         tail += coeff * power
         power = power * w2
-    value = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + tail - correction
-    correction[order] = value  # back to the input order, in a spent buffer
-    return correction.reshape(shape)
-
-
-def _shift_counts(re):
-    """ceil(_STIRLING_MIN_RE - re) clipped to 0..127 (0 for NaN), as int8."""
-    deficit = _STIRLING_MIN_RE - re
-    np.fmin(np.fmax(deficit, 0.0, out=deficit), 127.0, out=deficit)
-    return np.ceil(deficit, out=deficit).astype(np.int8)
+    return (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + tail - correction
 
 
 def _log_gamma_vec(z):
@@ -363,10 +342,13 @@ def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
     n_terms = coef.shape[0] - 1
     powers = _power_table(x, n_terms)
     if powers.dtype.kind == "f":
+        # the sums go straight into ``out``, whose parts are rewritten
+        # below (or the block is summed again)
         pair = coef.view(float).T @ powers  # rows Re C_i, Im C_i alternate
-        total = np.empty((coef.shape[1], x.size), dtype=complex)
+        total = out
         total.real = pair[0::2]
         total.imag = pair[1::2]
+        del pair
     else:
         total = coef.T @ powers
     mag = np.abs(total)
@@ -374,12 +356,13 @@ def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
     small = np.multiply.outer(last, _mag(powers[-2])) <= mag
     if not np.all(small) and not np.all(small | (mag == 0.0)):
         return False
+    del small
     with np.errstate(divide="ignore"):  # a sum of exactly 0
-        if lost is not None:
-            np.log(abs_coef.T @ np.abs(powers), out=lost)
-            lost -= np.log(mag)
         np.arctan2(total.imag, total.real, out=out.imag)
         np.log(mag, out=mag)
+        if lost is not None:
+            np.log(abs_coef.T @ np.abs(powers), out=lost)
+            lost -= mag
     np.add(mag, row_scale[:, None], out=out.real)
     return True
 

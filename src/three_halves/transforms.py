@@ -408,13 +408,12 @@ def _log_kummer_factor(at, bt, x):
     """log([Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x)), the part of
     log h after a dt, for parameter rows ``at``, ``bt`` of shape (n, 1)
     against columns ``x`` of shape (m,); the asymptotic and Taylor
-    regimes of ``_log_h_vec``."""
+    regimes of ``_log_h_vec``.  The Taylor part is finished in place, and
+    it is the result where no element takes the asymptotic branch, so few
+    tables of the output's size are alive at once."""
     asym = specfun._kummer_asym_mask(at, bt, x)
-    out = np.empty(asym.shape, dtype=complex)
-    if np.any(asym):
-        out[asym] = specfun._log_kummer_asym_sum(
-            *(np.broadcast_to(p, asym.shape)[asym] for p in (at, bt, x)))
     cols = ~np.all(asym, axis=0)
+    logm = None
     if np.any(cols):
         xt = x[cols]
         taylor = ~asym[:, cols]
@@ -424,14 +423,22 @@ def _log_kummer_factor(at, bt, x):
                 "joint CF Taylor branch lost more than 10 digits; "
                 "contour outside the supported strip"
             )
-        log_taylor = (
-            specfun._log_gamma_vec(bt - at)
-            - specfun._log_gamma_vec(bt)
-            + at * np.log(xt)
-            - xt
-            + logm
-        )
-        out[:, cols] = np.where(taylor, log_taylor, out[:, cols])
+        del lost
+        part = (specfun._log_gamma_vec(bt - at) - specfun._log_gamma_vec(bt)
+                + at * np.log(xt))
+        part -= xt
+        logm += part
+        del part
+        if not np.any(asym):
+            return logm
+    out = np.empty(asym.shape, dtype=complex)
+    if np.any(asym):
+        out[asym] = specfun._log_kummer_asym_sum(
+            *(np.broadcast_to(p, asym.shape)[asym] for p in (at, bt, x)))
+    if logm is not None:
+        part = out[:, cols]
+        np.copyto(part, logm, where=taylor)
+        out[:, cols] = part
     return out
 
 

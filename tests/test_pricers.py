@@ -3,6 +3,7 @@ primitive, converged reference prices and agreement with the Monte Carlo
 oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,7 +140,8 @@ class TestTimerIdentities:
 def _untelescoped_h_tilde(kernel, omega, eta):
     """H_tilde as the sum the kernel telescopes: e^{-rT} h(0,V0;T)
     - e^{-r t_1} h(0,V0;t_1) + sum_j e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})),
-    one h call per date."""
+    one h call per date, and each W_j from its own g and h calls on date
+    j's v' rule."""
     p, T, N = kernel.params, kernel.T, kernel.N
     om = omega[:, None]
 
@@ -147,10 +149,16 @@ def _untelescoped_h_tilde(kernel, omega, eta):
         return np.exp(tr._log_h_vec(0.0, p.v0, t, om, eta, p))
 
     acc = math.exp(-p.r * T) * h_at(T) - math.exp(-p.r * T / N) * h_at(T / N)
-    inner = kernel.inner(omega)
     for j in range(1, N):
-        w_j = pricers._timer_w_matrix(kernel, j, omega, eta, inner[j - 1])
-        acc += math.exp(-p.r * T * (j + 1) / N) * (w_j - h_at(T * (j + 1) / N))
+        t, t_next = T * j / N, T * (j + 1) / N
+        cols = kernel.columns(slice(j - 1, j))
+        nodes = kernel.nodes[cols]
+        log_w = (tr._log_g_vec(0.0, p.v0, t, om[..., None], eta[..., None],
+                               nodes, p)
+                 + tr._log_h_vec(t, nodes, t_next, om, 0.0, p)[:, None, :])
+        # kernel.weights carry e^{-r t_{j+1}} times the trapezoid weights
+        acc += (np.exp(log_w) @ kernel.weights[cols]
+                - math.exp(-p.r * t_next) * h_at(t_next))
     return np.exp(1j * om * p.x0) * acc
 
 
@@ -171,9 +179,12 @@ class TestTimerKernel:
         cfg = QuadratureConfig()
         kernel = pricers._TimerKernel(1.0, 4, timer_params, cfg)
         omega, eta = _talbot_points(timer_params)
-        inner = kernel.inner(omega)
         for j in range(1, 4):
-            w_j = pricers._timer_w_matrix(kernel, j, omega, eta, inner[j - 1])
+            # over the one date j the sum carries e^{-r t_{j+1}}; undo it
+            date = slice(j - 1, j)
+            w_j = math.exp(timer_params.r * kernel.date(j + 1)) * (
+                pricers._timer_w_matrix(kernel, date, omega, eta,
+                                        kernel.inner(omega, date)))
             for i, l in np.ndindex(eta.shape):
                 want = bivariate_cf_phi(
                     0.0, (0.0, 0.0, timer_params.v0), kernel.date(j),
@@ -181,14 +192,41 @@ class TestTimerKernel:
                     timer_params, cfg)
                 assert abs(w_j[i, l] - want) <= 1e-9 * abs(want), (j, i, l)
 
-    @pytest.mark.parametrize("n", [2, 4, 12])
-    def test_telescoped_sum(self, timer_params, n):
-        kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
-        omega, eta = _talbot_points(timer_params)
+    @staticmethod
+    def check_telescoped_sum(kernel, params):
+        omega, eta = _talbot_points(params)
         for e in (eta, np.zeros((omega.size, 1))):
             got = pricers._timer_h_tilde(kernel, omega, e)
             want = _untelescoped_h_tilde(kernel, omega, e)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_telescoped_sum(self, timer_params, n):
+        kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
+        self.check_telescoped_sum(kernel, timer_params)
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_one_row_and_one_date_per_table(self, timer_params, monkeypatch,
+                                            n):
+        # At the smallest cap every g table holds one omega row and one
+        # date, and every h table one row: the route of many row blocks,
+        # date runs and tiles, which the default cap takes only at large N
+        # or on many omega rows.
+        kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
+        monkeypatch.setattr(pricers, "_BLOCK_ELEMENTS", 1)
+        self.check_telescoped_sum(kernel, timer_params)
+        calls = []
+        for name in ("_log_g_vec", "_log_h_vec"):
+            def spy(t, v, t_prime, omega, *args, fn=getattr(tr, name),
+                    name=name):
+                calls.append((name, np.size(omega), np.unique(t).size))
+                return fn(t, v, t_prime, omega, *args)
+            monkeypatch.setattr(tr, name, spy)
+        omega, eta = _talbot_points(timer_params)
+        pricers._timer_h_tilde(kernel, omega, eta)
+        g = [c[1:] for c in calls if c[0] == "_log_g_vec"]
+        assert g == [(1, 1)] * (omega.size * (n - 1))
+        assert {c[1] for c in calls if c[0] == "_log_h_vec"} == {1}
 
     def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
         grids = []
@@ -222,8 +260,7 @@ class TestTimerBuildOnce:
         kernel = pricers._timer_h_tilde
 
         def spy(k, omega, eta, *rest):
-            if not np.any(eta):
-                nodes.append(omega.size)
+            nodes.append(np.count_nonzero(eta == 0.0))
             return kernel(k, omega, eta, *rest)
         monkeypatch.setattr(pricers, "_timer_h_tilde", spy)
         timer = price_timer_call(self.SPEC, timer_params, QuadratureConfig())
@@ -247,10 +284,10 @@ class TestTimerBuildOnce:
             finally:
                 inside.pop()
 
-        def spy_inner(kernel, omega):
+        def spy_inner(kernel, omega, *args):
             for call in inside:
                 call["inner_rows"] += omega.size
-            return inner(kernel, omega)
+            return inner(kernel, omega, *args)
         monkeypatch.setattr(pricers, "_budget_integrals", spy_integrals)
         monkeypatch.setattr(pricers._TimerKernel, "inner", spy_inner)
         return calls
@@ -334,6 +371,42 @@ class TestTimerBuildOnce:
                 assert (got.price, got.err_estimate) == (
                     res.price, res.err_estimate), spec
                 assert got.diagnostics == res.diagnostics
+
+
+class TestTimerMemory:
+    """No kernel table of a timer call passes _BLOCK_ELEMENTS, so its
+    memory does not grow with N."""
+
+    @staticmethod
+    def specs(n):
+        return [TimerOptionSpec(k, 1.0, n, 0.087) for k in (90.0, 100.0, 110.0)]
+
+    def test_heap_peak_flat_in_n(self, timer_params):
+        # Whole-batch tables peaked at 10.4 MB (N = 4) and 11.8 MB
+        # (N = 24) on these calls, so the bound is half the first;
+        # tracemalloc counts NumPy's buffers.
+        peaks = {}
+        for n in (4, 24):
+            tracemalloc.start()
+            try:
+                price_timer_grid(self.specs(n), timer_params,
+                                 QuadratureConfig())
+                peaks[n] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peaks[24] <= 1.25 * peaks[4], peaks
+        assert max(peaks.values()) <= 5.2, peaks
+
+    def test_no_kernel_table_passes_the_cap(self, timer_params, monkeypatch):
+        sizes = []
+        for name in ("_log_g_vec", "_log_h_vec"):
+            def spy(*args, fn=getattr(tr, name)):
+                out = fn(*args)
+                sizes.append(out.size)
+                return out
+            monkeypatch.setattr(tr, name, spy)
+        price_timer_grid(self.specs(24)[1:2], timer_params, QuadratureConfig())
+        assert 0 < max(sizes) <= pricers._BLOCK_ELEMENTS
 
 
 @pytest.fixture(scope="module")
@@ -520,7 +593,7 @@ class TestSwapPeriodBlocks:
                                   fields):
         spec = MomentSwapSpec(1.0, *fields)
         batched = swap_price(spec)
-        monkeypatch.setattr(pricers, "_MOMENT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(pricers, "_BLOCK_ELEMENTS", 1)
         alone = fair_strike_weighted(spec, snp_params, QuadratureConfig())
         floor = (spec.n_periods * np.finfo(float).eps
                  * math.factorial(spec.m) / MOMENT_RADIUS**spec.m)
@@ -534,7 +607,7 @@ class TestSwapPeriodBlocks:
                                                     fields):
         # With the weight at t_{k-1} g1 is omega x nodes and h is phi x
         # nodes: a block of several periods keeps each within
-        # _MOMENT_BLOCK_ELEMENTS.  On the lag-1 corridor omega x phi x
+        # _BLOCK_ELEMENTS.  On the lag-1 corridor omega x phi x
         # nodes passes it, where sizing blocks by that product gave each
         # period its own; the constant swap's one omega must not let h's
         # phi x nodes pass it.
@@ -562,7 +635,7 @@ class TestSwapPeriodBlocks:
             spy(name, getattr(pricers.tr, name))
         price = fair_strike_weighted(spec, snp_params, QuadratureConfig())
         assert price == swap_price(spec)
-        cap = pricers._MOMENT_BLOCK_ELEMENTS
+        cap = pricers._BLOCK_ELEMENTS
         stacked_past_product = False
         for b in blocks:
             shapes = b.get("_log_g_vec", []) + b.get("_log_h_vec", [])
@@ -589,7 +662,7 @@ class TestSwapPeriodBlocks:
                 rows.append(np.unique(v).size)
             return log_g(t, v, *args)
 
-        monkeypatch.setattr(pricers, "_MOMENT_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(pricers, "_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(pricers.tr, "_log_g_vec", spy)
         alone = fair_strike_weighted(spec, snp_params, QuadratureConfig())
         assert set(rows) == {1}

@@ -42,10 +42,6 @@ class InvalidParametersError(ThreeHalvesError):
         self.violations = tuple(violations or ())
 
 
-class ContourViolationError(ThreeHalvesError):
-    """Transform evaluated off the contour where it is defined."""
-
-
 class QuadratureNonConvergenceError(ThreeHalvesError):
     """Adaptive integration failed to reach the requested tolerance."""
 

@@ -8,31 +8,39 @@ panels run until the integrand is spent: a European call is one
 Timer decomposition
 -------------------
 With the quadratic variation I as the realized-variance proxy, the timer
-call telescopes over monitoring dates t_j = j T / N:
+call is exercised at the first monitoring date t_j = j T / N with
+I_{t_j} >= B, or at T.  I never falls, so the call is still alive at t_j
+exactly where I_{t_j} < B, and its payoff sums date by date: the payoff at
+t_1, then at each inner date the budget survives the payoff at t_{j+1} in
+place of the one at t_j,
 
-    C0 = E[e^{-rT} (S_T-K)^+ 1{I_T<B}]
-         + sum_j e^{-r t_{j+1}} E[(S_{t_{j+1}}-K)^+ (1{I_{t_j}<B} - 1{I_{t_{j+1}}<B})]
+    C0 = e^{-r t_1} E[(S_{t_1}-K)^+] + sum_{j=1}^{N-1} E[1{I_{t_j}<B}
+         (e^{-r t_{j+1}} (S_{t_{j+1}}-K)^+ - e^{-r t_j} (S_{t_j}-K)^+)].
 
-and prices by Parseval against the payoff transform
+The first term is a European call at t_1.  The sum prices by Parseval
+against the payoff transform
 
     F(omega, eta) = K^{1 - i omega} e^{-i eta B} / ((i omega + omega^2) i eta)
 
-on Im(omega) < -1.  The kernel is
+on Im(omega) < -1, with one integrand per inner date in its kernel
+(``_timer_h_tilde``):
 
-    H(omega, eta) = e^{i omega X0} [ e^{-rT} h(0,V0;T)
-        + sum_j e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})) ],
-    W_j = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv',
+    H_tilde(omega, eta) = e^{i omega X0} sum_{j=1}^{N-1}
+        int g(0,V0;t_j,omega,eta,v') phi_j(omega, v') dv',
+    phi_j = e^{-r t_{j+1}} h(t_j,v';t_{j+1},omega,0) - e^{-r t_j}.
 
-where W_0 = h(0,V0;t_1,omega,0), constant in eta (the transform at zero
-elapsed time is a Dirac mass at V0).  That constant part prices as a
-European call at t_1; the rest is H_tilde (``_timer_h_tilde``), whose h
-terms telescope to one per inner date.
+The triple partial transform g carries (X, I, V) to t_j: against h from
+v' to t_{j+1} it is the transform of the payoff at t_{j+1} (the paper's
+two-date CF W_j), and against 1 it is the joint CF h(0,V0;t_j,omega,eta)
+of the payoff at t_j.  Each date's integral is summed on that date's v'
+rule.
 
 With s = -i eta, the eta integral is a Bromwich integral in the budget:
 F = -K^{1-i omega} e^{sB} / ((i omega + omega^2) s).  Its one pole, at
-s = 0, picks out H_tilde(omega, 0), which the tower property
-W_j(omega, 0) = h(0,V0;t_{j+1},omega,0) makes the European kernel at T
-less the one at t_1.  So the pole and the constant part together give
+s = 0, picks out H_tilde(omega, 0).  By the tower property date j's
+integral at eta = 0 is e^{-r t_{j+1}} h(0,V0;t_{j+1},omega,0)
+- e^{-r t_j} h(0,V0;t_j,omega,0), so H_tilde(omega, 0) is the European
+kernel at T less the one at t_1, and the pole and the first term give
 European(T) exactly, and F [H_tilde - H_tilde(omega, 0)], which has no
 pole, is summed on a Talbot contour (Talbot 1979; Weideman & Trefethen
 2007) that wraps the kernel's cuts, on which e^{sB} decays:
@@ -46,23 +54,23 @@ and the jump transform's singularity (``_talbot_contour``); an omega whose
 contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  One
 pass of the omega rule sums the contours of M and of M - TALBOT_STEP nodes
 side by side: the omegas of a batch that share M take eta = 0 and both
-contours' nodes in one kernel call, so H_tilde(omega, 0) and the
-timerlets' eta-free factors are built once per omega node, and the rule
-stops when both contours are spent.  Their gap goes into err_estimate.
+contours' nodes in one kernel call, so H_tilde(omega, 0) and the factors
+phi_j are built once per omega node, and the rule stops when both
+contours are spent.  Their gap goes into err_estimate.
 Where it exceeds rel_tol, M grows by TALBOT_STEP: each growth pass sums
 only the new contour, on the panels the first pass chose, and compares it
 with the last.  e^{sB} peaks at e^{0.171 M} on the contour, so once
 e^{0.171 M} eps passes rel_tol, more nodes cannot help and the pricer
 raises.
 
-The v' rules of the timerlets depend on neither the strike nor the budget,
-so one ``_TimerKernel`` per (T, N) builds them once for every strike and
-budget, every inner date's nodes side by side as columns.  The kernel is
-built in tiles (``_tiles``) of omega rows x consecutive dates: each tile's
-eta-free factors are one ``_log_h_vec`` call and its g one ``_log_g_vec``
-call per sub-tile, contracted against the dates' weights e^{-r t_{j+1}} w.
-No table passes _BLOCK_ELEMENTS, so a call's memory does not grow with N
-or with the omega rule's batch.
+The dates' v' rules depend on neither the strike nor the budget, so one
+``_TimerKernel`` per (T, N) builds them once for every strike and budget,
+every inner date's nodes side by side as columns.  The kernel is built in
+tiles (``_tiles``) of omega rows x consecutive dates: each tile's factors
+w phi_j (w the trapezoid weights) are one ``_log_h_vec`` call and its g
+one ``_log_g_vec`` call per sub-tile, contracted against them.  No table
+passes _BLOCK_ELEMENTS, so a call's memory does not grow with N or with
+the omega rule's batch.
 
 Moment swaps
 ------------
@@ -104,7 +112,6 @@ import numpy as np
 
 from . import transforms as tr
 from .errors import (
-    ContourViolationError,
     InvalidParametersError,
     QuadratureNonConvergenceError,
     ThreeHalvesError,
@@ -275,8 +282,6 @@ def price_european(spec: EuropeanSpec, params: ModelParams,
 def _price_european_detailed(spec: EuropeanSpec, params: ModelParams,
                              cfg: QuadratureConfig) -> PriceResult:
     require_valid(params)
-    if not cfg.damping_omega < -1.0:
-        raise ContourViolationError("European call contour needs Im(omega) < -1")
     T = spec.maturity
     x0 = params.x0
 
@@ -386,9 +391,8 @@ class _TimerKernel:
     built once, with every date's nodes side by side as columns.
 
     Inner date j's columns are ``starts[j - 1]:starts[j]`` (``columns``).
-    Each column carries its own t_j and t_{j+1} (``t``, ``t_next``) and the
-    weight e^{-r t_{j+1}} w of its timerlet's term in H_tilde
-    (``weights``), w the trapezoid weight of date j's v' rule."""
+    Each column carries its own t_j and t_{j+1} (``t``, ``t_next``) and its
+    trapezoid weight w on date j's v' rule (``w``)."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
@@ -402,10 +406,9 @@ class _TimerKernel:
         date_of = np.repeat(np.arange(1, N), self.sizes)
         # "+ [[]]": with N = 1 there are no inner dates and no columns
         self.nodes = np.concatenate([nodes for nodes, _ in grids] + [[]])
+        self.w = np.concatenate([w for _, w in grids] + [[]])
         self.t = self.T * date_of / N
         self.t_next = self.T * (date_of + 1) / N
-        self.weights = np.exp(-params.r * self.t_next) * np.concatenate(
-            [w for _, w in grids] + [[]])
 
     def date(self, j: int) -> float:
         return self.T * j / self.N
@@ -417,22 +420,27 @@ class _TimerKernel:
         return slice(self.starts[start], self.starts[stop])
 
     def inner(self, omega, dates: slice = slice(None)):
-        """log h(t_j, v'; t_{j+1}, omega, 0) on the v' columns of the
-        inner dates ``dates``, omega as rows: the eta-free factors of those
-        timerlets, one ``_log_h_vec`` call."""
+        """w phi_j(omega, v') on the v' columns of the inner dates
+        ``dates``, omega as rows, with
+
+            phi_j = e^{-r t_{j+1}} h(t_j, v'; t_{j+1}, omega, 0) - e^{-r t_j}:
+
+        each column's factor in H_tilde, one ``_log_h_vec`` call."""
         cols = self.columns(dates)
-        return tr._log_h_vec(self.t[cols], self.nodes[cols],
-                             self.t_next[cols], omega[:, None], 0.0,
-                             self.params)
+        r = self.params.r
+        h = np.exp(tr._log_h_vec(self.t[cols], self.nodes[cols],
+                                 self.t_next[cols], omega[:, None], 0.0,
+                                 self.params))
+        return self.w[cols] * (np.exp(-r * self.t_next[cols]) * h
+                               - np.exp(-r * self.t[cols]))
 
 
 # Largest table one batched kernel call builds, for the timer and the
-# moment swaps alike: the timer's (omega, eta) pairs x v' columns for g,
-# omega x v' columns and (omega, eta) pairs x dates for h
-# (``_timer_h_tilde``); the swaps' omega x nodes for g1 and phi x nodes
-# for h with the weight at t_{k-1}, omega x phi x nodes with it at t_k,
-# and omega x phi x live (v, v') pairs on the tower route
-# (``_weighted_moment``).  Sized by measurement on 2 vCPUs shared with
+# moment swaps alike: the timer's (omega, eta) pairs x v' columns for g and
+# omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
+# for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
+# nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
+# route (``_weighted_moment``).  Sized by measurement on 2 vCPUs shared with
 # other jobs: each ``_log_g_vec`` call costs 0.4-0.9 ms before any element
 # work, so the timer wants few large tables, and the swaps run as fast at
 # 2^14 as at 2^17, so they want small ones.  At 2^14 / 2^15 / 2^16
@@ -446,12 +454,11 @@ _BLOCK_ELEMENTS = 2**15
 
 
 def _tiles(n_rows: int, sizes, per: int):
-    """Tiles (rows, items), as slices, that cover n_rows rows x the items
-    of sizes ``sizes`` (a date's v' columns, or 1 for a date's h term),
-    each table rows x per x (sum of its items' sizes) within
-    _BLOCK_ELEMENTS: as many rows as fit beside the largest item, then
-    runs of as many consecutive items as fit beside those rows (at least
-    one row and one item)."""
+    """Tiles (rows, dates), as slices, that cover n_rows rows x the dates
+    of v' column counts ``sizes``, each table rows x per x (its dates'
+    columns) within _BLOCK_ELEMENTS: as many rows as fit beside the
+    largest date, then runs of as many consecutive dates as fit beside
+    those rows (at least one row and one date)."""
     step = max(1, _BLOCK_ELEMENTS // (per * int(max(sizes))))
     for r in range(0, n_rows, step):
         limit = _BLOCK_ELEMENTS // (per * min(step, n_rows - r))
@@ -465,21 +472,18 @@ def _tiles(n_rows: int, sizes, per: int):
 
 
 def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
-                    eta: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """sum_j e^{-r t_{j+1}} W_j(omega, eta) over the inner dates ``dates``
-    (a slice of ``kernel.dates``), with
-
-        W_j = int g(0,V0;t_j,omega,eta,v') h(t_j,v';t_{j+1},omega,0) dv'
-
-    on date j's v' rule, for eta of shape (n_omega, n_eta), row i paired
-    with omega[i]; ``inner`` is log h on those dates' columns
-    (``_TimerKernel.inner``).
+                    eta: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """sum_j int g(0,V0;t_j,omega,eta,v') f(omega, v') dv' over the inner
+    dates ``dates`` (a slice of ``kernel.dates``), each on date j's v'
+    rule, for eta of shape (n_omega, n_eta), row i paired with omega[i];
+    ``factor`` is w f on those dates' columns with omega as rows, w the
+    trapezoid weights (the timer's is ``_TimerKernel.inner``).
 
     g is one ``_log_g_vec`` call per tile (``_tiles``) of omega rows x
     consecutive dates, the rows' (omega, eta) pairs against the dates' v'
-    columns side by side, contracted against ``kernel.weights``.  Dates
-    join a tile in order and only as many as fit beside its rows, because
-    the Bessel series runs to the length its table's largest argument
+    columns side by side, contracted against ``factor``.  Dates join a
+    tile in order and only as many as fit beside its rows, because the
+    Bessel series runs to the length its table's largest argument
     2/C sqrt(A/(V0 v')) needs, and that falls with t_j: one table across
     a row's dates made N = 52 slower, not faster."""
     p = kernel.params
@@ -489,11 +493,11 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     for rows, group in _tiles(omega.size, kernel.sizes[first:last],
                               eta.shape[1]):
         cols = kernel.columns(slice(first + group.start, first + group.stop))
-        log_g = tr._log_g_vec(0.0, p.v0, kernel.t[cols],
-                              omega[rows, None, None], eta[rows, :, None],
-                              kernel.nodes[cols], p)
-        log_g += inner[rows, None, cols.start - base:cols.stop - base]
-        out[rows] += np.exp(log_g, out=log_g) @ kernel.weights[cols]
+        g = tr._log_g_vec(0.0, p.v0, kernel.t[cols], omega[rows, None, None],
+                          eta[rows, :, None], kernel.nodes[cols], p)
+        g = np.exp(g, out=g)
+        out[rows] += (g @ factor[rows, cols.start - base:cols.stop - base,
+                                 None])[..., 0]
     return out
 
 
@@ -501,22 +505,16 @@ def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray,
                    eta: np.ndarray) -> np.ndarray:
     """The timer kernel less its European-at-t_1 part,
 
-        H_tilde = e^{i w X0} [ sum_{j=1}^{N-1} e^{-r t_{j+1}} W_j
-                               - sum_{j=1}^{N-1} e^{-r t_j} h(0,V0;t_j) ],
+        H_tilde = e^{i w X0} sum_{j=1}^{N-1}
+                  int g(0,V0;t_j,w,eta,v') phi_j(w, v') dv',
 
-    for eta of shape (n_omega, n_eta), row i paired with omega[i], with
-    every timerlet W_j evaluated exactly (``_timer_w_matrix``).
-
-    This telescopes e^{-rT} h(0,V0;T) - e^{-r t_1} h(0,V0;t_1)
-    + sum_{j=1}^{N-1} e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})): the last sum's
-    h terms run over t_2..t_N, so the one at t_N = T cancels the first
-    term, and the rest join -e^{-r t_1} h(0,V0;t_1) in the second sum.
-    With N = 1 both sums are empty: H_tilde = 0.
+    for eta of shape (n_omega, n_eta), row i paired with omega[i]: each
+    date's integral on its own v' rule, against the factors w phi_j of
+    ``_TimerKernel.inner``.  With N = 1 the sum is empty: H_tilde = 0.
 
     Every table is one tile of ``_tiles``, so none passes _BLOCK_ELEMENTS
-    whatever N and the number of rows: the h terms are one ``_log_h_vec``
-    call per tile of (omega, eta) pairs x dates, and the eta-free factors
-    one per tile of omega rows x the dates' v' columns side by side, in
+    whatever N and the number of rows: the factors are one ``_log_h_vec``
+    call per tile of omega rows x the dates' v' columns side by side, in
     which ``_timer_w_matrix`` then tiles g.  A tile takes all the rows one
     date fits before it adds dates, so each Kummer call builds its
     per-parameter coefficient table for many rows at once and its
@@ -527,20 +525,13 @@ def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray,
     shape = np.broadcast_shapes(omega[:, None].shape, eta.shape)
     if kernel.N == 1:
         return np.zeros(shape, dtype=complex)
-    p = kernel.params
     eta = np.broadcast_to(eta, shape)
     acc = np.zeros(shape, dtype=complex)
-    for rows, dates in _tiles(shape[0], np.ones(kernel.N - 1, dtype=int),
-                              shape[1]):
-        t = kernel.dates[dates]
-        acc[rows] -= np.exp(tr._log_h_vec(
-            0.0, p.v0, t, omega[rows, None, None], eta[rows, :, None], p)
-        ) @ np.exp(-p.r * t)
     for rows, dates in _tiles(shape[0], kernel.sizes, 1):
         om = omega[rows]
         acc[rows] += _timer_w_matrix(kernel, dates, om, eta[rows],
                                      kernel.inner(om, dates))
-    return np.exp(1j * omega[:, None] * p.x0) * acc
+    return np.exp(1j * omega[:, None] * kernel.params.x0) * acc
 
 
 def _hermitian_residual(kernel: _TimerKernel, budget: float,
@@ -566,8 +557,8 @@ def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
     values, so the summand has no pole at s = 0 even where a contour
     encloses it (the pole term itself is exact).  The omegas that share a
     node count take eta = 0 and every contour's nodes side by side in one
-    ``_timer_h_tilde`` call, so their eta-free factors are built once for
-    all of them."""
+    ``_timer_h_tilde`` call, so their factors phi_j are built once for all
+    of them."""
     rows = np.empty((len(offsets), strikes.size, omega.size), dtype=complex)
     for m in np.unique(counts):
         sel = counts == m
@@ -606,7 +597,6 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
     integral, a row per strike, and those that share (T, K) one European
     base, whatever their N and B."""
     require_valid(params)
-    cfg.require_timer_contour()
     groups = {}
     for idx, spec in enumerate(specs):
         key = (spec.mandatory_maturity, spec.n_monitoring,

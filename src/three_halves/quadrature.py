@@ -52,8 +52,8 @@ class QuadratureConfig:
     ``v_nodes`` and ``v_upper_mass_tol`` size the v' rules; ``rel_tol``
     and ``abs_tol`` stop the omega rule's panels and the timer's Talbot
     contours.  The call and timer contours sit at Im(omega) =
-    ``damping_omega`` < -1 (enforced at the point of use).  The omega
-    rule's panels are fixed by measurement.
+    ``damping_omega``, which their payoff transforms need below -1.  The
+    omega rule's panels are fixed by measurement.
     """
 
     v_nodes: int = 64
@@ -69,16 +69,12 @@ class QuadratureConfig:
         for name in ("v_upper_mass_tol", "rel_tol", "abs_tol"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0")
+        if not self.damping_omega < -1.0:
+            problems.append("damping_omega must be < -1 (call and timer "
+                            "payoff transforms)")
         if problems:
             raise InvalidParametersError(
                 "bad quadrature config: " + "; ".join(problems)
-            )
-
-    def require_timer_contour(self) -> None:
-        if not self.damping_omega < -1.0:
-            raise InvalidParametersError(
-                f"timer payoff transform needs damping_omega < -1 "
-                f"(got {self.damping_omega})"
             )
 
 
@@ -90,14 +86,15 @@ _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
 _GRID_MARGIN = 1.5  # in ln v', beyond the scan's last kept points
 
 
-def log_density_grid(log_density: Callable, cfg: QuadratureConfig,
-                     n: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def log_density_grid(log_density: Callable,
+                     cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed trapezoid grid (nodes, weights) in v' adapted to a density.
 
     ``log_density`` maps a v' ndarray to log-density values; the grid spans
     the region where the density is above ``v_upper_mass_tol`` relative to
-    its peak, extended by _GRID_MARGIN in log space.  Weights include the
-    e^u jacobian, so ``sum(w * f(nodes))`` approximates int f dv'.
+    its peak, extended by _GRID_MARGIN in log space, with ``v_nodes``
+    nodes.  Weights include the e^u jacobian, so ``sum(w * f(nodes))``
+    approximates int f dv'.
     """
     u_scan = np.arange(_SCAN_LO, _SCAN_HI + 0.25, 0.25)
     ld = np.asarray(log_density(np.exp(u_scan)), dtype=float) + u_scan
@@ -108,7 +105,7 @@ def log_density_grid(log_density: Callable, cfg: QuadratureConfig,
     keep = np.nonzero(ld > thresh)[0]
     lo = u_scan[keep[0]] - _GRID_MARGIN
     hi = u_scan[keep[-1]] + _GRID_MARGIN
-    n = int(n or cfg.v_nodes)
+    n = cfg.v_nodes
     u = np.linspace(lo, hi, n)
     du = (hi - lo) / (n - 1)
     w = np.full(n, du)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from three_halves.model import JumpParams, ModelParams
+from three_halves.model import JumpParams, ModelParams, ThetaCurve
 
 
 @pytest.fixture(scope="session")
@@ -47,4 +47,21 @@ def jump_params() -> ModelParams:
         r=0.015,
         q=0.0,
         jumps=JumpParams(lam=0.5, mu=-0.1, sigma=0.2),
+    )
+
+
+@pytest.fixture(scope="session")
+def theta_curve_params() -> ModelParams:
+    """``timer_params`` with a piecewise-constant theta(t): 3.0 / 6.0 / 4.5
+    on [0, 0.3) / [0.3, 0.7) / [0.7, inf), breaks inside the second and
+    third monitoring intervals of an N = 4, T = 1 timer."""
+    return ModelParams(
+        kappa=22.84,
+        theta=ThetaCurve((0.3, 0.7, float("inf")), (3.0, 6.0, 4.5)),
+        epsilon=8.56,
+        v0=0.087,
+        rho=-0.5,
+        s0=100.0,
+        r=0.015,
+        q=0.0,
     )

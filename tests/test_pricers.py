@@ -137,28 +137,24 @@ class TestTimerIdentities:
                              timer_params, QuadratureConfig())
 
 
-def _untelescoped_h_tilde(kernel, omega, eta):
-    """H_tilde as the sum the kernel telescopes: e^{-rT} h(0,V0;T)
-    - e^{-r t_1} h(0,V0;t_1) + sum_j e^{-r t_{j+1}} (W_j - h(0,V0;t_{j+1})),
-    one h call per date, and each W_j from its own g and h calls on date
-    j's v' rule."""
+def _per_date_h_tilde(kernel, omega, eta):
+    """H_tilde date by date: each inner date j's
+    int g(0,V0;t_j,omega,eta,v') phi_j(omega, v') dv', with
+    phi_j = e^{-r t_{j+1}} h(t_j,v';t_{j+1},omega,0) - e^{-r t_j}, from its
+    own g and h calls on date j's v' rule."""
     p, T, N = kernel.params, kernel.T, kernel.N
     om = omega[:, None]
-
-    def h_at(t):
-        return np.exp(tr._log_h_vec(0.0, p.v0, t, om, eta, p))
-
-    acc = math.exp(-p.r * T) * h_at(T) - math.exp(-p.r * T / N) * h_at(T / N)
+    acc = np.zeros(np.broadcast_shapes(om.shape, eta.shape), dtype=complex)
     for j in range(1, N):
         t, t_next = T * j / N, T * (j + 1) / N
         cols = kernel.columns(slice(j - 1, j))
         nodes = kernel.nodes[cols]
-        log_w = (tr._log_g_vec(0.0, p.v0, t, om[..., None], eta[..., None],
-                               nodes, p)
-                 + tr._log_h_vec(t, nodes, t_next, om, 0.0, p)[:, None, :])
-        # kernel.weights carry e^{-r t_{j+1}} times the trapezoid weights
-        acc += (np.exp(log_w) @ kernel.weights[cols]
-                - math.exp(-p.r * t_next) * h_at(t_next))
+        g = np.exp(tr._log_g_vec(0.0, p.v0, t, om[..., None], eta[..., None],
+                                 nodes, p))
+        phi = (math.exp(-p.r * t_next)
+               * np.exp(tr._log_h_vec(t, nodes, t_next, om, 0.0, p))
+               - math.exp(-p.r * t))
+        acc += np.einsum("iec,ic->ie", g, kernel.w[cols] * phi)
     return np.exp(1j * om * p.x0) * acc
 
 
@@ -173,48 +169,75 @@ def _talbot_points(params, T=1.0, budget=0.087):
 
 class TestTimerKernel:
     def test_timerlets_are_the_two_date_cf(self, timer_params):
-        # W_j = Phi(0; t_j, t_{j+1}; (0, omega), (eta, 0)), the paper's
-        # two-date joint CF, here by the oracle's adaptive v' integral
-        # instead of the kernel's fixed trapezoid.
+        # Date j's integral against phi_j is e^{-r t_{j+1}} W_j
+        # - e^{-r t_j} h(0,V0;t_j), with W_j = Phi(0; t_j, t_{j+1};
+        # (0, omega), (eta, 0)) the paper's two-date joint CF and
+        # h(0,V0;t_j) = Phi(0; t_j, t_{j+1}; (omega, 0), (eta, 0)), both
+        # here by the oracle's adaptive v' integral instead of the kernel's
+        # fixed trapezoid.  At omega = 40 - 1.5i |h(0,V0;t_j)| is 65-235
+        # times |W_j|, so the v' rule's error on it (a few 1e-12 of |h|)
+        # takes up to 8.5e-10 of the bound's e^{-r t_{j+1}} |W_j| there.
         cfg = QuadratureConfig()
-        kernel = pricers._TimerKernel(1.0, 4, timer_params, cfg)
-        omega, eta = _talbot_points(timer_params)
+        p = timer_params
+        kernel = pricers._TimerKernel(1.0, 4, p, cfg)
+        omega, eta = _talbot_points(p)
         for j in range(1, 4):
-            # over the one date j the sum carries e^{-r t_{j+1}}; undo it
+            t, t_next = kernel.date(j), kernel.date(j + 1)
             date = slice(j - 1, j)
-            w_j = math.exp(timer_params.r * kernel.date(j + 1)) * (
-                pricers._timer_w_matrix(kernel, date, omega, eta,
-                                        kernel.inner(omega, date)))
+            got = pricers._timer_w_matrix(kernel, date, omega, eta,
+                                          kernel.inner(omega, date))
             for i, l in np.ndindex(eta.shape):
-                want = bivariate_cf_phi(
-                    0.0, (0.0, 0.0, timer_params.v0), kernel.date(j),
-                    kernel.date(j + 1), (0.0, omega[i]), (eta[i, l], 0.0),
-                    timer_params, cfg)
-                assert abs(w_j[i, l] - want) <= 1e-9 * abs(want), (j, i, l)
+                w_j, h_j = (bivariate_cf_phi(
+                    0.0, (0.0, 0.0, p.v0), t, t_next, w, (eta[i, l], 0.0),
+                    p, cfg) for w in ((0.0, omega[i]), (omega[i], 0.0)))
+                want = math.exp(-p.r * t_next) * w_j - math.exp(-p.r * t) * h_j
+                assert (abs(got[i, l] - want)
+                        <= 1e-9 * math.exp(-p.r * t_next) * abs(w_j)), (j, i, l)
+
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_date_rule_is_the_joint_cf(self, timer_params, n):
+        # int g(0,V0;t_j,omega,eta,v') dv' = h(0,V0;t_j,omega,eta): date
+        # j's v' rule against 1 reproduces the closed form.  Measured at
+        # these points and at eta = 0, at most 4.5e-12 of each date's
+        # largest |h| (N = 12, t_1); 1.6e-12 at N = 2 and 4.
+        p = timer_params
+        kernel = pricers._TimerKernel(1.0, n, p, QuadratureConfig())
+        omega, eta = _talbot_points(p)
+        for e in (eta, np.zeros((omega.size, 1))):
+            for j in range(1, n):
+                date = slice(j - 1, j)
+                w = kernel.w[kernel.columns(date)]
+                got = pricers._timer_w_matrix(
+                    kernel, date, omega, e,
+                    np.broadcast_to(w, (omega.size, w.size)))
+                want = np.exp(tr._log_h_vec(0.0, p.v0, kernel.date(j),
+                                            omega[:, None], e, p))
+                assert (np.max(np.abs(got - want))
+                        <= 1e-11 * np.max(np.abs(want))), (j, e.shape)
 
     @staticmethod
-    def check_telescoped_sum(kernel, params):
+    def check_per_date_sum(kernel, params):
         omega, eta = _talbot_points(params)
         for e in (eta, np.zeros((omega.size, 1))):
             got = pricers._timer_h_tilde(kernel, omega, e)
-            want = _untelescoped_h_tilde(kernel, omega, e)
+            want = _per_date_h_tilde(kernel, omega, e)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [2, 4, 12])
-    def test_telescoped_sum(self, timer_params, n):
+    def test_per_date_sum(self, timer_params, n):
         kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
-        self.check_telescoped_sum(kernel, timer_params)
+        self.check_per_date_sum(kernel, timer_params)
 
     @pytest.mark.parametrize("n", [2, 4, 12])
     def test_one_row_and_one_date_per_table(self, timer_params, monkeypatch,
                                             n):
-        # At the smallest cap every g table holds one omega row and one
-        # date, and every h table one row: the route of many row blocks,
-        # date runs and tiles, which the default cap takes only at large N
-        # or on many omega rows.
+        # At the smallest cap every g and every h table holds one omega
+        # row and one date: the route of many row blocks, date runs and
+        # tiles, which the default cap takes only at large N or on many
+        # omega rows.
         kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
         monkeypatch.setattr(pricers, "_BLOCK_ELEMENTS", 1)
-        self.check_telescoped_sum(kernel, timer_params)
+        self.check_per_date_sum(kernel, timer_params)
         calls = []
         for name in ("_log_g_vec", "_log_h_vec"):
             def spy(t, v, t_prime, omega, *args, fn=getattr(tr, name),
@@ -226,7 +249,7 @@ class TestTimerKernel:
         pricers._timer_h_tilde(kernel, omega, eta)
         g = [c[1:] for c in calls if c[0] == "_log_g_vec"]
         assert g == [(1, 1)] * (omega.size * (n - 1))
-        assert {c[1] for c in calls if c[0] == "_log_h_vec"} == {1}
+        assert {c[1:] for c in calls if c[0] == "_log_h_vec"} == {(1, 1)}
 
     def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
         grids = []
@@ -448,6 +471,37 @@ class TestTimerAgainstMonteCarlo:
         mc = mc_price(spec, jump_params,
                       SimulationConfig(n_paths=100_000, steps_per_year=256,
                                        seed=31))
+        z = (timer.price - mc.estimate) / mc.std_error
+        assert abs(z) <= 3.0, (
+            f"{timer.price} vs MC {mc.estimate} +- {mc.std_error}: z = {z:.2f}")
+
+
+class TestTimerUnderThetaCurve:
+    """The timer identities and the Monte Carlo check under a piecewise
+    theta(t) whose breaks fall inside monitoring intervals."""
+
+    def test_one_date_is_european(self, theta_curve_params):
+        cfg = QuadratureConfig()
+        timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 1, 0.087),
+                                 theta_curve_params, cfg)
+        assert timer.price == price_european(EuropeanSpec(100.0, 1.0),
+                                             theta_curve_params, cfg)
+
+    def test_huge_budget_is_european(self, theta_curve_params):
+        cfg = QuadratureConfig()
+        timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 50.0),
+                                 theta_curve_params, cfg)
+        european = price_european(EuropeanSpec(100.0, 1.0),
+                                  theta_curve_params, cfg)
+        assert abs(timer.price - european) <= timer.err_estimate
+
+    def test_within_three_standard_errors(self, theta_curve_params):
+        # 100k paths take about 3 s; the SE is 0.5% of the price.
+        spec = TimerOptionSpec(100.0, 1.0, 4, 0.087)
+        timer = price_timer_call(spec, theta_curve_params, QuadratureConfig())
+        mc = mc_price(spec, theta_curve_params,
+                      SimulationConfig(n_paths=100_000, steps_per_year=256,
+                                       seed=37))
         z = (timer.price - mc.estimate) / mc.std_error
         assert abs(z) <= 3.0, (
             f"{timer.price} vs MC {mc.estimate} +- {mc.std_error}: z = {z:.2f}")

@@ -1,5 +1,6 @@
 """Tests for the quadrature layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -45,10 +46,11 @@ class TestConfig:
             QuadratureConfig(rel_tol=0.0)
 
     def test_timer_contour_guard(self):
-        cfg = QuadratureConfig(damping_omega=-0.5)
-        with pytest.raises(InvalidParametersError):
-            cfg.require_timer_contour()
-        QuadratureConfig().require_timer_contour()
+        # The call and timer payoff transforms need Im(omega) < -1.
+        for damping in (-0.5, -1.0):
+            with pytest.raises(InvalidParametersError, match="damping_omega"):
+                QuadratureConfig(damping_omega=damping)
+        QuadratureConfig(damping_omega=-1.01)
 
 
 class TestStableSum:
@@ -113,7 +115,8 @@ class TestLogDensityGrid:
         def logd(v):
             return -((np.log(v) - mu) ** 2) / (2 * s * s) - np.log(
                 v * s * math.sqrt(2 * math.pi))
-        nodes, w = log_density_grid(logd, cfg, n=200)
+        nodes, w = log_density_grid(logd, dataclasses.replace(cfg,
+                                                              v_nodes=200))
         mass = float(np.dot(w, np.exp(logd(nodes))))
         assert abs(mass - 1.0) < 1e-8
 

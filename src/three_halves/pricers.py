@@ -68,9 +68,9 @@ The dates' v' rules depend on neither the strike nor the budget, so one
 every inner date's nodes side by side as columns.  The kernel is built in
 tiles (``_tiles``) of omega rows x consecutive dates: each tile's factors
 w phi_j (w the trapezoid weights) are one ``_log_h_vec`` call and its g
-one ``_log_g_vec`` call per sub-tile, contracted against them.  No table
-passes _BLOCK_ELEMENTS, so a call's memory does not grow with N or with
-the omega rule's batch.
+one ``_log_g_vec`` call per sub-tile, whose value e^E S is contracted
+against them.  No table passes _BLOCK_ELEMENTS, so a call's memory does
+not grow with N or with the omega rule's batch.
 
 Moment swaps
 ------------
@@ -130,6 +130,7 @@ from .quadrature import (
     log_density_grid,
     omega_integral,
 )
+from .specfun import _split_exp
 
 _REL_IMAG_TOL = 1e-8
 
@@ -440,16 +441,15 @@ class _TimerKernel:
 # omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
 # for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
 # nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
-# route (``_weighted_moment``).  Sized by measurement on 2 vCPUs shared with
-# other jobs: each ``_log_g_vec`` call costs 0.4-0.9 ms before any element
-# work, so the timer wants few large tables, and the swaps run as fast at
-# 2^14 as at 2^17, so they want small ones.  At 2^14 / 2^15 / 2^16
-# elements three N = 52 timer strikes take 1.05 / 1 / 1.02 times the 2^15
-# time (interleaved in one process; 2^14 is 1.06 times the whole-batch
-# tables' time, 2^15 0.90), and the benchmark's peak RSS reads
-# 37.6 / 38.8 / 41.6 MB on the timer, 37.7 / 38.8 / 41.0 on the corridor
-# and 37.5 / 39.1 / 41.1 on the strip (whole-batch timer tables:
-# 47.7 / 37.7 / 37.7).
+# route (``_weighted_moment``).  g comes in split form, so a g call holds
+# two tables of this size, E and S.  Sized by measurement on 2 vCPUs shared
+# with other jobs: each ``_log_g_vec`` call costs 0.4-0.9 ms before any
+# element work, so the timer wants few large tables, and the swaps run as
+# fast at 2^14 as at 2^17, so they want small ones.  At 2^14 / 2^16
+# elements three N = 52 timer strikes take 1.09 / 1.01 times the 2^15
+# time (interleaved in one process), and the benchmark's peak RSS after one
+# pass reads 37.0 / 38.4 / 40.5 MB on the timer, 36.8 / 37.6 / 41.0 on the
+# corridor and 37.2 / 37.8 / 40.3 on the strip at 2^14 / 2^15 / 2^16.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -481,7 +481,8 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
 
     g is one ``_log_g_vec`` call per tile (``_tiles``) of omega rows x
     consecutive dates, the rows' (omega, eta) pairs against the dates' v'
-    columns side by side, contracted against ``factor``.  Dates join a
+    columns side by side, its value e^E S taken in place (no log of the
+    Bessel sum on the way) and contracted against ``factor``.  Dates join a
     tile in order and only as many as fit beside its rows, because the
     Bessel series runs to the length its table's largest argument
     2/C sqrt(A/(V0 v')) needs, and that falls with t_j: one table across
@@ -493,9 +494,9 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     for rows, group in _tiles(omega.size, kernel.sizes[first:last],
                               eta.shape[1]):
         cols = kernel.columns(slice(first + group.start, first + group.stop))
-        g = tr._log_g_vec(0.0, p.v0, kernel.t[cols], omega[rows, None, None],
-                          eta[rows, :, None], kernel.nodes[cols], p)
-        g = np.exp(g, out=g)
+        g = _split_exp(*tr._log_g_vec(
+            0.0, p.v0, kernel.t[cols], omega[rows, None, None],
+            eta[rows, :, None], kernel.nodes[cols], p))
         out[rows] += (g @ factor[rows, cols.start - base:cols.stop - base,
                                  None])[..., 0]
     return out
@@ -908,7 +909,7 @@ def _g1_weights(params: ModelParams, v, w, t_km1, omega):
     wv = np.ones((omega.size, v.size), dtype=complex)
     live = t_km1 > 0.0
     if np.any(live):
-        wv[:, live] = w[live] * np.exp(tr._log_g_vec(
+        wv[:, live] = w[live] * _split_exp(*tr._log_g_vec(
             0.0, params.v0, t_km1[live], omega[:, None], 0.0, v[live],
             params))
     return wv
@@ -1054,10 +1055,9 @@ def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
         rows = zip(*(np.split(x, ends) for x in pairs))
         total = 0.0
         for v_b, v_in_b, weight_b, _ in _blocks(rows, omega.size * phis.size):
-            g = tr._log_g_vec(t_km1, v_b, t_k,
-                              omega[:, None] + phis[:, None, None], 0.0,
-                              v_in_b, params)
-            g = np.exp(g, out=g)
+            g = _split_exp(*tr._log_g_vec(
+                t_km1, v_b, t_k, omega[:, None] + phis[:, None, None], 0.0,
+                v_in_b, params))
             g *= weight_b.T
             total = total + g.sum(axis=-1)
         return total

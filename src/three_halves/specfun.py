@@ -4,9 +4,11 @@ Every closed-form transform in this package reduces to three ingredients:
 the principal branch of ``ln Gamma(z)``, the modified Bessel function of the
 first kind ``I_nu(z)`` with complex order, and Kummer's confluent
 hypergeometric function ``M(a, b, z)`` with complex parameters.  All three
-are implemented here with explicit series/asymptotic regime switches and
-log-space variants so that callers can compose values spanning hundreds of
-orders of magnitude without overflow.
+are implemented here with explicit series/asymptotic regime switches, so
+that callers can compose values spanning hundreds of orders of magnitude
+without overflow: log Gamma and log M as logs, and I_nu in split form, a
+pair of tables (E, S) with value e^E S (``_split_exp``) and log E + log S
+(``_split_log``), E the exponential scale and S a sum of moderate size.
 
 The power series of ``I_nu(z)`` (a 0F1 in q = z^2/4) and the Taylor
 series of ``M(a, b, x)`` (a 1F1) are summed by one kernel on one layout:
@@ -29,9 +31,9 @@ with the powers (q_j / s)^k (``_log_series_outer``), real or complex;
 parameters whose terms needed a log scale group the arguments into bands
 over which the sum changes by at most e^300, so nothing significant
 underflows.  It raises SeriesNonConvergenceError past SERIES_MAX_TERMS
-terms and SpecfunDomainError at a Kummer b-pole.  Kummer's lost-digits
-proxy is log(sum of |terms| / |M|), +inf where the sum cancels to
-exactly 0.
+terms and SpecfunDomainError at a Kummer b-pole; its sums come back with
+their log scale apart.  Kummer's lost-digits proxy is log(sum of |terms|
+/ |M|), +inf where the sum cancels to exactly 0.
 
 The Bessel call takes its regime per element of that table
 (``_log_bessel_table``): the asymptotic expansion for large |z|, the
@@ -225,32 +227,33 @@ def _check_bessel_order(nu):
 
 
 def _log_bessel_series(nu, z):
-    """log I_nu(z) by the defining power series, for orders ``nu`` as
-    (n, 1) rows x arguments ``z`` as (m,) columns: an (n, m) table.
+    """I_nu(z) by the defining power series in split form (E, S), for
+    orders ``nu`` as (n, 1) rows x arguments ``z`` as (m,) columns.
 
     I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k) with
-    q = z^2/4: the shared table with den = nu and no numerator, summed by
-    ``_log_series_outer``; the prefactor is applied in log space at the
-    end.  The powers stay complex: on the timer's wide tables (about 40
-    terms) one complex product is cheaper than two real ones plus
-    assembling their parts.  Bands group the columns by |z|: for
-    Re(nu) >= -1/2 and real z, d log(sum)/d|z| = I_{nu+1}(z)/I_nu(z) <= 1,
-    so a band _SERIES_BAND_WIDTH wide in |z| keeps every column's sum
-    within e^-300 of the band's largest.  The N=4 timer kernel (|z| < 20)
-    needs one band and about 40 terms.  The arguments must have Re z >= 0
-    and z != 0, as ``_log_bessel_i_vec`` checks.
+    q = z^2/4: S is the sum, the shared table with den = nu and no
+    numerator (``_log_series_outer``), E = nu log(z/2) - log Gamma(nu+1)
+    plus the sum's log scale.  The powers stay complex: on the timer's
+    wide tables (about 40 terms) one complex product is cheaper than two
+    real ones plus assembling their parts.  Bands group the columns by |z|:
+    for Re(nu) >= -1/2 and real z, d log(sum)/d|z| = I_{nu+1}/I_nu <= 1, so
+    a band _SERIES_BAND_WIDTH wide in |z| keeps every column's sum within
+    e^-300 of the band's largest.  Re z >= 0 and z != 0, as
+    ``_log_bessel_i_vec`` checks.
     """
     _check_bessel_order(nu)
-    log_sum, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
-                                   _SERIES_BAND_WIDTH)
-    out = nu * np.log(z * 0.5) - _log_gamma_vec(nu + 1.0)
-    out += log_sum
-    return out
+    s, scale, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
+                                    _SERIES_BAND_WIDTH)
+    e = nu * np.log(z * 0.5)
+    e -= _log_gamma_vec(nu + 1.0)
+    if scale is not None:
+        e += scale
+    return e, s
 
 
 def _log_series_outer(den, q, key, width, num=None):
-    """log sum_k C[i, k] q_j^k for 1-D rows i x 1-D columns j, the matrix
-    route shared by the Bessel (0F1) and Kummer (1F1) series.
+    """sum_k C[i, k] q_j^k for 1-D rows i x 1-D columns j, with a log
+    scale: the matrix route of the Bessel (0F1) and Kummer (1F1) series.
 
     The terms are c_0 = 1, c_k = c_{k-1} q num_k / (k (den + k)) with
     num_k = num + k - 1 (1F1) or 1 (0F1, ``num`` is None).  With the
@@ -268,37 +271,45 @@ def _log_series_outer(den, q, key, width, num=None):
     Bands.  No stored coefficient passes 1e250 (e^575) and |P| <= 1, so
     a product C P that underflows (|P| < e^-708) is below e^-133.  A row
     whose terms at q = s stay below 1e250 keeps scale 0: each column's sum
-    of |terms| is at least its k = 0 term, 1, and what underflows is
-    negligible, so one band holds every column.  Only when some row of the
-    block needs a log scale are the columns split: the columns whose
-    ``key`` is within ``width`` of the largest form one band and the rest
-    are summed again on their own (recursively).  The caller picks ``key``
-    and ``width`` so that log(sum of |terms|) falls by at most
-    _SERIES_BAND_WIDTH (300) across a band; the scale leaves the band's
-    largest term above 1e250 / 2^512 (e^220), so every column's scaled sum
-    of |terms| stays above e^-80 and again nothing that matters underflows.
+    of |terms| is at least 1, so one band holds every column.  Only when
+    some row of the block needs a log scale are the columns split: those
+    whose ``key`` is within ``width`` of the largest form one band, the
+    rest are summed on their own (recursively).  ``key`` and ``width`` make
+    log(sum of |terms|) fall by at most _SERIES_BAND_WIDTH (300) across a
+    band; the scale leaves its largest term above 1e250 / 2^512 (e^220),
+    so every scaled sum of |terms| stays above e^-80.
 
-    Returns (log sums, lost) as (rows x columns) arrays; ``lost`` is
-    log(sum of |terms| / |sum|) for 1F1 and None for 0F1.  A sum that
-    cancels to exactly 0 has no relative accuracy to reach: it passes the
-    check, its log is -inf and its ``lost`` +inf.
+    Returns (sums, scale, lost), (rows x columns) arrays: the sum is
+    e^scale sums (``scale`` None if all 0); ``lost`` is log(sum of |terms|)
+    in the units of ``sums`` for 1F1, None for 0F1.  A sum that cancels to
+    exactly 0 has no relative accuracy to reach: it passes the check.
     """
     n, m = den.size, q.size
     out = np.empty((n, m), dtype=complex)
     lost = None if num is None else np.empty((n, m))
     s = float(np.max(np.abs(q))) or 1.0
     step = max(1, _SERIES_BLOCK_BYTES // (16 * (_first_terms(den, s, num) + 1)))
+    scale = None
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
-        _log_series_rows(den[rows], None if num is None else num[rows], q,
-                         key, width, out[rows],
-                         None if lost is None else lost[rows])
-    return out, lost
+        part = _log_series_rows(den[rows], None if num is None else num[rows],
+                                q, key, width, out[rows],
+                                None if lost is None else lost[rows])
+        scale = _put_scale(scale, (n, m), rows, part)
+    return out, scale, lost
+
+
+def _put_scale(scale, shape, where, part):
+    """``scale`` with ``part`` at ``where``, made as zeros on first need."""
+    if part is not None:
+        scale = np.zeros(shape) if scale is None else scale
+        scale[where] = part
+    return scale
 
 
 def _log_series_rows(den, num, q, key, width, out, lost):
     """``_log_series_outer`` for one row block, written into ``out`` (and
-    ``lost``)."""
+    ``lost``); returns its log scale, as ``_log_series_outer`` does."""
     s = float(np.max(np.abs(q)))
     if not s >= sys.float_info.min:  # 0 or subnormal: q / s would overflow
         s = 1.0
@@ -308,62 +319,55 @@ def _log_series_rows(den, num, q, key, width, out, lost):
         coef, row_scale = _series_table(den, s, min_terms, num)
         if np.any(row_scale) and np.ptp(key) > width:
             top = key > np.max(key) - width
+            scale = None
             for cols in (top, ~top):
                 part = out[:, cols]
                 part_lost = None if lost is None else lost[:, cols]
-                _log_series_rows(den, num, q[cols], key[cols], width, part,
-                                 part_lost)
+                part_scale = _log_series_rows(den, num, q[cols], key[cols],
+                                              width, part, part_lost)
                 out[:, cols] = part
                 if lost is not None:
                     lost[:, cols] = part_lost
-            return
+                scale = _put_scale(scale, out.shape, (slice(None), cols),
+                                   part_scale)
+            return scale
         n_terms = coef.shape[0] - 1
         abs_coef = None if num is None else np.abs(coef)
         step = max(1, _SERIES_BLOCK_BYTES // (8 * (n_terms + 1)))
         for c0 in range(0, q.size, step):
             cols = slice(c0, c0 + step)
-            if not _sum_columns(coef, abs_coef, row_scale, x[cols],
-                                out[:, cols],
+            if not _sum_columns(coef, abs_coef, x[cols], out[:, cols],
                                 None if lost is None else lost[:, cols]):
                 break
         else:
-            return
+            return row_scale[:, None] if np.any(row_scale) else None
         min_terms = n_terms + max(8, n_terms // 2)
 
 
-def _sum_columns(coef, abs_coef, row_scale, x, out, lost):
-    """One column block: writes log sums (and lost digits) into ``out``
-    (and ``lost``); False if some element's last two terms are too big.
-
-    The powers P[k] = x^k come from ``_power_table`` (doubling).  The
-    last two terms are bounded together by max(|C[K-1]|, |C[K]|) x
-    |P[K-1]| (|P[K]| <= |P[K-1]|), magnitudes taken as |Re| + |Im|.
+def _sum_columns(coef, abs_coef, x, out, lost):
+    """One column block: writes the sums sum_k C[k, i] x_j^k (no log)
+    into ``out`` (and log(sum of |terms|) into ``lost``); False if some
+    element's last two terms, bounded together by max(|C[K-1]|, |C[K]|)
+    |P[K-1]| (magnitudes |Re| + |Im|), are too big.  P[k] = x^k comes from
+    ``_power_table``.
     """
     n_terms = coef.shape[0] - 1
     powers = _power_table(x, n_terms)
     if powers.dtype.kind == "f":
-        # the sums go straight into ``out``, whose parts are rewritten
-        # below (or the block is summed again)
+        # the sums go straight into ``out`` (or the block is summed again)
         pair = coef.view(float).T @ powers  # rows Re C_i, Im C_i alternate
-        total = out
-        total.real = pair[0::2]
-        total.imag = pair[1::2]
+        out.real = pair[0::2]
+        out.imag = pair[1::2]
         del pair
     else:
-        total = coef.T @ powers
-    mag = np.abs(total)
+        np.matmul(coef.T, powers, out=out)
+    mag = np.abs(out)
     last = np.maximum(_mag(coef[-2]), _mag(coef[-1])) / SERIES_STOP_REL
     small = np.multiply.outer(last, _mag(powers[-2])) <= mag
     if not np.all(small) and not np.all(small | (mag == 0.0)):
         return False
-    del small
-    with np.errstate(divide="ignore"):  # a sum of exactly 0
-        np.arctan2(total.imag, total.real, out=out.imag)
-        np.log(mag, out=mag)
-        if lost is not None:
-            np.log(abs_coef.T @ np.abs(powers), out=lost)
-            lost -= mag
-    np.add(mag, row_scale[:, None], out=out.real)
+    if lost is not None:
+        np.log(abs_coef.T @ np.abs(powers), out=lost)
     return True
 
 
@@ -552,17 +556,16 @@ def _ldexp_inplace(c, e):
 
 
 def _log_bessel_asym(nu, z):
-    """log I_nu(z) by the large-|z| expansion (DLMF 10.40.5.
+    """I_nu(z) by the large-|z| expansion (DLMF 10.40.5) in split form:
+    E = z - 1/2 log(2 pi z) and S its sum, in the broadcast shape.
 
-    Valid in the sector the caller gates on (Re(z) >= 0.35 |z|).  Includes
-    the e^{-z} companion term, which matters near the sector edge; for z real
-    positive it underflows harmlessly.  Truncates at the smallest term
-    (optimal truncation of the divergent expansion) and signals if that term
-    is not small enough.
-
-    The loop updates its arrays in place, so it keeps no temporaries of
-    the output's size from one term to the next, and the sum's log is
-    ``_clog``'s.
+    Valid in the sector the caller gates on (Re(z) >= 0.35 |z|), with the
+    e^{-z} companion term, which matters near the sector edge.  Each
+    element adds terms while they fall (optimal truncation; it signals if
+    the smallest is not small enough) and stops after the first within
+    1e-17 of its sum, independent of its call-mates.  The loop works in
+    place but takes no complex product in place (NumPy rounds those apart
+    at some positions of an array).
     """
     out_shape = np.broadcast_shapes(nu.shape, z.shape)
     nu2 = 4.0 * nu * nu
@@ -581,8 +584,8 @@ def _log_bessel_asym(nu, z):
     for k in range(1, 60):
         np.subtract(nu2, (2 * k - 1) ** 2, out=ratio)
         ratio /= 8.0 * k
-        ak *= ratio
-        ak *= zinv
+        np.multiply(ak, ratio, out=contrib)
+        np.multiply(contrib, zinv, out=ak)
         _mag_into(ak, tm, part)
         # an active element's terms have fallen so far, so its last term
         # is the smallest: it stays active while the terms keep falling
@@ -598,20 +601,23 @@ def _log_bessel_asym(nu, z):
         _mag_into(s_alt, limit, part)
         limit *= 1e-17
         np.greater(tm, limit, out=going)
-        going &= active
-        if not np.any(going):
+        active &= going
+        if not np.any(active):
             break
-    del ak, contrib, active, going, tm, limit, part
+    del ak, active, going, tm, limit, part
     if np.any(floor_mag > 1e-11 * _mag(s_alt)):
         raise SeriesNonConvergenceError(
             "bessel asymptotic expansion cannot reach tolerance; |z| too small "
             "relative to |nu|^2"
         )
     sigma = np.where(z.imag >= 0.0, 1.0, -1.0)
-    recessive = np.exp(sigma * (nu + 0.5) * 1j * np.pi - 2.0 * z)
-    np.multiply(recessive, s_plus, out=s_plus)
-    s_plus += s_alt
-    return z - 0.5 * np.log(2.0 * np.pi * z) + _clog(s_plus)
+    w = sigma * (nu + 0.5) * 1j * np.pi - 2.0 * z
+    recessive = np.zeros(out_shape, dtype=complex)  # e^w is 0 below -746
+    np.exp(w, out=recessive, where=w.real > -746.0)
+    np.multiply(recessive, s_plus, out=contrib)
+    contrib += s_alt
+    return np.broadcast_to(z - 0.5 * _clog(2.0 * np.pi * z),
+                           out_shape).copy(), contrib
 
 
 def _bessel_asym_mask(nu, z):
@@ -658,8 +664,9 @@ def _rows_by_columns(fn, params, args):
     one shape and ``args`` (their arguments) to another; the two must vary
     along disjoint axes (aligned from the right, every axis of size 1 in
     one of them).  ``fn`` gets each parameter as an (n, 1) row and each
-    argument as an (m,) column and returns the (n, m) table, whose axes
-    are then interleaved back into the broadcast shape, at least 1-D.
+    argument as an (m,) column and returns the (n, m) table, or a tuple of
+    them (a split form), whose axes are then interleaved back into the
+    broadcast shape, at least 1-D.
 
     Raises:
         SpecfunDomainError: a parameter and an argument vary along one axis.
@@ -682,24 +689,19 @@ def _rows_by_columns(fn, params, args):
              *(flat(a, a_shape, -1) for a in args))
     # rows x columns -> the parameters' axes interleaved with the arguments'
     order = [k for pair in zip(range(d), range(d, 2 * d)) for k in pair]
-    return out.reshape(p_pad + a_pad).transpose(order).reshape(
-        [a if p == 1 else p for p, a in zip(p_pad, a_pad)])
+
+    def back(table):
+        return table.reshape(p_pad + a_pad).transpose(order).reshape(
+            [a if p == 1 else p for p, a in zip(p_pad, a_pad)])
+    return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
 
 
 def _log_bessel_i_vec(nu, z):
-    """Vectorized log I_nu(z) for orders ``nu`` and arguments ``z`` that
-    vary along disjoint axes, in the shape of their broadcast.
-
-    The imaginary part of the result is *some* branch of the logarithm;
-    exp() of it recovers I_nu(z) exactly, which is all the transform
-    formulas need.
-
-    The transforms always call it so: the order 2c depends on the
-    transform variables only and the argument on the variances and dates
-    only (the timer's (omega, eta) x v', the corridor's omega x v, the
-    tower's phi x (v, v')).  ``_rows_by_columns`` lays them out as orders
-    x arguments for ``_log_bessel_table``, which takes the regime per
-    element.
+    """Vectorized I_nu(z) in split form, (E, S) with I_nu(z) = e^E S, for
+    orders ``nu`` and arguments ``z`` that vary along disjoint axes, in the
+    shape of their broadcast (the transforms' order 2c varies with the
+    transform variables, the argument with the variances and dates), laid
+    out as orders x arguments for ``_log_bessel_table``.
 
     Raises:
         SpecfunDomainError: an order and an argument vary along one axis;
@@ -717,20 +719,14 @@ def _log_bessel_i_vec(nu, z):
 
 
 def _log_bessel_table(nu, z):
-    """log I_nu(z) on orders ``nu`` as (n, 1) rows x arguments ``z`` as
-    (m,) columns: an (n, m) table, the regime taken per element
-    (``_bessel_asym_mask``): the asymptotic branch where |z| is large
-    against the threshold and |nu|^2, the rescaled power series everywhere
-    else (production arguments are real positive, so the sector test only
-    bites exotic inputs).
-
-    The series is summed once, on every row of each column that some row
-    needs it in, by ``_log_bessel_series``, so all the rows share one
-    power table; the columns that every row takes asymptotically take
-    ``_log_bessel_asym`` in broadcast form, and in the other columns it
-    runs on the asymptotic elements only, which then replace their series
-    values.  Where one branch covers every column, its result is the
-    table itself.
+    """I_nu(z) in split form on orders ``nu`` as (n, 1) rows x arguments
+    ``z`` as (m,) columns, the regime taken per element
+    (``_bessel_asym_mask``: asymptotic where |z| is large against the
+    threshold and |nu|^2, the rescaled power series elsewhere).  The series
+    is summed on every row of each column that some row needs it in,
+    sharing one power table; ``_log_bessel_asym`` takes the columns every
+    row takes asymptotically in broadcast form and, in the others, the
+    asymptotic elements only, which replace their series values.
     """
     use_asym = _bessel_asym_mask(nu, z)
     series = ~np.all(use_asym, axis=0)
@@ -739,22 +735,46 @@ def _log_bessel_table(nu, z):
     every = np.all(series)
     s_cols, mixed = (z, use_asym) if every else (z[series],
                                                  use_asym[:, series])
+    flat = np.flatnonzero(mixed)  # first, while no table is held
+    rows, cols = np.divmod(flat, mixed.shape[1])
+    asym = _log_bessel_asym(nu[:, 0][rows], s_cols[cols]) if flat.size else ()
     out = _log_bessel_series(nu, s_cols)
-    if np.any(mixed):
-        out[mixed] = _log_bessel_asym(
-            *(np.broadcast_to(x, mixed.shape)[mixed] for x in (nu, s_cols)))
+    for table, part in zip(out, asym):
+        table.reshape(-1)[flat] = part
     if every:
         return out
-    part, out = out, np.empty(use_asym.shape, dtype=complex)
-    out[:, series] = part
-    out[:, ~series] = _log_bessel_asym(nu, z[~series])
-    return out
+    full = tuple(np.empty(use_asym.shape, dtype=complex) for _ in out)
+    for table, part in zip(full, out):
+        table[:, series] = part
+    del out, part  # before the asymptotic columns' tables are made
+    for table, part in zip(full, _log_bessel_asym(nu, z[~series])):
+        table[:, ~series] = part
+    return full
+
+
+def _split_log(e, s):
+    """log of a split table, E + log S (a branch that exp() undoes)."""
+    with np.errstate(divide="ignore"):  # a sum of exactly 0
+        return e + np.log(s)
+
+
+def _split_exp(e, s):
+    """The value e^E S of a split table, written into ``e``; exp(E + log S)
+    where |Re E| > 700, as e^E alone could overflow or underflow there."""
+    far = np.abs(e.real) > 700.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed = np.exp(_split_log(e[far], s[far])) if far.any() else None
+        np.exp(e, out=e)
+        e *= s
+    if fixed is not None:
+        e[far] = fixed
+    return e
 
 
 def log_bessel_i(nu, z):
     """``log I_nu(z)`` for scalar complex arguments (branch only fixed by
     exp), a 1 x 1 table; Re z >= 0 and z != 0."""
-    return complex(_log_bessel_i_vec(complex(nu), complex(z))[0])
+    return complex(_split_log(*_log_bessel_i_vec(complex(nu), complex(z)))[0])
 
 
 def bessel_i(nu, z, scaled=False):
@@ -821,8 +841,13 @@ def _log_kummer_taylor(a, b, x):
     nearest = np.abs(b + np.maximum(np.round(-b.real), 0.0))
     with np.errstate(divide="ignore"):
         rho = 1.0 + float(np.max(np.abs(a - b) / nearest))
-    return _log_series_outer(b - 1.0, x, np.abs(x), _SERIES_BAND_WIDTH / rho,
-                             num=a)
+    sums, scale, lost = _log_series_outer(b - 1.0, x, np.abs(x),
+                                          _SERIES_BAND_WIDTH / rho, num=a)
+    with np.errstate(divide="ignore"):  # a sum of exactly 0
+        logm = _clog(sums)
+    lost -= logm.real
+    logm.real += 0.0 if scale is None else scale
+    return logm, lost
 
 
 def _log_kummer_asym_sum(a, b, x):
@@ -831,7 +856,7 @@ def _log_kummer_asym_sum(a, b, x):
     This is M(a, b, -x) stripped of its Gamma(b)/Gamma(b-a) x^{-a} prefactor
     (which cancels analytically inside the joint characteristic function).
     Optimal truncation of the divergent tail; raises if it cannot reach
-    1e-11 relative.  The loop runs in place, as ``_log_bessel_asym``'s.
+    1e-11 relative.  Its loop runs as ``_log_bessel_asym``'s.
     """
     a, b, x = np.broadcast_arrays(
         np.atleast_1d(np.asarray(a, dtype=complex)),
@@ -844,15 +869,16 @@ def _log_kummer_asym_sum(a, b, x):
     total = np.ones(shape, dtype=complex)
     # scratch: the factors, then the added term; its parts hold magnitudes
     work = np.empty(shape, dtype=complex)
+    prod = np.empty(shape, dtype=complex)
     active = np.ones(shape, dtype=bool)
     going = np.empty(shape, dtype=bool)
     floor_mag = np.full(shape, np.inf)
     tm = np.empty(shape)
     for s in range(60):
         np.add(a, s, out=work)
-        term *= work
+        np.multiply(term, work, out=prod)
         np.add(amb, s, out=work)
-        term *= work
+        np.multiply(prod, work, out=term)
         np.multiply(x, s + 1.0, out=tm)
         term /= tm
         _mag_into(term, tm, work.real)
@@ -866,8 +892,8 @@ def _log_kummer_asym_sum(a, b, x):
         limit = _mag_into(total, work.real, work.imag)
         limit *= 1e-17
         np.greater(tm, limit, out=going)
-        going &= active
-        if not np.any(going):
+        active &= going
+        if not np.any(active):
             break
     if np.any(floor_mag > 1e-11 * _mag(total)):
         raise SeriesNonConvergenceError(

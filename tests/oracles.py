@@ -11,6 +11,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from three_halves import specfun
 from three_halves import transforms as tr
 from three_halves.errors import (
     QuadratureNonConvergenceError,
@@ -111,7 +112,8 @@ def bivariate_cf_phi(t: float, state: Tuple[float, float, float], t1: float,
             t, v, t1, tr.TransformPoint(w1 + w2, e1 + e2), params))
 
     def integrand(vp):
-        lg = tr._log_g_vec(t, v, t1, w1 + w2, e1 + e2, vp, params)
+        lg = specfun._split_log(*tr._log_g_vec(t, v, t1, w1 + w2, e1 + e2,
+                                               vp, params))
         lh = tr._log_h_vec(t1, vp, t2, w2, e2, params)
         return tr._exp_checked(lg + lh, "bivariate_cf_phi integrand")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import three_halves
-from three_halves import pricers
+from three_halves import pricers, specfun
 from three_halves import transforms as tr
 from three_halves.errors import (
     BranchCutWarning,
@@ -38,6 +38,7 @@ from three_halves.pricers import (
     price_timer_grid,
 )
 from three_halves.quadrature import QuadratureConfig
+from three_halves.specfun import _split_exp, _split_log
 
 from oracles import bivariate_cf_phi
 
@@ -149,8 +150,8 @@ def _per_date_h_tilde(kernel, omega, eta):
         t, t_next = T * j / N, T * (j + 1) / N
         cols = kernel.columns(slice(j - 1, j))
         nodes = kernel.nodes[cols]
-        g = np.exp(tr._log_g_vec(0.0, p.v0, t, om[..., None], eta[..., None],
-                                 nodes, p))
+        g = _split_exp(*tr._log_g_vec(0.0, p.v0, t, om[..., None],
+                                      eta[..., None], nodes, p))
         phi = (math.exp(-p.r * t_next)
                * np.exp(tr._log_h_vec(t, nodes, t_next, om, 0.0, p))
                - math.exp(-p.r * t))
@@ -250,6 +251,43 @@ class TestTimerKernel:
         g = [c[1:] for c in calls if c[0] == "_log_g_vec"]
         assert g == [(1, 1)] * (omega.size * (n - 1))
         assert {c[1:] for c in calls if c[0] == "_log_h_vec"} == {(1, 1)}
+
+    def test_traced_layers_count_the_contracted_elements(self, timer_params,
+                                                         monkeypatch):
+        # The benchmark's N = 4 timer call: every element _timer_w_matrix
+        # contracts passes once through _log_g_vec and once through the
+        # Bessel series (at N = 4 every z stays below the asymptotic
+        # switch), so the benchmark tracer's per-layer element counts
+        # measure the kernel's work.
+        counts = dict.fromkeys(("contracted", "log_g", "series"), 0)
+        inside = []
+        w_matrix = pricers._timer_w_matrix
+
+        def contract(kernel, dates, omega, eta, factor):
+            counts["contracted"] += eta.size * factor.shape[1]
+            inside.append(dates)
+            try:
+                return w_matrix(kernel, dates, omega, eta, factor)
+            finally:
+                inside.pop()
+
+        def counted(module, name, key):
+            def spy(*args, fn=getattr(module, name)):
+                out = fn(*args)
+                if inside:
+                    counts[key] += out[0].size  # E of the split form
+                return out
+            monkeypatch.setattr(module, name, spy)
+
+        monkeypatch.setattr(pricers, "_timer_w_matrix", contract)
+        counted(tr, "_log_g_vec", "log_g")
+        counted(specfun, "_log_bessel_series", "series")
+        price_timer_grid([TimerOptionSpec(k, 1.0, 4, 0.087)
+                          for k in (90.0, 100.0, 110.0)], timer_params,
+                         QuadratureConfig())
+        assert counts["contracted"] > 10**6
+        assert counts["log_g"] == counts["contracted"]
+        assert counts["series"] == counts["contracted"]
 
     def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
         grids = []
@@ -423,9 +461,9 @@ class TestTimerMemory:
     def test_no_kernel_table_passes_the_cap(self, timer_params, monkeypatch):
         sizes = []
         for name in ("_log_g_vec", "_log_h_vec"):
-            def spy(*args, fn=getattr(tr, name)):
+            def spy(*args, fn=getattr(tr, name), split=name == "_log_g_vec"):
                 out = fn(*args)
-                sizes.append(out.size)
+                sizes.append(np.size(out[0] if split else out))  # g's (E, S)
                 return out
             monkeypatch.setattr(tr, name, spy)
         price_timer_grid(self.specs(24)[1:2], timer_params, QuadratureConfig())
@@ -505,6 +543,45 @@ class TestTimerUnderThetaCurve:
         z = (timer.price - mc.estimate) / mc.std_error
         assert abs(z) <= 3.0, (
             f"{timer.price} vs MC {mc.estimate} +- {mc.std_error}: z = {z:.2f}")
+
+
+# The N = 12 swaps under a theta(t) curve, one shared ensemble.
+THETA_SWAPS = [MomentSwapSpec(1.0, 12, 2),
+               MomentSwapSpec(1.0, 12, 2, "terminal_price"),
+               MomentSwapSpec(1.0, 12, 2, "corridor", 1, 80.0, 120.0)]
+
+
+class TestSwapsUnderThetaCurve:
+    """The N = 12 variance, terminal-price and lag-1 corridor swaps under
+    ``theta_curve_params``, whose breaks at 0.3 and 0.7 fall inside the
+    fourth and ninth periods, so every period has its own A and C, two of
+    them integrating a step of theta.  Each fair strike is within 3 SE of
+    one Monte Carlo ensemble (100k paths at 256 steps a year, fixed
+    seed)."""
+
+    @pytest.fixture(scope="class")
+    def legs(self, theta_curve_params):
+        parts = {spec: [] for spec in THETA_SWAPS}
+        for piece in range(10):
+            ens = simulate_paths(1.0, THETA_SWAPS[0].schedule_times(),
+                                 theta_curve_params,
+                                 SimulationConfig(n_paths=10_000,
+                                                  steps_per_year=256,
+                                                  seed=37 + piece))
+            for spec, p in parts.items():
+                p.append(_floating_leg(spec, ens, theta_curve_params))
+        return {spec: _mean_se(np.concatenate(p))
+                for spec, p in parts.items()}
+
+    @pytest.mark.parametrize("spec", THETA_SWAPS,
+                             ids=[s.weight_kind for s in THETA_SWAPS])
+    def test_within_three_standard_errors(self, theta_curve_params, legs,
+                                          spec):
+        price = fair_strike_weighted(spec, theta_curve_params,
+                                     QuadratureConfig())
+        mean, se = legs[spec]
+        z = (price - mean) / se
+        assert abs(z) <= 3.0, f"{price} vs MC {mean} +- {se}: z = {z:.2f}"
 
 
 class TestCauchyMoment:
@@ -680,7 +757,8 @@ class TestSwapPeriodBlocks:
             def kernel(*args):
                 out = fn(*args)
                 if "tables" in current:
-                    current["tables"].setdefault(name, []).append(out.shape)
+                    table = out[0] if name == "_log_g_vec" else out  # (E, S)
+                    current["tables"].setdefault(name, []).append(table.shape)
                 return out
             monkeypatch.setattr(pricers.tr, name, kernel)
 
@@ -818,7 +896,8 @@ class TestDeadNodePrune:
             shape = (-1,) + (1,) * nodes.ndim
             y = np.unique(omega.imag).reshape(shape)
             log_b = _log_bound(p, t, v, t_prime, nodes, y)
-            log_gy = tr._log_g_vec(t, v, t_prime, 1j * y, 0.0, nodes, p)
+            log_gy = _split_log(*tr._log_g_vec(t, v, t_prime, 1j * y, 0.0,
+                                               nodes, p))
             assert np.all(log_gy.real <= log_b + 1e-9)
             mass_y = np.exp(tr._log_h_vec(t, v, t_prime, 1j * y, 0.0,
                                           p).real)
@@ -826,7 +905,8 @@ class TestDeadNodePrune:
                                  axis=-1, keepdims=True) / mass_y
             assert np.all(bound_share <= pricers._DEAD_SHARE * (1 + 1e-12))
             at = omega.reshape(shape)
-            log_g = tr._log_g_vec(t, v, t_prime, at, 0.0, nodes, p).real
+            log_g = _split_log(*tr._log_g_vec(t, v, t_prime, at, 0.0, nodes,
+                                              p)).real
             bound = _log_bound(p, t, v, t_prime, nodes, at.imag)
             assert np.all((log_g <= bound + 1e-9) | live)
             mass = np.exp(tr._log_h_vec(t, v, t_prime, 1j * at.imag, 0.0,

@@ -244,15 +244,27 @@ def running_kummer_taylor(a, b, z):
     return logm, np.log(abs_total) + scale - logm.real
 
 
+def log_series(nu, z):
+    """The series' split table (E, S) on orders x arguments as a log,
+    E + log S."""
+    return specfun._split_log(*specfun._log_bessel_series(nu, z))
+
+
+def log_bessel(nu, z):
+    """``_log_bessel_i_vec``'s split table as a log, E + log S."""
+    return specfun._split_log(*specfun._log_bessel_i_vec(nu, z))
+
+
 def bessel_point(nu, z):
     """The series at one (nu, z), a 1 x 1 table."""
-    return specfun._log_bessel_series(np.array([[nu]]), np.array([z]))[0, 0]
+    return log_series(np.array([[nu]]), np.array([z]))[0, 0]
 
 
 def table_points_oracle(nu, z):
     """The series on orders x arguments in their layout (one table), at
     every element as a 1 x 1 table, and by the running-product oracle."""
-    table = specfun._rows_by_columns(specfun._log_bessel_series, (nu,), (z,))
+    table = specfun._split_log(*specfun._rows_by_columns(
+        specfun._log_bessel_series, (nu,), (z,)))
     points = np.vectorize(bessel_point, otypes=[complex])(nu, z)
     return table, points, running_bessel_series(nu, z)
 
@@ -325,7 +337,7 @@ class TestBesselSeriesOuter:
         # table cut after 4 terms must be rejected and rebuilt longer.
         nu = np.array([1.5, 2.0 + 1.0j, 7.0 - 3.0j])[:, None]
         z = np.array([1.0, 4.0, 9.0 + 2.0j], dtype=complex)
-        want = specfun._log_bessel_series(nu, z)
+        want = log_series(nu, z)
         calls = []
         table = specfun._series_table
 
@@ -335,7 +347,7 @@ class TestBesselSeriesOuter:
             return (coef[:5] if len(calls) == 1 else coef), row_scale
 
         monkeypatch.setattr(specfun, "_series_table", short_first)
-        got = specfun._log_bessel_series(nu, z)
+        got = log_series(nu, z)
         assert calls == [0, 12]
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -380,7 +392,7 @@ class TestBesselTable:
                                              z.reshape(1, -1))
         assert np.any(np.any(use_asym, axis=0) & ~np.all(use_asym, axis=0))
         shapes = series_layouts(monkeypatch)
-        table = specfun._log_bessel_i_vec(nu, z)
+        table = log_bessel(nu, z)
         # one series call, on orders (n, 1) x arguments (k,)
         [(rows, cols)] = shapes
         assert rows == (nu.size, 1) and len(cols) == 1
@@ -470,7 +482,7 @@ class TestBesselTable:
             / pricers.MOMENT_NODES)
         nu = 2.0 * tr._c_exponent(-1j + phis[:, None, None, None], 0.0, p)
         shapes = series_layouts(monkeypatch)
-        got = specfun._log_bessel_i_vec(nu, z)
+        got = log_bessel(nu, z)
         assert shapes == [((phis.size, 1), (z.size,))]
         assert got.shape == (phis.size, 1) + z.shape
         oracle = running_bessel_series(nu, z)
@@ -510,7 +522,8 @@ class TestBesselTable:
         with pytest.raises(SpecfunDomainError, match="vary along one axis"):
             specfun._log_bessel_i_vec(nu[:, None], z[None, :, None])
         # a size-1 axis is shared by nobody
-        assert specfun._log_bessel_i_vec(nu[:1], z).shape == (3,)
+        assert all(t.shape == (3,)
+                   for t in specfun._log_bessel_i_vec(nu[:1], z))
 
     def test_negative_integer_order_raises(self):
         nu = np.array([1.5, -3.0, 14.0])[:, None].astype(complex)
@@ -522,6 +535,84 @@ class TestBesselTable:
 
 
 EPS = np.finfo(float).eps
+
+
+class TestSplitForm:
+    """I_nu(z) = e^E S against mpmath in each regime of the table: the
+    series, the series with a row scale (terms past 1e250), the asymptotic
+    expansion, and one table that mixes all three.  The value e^E S
+    (``_split_exp``) agrees with the log route exp(E + log S)
+    (``_split_log``) to the rounding of exp at that magnitude."""
+
+    @staticmethod
+    def check(nu, z, regimes):
+        nu = np.asarray(nu, dtype=complex)[:, None]
+        z = np.asarray(z, dtype=float)
+        scales = []
+        series = specfun._log_series_outer
+
+        def spy(*args, **kwargs):
+            out = series(*args, **kwargs)
+            scales.append(out[1])
+            return out
+
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(specfun, "_log_series_outer", spy)
+            e, s = specfun._log_bessel_i_vec(nu, z)
+        seen = {name for name, hit in (
+            ("asymptotic",
+             np.any(specfun._bessel_asym_mask(nu, z.astype(complex)))),
+            ("series", any(x is None or not np.all(x) for x in scales)),
+            ("scaled series", any(x is not None for x in scales))) if hit}
+        assert seen == regimes
+        log_route = specfun._split_log(e, s)
+        for i, j in np.ndindex(e.shape):
+            want = mp_log_bessel_i(nu[i, 0], z[j])
+            tol = 1e-13 + 2e-15 * abs(want)
+            assert log_err(log_route[i, j], want) <= tol, (i, j)
+            if want.real > 700.0:
+                # not representable: its value brought into range by e^-z
+                got = specfun._split_exp(e[i:i + 1, j] - z[j],
+                                         s[i:i + 1, j])[0]
+                assert rel_err(got, np.exp(want - z[j])) <= tol, (i, j)
+                continue
+            got = specfun._split_exp(e[i:i + 1, j].copy(), s[i:i + 1, j])[0]
+            assert np.isfinite(got), (i, j)
+            assert rel_err(got, np.exp(want)) <= tol, (i, j)
+            # the two routes round E + log S apart, and exp turns that
+            # into a relative error
+            assert rel_err(got, np.exp(log_route[i, j])) <= 1e-14 + 2.0 * EPS * (
+                abs(e[i, j]) + abs(np.log(s[i, j]))), (i, j)
+
+    def test_series(self):
+        self.check([0.5, 3.0 + 2.0j, 20.0 - 5.0j], [0.1, 2.0, 15.0, 29.0],
+                   {"series"})
+
+    def test_series_with_a_row_scale(self):
+        # |nu|^2 > 2.5 |z| keeps the series; at z = 1000 and 1400 its
+        # terms pass 1e250
+        self.check([60.0, 60.0 + 5.0j], [1000.0, 1400.0], {"scaled series"})
+
+    def test_asymptotic(self):
+        self.check([0.5, 2.0 + 1.0j, 6.0 - 3.0j], [40.0, 200.0, 900.0],
+                   {"asymptotic"})
+
+    def test_one_table_mixing_all_three(self):
+        self.check([0.5, 3.0 + 1.0j, 60.0], [2.0, 45.0, 1000.0, 1400.0],
+                   {"series", "scaled series", "asymptotic"})
+
+    @pytest.mark.parametrize("e,log_s", [(-800.0, 200.0), (800.0, -200.0),
+                                         (-760.0 + 3.0j, 100.0 - 1.0j)])
+    def test_exponent_past_the_double_range(self, e, log_s):
+        # e^E alone would underflow or overflow; the value is e^(E + log S)
+        e_tab = np.full((2, 3), e, dtype=complex)
+        s_tab = np.full((2, 3), np.exp(log_s), dtype=complex)
+        e_tab[0, 0], s_tab[0, 0] = 1.5 - 2.0j, 0.25
+        got = specfun._split_exp(e_tab, s_tab)
+        assert rel_err(got[0, 0], 0.25 * np.exp(1.5 - 2.0j)) <= 4.0 * EPS
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got.ravel()[1:] / np.exp(e + log_s) - 1.0)) \
+            <= 1e-14 + 2.0 * EPS * abs(e)
 
 
 class TestClog:

@@ -17,7 +17,7 @@ from three_halves import specfun
 from three_halves.errors import (DeltaRegimeError, SpecfunDomainError,
                                  ThreeHalvesError)
 from three_halves.model import (JumpParams, ModelParams, _drift_a_vec,
-                                coef_C, validate)
+                                coef_A, coef_C, validate)
 from three_halves.quadrature import QuadratureConfig
 from three_halves import transforms as tr
 
@@ -185,8 +185,8 @@ class TestJointCF:
         h = tr.joint_cf_h(0.0, snp_params.v0, 0.5, point, snp_params)
 
         def f(vp):
-            return np.exp(tr._log_g_vec(0.0, snp_params.v0, 0.5, om, et, vp,
-                                        snp_params))
+            return specfun._split_exp(*tr._log_g_vec(
+                0.0, snp_params.v0, 0.5, om, et, vp, snp_params))
 
         val, _ = integrate_semi_infinite(f, CFG)
         assert abs(val - h) <= 1e-6 * abs(h)
@@ -197,8 +197,8 @@ class TestJointCF:
                           snp_params)
 
         def f(vp):
-            return np.exp(tr._log_g_vec(0.0, snp_params.v0, 0.5, om, 0.0, vp,
-                                        snp_params))
+            return specfun._split_exp(*tr._log_g_vec(
+                0.0, snp_params.v0, 0.5, om, 0.0, vp, snp_params))
 
         val, _ = integrate_semi_infinite(f, CFG)
         assert abs(val - h) <= 1e-6 * abs(h)
@@ -256,6 +256,10 @@ class TestLogHLayouts:
         rows = np.array([tr._log_h_vec(0.5, v, 1.0, om, 0.0, snp_params)
                          for om in omega])
         assert np.max(log_err(outer, rows)) <= 1e-13
+        # each asymptotic element stops its sum on its own, so it does not
+        # depend on the rest of its call: bit for bit in either layout
+        asym = np.broadcast_to(asym, outer.shape)
+        assert np.array_equal(outer[asym], rows[asym])
         # (omega, v) pairs, each a 1 x 1 table, on every mixed column
         for i, j in zip(*np.nonzero(np.broadcast_to(mixed, asym.shape))):
             one = tr._log_h_vec(0.5, v[j], 1.0, omega[i], 0.0, snp_params)
@@ -335,6 +339,40 @@ class TestLogHLayouts:
                           snp_params)
 
 
+class TestGSplitForm:
+    """g in split form, (E, S) with g = e^E S: the value is finite wherever
+    g is representable and agrees with the log route exp(E + log S) to the
+    rounding exp gives the exponent."""
+
+    @pytest.mark.parametrize("dt", [1.0 / 252.0, 1.0 / 12.0, 1.0])
+    def test_value_wherever_representable(self, snp_params, dt):
+        # (omega, eta) on and off the real axes x v' from 1e-5 to 10: the
+        # short step reaches the asymptotic branch, and log g spans
+        # -6.8e5 to 4
+        p = snp_params
+        omega = np.array([0.0, 2.0 - 0.5j, -30.0 + 0.2j,
+                          150.0 - 1.0j])[:, None, None]
+        eta = np.array([0.0, 3.0j, 40.0 + 2.0j])[None, :, None]
+        v_prime = np.geomspace(1e-5, 10.0, 60)
+        e, s = tr._log_g_vec(0.0, p.v0, dt, omega, eta, v_prime, p)
+        log_g = specfun._split_log(e, s)
+        value = specfun._split_exp(e.copy(), s)
+        there = np.abs(log_g.real) < 700.0
+        assert 0 < np.count_nonzero(there) < there.size
+        assert np.all(np.isfinite(value[there]))
+        assert np.all(value[~there] == 0.0)  # far below the double range
+        eps = np.finfo(float).eps
+        rel = np.abs(value[there] / np.exp(log_g[there]) - 1.0)
+        assert np.all(rel <= 1e-14 + 2.0 * eps * (
+            np.abs(e[there]) + np.abs(np.log(s[there]))))
+        if dt < 0.01:
+            z = (2.0 / coef_C(p.theta, p.epsilon, 0.0, dt)) * np.sqrt(
+                coef_A(p.theta, 0.0, dt) / (p.v0 * v_prime))
+            asym = specfun._bessel_asym_mask(
+                2.0 * tr._c_exponent(omega, eta, p), z.astype(complex))
+            assert np.any(asym[there]) and np.any(~asym[there])
+
+
 class TestPerNodeDates:
     """g and h with one date pair per node, the layout of the moment swaps'
     stacked period grids, against one scalar-date call per node."""
@@ -386,12 +424,12 @@ class TestPerNodeDates:
         else:
             t, v = self.T_FROM, self.V
         v_prime = 1.3 * self.V
-        got = tr._log_g_vec(0.0 if from_v0 else t, snp_params.v0 if from_v0
-                            else v, self.T_TO, self.OMEGA[:, None], 0.0,
-                            v_prime, snp_params)
+        got = specfun._split_log(*tr._log_g_vec(
+            0.0 if from_v0 else t, snp_params.v0 if from_v0 else v,
+            self.T_TO, self.OMEGA[:, None], 0.0, v_prime, snp_params))
         want = self.per_node(
-            lambda a, x, b, y: tr._log_g_vec(a, x, b, self.OMEGA, 0.0, y,
-                                             snp_params),
+            lambda a, x, b, y: specfun._split_log(*tr._log_g_vec(
+                a, x, b, self.OMEGA, 0.0, y, snp_params)),
             t, v, self.T_TO, v_prime)
         pairs = list(zip(t, self.T_TO))
         A = np.array([coef_A(snp_params.theta, a, b) for a, b in pairs])

@@ -344,7 +344,7 @@ def _talbot_contour(m: int, budget: float, T: float, omega,
     e^{sB} at its right end, so that the jump factor cannot swamp the sum.
     """
     mu = m / budget
-    b0 = 0.5 + tr._kappa_tilde(omega, params) / params.eps2
+    b0 = tr._b0(omega, params)
     points = [-0.5 * params.eps2 * b0 * b0 - 0.5 * (1j * omega + omega**2)]
     jp = params.jumps
     jumps = jp is not None and jp.lam > 0.0 and jp.sigma > 0.0
@@ -765,7 +765,7 @@ def _live_nodes(params: ModelParams, t, v, t_prime, v_prime, w, imag):
     """
     y = np.array(sorted(set(np.ravel(imag).tolist())))
     p = params
-    b0 = 0.5 + (p.kappa + y * p.rho * p.epsilon) / p.eps2
+    b0 = tr._b0(1j * y, p).real
     keep = np.asarray(w) > 0.0
     if np.any(b0 * b0 < (y + y * y) / p.eps2):
         return keep

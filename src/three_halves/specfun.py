@@ -40,6 +40,10 @@ The Bessel call takes its regime per element of that table
 series elsewhere.  It takes Re z >= 0 and z != 0 only and raises
 SpecfunDomainError otherwise; ``bessel_i`` has the closed form at z = 0.
 
+Both asymptotic branches, I_nu(z) for large |z| and the joint CF's
+M(a, b, -x) for large x, are one divergent 2F0 summed to its smallest
+term per element by one kernel (``_asym_sum``).
+
 All operations are pure; arrays are never mutated in place across calls.
 """
 
@@ -555,69 +559,81 @@ def _ldexp_inplace(c, e):
     np.ldexp(c.imag, e, out=c.imag)
 
 
-def _log_bessel_asym(nu, z):
-    """I_nu(z) by the large-|z| expansion (DLMF 10.40.5) in split form:
-    E = z - 1/2 log(2 pi z) and S its sum, in the broadcast shape.
+def _asym_sum(mid, half2, y, mirror=False):
+    """The optimally truncated 2F0(p, q; y) = sum_k (p)_k (q)_k y^k / k!,
+    p, q = mid -+ h with h^2 = ``half2``, per element of the broadcast;
+    with ``mirror`` also the same terms summed at -y, as a second table.
 
-    Valid in the sector the caller gates on (Re(z) >= 0.35 |z|), with the
-    e^{-z} companion term, which matters near the sector edge.  Each
-    element adds terms while they fall (optimal truncation; it signals if
-    the smallest is not small enough) and stops after the first within
-    1e-17 of its sum, independent of its call-mates.  The loop works in
-    place but takes no complex product in place (NumPy rounds those apart
-    at some positions of an array).
+    Term k + 1 is term k times y ((k + mid)^2 - h^2) / (k + 1), so the
+    Bessel branch (mid = 1/2, h = nu) takes no product of nu -+ 1/2.  Each
+    element adds terms while they fall (optimal truncation) and stops after
+    the first within 1e-17 of its sum, or 60 past the first, independent of
+    its call-mates.  The loop works in place but takes no complex product
+    in place (NumPy rounds those apart at some positions of an array).
+
+    Raises:
+        SeriesNonConvergenceError: some element's smallest term is above
+            1e-11 of its sum (its argument is too small for its parameters).
     """
-    out_shape = np.broadcast_shapes(nu.shape, z.shape)
-    nu2 = 4.0 * nu * nu
-    ratio = np.empty(nu2.shape, dtype=complex)
-    ak = np.ones(out_shape, dtype=complex)
-    s_alt = np.ones(out_shape, dtype=complex)
-    s_plus = np.ones(out_shape, dtype=complex)
-    contrib = np.empty(out_shape, dtype=complex)
-    zinv = 1.0 / z
-    active = np.ones(out_shape, dtype=bool)
-    going = np.empty(out_shape, dtype=bool)
-    floor_mag = np.full(out_shape, np.inf)
-    tm = np.empty(out_shape)
-    limit = np.empty(out_shape)
-    part = np.empty(out_shape)
-    for k in range(1, 60):
-        np.subtract(nu2, (2 * k - 1) ** 2, out=ratio)
-        ratio /= 8.0 * k
-        np.multiply(ak, ratio, out=contrib)
-        np.multiply(contrib, zinv, out=ak)
-        _mag_into(ak, tm, part)
+    shape = np.broadcast_shapes(np.shape(mid), np.shape(half2), np.shape(y))
+    term = np.ones(shape, dtype=complex)
+    total = np.ones(shape, dtype=complex)
+    other = np.ones(shape, dtype=complex) if mirror else None
+    contrib = np.empty(shape, dtype=complex)
+    # contrib's memory doubles as two real tables (memory peaks in Kummer's)
+    part, limit = contrib.reshape(-1).view(float).reshape((2,) + shape)
+    active = np.ones(shape, dtype=bool)
+    going = np.empty(shape, dtype=bool)
+    floor_mag = np.full(shape, np.inf)
+    tm = np.empty(shape)
+    ratio = np.empty(np.broadcast_shapes(np.shape(mid), np.shape(half2)),
+                     dtype=complex)
+    for k in range(60):
+        np.square(mid + k, out=ratio)
+        ratio -= half2
+        ratio /= k + 1.0
+        np.multiply(term, ratio, out=contrib)
+        np.multiply(contrib, y, out=term)
+        _mag_into(term, tm, part)
         # an active element's terms have fallen so far, so its last term
         # is the smallest: it stays active while the terms keep falling
         np.less(tm, floor_mag, out=going)
         active &= going
         np.minimum(floor_mag, tm, out=floor_mag)
-        np.multiply(ak, active, out=contrib)
-        if k % 2:
-            s_alt -= contrib
-        else:
-            s_alt += contrib
-        s_plus += contrib
-        _mag_into(s_alt, limit, part)
+        np.multiply(term, active, out=contrib)
+        total += contrib
+        if mirror:  # term k + 1 has the sign (-1)^(k + 1) at -y
+            (np.add if k % 2 else np.subtract)(other, contrib, out=other)
+        _mag_into(total, limit, part)
         limit *= 1e-17
         np.greater(tm, limit, out=going)
         active &= going
         if not np.any(active):
             break
-    del ak, active, going, tm, limit, part
-    if np.any(floor_mag > 1e-11 * _mag(s_alt)):
+    _mag_into(total, limit, part)
+    if np.any(floor_mag > 1e-11 * limit):
         raise SeriesNonConvergenceError(
-            "bessel asymptotic expansion cannot reach tolerance; |z| too small "
-            "relative to |nu|^2"
-        )
+            "asymptotic series cannot reach tolerance; argument too small "
+            "relative to parameters")
+    return (total, other) if mirror else total
+
+
+def _log_bessel_asym(nu, z):
+    """I_nu(z) by the large-|z| expansion (DLMF 10.40.5) in split form,
+    in the broadcast shape: E = z - 1/2 log(2 pi z) and S = 2F0(1/2 - nu,
+    1/2 + nu; 1/(2z)) plus its e^{-z} companion, e^{i sigma pi (nu + 1/2)
+    - 2z} times the same terms at -1/(2z) (``_asym_sum``'s mirror), which
+    matters near the edge of the sector the caller gates on
+    (Re(z) >= 0.35 |z|).
+    """
+    s, s_plus = _asym_sum(0.5, nu * nu, 0.5 / z, mirror=True)
     sigma = np.where(z.imag >= 0.0, 1.0, -1.0)
     w = sigma * (nu + 0.5) * 1j * np.pi - 2.0 * z
-    recessive = np.zeros(out_shape, dtype=complex)  # e^w is 0 below -746
+    recessive = np.zeros(s.shape, dtype=complex)  # e^w is 0 below -746
     np.exp(w, out=recessive, where=w.real > -746.0)
-    np.multiply(recessive, s_plus, out=contrib)
-    contrib += s_alt
+    s += recessive * s_plus
     return np.broadcast_to(z - 0.5 * _clog(2.0 * np.pi * z),
-                           out_shape).copy(), contrib
+                           s.shape).copy(), s
 
 
 def _bessel_asym_mask(nu, z):
@@ -643,7 +659,7 @@ def _kummer_asym_mask(at, bt, x):
     |at + s| |at - bt + 1 + s| / ((s + 1) x) <= (mx + s)^2 / ((s + 1) x),
     so with x >= max(60, mx^2 + 50) the smallest of the first 60 terms is
     at most 10^-17.8 of the first for every mx (the worst case is
-    mx = 3.3): the branch's 60-term loop always reaches full precision.
+    mx = 3.3): ``_asym_sum``'s 60 terms always reach full precision.
     Against mpmath's log of the whole factor (which keeps the e^{-x}
     companion the branch drops, below e^{-73} of it there), on the
     corridor swaps' elements that x > 3 mx^2 + 50 used to send to the
@@ -851,56 +867,15 @@ def _log_kummer_taylor(a, b, x):
 
 
 def _log_kummer_asym_sum(a, b, x):
-    """log of sum_s (a)_s (a-b+1)_s / (s! x^s), the algebraic branch factor.
+    """log 2F0(a, a - b + 1; 1/x) = log sum_s (a)_s (a-b+1)_s / (s! x^s),
+    the algebraic branch factor, by ``_asym_sum`` (h = (1 - b)/2).
 
     This is M(a, b, -x) stripped of its Gamma(b)/Gamma(b-a) x^{-a} prefactor
     (which cancels analytically inside the joint characteristic function).
-    Optimal truncation of the divergent tail; raises if it cannot reach
-    1e-11 relative.  Its loop runs as ``_log_bessel_asym``'s.
     """
-    a, b, x = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=complex)),
-        np.atleast_1d(np.asarray(b, dtype=complex)),
-        np.atleast_1d(np.asarray(x, dtype=float)),
-    )
-    shape = x.shape
-    amb = a - b + 1.0
-    term = np.ones(shape, dtype=complex)
-    total = np.ones(shape, dtype=complex)
-    # scratch: the factors, then the added term; its parts hold magnitudes
-    work = np.empty(shape, dtype=complex)
-    prod = np.empty(shape, dtype=complex)
-    active = np.ones(shape, dtype=bool)
-    going = np.empty(shape, dtype=bool)
-    floor_mag = np.full(shape, np.inf)
-    tm = np.empty(shape)
-    for s in range(60):
-        np.add(a, s, out=work)
-        np.multiply(term, work, out=prod)
-        np.add(amb, s, out=work)
-        np.multiply(prod, work, out=term)
-        np.multiply(x, s + 1.0, out=tm)
-        term /= tm
-        _mag_into(term, tm, work.real)
-        # an active element's terms have fallen so far, so its last term
-        # is the smallest: it stays active while the terms keep falling
-        np.less(tm, floor_mag, out=going)
-        active &= going
-        np.minimum(floor_mag, tm, out=floor_mag)
-        np.multiply(term, active, out=work)
-        total += work
-        limit = _mag_into(total, work.real, work.imag)
-        limit *= 1e-17
-        np.greater(tm, limit, out=going)
-        active &= going
-        if not np.any(active):
-            break
-    if np.any(floor_mag > 1e-11 * _mag(total)):
-        raise SeriesNonConvergenceError(
-            "kummer asymptotic branch cannot reach tolerance; argument too small "
-            "relative to parameters"
-        )
-    return _clog(total)
+    a, b, x = np.atleast_1d(a, b, x)
+    return _clog(_asym_sum(a + 0.5 * (1.0 - b), 0.25 * (1.0 - b) ** 2,
+                           1.0 / x))
 
 
 KUMMER_REL_TOL = 5e-10

@@ -78,11 +78,16 @@ def _kappa_tilde(omega, params: ModelParams):
     return params.kappa - 1j * np.asarray(omega, dtype=complex) * params.rho * params.epsilon
 
 
+def _b0(omega, params: ModelParams):
+    """b0 = 1/2 + kt/eps^2: g's power of A v / v' and the centre of c."""
+    return 0.5 + _kappa_tilde(omega, params) / params.eps2
+
+
 def _c_exponent(omega, eta, params: ModelParams):
     """Principal-branch exponent c(omega, eta); Re(c) >= 0 by construction."""
     omega = np.asarray(omega, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    b0 = 0.5 + _kappa_tilde(omega, params) / params.eps2
+    b0 = _b0(omega, params)
     return np.sqrt(b0 * b0 + (1j * omega + omega * omega - 2j * eta) / params.eps2)
 
 
@@ -163,12 +168,7 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
     arguments, one pair per element (the swaps stack several periods' v
     grids on one axis); every pair needs t' - t >= SMALL_DT_DELTA.
     """
-    if np.ndim(t) == 0 and np.ndim(t_prime) == 0:
-        dt = _require_dt(t, t_prime)
-        A = coef_A(params.theta, t, t_prime)
-        C = coef_C(params.theta, params.epsilon, t, t_prime)
-    else:
-        dt, A, C = _date_coefficients(t, t_prime, params)
+    dt, A, C = _date_coefficients(t, t_prime, params)
     v = np.asarray(v, dtype=float)
     v_prime = np.asarray(v_prime, dtype=float)
     if np.any(v <= 0.0) or np.any(v_prime <= 0.0):
@@ -180,8 +180,8 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
             2.0 * _c_exponent(omega, eta, params), z)
         lv, lvp, la = np.log(v), np.log(v_prime), np.log(A)
         rows = np.concatenate(np.broadcast_arrays(
-            _drift_a_vec(omega, eta, params),
-            0.5 + _kappa_tilde(omega, params) / params.eps2, 1.0), axis=1)
+            _drift_a_vec(omega, eta, params), _b0(omega, params), 1.0),
+            axis=1)
         cols = np.stack(np.broadcast_arrays(
             dt, la + lv - lvp,
             la - np.log(C) - (A * v + v_prime) / (C * v * v_prime)
@@ -336,7 +336,7 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     """log h(t, v; t', omega, eta) with numpy broadcasting.
 
     h = e^{a dt} [Gamma(bt - at)/Gamma(bt)] x^{at} M(at, bt, -x),
-    x = 1/(C v), at = -1/2 - kt/eps^2 + c, bt = 1 + 2c.
+    x = 1/(C v), at = c - b0, bt = 1 + 2c (b0 = 1/2 + kt/eps^2).
 
     The parameters at, bt depend on (omega, eta) only and x on the
     variances and dates only, so ``specfun._rows_by_columns`` takes them
@@ -386,9 +386,8 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
         raise ThreeHalvesError("variance must be positive")
 
     omega, eta = np.atleast_1d(omega, eta)  # a point rounds as in a table
-    kt = _kappa_tilde(omega, params)
     c = _c_exponent(omega, eta, params)
-    alpha_t = -0.5 - kt / params.eps2 + c
+    alpha_t = c - _b0(omega, params)
     out = specfun._rows_by_columns(_log_kummer_rows, (alpha_t, 1.0 + 2.0 * c),
                                    (1.0 / (C * v),))
     out += _drift_a_vec(omega, eta, params) * dt

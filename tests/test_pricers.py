@@ -957,6 +957,36 @@ class TestSelfQuantoRoutes:
         assert abs(swap_price(spec) - identity) <= 1e-9 * abs(identity)
 
 
+class TestTransitionGridRule:
+    """``_transition_grid`` spaces its nodes a quarter of the narrowest
+    row's std of ln v' apart, but clips the count that asks for at
+    _GRID_MAX_NODES without a word."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_transition_grid clips its width-based node count at "
+        "_GRID_MAX_NODES = 192: the tower's inner grids for periods 2-11 "
+        "of the N = 12 terminal-price swap ask for 388-533 nodes and get "
+        "192; mending the clip moves the strip's prices"))
+    def test_tower_inner_grids_meet_their_width_rule(self, snp_params):
+        spec = MomentSwapSpec(1.0, 12, 2, "terminal_price")
+        cfg = QuadratureConfig()
+        short = []
+        for k in range(2, spec.n_periods):  # the periods with t_i > t_k
+            t_km1, t_k = spec.date(k - 1), spec.date(k)
+            v = next(pricers._period_grids(snp_params, cfg, [(t_km1, t_k)],
+                                           np.array([-1j])))[0]
+            nodes, _ = pricers._transition_grid(snp_params, t_km1, t_k, v,
+                                                cfg)
+            C = coef_C(snp_params.theta, snp_params.epsilon, t_km1, t_k)
+            width = np.minimum(np.sqrt(2.0 * C * v),
+                               pricers._STATIONARY_WIDTH_CAP)
+            span = np.log(nodes[:, -1] / nodes[:, 0])
+            need = math.ceil(np.max(span) / (np.min(width) / 4.0))
+            if nodes.shape[1] < need:
+                short.append((k, need, nodes.shape[1]))
+        assert not short, f"(period, nodes asked, nodes given): {short}"
+
+
 class TestCorridorVGrid:
     """The v grids of the corridor's moments resolve the phase of g1 at
     every omega the rule reaches: a 90-node grid aliased it past

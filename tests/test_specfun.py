@@ -1057,7 +1057,7 @@ class TestKummerAsymGate:
         omega = ((np.linspace(0.0, OMEGA_LIMIT, 21) - 0.5j)[:, None]
                  + offsets).ravel()
         c = tr._c_exponent(omega, 0.0, snp_params)
-        at = -0.5 - tr._kappa_tilde(omega, snp_params) / snp_params.eps2 + c
+        at = c - tr._b0(omega, snp_params)
         bt = 1.0 + 2.0 * c
         mx = np.maximum(np.abs(at), np.abs(at - bt + 1.0))
         lo = np.maximum(specfun.KUMMER_ASYM_MIN_X, mx * mx + 50.0)
@@ -1075,6 +1075,42 @@ class TestKummerAsymGate:
         for k in rng.choice(got.size, 60, replace=False):
             want = mp_log_kummer_factor(at.flat[k], bt.flat[k], x.flat[k])
             assert log_err(got[k], want) <= 1e-13, (at.flat[k], x.flat[k])
+
+
+class TestAsymSum:
+    """The one optimally truncated 2F0 kernel of both asymptotic branches
+    (its accuracy is the mpmath tests' above)."""
+
+    def test_bessel_below_its_gate_raises(self):
+        # nu = 4 at |z| = 5: the smallest term is 4.8e-5, the sum 0.19
+        nu, z = np.array([4.0 + 0.0j]), np.array([5.0 + 0.0j])
+        assert not specfun._bessel_asym_mask(nu, z)[0]
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_bessel_asym(nu, z)
+
+    def test_kummer_below_its_gate_raises(self):
+        # a = 3 at x = 2: the terms grow from the first
+        a, b = np.array([3.0 + 0.0j]), np.array([1.5 + 0.0j])
+        x = np.array([2.0])
+        assert not specfun._kummer_asym_mask(a, b, x)[0]
+        with pytest.raises(SeriesNonConvergenceError):
+            specfun._log_kummer_asym_sum(a, b, x)
+
+    @pytest.mark.parametrize("kind", ["bessel", "kummer"])
+    def test_mirror_is_the_sum_at_minus_y(self, kind):
+        if kind == "bessel":
+            nu = np.array([[0.3], [1.3 + 0.4j], [2.5 - 1.0j]])
+            z = np.array([35.0, 40.0 + 10.0j, 80.0 - 20.0j, 300.0 + 5.0j])
+            mid, half2, y = 0.5, nu * nu, 0.5 / z
+        else:
+            a = np.array([0.9 + 0.4j, 2.0 - 1.0j, -0.3])
+            b = np.array([2.6 + 0.8j, 4.5 + 2.0j, 1.2])
+            h = 0.5 * (1.0 - b)
+            mid, half2, y = a + h, h * h, 1.0 / np.array([80.0, 150.0, 61.0])
+        total, mirror = specfun._asym_sum(mid, half2, y, mirror=True)
+        np.testing.assert_array_equal(total, specfun._asym_sum(mid, half2, y))
+        np.testing.assert_allclose(mirror, specfun._asym_sum(mid, half2, -y),
+                                   rtol=1e-15, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

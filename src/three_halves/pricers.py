@@ -65,12 +65,14 @@ raises.
 
 The dates' v' rules depend on neither the strike nor the budget, so one
 ``_TimerKernel`` per (T, N) builds them once for every strike and budget,
-every inner date's nodes side by side as columns.  The kernel is built in
-tiles (``_tiles``) of omega rows x consecutive dates: each tile's factors
-w phi_j (w the trapezoid weights) are one ``_log_h_vec`` call and its g
-one ``_log_g_vec`` call per sub-tile, whose value e^E S is contracted
-against them.  No table passes _BLOCK_ELEMENTS, so a call's memory does
-not grow with N or with the omega rule's batch.
+every inner date's nodes side by side as columns, with g's column terms.
+The kernel is built in tiles (``_tiles``) of omega rows x consecutive
+dates: each tile's factors w phi_j (w the trapezoid weights) are one
+``_log_h_vec`` call, and g is contracted against them from its row and
+column factors (``transforms._g_contract``), one call per sub-tile, with
+no exp per element where the Bessel function takes its series.  No table
+passes _BLOCK_ELEMENTS, so a call's memory does not grow with N or with
+the omega rule's batch.
 
 Moment swaps
 ------------
@@ -110,6 +112,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import specfun
 from . import transforms as tr
 from .errors import (
     InvalidParametersError,
@@ -392,8 +395,10 @@ class _TimerKernel:
     built once, with every date's nodes side by side as columns.
 
     Inner date j's columns are ``starts[j - 1]:starts[j]`` (``columns``).
-    Each column carries its own t_j and t_{j+1} (``t``, ``t_next``) and its
-    trapezoid weight w on date j's v' rule (``w``)."""
+    Each column carries its own t_j and t_{j+1} (``t``, ``t_next``), its
+    trapezoid weight w on date j's v' rule (``w``) and g's column terms
+    from (0, V0) (``g_columns``): date j's step t_j, its A and C taken
+    once, the rule's spacing in ln v' and the column's index on it."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
@@ -410,6 +415,19 @@ class _TimerKernel:
         self.w = np.concatenate([w for _, w in grids] + [[]])
         self.t = self.T * date_of / N
         self.t_next = self.T * (date_of + 1) / N
+        terms = [tr._g_columns(t, coef_A(params.theta, 0.0, t),
+                               coef_C(params.theta, params.epsilon, 0.0, t),
+                               params.v0, nodes)
+                 for t, (nodes, _) in zip(self.dates, grids)]
+        z, lav, e0 = (np.concatenate([x[i] for x in terms] + [[]])
+                      for i in range(3))
+        # lav = log(A V0 / v') falls by du = the rule's spacing per node
+        du = [(l[0] - l[-1]) / max(l.size - 1, 1) for _, l, _ in terms]
+        self.g_columns = tr._GColumns(
+            self.t, np.repeat(du, self.sizes),
+            np.arange(self.starts[-1]) - np.repeat(self.starts[:-1],
+                                                   self.sizes),
+            z.astype(complex), lav, e0)
 
     def date(self, j: int) -> float:
         return self.T * j / self.N
@@ -426,7 +444,9 @@ class _TimerKernel:
 
             phi_j = e^{-r t_{j+1}} h(t_j, v'; t_{j+1}, omega, 0) - e^{-r t_j}:
 
-        each column's factor in H_tilde, one ``_log_h_vec`` call."""
+        each column's factor in H_tilde, one ``_log_h_vec`` call.
+        ``transforms._g_contract`` multiplies in g's row-free column
+        factor per tile and contracts g against it."""
         cols = self.columns(dates)
         r = self.params.r
         h = np.exp(tr._log_h_vec(self.t[cols], self.nodes[cols],
@@ -441,15 +461,17 @@ class _TimerKernel:
 # omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
 # for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
 # nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
-# route (``_weighted_moment``).  g comes in split form, so a g call holds
-# two tables of this size, E and S.  Sized by measurement on 2 vCPUs shared
-# with other jobs: each ``_log_g_vec`` call costs 0.4-0.9 ms before any
-# element work, so the timer wants few large tables, and the swaps run as
-# fast at 2^14 as at 2^17, so they want small ones.  At 2^14 / 2^16
-# elements three N = 52 timer strikes take 1.09 / 1.01 times the 2^15
-# time (interleaved in one process), and the benchmark's peak RSS after one
-# pass reads 37.0 / 38.4 / 40.5 MB on the timer, 36.8 / 37.6 / 41.0 on the
-# corridor and 37.2 / 37.8 / 40.3 on the strip at 2^14 / 2^15 / 2^16.
+# route (``_weighted_moment``).  A swap's g comes in split form, so its g
+# call holds two tables of this size, E and S; the timer's holds the series
+# sums and one table of powers.  Sized by measurement on 2 vCPUs shared
+# with other jobs (``tools/ab_interleaved.py``, time against 2^15 at
+# 2^14 / 2^16): the timer workload 1.15 / 0.95, three N = 52 timer strikes
+# 1.35 / 1.03, the corridor 1.04 / 0.98 and the strip 0.93 / 1.01.  A
+# ``_g_contract`` call costs about 0.1 ms before any element work and
+# 0.6 ms on a 492 x 64 tile, so the timer wants few large tiles; but 2^16 loses at N = 52 and costs
+# 2-3.5 MB of peak RSS: after one pass the benchmark reads 36.8 / 38.2 /
+# 40.0 MB on the timer, 36.9 / 37.6 / 41.1 on the corridor and 37.3 / 38.1
+# / 40.6 on the strip at 2^14 / 2^15 / 2^16.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -479,26 +501,27 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     ``factor`` is w f on those dates' columns with omega as rows, w the
     trapezoid weights (the timer's is ``_TimerKernel.inner``).
 
-    g is one ``_log_g_vec`` call per tile (``_tiles``) of omega rows x
-    consecutive dates, the rows' (omega, eta) pairs against the dates' v'
-    columns side by side, its value e^E S taken in place (no log of the
-    Bessel sum on the way) and contracted against ``factor``.  Dates join a
-    tile in order and only as many as fit beside its rows, because the
-    Bessel series runs to the length its table's largest argument
-    2/C sqrt(A/(V0 v')) needs, and that falls with t_j: one table across
-    a row's dates made N = 52 slower, not faster."""
+    g's row terms (a, b0, 2c and log Gamma(2c + 1)) are taken once per
+    call; g is contracted against ``factor`` in factored form
+    (``transforms._g_contract``), one call per tile (``_tiles``) of omega
+    rows x consecutive dates, the rows' (omega, eta) pairs against the
+    dates' v' columns side by side.  Dates join a tile in order and only
+    as many as fit beside its rows, because the Bessel series runs to the
+    length its table's largest argument 2/C sqrt(A/(V0 v')) needs, and
+    that falls with t_j: one table across a row's dates made N = 52
+    slower, not faster."""
     p = kernel.params
     first, last, _ = dates.indices(kernel.dates.size)
     base = kernel.starts[first]
+    a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], eta, p))
+    rows = a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
     out = np.zeros(eta.shape, dtype=complex)
-    for rows, group in _tiles(omega.size, kernel.sizes[first:last],
+    for tile, group in _tiles(omega.size, kernel.sizes[first:last],
                               eta.shape[1]):
         cols = kernel.columns(slice(first + group.start, first + group.stop))
-        g = _split_exp(*tr._log_g_vec(
-            0.0, p.v0, kernel.t[cols], omega[rows, None, None],
-            eta[rows, :, None], kernel.nodes[cols], p))
-        out[rows] += (g @ factor[rows, cols.start - base:cols.stop - base,
-                                 None])[..., 0]
+        out[tile] += tr._g_contract(
+            tuple(x[tile] for x in rows), kernel.g_columns.take(cols),
+            factor[tile, cols.start - base:cols.stop - base])
     return out
 
 

@@ -231,28 +231,27 @@ def _check_bessel_order(nu):
 
 
 def _log_bessel_series(nu, z):
-    """I_nu(z) by the defining power series in split form (E, S), for
-    orders ``nu`` as (n, 1) rows x arguments ``z`` as (m,) columns.
+    """I_nu(z) by the defining power series, for orders ``nu`` as (n, 1)
+    rows x arguments ``z`` as (m,) columns, in factored form: the sums S
+    and their log scale (None where every row kept scale 0), with
 
-    I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k) with
-    q = z^2/4: S is the sum, the shared table with den = nu and no
-    numerator (``_log_series_outer``), E = nu log(z/2) - log Gamma(nu+1)
-    plus the sum's log scale.  The powers stay complex: on the timer's
-    wide tables (about 40 terms) one complex product is cheaper than two
-    real ones plus assembling their parts.  Bands group the columns by |z|:
-    for Re(nu) >= -1/2 and real z, d log(sum)/d|z| = I_{nu+1}/I_nu <= 1, so
-    a band _SERIES_BAND_WIDTH wide in |z| keeps every column's sum within
-    e^-300 of the band's largest.  Re z >= 0 and z != 0, as
-    ``_log_bessel_i_vec`` checks.
+        I_nu(z) = (z/2)^nu / Gamma(nu+1) e^scale S,
+
+    S = sum_k q^k / (k! (nu+1)_k), q = z^2/4, the shared table with den =
+    nu and no numerator (``_log_series_outer``).  The prefactor is left to
+    the caller: ``_log_bessel_table`` takes it per element into E, the timer
+    kernel (``transforms._g_contract``) as row and column factors.  The
+    powers stay complex: on the timer's wide tables (about 40 terms) one
+    complex product is cheaper than two real ones plus assembling their
+    parts.  Bands group the columns by |z|: for Re(nu) >= -1/2 and real z,
+    d log(sum)/d|z| = I_{nu+1}/I_nu <= 1, so a band _SERIES_BAND_WIDTH wide
+    in |z| keeps every column's sum within e^-300 of the band's largest.
+    Re z >= 0 and z != 0, as ``_log_bessel_i_vec`` checks.
     """
     _check_bessel_order(nu)
     s, scale, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
                                     _SERIES_BAND_WIDTH)
-    e = nu * np.log(z * 0.5)
-    e -= _log_gamma_vec(nu + 1.0)
-    if scale is not None:
-        e += scale
-    return e, s
+    return s, scale
 
 
 def _log_series_outer(den, q, key, width, num=None):
@@ -376,13 +375,12 @@ def _sum_columns(coef, abs_coef, x, out, lost):
 
 
 def _power_table(x, n_terms):
-    """P[k] = x^k for k = 0..n_terms, one row per k, by doubling: with
-    P[0..b] filled, P[b+1 .. 2b-1] = P[1 .. b-1] x P[b], and P[2b] is the
-    next anchor.  That is log2 K vector products where a running product
-    takes K steps (NumPy's accumulate along axis 0 runs several times
-    slower per element than a multiply).
+    """P[k] = x^k for k = 0..n_terms, one row per k, by doubling
+    (``_doubled``): log2 K vector products where a running product takes
+    K steps (NumPy's accumulate along axis 0 runs several times slower per
+    element than a multiply).
 
-    Each anchor P[2^j] multiplies the error it carries into the 2^j rows
+    Each anchor x^(2^j) multiplies the error it carries into the 2^j rows
     that follow it, so it is taken by ``np.power`` (within an ulp) where x
     is real, a complex table whose imaginary parts are all zero (the
     production Bessel series) included: P[k] then carries at most one
@@ -391,22 +389,41 @@ def _power_table(x, n_terms):
     grow like k/3 ulps.  A truly complex x squares its anchors; its tables
     are the Bessel series' tens of terms.
     """
-    powers = np.empty((n_terms + 1, x.size), dtype=x.dtype)
-    powers[0] = 1.0
-    real = x.dtype.kind == "f" or not np.any(x.imag)
-    if real:
-        anchors = 2 ** np.arange(n_terms.bit_length())
-        powers[anchors] = np.power(x.real, anchors[:, None])
-    elif n_terms:
-        powers[1] = x
-    b = 1
-    while b <= n_terms:
-        if not real and b > 1:
-            np.multiply(powers[b // 2], powers[b // 2], out=powers[b])
+    digits = n_terms.bit_length()
+    if x.dtype.kind == "f" or not np.any(x.imag):
+        anchors = np.power(x.real, 2 ** np.arange(digits)[:, None])
+    else:
+        anchors = np.empty((digits, x.size), dtype=x.dtype)
+        anchors[:1] = x
+        for j in range(1, digits):
+            np.multiply(anchors[j - 1], anchors[j - 1], out=anchors[j])
+    return _doubled(np.ones(x.size, dtype=x.dtype), n_terms, anchors)
+
+
+def _exp_table(r, g, n_terms, out=None):
+    """T[k] = e^(r + k g) for k = 0..n_terms, one row per k: the doubling
+    of ``_power_table`` from T[0] = e^r, with every anchor e^(2^j g) taken
+    directly by exp, so each entry carries one exp's error and at most one
+    rounding per binary digit of k (no error grows along a squaring
+    chain).  One exp per anchor and row, none per entry; written into
+    ``out`` if given."""
+    steps = 2.0 ** np.arange(n_terms.bit_length())
+    return _doubled(np.exp(r), n_terms, np.exp(np.multiply.outer(steps, g)),
+                    out)
+
+
+def _doubled(first, n_terms, anchors, out=None):
+    """T[0] = ``first`` and, for b = 2^j, T[b .. 2b-1] = T[0 .. b-1] x
+    anchors[j], up to T[n_terms]: T[k] is ``first`` times the anchors of
+    k's binary digits, one row per k (written into ``out`` if given)."""
+    table = out if out is not None else np.empty(
+        (n_terms + 1,) + first.shape, dtype=np.result_type(first, anchors))
+    table[0] = first
+    for j, anchor in enumerate(anchors):
+        b = 1 << j
         e = min(2 * b, n_terms + 1)
-        np.multiply(powers[1:e - b], powers[b], out=powers[b + 1:e])
-        b *= 2
-    return powers
+        np.multiply(table[:e - b], anchor, out=table[b:e])
+    return table
 
 
 def _first_terms(den, s, num):
@@ -754,7 +771,13 @@ def _log_bessel_table(nu, z):
     flat = np.flatnonzero(mixed)  # first, while no table is held
     rows, cols = np.divmod(flat, mixed.shape[1])
     asym = _log_bessel_asym(nu[:, 0][rows], s_cols[cols]) if flat.size else ()
-    out = _log_bessel_series(nu, s_cols)
+    s, scale = _log_bessel_series(nu, s_cols)
+    e = nu * np.log(s_cols * 0.5)
+    e -= _log_gamma_vec(nu + 1.0)
+    if scale is not None:
+        e += scale
+    out = e, s
+    del e, s
     for table, part in zip(out, asym):
         table.reshape(-1)[flat] = part
     if every:

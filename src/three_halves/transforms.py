@@ -17,7 +17,10 @@ factors spans hundreds of orders of magnitude and the Bessel argument
 z = (2/C) sqrt(A/(v v')) explodes as the time step shrinks.  g keeps the
 Bessel's split form: an exponent table E, with every factor's log, and a
 mantissa S, the Bessel's scaled sum, so g = e^E S is formed without a
-per-element log of the sum.
+per-element log of the sum.  The timer kernel does not form E at all: on
+uniform rules in ln v' the series exponent is a row term plus a column
+term plus a row slope times the node index, so ``_g_contract`` contracts
+g from one table of powers per row and date (``_g_rows``, ``_g_columns``).
 
 A deliberate transcription guard: plain ``kappa`` drives the density order
 ``1 + 2 kappa / eps^2`` and the probabilistic-route exponent, while
@@ -28,6 +31,7 @@ the exponent c.  The two are kept in separate named variables everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,6 +156,24 @@ def _date_coefficients(t, t_prime, params: ModelParams):
     return tuple(x[inverse].reshape(t.shape) for x in (dt, A, C))
 
 
+def _g_rows(omega, eta, params: ModelParams):
+    """g's row terms, which depend on (omega, eta) only: the drift a, the
+    power b0 of A v / v' and the Bessel order nu = 2c."""
+    return (_drift_a_vec(omega, eta, params), _b0(omega, params),
+            2.0 * _c_exponent(omega, eta, params))
+
+
+def _g_columns(dt, A, C, v, v_prime):
+    """g's column terms, which depend on the dates and variances only: the
+    Bessel argument z = (2/C) sqrt(A/(v v')), lav = log(A v / v') (b0's
+    factor) and the row-free part of the exponent,
+    e0 = log(A/C) - (A v + v')/(C v v') - 2 log v'."""
+    lvp, la = np.log(v_prime), np.log(A)
+    z = (2.0 / C) * np.sqrt(A / (v * v_prime))
+    return (z, la + np.log(v) - lvp,
+            la - np.log(C) - (A * v + v_prime) / (C * v * v_prime) - 2.0 * lvp)
+
+
 def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
     """g(t, v; t', omega, eta, v') in split form, (E, S) with g = e^E S
     (``specfun._split_exp``), with numpy broadcasting:
@@ -161,12 +183,12 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
 
     (omega, eta) vary along some axes and (t, v, t', v') along others
     (``specfun._rows_by_columns``).  S is I_2c's, E its exponent plus one
-    rank-3 product [a, b0, 1]_row . [t' - t, log A + log v - log v',
-    log(A/C) - (A v + v')/(C v v') - 2 log v']_col, added 2^12 elements at
-    a time (the whole product, in fresh memory, cost 31 against 21 ms a
-    benchmark timer pass).  The dates broadcast against the other column
+    rank-3 product of the row and column terms (``_g_rows``,
+    ``_g_columns``), [a, b0, 1]_row . [t' - t, lav, e0]_col, added 2^12
+    elements at a time.  The dates broadcast against the other column
     arguments, one pair per element (the swaps stack several periods' v
-    grids on one axis); every pair needs t' - t >= SMALL_DT_DELTA.
+    grids on one axis); every pair needs t' - t >= SMALL_DT_DELTA.  The
+    timer kernel contracts g without this table (``_g_contract``).
     """
     dt, A, C = _date_coefficients(t, t_prime, params)
     v = np.asarray(v, dtype=float)
@@ -175,17 +197,11 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
         raise ThreeHalvesError("variance arguments must be positive")
 
     def table(omega, eta, dt, A, C, v, v_prime):
-        z = (2.0 / C) * np.sqrt(A / (v * v_prime))
-        e, s = specfun._log_bessel_i_vec(
-            2.0 * _c_exponent(omega, eta, params), z)
-        lv, lvp, la = np.log(v), np.log(v_prime), np.log(A)
-        rows = np.concatenate(np.broadcast_arrays(
-            _drift_a_vec(omega, eta, params), _b0(omega, params), 1.0),
-            axis=1)
-        cols = np.stack(np.broadcast_arrays(
-            dt, la + lv - lvp,
-            la - np.log(C) - (A * v + v_prime) / (C * v * v_prime)
-            - 2.0 * lvp), dtype=complex)
+        z, lav, e0 = _g_columns(dt, A, C, v, v_prime)
+        a, b0, nu = _g_rows(omega, eta, params)
+        e, s = specfun._log_bessel_i_vec(nu, z)
+        rows = np.concatenate(np.broadcast_arrays(a, b0, 1.0), axis=1)
+        cols = np.stack(np.broadcast_arrays(dt, lav, e0), dtype=complex)
         step = max(1, 2**12 // cols.shape[1])
         for r in range(0, e.shape[0], step):
             e[r:r + step] += rows[r:r + step] @ cols
@@ -194,6 +210,109 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
     return specfun._rows_by_columns(
         table, (np.asarray(omega, dtype=complex),
                 np.asarray(eta, dtype=complex)), (dt, A, C, v, v_prime))
+
+
+class _GColumns(NamedTuple):
+    """g's column terms (``_g_columns``) on v' columns from one (t, v), each
+    date's columns a uniform rule in u = ln v' in rule order, the dates'
+    rules side by side: per column the step dt = t' - t, its rule's
+    spacing du, its index k on its rule (0 starts a date), z, lav and
+    e0."""
+
+    dt: np.ndarray
+    du: np.ndarray
+    k: np.ndarray
+    z: np.ndarray
+    lav: np.ndarray
+    e0: np.ndarray
+
+    def take(self, cols) -> "_GColumns":
+        return _GColumns(*(x[cols] for x in self))
+
+
+def _g_contract(rows, cols: _GColumns, factor):
+    """sum_j g_ij factor[i, j], g from one (t, v) (``_GColumns``) on rows
+    ``rows`` = (a, b0, nu, log Gamma(nu + 1)), each of shape (n_omega,
+    n_eta), against ``factor`` of shape (n_omega, columns): the timer
+    kernel's v' sums, shape (n_omega, n_eta), with no exp per element where
+    the Bessel function takes its series.
+
+    On date d's rule u_j = u_0 + k_j du, so log(z/2) and lav are affine in
+    k and g's series exponent is E_ij = R_i + gamma_i k_j + e0_j:
+
+        R_i = a dt + b0 lav_0 + nu log(z_0 / 2) - log Gamma(nu + 1),
+        gamma_i = -(b0 + nu / 2) du.
+
+    e^{e0_j - mu_d} (mu_d the date's largest e0) joins the factor, one real
+    exp per column, and e^{R_i + mu_d + gamma_i k} comes from one table
+    per date (``specfun._exp_table``: a few exps per row), shifted by each
+    row's largest real part over the dates, top_i, so that no entry passes
+    1 whatever the rows; e^{top_i} joins the row's sum through
+    ``specfun._split_exp``, by logs where it passes the double range.  (On
+    the timer's rules the real parts of R_i + gamma_i k span about e^-103
+    to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)  The series
+    sums S (``specfun._log_bessel_series``) times that table are then one
+    product against the factor.  Elements with an exponent of another form
+    take their own exp (``specfun._split_exp``) against the factor: the
+    asymptotic Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi
+    z), and any series element whose sum needed a log scale.
+    """
+    shape = rows[0].shape
+    a, b0, nu, lgam = (np.reshape(x, -1) for x in rows)
+    m = cols.z.size
+
+    def own(r, c, e_bessel, s):
+        # sum_j e^E S factor over the elements (r, c) that take their own
+        # exp, E from their Bessel exponent and the row and column terms
+        e = a[r] * cols.dt[c] + b0[r] * cols.lav[c] + cols.e0[c] + e_bessel
+        val = specfun._split_exp(e, s) * factor[r // shape[1], c]
+        return (np.bincount(r, val.real, a.size)
+                + 1j * np.bincount(r, val.imag, a.size))
+
+    asym = np.zeros((a.size, m), dtype=bool)
+    far = np.abs(cols.z) > specfun.BESSEL_ASYMPTOTIC_MIN_Z
+    if np.any(far):
+        asym[:, far] = specfun._bessel_asym_mask(nu[:, None], cols.z[far])
+    out = np.zeros(a.size, dtype=complex)
+    if np.any(asym):  # first, while no table is held
+        r, c = np.nonzero(asym)
+        out += own(r, c, *specfun._log_bessel_asym(nu[r], cols.z[c]))
+    series = ~np.all(asym, axis=0)
+    if not np.any(series):
+        return out.reshape(shape)
+    pick = slice(None) if np.all(series) else series
+    s, scale = specfun._log_bessel_series(nu[:, None], cols.z[pick])
+    skip = asym[:, pick]
+    if scale is not None:  # elements whose sums needed a log scale
+        scaled = (scale != 0.0) & ~skip
+        r, c = np.nonzero(scaled)
+        c_all = np.flatnonzero(series)[c]
+        out += own(r, c_all, nu[r] * np.log(0.5 * cols.z[c_all]) - lgam[r]
+                   + scale[r, c], s[r, c])
+        skip = skip | scaled
+    starts = np.flatnonzero(cols.k == 0).tolist()
+    weight = np.empty(m)
+    dates, top = [], np.full(a.size, -np.inf)
+    for i, j in zip(starts, starts[1:] + [m]):
+        mu = cols.e0[i:j].max()
+        weight[i:j] = np.exp(cols.e0[i:j] - mu)
+        r0 = (a * cols.dt[i] + b0 * cols.lav[i] + nu * np.log(0.5 * cols.z[i])
+              - lgam + mu)
+        g = -(b0 + 0.5 * nu) * cols.du[i]
+        np.maximum(top, r0.real + np.maximum(g.real, 0.0) * (j - i - 1),
+                   out=top)
+        dates.append((i, j, r0, g))
+    powers = np.empty((m, a.size), dtype=complex)
+    for i, j, r0, g in dates:
+        specfun._exp_table(r0 - top, g, j - i - 1, out=powers[i:j])
+    s *= powers[pick].T
+    del powers
+    if np.any(skip):
+        s[skip] = 0.0
+    f = (factor * weight)[:, pick]
+    out += specfun._split_exp(top.astype(complex), (
+        s.reshape(shape + (-1,)) @ f[:, :, None]).reshape(-1))
+    return out.reshape(shape)
 
 
 def partial_transform_g(t: float, v: float, t_prime: float,

@@ -239,55 +239,69 @@ class TestTimerKernel:
         kernel = pricers._TimerKernel(1.0, n, timer_params, QuadratureConfig())
         monkeypatch.setattr(pricers, "_BLOCK_ELEMENTS", 1)
         self.check_per_date_sum(kernel, timer_params)
-        calls = []
-        for name in ("_log_g_vec", "_log_h_vec"):
-            def spy(t, v, t_prime, omega, *args, fn=getattr(tr, name),
-                    name=name):
-                calls.append((name, np.size(omega), np.unique(t).size))
-                return fn(t, v, t_prime, omega, *args)
-            monkeypatch.setattr(tr, name, spy)
+        g, h = [], []
+
+        def spy_g(rows, cols, *args, fn=tr._g_contract):
+            g.append((rows[0].shape[0], np.unique(cols.dt).size))
+            return fn(rows, cols, *args)
+
+        def spy_h(t, v, t_prime, omega, *args, fn=tr._log_h_vec):
+            h.append((np.size(omega), np.unique(t).size))
+            return fn(t, v, t_prime, omega, *args)
+        monkeypatch.setattr(tr, "_g_contract", spy_g)
+        monkeypatch.setattr(tr, "_log_h_vec", spy_h)
         omega, eta = _talbot_points(timer_params)
         pricers._timer_h_tilde(kernel, omega, eta)
-        g = [c[1:] for c in calls if c[0] == "_log_g_vec"]
         assert g == [(1, 1)] * (omega.size * (n - 1))
-        assert {c[1:] for c in calls if c[0] == "_log_h_vec"} == {(1, 1)}
+        assert set(h) == {(1, 1)}
 
     def test_traced_layers_count_the_contracted_elements(self, timer_params,
                                                          monkeypatch):
         # The benchmark's N = 4 timer call: every element _timer_w_matrix
-        # contracts passes once through _log_g_vec and once through the
+        # contracts passes once through _g_contract and once through the
         # Bessel series (at N = 4 every z stays below the asymptotic
         # switch), so the benchmark tracer's per-layer element counts
-        # measure the kernel's work.
-        counts = dict.fromkeys(("contracted", "log_g", "series"), 0)
+        # measure the kernel's work.  g's row terms, log Gamma(2c + 1)
+        # among them, are taken once per _timer_w_matrix call, not once per
+        # tile (37 tiles, 4 calls), and no g element takes its own exp.
+        counts = dict.fromkeys(("contracted", "g", "series", "log_gamma",
+                                "w_matrix", "exp"), 0)
         inside = []
         w_matrix = pricers._timer_w_matrix
 
         def contract(kernel, dates, omega, eta, factor):
             counts["contracted"] += eta.size * factor.shape[1]
+            counts["w_matrix"] += 1
             inside.append(dates)
             try:
                 return w_matrix(kernel, dates, omega, eta, factor)
             finally:
                 inside.pop()
 
-        def counted(module, name, key):
+        def counted(module, name, key, size):
             def spy(*args, fn=getattr(module, name)):
-                out = fn(*args)
                 if inside:
-                    counts[key] += out[0].size  # E of the split form
-                return out
+                    counts[key] += size(*args)
+                return fn(*args)
             monkeypatch.setattr(module, name, spy)
 
         monkeypatch.setattr(pricers, "_timer_w_matrix", contract)
-        counted(tr, "_log_g_vec", "log_g")
-        counted(specfun, "_log_bessel_series", "series")
+        counted(tr, "_g_contract",
+                "g", lambda rows, cols, *args: rows[0].size * cols.z.size)
+        counted(specfun, "_log_bessel_series",
+                "series", lambda nu, z, *args: nu.size * z.size)
+        counted(specfun, "_log_gamma_vec", "log_gamma", lambda z: 1)
+        counted(specfun, "_split_exp", "exp", lambda e, s: e.size)
         price_timer_grid([TimerOptionSpec(k, 1.0, 4, 0.087)
                           for k in (90.0, 100.0, 110.0)], timer_params,
                          QuadratureConfig())
-        assert counts["contracted"] > 10**6
-        assert counts["log_g"] == counts["contracted"]
+        assert counts["contracted"] == 1_073_664
+        assert counts["g"] == counts["contracted"]
         assert counts["series"] == counts["contracted"]
+        assert counts["log_gamma"] <= counts["w_matrix"] == 4
+        # one e^{top_i} per (omega, eta) row and tile of at least 64 v'
+        # columns, none per element
+        assert counts["exp"] < counts["contracted"] / 50
 
     def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
         grids = []
@@ -298,6 +312,118 @@ class TestTimerKernel:
         got = pricers._timer_h_tilde(kernel, omega, eta)
         assert got.shape == eta.shape and not np.any(got)
         assert grids == []
+
+
+def _split_form_w_matrix(kernel, omega, eta, factor):
+    """``pricers._timer_w_matrix`` over every inner date by the route that
+    took g's value per element: e^E S from ``_log_g_vec`` in split form
+    (``_split_exp``) per tile, contracted against ``factor``.  Returns the
+    sums and the sums of their terms' moduli, sum_j |g_ij factor_j|, the
+    scale of their roundoff."""
+    p = kernel.params
+    out = np.zeros(eta.shape, dtype=complex)
+    scale = np.zeros(eta.shape)
+    for rows, dates in pricers._tiles(omega.size, kernel.sizes, eta.shape[1]):
+        cols = kernel.columns(dates)
+        g = _split_exp(*tr._log_g_vec(0.0, p.v0, kernel.t[cols],
+                                      omega[rows, None, None],
+                                      eta[rows, :, None], kernel.nodes[cols],
+                                      p))
+        out[rows] += (g @ factor[rows, cols, None])[..., 0]
+        scale[rows] += (np.abs(g) @ np.abs(factor[rows, cols, None]))[..., 0]
+    return out, scale
+
+
+class TestFactoredContraction:
+    """g contracted from its row and column factors (``_g_contract``)
+    against its value per element: the two differ by roundoff only.  The
+    v' sums cancel, by up to 4e4 at B = 0.005 (sum_j |g_ij f_j| against
+    |sum_j g_ij f_j|), so the bound is 1e-13 of the largest sum of the
+    terms' moduli.  Against an extended-precision exponent and exp the
+    factored sums err 2.3e-15 of it at most there, the per-element ones
+    1.6e-15."""
+
+    @staticmethod
+    def rows(kernel, omega, eta):
+        a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], eta,
+                                                     kernel.params))
+        return a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
+
+    @pytest.mark.parametrize("params, n, budget", [
+        ("timer_params", 4, 0.087), ("timer_params", 12, 0.087),
+        ("timer_params", 52, 0.087), ("timer_params", 4, 0.005),
+        ("timer_params", 4, 3.0), ("snp_params", 12, 0.06)])
+    def test_against_the_value_per_element(self, request, params, n, budget):
+        # Every omega's whole Talbot contour and eta = 0, at omega_R up to
+        # 150, against the tiled split-form contraction and the per-date
+        # sum (whose h factors come from their own Kummer calls).  At N = 12
+        # and 52 the first date's tiles mix series and asymptotic Bessel
+        # elements.
+        p = request.getfixturevalue(params)
+        kernel = pricers._TimerKernel(1.0, n, p, QuadratureConfig())
+        omega = (np.array([0.3, 5.0, 40.0, 150.0])
+                 + 1j * QuadratureConfig().damping_omega)
+        m = int(pricers._talbot_counts(budget, 1.0, omega, p).max())
+        eta = np.concatenate([np.zeros((omega.size, 1)), 1j * pricers
+                              ._talbot_contour(m, budget, 1.0, omega, p)[0]],
+                             axis=1)
+        factor = kernel.inner(omega)
+        want, scale = _split_form_w_matrix(kernel, omega, eta, factor)
+        got = pricers._timer_w_matrix(kernel, slice(None), omega, eta, factor)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
+        shift = np.exp(1j * omega[:, None] * p.x0)
+        got = pricers._timer_h_tilde(kernel, omega, eta)
+        want = _per_date_h_tilde(kernel, omega, eta)
+        assert (np.max(np.abs(got - want))
+                <= 1e-13 * np.max(np.abs(shift) * scale))
+        nu = self.rows(kernel, omega, eta)[2].reshape(-1, 1)
+        first = kernel.columns(slice(0, 1))
+        asym = specfun._bessel_asym_mask(nu, kernel.g_columns.z[first])
+        assert np.any(asym) == (n > 4), n
+        if n > 4:
+            assert np.any(np.any(asym, axis=0) & ~np.all(asym, axis=0))
+
+    def test_series_sums_with_a_log_scale(self, timer_params, monkeypatch):
+        # With the rescaling limit at 1e3 most series rows need a log
+        # scale, and those elements take their own exp, to the same values.
+        kernel = pricers._TimerKernel(1.0, 4, timer_params, QuadratureConfig())
+        omega, eta = _talbot_points(timer_params)
+        factor = kernel.inner(omega)
+        want, scale = _split_form_w_matrix(kernel, omega, eta, factor)
+        scaled = []
+        series = specfun._log_bessel_series
+
+        def spy(nu, z):
+            out = series(nu, z)
+            scaled.append(0 if out[1] is None else np.count_nonzero(out[1]))
+            return out
+        monkeypatch.setattr(specfun, "_RESCALE_LIMIT", 1e3)
+        monkeypatch.setattr(specfun, "_log_bessel_series", spy)
+        got = pricers._timer_w_matrix(kernel, slice(None), omega, eta, factor)
+        assert sum(scaled) > 0.5 * eta.size * kernel.nodes.size
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(scale)
+
+    def test_a_row_past_the_double_range(self, timer_params):
+        # log Gamma(2c + 1) lowered by 800 raises the row's exponents by
+        # 800 (e^R and the unshifted powers overflow), and the factor
+        # e^-400 brings the sums back into range: the shift per row keeps
+        # every table entry at most 1, and e^{top_i} joins the sums by
+        # their logs.  Exponents near 800 carry about 800 eps of roundoff.
+        kernel = pricers._TimerKernel(1.0, 4, timer_params, QuadratureConfig())
+        omega, eta = _talbot_points(timer_params)
+        a, b0, nu, lgam = self.rows(kernel, omega, eta)
+        cols = kernel.g_columns.take(kernel.columns(slice(0, 1)))
+        factor = kernel.inner(omega, slice(0, 1))
+        want = tr._g_contract((a, b0, nu, lgam), cols, factor) * np.exp(400.0)
+        r0 = (a * cols.dt[0] + b0 * cols.lav[0] + nu * np.log(0.5 * cols.z[0])
+              - lgam + 800.0 + cols.e0.max())
+        with np.errstate(over="ignore"):
+            assert np.any(np.isinf(np.exp(r0)))
+        got = tr._g_contract((a, b0, nu, lgam - 800.0), cols,
+                             factor * np.exp(-400.0))
+        assert np.all(np.isfinite(got))
+        assert (np.max(np.abs(got - want))
+                <= 1000.0 * np.finfo(float).eps * np.max(np.abs(want)))
 
 
 class TestTimerBuildOnce:
@@ -460,12 +586,17 @@ class TestTimerMemory:
 
     def test_no_kernel_table_passes_the_cap(self, timer_params, monkeypatch):
         sizes = []
-        for name in ("_log_g_vec", "_log_h_vec"):
-            def spy(*args, fn=getattr(tr, name), split=name == "_log_g_vec"):
-                out = fn(*args)
-                sizes.append(np.size(out[0] if split else out))  # g's (E, S)
-                return out
-            monkeypatch.setattr(tr, name, spy)
+
+        def spy_g(rows, cols, *args, fn=tr._g_contract):
+            sizes.append(rows[0].size * cols.z.size)  # (omega, eta) x v'
+            return fn(rows, cols, *args)
+
+        def spy_h(*args, fn=tr._log_h_vec):
+            out = fn(*args)
+            sizes.append(out.size)
+            return out
+        monkeypatch.setattr(tr, "_g_contract", spy_g)
+        monkeypatch.setattr(tr, "_log_h_vec", spy_h)
         price_timer_grid(self.specs(24)[1:2], timer_params, QuadratureConfig())
         assert 0 < max(sizes) <= pricers._BLOCK_ELEMENTS
 

@@ -245,9 +245,12 @@ def running_kummer_taylor(a, b, z):
 
 
 def log_series(nu, z):
-    """The series' split table (E, S) on orders x arguments as a log,
-    E + log S."""
-    return specfun._split_log(*specfun._log_bessel_series(nu, z))
+    """The series on orders (n, 1) x arguments (m,) as a log: its sums S
+    and log scale with the prefactor (z/2)^nu / Gamma(nu + 1), nu log(z/2)
+    - log Gamma(nu + 1) + scale + log S."""
+    s, scale = specfun._log_bessel_series(nu, z)
+    e = nu * np.log(z * 0.5) - specfun._log_gamma_vec(nu + 1.0)
+    return specfun._split_log(e if scale is None else e + scale, s)
 
 
 def log_bessel(nu, z):
@@ -263,8 +266,7 @@ def bessel_point(nu, z):
 def table_points_oracle(nu, z):
     """The series on orders x arguments in their layout (one table), at
     every element as a 1 x 1 table, and by the running-product oracle."""
-    table = specfun._split_log(*specfun._rows_by_columns(
-        specfun._log_bessel_series, (nu,), (z,)))
+    table = specfun._rows_by_columns(log_series, (nu,), (z,))
     points = np.vectorize(bessel_point, otypes=[complex])(nu, z)
     return table, points, running_bessel_series(nu, z)
 

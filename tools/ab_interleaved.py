@@ -9,12 +9,16 @@ ratio of two separate benchmark runs.
 
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --workload timer
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 52 --rounds 6
+    python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 12 \
+        --params snp --budget 0.06
 
 ``--workload`` prices one pass of a benchmark workload (``bench/
 workloads.py`` of each checkout, bound to that checkout's package) per
 round and side; ``--timer N`` prices the benchmark's three timer strikes
-at N monitoring dates in one ``price_timer_grid`` call.  One warm-up
-round is run first and not counted.
+at N monitoring dates in one ``price_timer_grid`` call, on the parameter
+set ``--params`` (a key of the workloads' ``PARAMS``, ``timer`` by
+default) at the budget ``--budget`` (the timer workload's by default).
+One warm-up round is run first and not counted.
 
 Prints each side's median time, the per-round ratio B/A (median and
 quartiles), the rounds B won and the largest relative difference between
@@ -24,6 +28,7 @@ the two sides' prices.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import statistics
 import sys
@@ -74,10 +79,13 @@ def make_side(checkout: Path, tag: str, args):
     params = {name: wl.model_params(name) for name in wl.PARAMS}
     if args.timer is not None:
         specs = wl.timer_specs(wl.TIMER_STRIKES, args.timer)
+        if args.budget is not None:
+            specs = [dataclasses.replace(s, variance_budget=args.budget)
+                     for s in specs]
 
         def run():
             return [r.price for r in package.pricers.price_timer_grid(
-                specs, params["timer"], cfg)]
+                specs, params[args.params], cfg)]
         return run
     calls = wl.calls(args.workload, args.seed)
 
@@ -102,11 +110,18 @@ def main(argv=None) -> int:
     what.add_argument("--workload", choices=("timer", "corridor", "strip"))
     what.add_argument("--timer", type=int, metavar="N",
                       help="the benchmark's timer strikes at N dates")
+    ap.add_argument("--params", choices=("timer", "snp"), default="timer",
+                    help="the parameter set of --timer")
+    ap.add_argument("--budget", type=float, metavar="B",
+                    help="the variance budget of --timer")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=12)
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    if args.timer is None and (args.params != "timer"
+                               or args.budget is not None):
+        ap.error("--params and --budget apply to --timer only")
 
     sides = {"A": make_side(args.a.resolve(), "a", args),
              "B": make_side(args.b.resolve(), "b", args)}

@@ -13,6 +13,9 @@ time-dependence coefficients
     C(t, t') = (eps^2 / 2) int_t^{t'} exp(int_t^s theta) ds
 
 in exact closed form per segment, which every transform formula relies on.
+``coef_A`` and ``coef_C`` take arrays of (t, t') pairs (a float for
+scalars): a swap's periods or a timer's dates are one call each, the
+curve's segments on one more axis.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,26 +75,40 @@ class ThetaCurve:
                 return v
         return self.values[-1]
 
-    def _segments(self, t: float, t_prime: float):
-        """Yield (length, theta) pieces covering [t, t_prime]."""
-        if t_prime < t:
-            raise CurveDomainError("t_prime < t")
-        if t < 0.0 or t_prime > self.horizon:
-            raise CurveDomainError(
-                f"[{t}, {t_prime}] exceeds curve domain [0, {self.horizon}]"
-            )
-        lo = t
-        for b, v in zip(self.breakpoints, self.values):
-            if lo >= t_prime:
-                break
-            if lo < b:
-                hi = min(b, t_prime)
-                yield hi - lo, v
-                lo = hi
+    @cached_property
+    def _arrays(self):
+        """The segments' left and right edges and values, as arrays."""
+        right = np.array(self.breakpoints)
+        left = np.concatenate([[0.0], right[:-1]])
+        return left, right, np.array(self.values)
 
-    def integral(self, t: float, t_prime: float) -> float:
-        """Exact int_t^{t'} theta_s ds."""
-        return math.fsum(length * v for length, v in self._segments(t, t_prime))
+    def _lengths(self, t, t_prime):
+        """The length of [t, t'] inside each segment, the segments on a new
+        last axis (0 where they miss it), for arrays ``t`` and ``t_prime``
+        that broadcast; every pair must lie in the domain with t <= t'."""
+        t = np.asarray(t, dtype=float)[..., None]
+        t_prime = np.asarray(t_prime, dtype=float)[..., None]
+        bad = (t_prime < t) | (t < 0.0) | (t_prime > self.horizon)
+        if bad.any():
+            a, b = (np.broadcast_to(x, bad.shape)[bad][0]
+                    for x in (t, t_prime))
+            raise CurveDomainError(
+                f"t_prime < t at [{a}, {b}]" if b < a else
+                f"[{a}, {b}] exceeds curve domain [0, {self.horizon}]")
+        left, right, _ = self._arrays
+        return np.maximum(np.minimum(right, t_prime) - np.maximum(left, t),
+                          0.0)
+
+    def integral(self, t, t_prime):
+        """int_t^{t'} theta_s ds, exact per segment and summed over the
+        segments, per pair of the broadcast arrays ``t`` and ``t_prime``;
+        a float for scalars."""
+        return _float_if_scalar(
+            (self._lengths(t, t_prime) * self._arrays[2]).sum(axis=-1))
+
+
+def _float_if_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -175,32 +193,32 @@ def require_valid(params: ModelParams) -> None:
         )
 
 
-def coef_A(theta: ThetaCurve, t: float, t_prime: float) -> float:
-    """A(t, t') = exp(int_t^{t'} theta_s ds); A(t, t) = 1 exactly."""
-    if t_prime == t:
-        return 1.0
-    return math.exp(theta.integral(t, t_prime))
+def coef_A(theta: ThetaCurve, t, t_prime):
+    """A(t, t') = exp(int_t^{t'} theta_s ds) per pair of the broadcast
+    arrays ``t`` and ``t_prime`` (a float for scalars); A(t, t) = 1
+    exactly."""
+    return _float_if_scalar(np.exp(theta.integral(t, t_prime)))
 
 
-def coef_C(theta: ThetaCurve, epsilon: float, t: float, t_prime: float) -> float:
-    """C(t, t') = (eps^2/2) int_t^{t'} exp(int_t^s theta) ds, exact per segment.
+def coef_C(theta: ThetaCurve, epsilon: float, t, t_prime):
+    """C(t, t') = (eps^2/2) int_t^{t'} exp(int_t^s theta) ds, exact per
+    segment, per pair of the broadcast arrays ``t`` and ``t_prime`` (a
+    float for scalars).
 
     For a constant theta != 0 this is (eps^2/2) (e^{theta d} - 1) / theta;
     for theta == 0 it is eps^2 d / 2.  Piecewise curves compose the segment
-    closed forms.  C(t, t) = 0 exactly.
+    closed forms, each weighted by e^{int theta} over the segments before
+    it; a segment that misses [t, t'] adds exactly 0, so C(t, t) = 0
+    exactly.
     """
-    if t_prime == t:
-        return 0.0
-    acc = 0.0
-    theta_so_far = 0.0
-    for length, th in theta._segments(t, t_prime):
-        if th == 0.0:
-            piece = length
-        else:
-            piece = math.expm1(th * length) / th
-        acc += math.exp(theta_so_far) * piece
-        theta_so_far += th * length
-    return 0.5 * epsilon * epsilon * acc
+    length = theta._lengths(t, t_prime)
+    th = theta._arrays[2]
+    rise = th * length
+    piece = np.divide(np.expm1(rise), th, out=length.copy(), where=th != 0.0)
+    before = np.zeros_like(rise)  # int theta over the segments before
+    np.cumsum(rise[..., :-1], axis=-1, out=before[..., 1:])
+    return _float_if_scalar(
+        0.5 * epsilon * epsilon * (np.exp(before) * piece).sum(axis=-1))
 
 
 # A jump-transform point this close to the cut of sqrt(w), relative to |w|,

@@ -397,13 +397,15 @@ class _TimerKernel:
     Inner date j's columns are ``starts[j - 1]:starts[j]`` (``columns``).
     Each column carries its own t_j and t_{j+1} (``t``, ``t_next``), its
     trapezoid weight w on date j's v' rule (``w``) and g's column terms
-    from (0, V0) (``g_columns``): date j's step t_j, its A and C taken
-    once, the rule's spacing in ln v' and the column's index on it."""
+    from (0, V0) (``g_columns``): date j's step t_j, its A and C (one
+    array call for all dates), the rule's spacing in ln v' and the
+    column's index on it.  Only the density scans that size the rules
+    (``log_density_grid``) run once per date."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
         self.T, self.N, self.params = T, N, params
-        self.dates = np.array([self.date(j) for j in range(1, N)])
+        self.dates = T * np.arange(1, N) / N
         grids = [log_density_grid(
             lambda vp, t=t: tr._log_density_v_vec(
                 0.0, params.v0, t, vp, params), cfg) for t in self.dates]
@@ -415,14 +417,14 @@ class _TimerKernel:
         self.w = np.concatenate([w for _, w in grids] + [[]])
         self.t = self.T * date_of / N
         self.t_next = self.T * (date_of + 1) / N
-        terms = [tr._g_columns(t, coef_A(params.theta, 0.0, t),
-                               coef_C(params.theta, params.epsilon, 0.0, t),
-                               params.v0, nodes)
-                 for t, (nodes, _) in zip(self.dates, grids)]
-        z, lav, e0 = (np.concatenate([x[i] for x in terms] + [[]])
-                      for i in range(3))
+        z, lav, e0 = tr._g_columns(
+            self.t, np.repeat(coef_A(params.theta, 0.0, self.dates),
+                              self.sizes),
+            np.repeat(coef_C(params.theta, params.epsilon, 0.0, self.dates),
+                      self.sizes), params.v0, self.nodes)
         # lav = log(A V0 / v') falls by du = the rule's spacing per node
-        du = [(l[0] - l[-1]) / max(l.size - 1, 1) for _, l, _ in terms]
+        du = ((lav[self.starts[:-1]] - lav[self.starts[1:] - 1])
+              / np.maximum(self.sizes - 1, 1))
         self.g_columns = tr._GColumns(
             self.t, np.repeat(du, self.sizes),
             np.arange(self.starts[-1]) - np.repeat(self.starts[:-1],
@@ -710,14 +712,21 @@ _GRID_NYQUIST_MARGIN = 4.0
 _STATIONARY_WIDTH_CAP = 0.9
 
 
-def _transition_grid(params: ModelParams, t_from: float, t_to: float,
-                     v_center, cfg: QuadratureConfig, omega_max: float = 0.0):
-    """Log-space trapezoid grid adapted to the V-transition from v_center.
+def _transition_grid(params: ModelParams, t_from, t_to, v_center,
+                     cfg: QuadratureConfig, omega_max: float = 0.0):
+    """Log-space trapezoid grids adapted to the V-transitions from v_center.
 
     Center/width come from the noncentral chi-square moments of U = 1/V:
     std(ln V') ~ sqrt(2 C / u) (capped near the stationary spread).  Weights
-    include the v' jacobian.  ``v_center`` may be an array, giving one grid
-    row per center (shape (n_centers, n)).
+    include the v' jacobian.  The dates ``t_from``, ``t_to`` and the
+    centres ``v_center`` are arrays that broadcast (a scalar centre counts
+    as one), giving one grid row per element on a new last axis: shape
+    (..., n).  One date pair's rows share one node count, the largest over
+    its centres (the axes along which the dates do not vary), sized by its
+    widest span against its narrowest width; a row of fewer nodes than the
+    table is padded with nodes 1 of weight 0.  So a tower's rows from one
+    period share a count, and a stack of periods takes one call with a
+    count per period.
 
     The phase of g(omega, v') turns |rho| omega_R / eps radians per unit
     ln v', so pi / h stays _GRID_NYQUIST_MARGIN above that at omega_R =
@@ -725,6 +734,11 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
     a grid that needs more than _GRID_MAX_NODES for it raises.
     """
     v_center = np.atleast_1d(np.asarray(v_center, dtype=float))
+    t_from, t_to = np.broadcast_arrays(np.asarray(t_from, dtype=float),
+                                       np.asarray(t_to, dtype=float))
+    shape = np.broadcast_shapes(t_from.shape, v_center.shape)
+    pairs = (1,) * (len(shape) - t_from.ndim) + t_from.shape
+    centres = tuple(i for i, d in enumerate(pairs) if d == 1)
     A = coef_A(params.theta, t_from, t_to)
     C = coef_C(params.theta, params.epsilon, t_from, t_to)
     df = 4.0 + 4.0 * params.kappa / params.eps2
@@ -733,23 +747,28 @@ def _transition_grid(params: ModelParams, t_from: float, t_to: float,
     center = -np.log(u_mean)
     width = np.minimum(np.sqrt(2.0 * C * v_center), _STATIONARY_WIDTH_CAP)
     half = _GRID_STD_SPAN * width + _GRID_LOG_MARGIN
-    need = int(np.ceil(np.max(2.0 * half / (np.min(width) / 4.0))))
-    n = min(max(cfg.v_nodes, need), _GRID_MAX_NODES)
+    narrowest = np.min(width, axis=centres, keepdims=True)
+    need = np.ceil(np.max(2.0 * half / (narrowest / 4.0), axis=centres,
+                          keepdims=True))
+    n = np.minimum(np.maximum(cfg.v_nodes, need), _GRID_MAX_NODES)
     h_max = math.pi / (abs(params.rho) * omega_max / params.epsilon
                        + _GRID_NYQUIST_MARGIN)
-    nyquist = int(np.ceil(np.max(2.0 * half) / h_max)) + 1
-    if nyquist > _GRID_MAX_NODES:
+    nyquist = np.ceil(np.max(2.0 * half, axis=centres, keepdims=True)
+                      / h_max) + 1
+    if np.any(nyquist > _GRID_MAX_NODES):
         raise QuadratureNonConvergenceError(
             f"a v' grid that resolves the phase at omega_R = {omega_max:g} "
-            f"needs {nyquist} nodes, more than {_GRID_MAX_NODES}")
-    n = max(n, nyquist)
-    grid01 = np.linspace(-1.0, 1.0, n)
-    lnv = center[:, None] + half[:, None] * grid01[None, :]
-    du = 2.0 * half / (n - 1)
-    w = np.tile(du[:, None] / 1.0, (1, n))
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
+            f"needs {int(nyquist.max())} nodes, more than {_GRID_MAX_NODES}")
+    last = np.broadcast_to(np.maximum(n, nyquist), shape)[..., None] - 1.0
+    k = np.arange(int(last.max()) + 1)
+    # np.linspace(-1, 1, n) per row: k (2 / (n - 1)) - 1, its last node 1
+    grid01 = k * (2.0 / last) - 1.0
+    grid01[k == last] = 1.0
+    lnv = center[..., None] + half[..., None] * grid01
+    w = np.where(k > last, 0.0, 2.0 * half[..., None] / last)
+    w[(k == 0) | (k == last)] *= 0.5
     nodes = np.exp(lnv)
+    nodes[k > last] = 1.0
     return nodes, w * nodes
 
 
@@ -900,23 +919,21 @@ def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
     is the one node V0 of weight 1, where g1 is a Dirac mass.  Otherwise
     it is the lattice of ``_transition_grid`` from V0, sized against g1's
     phase at the largest |Re omega|, less the nodes where g1 is dead at
-    every omega (``_live_nodes``).  The lattices of consecutive periods
-    are pruned in one call, padded with nodes of weight 0 to one table of
-    at most _BLOCK_ELEMENTS nodes."""
+    every omega (``_live_nodes``).  The lattices of a block of
+    consecutive periods are one ``_transition_grid`` call and one prune,
+    each period's row padded with nodes 1 of weight 0 to one table of at
+    most _BLOCK_ELEMENTS nodes."""
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))
     step = max(1, _BLOCK_ELEMENTS // _GRID_MAX_NODES)
     for j in range(0, len(spans), step):
         group = spans[j:j + step]
-        dates = np.array([a for a, _ in group if a > 0.0])
-        lattices = [_transition_grid(params, 0.0, a, params.v0, cfg,
-                                     omega_max) for a in dates]
+        dates = np.array(group)[:, 0]
+        dates = dates[dates > 0.0]
         pruned = iter(())
-        if lattices:
-            n = max(v.shape[1] for v, _ in lattices)
-            v_tab, w_tab = np.ones((dates.size, n)), np.zeros((dates.size, n))
-            for r, (v, w) in enumerate(lattices):
-                v_tab[r, :v.shape[1]], w_tab[r, :w.shape[1]] = v[0], w[0]
+        if dates.size:
+            v_tab, w_tab = _transition_grid(params, 0.0, dates, params.v0,
+                                            cfg, omega_max)
             live = _live_nodes(params, 0.0, params.v0, dates[:, None], v_tab,
                                w_tab, omega.imag)
             pruned = ((v[m], w[m]) for v, w, m in zip(v_tab, w_tab, live))
@@ -1001,9 +1018,11 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     Cauchy rule and the periods after it, so the rule's gap check stays
     per period, as it does on D(v) in the first route.
 
-    The tower route stays one period at a time: on the terminal-price
-    swap each period's lattices pair some 11k (v, v') nodes, 7.2k of them
-    live (``_live_nodes`` at every omega + phi), so stacking periods would
+    The tower route takes its periods' outer v grids from one
+    ``_period_grids`` call, as the other routes do, but its kernels stay
+    one period at a time: on the terminal-price swap each period's
+    lattices pair some 11k (v, v') nodes, 7.2k of them live
+    (``_live_nodes`` at every omega + phi), so stacking periods would
     only multiply its largest tensor, and the peak memory, by their
     number.  g is evaluated on the live pairs as one flat axis: each call
     takes every phi node the Cauchy rule asks for against a block of
@@ -1049,18 +1068,20 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                 return np.concatenate(out)
             total += _cauchy_moment(m, f, real_weight,
                                     np.arange(starts.size)).sum(axis=-1)
-    for t_km1, t_k, t_i in periods:
-        if t_i > t_k:
-            total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
-                                   real_weight)
+    tower = [p for p in periods if p[2] > p[1]]
+    grids = _period_grids(params, cfg, [p[:2] for p in tower], omega)
+    for (t_km1, t_k, t_i), grid in zip(tower, grids):
+        total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
+                               real_weight, grid)
     return total
 
 
 def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                   t_km1: float, t_k: float, t_i: float, omega,
-                  real_weight: bool):
-    """One period's term of ``_weighted_moment`` on the route t_i > t_k."""
-    v, w, t_from, _ = next(_period_grids(params, cfg, [(t_km1, t_k)], omega))
+                  real_weight: bool, grid):
+    """One period's term of ``_weighted_moment`` on the route t_i > t_k,
+    from its v grid at t_{k-1} (``_period_grids``)."""
+    v, w, t_from, _ = grid
     wv = _g1_weights(params, v, w, t_from, omega)
     inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg,
                                    float(np.max(np.abs(omega.real))))

@@ -119,12 +119,18 @@ def coefficients(point: TransformPoint, params: ModelParams, t: float,
     return TransformCoefficients(kappa_tilde=kt, c=c, a=a, A=A, C=C)
 
 
-def _require_dt(t: float, t_prime: float) -> float:
-    dt = t_prime - t
-    if dt < SMALL_DT_DELTA:
+def _require_dt(t, t_prime):
+    """t' - t per pair of the broadcast arrays ``t`` and ``t_prime``,
+    raising DeltaRegimeError, with the first offending pair, where some
+    step is below SMALL_DT_DELTA."""
+    dt = np.subtract(t_prime, t, dtype=float)
+    short = dt < SMALL_DT_DELTA
+    if np.any(short):
+        i = np.flatnonzero(short)[0]
+        a, b = np.broadcast_arrays(t, t_prime)
         raise DeltaRegimeError(
-            f"t'-t={dt} below {SMALL_DT_DELTA}: transition kernel is Dirac-like"
-        )
+            f"t'-t={dt.flat[i]} below {SMALL_DT_DELTA} at (t, t') = "
+            f"({a.flat[i]}, {b.flat[i]}): transition kernel is Dirac-like")
     return dt
 
 
@@ -144,16 +150,10 @@ def _exp_checked(logv, what: str):
 
 def _date_coefficients(t, t_prime, params: ModelParams):
     """dt, A and C of each date pair of the arrays ``t`` and ``t_prime``
-    (broadcast against each other), taken once per distinct pair."""
-    t, t_prime = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                     np.asarray(t_prime, dtype=float))
-    pairs, inverse = np.unique(t.ravel() + 1j * t_prime.ravel(),
-                               return_inverse=True)
-    dt, A, C = np.array([
-        (_require_dt(a, b), coef_A(params.theta, a, b),
-         coef_C(params.theta, params.epsilon, a, b))
-        for a, b in zip(pairs.real, pairs.imag)]).T
-    return tuple(x[inverse].reshape(t.shape) for x in (dt, A, C))
+    (broadcast against each other), each one array call; every pair needs
+    t' - t >= SMALL_DT_DELTA (``_require_dt``)."""
+    return (_require_dt(t, t_prime), coef_A(params.theta, t, t_prime),
+            coef_C(params.theta, params.epsilon, t, t_prime))
 
 
 def _g_rows(omega, eta, params: ModelParams):
@@ -532,7 +532,10 @@ def _log_kummer_factor(at, bt, x):
     against columns ``x`` of shape (m,); the asymptotic and Taylor
     regimes of ``_log_h_vec``.  The Taylor part is finished in place, and
     it is the result where no element takes the asymptotic branch, so few
-    tables of the output's size are alive at once."""
+    tables of the output's size are alive at once.  log Gamma(bt - at) and
+    log Gamma(bt) come from one ``specfun._log_gamma_vec`` call on both
+    row sets stacked; every element takes its own shifts there, so the
+    pair is bit-identical to two calls."""
     asym = specfun._kummer_asym_mask(at, bt, x)
     cols = ~np.all(asym, axis=0)
     logm = None
@@ -546,8 +549,9 @@ def _log_kummer_factor(at, bt, x):
                 "contour outside the supported strip"
             )
         del lost
-        part = (specfun._log_gamma_vec(bt - at) - specfun._log_gamma_vec(bt)
-                + at * np.log(xt))
+        lg_top, lg_bt = np.split(
+            specfun._log_gamma_vec(np.concatenate([bt - at, bt])), 2)
+        part = lg_top - lg_bt + at * np.log(xt)
         part -= xt
         logm += part
         del part

@@ -140,6 +140,86 @@ class TestCoefC:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+class TestCoefArrays:
+    """coef_A and coef_C on arrays of (t, t') pairs, against a per-segment
+    math.fsum oracle, on a three-segment theta(t) with a theta = 0
+    segment."""
+
+    CURVE = ThetaCurve(breakpoints=(0.5, 1.25, 2.0), values=(1.5, 0.0, -2.0))
+    EPS = 1.7
+    # inside one segment (twice), across one break, across two breaks,
+    # and ending at the horizon (from inside the last segment and from 0)
+    T = np.array([0.1, 0.6, 0.3, 0.2, 1.4, 0.0])
+    T_PRIME = np.array([0.4, 1.1, 0.9, 1.7, 2.0, 2.0])
+
+    def pieces(self, t, t_prime):
+        """(length, theta) of each segment that [t, t'] overlaps."""
+        out, left = [], 0.0
+        for right, theta in zip(self.CURVE.breakpoints, self.CURVE.values):
+            lo, hi = max(left, t), min(right, t_prime)
+            if hi > lo:
+                out.append((hi - lo, theta))
+            left = right
+        return out
+
+    def oracle(self, t, t_prime):
+        pieces = self.pieces(t, t_prime)
+        A = math.exp(math.fsum(length * th for length, th in pieces))
+        terms, before = [], []
+        for length, th in pieces:
+            piece = length if th == 0.0 else math.expm1(th * length) / th
+            terms.append(math.exp(math.fsum(before)) * piece)
+            before.append(th * length)
+        return A, 0.5 * self.EPS**2 * math.fsum(terms)
+
+    def test_against_the_fsum_oracle(self):
+        assert [len(self.pieces(a, b)) for a, b in zip(self.T, self.T_PRIME)
+                ] == [1, 1, 2, 3, 1, 3]
+        A = coef_A(self.CURVE, self.T, self.T_PRIME)
+        C = coef_C(self.CURVE, self.EPS, self.T, self.T_PRIME)
+        assert A.shape == C.shape == self.T.shape
+        for a, b, got_A, got_C in zip(self.T, self.T_PRIME, A, C):
+            want_A, want_C = self.oracle(a, b)
+            assert got_A == pytest.approx(want_A, rel=1e-14, abs=0.0)
+            assert got_C == pytest.approx(want_C, rel=1e-14, abs=0.0)
+
+    def test_each_pair_as_its_scalar_call(self):
+        # one implementation: an array's elements are its scalar calls
+        # bit for bit, whatever the shape they broadcast to
+        t, t_prime = self.T[:, None], self.T_PRIME[:, None]
+        A = coef_A(self.CURVE, t, t_prime)
+        C = coef_C(self.CURVE, self.EPS, t, t_prime)
+        assert A.shape == C.shape == (self.T.size, 1)
+        for a, b, got_A, got_C in zip(self.T, self.T_PRIME, A[:, 0],
+                                      C[:, 0]):
+            assert got_A == coef_A(self.CURVE, a, b)
+            assert got_C == coef_C(self.CURVE, self.EPS, a, b)
+
+    def test_equal_times_exact(self):
+        t = np.array([0.0, 0.3, 0.5, 1.25, 1.6, 2.0])
+        assert np.all(coef_A(self.CURVE, t, t) == 1.0)
+        assert np.all(coef_C(self.CURVE, self.EPS, t, t) == 0.0)
+        assert not np.any(np.signbit(coef_C(self.CURVE, self.EPS, t, t)))
+
+    def test_scalars_return_floats(self):
+        for t, t_prime in [(0.2, 1.7), (np.float64(0.2), np.float64(1.7)),
+                           (np.array(0.2), np.array(1.7)), (0.7, 0.7)]:
+            assert type(coef_A(self.CURVE, t, t_prime)) is float
+            assert type(coef_C(self.CURVE, self.EPS, t, t_prime)) is float
+            assert type(self.CURVE.integral(t, t_prime)) is float
+
+    @pytest.mark.parametrize("t,t_prime,what", [
+        ([0.1, 0.9, 0.3], [0.4, 0.8, 0.9], r"t_prime < t at \[0.9, 0.8\]"),
+        ([0.1, 0.2, 0.3], [0.4, 2.5, 0.9], r"\[0.2, 2.5\] exceeds"),
+        ([0.1, -0.2, 0.3], [0.4, 0.5, 0.9], r"\[-0.2, 0.5\] exceeds"),
+    ])
+    def test_one_bad_pair_raises(self, t, t_prime, what):
+        for coef in (lambda a, b: coef_A(self.CURVE, a, b),
+                     lambda a, b: coef_C(self.CURVE, self.EPS, a, b)):
+            with pytest.raises(CurveDomainError, match=what):
+                coef(np.array(t), np.array(t_prime))
+
+
 class TestDriftA:
     def test_zero_point(self, snp_params):
         assert drift_a(0.0, 0.0, snp_params) == 0.0

@@ -1118,6 +1118,94 @@ class TestTransitionGridRule:
         assert not short, f"(period, nodes asked, nodes given): {short}"
 
 
+class TestTransitionGridBlocks:
+    """``_transition_grid`` builds a block of date pairs in one call, each
+    pair's rows with its own node count, padded to the table with nodes 1
+    of weight 0."""
+
+    DATES = np.array([1.0 / 252.0, 1.0 / 52.0, 1.0 / 12.0, 0.25, 0.5,
+                      11.0 / 12.0])
+
+    @staticmethod
+    def linspace_row(params, t, v, n):
+        """One row from V0 by np.linspace, in the grid rule's arithmetic."""
+        A = coef_A(params.theta, 0.0, np.array([t]))
+        C = coef_C(params.theta, params.epsilon, 0.0, np.array([t]))
+        df = 4.0 + 4.0 * params.kappa / params.eps2
+        center = -np.log(1.0 / v / A + C * df / (2.0 * A))
+        width = np.minimum(np.sqrt(2.0 * C * v),
+                           pricers._STATIONARY_WIDTH_CAP)
+        half = pricers._GRID_STD_SPAN * width + pricers._GRID_LOG_MARGIN
+        nodes = np.exp(center + half * np.linspace(-1.0, 1.0, n))
+        w = np.full(n, 2.0 * half[0] / (n - 1))
+        w[[0, -1]] *= 0.5
+        return nodes, w * nodes
+
+    @pytest.mark.parametrize("omega_max", [0.0, 60.0])
+    def test_rows_as_one_call_per_date(self, snp_params, omega_max):
+        cfg = QuadratureConfig()
+        nodes, w = pricers._transition_grid(snp_params, 0.0, self.DATES,
+                                            snp_params.v0, cfg, omega_max)
+        sizes = []
+        for row, t in enumerate(self.DATES):
+            one, w_one = pricers._transition_grid(
+                snp_params, 0.0, t, snp_params.v0, cfg, omega_max)
+            n = one.shape[1]
+            sizes.append(n)
+            assert np.array_equal(nodes[row, :n], one[0])
+            assert np.array_equal(w[row, :n], w_one[0])
+            assert np.all(nodes[row, n:] == 1.0) and np.all(w[row, n:] == 0.0)
+            ref, w_ref = self.linspace_row(snp_params, t, snp_params.v0, n)
+            assert np.array_equal(one[0], ref)
+            assert np.array_equal(w_one[0], w_ref)
+        assert nodes.shape[1] == max(sizes) > min(sizes)
+
+    def test_centres_of_one_pair_share_a_count(self, snp_params):
+        # a tower's outer nodes from one period: one count, its widest
+        # span against its narrowest width, larger than the rows alone ask
+        cfg = QuadratureConfig()
+        t_km1, t_k = 1.0 / 12.0, 2.0 / 12.0
+        v = np.geomspace(0.02, 0.5, 5)
+        nodes, w = pricers._transition_grid(snp_params, t_km1, t_k, v, cfg)
+        C = coef_C(snp_params.theta, snp_params.epsilon, t_km1, t_k)
+        width = np.minimum(np.sqrt(2.0 * C * v),
+                           pricers._STATIONARY_WIDTH_CAP)
+        half = pricers._GRID_STD_SPAN * width + pricers._GRID_LOG_MARGIN
+        want = min(max(cfg.v_nodes,
+                       math.ceil(np.max(2.0 * half) / (np.min(width) / 4.0))),
+                   pricers._GRID_MAX_NODES)
+        alone = [pricers._transition_grid(snp_params, t_km1, t_k, x,
+                                          cfg)[0].shape[1] for x in v]
+        assert nodes.shape == (v.size, want) and np.all(w > 0.0)
+        assert want > min(alone)
+        # two pairs with their centres in one call: each pair's count
+        other = pricers._transition_grid(snp_params, 0.5, 0.75, v, cfg)
+        both, w_both = pricers._transition_grid(
+            snp_params, np.array([[t_km1], [0.5]]), np.array([[t_k], [0.75]]),
+            v, cfg)
+        for got, w_got, (one, w_one) in zip(both, w_both,
+                                           [(nodes, w), other]):
+            n = one.shape[1]
+            assert np.array_equal(got[:, :n], one)
+            assert np.array_equal(w_got[:, :n], w_one)
+            assert np.all(w_got[:, n:] == 0.0)
+
+    def test_one_lattice_call_per_block(self, snp_params, monkeypatch):
+        # the N = 252 variance swap's 251 lattices from V0 come in blocks
+        # of _BLOCK_ELEMENTS // _GRID_MAX_NODES periods, one call each
+        calls = []
+        grid = pricers._transition_grid
+
+        def spy(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return grid(*args, **kwargs)
+        monkeypatch.setattr(pricers, "_transition_grid", spy)
+        fair_strike_weighted(MomentSwapSpec(1.0, 252, 2, "constant"),
+                             snp_params, QuadratureConfig())
+        per_block = pricers._BLOCK_ELEMENTS // pricers._GRID_MAX_NODES
+        assert len(calls) == math.ceil(251 / per_block) == 2
+        assert sum(calls) == 251
+
 class TestCorridorVGrid:
     """The v grids of the corridor's moments resolve the phase of g1 at
     every omega the rule reaches: a 90-node grid aliased it past

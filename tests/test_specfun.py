@@ -77,6 +77,20 @@ class TestLogGamma:
             assert rel_err(specfun.log_gamma(z), complex(want)) < 1e-12
 
 
+    def test_stacked_call_is_bit_identical(self):
+        # Every element takes its own upward shifts: stacking two sets of
+        # arguments in one call (``transforms._log_kummer_factor``'s
+        # log Gamma(bt - at) and log Gamma(bt)) returns each set exactly
+        # as its own call does, whatever shifts the other set needs.
+        rng = np.random.default_rng(3)
+        low = rng.uniform(0.05, 3.0, (5, 1)) + 1j * rng.uniform(-4, 4, (5, 1))
+        high = low + rng.uniform(8.0, 40.0, (5, 1))
+        left = -low
+        for a, b in [(low, high), (high, low), (low, left)]:
+            both = specfun._log_gamma_vec(np.concatenate([a, b]))
+            assert np.array_equal(both[:5], specfun._log_gamma_vec(a))
+            assert np.array_equal(both[5:], specfun._log_gamma_vec(b))
+
 class TestBesselI:
     def test_zero_argument(self):
         assert specfun.bessel_i(0.0, 0.0) == 1.0

@@ -6,6 +6,7 @@ vs the probabilistic factorization) and the marginalization identity
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -447,6 +448,21 @@ class TestPerNodeDates:
         with pytest.raises(DeltaRegimeError):
             tr._log_h_vec(self.T_FROM, self.V, self.T_FROM, 0.0, 0.0,
                           snp_params)
+
+    def test_short_step_names_its_pair(self, snp_params):
+        # one array call: the one pair below SMALL_DT_DELTA raises, named
+        t_prime = self.T_TO.copy()
+        t_prime[3] = self.T_FROM[3] + 0.5 * tr.SMALL_DT_DELTA
+        with pytest.raises(DeltaRegimeError, match=re.escape(
+                f"(t, t') = ({self.T_FROM[3]}, {t_prime[3]})")):
+            tr._date_coefficients(self.T_FROM, t_prime, snp_params)
+        with pytest.raises(DeltaRegimeError, match=re.escape(
+                f"({self.T_FROM[3]}, {t_prime[3]})")):
+            tr._log_g_vec(self.T_FROM, self.V, t_prime, 0.0, 0.0, self.V,
+                          snp_params)
+        dt, A, C = tr._date_coefficients(self.T_FROM, self.T_TO, snp_params)
+        assert np.array_equal(dt, self.T_TO - self.T_FROM)
+        assert A.shape == C.shape == self.T_FROM.shape
 
 
 @st.composite

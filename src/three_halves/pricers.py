@@ -65,14 +65,22 @@ raises.
 
 The dates' v' rules depend on neither the strike nor the budget, so one
 ``_TimerKernel`` per (T, N) builds them once for every strike and budget,
-every inner date's nodes side by side as columns, with g's column terms.
-The kernel is built in tiles (``_tiles``) of omega rows x consecutive
-dates: each tile's factors w phi_j (w the trapezoid weights) are one
-``_log_h_vec`` call, and g is contracted against them from its row and
-column factors (``transforms._g_contract``), one call per sub-tile, with
-no exp per element where the Bessel function takes its series.  No table
-passes _BLOCK_ELEMENTS, so a call's memory does not grow with N or with
-the omega rule's batch.
+from one density scan of all its inner dates, every inner date's nodes
+side by side as columns, with g's column terms.  The kernel is built in
+tiles (``_tiles``) of omega rows x consecutive dates: each tile's factors
+w phi_j (w the trapezoid weights) are one ``_log_h_vec`` call, and g is
+contracted against them from its row and column factors
+(``transforms._g_contract``), one call per sub-tile, with no exp per
+element where the Bessel function takes its series.  The sub-tiles of a
+call share one workspace for their series sums and exp tables, so the
+tile loop allocates nothing of tile size.  No table passes
+_BLOCK_ELEMENTS, so a call's memory does not grow with N or with the
+omega rule's batch.
+
+The other setup steps are one call each too: the European bases of every
+strike at one T are one ``fourier_invert_1d``, a row per strike
+(``_price_european_detailed``), and the Hermitian spot check evaluates
+both its sides in one ``_timer_h_tilde`` call (``_hermitian_residual``).
 
 Moment swaps
 ------------
@@ -280,30 +288,40 @@ def _timer_transform_raw(omega, eta, strike: float, budget: float):
 def price_european(spec: EuropeanSpec, params: ModelParams,
                    cfg: QuadratureConfig) -> float:
     """Damped-contour Fourier inversion of the marginal CF; put via parity."""
-    return _price_european_detailed(spec, params, cfg).price
-
-
-def _price_european_detailed(spec: EuropeanSpec, params: ModelParams,
-                             cfg: QuadratureConfig) -> PriceResult:
-    require_valid(params)
     T = spec.maturity
+    call = _price_european_detailed(T, [spec.strike], params, cfg)[0].price
+    if spec.is_call:
+        return call
+    return (call - params.s0 * math.exp(-params.q * T)
+            + spec.strike * math.exp(-params.r * T))
+
+
+def _price_european_detailed(maturity: float, strikes: Sequence[float],
+                             params: ModelParams,
+                             cfg: QuadratureConfig) -> list:
+    """European calls at one maturity, one ``PriceResult`` per strike, from
+    one ``fourier_invert_1d`` of the marginal CF against the call
+    transforms, a row per strike: the CF is taken once for all strikes,
+    and each strike's value is its own sum on the omega grid, which runs
+    until every row is spent."""
+    require_valid(params)
+    T = maturity
     x0 = params.x0
+    column = np.asarray(strikes, dtype=float)[:, None]
 
     def cf(w):
         return np.exp(1j * w * x0
                       + tr._log_h_vec(0.0, params.v0, T, w, 0.0, params))
 
     def pt(w):
-        return _call_transform(w, spec.strike)
+        return _call_transform(w, column)
 
     undiscounted, diag = fourier_invert_1d(cf, pt, cfg)
     discount = math.exp(-params.r * T)
-    err = discount * diag["err_estimate"]
-    call = discount * undiscounted
-    if spec.is_call:
-        return PriceResult(call, err, diag)
-    put = call - params.s0 * math.exp(-params.q * T) + spec.strike * discount
-    return PriceResult(put, err, diag)
+    return [PriceResult(float(discount * value), float(discount * err), {
+        **diag, "err_estimate": float(err), "omega_tail": float(tail)})
+        for value, err, tail in zip(undiscounted, diag["err_estimate"],
+                                    diag["omega_tail"])]
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +417,34 @@ class _TimerKernel:
     trapezoid weight w on date j's v' rule (``w``) and g's column terms
     from (0, V0) (``g_columns``): date j's step t_j, its A and C (one
     array call for all dates), the rule's spacing in ln v' and the
-    column's index on it.  Only the density scans that size the rules
-    (``log_density_grid``) run once per date."""
+    column's index on it.  The density scan that sizes the rules is one
+    ``log_density_grid`` call, a row per inner date, its densities taken
+    in runs of dates whose scan stays within a g tile's memory (one
+    ``_log_density_v_vec`` call up to 22 dates)."""
 
     def __init__(self, T: float, N: int, params: ModelParams,
                  cfg: QuadratureConfig):
         self.T, self.N, self.params = T, N, params
         self.dates = T * np.arange(1, N) / N
-        grids = [log_density_grid(
-            lambda vp, t=t: tr._log_density_v_vec(
-                0.0, params.v0, t, vp, params), cfg) for t in self.dates]
-        self.sizes = np.array([nodes.size for nodes, _ in grids], dtype=int)
+
+        def scan(vp):
+            # the densities of every inner date, a row per date, in runs
+            # of dates of at most _BLOCK_ELEMENTS / 4 scan points: a scan
+            # point holds well over 100 bytes of tables (the asymptotic
+            # Bessel branch's, mostly), a g tile element 32 (the workspace)
+            step = max(1, _BLOCK_ELEMENTS // (4 * vp.size))
+            return np.concatenate([tr._log_density_v_vec(
+                0.0, params.v0, self.dates[i:i + step, None], vp, params)
+                for i in range(0, N - 1, step)])
+
+        # one density scan (none with N = 1)
+        nodes, w = (log_density_grid(scan, cfg) if N > 1
+                    else (np.empty((0, 0)),) * 2)
+        self.sizes = np.full(N - 1, nodes.shape[1], dtype=int)
         self.starts = np.concatenate([[0], np.cumsum(self.sizes)])
         date_of = np.repeat(np.arange(1, N), self.sizes)
-        # "+ [[]]": with N = 1 there are no inner dates and no columns
-        self.nodes = np.concatenate([nodes for nodes, _ in grids] + [[]])
-        self.w = np.concatenate([w for _, w in grids] + [[]])
+        self.nodes = nodes.reshape(-1)
+        self.w = w.reshape(-1)
         self.t = self.T * date_of / N
         self.t_next = self.T * (date_of + 1) / N
         z, lav, e0 = tr._g_columns(
@@ -451,11 +481,13 @@ class _TimerKernel:
         factor per tile and contracts g against it."""
         cols = self.columns(dates)
         r = self.params.r
-        h = np.exp(tr._log_h_vec(self.t[cols], self.nodes[cols],
-                                 self.t_next[cols], omega[:, None], 0.0,
-                                 self.params))
-        return self.w[cols] * (np.exp(-r * self.t_next[cols]) * h
-                               - np.exp(-r * self.t[cols]))
+        h = tr._log_h_vec(self.t[cols], self.nodes[cols], self.t_next[cols],
+                          omega[:, None], 0.0, self.params)
+        np.exp(h, out=h)  # then w phi_j, in place
+        h *= np.exp(-r * self.t_next[cols])
+        h -= np.exp(-r * self.t[cols])
+        h *= self.w[cols]
+        return h
 
 
 # Largest table one batched kernel call builds, for the timer and the
@@ -464,8 +496,9 @@ class _TimerKernel:
 # for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
 # nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
 # route (``_weighted_moment``).  A swap's g comes in split form, so its g
-# call holds two tables of this size, E and S; the timer's holds the series
-# sums and one table of powers.  Sized by measurement on 2 vCPUs shared
+# call holds two tables of this size, E and S; the timer's tiles share one
+# workspace of two such tables (``_timer_w_matrix``), the series sums and
+# the exp table.  Sized by measurement on 2 vCPUs shared
 # with other jobs (``tools/ab_interleaved.py``, time against 2^15 at
 # 2^14 / 2^16): the timer workload 1.15 / 0.95, three N = 52 timer strikes
 # 1.35 / 1.03, the corridor 1.04 / 0.98 and the strip 0.93 / 1.01.  A
@@ -511,19 +544,47 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     as many as fit beside its rows, because the Bessel series runs to the
     length its table's largest argument 2/C sqrt(A/(V0 v')) needs, and
     that falls with t_j: one table across a row's dates made N = 52
-    slower, not faster."""
+    slower, not faster.
+
+    The tiles allocate nothing of tile size: one workspace, two tables of
+    the largest tile's size allocated once per call and freed when it
+    returns, takes each tile's Bessel series sums in its first table and,
+    in turn, the series' term ratios, its stop rule's moduli and the exp
+    table in its second.  They are two arrays, not one block of twice the
+    size: one 1 MB block changed how the rest of the process allocates
+    (beside it, another copy of the timer pass took 0.1k minor page
+    faults instead of its 7.6k), which skews in-process comparisons.
+    Tiles with columns that may take the asymptotic branch
+    (|z| > BESSEL_ASYMPTOTIC_MIN_Z, the first dates from N = 12 on) run
+    first, on tables of their own, so the workspace is never held beside
+    the asymptotic branch's tables and the peak memory stays flat in N."""
     p = kernel.params
     first, last, _ = dates.indices(kernel.dates.size)
     base = kernel.starts[first]
     a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], eta, p))
     rows = a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
+    tiles = [(tile, kernel.columns(slice(first + group.start,
+                                         first + group.stop)))
+             for tile, group in _tiles(omega.size, kernel.sizes[first:last],
+                                       eta.shape[1])]
+    far = np.abs(kernel.g_columns.z) > specfun.BESSEL_ASYMPTOTIC_MIN_Z
+    near = [t for t in tiles if not np.any(far[t[1]])]
     out = np.zeros(eta.shape, dtype=complex)
-    for tile, group in _tiles(omega.size, kernel.sizes[first:last],
-                              eta.shape[1]):
-        cols = kernel.columns(slice(first + group.start, first + group.stop))
+
+    def contract(tile, cols, work=None):
         out[tile] += tr._g_contract(
             tuple(x[tile] for x in rows), kernel.g_columns.take(cols),
-            factor[tile, cols.start - base:cols.stop - base])
+            factor[tile, cols.start - base:cols.stop - base], work)
+
+    for tile, cols in tiles:
+        if np.any(far[cols]):
+            contract(tile, cols)
+    if near:
+        size = max(eta[tile].size * (cols.stop - cols.start)
+                   for tile, cols in near)
+        work = [np.empty(size, dtype=complex) for _ in range(2)]
+        for tile, cols in near:
+            contract(tile, cols, work)
     return out
 
 
@@ -563,13 +624,15 @@ def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray,
 def _hermitian_residual(kernel: _TimerKernel, budget: float,
                         cfg: QuadratureConfig) -> float:
     """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e) on Talbot
-    nodes."""
+    nodes: both sides are rows of one ``_timer_h_tilde`` call, the points
+    (w, e) above their mirrors."""
     T, params = kernel.T, kernel.params
     pts_w = np.array([0.7, 3.0]) + 1j * cfg.damping_omega
     m = int(_talbot_counts(budget, T, pts_w, params).max())
     pts_e = 1j * _talbot_contour(m, budget, T, pts_w, params)[0][:, ::m // 4]
-    a = _timer_h_tilde(kernel, pts_w, pts_e)
-    b = _timer_h_tilde(kernel, -np.conj(pts_w), -np.conj(pts_e))
+    a, b = np.split(_timer_h_tilde(
+        kernel, np.concatenate([pts_w, -np.conj(pts_w)]),
+        np.concatenate([pts_e, -np.conj(pts_e)])), 2)
     return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
 
 
@@ -620,25 +683,23 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                      cfg: QuadratureConfig) -> list:
     """Price several timer calls: specs that share (T, N) share one
     ``_TimerKernel``, those that also share the budget one Parseval
-    integral, a row per strike, and those that share (T, K) one European
-    base, whatever their N and B."""
+    integral, a row per strike, and the European bases of every strike at
+    one T come from one inversion (``_price_european_detailed``), whatever
+    their N and B."""
     require_valid(params)
     groups = {}
+    strikes_at = {}
     for idx, spec in enumerate(specs):
         key = (spec.mandatory_maturity, spec.n_monitoring,
                spec.variance_budget)
         groups.setdefault(key, []).append(idx)
+        strikes_at.setdefault(spec.mandatory_maturity, {})[spec.strike] = None
+    europeans = {T: dict(zip(ks, _price_european_detailed(T, list(ks),
+                                                          params, cfg)))
+                 for T, ks in strikes_at.items()}
 
     results = [None] * len(specs)
     kernels = {}
-    europeans = {}
-
-    def european(T, strike):
-        if (T, strike) not in europeans:
-            europeans[T, strike] = _price_european_detailed(
-                EuropeanSpec(strike, T), params, cfg)
-        return europeans[T, strike]
-
     for (T, N, B), indices in groups.items():
         if (T, N) not in kernels:
             kernels[T, N] = _TimerKernel(T, N, params, cfg)
@@ -649,7 +710,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                 f"timer kernel failed the Hermitian-symmetry check "
                 f"({herm:.2e}); imaginary residual would not cancel")
         strikes = np.array([specs[i].strike for i in indices])
-        bases = [european(T, k) for k in strikes]
+        bases = [europeans[T][k] for k in strikes]
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")

@@ -88,29 +88,31 @@ _GRID_MARGIN = 1.5  # in ln v', beyond the scan's last kept points
 
 def log_density_grid(log_density: Callable,
                      cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed trapezoid grid (nodes, weights) in v' adapted to a density.
+    """Fixed trapezoid grids (nodes, weights) in v' adapted to densities.
 
-    ``log_density`` maps a v' ndarray to log-density values; the grid spans
-    the region where the density is above ``v_upper_mass_tol`` relative to
-    its peak, extended by _GRID_MARGIN in log space, with ``v_nodes``
-    nodes.  Weights include the e^u jacobian, so ``sum(w * f(nodes))``
-    approximates int f dv'.
+    ``log_density`` maps a v' ndarray of scan points to log-density values
+    of shape (..., scan points): one density per leading index, each with
+    its own grid.  A grid spans the region where its density is above
+    ``v_upper_mass_tol`` relative to its peak, extended by _GRID_MARGIN in
+    log space, with ``v_nodes`` nodes.  Returns nodes and weights of shape
+    (..., v_nodes), so a 1-D density gets one 1-D grid.  Weights include
+    the e^u jacobian, so ``sum(w * f(nodes))`` approximates int f dv'.
     """
     u_scan = np.arange(_SCAN_LO, _SCAN_HI + 0.25, 0.25)
     ld = np.asarray(log_density(np.exp(u_scan)), dtype=float) + u_scan
-    peak = ld.max()
-    if not np.isfinite(peak):
+    peak = ld.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(peak)):
         raise ThreeHalvesError("density scan found no finite values")
-    thresh = math.log(cfg.v_upper_mass_tol) + peak
-    keep = np.nonzero(ld > thresh)[0]
-    lo = u_scan[keep[0]] - _GRID_MARGIN
-    hi = u_scan[keep[-1]] + _GRID_MARGIN
+    keep = ld > math.log(cfg.v_upper_mass_tol) + peak
+    # first and last kept scan point of each density
+    lo = u_scan[np.argmax(keep, axis=-1)] - _GRID_MARGIN
+    hi = u_scan[keep.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1)
+                ] + _GRID_MARGIN
     n = cfg.v_nodes
-    u = np.linspace(lo, hi, n)
-    du = (hi - lo) / (n - 1)
-    w = np.full(n, du)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    u = np.linspace(lo, hi, n, axis=-1)
+    w = np.repeat(((hi - lo) / (n - 1))[..., None], n, axis=-1)
+    w[..., 0] *= 0.5
+    w[..., -1] *= 0.5
     nodes = np.exp(u)
     return nodes, w * nodes
 
@@ -158,6 +160,20 @@ def _panels(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
     return hi - half * (1.0 - _X), half
 
 
+def _panel_sums(re, w):
+    """The fine and coarse rules' sums and the last panel's share
+    sum w |f| of each component of ``re`` (leading axes, then panels x
+    nodes) on panels of half-widths ``w``, each component by its own
+    products: its sums are the same bits whatever other components share
+    the batch (a matrix-vector product may order its sums by the number
+    of rows)."""
+    fine, coarse, last = w * _W_FINE, w * _W_COARSE, w[-1] * _W_FINE
+    sums = np.array([(np.tensordot(r, fine, axes=2),
+                      np.tensordot(r, coarse, axes=2), np.abs(r[-1]) @ last)
+                     for r in re.reshape((-1,) + re.shape[-2:])])
+    return sums.T.reshape((3,) + re.shape[:-2])
+
+
 def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
                    scale: float, base=0.0, panels: Optional[int] = None):
     """scale * int_0^inf Re f(w_R + i damping) dw_R by the omega rule.
@@ -189,10 +205,9 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
                 f"omega integrand is not finite on omega_R in "
                 f"[{nodes[0, 0]:g}, {nodes[-1, -1]:g}]")
         re = vals.real.reshape(vals.shape[:-1] + nodes.shape)
-        w = scale * half
-        value = value + np.tensordot(re, w * _W_FINE, axes=2)
-        coarse = coarse + np.tensordot(re, w * _W_COARSE, axes=2)
-        tail = np.abs(re[..., -1, :]) @ (w[-1] * _W_FINE)
+        fine, rough, tail = _panel_sums(re, scale * half)
+        value = value + fine
+        coarse = coarse + rough
         if panels or np.all(tail <= np.maximum(
                 cfg.abs_tol, cfg.rel_tol * np.abs(base + value))):
             break
@@ -213,15 +228,24 @@ def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
     """(1/2pi) int payoff_transform(w) cf(w) dw_R along Im(w) = damping
     (default ``cfg.damping_omega``), by the omega rule.
 
-    The result must be real: the integrand at -conj(w) is the conjugate of
-    the integrand at w, so only the right half-axis is evaluated.  Returns
-    (value, diagnostics); the diagnostics hold the err_estimate, the node
-    count, the cutoff the rule measured and the last panel's share.
+    The integrand may be a vector: ``payoff_transform`` (or ``cf``) may
+    return leading axes before the points' axis, one integral per leading
+    index (the European bases of several strikes at one maturity, a row
+    per strike, on one omega grid that runs until every row is spent).
+    Each result must be real: the integrand at -conj(w) is the conjugate
+    of the integrand at w, so only the right half-axis is evaluated.
+    Returns (value, diagnostics); the diagnostics hold the err_estimate,
+    the node count, the cutoff the rule measured and the last panel's
+    share.  The value, err_estimate and last panel's share are floats for
+    a scalar integrand and arrays of its leading shape otherwise.
     """
     damp = cfg.damping_omega if damping is None else damping
     value, err, diag = omega_integral(
         lambda w: np.asarray(payoff_transform(w), dtype=complex) * cf(w),
         cfg, damp, 1.0 / math.pi)  # folding doubles the half-axis integral
-    diag.update(err_estimate=float(err), omega_tail=float(diag["omega_tail"]),
+
+    def real(x):
+        return float(x) if np.ndim(x) == 0 else x
+    diag.update(err_estimate=real(err), omega_tail=real(diag["omega_tail"]),
                 damping=damp)
-    return float(value), diag
+    return real(value), diag

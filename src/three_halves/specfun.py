@@ -230,7 +230,7 @@ def _check_bessel_order(nu):
             raise SpecfunDomainError("bessel_i order at a negative integer")
 
 
-def _log_bessel_series(nu, z):
+def _log_bessel_series(nu, z, work=None):
     """I_nu(z) by the defining power series, for orders ``nu`` as (n, 1)
     rows x arguments ``z`` as (m,) columns, in factored form: the sums S
     and their log scale (None where every row kept scale 0), with
@@ -246,15 +246,16 @@ def _log_bessel_series(nu, z):
     parts.  Bands group the columns by |z|: for Re(nu) >= -1/2 and real z,
     d log(sum)/d|z| = I_{nu+1}/I_nu <= 1, so a band _SERIES_BAND_WIDTH wide
     in |z| keeps every column's sum within e^-300 of the band's largest.
-    Re z >= 0 and z != 0, as ``_log_bessel_i_vec`` checks.
+    Re z >= 0 and z != 0, as ``_log_bessel_i_vec`` checks.  ``work`` is
+    a caller's workspace for the sums (``_log_series_outer``).
     """
     _check_bessel_order(nu)
     s, scale, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
-                                    _SERIES_BAND_WIDTH)
+                                    _SERIES_BAND_WIDTH, work=work)
     return s, scale
 
 
-def _log_series_outer(den, q, key, width, num=None):
+def _log_series_outer(den, q, key, width, num=None, work=None):
     """sum_k C[i, k] q_j^k for 1-D rows i x 1-D columns j, with a log
     scale: the matrix route of the Bessel (0F1) and Kummer (1F1) series.
 
@@ -286,9 +287,15 @@ def _log_series_outer(den, q, key, width, num=None):
     e^scale sums (``scale`` None if all 0); ``lost`` is log(sum of |terms|)
     in the units of ``sums`` for 1F1, None for 0F1.  A sum that cancels to
     exactly 0 has no relative accuracy to reach: it passes the check.
+
+    ``work``, a pair of complex arrays of at least rows x columns
+    elements each, takes the sums in its first (``sums`` is then a view
+    of it) and, in its second, the term ratios where they fit and the
+    stop rule's moduli; without it these tables are allocated here.
     """
     n, m = den.size, q.size
-    out = np.empty((n, m), dtype=complex)
+    out = (np.empty((n, m), dtype=complex) if work is None
+           else work[0][:n * m].reshape(n, m))
     lost = None if num is None else np.empty((n, m))
     s = float(np.max(np.abs(q))) or 1.0
     step = max(1, _SERIES_BLOCK_BYTES // (16 * (_first_terms(den, s, num) + 1)))
@@ -297,7 +304,8 @@ def _log_series_outer(den, q, key, width, num=None):
         rows = slice(r0, r0 + step)
         part = _log_series_rows(den[rows], None if num is None else num[rows],
                                 q, key, width, out[rows],
-                                None if lost is None else lost[rows])
+                                None if lost is None else lost[rows],
+                                None if work is None else work[1])
         scale = _put_scale(scale, (n, m), rows, part)
     return out, scale, lost
 
@@ -310,16 +318,17 @@ def _put_scale(scale, shape, where, part):
     return scale
 
 
-def _log_series_rows(den, num, q, key, width, out, lost):
+def _log_series_rows(den, num, q, key, width, out, lost, spare=None):
     """``_log_series_outer`` for one row block, written into ``out`` (and
-    ``lost``); returns its log scale, as ``_log_series_outer`` does."""
+    ``lost``), the term ratios and the stop rule's moduli in ``spare``
+    if given; returns its log scale, as ``_log_series_outer`` does."""
     s = float(np.max(np.abs(q)))
     if not s >= sys.float_info.min:  # 0 or subnormal: q / s would overflow
         s = 1.0
     x = q / s
     min_terms = 0
     while True:
-        coef, row_scale = _series_table(den, s, min_terms, num)
+        coef, row_scale = _series_table(den, s, min_terms, num, spare)
         if np.any(row_scale) and np.ptp(key) > width:
             top = key > np.max(key) - width
             scale = None
@@ -327,7 +336,7 @@ def _log_series_rows(den, num, q, key, width, out, lost):
                 part = out[:, cols]
                 part_lost = None if lost is None else lost[:, cols]
                 part_scale = _log_series_rows(den, num, q[cols], key[cols],
-                                              width, part, part_lost)
+                                              width, part, part_lost, spare)
                 out[:, cols] = part
                 if lost is not None:
                     lost[:, cols] = part_lost
@@ -340,19 +349,22 @@ def _log_series_rows(den, num, q, key, width, out, lost):
         for c0 in range(0, q.size, step):
             cols = slice(c0, c0 + step)
             if not _sum_columns(coef, abs_coef, x[cols], out[:, cols],
-                                None if lost is None else lost[:, cols]):
+                                None if lost is None else lost[:, cols],
+                                spare):
                 break
         else:
             return row_scale[:, None] if np.any(row_scale) else None
         min_terms = n_terms + max(8, n_terms // 2)
 
 
-def _sum_columns(coef, abs_coef, x, out, lost):
+def _sum_columns(coef, abs_coef, x, out, lost, spare=None):
     """One column block: writes the sums sum_k C[k, i] x_j^k (no log)
     into ``out`` (and log(sum of |terms|) into ``lost``); False if some
     element's last two terms, bounded together by max(|C[K-1]|, |C[K]|)
     |P[K-1]| (magnitudes |Re| + |Im|), are too big.  P[k] = x^k comes from
-    ``_power_table``.
+    ``_power_table``.  The check's two real tables, |sum| and the bound,
+    are written into ``spare`` (a complex array of at least ``out.size``
+    elements) if given.
     """
     n_terms = coef.shape[0] - 1
     powers = _power_table(x, n_terms)
@@ -364,9 +376,11 @@ def _sum_columns(coef, abs_coef, x, out, lost):
         del pair
     else:
         np.matmul(coef.T, powers, out=out)
-    mag = np.abs(out)
+    mag, bound = ((None, None) if spare is None else spare.view(float)[
+        :2 * out.size].reshape((2,) + out.shape))
+    mag = np.abs(out, out=mag)
     last = np.maximum(_mag(coef[-2]), _mag(coef[-1])) / SERIES_STOP_REL
-    small = np.multiply.outer(last, _mag(powers[-2])) <= mag
+    small = np.multiply.outer(last, _mag(powers[-2]), out=bound) <= mag
     if not np.all(small) and not np.all(small | (mag == 0.0)):
         return False
     if lost is not None:
@@ -442,7 +456,7 @@ def _first_terms(den, s, num):
     return int(lead) + 16
 
 
-def _series_table(den, s, min_terms, num=None):
+def _series_table(den, s, min_terms, num=None, spare=None):
     """The table C[k, i] = s^k (num_i)_k / (k! (den_i+1)_k) for k = 0..K,
     one row per k, and the per-parameter log scales (see
     ``_scaled_cumprod``).
@@ -452,7 +466,8 @@ def _series_table(den, s, min_terms, num=None):
     dropped.  K starts at the larger of ``min_terms`` and ``_first_terms``
     and grows by half (at least 8 terms) until, at q = s, the last two
     terms are at most SERIES_STOP_REL x |sum| and the last is the smaller
-    of the two.
+    of the two.  The term ratios are built in ``spare`` (a complex
+    array) where it holds them, else in a table of their own.
 
     Raises:
         SpecfunDomainError: a denominator den + k, k = 1..K, is zero (the
@@ -475,8 +490,13 @@ def _series_table(den, s, min_terms, num=None):
         # complex division).
         k = np.arange(1.0, n_terms + 1.0)[:, None]
         u = den.real + k
-        f = s / (k * (u * u + den.imag * den.imag))
-        ratio = np.empty(u.shape, dtype=complex)
+        f = u * u  # then s / (k (u^2 + v^2)), in place
+        f += den.imag * den.imag
+        f *= k
+        np.divide(s, f, out=f)
+        ratio = (np.empty(u.shape, dtype=complex)
+                 if spare is None or spare.size < u.size
+                 else spare[:u.size].reshape(u.shape))
         np.multiply(f, u, out=ratio.real)
         np.multiply(f, -den.imag, out=ratio.imag)
         del u, f

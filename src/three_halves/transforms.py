@@ -230,7 +230,7 @@ class _GColumns(NamedTuple):
         return _GColumns(*(x[cols] for x in self))
 
 
-def _g_contract(rows, cols: _GColumns, factor):
+def _g_contract(rows, cols: _GColumns, factor, work=None):
     """sum_j g_ij factor[i, j], g from one (t, v) (``_GColumns``) on rows
     ``rows`` = (a, b0, nu, log Gamma(nu + 1)), each of shape (n_omega,
     n_eta), against ``factor`` of shape (n_omega, columns): the timer
@@ -256,6 +256,12 @@ def _g_contract(rows, cols: _GColumns, factor):
     take their own exp (``specfun._split_exp``) against the factor: the
     asymptotic Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi
     z), and any series element whose sum needed a log scale.
+
+    ``work``, a pair of complex arrays of at least rows x columns elements
+    each, holds the series sums (its first) and, in turn, the series'
+    term ratios, its stop rule's moduli and the exp table (its second), so
+    that a caller's tiles can share one; without it the tables are
+    allocated here.
     """
     shape = rows[0].shape
     a, b0, nu, lgam = (np.reshape(x, -1) for x in rows)
@@ -269,27 +275,31 @@ def _g_contract(rows, cols: _GColumns, factor):
         return (np.bincount(r, val.real, a.size)
                 + 1j * np.bincount(r, val.imag, a.size))
 
-    asym = np.zeros((a.size, m), dtype=bool)
-    far = np.abs(cols.z) > specfun.BESSEL_ASYMPTOTIC_MIN_Z
-    if np.any(far):
-        asym[:, far] = specfun._bessel_asym_mask(nu[:, None], cols.z[far])
     out = np.zeros(a.size, dtype=complex)
-    if np.any(asym):  # first, while no table is held
+    series = np.ones(m, dtype=bool)
+    skip = None  # the asymptotic elements of the series columns
+    far = np.abs(cols.z) > specfun.BESSEL_ASYMPTOTIC_MIN_Z
+    if np.any(far):  # first, while no table is held
+        asym = np.zeros((a.size, m), dtype=bool)
+        asym[:, far] = specfun._bessel_asym_mask(nu[:, None], cols.z[far])
         r, c = np.nonzero(asym)
         out += own(r, c, *specfun._log_bessel_asym(nu[r], cols.z[c]))
-    series = ~np.all(asym, axis=0)
-    if not np.any(series):
-        return out.reshape(shape)
+        series = ~np.all(asym, axis=0)
+        if not np.any(series):
+            return out.reshape(shape)
+        if r.size:
+            skip = asym[:, series]
     pick = slice(None) if np.all(series) else series
-    s, scale = specfun._log_bessel_series(nu[:, None], cols.z[pick])
-    skip = asym[:, pick]
+    s, scale = specfun._log_bessel_series(nu[:, None], cols.z[pick], work)
     if scale is not None:  # elements whose sums needed a log scale
-        scaled = (scale != 0.0) & ~skip
+        scaled = scale != 0.0
+        if skip is not None:
+            scaled &= ~skip
         r, c = np.nonzero(scaled)
         c_all = np.flatnonzero(series)[c]
         out += own(r, c_all, nu[r] * np.log(0.5 * cols.z[c_all]) - lgam[r]
                    + scale[r, c], s[r, c])
-        skip = skip | scaled
+        skip = scaled if skip is None else skip | scaled
     starts = np.flatnonzero(cols.k == 0).tolist()
     weight = np.empty(m)
     dates, top = [], np.full(a.size, -np.inf)
@@ -302,12 +312,13 @@ def _g_contract(rows, cols: _GColumns, factor):
         np.maximum(top, r0.real + np.maximum(g.real, 0.0) * (j - i - 1),
                    out=top)
         dates.append((i, j, r0, g))
-    powers = np.empty((m, a.size), dtype=complex)
+    powers = (np.empty((m, a.size), dtype=complex) if work is None
+              else work[1][:m * a.size].reshape(m, a.size))
     for i, j, r0, g in dates:
         specfun._exp_table(r0 - top, g, j - i - 1, out=powers[i:j])
     s *= powers[pick].T
     del powers
-    if np.any(skip):
+    if skip is not None:
         s[skip] = 0.0
     f = (factor * weight)[:, pick]
     out += specfun._split_exp(top.astype(complex), (

@@ -130,10 +130,22 @@ class TestTimerIdentities:
             monkeypatch.setattr(pricers, "_timer_h_tilde", poisoned)
             match = {"zero": "kernel is not finite at eta = 0",
                      "contour": "kernel is not finite on the"}[stage]
-        else:
-            monkeypatch.setattr(pricers, "_price_european_detailed",
-                                lambda *args: pricers.PriceResult(np.nan, 0.0))
+        else:  # the European bases, all strikes at T from one inversion
+            monkeypatch.setattr(
+                pricers, "_price_european_detailed",
+                lambda T, strikes, *args: [pricers.PriceResult(np.nan, 0.0)
+                                           for _ in strikes])
         with pytest.raises(ThreeHalvesError, match=match):
+            price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
+                             timer_params, QuadratureConfig())
+
+    def test_non_hermitian_kernel_raises(self, timer_params, monkeypatch):
+        # A kernel off H(-conj w, -conj e) = conj H(w, e) by a phase of
+        # 1e-3 fails the spot check before anything is priced.
+        kernel = pricers._timer_h_tilde
+        monkeypatch.setattr(pricers, "_timer_h_tilde",
+                            lambda *args: kernel(*args) * (1.0 + 1e-3j))
+        with pytest.raises(ThreeHalvesError, match="Hermitian-symmetry"):
             price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
                              timer_params, QuadratureConfig())
 
@@ -263,7 +275,9 @@ class TestTimerKernel:
         # switch), so the benchmark tracer's per-layer element counts
         # measure the kernel's work.  g's row terms, log Gamma(2c + 1)
         # among them, are taken once per _timer_w_matrix call, not once per
-        # tile (37 tiles, 4 calls), and no g element takes its own exp.
+        # tile (37 tiles, 3 calls: the two batches of the omega rule and the
+        # Hermitian check, both of whose sides are one call), and no g
+        # element takes its own exp.
         counts = dict.fromkeys(("contracted", "g", "series", "log_gamma",
                                 "w_matrix", "exp"), 0)
         inside = []
@@ -298,10 +312,34 @@ class TestTimerKernel:
         assert counts["contracted"] == 1_073_664
         assert counts["g"] == counts["contracted"]
         assert counts["series"] == counts["contracted"]
-        assert counts["log_gamma"] <= counts["w_matrix"] == 4
+        assert counts["log_gamma"] <= counts["w_matrix"] == 3
         # one e^{top_i} per (omega, eta) row and tile of at least 64 v'
         # columns, none per element
         assert counts["exp"] < counts["contracted"] / 50
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_tiles_share_the_workspace_without_state(self, timer_params, n):
+        # 21 omegas against their 24-node Talbot contours fill a row block
+        # of the g tiles (512 // 24 rows), so a call on them and their
+        # mirrors (-conj w, -conj e) runs two row blocks of one-date tiles
+        # on one workspace where each half alone runs one: every tile sees
+        # the same rows and columns either way, and the stacked call must
+        # return the halves' values bit for bit, whatever the tiles before
+        # it left in the workspace.  The mirrors go first alone, so that
+        # no tile of theirs follows the tile it follows in the stacked call
+        # (a freed workspace often comes back at the same address).
+        p = timer_params
+        kernel = pricers._TimerKernel(1.0, n, p, QuadratureConfig())
+        omega = (np.linspace(0.3, 40.0, 21)
+                 + 1j * QuadratureConfig().damping_omega)
+        eta = 1j * pricers._talbot_contour(24, 0.087, 1.0, omega, p)[0]
+        mirror = -np.conj(omega), -np.conj(eta)
+        both = pricers._timer_h_tilde(kernel, np.concatenate([omega,
+                                                              mirror[0]]),
+                                      np.concatenate([eta, mirror[1]]))
+        second = pricers._timer_h_tilde(kernel, *mirror)
+        first = pricers._timer_h_tilde(kernel, omega, eta)
+        assert np.array_equal(both, np.concatenate([first, second]))
 
     def test_one_date_kernel_is_zero(self, timer_params, monkeypatch):
         grids = []
@@ -393,8 +431,8 @@ class TestFactoredContraction:
         scaled = []
         series = specfun._log_bessel_series
 
-        def spy(nu, z):
-            out = series(nu, z)
+        def spy(nu, z, *work):
+            out = series(nu, z, *work)
             scaled.append(0 if out[1] is None else np.count_nonzero(out[1]))
             return out
         monkeypatch.setattr(specfun, "_RESCALE_LIMIT", 1e3)
@@ -430,16 +468,19 @@ class TestTimerBuildOnce:
     SPEC = TimerOptionSpec(100.0, 1.0, 4, 0.087)
 
     def test_one_v_rule_per_inner_date(self, timer_params, monkeypatch):
+        # One density scan per kernel, a row per inner date, gives each of
+        # the N - 1 inner dates its v' rule.
         built = []
         grid = pricers.log_density_grid
 
         def spy(*args, **kwargs):
-            built.append(args)
-            return grid(*args, **kwargs)
+            nodes, w = grid(*args, **kwargs)
+            built.append(nodes.shape)
+            return nodes, w
         monkeypatch.setattr(pricers, "log_density_grid", spy)
         specs = [TimerOptionSpec(k, 1.0, 4, 0.087) for k in (90.0, 110.0)]
         price_timer_grid(specs, timer_params, QuadratureConfig())
-        assert len(built) == 4 - 1
+        assert built == [(4 - 1, QuadratureConfig().v_nodes)]
 
     def test_zero_kernel_once_per_omega_node(self, timer_params,
                                              monkeypatch):
@@ -535,21 +576,29 @@ class TestTimerBuildOnce:
 
     def test_one_european_base_per_strike(self, timer_params, monkeypatch):
         # The European base at T depends on neither N nor B: three strikes
-        # at two budgets price it three times, and every price is the one
-        # its (T, N, B) group gets alone, bit for bit.
+        # at two budgets take their bases from one inversion at T, a row
+        # per strike, and every price is the one its (T, N, B) group gets
+        # alone, bit for bit.
         cfg = QuadratureConfig()
         budgets = (0.087, 0.2)
         specs = [TimerOptionSpec(k, 1.0, 4, b) for b in budgets
                  for k in (90.0, 100.0, 110.0)]
-        bases = []
+        bases, inversions = [], []
         european = pricers._price_european_detailed
+        invert = pricers.fourier_invert_1d
 
-        def spy(spec, *args):
-            bases.append(spec)
-            return european(spec, *args)
+        def spy(T, strikes, *args):
+            bases.append((T, list(strikes)))
+            return european(T, strikes, *args)
+
+        def spy_invert(*args, **kwargs):
+            inversions.append(args)
+            return invert(*args, **kwargs)
         monkeypatch.setattr(pricers, "_price_european_detailed", spy)
+        monkeypatch.setattr(pricers, "fourier_invert_1d", spy_invert)
         mixed = price_timer_grid(specs, timer_params, cfg)
-        assert len(bases) == 3
+        assert bases == [(1.0, [90.0, 100.0, 110.0])]
+        assert len(inversions) == 1
         for b in budgets:
             group = [s for s in specs if s.variance_budget == b]
             for spec, res in zip(group,
@@ -558,6 +607,48 @@ class TestTimerBuildOnce:
                 assert (got.price, got.err_estimate) == (
                     res.price, res.err_estimate), spec
                 assert got.diagnostics == res.diagnostics
+
+
+class TestEuropeanBases:
+    STRIKES = (90.0, 100.0, 110.0)
+
+    def test_each_base_is_its_european(self, timer_params):
+        # One inversion, a row per strike, runs until every row is spent,
+        # so a strike may get more panels than alone; its price stays
+        # within 1e-13 of the one-strike price, and put-call parity holds
+        # per strike.
+        cfg = QuadratureConfig()
+        p = timer_params
+        bases = pricers._price_european_detailed(1.0, self.STRIKES, p, cfg)
+        assert [b.diagnostics["omega_nodes"] for b in bases] == [
+            bases[0].diagnostics["omega_nodes"]] * len(self.STRIKES)
+        for k, base in zip(self.STRIKES, bases):
+            alone = price_european(EuropeanSpec(k, 1.0), p, cfg)
+            assert abs(base.price - alone) <= 1e-13 * alone, k
+            put = price_european(EuropeanSpec(k, 1.0, is_call=False), p, cfg)
+            parity = p.s0 * math.exp(-p.q) - k * math.exp(-p.r)
+            assert abs(base.price - put - parity) <= 1e-13 * p.s0, k
+
+    def test_one_inversion_per_maturity(self, timer_params, monkeypatch):
+        calls, inversions = [], []
+        european = pricers._price_european_detailed
+        invert = pricers.fourier_invert_1d
+
+        def spy(T, strikes, *args):
+            calls.append((T, list(strikes)))
+            return european(T, strikes, *args)
+
+        def spy_invert(*args, **kwargs):
+            inversions.append(args)
+            return invert(*args, **kwargs)
+        monkeypatch.setattr(pricers, "_price_european_detailed", spy)
+        monkeypatch.setattr(pricers, "fourier_invert_1d", spy_invert)
+        specs = [TimerOptionSpec(k, T, 2, 0.087) for T in (1.0, 0.5)
+                 for k in self.STRIKES]
+        price_timer_grid(specs, timer_params, QuadratureConfig())
+        assert calls == [(1.0, list(self.STRIKES)),
+                         (0.5, list(self.STRIKES))]
+        assert len(inversions) == 2
 
 
 class TestTimerMemory:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from three_halves import pricers
+from three_halves import transforms as tr
 from three_halves.errors import (
     InvalidParametersError,
     QuadratureNonConvergenceError,
@@ -119,6 +121,34 @@ class TestLogDensityGrid:
                                                               v_nodes=200))
         mass = float(np.dot(w, np.exp(logd(nodes))))
         assert abs(mass - 1.0) < 1e-8
+
+    def test_one_rule_per_leading_index(self, cfg):
+        # Densities stacked on a leading axis get each its own rule, the
+        # one it gets alone, bit for bit.
+        def logd(v, mu):
+            return -((np.log(v) - mu) ** 2) / 0.5 - np.log(v)
+        mus = np.array([[-2.8], [0.5], [6.0]])
+        nodes, w = log_density_grid(lambda v: logd(v, mus), cfg)
+        assert nodes.shape == w.shape == (3, cfg.v_nodes)
+        for i, mu in enumerate(mus[:, 0]):
+            alone = log_density_grid(lambda v: logd(v, mu), cfg)
+            assert np.array_equal(nodes[i], alone[0])
+            assert np.array_equal(w[i], alone[1])
+
+    @pytest.mark.parametrize("n", [4, 12, 52])
+    def test_stacked_scan_matches_per_date_rules(self, cfg, timer_params,
+                                                 n):
+        # The timer kernel scans all its inner dates' densities at once
+        # (one _log_density_v_vec call up to 22 dates); each date's rule
+        # is the one its own scan gives, within 1e-15.
+        p = timer_params
+        kernel = pricers._TimerKernel(1.0, n, p, cfg)
+        for j in range(1, n):
+            want = log_density_grid(lambda vp: tr._log_density_v_vec(
+                0.0, p.v0, kernel.date(j), vp, p), cfg)
+            cols = kernel.columns(slice(j - 1, j))
+            for got, ref in zip((kernel.nodes[cols], kernel.w[cols]), want):
+                assert np.max(np.abs(got - ref) / ref) <= 1e-15, j
 
 
 class TestFourierInvert1D:

@@ -357,9 +357,9 @@ class TestBesselSeriesOuter:
         calls = []
         table = specfun._series_table
 
-        def short_first(den, s, min_terms, num=None):
+        def short_first(den, s, min_terms, num=None, spare=None):
             calls.append(min_terms)
-            coef, row_scale = table(den, s, min_terms, num)
+            coef, row_scale = table(den, s, min_terms, num, spare)
             return (coef[:5] if len(calls) == 1 else coef), row_scale
 
         monkeypatch.setattr(specfun, "_series_table", short_first)
@@ -766,8 +766,8 @@ def recorded_tables(monkeypatch):
     tables = []
     table = specfun._series_table
 
-    def spy(den, s, min_terms, num=None):
-        coef, row_scale = table(den, s, min_terms, num)
+    def spy(den, s, min_terms, num=None, spare=None):
+        coef, row_scale = table(den, s, min_terms, num, spare)
         tables.append((s, bool(np.any(row_scale))))
         return coef, row_scale
 
@@ -866,7 +866,7 @@ class TestKummerTaylorOuter:
         # the first: 1 - 1 + 1 - 1
         calls = []
 
-        def ones(den, s, min_terms, num=None):
+        def ones(den, s, min_terms, num=None, spare=None):
             assert not calls, "the table was grown"
             calls.append(min_terms)
             return np.ones((4, den.size), dtype=complex), np.zeros(den.size)

@@ -20,9 +20,16 @@ set ``--params`` (a key of the workloads' ``PARAMS``, ``timer`` by
 default) at the budget ``--budget`` (the timer workload's by default).
 One warm-up round is run first and not counted.
 
-Prints each side's median time, the per-round ratio B/A (median and
-quartiles), the rounds B won and the largest relative difference between
-the two sides' prices.
+Prints each side's median time and median minor page faults per round
+(``resource.getrusage``), the per-round ratio B/A (median and quartiles),
+the rounds B won and the largest relative difference between the two
+sides' prices.
+
+Both sides share one process and so one heap: memory one side frees, the
+other reuses, and the allocator's thresholds move with both.  A change to
+how the code allocates (fewer or larger tables, a reused workspace) shows
+here only in part, in its fault count as in its time; time it in separate
+processes too (``bench/run.py`` on each checkout).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -127,11 +135,15 @@ def main(argv=None) -> int:
              "B": make_side(args.b.resolve(), "b", args)}
     prices = {k: run() for k, run in sides.items()}  # warm-up round
     times = {"A": [], "B": []}
+    faults = {"A": [], "B": []}
     for r in range(args.rounds):
         for k in ("AB" if r % 2 == 0 else "BA"):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             sides[k]()
             times[k].append(time.perf_counter() - t0)
+            faults[k].append(resource.getrusage(
+                resource.RUSAGE_SELF).ru_minflt - f0)
 
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     diff = max(abs(b - a) / abs(a) for a, b in zip(prices["A"],
@@ -139,7 +151,9 @@ def main(argv=None) -> int:
     for k in "AB":
         lo, hi = quartiles(times[k])
         print(f"{k}: median {statistics.median(times[k]):.4f} s "
-              f"(quartiles {lo:.4f}-{hi:.4f}) over {args.rounds} rounds")
+              f"(quartiles {lo:.4f}-{hi:.4f}) over {args.rounds} rounds, "
+              f"median {statistics.median(faults[k]):.0f} minor page faults "
+              f"a round")
     lo, hi = quartiles(ratios)
     won = sum(b < a for a, b in zip(times["A"], times["B"]))
     print(f"B/A: median {statistics.median(ratios):.3f} "

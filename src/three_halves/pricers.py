@@ -714,22 +714,25 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")
-        span = [TALBOT_MAX_NODES, 0]  # least and most M the rule asks
+        counts = []  # M of every omega node the rule evaluates, in order
 
         def integral(offsets, panels=None):
             # the Parseval integral on contours of M + offset nodes, per
             # offset
             def rows(omega):
-                m = _talbot_counts(B, T, omega, params)
-                span[:] = min(span[0], m.min()), max(span[1], m.max())
-                return _budget_integrals(kernel, B, strikes, omega, m,
-                                         offsets)
+                counts.append(_talbot_counts(B, T, omega, params))
+                return _budget_integrals(kernel, B, strikes, omega,
+                                         counts[-1], offsets)
             return omega_integral(rows, cfg, cfg.damping_omega,
                                   0.5 / math.pi**2, base, panels)
 
         # One pass sums the contours of M - TALBOT_STEP and M nodes and
         # fixes the omega grid; a growth pass sums only the next contour.
         (coarse, fine), (_, q_err), diag = integral((-TALBOT_STEP, 0))
+        # the least and most M of the nodes summed, the first omega_nodes
+        # evaluated (the rule may evaluate a panel past its cutoff)
+        summed = np.concatenate(counts)[:diag["omega_nodes"]]
+        span = summed.min(), summed.max()
         extra = 0
         while True:
             gaps = np.abs(fine - coarse)
@@ -745,7 +748,10 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                     f"disagree by {gaps.max():.2e} at B = {B}, and roundoff "
                     f"bars a larger M", achieved=float(gaps.max()))
             coarse, extra = fine, extra + TALBOT_STEP
+            before = diag
             (fine,), (q_err,), diag = integral((extra,), diag["omega_panels"])
+            diag.update({key: before[key] + diag[key] for key in
+                         ("omega_batches", "omega_evaluated")})
         for i, idx in enumerate(indices):
             price = base[i] + fine[i]
             err = gaps[i] + q_err[i] + bases[i].err_estimate
@@ -1078,6 +1084,13 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     the cap.  It sums each period's nodes (``np.add.reduceat``) before the
     Cauchy rule and the periods after it, so the rule's gap check stays
     per period, as it does on D(v) in the first route.
+
+    On the corridor, ``omega`` is one batch of the omega rule: the first
+    runs to omega_R = 55.75 (136 nodes), a tail batch holds the panels
+    the measured decay still asks for (see ``quadrature``).  What does
+    not depend on omega, the period lattices, their prune and D(v), is
+    built once per batch, twice per swap of the benchmark's corridor, and
+    each lattice is sized at its batch's largest omega_R.
 
     The tower route takes its periods' outer v grids from one
     ``_period_grids`` call, as the other routes do, but its kernels stay

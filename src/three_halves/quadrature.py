@@ -19,14 +19,29 @@ The omega rule
   Europeans of ``bench/references.json`` miss their converged values by up
   to 3.0e-10; with 17 the worst of 31 is 1.3e-11.
 * Widths double from FIRST_PANEL = 0.25, where the CF peaks, up to
-  MAX_PANEL = 24 and then stay 24.  The first batch is every doubling panel
-  (omega_R up to 31.75, 119 nodes); after it each batch is one panel.
-* The rule stops after the batch whose last panel's absolute share,
-  scale * sum w |f|, is at most max(abs_tol, rel_tol |value so far|), the
-  value including what the product adds outside the integral (the timer's
+  MAX_PANEL = 24 and then stay 24.  The FIRST_BATCH = 7 doubling panels end
+  at omega_R = 31.75 (119 nodes).
+* The rule stops at the first panel whose absolute share, scale * sum
+  w |f|, is at most max(abs_tol, rel_tol |value so far|), the value
+  including what the product adds outside the integral (the timer's
   European base); a vector integrand stops when every component passes.
-  A panel that would end past OMEGA_LIMIT = 1000 raises instead: the rule
-  never returns a truncated value.
+  The doubling panels are summed and tested as one, every later panel on
+  its own.  A panel that would end past OMEGA_LIMIT = 1000 raises
+  instead: the rule never returns a truncated value.
+* Every call of the integrand rebuilds what does not depend on omega (the
+  swaps' period lattices and moments, the per-call set-up of the
+  transforms), so the panels are evaluated in few batches: the first
+  holds the doubling panels and the first full-width one (omega_R up to
+  55.75, 136 nodes), where every benchmark product's integrand is spent or
+  nearly so.  A tail batch holds the full-width panels that the decay
+  measured on the last two summed panels says are still needed: their
+  shares per unit width fit e^{-lam omega_R} per component.  It holds at
+  least one panel, and at most half the panels summed so far and those
+  left before OMEGA_LIMIT; if a component's lam is not positive and
+  finite, one panel.  Panels past the stop are evaluated but never read,
+  so the rule sums the same panels, in the same sums, as one that
+  evaluated one panel per batch: how many panels a batch holds moves no
+  bit of a result whose integrand is elementwise in omega.
 """
 
 from __future__ import annotations
@@ -174,6 +189,25 @@ def _panel_sums(re, w):
     return sums.T.reshape((3,) + re.shape[:-2])
 
 
+def _panels_to_spend(last, thresh) -> int:
+    """The MAX_PANEL-wide panels still needed until every component's last
+    panel is spent, as the decay measured so far predicts it.  ``last``
+    holds (centre, width, share) of the last two summed panels; their
+    shares per unit width fit a rate lam of e^{-lam omega_R} per
+    component, and a component whose last share s passes ``thresh`` needs
+    ln(s / thresh) / (MAX_PANEL lam) more panels.  1 if any such
+    component's lam is not finite and positive (it does not decay)."""
+    (c0, w0, s0), (c1, w1, s1) = last
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = np.log((s0 / w0) / (s1 / w1)) / (c1 - c0)
+        need = np.log(s1 / thresh) / (MAX_PANEL * lam)
+    live = s1 > thresh
+    if not np.all(~live | ((lam > 0) & np.isfinite(lam)
+                           & np.isfinite(need))):
+        return 1
+    return int(np.ceil(np.max(np.where(live, need, 0.0))))
+
+
 def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
                    scale: float, base=0.0, panels: Optional[int] = None):
     """scale * int_0^inf Re f(w_R + i damping) dw_R by the omega rule.
@@ -181,45 +215,68 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
     ``f`` maps a 1-D array of contour points to values with the points on
     the last axis; leading axes are independent integrands (the timer's
     strikes), each with its own ``base``, the part of its product's value
-    outside the integral.  Batches of panels are added until every
-    component's last panel is spent (see the module docstring).  With
+    outside the integral.  Panels are summed until every component's last
+    panel is spent, evaluated in batches of several panels (see the
+    module docstring): a batch may run past the stop, and the panels
+    beyond it are neither summed nor checked for finiteness.  With
     ``panels`` the first that many panels are evaluated in one batch and
     no stopping test is made: the timer's growth pass, which sums a larger
     Talbot contour on the panels its first pass chose.
 
     Returns (value, err_estimate, diagnostics); value and err_estimate
     have the leading shape of ``f``, err_estimate is the gap to the nested
-    coarse rule.
+    coarse rule.  The diagnostics hold the panels and nodes summed
+    (``omega_panels``, ``omega_nodes``), the cutoff, the last panel's
+    share (``omega_tail``), the calls of ``f`` (``omega_batches``) and the
+    nodes it was given, those past the stop included
+    (``omega_evaluated``).
 
     Raises:
         ThreeHalvesError: the integrand is not finite.
         QuadratureNonConvergenceError: it is not spent by OMEGA_LIMIT.
     """
-    start, stop = 0, panels or FIRST_BATCH
     value = coarse = 0.0
+    summed = batches = evaluated = 0
+    last = []  # (centre, width, share) of the last two summed panels
+    stop = panels or FIRST_BATCH + 1
     while True:
-        nodes, half = _panels(start, stop)
+        nodes, half = _panels(summed, stop)
         vals = np.asarray(f(nodes.ravel() + 1j * damping), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ThreeHalvesError(
-                f"omega integrand is not finite on omega_R in "
-                f"[{nodes[0, 0]:g}, {nodes[-1, -1]:g}]")
-        re = vals.real.reshape(vals.shape[:-1] + nodes.shape)
-        fine, rough, tail = _panel_sums(re, scale * half)
-        value = value + fine
-        coarse = coarse + rough
-        if panels or np.all(tail <= np.maximum(
-                cfg.abs_tol, cfg.rel_tol * np.abs(base + value))):
-            break
-        if nodes[-1, -1] + MAX_PANEL > OMEGA_LIMIT:
+        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+        batches, evaluated = batches + 1, evaluated + nodes.size
+        groups = ([panels] if panels else [FIRST_BATCH, 1] if summed == 0
+                  else [1] * (stop - summed))
+        i = 0
+        for n in groups:
+            part = vals[..., i:i + n, :]
+            if not np.all(np.isfinite(part)):
+                raise ThreeHalvesError(
+                    f"omega integrand is not finite on omega_R in "
+                    f"[{nodes[i, 0]:g}, {nodes[i + n - 1, -1]:g}]")
+            fine, rough, tail = _panel_sums(part.real,
+                                            scale * half[i:i + n])
+            value = value + fine
+            coarse = coarse + rough
+            i, summed = i + n, summed + n
+            cutoff = float(nodes[i - 1, -1])
+            h = float(half[i - 1, 0])
+            last = last[-1:] + [(cutoff - h, 2.0 * h, tail)]
+            thresh = np.maximum(cfg.abs_tol,
+                                cfg.rel_tol * np.abs(base + value))
+            if panels or np.all(tail <= thresh):
+                return value, np.abs(value - coarse), {
+                    "omega_panels": summed,
+                    "omega_nodes": summed * PANEL_NODES,
+                    "omega_cutoff": cutoff, "omega_tail": tail,
+                    "omega_batches": batches, "omega_evaluated": evaluated}
+        left = int((OMEGA_LIMIT - cutoff) // MAX_PANEL)
+        if left < 1:
             raise QuadratureNonConvergenceError(
-                f"omega integrand is not spent by omega_R = "
-                f"{nodes[-1, -1]:g}: its last panel still contributes "
-                f"{np.max(tail):.3e}", achieved=float(np.max(tail)))
-        start, stop = stop, stop + 1
-    return value, np.abs(value - coarse), {
-        "omega_panels": stop, "omega_nodes": stop * PANEL_NODES,
-        "omega_cutoff": float(nodes[-1, -1]), "omega_tail": tail}
+                f"omega integrand is not spent by omega_R = {cutoff:g}: "
+                f"its last panel still contributes {np.max(tail):.3e}",
+                achieved=float(np.max(tail)))
+        stop = summed + max(1, min(_panels_to_spend(last, thresh),
+                                   summed // 2, left))
 
 
 def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
@@ -234,10 +291,13 @@ def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
     per strike, on one omega grid that runs until every row is spent).
     Each result must be real: the integrand at -conj(w) is the conjugate
     of the integrand at w, so only the right half-axis is evaluated.
-    Returns (value, diagnostics); the diagnostics hold the err_estimate,
-    the node count, the cutoff the rule measured and the last panel's
-    share.  The value, err_estimate and last panel's share are floats for
-    a scalar integrand and arrays of its leading shape otherwise.
+    Returns (value, diagnostics); the diagnostics hold the err_estimate
+    and those of ``omega_integral``: the nodes summed, the cutoff the rule
+    measured, the last panel's share, and the batches and nodes the
+    integrand was evaluated in (the first batch runs to omega_R = 55.75,
+    so ``omega_evaluated`` may pass ``omega_nodes``).  The value,
+    err_estimate and last panel's share are floats for a scalar integrand
+    and arrays of its leading shape otherwise.
     """
     damp = cfg.damping_omega if damping is None else damping
     value, err, diag = omega_integral(

@@ -1,5 +1,6 @@
-"""Reference routes that only the tests use: an adaptive v' integral and the
-paper's two-date joint characteristic function built on it.
+"""Reference routes that only the tests use: an adaptive v' integral, the
+paper's two-date joint characteristic function built on it, and the omega
+rule summed one panel per batch.
 
 They share no quadrature with the pricers (whose v' rules are fixed
 trapezoids from ``quadrature.log_density_grid``), so agreement between the
@@ -17,7 +18,14 @@ from three_halves.errors import (
     QuadratureNonConvergenceError,
     ThreeHalvesError,
 )
-from three_halves.quadrature import QuadratureConfig
+from three_halves.quadrature import (
+    FIRST_BATCH,
+    MAX_PANEL,
+    OMEGA_LIMIT,
+    QuadratureConfig,
+    _panel_sums,
+    _panels,
+)
 
 _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
 MAX_REFINEMENTS = 12  # doublings of the adaptive v' integral
@@ -119,3 +127,34 @@ def bivariate_cf_phi(t: float, state: Tuple[float, float, float], t1: float,
 
     value, _err = integrate_semi_infinite(integrand, cfg)
     return complex(pref * value)
+
+
+def omega_integral_panel_by_panel(f: Callable, cfg: QuadratureConfig,
+                                  damping: float, scale: float, base=0.0):
+    """``quadrature.omega_integral`` with its batches as they were first
+    written: the doubling panels in one call of ``f``, then one call per
+    panel, each tested as it is summed.  It evaluates no panel it does not
+    sum, so the larger batches of ``omega_integral`` must stop at the same
+    panel with the same sums.  Returns (value, err_estimate, diagnostics)
+    with the panels summed, the cutoff and the last panel's share."""
+    start, stop = 0, FIRST_BATCH
+    value = coarse = 0.0
+    while True:
+        nodes, half = _panels(start, stop)
+        vals = np.asarray(f(nodes.ravel() + 1j * damping), dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise ThreeHalvesError("omega integrand is not finite")
+        re = vals.real.reshape(vals.shape[:-1] + nodes.shape)
+        fine, rough, tail = _panel_sums(re, scale * half)
+        value = value + fine
+        coarse = coarse + rough
+        if np.all(tail <= np.maximum(cfg.abs_tol,
+                                     cfg.rel_tol * np.abs(base + value))):
+            break
+        if nodes[-1, -1] + MAX_PANEL > OMEGA_LIMIT:
+            raise QuadratureNonConvergenceError(
+                "omega integrand is not spent", achieved=float(np.max(tail)))
+        start, stop = stop, stop + 1
+    return value, np.abs(value - coarse), {
+        "omega_panels": stop, "omega_cutoff": float(nodes[-1, -1]),
+        "omega_tail": tail}

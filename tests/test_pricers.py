@@ -275,7 +275,7 @@ class TestTimerKernel:
         # switch), so the benchmark tracer's per-layer element counts
         # measure the kernel's work.  g's row terms, log Gamma(2c + 1)
         # among them, are taken once per _timer_w_matrix call, not once per
-        # tile (37 tiles, 3 calls: the two batches of the omega rule and the
+        # tile (37 tiles, 2 calls: the omega rule's one batch and the
         # Hermitian check, both of whose sides are one call), and no g
         # element takes its own exp.
         counts = dict.fromkeys(("contracted", "g", "series", "log_gamma",
@@ -312,7 +312,7 @@ class TestTimerKernel:
         assert counts["contracted"] == 1_073_664
         assert counts["g"] == counts["contracted"]
         assert counts["series"] == counts["contracted"]
-        assert counts["log_gamma"] <= counts["w_matrix"] == 3
+        assert counts["log_gamma"] <= counts["w_matrix"] == 2
         # one e^{top_i} per (omega, eta) row and tile of at least 64 v'
         # columns, none per element
         assert counts["exp"] < counts["contracted"] / 50
@@ -531,25 +531,37 @@ class TestTimerBuildOnce:
         assert {c["offsets"] for c in calls} == {(-pricers.TALBOT_STEP, 0)}
         assert (sum(c["inner_rows"] for c in calls)
                 == timer.diagnostics["omega_nodes"])
+        # the rule is spent at the first full-width panel: one batch
+        assert len(calls) == timer.diagnostics["omega_batches"] == 1
+        assert (timer.diagnostics["omega_evaluated"]
+                == timer.diagnostics["omega_nodes"])
 
     def test_growth_pass_sums_only_the_new_contour(self, jump_params,
                                                    monkeypatch):
         # The jump timer's M and M - 8 sums disagree, so M grows twice.
-        # Each growth pass sums one new contour on the first pass's omega
-        # nodes.
+        # Each growth pass sums one new contour on the omega nodes the
+        # first pass summed, which are the first omega_nodes it evaluated
+        # (it may evaluate a panel past its cutoff), and evaluates no
+        # other.
         calls = self.spy_passes(monkeypatch)
         timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
                                  jump_params, QuadratureConfig())
         n = sum(c["offsets"] == (-8, 0) for c in calls)
         first, growth = calls[:n], calls[n:]
         assert [c["offsets"] for c in growth] == [(8,), (16,)]
+        nodes = timer.diagnostics["omega_nodes"]
         omega = np.concatenate([c["omega"] for c in first])
         counts = np.concatenate([c["counts"] for c in first])
-        assert omega.size == timer.diagnostics["omega_nodes"]
+        assert omega.size >= nodes
+        omega, counts = omega[:nodes], counts[:nodes]
         for c in growth:
             assert np.array_equal(c["omega"], omega)
             assert np.array_equal(c["counts"], counts)
         assert counts.max() + 16 == timer.diagnostics["talbot_nodes"] == 160
+        # the diagnostics count the batches and nodes of every pass
+        assert timer.diagnostics["omega_batches"] == len(calls)
+        assert timer.diagnostics["omega_evaluated"] == sum(
+            c["omega"].size for c in calls)
 
     def test_mixed_groups_price_as_alone(self, timer_params):
         # Two (T, N) groups, one of them at two budgets that share its
@@ -622,6 +634,8 @@ class TestEuropeanBases:
         bases = pricers._price_european_detailed(1.0, self.STRIKES, p, cfg)
         assert [b.diagnostics["omega_nodes"] for b in bases] == [
             bases[0].diagnostics["omega_nodes"]] * len(self.STRIKES)
+        assert (bases[0].diagnostics["omega_batches"],
+                bases[0].diagnostics["omega_evaluated"]) == (1, 136)
         for k, base in zip(self.STRIKES, bases):
             alone = price_european(EuropeanSpec(k, 1.0), p, cfg)
             assert abs(base.price - alone) <= 1e-13 * alone, k

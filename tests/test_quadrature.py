@@ -27,7 +27,11 @@ from three_halves.quadrature import (
     omega_integral,
 )
 
-from oracles import integrate_semi_infinite, stable_complex_sum
+from oracles import (
+    integrate_semi_infinite,
+    omega_integral_panel_by_panel,
+    stable_complex_sum,
+)
 
 
 @pytest.fixture
@@ -187,6 +191,9 @@ class TestFourierInvert1D:
         assert diag["omega_tail"] < 1e-12
         assert diag["omega_cutoff"] == _panels(0, FIRST_BATCH)[0][-1, -1]
         assert diag["damping"] == cfg.damping_omega
+        # one batch, which evaluated the first full-width panel too
+        assert diag["omega_batches"] == 1
+        assert diag["omega_evaluated"] == (FIRST_BATCH + 1) * PANEL_NODES
 
 
 def _gaussian(sigma):
@@ -253,10 +260,12 @@ class TestOmegaIntegral:
             return _gaussian(self.SIGMA)(w)
         val, _, diag = omega_integral(f, cfg, -1.5, 1.0)
         calls.clear()
-        again, _, _ = omega_integral(f, cfg, -1.5, 1.0,
-                                     panels=diag["omega_panels"])
+        again, _, again_diag = omega_integral(f, cfg, -1.5, 1.0,
+                                              panels=diag["omega_panels"])
         assert calls == [diag["omega_nodes"]]
         assert again == pytest.approx(val, rel=1e-14)
+        assert (again_diag["omega_batches"], again_diag["omega_evaluated"]
+                ) == (1, diag["omega_nodes"])
 
     def test_not_decaying_raises(self, cfg):
         seen = []
@@ -273,3 +282,102 @@ class TestOmegaIntegral:
         with pytest.raises(ThreeHalvesError, match="not finite"):
             omega_integral(lambda w: np.full(w.shape, np.nan), cfg, -1.5,
                            1.0)
+
+
+# Integrands whose stops span the rule: within the doubling panels, at the
+# first full-width panel, and tails of one to about forty panels, some of
+# several batches.  Each maps contour points to values elementwise, so its
+# values do not depend on the batch a point is evaluated in.
+BATCH_CASES = {
+    **{f"gaussian_{sigma:g}": _gaussian(sigma)
+       for sigma in (0.5, 5.0, 10.0, 20.0, 80.0)},
+    **{f"exp_{a:g}": (lambda a: lambda w: np.exp(-a * w.real))(a)
+       for a in (1.0, 0.2, 0.02)},
+    "inverse_quartic": lambda w: 1.0 / (1.0 + w.real ** 2) ** 2,
+    "decaying_cosine": lambda w: np.exp(-w.real / 20.0) * np.cos(w.real),
+    "gaussian_cosine": lambda w: (np.exp(-(w.real / 30.0) ** 2)
+                                  * np.cos(3.0 * w.real)),
+    "complex_chirp": lambda w: np.exp(5j * w - w * w / 800.0),
+    "components": lambda w: np.stack([_gaussian(1.0)(w), _gaussian(20.0)(w),
+                                      _gaussian(60.0)(w),
+                                      np.exp(-w.real / 10.0)]),
+}
+
+
+class TestOmegaBatches:
+    """The rule evaluates the doubling panels and the first full-width
+    panel in one batch, then tail batches sized from the measured decay;
+    it must sum exactly the panels, in the same sums, as the rule that
+    evaluates one panel per batch after the doubling panels
+    (``oracles.omega_integral_panel_by_panel``)."""
+
+    @pytest.mark.parametrize("base", [0.0, 1e3])
+    @pytest.mark.parametrize("name", list(BATCH_CASES))
+    def test_same_panels_and_bits_as_panel_by_panel(self, cfg, name, base):
+        f = BATCH_CASES[name]
+        val, err, diag = omega_integral(f, cfg, -1.5, 1.0, base=base)
+        want, want_err, ref = omega_integral_panel_by_panel(f, cfg, -1.5,
+                                                            1.0, base=base)
+        assert np.array_equal(val, want) and np.array_equal(err, want_err)
+        assert diag["omega_panels"] == ref["omega_panels"]
+        assert diag["omega_cutoff"] == ref["omega_cutoff"]
+        assert np.array_equal(diag["omega_tail"], ref["omega_tail"])
+        assert diag["omega_nodes"] == diag["omega_panels"] * PANEL_NODES
+
+    @pytest.mark.parametrize("name", list(BATCH_CASES))
+    def test_evaluates_at_most_half_again(self, cfg, name):
+        # A tail batch holds at most half the panels summed before it, so
+        # the rule evaluates at most one and a half times the nodes it
+        # sums, plus the first full-width panel when the doubling panels
+        # suffice.
+        diag = omega_integral(BATCH_CASES[name], cfg, -1.5, 1.0)[2]
+        assert (diag["omega_evaluated"]
+                <= 1.5 * diag["omega_nodes"] + PANEL_NODES)
+        assert diag["omega_evaluated"] % PANEL_NODES == 0
+
+    @pytest.mark.parametrize("sigma, batches, evaluated", [
+        (0.5, 1, FIRST_BATCH + 1), (5.0, 1, FIRST_BATCH + 1),
+        (20.0, 2, FIRST_BATCH + 5)])
+    def test_batches(self, cfg, sigma, batches, evaluated):
+        # A Gaussian spent within the doubling panels or at the first
+        # full-width panel takes one batch; the sigma = 20 one, spent at
+        # omega_R = 151.75 (12 panels), takes one tail batch of 4 panels.
+        diag = omega_integral(_gaussian(sigma), cfg, -1.5, 1.0)[2]
+        assert diag["omega_batches"] == batches
+        assert diag["omega_evaluated"] == evaluated * PANEL_NODES
+
+    @pytest.mark.parametrize("sigma", [0.5, 10.0])
+    def test_not_finite_past_the_stop_still_prices(self, cfg, sigma):
+        # The panels a batch evaluates past the one where the rule stops
+        # are never read: an integrand that is NaN there prices as the
+        # clean one does.
+        clean = omega_integral(_gaussian(sigma), cfg, -1.5, 1.0)
+        cut = clean[2]["omega_cutoff"]
+        assert clean[2]["omega_evaluated"] > clean[2]["omega_nodes"]
+
+        def f(w):
+            return np.where(w.real <= cut, _gaussian(sigma)(w), np.nan)
+        val, err, diag = omega_integral(f, cfg, -1.5, 1.0)
+        assert (val, err) == clean[:2]
+        assert diag == clean[2]
+
+    def test_not_finite_in_a_tail_panel_raises(self, cfg):
+        # Each tail panel is checked as it is summed: the sigma = 20
+        # Gaussian sums the panel from 103.75 in its tail batch.
+        def f(w):
+            return np.where(w.real <= 110.0, _gaussian(20.0)(w), np.nan)
+        with pytest.raises(ThreeHalvesError,
+                           match=r"not finite on omega_R in \[103.75, 127.75\]"):
+            omega_integral(f, cfg, -1.5, 1.0)
+
+    def test_no_decay_means_one_panel_a_batch(self, cfg):
+        # A tail that does not decay gives no rate to size a batch from.
+        sizes = []
+
+        def flat(w):
+            sizes.append(w.size)
+            return np.ones_like(w)
+        with pytest.raises(QuadratureNonConvergenceError):
+            omega_integral(flat, cfg, -1.5, 1.0)
+        assert sizes[0] == (FIRST_BATCH + 1) * PANEL_NODES
+        assert set(sizes[1:]) == {PANEL_NODES}

@@ -714,15 +714,16 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")
-        counts = []  # M of every omega node the rule evaluates, in order
+        counts = []  # M of every omega node of the rule's batches, in order
 
         def integral(offsets, panels=None):
             # the Parseval integral on contours of M + offset nodes, per
             # offset
             def rows(omega):
-                counts.append(_talbot_counts(B, T, omega, params))
-                return _budget_integrals(kernel, B, strikes, omega,
-                                         counts[-1], offsets)
+                m = _talbot_counts(B, T, omega, params)
+                out = _budget_integrals(kernel, B, strikes, omega, m, offsets)
+                counts.append(m)  # not a batch that raised: the rule retries
+                return out
             return omega_integral(rows, cfg, cfg.damping_omega,
                                   0.5 / math.pi**2, base, panels)
 
@@ -730,7 +731,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         # fixes the omega grid; a growth pass sums only the next contour.
         (coarse, fine), (_, q_err), diag = integral((-TALBOT_STEP, 0))
         # the least and most M of the nodes summed, the first omega_nodes
-        # evaluated (the rule may evaluate a panel past its cutoff)
+        # of the batches (the rule may evaluate a panel past its cutoff)
         summed = np.concatenate(counts)[:diag["omega_nodes"]]
         span = summed.min(), summed.max()
         extra = 0
@@ -1085,12 +1086,10 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     Cauchy rule and the periods after it, so the rule's gap check stays
     per period, as it does on D(v) in the first route.
 
-    On the corridor, ``omega`` is one batch of the omega rule: the first
-    runs to omega_R = 55.75 (136 nodes), a tail batch holds the panels
-    the measured decay still asks for (see ``quadrature``).  What does
-    not depend on omega, the period lattices, their prune and D(v), is
-    built once per batch, twice per swap of the benchmark's corridor, and
-    each lattice is sized at its batch's largest omega_R.
+    On the corridor, ``omega`` is one batch of the omega rule (see
+    ``quadrature``).  What does not depend on omega, the period lattices,
+    their prune and D(v), is built once per batch, and each lattice is
+    sized at its batch's largest omega_R.
 
     The tower route takes its periods' outer v grids from one
     ``_period_grids`` call, as the other routes do, but its kernels stay

@@ -42,6 +42,13 @@ The omega rule
   so the rule sums the same panels, in the same sums, as one that
   evaluated one panel per batch: how many panels a batch holds moves no
   bit of a result whose integrand is elementwise in omega.
+* An integrand may raise on panels the rule would never have summed (a
+  corridor's v lattice sized at a batch's largest omega_R may pass its
+  node cap; a timer's Talbot contour may need more nodes than it may
+  have).  A batch that raises is evaluated again as that one-panel rule
+  evaluates it, the doubling panels in one call and then one panel a
+  call, and so is the rest of the integral: only a panel that rule
+  evaluates can make the integral raise.
 """
 
 from __future__ import annotations
@@ -218,7 +225,10 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
     outside the integral.  Panels are summed until every component's last
     panel is spent, evaluated in batches of several panels (see the
     module docstring): a batch may run past the stop, and the panels
-    beyond it are neither summed nor checked for finiteness.  With
+    beyond it are neither summed nor checked for finiteness.  A batch
+    for which ``f`` raises a ThreeHalvesError is evaluated again, and the
+    rest of the integral too, one panel a call after the doubling panels:
+    ``f`` makes the rule raise only on a panel it would sum.  With
     ``panels`` the first that many panels are evaluated in one batch and
     no stopping test is made: the timer's growth pass, which sums a larger
     Talbot contour on the panels its first pass chose.
@@ -232,22 +242,29 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
     (``omega_evaluated``).
 
     Raises:
-        ThreeHalvesError: the integrand is not finite.
+        ThreeHalvesError: the integrand is not finite, or ``f`` raised on
+            a panel the rule sums or would go on to sum.
         QuadratureNonConvergenceError: it is not spent by OMEGA_LIMIT.
     """
     value = coarse = 0.0
     summed = batches = evaluated = 0
     last = []  # (centre, width, share) of the last two summed panels
+    alone = False  # a batch raised: one panel a batch from here on
     stop = panels or FIRST_BATCH + 1
     while True:
+        first = panels or (FIRST_BATCH if summed == 0 else 1)
         nodes, half = _panels(summed, stop)
-        vals = np.asarray(f(nodes.ravel() + 1j * damping), dtype=complex)
-        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
         batches, evaluated = batches + 1, evaluated + nodes.size
-        groups = ([panels] if panels else [FIRST_BATCH, 1] if summed == 0
-                  else [1] * (stop - summed))
+        try:
+            vals = np.asarray(f(nodes.ravel() + 1j * damping), dtype=complex)
+        except ThreeHalvesError:
+            if stop - summed == first:
+                raise
+            alone, stop = True, summed + first
+            continue
+        vals = vals.reshape(vals.shape[:-1] + nodes.shape)
         i = 0
-        for n in groups:
+        for n in [first] + [1] * (stop - summed - first):
             part = vals[..., i:i + n, :]
             if not np.all(np.isfinite(part)):
                 raise ThreeHalvesError(
@@ -275,8 +292,8 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
                 f"omega integrand is not spent by omega_R = {cutoff:g}: "
                 f"its last panel still contributes {np.max(tail):.3e}",
                 achieved=float(np.max(tail)))
-        stop = summed + max(1, min(_panels_to_spend(last, thresh),
-                                   summed // 2, left))
+        stop = summed + (1 if alone else max(1, min(
+            _panels_to_spend(last, thresh), summed // 2, left)))
 
 
 def fourier_invert_1d(cf: Callable, payoff_transform: Callable,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import three_halves
-from three_halves import pricers, specfun
+from three_halves import pricers, quadrature, specfun
 from three_halves import transforms as tr
 from three_halves.errors import (
     BranchCutWarning,
@@ -25,7 +25,7 @@ from three_halves.mc_oracle import (
     mc_price,
     simulate_paths,
 )
-from three_halves.model import coef_A, coef_C
+from three_halves.model import ModelParams, coef_A, coef_C
 from three_halves.pricers import (
     MOMENT_RADIUS,
     EuropeanSpec,
@@ -40,7 +40,7 @@ from three_halves.pricers import (
 from three_halves.quadrature import QuadratureConfig
 from three_halves.specfun import _split_exp, _split_log
 
-from oracles import bivariate_cf_phi
+from oracles import bivariate_cf_phi, omega_integral_panel_by_panel
 
 
 @pytest.fixture(scope="module")
@@ -1364,6 +1364,28 @@ class TestCorridorVGrid:
             pricers._transition_grid(snp_params, 0.0, 1.0 / 12.0,
                                      snp_params.v0, QuadratureConfig(),
                                      1000.0)
+
+    def test_lattice_past_its_cap_beyond_the_stop_prices(self, monkeypatch):
+        # At epsilon = 1 the two-year, two-period corridor is spent at
+        # omega_R = 31.75, where its second period's lattice fits in
+        # _GRID_MAX_NODES; sized at 55.75, the end of the omega rule's
+        # first batch, it needs 206 nodes and raises.  The rule evaluates
+        # that batch again panel by panel, and the swap prices with the
+        # bits of the panel-by-panel rule.
+        params = ModelParams.with_constant_theta(
+            kappa=22.84, theta=4.979, epsilon=1.0, v0=0.06, rho=-0.5,
+            s0=100.0, r=0.015, q=0.0)
+        spec = MomentSwapSpec(2.0, 2, 2, "corridor", 0, 80.0, 120.0)
+        cfg = QuadratureConfig()
+        pricers._transition_grid(params, 0.0, 1.0, params.v0, cfg, 31.75)
+        with pytest.raises(QuadratureNonConvergenceError,
+                           match="needs 206 nodes"):
+            pricers._transition_grid(params, 0.0, 1.0, params.v0, cfg,
+                                     55.75)
+        price = fair_strike_weighted(spec, params, cfg)
+        monkeypatch.setattr(quadrature, "omega_integral",
+                            omega_integral_panel_by_panel)
+        assert price == fair_strike_weighted(spec, params, cfg)
 
 
 class TestCorridorAgainstMonteCarlo:

@@ -361,6 +361,47 @@ class TestOmegaBatches:
         assert (val, err) == clean[:2]
         assert diag == clean[2]
 
+    @pytest.mark.parametrize("sigma", [0.5, 10.0])
+    def test_raising_past_the_stop_still_prices(self, cfg, sigma):
+        # An integrand may raise on panels past the stop (a corridor's v
+        # lattice past its node cap): the batch that raised is evaluated
+        # again one panel a batch, as the panel-by-panel rule evaluates
+        # it, so the integrand raises once and prices as the clean one.
+        clean = omega_integral(_gaussian(sigma), cfg, -1.5, 1.0)
+        cut = clean[2]["omega_cutoff"]
+        assert clean[2]["omega_evaluated"] > clean[2]["omega_nodes"]
+        calls, raised = [], []  # nodes per call; the calls that raised
+
+        def f(w):
+            calls.append(w.size)
+            if w.real.max() > cut:
+                raised.append(len(calls) - 1)
+                raise QuadratureNonConvergenceError("past the stop")
+            return _gaussian(sigma)(w)
+        val, err, diag = omega_integral(f, cfg, -1.5, 1.0)
+        assert (val, err) == clean[:2]
+        for key in ("omega_panels", "omega_nodes", "omega_cutoff"):
+            assert diag[key] == clean[2][key]
+        assert len(raised) == 1
+        assert diag["omega_batches"] == len(calls)
+        assert diag["omega_evaluated"] == sum(calls)
+        # the retry: the doubling panels if the first batch raised, then
+        # one panel a batch
+        retry = calls[raised[0] + 1:]
+        assert retry[0] == (FIRST_BATCH if raised[0] == 0 else 1) * PANEL_NODES
+        assert retry[1:] == [PANEL_NODES] * (len(retry) - 1)
+
+    def test_raising_on_a_summed_panel_raises(self, cfg):
+        # The sigma = 20 Gaussian sums the panel from 103.75: an integrand
+        # that raises there raises from the rule, with its own message.
+        def f(w):
+            if w.real.max() > 110.0:
+                raise QuadratureNonConvergenceError("raised past 110")
+            return _gaussian(20.0)(w)
+        with pytest.raises(QuadratureNonConvergenceError,
+                           match="raised past 110"):
+            omega_integral(f, cfg, -1.5, 1.0)
+
     def test_not_finite_in_a_tail_panel_raises(self, cfg):
         # Each tail panel is checked as it is summed: the sigma = 20
         # Gaussian sums the panel from 103.75 in its tail batch.

@@ -1,6 +1,6 @@
 """Transform-based pricing engine for the 3/2 stochastic volatility model."""
 
-from .model import JumpParams, ModelParams, ThetaCurve, coef_A, coef_C, drift_a, validate
+from .model import JumpParams, ModelParams, ThetaCurve, coef_A, coef_C, validate
 from .pricers import (
     EuropeanSpec,
     MomentSwapSpec,
@@ -23,7 +23,6 @@ __all__ = [
     "TimerOptionSpec",
     "coef_A",
     "coef_C",
-    "drift_a",
     "expected_quadratic_variation",
     "fair_strike_weighted",
     "price_european",

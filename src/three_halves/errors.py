@@ -18,14 +18,6 @@ class SeriesNonConvergenceError(ThreeHalvesError):
         self.worst_index = worst_index
 
 
-class OverflowSignalError(ThreeHalvesError):
-    """A result exceeded the representable floating-point range."""
-
-
-class PrecisionLossError(ThreeHalvesError):
-    """Catastrophic cancellation destroyed the requested accuracy."""
-
-
 class DeltaRegimeError(ThreeHalvesError):
     """Time separation too small: the quantity degenerates to a Dirac mass."""
 

@@ -236,7 +236,18 @@ def _jump_exponent(omega, eta, jp: JumpParams):
 
 
 def _drift_a_vec(omega, eta, params: ModelParams):
-    """Vectorized drift coefficient; omega/eta may be complex ndarrays."""
+    """Drift coefficient a(omega, eta) of the partial transform, with numpy
+    broadcasting over complex ``omega`` and ``eta``.
+
+    Without jumps: a = i omega (r - q).  With compound-Poisson lognormal
+    jumps the drift is corrected by the compensator and the joint jump
+    transform E[e^{i omega J + i eta J^2}]:
+
+        a = i omega (r - q - lam*vartheta)
+            + lam * exp[(2 i mu (omega + eta mu) - omega^2 sigma^2)
+                        / (2 (1 - 2 i eta sigma^2))] / sqrt(1 - 2 i eta sigma^2)
+            - lam
+    """
     omega = np.asarray(omega, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     jp = params.jumps
@@ -257,18 +268,3 @@ def _drift_a_vec(omega, eta, params: ModelParams):
         + jp.lam * jump_cf
         - jp.lam
     )
-
-
-def drift_a(omega: complex, eta: complex, params: ModelParams) -> complex:
-    """Drift coefficient a(omega, eta) of the partial transform.
-
-    Without jumps: a = i omega (r - q).  With compound-Poisson lognormal
-    jumps the drift is corrected by the compensator and the joint jump
-    transform E[e^{i omega J + i eta J^2}]:
-
-        a = i omega (r - q - lam*vartheta)
-            + lam * exp[(2 i mu (omega + eta mu) - omega^2 sigma^2)
-                        / (2 (1 - 2 i eta sigma^2))] / sqrt(1 - 2 i eta sigma^2)
-            - lam
-    """
-    return complex(_drift_a_vec(complex(omega), complex(eta), params))

@@ -940,7 +940,9 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
     inside it, and raises.  The check is taken over all values at once,
     or with ``starts`` (indices into the last axis) over each segment of
     the last axis on its own, so that one swap period's failure cannot hide
-    behind another's larger values.
+    behind another's larger values; a segment is judged against the larger
+    of its own size and eps times the largest segment's, as a period whose
+    values are below the call's roundoff cannot move its sum.
     """
     j = np.arange(MOMENT_NODES)
     theta = 2.0 * math.pi * (j + 0.5) / MOMENT_NODES
@@ -967,6 +969,7 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
         gap, size = (np.maximum.reduceat(
             x.reshape(-1, x.shape[-1]).max(axis=0), starts)
             for x in (gap, size))
+        size = np.maximum(size, np.finfo(float).eps * np.max(size))
     bad = ~(gap <= 1e-3 * size)
     if np.any(bad):
         with np.errstate(divide="ignore", invalid="ignore"):

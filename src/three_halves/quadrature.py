@@ -71,15 +71,14 @@ class QuadratureConfig:
     """Numeric controls for every integral in the package; a product that
     needs other values passes ``dataclasses.replace(cfg, ...)``.
 
-    ``v_nodes`` and ``v_upper_mass_tol`` size the v' rules; ``rel_tol``
-    and ``abs_tol`` stop the omega rule's panels and the timer's Talbot
-    contours.  The call and timer contours sit at Im(omega) =
-    ``damping_omega``, which their payoff transforms need below -1.  The
-    omega rule's panels are fixed by measurement.
+    ``v_nodes`` sizes the v' rules; ``rel_tol`` and ``abs_tol`` stop the
+    omega rule's panels and the timer's Talbot contours.  The call and
+    timer contours sit at Im(omega) = ``damping_omega``, which their
+    payoff transforms need below -1.  The omega rule's panels are fixed
+    by measurement.
     """
 
     v_nodes: int = 64
-    v_upper_mass_tol: float = 1e-9
     damping_omega: float = -1.5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
@@ -88,7 +87,7 @@ class QuadratureConfig:
         problems = []
         if self.v_nodes < 8:
             problems.append("v_nodes must be >= 8")
-        for name in ("v_upper_mass_tol", "rel_tol", "abs_tol"):
+        for name in ("rel_tol", "abs_tol"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0")
         if not self.damping_omega < -1.0:
@@ -106,6 +105,7 @@ class QuadratureConfig:
 
 _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
 _GRID_MARGIN = 1.5  # in ln v', beyond the scan's last kept points
+_MASS_TOL = 1e-9  # a grid keeps the scan points above this share of the peak
 
 
 def log_density_grid(log_density: Callable,
@@ -115,8 +115,8 @@ def log_density_grid(log_density: Callable,
     ``log_density`` maps a v' ndarray of scan points to log-density values
     of shape (..., scan points): one density per leading index, each with
     its own grid.  A grid spans the region where its density is above
-    ``v_upper_mass_tol`` relative to its peak, extended by _GRID_MARGIN in
-    log space, with ``v_nodes`` nodes.  Returns nodes and weights of shape
+    _MASS_TOL relative to its peak, extended by _GRID_MARGIN in log
+    space, with ``v_nodes`` nodes.  Returns nodes and weights of shape
     (..., v_nodes), so a 1-D density gets one 1-D grid.  Weights include
     the e^u jacobian, so ``sum(w * f(nodes))`` approximates int f dv'.
     """
@@ -125,7 +125,7 @@ def log_density_grid(log_density: Callable,
     peak = ld.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(peak)):
         raise ThreeHalvesError("density scan found no finite values")
-    keep = ld > math.log(cfg.v_upper_mass_tol) + peak
+    keep = ld > math.log(_MASS_TOL) + peak
     # first and last kept scan point of each density
     lo = u_scan[np.argmax(keep, axis=-1)] - _GRID_MARGIN
     hi = u_scan[keep.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1)

@@ -20,7 +20,7 @@ maps inputs to it -- parameters broadcasting to one shape and arguments
 to another, along disjoint axes, become (n, 1) rows and (m,) columns, and
 the (n, m) result goes back to their broadcast -- and raises
 SpecfunDomainError where a parameter and an argument share an axis.  A
-single point (``bessel_i``, ``kummer_m``) is a 1 x 1 table.
+single point is a 1 x 1 table.
 
 The kernel builds the coefficient table C[k, i] = s^k (num_i)_k /
 (k! (den_i+1)_k) at s = max |q| (``_series_table``) as one cumulative
@@ -38,7 +38,7 @@ their log scale apart.  Kummer's lost-digits proxy is log(sum of |terms|
 The Bessel call takes its regime per element of that table
 (``_log_bessel_table``): the asymptotic expansion for large |z|, the
 series elsewhere.  It takes Re z >= 0 and z != 0 only and raises
-SpecfunDomainError otherwise; ``bessel_i`` has the closed form at z = 0.
+SpecfunDomainError otherwise (the transforms' arguments are positive).
 
 Both asymptotic branches, I_nu(z) for large |z| and the joint CF's
 M(a, b, -x) for large x, are one divergent 2F0 summed to its smallest
@@ -54,12 +54,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    OverflowSignalError,
-    PrecisionLossError,
-    SeriesNonConvergenceError,
-    SpecfunDomainError,
-)
+from .errors import SeriesNonConvergenceError, SpecfunDomainError
 
 # Series controls: a term pair below SERIES_STOP_REL x |partial sum| stops the
 # sum; exceeding SERIES_MAX_TERMS is an error, never a silent return.
@@ -192,30 +187,6 @@ def _log_gamma_vec(z):
     return out
 
 
-def log_gamma(z):
-    """Principal-branch ``ln Gamma(z)`` for complex ``z``.
-
-    Raises:
-        SpecfunDomainError: if ``z`` is a non-positive integer (gamma pole).
-        OverflowSignalError: if the result is not finite.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise SpecfunDomainError(f"log_gamma pole at non-positive integer z={z}")
-    val = complex(_log_gamma_vec(np.array([z], dtype=complex))[0])
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise OverflowSignalError(f"log_gamma({z}) is not representable")
-    return val
-
-
-def gamma(z):
-    """Gamma function via ``exp(log_gamma)``; overflow is signaled."""
-    val = log_gamma(z)
-    if val.real > 709.0:
-        raise OverflowSignalError(f"gamma({z}) overflows double precision")
-    return complex(np.exp(val))
-
-
 # ---------------------------------------------------------------------------
 # Modified Bessel function of the first kind, complex order and argument.
 # ---------------------------------------------------------------------------
@@ -227,7 +198,7 @@ def _check_bessel_order(nu):
     if np.any(risky):
         near = np.abs(nu.real[risky] - np.round(nu.real[risky])) < 1e-12
         if np.any(near):
-            raise SpecfunDomainError("bessel_i order at a negative integer")
+            raise SpecfunDomainError("Bessel I order at a negative integer")
 
 
 def _log_bessel_series(nu, z, work=None):
@@ -474,7 +445,7 @@ def _series_table(den, s, min_terms, num=None, spare=None):
             Kummer b-pole; Bessel orders are checked before).
         SeriesNonConvergenceError: K would pass SERIES_MAX_TERMS.
     """
-    what = "bessel_i" if num is None else "kummer_m"
+    what = "Bessel I" if num is None else "Kummer M"
     if min_terms > SERIES_MAX_TERMS:
         raise SeriesNonConvergenceError(
             f"{what} series did not converge within {SERIES_MAX_TERMS} terms")
@@ -758,13 +729,12 @@ def _log_bessel_i_vec(nu, z):
 
     Raises:
         SpecfunDomainError: an order and an argument vary along one axis;
-            some z is 0 (``bessel_i`` has the closed form there) or has
-            Re z < 0; an order sits at a negative integer.
+            some z is 0 or has Re z < 0; an order sits at a negative
+            integer.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0.0):
-        raise SpecfunDomainError(
-            "log I_nu(z) takes z != 0; bessel_i has the closed form at z = 0")
+        raise SpecfunDomainError("log I_nu(z) takes z != 0 only")
     if np.any(z.real < 0.0):
         raise SpecfunDomainError("log I_nu(z) takes Re z >= 0 only")
     return _rows_by_columns(_log_bessel_table,
@@ -830,54 +800,9 @@ def _split_exp(e, s):
     return e
 
 
-def log_bessel_i(nu, z):
-    """``log I_nu(z)`` for scalar complex arguments (branch only fixed by
-    exp), a 1 x 1 table; Re z >= 0 and z != 0."""
-    return complex(_split_log(*_log_bessel_i_vec(complex(nu), complex(z)))[0])
-
-
-def bessel_i(nu, z, scaled=False):
-    """Modified Bessel function of the first kind ``I_nu(z)``.
-
-    Args:
-        nu: complex order.  Principal branch is used for ``z**nu``.
-        z: complex argument with Re(z) >= 0; z = 0 is taken in closed
-            form and needs Re(nu) > 0 or nu = 0.
-        scaled: if True, return ``exp(-Re(z)) * I_nu(z)`` (overflow-safe form
-            for the Bessel ratios in the conditional characteristic function).
-
-    Raises:
-        SpecfunDomainError: Re(z) < 0, or z = 0 with Re(nu) <= 0, nu != 0.
-        OverflowSignalError: if the (scaled) value overflows.
-        SeriesNonConvergenceError: if the power series hits the term cap.
-    """
-    nu = complex(nu)
-    z = complex(z)
-    if z == 0.0:
-        if nu == 0.0:
-            return 1.0 + 0.0j
-        if nu.real > 0.0:
-            return 0.0 + 0.0j
-        raise SpecfunDomainError("bessel_i(nu, 0) undefined for Re(nu) <= 0, nu != 0")
-    logv = log_bessel_i(nu, z)
-    if scaled:
-        logv = logv - z.real
-    if logv.real > 709.0:
-        raise OverflowSignalError(
-            f"bessel_i(nu={nu}, z={z}, scaled={scaled}) overflows double precision"
-        )
-    return complex(np.exp(logv))
-
-
 # ---------------------------------------------------------------------------
 # Kummer confluent hypergeometric function M(a, b, z).
 # ---------------------------------------------------------------------------
-
-
-def _check_b_pole(b):
-    b = complex(b)
-    if b.imag == 0.0 and b.real <= 0.0 and abs(b.real - round(b.real)) < 1e-12:
-        raise SpecfunDomainError(f"kummer_m parameter pole at b={b}")
 
 
 def _log_kummer_taylor(a, b, x):
@@ -919,55 +844,3 @@ def _log_kummer_asym_sum(a, b, x):
     a, b, x = np.atleast_1d(a, b, x)
     return _clog(_asym_sum(a + 0.5 * (1.0 - b), 0.25 * (1.0 - b) ** 2,
                            1.0 / x))
-
-
-KUMMER_REL_TOL = 5e-10
-# The raw series' roundoff stays below 20 eps e^lost (see ``kummer_m``), so
-# this is the most it may lose, in nats, and still meet KUMMER_REL_TOL.
-_KUMMER_MAX_LOST = math.log(KUMMER_REL_TOL / (20.0 * np.finfo(float).eps))
-
-
-def kummer_m(a, b, z, transform="auto"):
-    """Kummer's confluent hypergeometric function ``M(a, b, z)``.
-
-    The Kummer transformation ``M(a,b,z) = e^z M(b-a, b, -z)`` is applied
-    automatically when ``Re(z) < 0`` to avoid cancellation in the Taylor
-    series.  Pass ``transform="never"`` to force raw series evaluation (the
-    identity tests do this so both sides are computed independently).
-
-    The result is accurate to KUMMER_REL_TOL relative.  The series'
-    roundoff stays below 20 eps e^lost, with ``lost`` the digits-lost proxy
-    of ``_log_kummer_taylor`` in nats, log(sum of |terms| / |M|) (measured
-    against mpmath on 9000 random points with Re a in [0.5, 6],
-    Re b in [0.6, 5], |Re z| <= 6, |Im a|, |Im z| <= 4, |Im b| <= 2: at
-    most 8.2 eps e^lost; 428 of the points raise); where that bound passes
-    KUMMER_REL_TOL, or the sum cancels to exactly 0, the function raises
-    instead of returning.
-
-    Raises:
-        SpecfunDomainError: ``b`` at a non-positive integer.
-        SeriesNonConvergenceError: term cap exceeded.
-        PrecisionLossError: the series may have lost more than
-            KUMMER_REL_TOL to cancellation.
-    """
-    if transform not in ("auto", "never", "always"):
-        raise ValueError(f"unknown transform mode {transform!r}")
-    a = complex(a)
-    b = complex(b)
-    z = complex(z)
-    _check_b_pole(b)
-    shift = 0.0 + 0.0j
-    if transform == "always" or (transform == "auto" and z.real < 0.0):
-        a, z, shift = b - a, -z, z
-    logm, lost = _log_kummer_taylor(np.array([[a]]), np.array([[b]]),
-                                    np.array([z]))
-    if lost[0, 0] > _KUMMER_MAX_LOST:
-        raise PrecisionLossError(
-            f"kummer_m({a}, {b}, {z}) lost {lost[0, 0]:.1f} nats to "
-            f"cancellation in the raw series, beyond its {KUMMER_REL_TOL:g} "
-            f"accuracy; use the Kummer transformation"
-        )
-    val = logm[0, 0] + shift
-    if val.real > 709.0:
-        raise OverflowSignalError(f"kummer_m overflow at (a={a}, b={b}, z={z})")
-    return complex(np.exp(val))

@@ -1,16 +1,19 @@
 """Closed-form transforms of the (log-price, quadratic-variation, variance) triple.
 
-Implemented here:
+Implemented here, each with numpy broadcasting:
 
-* ``partial_transform_g``  - the partial transform of the triple transition
+* ``_log_g_vec``         - the partial transform g of the triple transition
   density (Fourier in the price and quadratic-variation arguments, density
-  in the variance argument),
-* ``joint_cf_h``           - joint characteristic function of (X, I),
-* ``partial_transform_g1`` - the (X, V) partial transform (eta = 0 slice),
-* ``transition_density_v`` - transition density of the instantaneous variance,
-* ``cir_transition_density_u`` - transition density of the reciprocal
-  variance U = 1/V (an inhomogeneous CIR process),
-* ``conditional_cf_integrated_variance`` - CF of int V dt given endpoints.
+  in the variance argument), in split form,
+* ``_g_contract``        - g contracted against a factor on uniform v' rules
+  (the timer kernel's v' sums), without forming g,
+* ``_log_density_v_vec`` - log of the transition density of the
+  instantaneous variance (g at omega = eta = 0),
+* ``_log_h_vec``         - log of the joint characteristic function h of
+  (X, I).
+
+The paper's second derivation of g, its probabilistic factorization, is a
+cross-check only and lives with the tests (``tests/oracles.py``).
 
 Everything is assembled in log space: the dynamic range of the density
 factors spans hundreds of orders of magnitude and the Bessel argument
@@ -23,59 +26,24 @@ term plus a row slope times the node index, so ``_g_contract`` contracts
 g from one table of powers per row and date (``_g_rows``, ``_g_columns``).
 
 A deliberate transcription guard: plain ``kappa`` drives the density order
-``1 + 2 kappa / eps^2`` and the probabilistic-route exponent, while
-``kappa_tilde = kappa - i omega rho eps`` appears only inside g's power and
-the exponent c.  The two are kept in separate named variables everywhere.
+``1 + 2 kappa / eps^2``, while ``kappa_tilde = kappa - i omega rho eps``
+appears only inside g's power and the exponent c.  The two are kept in
+separate named variables everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import specfun
-from .errors import (
-    DeltaRegimeError,
-    OverflowSignalError,
-    ThreeHalvesError,
-)
+from .errors import DeltaRegimeError, ThreeHalvesError
 from .model import ModelParams, _drift_a_vec, coef_A, coef_C
 
 # Below this separation g and the V-density are Dirac-like; no finite
 # evaluation is meaningful.
 SMALL_DT_DELTA = 1e-10
-
-_LOG_OVERFLOW = 709.0
-
-
-@dataclass(frozen=True)
-class TransformPoint:
-    """A complex (omega, eta) Fourier point; contours are always explicit."""
-
-    omega: complex
-    eta: complex = 0.0
-
-    def __post_init__(self):
-        om = complex(self.omega)
-        et = complex(self.eta)
-        if not (np.isfinite(om.real) and np.isfinite(om.imag)
-                and np.isfinite(et.real) and np.isfinite(et.imag)):
-            raise ThreeHalvesError("TransformPoint components must be finite")
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "eta", et)
-
-
-@dataclass(frozen=True)
-class TransformCoefficients:
-    """Symbol block of the closed-form transform at one (omega, eta) point."""
-
-    kappa_tilde: complex
-    c: complex
-    a: complex
-    A: float
-    C: float
 
 
 def _kappa_tilde(omega, params: ModelParams):
@@ -88,35 +56,12 @@ def _b0(omega, params: ModelParams):
 
 
 def _c_exponent(omega, eta, params: ModelParams):
-    """Principal-branch exponent c(omega, eta); Re(c) >= 0 by construction."""
+    """Principal-branch exponent c(omega, eta); Re(c) >= 0 by construction,
+    and Re(c) > 1/2 + kappa/eps^2 at every real (omega, eta) but (0, 0)."""
     omega = np.asarray(omega, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     b0 = _b0(omega, params)
     return np.sqrt(b0 * b0 + (1j * omega + omega * omega - 2j * eta) / params.eps2)
-
-
-def coefficients(point: TransformPoint, params: ModelParams, t: float,
-                 t_prime: float) -> TransformCoefficients:
-    """Assemble (kappa_tilde, c, a, A, C) for one transform point.
-
-    For real (omega, eta) the branch analysis guarantees
-    Re(c) > 1/2 + kappa/eps^2 strictly; this is verified here.  On complex
-    contours the bound need not hold and is not enforced.
-    """
-    om, et = point.omega, point.eta
-    kt = complex(_kappa_tilde(om, params))
-    c = complex(_c_exponent(om, et, params))
-    a = complex(_drift_a_vec(om, et, params))
-    A = coef_A(params.theta, t, t_prime)
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
-    if om.imag == 0.0 and et.imag == 0.0 and (om, et) != (0.0, 0.0):
-        bound = 0.5 + params.kappa / params.eps2
-        if not c.real > bound - 1e-12:
-            raise ThreeHalvesError(
-                f"branch violation: Re(c)={c.real} <= 1/2 + kappa/eps^2={bound} "
-                f"at real point (omega={om}, eta={et})"
-            )
-    return TransformCoefficients(kappa_tilde=kt, c=c, a=a, A=A, C=C)
 
 
 def _require_dt(t, t_prime):
@@ -132,15 +77,6 @@ def _require_dt(t, t_prime):
             f"t'-t={dt.flat[i]} below {SMALL_DT_DELTA} at (t, t') = "
             f"({a.flat[i]}, {b.flat[i]}): transition kernel is Dirac-like")
     return dt
-
-
-def _exp_checked(logv, what: str):
-    logv = np.asarray(logv)
-    if np.any(logv.real > _LOG_OVERFLOW):
-        raise OverflowSignalError(f"{what} overflows double precision")
-    # Underflow returns an exact 0: the value is genuinely below the
-    # representable range (density tail), which is what integrators need.
-    return np.exp(logv)
 
 
 # ---------------------------------------------------------------------------
@@ -326,135 +262,10 @@ def _g_contract(rows, cols: _GColumns, factor, work=None):
     return out.reshape(shape)
 
 
-def partial_transform_g(t: float, v: float, t_prime: float,
-                        point: TransformPoint, v_prime: float,
-                        params: ModelParams) -> complex:
-    """Partial transform of the triple transition density (scalar form)."""
-    log_g = specfun._split_log(*_log_g_vec(t, v, t_prime, point.omega,
-                                           point.eta, v_prime, params))
-    return complex(np.ravel(_exp_checked(log_g, "partial_transform_g"))[0])
-
-
-def partial_transform_g1(t: float, v: float, t_prime: float, omega: complex,
-                         v_prime: float, params: ModelParams) -> complex:
-    """The (X, V) partial transform: g at eta = 0."""
-    return partial_transform_g(t, v, t_prime, TransformPoint(omega, 0.0),
-                               v_prime, params)
-
-
-def transition_density_v(t: float, v: float, t_prime: float, v_prime: float,
-                         params: ModelParams) -> float:
-    """Transition density of the instantaneous variance (g at omega=eta=0)."""
-    val = partial_transform_g(t, v, t_prime, TransformPoint(0.0, 0.0),
-                              v_prime, params)
-    if abs(val.imag) > 1e-12 * max(abs(val.real), 1e-300):
-        raise ThreeHalvesError("variance density came out non-real")
-    return max(val.real, 0.0)
-
-
 def _log_density_v_vec(t, v, t_prime, v_prime, params: ModelParams):
     """Vectorized log of the V-transition density (real orders throughout)."""
     return specfun._split_log(*_log_g_vec(t, v, t_prime, 0.0, 0.0, v_prime,
                                           params)).real
-
-
-def cir_transition_density_u(t: float, u: float, t_prime: float,
-                             u_prime: float, params: ModelParams) -> float:
-    """Transition density of U = 1/V, an inhomogeneous CIR process.
-
-    p_U(u'|u) = (A/C) exp(-(A u' + u)/C) (A u'/u)^{1/2 + kappa/eps^2}
-                I_{1 + 2 kappa/eps^2}((2/C) sqrt(A u u')).
-
-    Related to the V-density by p_V(v'|v) = (1/v'^2) p_U(1/v' | 1/v).
-    """
-    _require_dt(t, t_prime)
-    if u <= 0.0 or u_prime <= 0.0:
-        raise ThreeHalvesError("CIR state must be positive")
-    A = coef_A(params.theta, t, t_prime)
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
-    order = 1.0 + 2.0 * params.kappa / params.eps2
-    z = (2.0 / C) * np.sqrt(A * u * u_prime)
-    log_p = (
-        np.log(A) - np.log(C)
-        - (A * u_prime + u) / C
-        + (0.5 + params.kappa / params.eps2) * (np.log(A) + np.log(u_prime) - np.log(u))
-        + specfun._split_log(*specfun._log_bessel_i_vec(order, z))
-    )
-    return float(np.ravel(_exp_checked(log_p, "cir_transition_density_u").real)[0])
-
-
-def conditional_cf_integrated_variance(xi: complex, t: float, t_prime: float,
-                                       v: float, v_prime: float,
-                                       params: ModelParams) -> complex:
-    """CF of int_t^{t'} V ds conditional on both variance endpoints.
-
-    A ratio of Bessel functions sharing one argument; both are evaluated in
-    log space so the (huge) shared exponential scale cancels analytically:
-
-        I_nuhat(z) / I_b1(z),  nuhat = sqrt((1 + 2k/e^2)^2 - 8 i xi / e^2),
-        b1 = 1 + 2 kappa/eps^2,  z = (2/C) sqrt(A/(v v')).
-    """
-    _require_dt(t, t_prime)
-    if v <= 0.0 or v_prime <= 0.0:
-        raise ThreeHalvesError("variance endpoints must be positive")
-    xi = complex(xi)
-    A = coef_A(params.theta, t, t_prime)
-    C = coef_C(params.theta, params.epsilon, t, t_prime)
-    b1 = 1.0 + 2.0 * params.kappa / params.eps2
-    nuhat = np.sqrt(complex(b1 * b1) - 8j * xi / params.eps2)
-    z = (2.0 / C) * np.sqrt(A / (v * v_prime))
-    log_num = specfun._split_log(*specfun._log_bessel_i_vec(nuhat, z))
-    log_den = specfun._split_log(*specfun._log_bessel_i_vec(b1, z))
-    return complex(np.ravel(_exp_checked(
-        log_num - log_den, "conditional_cf_integrated_variance"))[0])
-
-
-# ---------------------------------------------------------------------------
-# Probabilistic factorization of g (the paper-independent second route).
-# ---------------------------------------------------------------------------
-
-
-def xi_for_factorization(omega, eta, params: ModelParams):
-    """Map (omega, eta) to the xi argument of the conditional CF.
-
-    Chosen so that i*xi equals the coefficient of int V ds in the
-    conditional-expectation exponent of the rewritten log-price dynamics:
-
-        i xi = i omega [rho eps (kappa/eps^2 + 1/2) - 1/2]
-               - (1 - rho^2) omega^2 / 2 + i eta.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    slope = params.rho * params.epsilon * (params.kappa / params.eps2 + 0.5) - 0.5
-    return omega * slope + 0.5j * (1.0 - params.rho**2) * omega * omega + eta
-
-
-def partial_transform_g_factorized(t: float, v: float, t_prime: float,
-                                   point: TransformPoint, v_prime: float,
-                                   params: ModelParams) -> complex:
-    """g assembled from its probabilistic factorization.
-
-    Product of (i) the deterministic prefactor of the rewritten dynamics,
-    (ii) the conditional CF of integrated variance at the mapped xi, and
-    (iii) the V-transition density.  Agrees with ``partial_transform_g``
-    pointwise; the two routes share no algebra beyond the Bessel kernel, so
-    the agreement is the package's primary formula-transcription check.
-
-    Only meaningful without jumps (the factorization rewrites the pure
-    diffusion dynamics).
-    """
-    if params.jumps is not None and params.jumps.lam > 0.0:
-        raise ThreeHalvesError("factorized route is defined for the no-jump model")
-    om, et = point.omega, point.eta
-    dt = _require_dt(t, t_prime)
-    A = coef_A(params.theta, t, t_prime)
-    xi = complex(xi_for_factorization(om, et, params))
-    pref = np.exp(1j * om * (params.r - params.q) * dt) * (
-        v_prime / (A * v)
-    ) ** (1j * om * params.rho / params.epsilon)
-    cf = conditional_cf_integrated_variance(xi, t, t_prime, v, v_prime, params)
-    dens = transition_density_v(t, v, t_prime, v_prime, params)
-    return complex(pref * cf * dens)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +388,3 @@ def _log_kummer_factor(at, bt, x):
         np.copyto(part, logm, where=taylor)
         out[:, cols] = part
     return out
-
-
-def joint_cf_h(t: float, v: float, t_prime: float, point: TransformPoint,
-               params: ModelParams) -> complex:
-    """Joint characteristic function of (X, I): E_t[e^{i w X' + i e I'}] factor.
-
-    The full expectation is e^{i w X_t + i e I_t} * h; this returns h.
-    Exactly 1 at t = t_prime (terminal condition).
-    """
-    if t_prime == t:
-        return 1.0 + 0.0j
-    log_h = _log_h_vec(t, v, t_prime, point.omega, point.eta, params)
-    return complex(np.ravel(_exp_checked(log_h, "joint_cf_h"))[0])
-

@@ -1,10 +1,12 @@
-"""Reference routes that only the tests use: an adaptive v' integral, the
-paper's two-date joint characteristic function built on it, and the omega
-rule summed one panel per batch.
+"""Reference routes that only the tests use: the paper's second derivation
+of the partial transform g (its probabilistic factorization), an adaptive
+v' integral, the paper's two-date joint characteristic function built on
+it, and the omega rule summed one panel per batch.
 
 They share no quadrature with the pricers (whose v' rules are fixed
-trapezoids from ``quadrature.log_density_grid``), so agreement between the
-two is a check on both.
+trapezoids from ``quadrature.log_density_grid``), and the factorization no
+algebra with the closed form beyond the Bessel kernel, so agreement
+between the two is a check on both.
 """
 
 import math
@@ -18,6 +20,7 @@ from three_halves.errors import (
     QuadratureNonConvergenceError,
     ThreeHalvesError,
 )
+from three_halves.model import coef_A, coef_C
 from three_halves.quadrature import (
     FIRST_BATCH,
     MAX_PANEL,
@@ -29,6 +32,100 @@ from three_halves.quadrature import (
 
 _SCAN_LO, _SCAN_HI = -46.0, 46.0  # v' from ~1e-20 to ~1e20
 MAX_REFINEMENTS = 12  # doublings of the adaptive v' integral
+
+
+# ---------------------------------------------------------------------------
+# The probabilistic factorization of g (the paper's second derivation).
+# ---------------------------------------------------------------------------
+
+
+def _log_bessel(nu, z):
+    """log I_nu(z) at one point, from the package's kernel."""
+    return specfun._split_log(*specfun._log_bessel_i_vec(nu, z))[0]
+
+
+def cir_transition_density_u(t: float, u: float, t_prime: float,
+                             u_prime: float, params) -> float:
+    """Transition density of U = 1/V, an inhomogeneous CIR process.
+
+    p_U(u'|u) = (A/C) exp(-(A u' + u)/C) (A u'/u)^{1/2 + kappa/eps^2}
+                I_{1 + 2 kappa/eps^2}((2/C) sqrt(A u u')).
+
+    Related to the V-density by p_V(v'|v) = (1/v'^2) p_U(1/v' | 1/v).
+    """
+    tr._require_dt(t, t_prime)
+    if u <= 0.0 or u_prime <= 0.0:
+        raise ThreeHalvesError("CIR state must be positive")
+    A = coef_A(params.theta, t, t_prime)
+    C = coef_C(params.theta, params.epsilon, t, t_prime)
+    order = 1.0 + 2.0 * params.kappa / params.eps2
+    z = (2.0 / C) * np.sqrt(A * u * u_prime)
+    log_p = (np.log(A) - np.log(C) - (A * u_prime + u) / C
+             + (0.5 + params.kappa / params.eps2)
+             * (np.log(A) + np.log(u_prime) - np.log(u))
+             + _log_bessel(order, z))
+    return float(np.exp(log_p).real)
+
+
+def conditional_cf_integrated_variance(xi: complex, t: float, t_prime: float,
+                                       v: float, v_prime: float,
+                                       params) -> complex:
+    """CF of int_t^{t'} V ds conditional on both variance endpoints.
+
+    A ratio of Bessel functions sharing one argument; both are evaluated in
+    log space so the (huge) shared exponential scale cancels analytically:
+
+        I_nuhat(z) / I_b1(z),  nuhat = sqrt((1 + 2k/e^2)^2 - 8 i xi / e^2),
+        b1 = 1 + 2 kappa/eps^2,  z = (2/C) sqrt(A/(v v')).
+    """
+    tr._require_dt(t, t_prime)
+    if v <= 0.0 or v_prime <= 0.0:
+        raise ThreeHalvesError("variance endpoints must be positive")
+    A = coef_A(params.theta, t, t_prime)
+    C = coef_C(params.theta, params.epsilon, t, t_prime)
+    b1 = 1.0 + 2.0 * params.kappa / params.eps2
+    nuhat = np.sqrt(complex(b1 * b1) - 8j * complex(xi) / params.eps2)
+    z = (2.0 / C) * math.sqrt(A / (v * v_prime))
+    return complex(np.exp(_log_bessel(nuhat, z) - _log_bessel(b1, z)))
+
+
+def xi_for_factorization(omega, eta, params):
+    """Map (omega, eta) to the xi argument of the conditional CF.
+
+    Chosen so that i*xi equals the coefficient of int V ds in the
+    conditional-expectation exponent of the rewritten log-price dynamics:
+
+        i xi = i omega [rho eps (kappa/eps^2 + 1/2) - 1/2]
+               - (1 - rho^2) omega^2 / 2 + i eta.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    slope = params.rho * params.epsilon * (params.kappa / params.eps2 + 0.5) - 0.5
+    return omega * slope + 0.5j * (1.0 - params.rho**2) * omega * omega + eta
+
+
+def partial_transform_g_factorized(t: float, v: float, t_prime: float,
+                                   omega: complex, eta: complex,
+                                   v_prime: float, params) -> complex:
+    """g at one point, assembled from its probabilistic factorization.
+
+    Product of (i) the deterministic prefactor of the rewritten dynamics,
+    (ii) the conditional CF of integrated variance at the mapped xi, and
+    (iii) the V-transition density.  Agrees with the closed form
+    (``transforms._log_g_vec``) pointwise; only meaningful without jumps
+    (the factorization rewrites the pure diffusion dynamics).
+    """
+    if params.jumps is not None and params.jumps.lam > 0.0:
+        raise ThreeHalvesError("factorized route is defined for the no-jump model")
+    om, et = complex(omega), complex(eta)
+    dt = tr._require_dt(t, t_prime)
+    A = coef_A(params.theta, t, t_prime)
+    pref = np.exp(1j * om * (params.r - params.q) * dt) * (
+        v_prime / (A * v)) ** (1j * om * params.rho / params.epsilon)
+    cf = conditional_cf_integrated_variance(
+        xi_for_factorization(om, et, params), t, t_prime, v, v_prime, params)
+    dens = np.exp(tr._log_density_v_vec(t, v, t_prime, v_prime, params))
+    return complex(pref * cf * dens[0])
 
 
 def stable_complex_sum(values) -> complex:
@@ -116,14 +213,13 @@ def bivariate_cf_phi(t: float, state: Tuple[float, float, float], t1: float,
         raise ThreeHalvesError("need t < t1 <= t2")
     pref = np.exp(1j * (w1 + w2) * x + 1j * (e1 + e2) * y)
     if t1 == t2:
-        return complex(pref * tr.joint_cf_h(
-            t, v, t1, tr.TransformPoint(w1 + w2, e1 + e2), params))
+        return complex(pref * np.exp(tr._log_h_vec(t, v, t1, w1 + w2,
+                                                   e1 + e2, params)[0]))
 
     def integrand(vp):
         lg = specfun._split_log(*tr._log_g_vec(t, v, t1, w1 + w2, e1 + e2,
                                                vp, params))
-        lh = tr._log_h_vec(t1, vp, t2, w2, e2, params)
-        return tr._exp_checked(lg + lh, "bivariate_cf_phi integrand")
+        return np.exp(lg + tr._log_h_vec(t1, vp, t2, w2, e2, params))
 
     value, _err = integrate_semi_infinite(integrand, cfg)
     return complex(pref * value)

@@ -23,6 +23,8 @@ from three_halves.model import ModelParams, coef_A, coef_C
 from three_halves.pricers import EuropeanSpec, MomentSwapSpec, TimerOptionSpec
 from three_halves import transforms as tr
 
+from oracles import cir_transition_density_u
+
 
 class TestSamplerDerivation:
     """The (df, nc, scale) triple must reproduce the CIR transition density."""
@@ -35,8 +37,8 @@ class TestSamplerDerivation:
         draws = sample_variance_transition(np.full(200_000, u0), dt,
                                            snp_params, rng)
         us = np.linspace(1e-3, np.quantile(draws, 0.9995), 4000)
-        pdf = np.array([tr.cir_transition_density_u(0.0, u0, dt, u,
-                                                    snp_params) for u in us])
+        pdf = np.array([cir_transition_density_u(0.0, u0, dt, u, snp_params)
+                        for u in us])
         du = us[1] - us[0]
         cdf = np.concatenate([[0.0],
                               np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * du)])
@@ -130,9 +132,8 @@ class TestSimulatePaths:
             est = samp.mean()
             se = np.sqrt((np.var(samp.real, ddof=1)
                           + np.var(samp.imag, ddof=1)) / len(xt))
-            want = np.exp(1j * om * snp_params.x0) * tr.joint_cf_h(
-                0.0, snp_params.v0, 0.5, tr.TransformPoint(om, 0.0),
-                snp_params)
+            want = np.exp(1j * om * snp_params.x0 + tr._log_h_vec(
+                0.0, snp_params.v0, 0.5, om, 0.0, snp_params)[0])
             assert abs(est - want) <= 3.0 * se, om
 
     def test_expected_qv_matches_cf_derivative(self, snp_params):
@@ -156,8 +157,8 @@ class TestSimulatePaths:
         total = len(u)
         for i in range(20):
             grid = np.linspace(edges[i], edges[i + 1], 21)
-            pdf = np.array([tr.cir_transition_density_u(0.0, u0, 0.25, g,
-                                                        snp_params)
+            pdf = np.array([cir_transition_density_u(0.0, u0, 0.25, g,
+                                                     snp_params)
                             for g in grid])
             prob = np.trapezoid(pdf, grid)
             if prob * total < 50:

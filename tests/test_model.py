@@ -16,9 +16,9 @@ from three_halves.model import (
     JumpParams,
     ModelParams,
     ThetaCurve,
+    _drift_a_vec,
     coef_A,
     coef_C,
-    drift_a,
     validate,
 )
 
@@ -222,17 +222,17 @@ class TestCoefArrays:
 
 class TestDriftA:
     def test_zero_point(self, snp_params):
-        assert drift_a(0.0, 0.0, snp_params) == 0.0
+        assert _drift_a_vec(0.0, 0.0, snp_params) == 0.0
 
     def test_no_jump_value(self, snp_params):
-        assert drift_a(1.0, 0.0, snp_params) == pytest.approx(0.015j, abs=1e-16)
+        assert _drift_a_vec(1.0, 0.0, snp_params) == pytest.approx(0.015j, abs=1e-16)
 
     def test_lambda_zero_equals_no_jumps(self, snp_params):
         with_zero = ModelParams.with_constant_theta(
             kappa=22.84, theta=4.979, epsilon=8.56, v0=0.060025, rho=-0.99,
             s0=100.0, r=0.015, q=0.0, jumps=JumpParams(lam=0.0, mu=-0.1, sigma=0.2))
         for om, et in [(1.0, 0.0), (2.0 - 1.5j, 0.3 + 0.5j)]:
-            assert drift_a(om, et, with_zero) == drift_a(om, et, snp_params)
+            assert _drift_a_vec(om, et, with_zero) == _drift_a_vec(om, et, snp_params)
 
     def test_jump_drift_against_quadrature_oracle(self, jump_params):
         # lam * E[e^{i om J + i eta J^2} - 1] via Gauss-Hermite over the
@@ -247,12 +247,12 @@ class TestDriftA:
                 1j * om * (jump_params.r - jump_params.q - jp.lam * jp.compensator)
                 + jp.lam * (cf - 1.0)
             )
-            got = drift_a(om, et, jump_params)
+            got = _drift_a_vec(om, et, jump_params)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_frozen_oracle_value(self, jump_params):
         want = complex(-0.012349118629891832, 0.004513535532231361)
-        assert abs(drift_a(1.0, 0.0, jump_params) - want) < 1e-15
+        assert abs(_drift_a_vec(1.0, 0.0, jump_params) - want) < 1e-15
 
     @staticmethod
     def eta_at(w, jump_params):
@@ -264,12 +264,12 @@ class TestDriftA:
         # sqrt(w) is discontinuous across w in (-inf, 0]; a point there,
         # or within rounding of it, may sit on either sheet.
         with pytest.warns(BranchCutWarning):
-            drift_a(0.5 - 1.5j, self.eta_at(w, jump_params), jump_params)
+            _drift_a_vec(0.5 - 1.5j, self.eta_at(w, jump_params), jump_params)
 
     def test_left_of_the_origin_off_the_cut_is_silent(self, jump_params):
         # Re(w) < 0 but well off the cut, where a Talbot contour passes as
         # it wraps the cut: the principal root is continuous there.
         with warnings.catch_warnings():
             warnings.simplefilter("error", BranchCutWarning)
-            drift_a(0.5 - 1.5j, self.eta_at(-1.0 + 0.5j, jump_params),
+            _drift_a_vec(0.5 - 1.5j, self.eta_at(-1.0 + 0.5j, jump_params),
                     jump_params)

@@ -820,6 +820,44 @@ class TestSwapsUnderThetaCurve:
         assert abs(z) <= 3.0, f"{price} vs MC {mean} +- {se}: z = {z:.2f}"
 
 
+JUMP_SWAPS = [MomentSwapSpec(1.0, 12, 2),
+              MomentSwapSpec(1.0, 12, 2, "price_ratio", 0),
+              MomentSwapSpec(1.0, 12, 2, "terminal_price"),
+              MomentSwapSpec(1.0, 12, 2, "corridor", 1, 80.0, 120.0)]
+
+
+class TestSwapsWithJumps:
+    """The N = 12 variance, lag-0 price-ratio, terminal-price and lag-1
+    corridor swaps on ``jump_params``, whose jumps enter every period's
+    transforms through the drift a(omega, eta).  Each fair strike is within
+    3 SE of one Monte Carlo ensemble (160k paths, fixed seed).  The
+    ensemble steps 1024 times a year: at 256 these swaps read z down to
+    -2.2 on some seeds, and the jump-free swaps shift alike, so the shift
+    is the simulation's time step, not the pricer's."""
+
+    @pytest.fixture(scope="class")
+    def legs(self, jump_params):
+        parts = {spec: [] for spec in JUMP_SWAPS}
+        for piece in range(16):
+            ens = simulate_paths(1.0, JUMP_SWAPS[0].schedule_times(),
+                                 jump_params,
+                                 SimulationConfig(n_paths=10_000,
+                                                  steps_per_year=1024,
+                                                  seed=61 + piece))
+            for spec, p in parts.items():
+                p.append(_floating_leg(spec, ens, jump_params))
+        return {spec: _mean_se(np.concatenate(p))
+                for spec, p in parts.items()}
+
+    @pytest.mark.parametrize("spec", JUMP_SWAPS,
+                             ids=[s.weight_kind for s in JUMP_SWAPS])
+    def test_within_three_standard_errors(self, jump_params, legs, spec):
+        price = fair_strike_weighted(spec, jump_params, QuadratureConfig())
+        mean, se = legs[spec]
+        z = (price - mean) / se
+        assert abs(z) <= 3.0, f"{price} vs MC {mean} +- {se}: z = {z:.2f}"
+
+
 class TestCauchyMoment:
     MU, SIGMA = 0.4, 0.2
 
@@ -857,6 +895,16 @@ class TestCauchyMoment:
         _cauchy_moment(2, pair, False)
         with pytest.raises(QuadratureNonConvergenceError):
             _cauchy_moment(2, pair, False, np.array([0, 1]))
+
+    def test_segment_below_the_calls_roundoff_passes(self):
+        # A segment some 1e-33 of its call-mate: its own 8/4-node gap is
+        # large, but it is judged against eps times the largest segment,
+        # as it cannot move the sum of the call.
+        def pair(phi):
+            return np.stack([1e-30 / (1.0 - 2.0 * phi / MOMENT_RADIUS),
+                             1e3 * self.gaussian_cf(phi)], axis=-1)
+        got = _cauchy_moment(2, pair, False, np.array([0, 1]))
+        assert np.array_equal(got, _cauchy_moment(2, pair, False))
 
 
 # Converged references of the benchmark (bench/references.json): swaps at
@@ -1386,6 +1434,25 @@ class TestCorridorVGrid:
         monkeypatch.setattr(quadrature, "omega_integral",
                             omega_integral_panel_by_panel)
         assert price == fair_strike_weighted(spec, params, cfg)
+
+    @pytest.mark.parametrize("rho,gap", [(-0.5, 1e-6), (-0.3, 3e-5)])
+    def test_negligible_period_prices(self, monkeypatch, rho, gap):
+        # At epsilon = 1 and V0 = 0.02 the one-panel-a-batch rule (the
+        # omega rule's retry path) hands the second period a lattice on
+        # which its moments are some 1e-29 of the first period's, and
+        # their 8- and 4-node rules disagree by roundoff of that size.
+        # The swap prices; it differs from the batched rule by the
+        # lattices' own v' error at this epsilon.
+        params = ModelParams.with_constant_theta(
+            kappa=22.84, theta=4.979, epsilon=1.0, v0=0.02, rho=rho,
+            s0=100.0, r=0.015, q=0.0)
+        spec = MomentSwapSpec(2.0, 2, 2, "corridor", 0, 80.0, 120.0)
+        cfg = QuadratureConfig()
+        batched = fair_strike_weighted(spec, params, cfg)
+        monkeypatch.setattr(quadrature, "omega_integral",
+                            omega_integral_panel_by_panel)
+        one_by_one = fair_strike_weighted(spec, params, cfg)
+        assert abs(one_by_one - batched) <= gap * batched
 
 
 class TestCorridorAgainstMonteCarlo:

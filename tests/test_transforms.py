@@ -22,43 +22,60 @@ from three_halves.model import (JumpParams, ModelParams, _drift_a_vec,
 from three_halves.quadrature import QuadratureConfig
 from three_halves import transforms as tr
 
-from oracles import bivariate_cf_phi, integrate_semi_infinite
+from oracles import (bivariate_cf_phi, cir_transition_density_u,
+                     conditional_cf_integrated_variance,
+                     integrate_semi_infinite, partial_transform_g_factorized)
 
 CFG = QuadratureConfig()
 
 
+def g_value(t, v, t_prime, omega, eta, v_prime, params):
+    """g at one point, the value of ``_log_g_vec``'s split form."""
+    return complex(specfun._split_exp(*tr._log_g_vec(
+        t, v, t_prime, omega, eta, v_prime, params))[0])
+
+
+def h_value(t, v, t_prime, omega, eta, params):
+    """h at one point, exp of ``_log_h_vec``."""
+    return complex(np.ravel(np.exp(tr._log_h_vec(t, v, t_prime, omega, eta,
+                                                 params)))[0])
+
+
+def density(t, v, t_prime, v_prime, params):
+    """The V-transition density at one point."""
+    return float(np.exp(tr._log_density_v_vec(t, v, t_prime, v_prime,
+                                              params))[0])
+
+
 class TestCoefficients:
     def test_zero_point_exact(self, snp_params):
-        co = tr.coefficients(tr.TransformPoint(0.0, 0.0), snp_params, 0.0, 0.5)
+        c = complex(tr._c_exponent(0.0, 0.0, snp_params))
         want = 0.5 + snp_params.kappa / snp_params.eps2
-        assert co.c == pytest.approx(want, rel=1e-15)
-        assert co.kappa_tilde == snp_params.kappa
-        assert co.a == 0.0
+        assert c == pytest.approx(want, rel=1e-15)
+        assert tr._kappa_tilde(0.0, snp_params) == snp_params.kappa
+        assert _drift_a_vec(0.0, 0.0, snp_params) == 0.0
 
     def test_real_eta_branch(self, snp_params):
         for x in (0.5, 2.0, 7.0):
-            co = tr.coefficients(tr.TransformPoint(0.0, x), snp_params, 0.0, 0.5)
+            c = complex(tr._c_exponent(0.0, x, snp_params))
             b0 = 0.5 + snp_params.kappa / snp_params.eps2
             want = complex(np.sqrt(complex(b0 * b0, 0) - 2j * x / snp_params.eps2))
-            assert co.c == pytest.approx(want, rel=1e-14)
-            assert co.c.real > b0
+            assert c == pytest.approx(want, rel=1e-14)
+            assert c.real > b0
 
     def test_squared_back_identity(self, snp_params):
         om, et = 3.0 - 1.5j, 2.0 + 0.5j
-        co = tr.coefficients(tr.TransformPoint(om, et), snp_params, 0.0, 0.5)
-        b0 = 0.5 + co.kappa_tilde / snp_params.eps2
+        c = complex(tr._c_exponent(om, et, snp_params))
+        b0 = 0.5 + tr._kappa_tilde(om, snp_params) / snp_params.eps2
         rhs = b0 * b0 + (1j * om + om * om - 2j * et) / snp_params.eps2
-        assert abs(co.c * co.c - rhs) <= 1e-12 * abs(rhs)
+        assert abs(c * c - rhs) <= 1e-12 * abs(rhs)
 
     def test_branch_bound_on_real_grid(self, snp_params):
         b0 = 0.5 + snp_params.kappa / snp_params.eps2
-        for om in np.linspace(-6, 6, 7):
-            for et in np.linspace(-6, 6, 7):
-                if om == 0 and et == 0:
-                    continue
-                co = tr.coefficients(tr.TransformPoint(om, et), snp_params,
-                                     0.0, 0.5)
-                assert co.c.real > b0 - 1e-12
+        om, et = np.meshgrid(np.linspace(-6, 6, 7), np.linspace(-6, 6, 7))
+        c = tr._c_exponent(om, et, snp_params)
+        off_origin = (om != 0) | (et != 0)
+        assert np.all(c.real[off_origin] > b0 - 1e-12)
 
 
 class TestTransitionDensity:
@@ -70,48 +87,46 @@ class TestTransitionDensity:
         assert abs(val - 1.0) <= 1e-6
 
     def test_nonnegative(self, snp_params):
-        for vp in np.geomspace(1e-4, 5.0, 40):
-            assert tr.transition_density_v(0.0, snp_params.v0, 0.25, vp,
-                                           snp_params) >= 0.0
+        vp = np.geomspace(1e-4, 5.0, 40)
+        assert np.all(np.exp(tr._log_density_v_vec(
+            0.0, snp_params.v0, 0.25, vp, snp_params)) >= 0.0)
 
     def test_equals_g_at_zero_point(self, snp_params):
         for vp in (0.01, 0.06, 0.3):
-            d = tr.transition_density_v(0.0, snp_params.v0, 0.5, vp, snp_params)
-            g = tr.partial_transform_g(0.0, snp_params.v0, 0.5,
-                                       tr.TransformPoint(0.0, 0.0), vp,
-                                       snp_params)
+            d = density(0.0, snp_params.v0, 0.5, vp, snp_params)
+            g = g_value(0.0, snp_params.v0, 0.5, 0.0, 0.0, vp, snp_params)
             assert abs(g - d) <= 1e-12 * abs(d)
 
     def test_reciprocal_cir_consistency(self, snp_params):
         # p_V(v'|v) = (1/v'^2) p_U(1/v' | 1/v) exactly (change of variables)
         v = snp_params.v0
         for vp in (0.02, 0.06, 0.2):
-            lhs = tr.transition_density_v(0.0, v, 0.25, vp, snp_params)
-            rhs = tr.cir_transition_density_u(0.0, 1.0 / v, 0.25, 1.0 / vp,
-                                              snp_params) / vp**2
+            lhs = density(0.0, v, 0.25, vp, snp_params)
+            rhs = cir_transition_density_u(0.0, 1.0 / v, 0.25, 1.0 / vp,
+                                           snp_params) / vp**2
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_delta_regime_error(self, snp_params):
         with pytest.raises(DeltaRegimeError):
-            tr.transition_density_v(0.0, 0.06, 1e-12, 0.06, snp_params)
+            tr._log_density_v_vec(0.0, 0.06, 1e-12, 0.06, snp_params)
 
 
 class TestConditionalCF:
     def test_unity_at_zero(self, snp_params):
-        val = tr.conditional_cf_integrated_variance(0.0, 0.0, 0.5, 0.06, 0.07,
-                                                    snp_params)
+        val = conditional_cf_integrated_variance(0.0, 0.0, 0.5, 0.06, 0.07,
+                                                 snp_params)
         assert abs(val - 1.0) <= 1e-12
 
     def test_modulus_bound(self, snp_params):
         for xi in np.linspace(-40, 40, 50):
-            val = tr.conditional_cf_integrated_variance(
+            val = conditional_cf_integrated_variance(
                 xi, 0.0, 0.5, snp_params.v0, snp_params.v0, snp_params)
             assert abs(val) <= 1.0 + 1e-10
 
     def test_small_time_step_overflow_safe(self, snp_params):
         # z = (2/C) sqrt(A/(v v')) is enormous here; the scaled ratio must
         # still be finite.
-        val = tr.conditional_cf_integrated_variance(
+        val = conditional_cf_integrated_variance(
             1.0, 0.0, 1.0 / 252.0, 0.01, 0.012, snp_params)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         assert abs(val) <= 1.0 + 1e-10
@@ -125,65 +140,55 @@ class TestTwoDerivationConsistency:
         v = vp = snp_params.v0
         for om in np.linspace(0.0, 4.0, 5):
             for et in np.linspace(0.0, 4.0, 5):
-                point = tr.TransformPoint(om, et)
-                direct = tr.partial_transform_g(0.0, v, dt, point, vp,
-                                                snp_params)
-                routed = tr.partial_transform_g_factorized(
-                    0.0, v, dt, point, vp, snp_params)
+                direct = g_value(0.0, v, dt, om, et, vp, snp_params)
+                routed = partial_transform_g_factorized(
+                    0.0, v, dt, om, et, vp, snp_params)
                 assert abs(direct - routed) <= 1e-8 * abs(direct), (om, et, dt)
 
     def test_complex_contour_agreement(self, snp_params):
-        point = tr.TransformPoint(1.0 - 1.5j, 0.5 + 0.5j)
-        direct = tr.partial_transform_g(0.0, 0.06, 0.5, point, 0.08, snp_params)
-        routed = tr.partial_transform_g_factorized(0.0, 0.06, 0.5, point, 0.08,
-                                                   snp_params)
+        om, et = 1.0 - 1.5j, 0.5 + 0.5j
+        direct = g_value(0.0, 0.06, 0.5, om, et, 0.08, snp_params)
+        routed = partial_transform_g_factorized(0.0, 0.06, 0.5, om, et, 0.08,
+                                                snp_params)
         assert abs(direct - routed) <= 1e-8 * abs(direct)
 
 
 class TestJointCF:
     def test_unity_at_zero_point(self, snp_params):
-        val = tr.joint_cf_h(0.0, snp_params.v0, 0.5, tr.TransformPoint(0, 0),
-                            snp_params)
+        val = h_value(0.0, snp_params.v0, 0.5, 0.0, 0.0, snp_params)
         assert abs(val - 1.0) <= 1e-12
 
     def test_terminal_condition_exact(self, snp_params):
-        val = tr.joint_cf_h(0.5, 0.08, 0.5, tr.TransformPoint(2.0, 1.0),
-                            snp_params)
+        val = h_value(0.5, 0.08, 0.5, 2.0, 1.0, snp_params)
         assert val == 1.0
 
     def test_cf_modulus_bound(self, snp_params):
         for om in np.linspace(-5, 5, 9):
             for et in np.linspace(-5, 5, 9):
-                val = tr.joint_cf_h(0.0, snp_params.v0, 0.5,
-                                    tr.TransformPoint(om, et), snp_params)
+                val = h_value(0.0, snp_params.v0, 0.5, om, et, snp_params)
                 assert abs(val) <= 1.0 + 1e-10
 
     def test_hermitian_symmetry(self, snp_params):
         for om, et in [(1.5, 0.7), (3.0, -2.0), (0.3, 4.0)]:
-            a = tr.joint_cf_h(0.0, 0.06, 0.5, tr.TransformPoint(om, et),
-                              snp_params)
-            b = tr.joint_cf_h(0.0, 0.06, 0.5, tr.TransformPoint(-om, -et),
-                              snp_params)
+            a = h_value(0.0, 0.06, 0.5, om, et, snp_params)
+            b = h_value(0.0, 0.06, 0.5, -om, -et, snp_params)
             assert abs(b - np.conj(a)) <= 1e-12 * abs(a)
 
     def test_martingale_value(self, snp_params):
         # h at omega = -i, eta = 0 is E[S_{t'}/S_t] / 1 = e^{(r-q) dt}
         dt = 0.75
-        val = tr.joint_cf_h(0.0, snp_params.v0, dt, tr.TransformPoint(-1j, 0.0),
-                            snp_params)
+        val = h_value(0.0, snp_params.v0, dt, -1j, 0.0, snp_params)
         want = math.exp((snp_params.r - snp_params.q) * dt)
         assert abs(val - want) <= 1e-9 * want
 
     def test_small_time_step_tends_to_one(self, snp_params):
-        val = tr.joint_cf_h(0.0, 0.06, 1e-6, tr.TransformPoint(2.0, 1.0),
-                            snp_params)
+        val = h_value(0.0, 0.06, 1e-6, 2.0, 1.0, snp_params)
         assert abs(val - 1.0) < 1e-3
 
     @pytest.mark.parametrize("om,et", [(2.0, 0.0), (1.0, 1.0), (4.0, 3.0)])
     def test_marginalization_identity(self, snp_params, om, et):
         """int_0^inf g(.., v') dv' = h (Appendix identity)."""
-        point = tr.TransformPoint(om, et)
-        h = tr.joint_cf_h(0.0, snp_params.v0, 0.5, point, snp_params)
+        h = h_value(0.0, snp_params.v0, 0.5, om, et, snp_params)
 
         def f(vp):
             return specfun._split_exp(*tr._log_g_vec(
@@ -194,8 +199,7 @@ class TestJointCF:
 
     def test_g1_marginalization(self, snp_params):
         om = 2.0
-        h = tr.joint_cf_h(0.0, snp_params.v0, 0.5, tr.TransformPoint(om, 0.0),
-                          snp_params)
+        h = h_value(0.0, snp_params.v0, 0.5, om, 0.0, snp_params)
 
         def f(vp):
             return specfun._split_exp(*tr._log_g_vec(
@@ -567,24 +571,26 @@ class TestMartingaleRegime:
 
 class TestG1:
     def test_equals_g_at_eta_zero(self, snp_params):
-        got = tr.partial_transform_g1(0.0, 0.06, 0.5, 2.0 - 1.0j, 0.08,
-                                      snp_params)
-        want = tr.partial_transform_g(0.0, 0.06, 0.5,
-                                      tr.TransformPoint(2.0 - 1.0j, 0.0), 0.08,
-                                      snp_params)
-        assert got == want
+        # g1, the swaps' g at eta = 0 from a scalar eta, is the eta = 0
+        # column of an (omega, eta) table, bit for bit
+        omega = np.array([2.0 - 1.0j, -0.5 + 0.2j])[:, None]
+        eta = np.array([0.0, 1.5, 3.0 - 1.0j])[None, :]
+        table = specfun._split_log(*tr._log_g_vec(
+            0.0, 0.06, 0.5, omega, eta, 0.08, snp_params))
+        g1 = specfun._split_log(*tr._log_g_vec(
+            0.0, 0.06, 0.5, omega, 0.0, 0.08, snp_params))
+        assert np.array_equal(g1, table[:, :1])
 
     def test_omega_zero_is_density(self, snp_params):
-        got = tr.partial_transform_g1(0.0, 0.06, 0.5, 0.0, 0.08, snp_params)
-        want = tr.transition_density_v(0.0, 0.06, 0.5, 0.08, snp_params)
+        got = g_value(0.0, 0.06, 0.5, 0.0, 0.0, 0.08, snp_params)
+        want = density(0.0, 0.06, 0.5, 0.08, snp_params)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_moment_contour_real_positive(self, snp_params):
         # omega = -i weights by S_{t'}/S_t; the result must be a positive
         # real (it is e^{(r-q)dt} times a tilted density).
         for vp in (0.02, 0.06, 0.2):
-            val = tr.partial_transform_g1(0.0, snp_params.v0, 0.5, -1j, vp,
-                                          snp_params)
+            val = g_value(0.0, snp_params.v0, 0.5, -1j, 0.0, vp, snp_params)
             assert abs(val.imag) <= 1e-12 * max(abs(val.real), 1e-300)
             assert val.real > 0.0
 
@@ -595,16 +601,15 @@ class TestBivariatePhi:
         state = (0.0, 0.0, snp_params.v0)
         val = bivariate_cf_phi(0.0, state, 0.25, 0.25, (1.0, 1.0),
                                (0.5, 0.0), snp_params, CFG)
-        want = tr.joint_cf_h(0.0, snp_params.v0, 0.25, tr.TransformPoint(2.0, 0.5),
-                             snp_params)
+        want = h_value(0.0, snp_params.v0, 0.25, 2.0, 0.5, snp_params)
         assert abs(val - want) <= 1e-12 * abs(want)
 
     def test_zero_second_point_reduces_to_univariate(self, snp_params):
         state = (math.log(100.0), 0.0, snp_params.v0)
         val = bivariate_cf_phi(0.0, state, 0.25, 0.5, (1.0, 0.0),
                                (0.5, 0.0), snp_params, CFG)
-        want = np.exp(1j * 1.0 * state[0] + 1j * 0.5 * state[1]) * tr.joint_cf_h(
-            0.0, snp_params.v0, 0.25, tr.TransformPoint(1.0, 0.5), snp_params)
+        want = np.exp(1j * 1.0 * state[0] + 1j * 0.5 * state[1]) * h_value(
+            0.0, snp_params.v0, 0.25, 1.0, 0.5, snp_params)
         assert abs(val - want) <= 1e-6 * abs(want)
 
     def test_tower_against_terminal_cf(self, snp_params):
@@ -613,8 +618,7 @@ class TestBivariatePhi:
         state = (0.0, 0.0, snp_params.v0)
         val = bivariate_cf_phi(0.0, state, 0.25, 0.5, (0.0, 1.5),
                                (0.0, 0.8), snp_params, CFG)
-        want = tr.joint_cf_h(0.0, snp_params.v0, 0.5, tr.TransformPoint(1.5, 0.8),
-                             snp_params)
+        want = h_value(0.0, snp_params.v0, 0.5, 1.5, 0.8, snp_params)
         assert abs(val - want) <= 2e-6 * abs(want)
 
     def test_ordering_validation(self, snp_params):

@@ -52,16 +52,15 @@ The omega axis is folded to omega_R >= 0 through (omega, s) ->
 is centred on the branch point of c(omega, eta), or with jumps between it
 and the jump transform's singularity (``_talbot_contour``); an omega whose
 contour cannot hold them gets more nodes.  M starts at TALBOT_NODES.  One
-pass of the omega rule sums the contours of M and of M - TALBOT_STEP nodes
-side by side: the omegas of a batch that share M take eta = 0 and both
-contours' nodes in one kernel call, so H_tilde(omega, 0) and the factors
-phi_j are built once per omega node, and the rule stops when both
-contours are spent.  Their gap goes into err_estimate.
-Where it exceeds rel_tol, M grows by TALBOT_STEP: each growth pass sums
-only the new contour, on the panels the first pass chose, and compares it
-with the last.  e^{sB} peaks at e^{0.171 M} on the contour, so once
-e^{0.171 M} eps passes rel_tol, more nodes cannot help and the pricer
-raises.
+pass of the omega rule sums one contour per omega: the omegas of a batch
+that share M take eta = 0 and the M nodes in one kernel call.  The error
+term ``talbot_err`` comes from the contours of M and M + TALBOT_STEP nodes
+at two fixed omegas and their mirrors, in one kernel call that also checks
+H_tilde's Hermitian symmetry (``_spot_check``).  Where it passes rel_tol,
+M grows by TALBOT_STEP: each growth pass sums only the new contour, on the
+first pass's panels, and its gap to the last is the term.  e^{sB} peaks at
+e^{0.171 M} on the contour, so once e^{0.171 M} eps passes rel_tol, more
+nodes cannot help and the pricer raises.
 
 The dates' v' rules depend on neither the strike nor the budget, so one
 ``_TimerKernel`` per (T, N) builds them once for every strike and budget,
@@ -77,10 +76,8 @@ tile loop allocates nothing of tile size.  No table passes
 _BLOCK_ELEMENTS, so a call's memory does not grow with N or with the
 omega rule's batch.
 
-The other setup steps are one call each too: the European bases of every
-strike at one T are one ``fourier_invert_1d``, a row per strike
-(``_price_european_detailed``), and the Hermitian spot check evaluates
-both its sides in one ``_timer_h_tilde`` call (``_hermitian_residual``).
+The European bases of every strike at one T are one ``fourier_invert_1d``
+too, a row per strike (``_price_european_detailed``).
 
 Moment swaps
 ------------
@@ -332,7 +329,7 @@ def _price_european_detailed(maturity: float, strikes: Sequence[float],
 # theta in (-pi, pi), mu = M / B (Weideman & Trefethen 2007).
 _TALBOT = (-0.6122, 0.5017, 0.6407, 0.2645)
 TALBOT_NODES = 24  # nodes of the first contour
-TALBOT_STEP = 8  # the error estimate compares M nodes with M - TALBOT_STEP
+TALBOT_STEP = 8  # M's margin and growth; the spot check compares M + 8 with M
 TALBOT_MARGIN = 2.0  # singular points lie inside the contour shrunk by this
 TALBOT_MAX_NODES = 400
 
@@ -392,9 +389,9 @@ def _talbot_contour(m: int, budget: float, T: float, omega,
 
 def _talbot_counts(budget: float, T: float, omega, params: ModelParams):
     """Per omega, TALBOT_STEP more than the least admissible node count
-    (at least TALBOT_NODES), so that the contour of M - TALBOT_STEP nodes
-    the error estimate uses is admissible too; larger contours hold the
-    same points."""
+    (at least TALBOT_NODES): a contour at the edge of admissibility
+    converges slowly, so M keeps a step's margin.  Larger contours hold
+    the same points."""
     counts = np.zeros(omega.shape, dtype=int)
     for m in range(TALBOT_NODES - TALBOT_STEP, TALBOT_MAX_NODES, TALBOT_STEP):
         todo = np.flatnonzero(counts == 0)
@@ -621,22 +618,8 @@ def _timer_h_tilde(kernel: _TimerKernel, omega: np.ndarray,
     return np.exp(1j * omega[:, None] * kernel.params.x0) * acc
 
 
-def _hermitian_residual(kernel: _TimerKernel, budget: float,
-                        cfg: QuadratureConfig) -> float:
-    """Spot-check H_tilde(-conj w, -conj e) = conj H_tilde(w, e) on Talbot
-    nodes: both sides are rows of one ``_timer_h_tilde`` call, the points
-    (w, e) above their mirrors."""
-    T, params = kernel.T, kernel.params
-    pts_w = np.array([0.7, 3.0]) + 1j * cfg.damping_omega
-    m = int(_talbot_counts(budget, T, pts_w, params).max())
-    pts_e = 1j * _talbot_contour(m, budget, T, pts_w, params)[0][:, ::m // 4]
-    a, b = np.split(_timer_h_tilde(
-        kernel, np.concatenate([pts_w, -np.conj(pts_w)]),
-        np.concatenate([pts_e, -np.conj(pts_e)])), 2)
-    return float(np.max(np.abs(b - np.conj(a))) / (np.max(np.abs(a)) or 1.0))
-
-
-def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
+def _budget_integrals(kernel, B, strikes, omega, counts, offsets,
+                      mirrored=False):
     """J(omega) = -i (2 pi / M) sum_k F(omega, eta_k) s'(theta_k)
     [H_tilde(omega, eta_k) - H_tilde(omega, 0)], eta_k = i s_k, on each
     omega's contour of M = counts[i] + offset nodes, for every offset in
@@ -647,15 +630,23 @@ def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
     encloses it (the pole term itself is exact).  The omegas that share a
     node count take eta = 0 and every contour's nodes side by side in one
     ``_timer_h_tilde`` call, so their factors phi_j are built once for all
-    of them."""
+    of them.  With ``mirrored`` it takes their mirrors (-conj w, -conj eta)
+    too, and returns max |H_tilde(mirror) - conj H_tilde| / max |H_tilde|."""
     rows = np.empty((len(offsets), strikes.size, omega.size), dtype=complex)
+    residual = 0.0
     for m in np.unique(counts):
         sel = counts == m
         om = omega[sel]
         contours = [_talbot_contour(m + offset, B, kernel.T, om,
                                     kernel.params)[:2] for offset in offsets]
-        h_tilde = _timer_h_tilde(kernel, om, np.concatenate(
-            [np.zeros((om.size, 1))] + [1j * s for s, _ in contours], axis=1))
+        points = om, np.concatenate([np.zeros((om.size, 1))]
+                                    + [1j * s for s, _ in contours], axis=1)
+        if mirrored:  # the mirrors as rows below the points
+            points = [np.concatenate([x, -np.conj(x)]) for x in points]
+        h_tilde, mirror = np.split(_timer_h_tilde(kernel, *points), [om.size])
+        if mirrored:
+            residual = np.maximum(residual, np.max(np.abs(
+                mirror - np.conj(h_tilde))) / (np.max(np.abs(h_tilde)) or 1.0))
         h_zero = h_tilde[:, :1]
         if not np.all(np.isfinite(h_zero)):
             raise ThreeHalvesError("timer kernel is not finite at eta = 0")
@@ -670,7 +661,20 @@ def _budget_integrals(kernel, B, strikes, omega, counts, offsets):
                                         strikes[:, None, None], B)
             row[:, sel] = (-2j * math.pi / n) * np.sum(
                 fhat * (h_s - h_zero) * ds, axis=-1)
-    return rows
+    return (rows, float(residual)) if mirrored else rows
+
+
+def _spot_check(kernel, budget, strikes, cfg):
+    """The Hermitian residual of H_tilde and each strike's Talbot term: ten
+    times the gaps of the sums on M and M + TALBOT_STEP nodes at omega_R = 3
+    and 12 (whose mirrors give the residual), times the omega_R each stands
+    for, 0-7.5 and 7.5-16.5.  With jumps M's error peaks near omega_R = 10."""
+    omega = np.array([3.0, 12.0]) + 1j * cfg.damping_omega
+    (j_m, j_next), herm = _budget_integrals(
+        kernel, budget, strikes, omega,
+        _talbot_counts(budget, kernel.T, omega, kernel.params),
+        (0, TALBOT_STEP), mirrored=True)
+    return herm, (10.0 * 0.5 / math.pi**2) * np.abs(j_next - j_m) @ [7.5, 9.0]
 
 
 def price_timer_call(spec: TimerOptionSpec, params: ModelParams,
@@ -704,58 +708,54 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
         if (T, N) not in kernels:
             kernels[T, N] = _TimerKernel(T, N, params, cfg)
         kernel = kernels[T, N]
-        herm = _hermitian_residual(kernel, B, cfg)
+        strikes = np.array([specs[i].strike for i in indices])
+        herm, talbot = _spot_check(kernel, B, strikes, cfg)
         if not herm <= _REL_IMAG_TOL:
             raise ThreeHalvesError(
                 f"timer kernel failed the Hermitian-symmetry check "
                 f"({herm:.2e}); imaginary residual would not cancel")
-        strikes = np.array([specs[i].strike for i in indices])
         bases = [europeans[T][k] for k in strikes]
         base = np.array([b.price for b in bases])
         if not np.all(np.isfinite(base + [b.err_estimate for b in bases])):
             raise ThreeHalvesError("timer base price is not finite")
         counts = []  # M of every omega node of the rule's batches, in order
 
-        def integral(offsets, panels=None):
-            # the Parseval integral on contours of M + offset nodes, per
-            # offset
+        def integral(offset, panels=None):
+            # the Parseval integral on contours of M + offset nodes
             def rows(omega):
                 m = _talbot_counts(B, T, omega, params)
-                out = _budget_integrals(kernel, B, strikes, omega, m, offsets)
+                out = _budget_integrals(kernel, B, strikes, omega, m, [offset])
                 counts.append(m)  # not a batch that raised: the rule retries
                 return out
             return omega_integral(rows, cfg, cfg.damping_omega,
                                   0.5 / math.pi**2, base, panels)
 
-        # One pass sums the contours of M - TALBOT_STEP and M nodes and
-        # fixes the omega grid; a growth pass sums only the next contour.
-        (coarse, fine), (_, q_err), diag = integral((-TALBOT_STEP, 0))
+        # the first pass fixes the omega grid; growth passes sum on it
+        (fine,), (q_err,), diag = integral(0)
         # the least and most M of the nodes summed, the first omega_nodes
         # of the batches (the rule may evaluate a panel past its cutoff)
         summed = np.concatenate(counts)[:diag["omega_nodes"]]
         span = summed.min(), summed.max()
         extra = 0
-        while True:
-            gaps = np.abs(fine - coarse)
-            if np.all(gaps <= np.maximum(cfg.rel_tol * np.abs(base + fine),
-                                         cfg.abs_tol)):
-                break
+        while not np.all(talbot <= np.maximum(
+                cfg.rel_tol * np.abs(base + fine), cfg.abs_tol)):
             # e^{sB} peaks at e^{s(0) B} = e^{0.171 M}, which the sum loses
             # to roundoff
             if (math.exp(_UNIT[0].real * (span[0] + extra))
                     * np.finfo(float).eps > cfg.rel_tol):
                 raise QuadratureNonConvergenceError(
-                    f"Talbot contours of M and M - {TALBOT_STEP} nodes "
-                    f"disagree by {gaps.max():.2e} at B = {B}, and roundoff "
-                    f"bars a larger M", achieved=float(gaps.max()))
+                    f"the Talbot error of M nodes is {talbot.max():.2e} at "
+                    f"B = {B}, and roundoff bars a larger M",
+                    achieved=float(talbot.max()))
             coarse, extra = fine, extra + TALBOT_STEP
             before = diag
-            (fine,), (q_err,), diag = integral((extra,), diag["omega_panels"])
+            (fine,), (q_err,), diag = integral(extra, diag["omega_panels"])
             diag.update({key: before[key] + diag[key] for key in
                          ("omega_batches", "omega_evaluated")})
+            talbot = np.abs(fine - coarse)
         for i, idx in enumerate(indices):
             price = base[i] + fine[i]
-            err = gaps[i] + q_err[i] + bases[i].err_estimate
+            err = talbot[i] + q_err[i] + bases[i].err_estimate
             if price < -err:
                 raise ThreeHalvesError(
                     f"timer price came out negative ({price}) beyond the "
@@ -763,7 +763,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
             results[idx] = PriceResult(max(float(price), 0.0), float(err), {
                 **diag, "omega_tail": float(diag["omega_tail"][-1, i]),
                 "talbot_nodes": int(span[1] + extra),
-                "talbot_err": float(gaps[i]),
+                "talbot_err": float(talbot[i]),
                 "base_price": bases[i].price, "integral": float(fine[i]),
                 "hermitian_residual": herm})
     return results

@@ -113,9 +113,11 @@ class TestTimerIdentities:
         # H_tilde(omega, 0) is built once per omega batch and subtracted
         # from every contour's values, so a NaN there alone ("zero") must
         # raise where it is built; one on the Talbot contours alone
-        # ("contour") where those are summed.
-        monkeypatch.setattr(pricers, "_hermitian_residual",
-                            lambda *args: 0.0)
+        # ("contour") where those are summed.  The spot check, which sums
+        # the same way, is passed over, so the Parseval pass meets the NaN.
+        monkeypatch.setattr(pricers, "_spot_check",
+                            lambda kernel, B, strikes, cfg:
+                            (0.0, np.zeros(strikes.size)))
         match = stage
         if stage == "kernel":
             monkeypatch.setattr(pricers, "_timer_h_tilde",
@@ -138,6 +140,19 @@ class TestTimerIdentities:
         with pytest.raises(ThreeHalvesError, match=match):
             price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
                              timer_params, QuadratureConfig())
+
+    @pytest.mark.parametrize("params, n, budget", [("timer_params", 4, 0.087),
+                                                   ("snp_params", 12, 0.06)])
+    def test_contours_of_m_and_m_plus_8_agree(self, request, params, n,
+                                              budget):
+        # The benchmark's timer and the off-axis branch point above: on the
+        # omega panels each price summed, its Talbot sums on M and M + 8
+        # nodes agree within the Talbot term it reports.
+        results, (s_m, s_next), _ = _talbot_sums(
+            request.getfixturevalue(params), n, budget, (90.0, 100.0, 110.0),
+            (0, 8))
+        for r, a, b in zip(results, s_m, s_next):
+            assert abs(a - b) <= r.diagnostics["talbot_err"], r.price
 
     def test_non_hermitian_kernel_raises(self, timer_params, monkeypatch):
         # A kernel off H(-conj w, -conj e) = conj H(w, e) by a phase of
@@ -178,6 +193,64 @@ def _talbot_points(params, T=1.0, budget=0.087):
     m = int(pricers._talbot_counts(budget, T, omega, params).max())
     s = pricers._talbot_contour(m, budget, T, omega, params)[0]
     return omega, 1j * s[:, [0, m // 4, m // 2, m - 1]]
+
+
+def _talbot_sums(params, n, budget, strikes, offsets):
+    """Timer prices at ``strikes``, T = 1, n dates and ``budget``, and
+    each strike's Parseval integral (the price less its European base) on
+    the contours of M + extra + offset nodes, a row per offset in
+    ``offsets`` (extra the growth passes' nodes, so offset 0 is the
+    contour the price summed), on the omega panels the price summed and
+    summed as a growth pass sums them; and the integral of |J| of the
+    first offset's J less the last's, their gap before it cancels across
+    omega."""
+    cfg = QuadratureConfig()
+    results = price_timer_grid([TimerOptionSpec(k, 1.0, n, budget)
+                                for k in strikes], params, cfg)
+    panels = results[0].diagnostics["omega_panels"]
+    nodes = (quadrature._panels(0, panels)[0].ravel()
+             + 1j * cfg.damping_omega)
+    extra = (results[0].diagnostics["talbot_nodes"]
+             - pricers._talbot_counts(budget, 1.0, nodes, params).max())
+    kernel = pricers._TimerKernel(1.0, n, params, cfg)
+
+    def rows(omega):
+        j = pricers._budget_integrals(
+            kernel, budget, np.array(strikes), omega,
+            pricers._talbot_counts(budget, 1.0, omega, params),
+            [extra + offset for offset in offsets])
+        return np.concatenate([j, np.abs(j[:1] - j[-1:])])
+    sums = quadrature.omega_integral(rows, cfg, cfg.damping_omega,
+                                     0.5 / math.pi**2, panels=panels)[0]
+    return results, sums[:-1], sums[-1]
+
+
+class TestTalbotTerm:
+    """The Talbot term of a price (``talbot_err``) against its sums on
+    M + 16 nodes.  It must cover the true error, their gap.  It must also
+    be at most 100 times the gap before the gap cancels across omega (the
+    integral of |J_M - J_{M+16}|): where a strike's phase K^{-i omega}
+    cancels it, the signed gap falls below anything an estimate from a
+    few omegas can foresee (snp_params, K = 110: 8.7e-15 against 1.4e-12
+    before it cancels, and a term of 2.1e-12).  Without a growth pass the
+    term is the spot check's; the jump timer's is the gap its second
+    growth pass found."""
+
+    @pytest.mark.parametrize("params, n, budget, strikes", [
+        ("timer_params", 4, 0.005, (90.0, 100.0, 110.0)),
+        ("timer_params", 4, 0.087, (90.0, 100.0, 110.0)),
+        ("timer_params", 4, 3.0, (90.0, 100.0, 110.0)),
+        ("snp_params", 12, 0.06, (90.0, 100.0, 110.0)),
+        ("jump_params", 4, 0.087, (100.0,))])
+    def test_covers_the_error_within_100_times(self, request, params, n,
+                                               budget, strikes):
+        results, (s_m, s_ref), unsigned = _talbot_sums(
+            request.getfixturevalue(params), n, budget, strikes, (0, 16))
+        for r, a, b, u in zip(results, s_m, s_ref, unsigned):
+            # the sums are the price's own, to roundoff
+            assert abs(a - r.diagnostics["integral"]) <= 1e-13 * r.price
+            term = r.diagnostics["talbot_err"]
+            assert abs(a - b) <= term <= 100.0 * u, (r.price, term, a - b, u)
 
 
 class TestTimerKernel:
@@ -275,9 +348,9 @@ class TestTimerKernel:
         # switch), so the benchmark tracer's per-layer element counts
         # measure the kernel's work.  g's row terms, log Gamma(2c + 1)
         # among them, are taken once per _timer_w_matrix call, not once per
-        # tile (37 tiles, 2 calls: the omega rule's one batch and the
-        # Hermitian check, both of whose sides are one call), and no g
-        # element takes its own exp.
+        # tile (2 calls: the omega rule's one batch and the spot check,
+        # whose Hermitian mirrors and Talbot contours are one call), and no
+        # g element takes its own exp.
         counts = dict.fromkeys(("contracted", "g", "series", "log_gamma",
                                 "w_matrix", "exp"), 0)
         inside = []
@@ -309,7 +382,7 @@ class TestTimerKernel:
         price_timer_grid([TimerOptionSpec(k, 1.0, 4, 0.087)
                           for k in (90.0, 100.0, 110.0)], timer_params,
                          QuadratureConfig())
-        assert counts["contracted"] == 1_073_664
+        assert counts["contracted"] == 696_576
         assert counts["g"] == counts["contracted"]
         assert counts["series"] == counts["contracted"]
         assert counts["log_gamma"] <= counts["w_matrix"] == 2
@@ -484,6 +557,8 @@ class TestTimerBuildOnce:
 
     def test_zero_kernel_once_per_omega_node(self, timer_params,
                                              monkeypatch):
+        # once per omega node summed, and once per spot of the spot check
+        # and its mirror
         nodes = []
         kernel = pricers._timer_h_tilde
 
@@ -492,18 +567,22 @@ class TestTimerBuildOnce:
             return kernel(k, omega, eta, *rest)
         monkeypatch.setattr(pricers, "_timer_h_tilde", spy)
         timer = price_timer_call(self.SPEC, timer_params, QuadratureConfig())
-        assert sum(nodes) == timer.diagnostics["omega_nodes"]
+        assert sum(nodes) == timer.diagnostics["omega_nodes"] + 2 * 2
 
     @staticmethod
     def spy_passes(monkeypatch):
-        """Record each ``_budget_integrals`` call's offsets, omega nodes
-        and Talbot counts, and the omega rows it hands to
-        ``_TimerKernel.inner``."""
+        """Record each Parseval pass ``_budget_integrals`` call's offsets,
+        omega nodes and Talbot counts, and the omega rows it hands to
+        ``_TimerKernel.inner``; the spot check's call is not recorded."""
         calls, inside = [], []
         integrals = pricers._budget_integrals
         inner = pricers._TimerKernel.inner
 
-        def spy_integrals(kernel, B, strikes, omega, counts, offsets):
+        def spy_integrals(kernel, B, strikes, omega, counts, offsets,
+                          mirrored=False):
+            if mirrored:
+                return integrals(kernel, B, strikes, omega, counts, offsets,
+                                 mirrored)
             calls.append({"offsets": tuple(offsets), "omega": omega,
                           "counts": counts, "inner_rows": 0})
             inside.append(calls[-1])
@@ -520,15 +599,15 @@ class TestTimerBuildOnce:
         monkeypatch.setattr(pricers._TimerKernel, "inner", spy_inner)
         return calls
 
-    def test_one_pass_sums_both_contours(self, timer_params, monkeypatch):
-        # On the common path one pass of the omega rule sums the contours
-        # of M - 8 and M nodes together, so each omega node's eta-free
-        # factors are built once.
+    def test_one_pass_sums_one_contour(self, timer_params, monkeypatch):
+        # On the common path one pass of the omega rule sums the M-node
+        # contour alone, and each omega node's eta-free factors are built
+        # once.
         calls = self.spy_passes(monkeypatch)
         specs = [TimerOptionSpec(k, 1.0, 4, 0.087)
                  for k in (90.0, 100.0, 110.0)]
         timer = price_timer_grid(specs, timer_params, QuadratureConfig())[0]
-        assert {c["offsets"] for c in calls} == {(-pricers.TALBOT_STEP, 0)}
+        assert {c["offsets"] for c in calls} == {(0,)}
         assert (sum(c["inner_rows"] for c in calls)
                 == timer.diagnostics["omega_nodes"])
         # the rule is spent at the first full-width panel: one batch
@@ -538,7 +617,8 @@ class TestTimerBuildOnce:
 
     def test_growth_pass_sums_only_the_new_contour(self, jump_params,
                                                    monkeypatch):
-        # The jump timer's M and M - 8 sums disagree, so M grows twice.
+        # The jump timer's spot check puts M's error above rel_tol, and so
+        # does the first growth pass's gap, so M grows twice.
         # Each growth pass sums one new contour on the omega nodes the
         # first pass summed, which are the first omega_nodes it evaluated
         # (it may evaluate a panel past its cutoff), and evaluates no
@@ -546,7 +626,7 @@ class TestTimerBuildOnce:
         calls = self.spy_passes(monkeypatch)
         timer = price_timer_call(TimerOptionSpec(100.0, 1.0, 4, 0.087),
                                  jump_params, QuadratureConfig())
-        n = sum(c["offsets"] == (-8, 0) for c in calls)
+        n = sum(c["offsets"] == (0,) for c in calls)
         first, growth = calls[:n], calls[n:]
         assert [c["offsets"] for c in growth] == [(8,), (16,)]
         nodes = timer.diagnostics["omega_nodes"]

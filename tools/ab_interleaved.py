@@ -11,13 +11,17 @@ ratio of two separate benchmark runs.
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 52 --rounds 6
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 12 \
         --params snp --budget 0.06
+    python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 4 --params jump
 
 ``--workload`` prices one pass of a benchmark workload (``bench/
 workloads.py`` of each checkout, bound to that checkout's package) per
 round and side; ``--timer N`` prices the benchmark's three timer strikes
 at N monitoring dates in one ``price_timer_grid`` call, on the parameter
 set ``--params`` (a key of the workloads' ``PARAMS``, ``timer`` by
-default) at the budget ``--budget`` (the timer workload's by default).
+default, or ``jump``: ``snp`` with lognormal jumps of intensity 0.5, mean
+-0.1 and volatility 0.2, the tests' ``jump_params``, whose Talbot
+contours take growth passes) at the budget ``--budget`` (the timer
+workload's by default).
 One warm-up round is run first and not counted.
 
 Prints each side's median time and median minor page faults per round
@@ -85,6 +89,9 @@ def make_side(checkout: Path, tag: str, args):
     wl = load_workloads(checkout, package, f"workloads_{tag}")
     cfg = package.quadrature.QuadratureConfig()
     params = {name: wl.model_params(name) for name in wl.PARAMS}
+    params["jump"] = package.model.ModelParams.with_constant_theta(
+        **wl.PARAMS["snp"], jumps=package.model.JumpParams(
+            lam=0.5, mu=-0.1, sigma=0.2))
     if args.timer is not None:
         specs = wl.timer_specs(wl.TIMER_STRIKES, args.timer)
         if args.budget is not None:
@@ -118,7 +125,8 @@ def main(argv=None) -> int:
     what.add_argument("--workload", choices=("timer", "corridor", "strip"))
     what.add_argument("--timer", type=int, metavar="N",
                       help="the benchmark's timer strikes at N dates")
-    ap.add_argument("--params", choices=("timer", "snp"), default="timer",
+    ap.add_argument("--params", choices=("timer", "snp", "jump"),
+                    default="timer",
                     help="the parameter set of --timer")
     ap.add_argument("--budget", type=float, metavar="B",
                     help="the variance budget of --timer")

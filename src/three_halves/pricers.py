@@ -103,10 +103,19 @@ nodes per period and stays one period at a time; each g call takes every
 phi node against a block of whole outer rows of live pairs, within the
 same element count.
 
+g1 = g(0, V0; t_{k-1}, omega, 0, v) comes from the timer's kernel
+(``transforms._g_contract``), on every route: each period's lattice is a
+uniform rule in ln v, so g1 is contracted from its row and column
+factors with no exp per element where the Bessel function takes its
+series, summed against w D(v) with the weight at t_{k-1} and taken as a
+table, omega x nodes, on the other routes (``_g1_contract``).
+
 Every v grid is a fixed lattice of ``_transition_grid``, but the kernels
 are evaluated only on its live nodes: ``_live_nodes`` drops the nodes
 where a bound that needs no Bessel function puts g below 1e-3 eps of its
 mass (about a third of each lattice), so prices move only by roundoff.
+A pruned lattice keeps each node's index on the whole lattice, which
+places it on the rule.
 """
 
 from __future__ import annotations
@@ -444,19 +453,10 @@ class _TimerKernel:
         self.w = w.reshape(-1)
         self.t = self.T * date_of / N
         self.t_next = self.T * (date_of + 1) / N
-        z, lav, e0 = tr._g_columns(
-            self.t, np.repeat(coef_A(params.theta, 0.0, self.dates),
-                              self.sizes),
-            np.repeat(coef_C(params.theta, params.epsilon, 0.0, self.dates),
-                      self.sizes), params.v0, self.nodes)
-        # lav = log(A V0 / v') falls by du = the rule's spacing per node
-        du = ((lav[self.starts[:-1]] - lav[self.starts[1:] - 1])
-              / np.maximum(self.sizes - 1, 1))
-        self.g_columns = tr._GColumns(
-            self.t, np.repeat(du, self.sizes),
+        self.g_columns = tr._lattice_columns(
+            params, self.t, self.nodes,
             np.arange(self.starts[-1]) - np.repeat(self.starts[:-1],
-                                                   self.sizes),
-            z.astype(complex), lav, e0)
+                                                   self.sizes))
 
     def date(self, j: int) -> float:
         return self.T * j / self.N
@@ -492,10 +492,13 @@ class _TimerKernel:
 # omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
 # for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
 # nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
-# route (``_weighted_moment``).  A swap's g comes in split form, so its g
-# call holds two tables of this size, E and S; the timer's tiles share one
-# workspace of two such tables (``_timer_w_matrix``), the series sums and
-# the exp table.  Sized by measurement on 2 vCPUs shared
+# route (``_weighted_moment``).  g's kernel (``transforms._g_contract``)
+# holds two tables of its size, the series sums and the exp table (on a
+# block of pruned period lattices, padded to the longest lattice's span
+# of indices: 1.06x on the lag-1 corridor, 1.7x on the N = 252 variance
+# swap's one-omega blocks), and the tower's g, in split form, two, E and
+# S; the timer's tiles share one workspace of two such tables
+# (``_timer_w_matrix``).  Sized by measurement on 2 vCPUs shared
 # with other jobs (``tools/ab_interleaved.py``, time against 2^15 at
 # 2^14 / 2^16): the timer workload 1.15 / 0.95, three N = 52 timer strikes
 # 1.35 / 1.03, the corridor 1.04 / 0.98 and the strip 0.93 / 1.01.  A
@@ -986,14 +989,16 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
 def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
     """The v grid at t_{k-1} of each period (t_{k-1}, t_k) of ``spans``,
     for g1 at the transform points ``omega``, built as they are consumed:
-    nodes, weights and each node's t_{k-1} and t_k.  From t_{k-1} = 0 it
-    is the one node V0 of weight 1, where g1 is a Dirac mass.  Otherwise
-    it is the lattice of ``_transition_grid`` from V0, sized against g1's
-    phase at the largest |Re omega|, less the nodes where g1 is dead at
-    every omega (``_live_nodes``).  The lattices of a block of
-    consecutive periods are one ``_transition_grid`` call and one prune,
-    each period's row padded with nodes 1 of weight 0 to one table of at
-    most _BLOCK_ELEMENTS nodes."""
+    nodes, weights, each node's t_{k-1} and t_k and its index on its
+    unpruned lattice.  From t_{k-1} = 0 it is the one node V0 of weight 1
+    (index 0), where g1 is a Dirac mass.  Otherwise it is the lattice of
+    ``_transition_grid`` from V0, sized against g1's phase at the largest
+    |Re omega|, less the nodes where g1 is dead at every omega
+    (``_live_nodes``), so its indices may start above 0 and skip some.
+    The lattices of a block of consecutive periods are one
+    ``_transition_grid`` call and one prune, each period's row padded
+    with nodes 1 of weight 0 to one table of at most _BLOCK_ELEMENTS
+    nodes."""
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     omega_max = float(np.max(np.abs(omega.real)))
     step = max(1, _BLOCK_ELEMENTS // _GRID_MAX_NODES)
@@ -1007,29 +1012,51 @@ def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
                                             cfg, omega_max)
             live = _live_nodes(params, 0.0, params.v0, dates[:, None], v_tab,
                                w_tab, omega.imag)
-            pruned = ((v[m], w[m]) for v, w, m in zip(v_tab, w_tab, live))
+            index = np.arange(v_tab.shape[1])
+            pruned = ((v[m], w[m], index[m])
+                      for v, w, m in zip(v_tab, w_tab, live))
         for t_km1, t_k in group:
-            v, w = (next(pruned) if t_km1 > 0.0
-                    else (np.array([params.v0]), np.ones(1)))
-            yield v, w, np.full(v.size, t_km1), np.full(v.size, t_k)
+            v, w, k = (next(pruned) if t_km1 > 0.0
+                       else (np.array([params.v0]), np.ones(1),
+                             np.zeros(1, dtype=int)))
+            yield v, w, np.full(v.size, t_km1), np.full(v.size, t_k), k
 
 
-def _g1_weights(params: ModelParams, v, w, t_km1, omega):
-    """w g1(0, V0; t_{k-1}, omega, v) per omega (rows) and node, with the
-    nodes' own dates t_{k-1}; 1 at a node from t_{k-1} = 0."""
-    wv = np.ones((omega.size, v.size), dtype=complex)
-    live = t_km1 > 0.0
-    if np.any(live):
-        wv[:, live] = w[live] * _split_exp(*tr._log_g_vec(
-            0.0, params.v0, t_km1[live], omega[:, None], 0.0, v[live],
-            params))
-    return wv
+def _g1_rows(params: ModelParams, omega):
+    """g's row terms (``transforms._g_contract``) of g1 at the transform
+    points ``omega`` with eta = 0, each of shape (n_omega, 1)."""
+    a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], 0.0, params))
+    return a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
+
+
+def _g1_contract(params: ModelParams, rows, t_km1, v, k, factor=None):
+    """sum_j g1(0, V0; t_{k-1}, omega, v_j) factor[i, j] over the nodes of
+    period grids (``_period_grids``: v with each node's t_{k-1} and
+    lattice index k) for the omegas of ``rows`` (``_g1_rows``), against
+    ``factor`` of shape (n_omega or 1, nodes): shape (n_omega,).  Without
+    ``factor``, g1 itself per omega and node.  g1 comes from its row and
+    column factors (``transforms._g_contract``), each period's lattice
+    one run of columns; at a node from t_{k-1} = 0 it is the Dirac mass
+    at V0, 1 in the table, where the factor is summed as it is."""
+    lattice = t_km1 > 0.0
+    cols = (tr._lattice_columns(params, t_km1[lattice], v[lattice],
+                                k[lattice]) if np.any(lattice) else None)
+    if factor is None:
+        out = np.ones((rows[0].shape[0], v.size), dtype=complex)
+        if cols is not None:
+            out[:, lattice] = tr._g_contract(rows, cols)[:, 0]
+        return out
+    out = np.zeros(rows[0].shape[0], dtype=complex)
+    out += factor[:, ~lattice].sum(axis=1)
+    if cols is not None:
+        out += tr._g_contract(rows, cols, factor[:, lattice])[:, 0]
+    return out
 
 
 def _blocks(grids, per_node: int):
     """The grids of ``grids`` (tuples of arrays on one node axis, such as
-    a period's v, w, t_{k-1} and t_k), taken as they are consumed, stacked
-    into blocks of consecutive grids with at most
+    a period's v, w, t_{k-1}, t_k and lattice indices), taken as they are
+    consumed, stacked into blocks of consecutive grids with at most
     _BLOCK_ELEMENTS / per_node nodes each, or a single grid: each
     array on one node axis and the index where each grid starts."""
     block, nodes = [], 0
@@ -1071,23 +1098,37 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                   g(t_{k-1}, v; t_k, omega + phi, v') g1 dv' dv,
       the tower rule through t_k.
 
+    Every route takes g1 from one kernel, ``_g1_contract``: g1's row and
+    column factors (``transforms._g_contract``), each period's pruned
+    lattice one run of columns, with no exp per element where the Bessel
+    function takes its series.  The first route sums g1 against the
+    factor w D(v) in that kernel; the second and the tower take g1 from
+    it as a table, omega x nodes, which then weighs h.
+
     Period axis.  The periods of the first two routes differ only in their
     dates, so each route stacks its periods' v grids (``_period_grids``:
     each the lattice of a lone period, less its dead nodes) on one node
-    axis, each node carrying its own dates, and takes g1 and h for a block
-    of periods in one kernel call each, with the Cauchy nodes phi on a
-    leading axis.  A block holds as many consecutive periods as keep the
-    largest table its route builds within _BLOCK_ELEMENTS (at least
-    one period), which bounds the memory of the Kummer and Bessel tensors.
-    The first route never builds an omega x phi table: g1 is omega x nodes
-    and h is phi x nodes, so its blocks are sized by max(omega, phi) per
-    node (the lag-1 corridor's twelve periods then share a few kernel
-    calls, where omega x phi per node gave each its own).  The second
-    route builds h(omega + phi) on omega x phi x nodes, so its blocks are
-    sized by that product, and phi is split where one period alone passes
-    the cap.  It sums each period's nodes (``np.add.reduceat``) before the
-    Cauchy rule and the periods after it, so the rule's gap check stays
-    per period, as it does on D(v) in the first route.
+    axis, each node carrying its own dates and lattice index, and takes
+    g1 and h for a block of periods in one kernel call each, with the
+    Cauchy nodes phi on a leading axis.  A block holds as many
+    consecutive periods as keep the largest table its route builds within
+    _BLOCK_ELEMENTS (at least one period), which bounds the memory of the
+    Kummer and Bessel tensors.
+    The first route never builds an omega x phi table: g1's kernel holds
+    omega x nodes (its series sums and exp table) and h is phi x nodes,
+    so its blocks are sized by max(omega, phi) per node (the lag-1
+    corridor's twelve periods then share a few kernel calls, where omega
+    x phi per node gave each its own).  The second route builds
+    h(omega + phi) on omega x phi x nodes, so its blocks are sized by
+    that product, and phi is split where one period alone passes the cap;
+    g1's table is taken once per block, before the split.  It sums each
+    period's nodes (``np.add.reduceat``) before the Cauchy rule and the
+    periods after it, so the rule's gap check stays per period, as it
+    does on D(v) in the first route.  (g1 summed against w h(omega + phi)
+    in the kernel, on a trailing axis of phi x period zero off each
+    period's nodes, ran 1.07x on the lag-0 corridor and 1.18x on the
+    lag-0 price ratio: the zero-padded product, and g1 taken again for
+    each phi split.)
 
     On the corridor, ``omega`` is one batch of the omega rule (see
     ``quadrature``).  What does not depend on omega, the period lattices,
@@ -1100,7 +1141,8 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     lattices pair some 11k (v, v') nodes, 7.2k of them live
     (``_live_nodes`` at every omega + phi), so stacking periods would
     only multiply its largest tensor, and the peak memory, by their
-    number.  g is evaluated on the live pairs as one flat axis: each call
+    number.  Its outer weights w g1 come from g1's table.  g, from
+    t_{k-1}, is evaluated on the live pairs as one flat axis: each call
     takes every phi node the Cauchy rule asks for against a block of
     whole outer v rows' pairs, as many rows as keep omega x phi x pairs
     within _BLOCK_ELEMENTS (at least one).  The orders
@@ -1115,6 +1157,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     # A purely imaginary omega makes the weight e^{i omega X} real.
     real_weight = not np.any(omega.real)
+    rows = _g1_rows(params, omega)
     total = np.zeros(omega.size, dtype=complex)
     for weight_at_start in (True, False):
         spans = [(a, b) for a, b, i in periods
@@ -1126,13 +1169,14 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                      else MOMENT_NODES)
         per_node = (max(omega.size, phi_evals) if weight_at_start
                     else omega.size * phi_evals)
-        for v, w, t_km1, t_k, starts in _blocks(grids, per_node):
-            wv = _g1_weights(params, v, w, t_km1, omega)
+        for v, w, t_km1, t_k, k, starts in _blocks(grids, per_node):
             if weight_at_start:
                 d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(
                     t_km1, v, t_k, p[:, None], 0.0, params)), True, starts)
-                total += wv @ d_v
+                total += _g1_contract(params, rows, t_km1, v, k,
+                                      (w * d_v)[None])
                 continue
+            wv = w * _g1_contract(params, rows, t_km1, v, k)
 
             def f(phis):
                 out = []
@@ -1148,17 +1192,18 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     grids = _period_grids(params, cfg, [p[:2] for p in tower], omega)
     for (t_km1, t_k, t_i), grid in zip(tower, grids):
         total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
-                               real_weight, grid)
+                               real_weight, grid, rows)
     return total
 
 
 def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                   t_km1: float, t_k: float, t_i: float, omega,
-                  real_weight: bool, grid):
+                  real_weight: bool, grid, rows):
     """One period's term of ``_weighted_moment`` on the route t_i > t_k,
-    from its v grid at t_{k-1} (``_period_grids``)."""
-    v, w, t_from, _ = grid
-    wv = _g1_weights(params, v, w, t_from, omega)
+    from its v grid at t_{k-1} (``_period_grids``) and g1's row terms
+    (``_g1_rows``)."""
+    v, w, t_from, _, k = grid
+    wv = w * _g1_contract(params, rows, t_from, v, k)
     inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg,
                                    float(np.max(np.abs(omega.real))))
 
@@ -1172,9 +1217,10 @@ def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
             tr._log_h_vec(t_k, v_in, t_i, omega[:, None], 0.0, params))
         pairs = (np.broadcast_to(v[:, None], live.shape)[live], v_in, weight.T)
         ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
-        rows = zip(*(np.split(x, ends) for x in pairs))
+        outer = zip(*(np.split(x, ends) for x in pairs))
         total = 0.0
-        for v_b, v_in_b, weight_b, _ in _blocks(rows, omega.size * phis.size):
+        for v_b, v_in_b, weight_b, _ in _blocks(outer,
+                                                omega.size * phis.size):
             g = _split_exp(*tr._log_g_vec(
                 t_km1, v_b, t_k, omega[:, None] + phis[:, None, None], 0.0,
                 v_in_b, params))

@@ -5,8 +5,10 @@ Implemented here, each with numpy broadcasting:
 * ``_log_g_vec``         - the partial transform g of the triple transition
   density (Fourier in the price and quadratic-variation arguments, density
   in the variance argument), in split form,
-* ``_g_contract``        - g contracted against a factor on uniform v' rules
-  (the timer kernel's v' sums), without forming g,
+* ``_g_contract``        - g on uniform v' rules from one (t, v), from its
+  row and column factors (``_lattice_columns``) with no exp per element,
+  contracted against a factor (the timer kernel's v' sums, the swaps'
+  g1 against w D(v)) or as a table (the swaps' g1 weights),
 * ``_log_density_v_vec`` - log of the transition density of the
   instantaneous variance (g at omega = eta = 0),
 * ``_log_h_vec``         - log of the joint characteristic function h of
@@ -20,10 +22,11 @@ factors spans hundreds of orders of magnitude and the Bessel argument
 z = (2/C) sqrt(A/(v v')) explodes as the time step shrinks.  g keeps the
 Bessel's split form: an exponent table E, with every factor's log, and a
 mantissa S, the Bessel's scaled sum, so g = e^E S is formed without a
-per-element log of the sum.  The timer kernel does not form E at all: on
-uniform rules in ln v' the series exponent is a row term plus a column
-term plus a row slope times the node index, so ``_g_contract`` contracts
-g from one table of powers per row and date (``_g_rows``, ``_g_columns``).
+per-element log of the sum.  The timer kernel and the swaps' g1 do not
+form E at all: on uniform rules in ln v' the series exponent is a row
+term plus a column term plus a row slope times the node index, so
+``_g_contract`` takes g from one table of powers per row for all its
+dates (``_g_rows``, ``_g_columns``).
 
 A deliberate transcription guard: plain ``kappa`` drives the density order
 ``1 + 2 kappa / eps^2``, while ``kappa_tilde = kappa - i omega rho eps``
@@ -122,9 +125,10 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
     rank-3 product of the row and column terms (``_g_rows``,
     ``_g_columns``), [a, b0, 1]_row . [t' - t, lav, e0]_col, added 2^12
     elements at a time.  The dates broadcast against the other column
-    arguments, one pair per element (the swaps stack several periods' v
-    grids on one axis); every pair needs t' - t >= SMALL_DT_DELTA.  The
-    timer kernel contracts g without this table (``_g_contract``).
+    arguments, one pair per element; every pair needs t' - t >=
+    SMALL_DT_DELTA.  The density scan and the swaps' tower pairs take this
+    table; the timer kernel and the swaps' g1, on uniform rules, take g
+    from its factors instead (``_g_contract``).
     """
     dt, A, C = _date_coefficients(t, t_prime, params)
     v = np.asarray(v, dtype=float)
@@ -149,11 +153,12 @@ def _log_g_vec(t, v, t_prime, omega, eta, v_prime, params: ModelParams):
 
 
 class _GColumns(NamedTuple):
-    """g's column terms (``_g_columns``) on v' columns from one (t, v), each
-    date's columns a uniform rule in u = ln v' in rule order, the dates'
-    rules side by side: per column the step dt = t' - t, its rule's
-    spacing du, its index k on its rule (0 starts a date), z, lav and
-    e0."""
+    """g's column terms (``_g_columns``) on v' columns from one (t, v), in
+    runs: the columns of one date t' side by side, nodes of a uniform rule
+    in u = ln v' in rule order, and the runs' dates distinct from their
+    neighbours'.  Per column: the step dt = t' - t, its rule's spacing du,
+    its index k on its rule (a run may start above 0 and skip indices),
+    z, lav and e0."""
 
     dt: np.ndarray
     du: np.ndarray
@@ -166,32 +171,65 @@ class _GColumns(NamedTuple):
         return _GColumns(*(x[cols] for x in self))
 
 
-def _g_contract(rows, cols: _GColumns, factor, work=None):
+def _runs(dt):
+    """Where each run of equal entries of ``dt`` starts and ends (past its
+    last): the dates' runs of ``_GColumns``."""
+    if not dt.size:
+        return np.empty((2, 0), dtype=int)
+    edge = (np.flatnonzero(dt[1:] != dt[:-1]) + 1).tolist()
+    return np.array([0] + edge), np.array(edge + [dt.size])
+
+
+def _lattice_columns(params: ModelParams, t_prime, v_prime, k) -> _GColumns:
+    """g's column terms from (0, V0) (``_GColumns``) on nodes ``v_prime``
+    of uniform rules in ln v', with their dates ``t_prime`` and their
+    indices ``k`` on their rules: the timer's v' rules, the swaps' period
+    lattices.  A and C are one array call; each run's spacing comes from
+    lav = log(A V0 / v'), which falls by du per index (a lone node's du
+    is never used)."""
+    dt, A, C = _date_coefficients(0.0, t_prime, params)
+    z, lav, e0 = _g_columns(dt, A, C, params.v0, v_prime)
+    starts, ends = _runs(dt)
+    du = (lav[starts] - lav[ends - 1]) / np.maximum(k[ends - 1] - k[starts], 1)
+    return _GColumns(dt, np.repeat(du, ends - starts), k, z.astype(complex),
+                     lav, e0)
+
+
+def _g_contract(rows, cols: _GColumns, factor=None, work=None):
     """sum_j g_ij factor[i, j], g from one (t, v) (``_GColumns``) on rows
     ``rows`` = (a, b0, nu, log Gamma(nu + 1)), each of shape (n_omega,
-    n_eta), against ``factor`` of shape (n_omega, columns): the timer
-    kernel's v' sums, shape (n_omega, n_eta), with no exp per element where
-    the Bessel function takes its series.
+    n_eta), against ``factor`` of shape (n_omega or 1, columns): shape
+    (n_omega, n_eta), with no exp per element where the Bessel function
+    takes its series.  Without ``factor``, g itself on the columns: shape
+    (n_omega, n_eta, columns).  The timer kernel sums its v' rules
+    against w phi_j (``pricers._timer_w_matrix``); the moment swaps take
+    g1 on their period lattices, with eta = 0, summed against w D(v) or
+    as a table (``pricers._g1_contract``).
 
-    On date d's rule u_j = u_0 + k_j du, so log(z/2) and lav are affine in
-    k and g's series exponent is E_ij = R_i + gamma_i k_j + e0_j:
+    On a run's rule u_j = u_0 + n_j du (n_j = k_j less the run's first k),
+    so log(z/2) and lav are affine in n and g's series exponent is
+    E_ij = R_i + gamma_i n_j + e0_j:
 
         R_i = a dt + b0 lav_0 + nu log(z_0 / 2) - log Gamma(nu + 1),
         gamma_i = -(b0 + nu / 2) du.
 
-    e^{e0_j - mu_d} (mu_d the date's largest e0) joins the factor, one real
-    exp per column, and e^{R_i + mu_d + gamma_i k} comes from one table
-    per date (``specfun._exp_table``: a few exps per row), shifted by each
-    row's largest real part over the dates, top_i, so that no entry passes
-    1 whatever the rows; e^{top_i} joins the row's sum through
-    ``specfun._split_exp``, by logs where it passes the double range.  (On
-    the timer's rules the real parts of R_i + gamma_i k span about e^-103
-    to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)  The series
-    sums S (``specfun._log_bessel_series``) times that table are then one
-    product against the factor.  Elements with an exponent of another form
-    take their own exp (``specfun._split_exp``) against the factor: the
-    asymptotic Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi
-    z), and any series element whose sum needed a log scale.
+    e^{e0_j - mu_d} (mu_d the run's largest e0) joins the factor, one real
+    exp per column, and e^{R_i + mu_d + gamma_i n} comes from one table
+    for every run at once (``specfun._exp_table``: a few exps per row and
+    run), n = 0..L-1 with L the longest run's span of indices, shifted by
+    each row's largest real part over the runs, top_i, so that no entry
+    passes 1 whatever the rows; e^{top_i} joins the row's sums (or its
+    table) through ``specfun._split_exp``, by logs where it passes the
+    double range.  (On the timer's rules the real parts of R_i + gamma_i n
+    span about e^-103 to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)
+    Where every run fills the table (L columns, n = 0..L-1: the timer's
+    tiles) it is built in place; runs of unequal spans or with gaps (the
+    swaps' pruned lattices) gather their columns from it.  The series
+    sums S (``specfun._log_bessel_series``) times the powers are then one
+    product against the factor.  Elements with an exponent of another
+    form take their own exp (``specfun._split_exp``): the asymptotic
+    Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi z), and any
+    series element whose sum needed a log scale.
 
     ``work``, a pair of complex arrays of at least rows x columns elements
     each, holds the series sums (its first) and, in turn, the series'
@@ -202,60 +240,83 @@ def _g_contract(rows, cols: _GColumns, factor, work=None):
     shape = rows[0].shape
     a, b0, nu, lgam = (np.reshape(x, -1) for x in rows)
     m = cols.z.size
+    out = np.zeros((a.size, m) if factor is None else a.size, dtype=complex)
 
     def own(r, c, e_bessel, s):
-        # sum_j e^E S factor over the elements (r, c) that take their own
-        # exp, E from their Bessel exponent and the row and column terms
+        # e^E S of the elements (r, c) that take their own exp, E from
+        # their Bessel exponent and the row and column terms, into ``out``
         e = a[r] * cols.dt[c] + b0[r] * cols.lav[c] + cols.e0[c] + e_bessel
-        val = specfun._split_exp(e, s) * factor[r // shape[1], c]
-        return (np.bincount(r, val.real, a.size)
-                + 1j * np.bincount(r, val.imag, a.size))
+        val = specfun._split_exp(e, s)
+        if factor is None:
+            out[r, c] = val
+            return
+        acc = np.zeros(a.size, dtype=complex)
+        np.add.at(acc, r, val * factor[
+            r // shape[1] if factor.shape[0] > 1 else 0, c])
+        out[...] += acc
 
-    out = np.zeros(a.size, dtype=complex)
-    series = np.ones(m, dtype=bool)
+    pick = slice(None)  # the columns some element takes the series in
     skip = None  # the asymptotic elements of the series columns
     far = np.abs(cols.z) > specfun.BESSEL_ASYMPTOTIC_MIN_Z
     if np.any(far):  # first, while no table is held
         asym = np.zeros((a.size, m), dtype=bool)
         asym[:, far] = specfun._bessel_asym_mask(nu[:, None], cols.z[far])
         r, c = np.nonzero(asym)
-        out += own(r, c, *specfun._log_bessel_asym(nu[r], cols.z[c]))
+        own(r, c, *specfun._log_bessel_asym(nu[r], cols.z[c]))
         series = ~np.all(asym, axis=0)
         if not np.any(series):
-            return out.reshape(shape)
+            return out.reshape(shape + out.shape[1:])
+        if not np.all(series):
+            pick = np.flatnonzero(series)
         if r.size:
-            skip = asym[:, series]
-    pick = slice(None) if np.all(series) else series
+            skip = asym[:, pick]
     s, scale = specfun._log_bessel_series(nu[:, None], cols.z[pick], work)
     if scale is not None:  # elements whose sums needed a log scale
         scaled = scale != 0.0
         if skip is not None:
             scaled &= ~skip
         r, c = np.nonzero(scaled)
-        c_all = np.flatnonzero(series)[c]
-        out += own(r, c_all, nu[r] * np.log(0.5 * cols.z[c_all]) - lgam[r]
-                   + scale[r, c], s[r, c])
+        c_all = np.arange(m)[pick][c]
+        own(r, c_all, nu[r] * np.log(0.5 * cols.z[c_all]) - lgam[r]
+            + scale[r, c], s[r, c])
         skip = scaled if skip is None else skip | scaled
-    starts = np.flatnonzero(cols.k == 0).tolist()
-    weight = np.empty(m)
-    dates, top = [], np.full(a.size, -np.inf)
-    for i, j in zip(starts, starts[1:] + [m]):
-        mu = cols.e0[i:j].max()
-        weight[i:j] = np.exp(cols.e0[i:j] - mu)
-        r0 = (a * cols.dt[i] + b0 * cols.lav[i] + nu * np.log(0.5 * cols.z[i])
-              - lgam + mu)
-        g = -(b0 + 0.5 * nu) * cols.du[i]
-        np.maximum(top, r0.real + np.maximum(g.real, 0.0) * (j - i - 1),
-                   out=top)
-        dates.append((i, j, r0, g))
-    powers = (np.empty((m, a.size), dtype=complex) if work is None
-              else work[1][:m * a.size].reshape(m, a.size))
-    for i, j, r0, g in dates:
-        specfun._exp_table(r0 - top, g, j - i - 1, out=powers[i:j])
+    starts, ends = _runs(cols.dt)
+    one = starts.size == 1  # one run (the timer's tiles): no run axis
+    span = int((cols.k[ends - 1] - cols.k[starts]).max()) + 1
+    mu = np.maximum.reduceat(cols.e0, starts)
+    weight = np.exp(cols.e0 - np.repeat(mu, ends - starts))
+    # the column terms of each run's first column, against the rows
+    dt, lav, z, du, mu = (x[0] if one else x[:, None] for x in (
+        cols.dt[starts], cols.lav[starts], cols.z[starts], cols.du[starts],
+        mu))
+    r0 = a * dt + b0 * lav + nu * np.log(0.5 * z) - lgam + mu
+    g = -(b0 + 0.5 * nu) * du
+    top = r0.real + np.maximum(g.real, 0.0) * (span - 1)
+    if not one:
+        top = top.max(axis=0)
+    if m == starts.size * span:  # every run is n = 0..span-1
+        powers = (np.empty((m, a.size), dtype=complex) if work is None
+                  else work[1][:m * a.size].reshape(m, a.size))
+        specfun._exp_table(r0 - top, g, span - 1, out=powers if one else
+                           powers.reshape(starts.size, span, a.size)
+                           .swapaxes(0, 1))
+    else:
+        run = np.repeat(np.arange(starts.size), ends - starts)
+        powers = specfun._exp_table(r0 - top, g, span - 1).reshape(
+            span, -1, a.size)[cols.k - cols.k[starts][run], run]
     s *= powers[pick].T
     del powers
     if skip is not None:
         s[skip] = 0.0
+    if factor is None:
+        s *= weight[pick]
+        big = np.abs(top) > 700.0  # where e^top alone leaves the range
+        s *= np.exp(np.where(big, 0.0, top))[:, None]
+        if np.any(big):
+            s[big] = specfun._split_exp(np.broadcast_to(
+                top[big, None], s[big].shape).astype(complex), s[big])
+        out[:, pick] += s
+        return out.reshape(shape + (m,))
     f = (factor * weight)[:, pick]
     out += specfun._split_exp(top.astype(complex), (
         s.reshape(shape + (-1,)) @ f[:, :, None]).reshape(-1))

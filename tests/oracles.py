@@ -1,7 +1,8 @@
 """Reference routes that only the tests use: the paper's second derivation
 of the partial transform g (its probabilistic factorization), an adaptive
 v' integral, the paper's two-date joint characteristic function built on
-it, and the omega rule summed one panel per batch.
+it, the swaps' g1 tabulated per element and the omega rule summed one
+panel per batch.
 
 They share no quadrature with the pricers (whose v' rules are fixed
 trapezoids from ``quadrature.log_density_grid``), and the factorization no
@@ -126,6 +127,22 @@ def partial_transform_g_factorized(t: float, v: float, t_prime: float,
         xi_for_factorization(om, et, params), t, t_prime, v, v_prime, params)
     dens = np.exp(tr._log_density_v_vec(t, v, t_prime, v_prime, params))
     return complex(pref * cf * dens[0])
+
+
+def g1_tabulated(params, t_km1, v, omega):
+    """g1(0, V0; t_{k-1}, omega, 0, v) per omega (rows) and period-grid
+    node, each node with its own date t_{k-1}, by the route that takes
+    g's value per element: e^E S from ``_log_g_vec`` in split form.  1 at
+    a node from t_{k-1} = 0 (the Dirac mass at V0).  The swaps contract g1
+    from its row and column factors (``pricers._g1_contract``) instead."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=complex))
+    table = np.ones((omega.size, np.size(v)), dtype=complex)
+    live = t_km1 > 0.0
+    if np.any(live):
+        table[:, live] = specfun._split_exp(*tr._log_g_vec(
+            0.0, params.v0, t_km1[live], omega[:, None], 0.0, v[live],
+            params))
+    return table
 
 
 def stable_complex_sum(values) -> complex:

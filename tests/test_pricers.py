@@ -40,7 +40,11 @@ from three_halves.pricers import (
 from three_halves.quadrature import QuadratureConfig
 from three_halves.specfun import _split_exp, _split_log
 
-from oracles import bivariate_cf_phi, omega_integral_panel_by_panel
+from oracles import (
+    bivariate_cf_phi,
+    g1_tabulated,
+    omega_integral_panel_by_panel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -535,6 +539,134 @@ class TestFactoredContraction:
         assert np.all(np.isfinite(got))
         assert (np.max(np.abs(got - want))
                 <= 1000.0 * np.finfo(float).eps * np.max(np.abs(want)))
+
+
+    def test_a_table_row_past_the_double_range(self, timer_params):
+        # g as a table (no factor) with log Gamma(2c + 1) lowered by 760:
+        # every row's shift top_i passes 700, so e^{top_i} joins the row by
+        # logs, and each entry is g e^760, or inf where that passes the
+        # double range.  Exponents near 760 carry about 760 eps of
+        # roundoff.
+        kernel = pricers._TimerKernel(1.0, 4, timer_params, QuadratureConfig())
+        omega, eta = _talbot_points(timer_params)
+        a, b0, nu, lgam = self.rows(kernel, omega, eta)
+        cols = kernel.g_columns.take(kernel.columns(slice(0, 1)))
+        table = tr._g_contract((a, b0, nu, lgam), cols)
+        got = tr._g_contract((a, b0, nu, lgam - 760.0), cols)
+        log_want = np.log(table) + 760.0
+        fits = log_want.real < 700.0
+        assert np.any(fits) and np.any(~fits)
+        assert np.all(np.isinf(got[log_want.real > 710.0]))
+        assert np.all(np.abs(got[fits] - np.exp(log_want[fits]))
+                      <= 2000.0 * np.finfo(float).eps
+                      * np.abs(got[fits]))
+
+
+class TestSwapG1Contraction:
+    """The swaps take g1 from its row and column factors
+    (``pricers._g1_contract``, ``transforms._g_contract``), summed against
+    a factor or as a table, where the tabulated route
+    (``oracles.g1_tabulated``) takes each element's value by its own exp.
+    They differ by roundoff only: a sum within 1e-13 of the sum of its
+    terms' moduli, a table entry within 1e-13 of its row's largest entry
+    (each entry's exponent, up to a few hundred, carries its own roundoff
+    in the tabulated route: entries 1e-14 of their row's largest are
+    1.2e-13 apart, relative to themselves, on the lag-0 corridor)."""
+
+    @pytest.mark.parametrize("fields", [
+        (2, 2, "corridor", 0, 80.0, 120.0),
+        (12, 2, "corridor", 1, 80.0, 120.0), (252, 2, "constant", 0),
+        (12, 2, "price_ratio", 0), (12, 2, "price_ratio", 1),
+        (12, 2, "terminal_price", 0)],
+        ids=lambda f: "-".join(map(str, f[:4])))
+    def test_against_the_tabulated_route(self, snp_params, monkeypatch,
+                                         fields):
+        calls, current = [], {}
+        moment, contract = pricers._weighted_moment, pricers._g1_contract
+
+        def moment_spy(params, cfg, m, periods, omega):
+            current["omega"] = np.atleast_1d(np.asarray(omega,
+                                                        dtype=complex))
+            return moment(params, cfg, m, periods, omega)
+
+        def contract_spy(params, rows, t_km1, v, k, factor=None):
+            got = contract(params, rows, t_km1, v, k, factor)
+            calls.append((current["omega"], t_km1, v, factor, got))
+            return got
+        monkeypatch.setattr(pricers, "_weighted_moment", moment_spy)
+        monkeypatch.setattr(pricers, "_g1_contract", contract_spy)
+        fair_strike_weighted(MomentSwapSpec(1.0, *fields), snp_params,
+                             QuadratureConfig())
+        kinds = set()
+        for omega, t_km1, v, factor, got in calls:
+            want = g1_tabulated(snp_params, t_km1, v, omega)
+            kinds.add(factor is None)
+            if factor is None:
+                scale = np.max(np.abs(want), axis=1, keepdims=True)
+            else:
+                want = want * factor
+                scale = np.sum(np.abs(want), axis=1)
+                want = np.sum(want, axis=1)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        # the weight at t_{k-1} sums g1 against w D(v); at t_k (lag 0) and
+        # on the tower (the terminal price) g1 is a table
+        table = (fields[2] == "terminal_price"
+                 or fields[2] != "constant" and fields[3] == 0)
+        assert kinds == {table}
+
+
+    @pytest.mark.parametrize("case", ["timer-dates", "pruned-lattices"])
+    def test_many_runs_as_one_call_per_run(self, snp_params, timer_params,
+                                           case):
+        # One _g_contract call over several date runs against one call per
+        # run: the N = 12 timer's first five inner dates (whole rules, the
+        # table built in place, the first with asymptotic elements), or
+        # four period lattices of the lag-1 corridor, each pruned to start
+        # above index 0, one with an inner node dropped as a prune may drop
+        # it (the table gathered).  The shift top_i is the largest over the
+        # call's runs, so one call rounds its exp table from another shift
+        # than a call per run, and sums its terms in another order: sums
+        # agree within 4 eps of their terms' moduli and table entries
+        # within 4 eps of their row's largest (2.5 and 1.7 eps measured).
+        eps = np.finfo(float).eps
+        if case == "timer-dates":
+            kernel = pricers._TimerKernel(1.0, 12, timer_params,
+                                          QuadratureConfig())
+            omega, eta = _talbot_points(timer_params)
+            rows = TestFactoredContraction.rows(kernel, omega, eta)
+            runs = [kernel.columns(slice(j, j + 1)) for j in range(5)]
+            whole = kernel.columns(slice(0, 5))
+            factor = kernel.inner(omega, slice(0, 5))
+            cols = kernel.g_columns.take
+            part = [(cols(c), factor[:, c.start:c.stop]) for c in runs]
+            cols = cols(whole)
+        else:
+            p = snp_params
+            omega = np.array([0.0, 20.0, 60.0]) + 1j * pricers.CORRIDOR_DAMPING
+            grids = list(pricers._period_grids(
+                p, QuadratureConfig(),
+                [(k / 12.0, (k + 1) / 12.0) for k in (1, 4, 7, 10)], omega))
+            inner = np.arange(grids[1][0].size) != grids[1][0].size // 2
+            grids[1] = tuple(x[inner] for x in grids[1])
+            assert all(g[4][0] > 0 for g in grids)
+            assert np.any(np.diff(grids[1][4]) > 1)
+            rows = pricers._g1_rows(p, omega)
+
+            def lattice(gs):
+                return tr._lattice_columns(p, *(np.concatenate(
+                    [g[i] for g in gs]) for i in (2, 0, 4)))
+            part = [(lattice([g]), g[1][None]) for g in grids]
+            cols, factor = lattice(grids), np.concatenate(
+                [g[1] for g in grids])[None]
+        got = tr._g_contract(rows, cols, factor)
+        want = sum(tr._g_contract(rows, c, f) for c, f in part)
+        table = np.concatenate([tr._g_contract(rows, c) for c, _ in part],
+                               axis=-1)
+        scale = np.sum(np.abs(table * factor[:, None]), axis=-1)
+        assert np.all(np.abs(got - want) <= 4.0 * eps * scale)
+        got = tr._g_contract(rows, cols)
+        assert np.all(np.abs(got - table) <= 4.0 * eps * np.max(
+            np.abs(table), axis=-1, keepdims=True))
 
 
 class TestTimerBuildOnce:
@@ -1100,12 +1232,12 @@ class TestSwapPeriodBlocks:
     def test_weight_at_start_tables_within_the_cap(self, snp_params,
                                                     swap_price, monkeypatch,
                                                     fields):
-        # With the weight at t_{k-1} g1 is omega x nodes and h is phi x
-        # nodes: a block of several periods keeps each within
-        # _BLOCK_ELEMENTS.  On the lag-1 corridor omega x phi x
-        # nodes passes it, where sizing blocks by that product gave each
-        # period its own; the constant swap's one omega must not let h's
-        # phi x nodes pass it.
+        # With the weight at t_{k-1} g1's contraction holds omega x nodes
+        # (its series sums and exp table) and h is phi x nodes: a block of
+        # several periods keeps each within _BLOCK_ELEMENTS.  On the lag-1
+        # corridor omega x phi x nodes passes it, where sizing blocks by
+        # that product gave each period its own; the constant swap's one
+        # omega must not let h's phi x nodes pass it.
         spec = MomentSwapSpec(1.0, *fields)
         blocks, current = [], {}
         make_blocks = pricers._blocks
@@ -1121,23 +1253,24 @@ class TestSwapPeriodBlocks:
             def kernel(*args):
                 out = fn(*args)
                 if "tables" in current:
-                    table = out[0] if name == "_log_g_vec" else out  # (E, S)
-                    current["tables"].setdefault(name, []).append(table.shape)
+                    table = ((args[0][0].shape[0], args[1].z.size)
+                             if name == "_g_contract" else out.shape)
+                    current["tables"].setdefault(name, []).append(table)
                 return out
             monkeypatch.setattr(pricers.tr, name, kernel)
 
         monkeypatch.setattr(pricers, "_blocks", spy_blocks)
-        for name in ("_log_g_vec", "_log_h_vec"):
+        for name in ("_g_contract", "_log_h_vec"):
             spy(name, getattr(pricers.tr, name))
         price = fair_strike_weighted(spec, snp_params, QuadratureConfig())
         assert price == swap_price(spec)
         cap = pricers._BLOCK_ELEMENTS
         stacked_past_product = False
         for b in blocks:
-            shapes = b.get("_log_g_vec", []) + b.get("_log_h_vec", [])
+            shapes = b.get("_g_contract", []) + b.get("_log_h_vec", [])
             if b["periods"] > 1:
                 assert max(math.prod(s) for s in shapes) <= cap, b
-            for (rows, _), (phis, nodes) in zip(b.get("_log_g_vec", []),
+            for (rows, _), (phis, nodes) in zip(b.get("_g_contract", []),
                                                 b["_log_h_vec"]):
                 stacked_past_product |= (b["periods"] > 1
                                          and rows * phis * nodes > cap)

@@ -450,7 +450,7 @@ class TestBesselTable:
         # corridor swap, each node with its own date t_{k-1}.
         p = snp_params
         cfg = QuadratureConfig()
-        v, _, t_km1, _ = (np.concatenate(x) for x in zip(*(
+        v, _, t_km1, _, _ = (np.concatenate(x) for x in zip(*(
             pricers._period_grids(p, cfg, [(k / 12.0, (k + 1) / 12.0)
                                            for k in range(1, 12)], 130.0))))
         _, A, C = tr._date_coefficients(0.0, t_km1, p)

@@ -12,6 +12,8 @@ ratio of two separate benchmark runs.
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 12 \
         --params snp --budget 0.06
     python3 tools/ab_interleaved.py PARENT_CHECKOUT . --timer 4 --params jump
+    python3 tools/ab_interleaved.py PARENT_CHECKOUT . --swap corridor 2 0
+    python3 tools/ab_interleaved.py PARENT_CHECKOUT . --swap price_ratio 12 0
 
 ``--workload`` prices one pass of a benchmark workload (``bench/
 workloads.py`` of each checkout, bound to that checkout's package) per
@@ -21,7 +23,12 @@ set ``--params`` (a key of the workloads' ``PARAMS``, ``timer`` by
 default, or ``jump``: ``snp`` with lognormal jumps of intensity 0.5, mean
 -0.1 and volatility 0.2, the tests' ``jump_params``, whose Talbot
 contours take growth passes) at the budget ``--budget`` (the timer
-workload's by default).
+workload's by default); ``--swap KIND N LAG`` prices one
+``MomentSwapSpec`` (T = 1, m = 2, weight KIND, N periods, lag LAG) per
+round, on ``--params`` (``snp`` by default), a corridor between
+``--bounds L U`` (the corridor workload's by default), so that one route
+of the swaps' kernel (the weight at t_{k-1}, at t_k or past it) is timed
+apart.
 One warm-up round is run first and not counted.
 
 Prints each side's median time and median minor page faults per round
@@ -92,6 +99,16 @@ def make_side(checkout: Path, tag: str, args):
     params["jump"] = package.model.ModelParams.with_constant_theta(
         **wl.PARAMS["snp"], jumps=package.model.JumpParams(
             lam=0.5, mu=-0.1, sigma=0.2))
+    if args.swap is not None:
+        kind, n, lag = args.swap
+        bounds = (args.bounds or wl.CORRIDOR_BOUNDS if kind == "corridor"
+                  else ())
+        spec = package.pricers.MomentSwapSpec(1.0, n, 2, kind, lag, *bounds)
+
+        def run():
+            return [package.pricers.fair_strike_weighted(
+                spec, params[args.params], cfg)]
+        return run
     if args.timer is not None:
         specs = wl.timer_specs(wl.TIMER_STRIKES, args.timer)
         if args.budget is not None:
@@ -125,19 +142,35 @@ def main(argv=None) -> int:
     what.add_argument("--workload", choices=("timer", "corridor", "strip"))
     what.add_argument("--timer", type=int, metavar="N",
                       help="the benchmark's timer strikes at N dates")
+    what.add_argument("--swap", nargs=3, metavar=("KIND", "N", "LAG"),
+                      help="one moment swap of weight KIND, N periods and "
+                      "lag LAG")
     ap.add_argument("--params", choices=("timer", "snp", "jump"),
-                    default="timer",
-                    help="the parameter set of --timer")
+                    help="the parameter set of --timer (timer by default) "
+                    "or --swap (snp by default)")
     ap.add_argument("--budget", type=float, metavar="B",
                     help="the variance budget of --timer")
+    ap.add_argument("--bounds", nargs=2, type=float, metavar=("L", "U"),
+                    help="the corridor bounds of --swap corridor")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rounds", type=int, default=12)
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    if args.timer is None and (args.params != "timer"
-                               or args.budget is not None):
-        ap.error("--params and --budget apply to --timer only")
+    if args.timer is None and args.budget is not None:
+        ap.error("--budget applies to --timer only")
+    if args.workload is not None and args.params is not None:
+        ap.error("--params applies to --timer and --swap only")
+    if args.bounds is not None and (args.swap is None
+                                    or args.swap[0] != "corridor"):
+        ap.error("--bounds applies to --swap corridor only")
+    if args.params is None:
+        args.params = "snp" if args.swap is not None else "timer"
+    if args.swap is not None:
+        try:
+            args.swap[1:] = [int(x) for x in args.swap[1:]]
+        except ValueError:
+            ap.error("--swap takes KIND N LAG, N and LAG integers")
 
     sides = {"A": make_side(args.a.resolve(), "a", args),
              "B": make_side(args.b.resolve(), "b", args)}

@@ -96,8 +96,8 @@ together (``_weighted_moment``): on the routes with the weight at t_{k-1}
 or t_k, every period's v grid is stacked on one node axis whose nodes carry
 their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
 h are each one kernel call per block of periods.  A block holds as many
-periods as keep the largest table its route builds within
-_BLOCK_ELEMENTS, the timer's cap, which bounds the kernels' memory.  The
+periods as keep the largest table its route builds (g1's exp table with
+its pruned lattices padded) within _BLOCK_ELEMENTS, the timer's cap, which bounds the kernels' memory.  The
 terminal-price weight's tower route (t_i > t_k) pairs some 11k (v, v')
 nodes per period and stays one period at a time; each g call takes every
 phi node against a block of whole outer rows of live pairs, within the
@@ -493,12 +493,13 @@ class _TimerKernel:
 # for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
 # nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
 # route (``_weighted_moment``).  g's kernel (``transforms._g_contract``)
-# holds two tables of its size, the series sums and the exp table (on a
-# block of pruned period lattices, padded to the longest lattice's span
-# of indices: 1.06x on the lag-1 corridor, 1.7x on the N = 252 variance
-# swap's one-omega blocks), and the tower's g, in split form, two, E and
-# S; the timer's tiles share one workspace of two such tables
-# (``_timer_w_matrix``).  Sized by measurement on 2 vCPUs shared
+# holds two tables of its size, the series sums and the exp table; on a
+# block of pruned period lattices the exp table is padded to the block's
+# longest span of lattice indices, and the blocks are sized so that the
+# padded table stays within the cap too (``_blocks``), while the columns
+# gathered from it make a third table of the sums' size.  The tower's g,
+# in split form, holds two, E and S; the timer's tiles share one
+# workspace of two such tables (``_timer_w_matrix``).  Sized by measurement on 2 vCPUs shared
 # with other jobs (``tools/ab_interleaved.py``, time against 2^15 at
 # 2^14 / 2^16): the timer workload 1.15 / 0.95, three N = 52 timer strikes
 # 1.35 / 1.03, the corridor 1.04 / 0.98 and the strip 0.93 / 1.01.  A
@@ -1053,13 +1054,17 @@ def _g1_contract(params: ModelParams, rows, t_km1, v, k, factor=None):
     return out
 
 
-def _blocks(grids, per_node: int):
+def _blocks(grids, per_node: int, per_span: int = 0):
     """The grids of ``grids`` (tuples of arrays on one node axis, such as
     a period's v, w, t_{k-1}, t_k and lattice indices), taken as they are
     consumed, stacked into blocks of consecutive grids with at most
     _BLOCK_ELEMENTS / per_node nodes each, or a single grid: each
-    array on one node axis and the index where each grid starts."""
-    block, nodes = [], 0
+    array on one node axis and the index where each grid starts.  With
+    ``per_span``, a block's grids times their longest span of lattice
+    indices (the last array) also stay within _BLOCK_ELEMENTS / per_span:
+    g's kernel pads each lattice to that span in its exp table
+    (``transforms._g_contract``)."""
+    block, nodes, span = [], 0, 0
 
     def stacked():
         starts = np.cumsum([0] + [g[0].size for g in block[:-1]])
@@ -1067,11 +1072,14 @@ def _blocks(grids, per_node: int):
 
     for grid in grids:
         n = grid[0].size
-        if block and (nodes + n) * per_node > _BLOCK_ELEMENTS:
+        own = int(grid[-1][-1] - grid[-1][0]) + 1 if per_span else 0
+        if block and max((nodes + n) * per_node, (len(block) + 1) * max(
+                span, own) * per_span) > _BLOCK_ELEMENTS:
             yield stacked()
-            block, nodes = [], 0
+            block, nodes, span = [], 0, 0
         block.append(grid)
         nodes += n
+        span = max(span, own)
     yield stacked()
 
 
@@ -1115,12 +1123,15 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     _BLOCK_ELEMENTS (at least one period), which bounds the memory of the
     Kummer and Bessel tensors.
     The first route never builds an omega x phi table: g1's kernel holds
-    omega x nodes (its series sums and exp table) and h is phi x nodes,
-    so its blocks are sized by max(omega, phi) per node (the lag-1
-    corridor's twelve periods then share a few kernel calls, where omega
-    x phi per node gave each its own).  The second route builds
+    omega x nodes (its series sums) and omega x periods x the block's
+    longest span of lattice indices (its exp table, which pads the pruned
+    lattices), and h is phi x nodes, so its blocks are sized by phi per
+    node and omega per padded node (the lag-1 corridor's twelve periods
+    then share a few kernel calls, where omega x phi per node gave each
+    its own).  The second route builds
     h(omega + phi) on omega x phi x nodes, so its blocks are sized by
-    that product, and phi is split where one period alone passes the cap;
+    that product (and by omega per padded node, as in the first route,
+    which has never bound there), and phi is split where one period alone passes the cap;
     g1's table is taken once per block, before the split.  It sums each
     period's nodes (``np.add.reduceat``) before the Cauchy rule and the
     periods after it, so the rule's gap check stays per period, as it
@@ -1167,9 +1178,9 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
         grids = _period_grids(params, cfg, spans, omega)
         phi_evals = (MOMENT_NODES // 2 if weight_at_start or real_weight
                      else MOMENT_NODES)
-        per_node = (max(omega.size, phi_evals) if weight_at_start
-                    else omega.size * phi_evals)
-        for v, w, t_km1, t_k, k, starts in _blocks(grids, per_node):
+        per_node = phi_evals if weight_at_start else omega.size * phi_evals
+        for v, w, t_km1, t_k, k, starts in _blocks(grids, per_node,
+                                                   omega.size):
             if weight_at_start:
                 d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(
                     t_km1, v, t_k, p[:, None], 0.0, params)), True, starts)

@@ -224,12 +224,13 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
     span about e^-103 to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)
     Where every run fills the table (L columns, n = 0..L-1: the timer's
     tiles) it is built in place; runs of unequal spans or with gaps (the
-    swaps' pruned lattices) gather their columns from it.  The series
-    sums S (``specfun._log_bessel_series``) times the powers are then one
-    product against the factor.  Elements with an exponent of another
-    form take their own exp (``specfun._split_exp``): the asymptotic
-    Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi z), and any
-    series element whose sum needed a log scale.
+    swaps' pruned lattices) gather their columns from it, runs x L
+    entries per row (the swaps' blocks count it so, ``pricers._blocks``).
+    The series sums S (``specfun._log_bessel_series``) times the powers
+    are then one product against the factor.  Elements with an exponent
+    of another form take their own exp (``specfun._split_exp``): the
+    asymptotic Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi
+    z), and any series element whose sum needed a log scale.
 
     ``work``, a pair of complex arrays of at least rows x columns elements
     each, holds the series sums (its first) and, in turn, the series'
@@ -281,25 +282,21 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
             + scale[r, c], s[r, c])
         skip = scaled if skip is None else skip | scaled
     starts, ends = _runs(cols.dt)
-    one = starts.size == 1  # one run (the timer's tiles): no run axis
     span = int((cols.k[ends - 1] - cols.k[starts]).max()) + 1
     mu = np.maximum.reduceat(cols.e0, starts)
     weight = np.exp(cols.e0 - np.repeat(mu, ends - starts))
     # the column terms of each run's first column, against the rows
-    dt, lav, z, du, mu = (x[0] if one else x[:, None] for x in (
+    dt, lav, z, du, mu = (x[:, None] for x in (
         cols.dt[starts], cols.lav[starts], cols.z[starts], cols.du[starts],
         mu))
     r0 = a * dt + b0 * lav + nu * np.log(0.5 * z) - lgam + mu
     g = -(b0 + 0.5 * nu) * du
-    top = r0.real + np.maximum(g.real, 0.0) * (span - 1)
-    if not one:
-        top = top.max(axis=0)
+    top = (r0.real + np.maximum(g.real, 0.0) * (span - 1)).max(axis=0)
     if m == starts.size * span:  # every run is n = 0..span-1
         powers = (np.empty((m, a.size), dtype=complex) if work is None
                   else work[1][:m * a.size].reshape(m, a.size))
-        specfun._exp_table(r0 - top, g, span - 1, out=powers if one else
-                           powers.reshape(starts.size, span, a.size)
-                           .swapaxes(0, 1))
+        specfun._exp_table(r0 - top, g, span - 1, out=powers.reshape(
+            starts.size, span, a.size).swapaxes(0, 1))
     else:
         run = np.repeat(np.arange(starts.size), ends - starts)
         powers = specfun._exp_table(r0 - top, g, span - 1).reshape(

@@ -614,6 +614,44 @@ class TestSwapG1Contraction:
                  or fields[2] != "constant" and fields[3] == 0)
         assert kinds == {table}
 
+    @pytest.mark.parametrize("fields", [
+        (12, 2, "price_ratio", 0), (12, 2, "terminal_price", 0),
+        (12, 2, "price_ratio", 1)],
+        ids=lambda f: "-".join(map(str, f[:4])))
+    def test_prices_move_as_a_ulp_of_g1_moves_them(self, snp_params,
+                                                   swap_price, monkeypatch,
+                                                   fields):
+        # Where g1 weighs h(omega + phi) (the weight at t_k, the tower),
+        # each Cauchy node's product g1 h rounds on its own, and the rule's
+        # m!/r^m = 32 against a period's second moment, about 6e-3 of |f|,
+        # amplifies that up to some 5000-fold: g1 from the tabulated route
+        # scaled by 1 + eps or 1 - eps/2 moves these two prices by 1.9e-14
+        # to 7.9e-14 relative (87 to 357 eps).
+        # With the weight at t_{k-1} g1 weighs the moment D(v), taken
+        # before it, and the price moves by 1.5 eps at most.  The factored
+        # g1 is a few eps off the tabulated one, so it moves the prices by
+        # 1.1 and 1.8 times the larger one-ulp move (6.6e-14 and 1.4e-13)
+        # and the lag-1 price ratio by 4.5 eps.
+        eps = np.finfo(float).eps
+        spec = MomentSwapSpec(1.0, *fields)
+        factored = swap_price(spec)
+        # the tabulated g1, from each call's omega in place of its rows
+        monkeypatch.setattr(pricers, "_g1_rows", lambda params, omega: omega)
+
+        def price(scale):
+            def tabulated(params, omega, t_km1, v, k, factor=None):
+                g1 = g1_tabulated(params, t_km1, v, omega) * scale
+                return g1 if factor is None else np.sum(g1 * factor, axis=1)
+            monkeypatch.setattr(pricers, "_g1_contract", tabulated)
+            return fair_strike_weighted(spec, snp_params, QuadratureConfig())
+
+        tabulated = price(1.0)
+        ulp = max(abs(price(s) - tabulated) for s in (1.0 + eps,
+                                                      1.0 - eps / 2))
+        assert (ulp > 1e-14 * abs(tabulated)) == (spec.lag == 0)
+        assert abs(factored - tabulated) <= (4.0 * ulp
+                                             + 8.0 * eps * abs(tabulated))
+
 
     @pytest.mark.parametrize("case", ["timer-dates", "pruned-lattices"])
     def test_many_runs_as_one_call_per_run(self, snp_params, timer_params,
@@ -1204,10 +1242,11 @@ class TestSwapPeriodBlocks:
     The kernels round differently in the last bit when a block holds other
     periods (Kummer's coefficient tables are sized by the block's largest
     argument), and the Cauchy rule multiplies that by m! / r^m per period:
-    on these swaps the skew moves by 4.3e-13 (3.6e-11 relative), the
-    price-ratio lag-0 swap by 3.2e-14 and the others by at most 7e-16 (the
-    lag-1 corridor by 6.9e-17).  The bound is 1e-13 relative plus that
-    roundoff floor, N eps m! / r^m.
+    on these swaps the skew moves by 4.6e-13 (3.9e-11 relative), the
+    price-ratio lag-0 swap by 1.0e-14 (1.4e-13 relative), the lag-1
+    corridor by 5.1e-15 (8.2e-14 relative) and the others by at most
+    1e-15.  The bound is 1e-13 relative plus that roundoff floor,
+    N eps m! / r^m.
     """
 
     @pytest.mark.parametrize("fields", [
@@ -1233,8 +1272,10 @@ class TestSwapPeriodBlocks:
                                                     swap_price, monkeypatch,
                                                     fields):
         # With the weight at t_{k-1} g1's contraction holds omega x nodes
-        # (its series sums and exp table) and h is phi x nodes: a block of
-        # several periods keeps each within _BLOCK_ELEMENTS.  On the lag-1
+        # (its series sums) and omega x runs x the longest run's span of
+        # lattice indices (its exp table, padded where a prune shortened
+        # or split a lattice), and h is phi x nodes: a block of several
+        # periods keeps each within _BLOCK_ELEMENTS.  On the lag-1
         # corridor omega x phi x nodes passes it, where sizing blocks by
         # that product gave each period its own; the constant swap's one
         # omega must not let h's phi x nodes pass it.
@@ -1242,18 +1283,24 @@ class TestSwapPeriodBlocks:
         blocks, current = [], {}
         make_blocks = pricers._blocks
 
-        def spy_blocks(grids, per_node):
-            for block in make_blocks(grids, per_node):
+        def spy_blocks(grids, per_node, per_span=0):
+            for block in make_blocks(grids, per_node, per_span):
                 current["tables"] = {"periods": block[-1].size}
                 blocks.append(current["tables"])
                 yield block
                 current.pop("tables")  # the next period grids are built
 
+        def padded(cols):
+            starts, ends = tr._runs(cols.dt)
+            return starts.size * (int(np.max(cols.k[ends - 1]
+                                             - cols.k[starts])) + 1)
+
         def spy(name, fn):
             def kernel(*args):
                 out = fn(*args)
                 if "tables" in current:
-                    table = ((args[0][0].shape[0], args[1].z.size)
+                    table = ((args[0][0].shape[0], args[1].z.size,
+                              padded(args[1]))
                              if name == "_g_contract" else out.shape)
                     current["tables"].setdefault(name, []).append(table)
                 return out
@@ -1267,11 +1314,12 @@ class TestSwapPeriodBlocks:
         cap = pricers._BLOCK_ELEMENTS
         stacked_past_product = False
         for b in blocks:
-            shapes = b.get("_g_contract", []) + b.get("_log_h_vec", [])
+            shapes = [(rows, n) for rows, *cols in b.get("_g_contract", [])
+                      for n in cols] + b.get("_log_h_vec", [])
             if b["periods"] > 1:
                 assert max(math.prod(s) for s in shapes) <= cap, b
-            for (rows, _), (phis, nodes) in zip(b.get("_g_contract", []),
-                                                b["_log_h_vec"]):
+            for (rows, *_), (phis, nodes) in zip(b.get("_g_contract", []),
+                                                 b["_log_h_vec"]):
                 stacked_past_product |= (b["periods"] > 1
                                          and rows * phis * nodes > cap)
         assert stacked_past_product == (spec.weight_kind == "corridor")

@@ -91,24 +91,23 @@ MOMENT_RADIUS with MOMENT_NODES nodes (``_cauchy_moment``).  The corridor
 inverts its weight's transform by ``fourier_invert_1d``; its v grids are
 sized so that g1's phase in ln v does not alias at the largest omega_R.
 
-The periods of a swap differ only in their dates, so they are priced
-together (``_weighted_moment``): on the routes with the weight at t_{k-1}
-or t_k, every period's v grid is stacked on one node axis whose nodes carry
-their own dates, and the Cauchy nodes phi sit on a leading axis, so g1 and
-h are each one kernel call per block of periods.  A block holds as many
-periods as keep the largest table its route builds (g1's exp table with
-its pruned lattices padded) within _BLOCK_ELEMENTS, the timer's cap, which bounds the kernels' memory.  The
-terminal-price weight's tower route (t_i > t_k) pairs some 11k (v, v')
-nodes per period and stays one period at a time; each g call takes every
-phi node against a block of whole outer rows of live pairs, within the
-same element count.
-
-g1 = g(0, V0; t_{k-1}, omega, 0, v) comes from the timer's kernel
-(``transforms._g_contract``), on every route: each period's lattice is a
-uniform rule in ln v, so g1 is contracted from its row and column
-factors with no exp per element where the Bessel function takes its
-series, summed against w D(v) with the weight at t_{k-1} and taken as a
-table, omega x nodes, on the other routes (``_g1_contract``).
+Every period's term is formed one way (``_weighted_moment``): the Cauchy
+rule runs per node v of the period's grid at t_{k-1} on a phi-function
+D(v) (h, or past t_k the tower's inner sum over v'), and g1 = g(0, V0;
+t_{k-1}, omega, 0, v) is contracted against w D(v) in one call of the
+timer's kernel (``_g1_contract``, ``transforms._g_contract``): each
+period's lattice is a uniform rule in ln v, so g1 comes from its row and
+column factors with no exp per element where the Bessel function takes
+its series.  The periods of a swap differ only in their dates, so on the
+routes with the weight at t_{k-1} or t_k every period's v grid is stacked
+on one node axis whose nodes carry their own dates, and the Cauchy nodes
+phi sit on a leading axis: h and g1 are each one kernel call per block of
+periods, as many as keep the largest table the route builds (g1's exp
+table with its pruned lattices padded) within _BLOCK_ELEMENTS, the
+timer's cap.  The terminal-price weight's tower route (t_i > t_k) pairs
+some 11k (v, v') nodes per period and stays one period at a time; each g
+call takes every phi node against a block of whole outer rows of live
+pairs, within the same element count.
 
 Every v grid is a fixed lattice of ``_transition_grid``, but the kernels
 are evaluated only on its live nodes: ``_live_nodes`` drops the nodes
@@ -490,8 +489,8 @@ class _TimerKernel:
 # Largest table one batched kernel call builds, for the timer and the
 # moment swaps alike: the timer's (omega, eta) pairs x v' columns for g and
 # omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
-# for g1 and phi x nodes for h with the weight at t_{k-1}, omega x phi x
-# nodes with it at t_k, and omega x phi x live (v, v') pairs on the tower
+# for g1, phi x nodes for h with the weight at t_{k-1}, phi x omega x
+# nodes with it at t_k, and phi x omega x live (v, v') pairs on the tower
 # route (``_weighted_moment``).  g's kernel (``transforms._g_contract``)
 # holds two tables of its size, the series sums and the exp table; on a
 # block of pruned period lattices the exp table is padded to the block's
@@ -575,7 +574,8 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     def contract(tile, cols, work=None):
         out[tile] += tr._g_contract(
             tuple(x[tile] for x in rows), kernel.g_columns.take(cols),
-            factor[tile, cols.start - base:cols.stop - base], work)
+            factor[tile, cols.start - base:cols.stop - base, None],
+            work)[..., 0]
 
     for tile, cols in tiles:
         if np.any(far[cols]):
@@ -948,6 +948,15 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
     of its own size and eps times the largest segment's, as a period whose
     values are below the call's roundoff cannot move its sum.
     """
+    full = _cauchy_check(m, _cauchy_rules(m, f, conj_symmetric), starts)
+    return full.real if conj_symmetric else full
+
+
+def _cauchy_rules(m: int, f, conj_symmetric: bool):
+    """``_cauchy_moment``'s rule and the rule on its nodes of even index,
+    per value of ``f``, unchecked, on a last axis of 2: the full rule real
+    with ``conj_symmetric``, the half rule never (its nodes are not closed
+    under phi -> -conj phi, so its leading alias is imaginary there)."""
     j = np.arange(MOMENT_NODES)
     theta = 2.0 * math.pi * (j + 0.5) / MOMENT_NODES
     phis = MOMENT_RADIUS * np.exp(1j * theta)
@@ -963,10 +972,15 @@ def _cauchy_moment(m: int, f, conj_symmetric: bool, starts=None):
             * (-1j) ** m * np.exp(-1j * m * theta))
     full = np.tensordot(coef, vals, axes=1)
     half = 2.0 * np.tensordot(coef[::2], vals[::2], axes=1)
-    gap = np.abs(full - half)
-    if conj_symmetric:
-        full = full.real
-    size = np.abs(full)
+    return np.stack([full.real if conj_symmetric else full, half], axis=-1)
+
+
+def _cauchy_check(m: int, rules, starts=None):
+    """The full rule of ``rules`` (``_cauchy_rules``, or sums linear in
+    them) once ``_cauchy_moment``'s check of its gap to the half rule
+    passes, over all values or per segment ``starts`` of the last axis."""
+    full = rules[..., 0]
+    gap, size = np.abs(full - rules[..., 1]), np.abs(full)
     if starts is None:
         gap, size = np.max(gap), np.max(size)
     else:
@@ -1030,28 +1044,26 @@ def _g1_rows(params: ModelParams, omega):
     return a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
 
 
-def _g1_contract(params: ModelParams, rows, t_km1, v, k, factor=None):
-    """sum_j g1(0, V0; t_{k-1}, omega, v_j) factor[i, j] over the nodes of
-    period grids (``_period_grids``: v with each node's t_{k-1} and
+def _g1_contract(params: ModelParams, rows, t_km1, v, k, factor,
+                 per_period=False):
+    """sum_j g1(0, V0; t_{k-1}, omega, v_j) factor[i, j, :] over the nodes
+    of period grids (``_period_grids``: v with each node's t_{k-1} and
     lattice index k) for the omegas of ``rows`` (``_g1_rows``), against
-    ``factor`` of shape (n_omega or 1, nodes): shape (n_omega,).  Without
-    ``factor``, g1 itself per omega and node.  g1 comes from its row and
-    column factors (``transforms._g_contract``), each period's lattice
-    one run of columns; at a node from t_{k-1} = 0 it is the Dirac mass
-    at V0, 1 in the table, where the factor is summed as it is."""
-    lattice = t_km1 > 0.0
-    cols = (tr._lattice_columns(params, t_km1[lattice], v[lattice],
-                                k[lattice]) if np.any(lattice) else None)
-    if factor is None:
-        out = np.ones((rows[0].shape[0], v.size), dtype=complex)
-        if cols is not None:
-            out[:, lattice] = tr._g_contract(rows, cols)[:, 0]
-        return out
-    out = np.zeros(rows[0].shape[0], dtype=complex)
-    out += factor[:, ~lattice].sum(axis=1)
-    if cols is not None:
-        out += tr._g_contract(rows, cols, factor[:, lattice])[:, 0]
-    return out
+    ``factor`` of shape (n_omega or 1, nodes, K): shape (n_omega, K), or
+    per period, (n_omega, periods, K).  g1 comes from its row and column
+    factors (``transforms._g_contract``), each period's lattice one run of
+    columns; at the nodes from t_{k-1} = 0, first in a swap, it is the
+    Dirac mass at V0, and the factor is summed as it is."""
+    d = np.count_nonzero(t_km1 == 0.0)
+    out = np.broadcast_to(factor[:, :d].sum(axis=1, keepdims=True), (
+        rows[0].shape[0], min(d, 1) if per_period else 1, factor.shape[-1]))
+    if d < v.size:
+        sums = tr._g_contract(rows, tr._lattice_columns(
+            params, t_km1[d:], v[d:], k[d:]), factor[:, d:],
+            per_run=per_period)[:, 0]
+        out = (np.concatenate([out, sums], axis=1) if per_period
+               else out + sums[:, None])
+    return out if per_period else out[:, 0]
 
 
 def _blocks(grids, per_node: int, per_span: int = 0):
@@ -1083,68 +1095,48 @@ def _blocks(grids, per_node: int, per_span: int = 0):
     yield stacked()
 
 
-def _phi_chunks(phis, per_phi: int):
-    """Consecutive runs of the Cauchy nodes ``phis`` with at most
-    _BLOCK_ELEMENTS / per_phi nodes each, or a single node."""
-    step = max(1, _BLOCK_ELEMENTS // per_phi)
-    return [phis[j:j + step] for j in range(0, phis.size, step)]
-
-
 def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                      periods, omega):
     """sum over the periods (t_{k-1}, t_k, t_i) of ``periods`` of
     i^{-m} d^m/dphi^m E[e^{i omega (X_{t_i} - X0)} e^{i phi dX_k}] at
     phi = 0, with dX_k = X_{t_k} - X_{t_{k-1}}, for each omega of an array.
 
-    The weight date t_i picks the route; g1(0, V0; t_{k-1}, omega, v) weighs
-    the variance v at t_{k-1} (at t_{k-1} = 0 it is a Dirac mass at V0):
+    Every period's term is formed one way: the Cauchy rules
+    (``_cauchy_rules``) run per node v of the period's grid at t_{k-1} on
+    a phi-function D(v), and g1(0, V0; t_{k-1}, omega, v) is contracted
+    against w D(v) in one call of ``_g1_contract`` (g1's row and column
+    factors, ``transforms._g_contract``; at t_{k-1} = 0 a Dirac mass at
+    V0), so g1 enters the price linearly, after the rule's m!/r^m.  The
+    weight date t_i picks D:
 
-    * t_i = t_{k-1}: the phi-factor h(t_{k-1}, v; t_k, phi) is free of
-      omega; its moment D(v) is taken per node and contracted against g1.
-    * t_i = t_k:  int h(t_{k-1}, v; t_k, omega + phi) g1 dv.
-    * t_i > t_k:  int int h(t_k, v'; t_i, omega)
-                  g(t_{k-1}, v; t_k, omega + phi, v') g1 dv' dv,
-      the tower rule through t_k.
+    * t_i = t_{k-1}: h(t_{k-1}, v; t_k, phi), free of omega;
+    * t_i = t_k: h(t_{k-1}, v; t_k, omega + phi);
+    * t_i > t_k: sum_{v'} g(t_{k-1}, v; t_k, omega + phi, v') w'
+      h(t_k, v'; t_i, omega), the tower rule through t_k.
 
-    Every route takes g1 from one kernel, ``_g1_contract``: g1's row and
-    column factors (``transforms._g_contract``), each period's pruned
-    lattice one run of columns, with no exp per element where the Bessel
-    function takes its series.  The first route sums g1 against the
-    factor w D(v) in that kernel; the second and the tower take g1 from
-    it as a table, omega x nodes, which then weighs h.
+    The rules' 8/4-node gap is checked per period: on the first route on
+    D(v) per node (it is free of omega); on the others on each period's
+    g1-weighted sums of both rules, contracted together, K = 2 per period
+    (by linearity the sums the rules would take on g1-weighted h).
 
     Period axis.  The periods of the first two routes differ only in their
     dates, so each route stacks its periods' v grids (``_period_grids``:
     each the lattice of a lone period, less its dead nodes) on one node
     axis, each node carrying its own dates and lattice index, and takes
-    g1 and h for a block of periods in one kernel call each, with the
+    h and g1 for a block of periods in one kernel call each, with the
     Cauchy nodes phi on a leading axis.  A block holds as many
     consecutive periods as keep the largest table its route builds within
-    _BLOCK_ELEMENTS (at least one period), which bounds the memory of the
-    Kummer and Bessel tensors.
-    The first route never builds an omega x phi table: g1's kernel holds
-    omega x nodes (its series sums) and omega x periods x the block's
-    longest span of lattice indices (its exp table, which pads the pruned
-    lattices), and h is phi x nodes, so its blocks are sized by phi per
-    node and omega per padded node (the lag-1 corridor's twelve periods
-    then share a few kernel calls, where omega x phi per node gave each
-    its own).  The second route builds
-    h(omega + phi) on omega x phi x nodes, so its blocks are sized by
-    that product (and by omega per padded node, as in the first route,
-    which has never bound there), and phi is split where one period alone passes the cap;
-    g1's table is taken once per block, before the split.  It sums each
-    period's nodes (``np.add.reduceat``) before the Cauchy rule and the
-    periods after it, so the rule's gap check stays per period, as it
-    does on D(v) in the first route.  (g1 summed against w h(omega + phi)
-    in the kernel, on a trailing axis of phi x period zero off each
-    period's nodes, ran 1.07x on the lag-0 corridor and 1.18x on the
-    lag-0 price ratio: the zero-padded product, and g1 taken again for
-    each phi split.)
+    _BLOCK_ELEMENTS (at least one period): g1's omega x nodes (its series
+    sums) and omega x periods x the block's longest span of lattice
+    indices (its exp table, which pads the pruned lattices), and h's phi
+    x nodes on the first route (the lag-1 corridor's twelve periods then
+    share a few kernel calls), phi x omega x nodes on the second, whose
+    omega rows are taken in chunks where one period alone passes the cap.
 
     On the corridor, ``omega`` is one batch of the omega rule (see
     ``quadrature``).  What does not depend on omega, the period lattices,
-    their prune and D(v), is built once per batch, and each lattice is
-    sized at its batch's largest omega_R.
+    their prune and the first route's D(v), is built once per batch, and
+    each lattice is sized at its batch's largest omega_R.
 
     The tower route takes its periods' outer v grids from one
     ``_period_grids`` call, as the other routes do, but its kernels stay
@@ -1152,18 +1144,17 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     lattices pair some 11k (v, v') nodes, 7.2k of them live
     (``_live_nodes`` at every omega + phi), so stacking periods would
     only multiply its largest tensor, and the peak memory, by their
-    number.  Its outer weights w g1 come from g1's table.  g, from
-    t_{k-1}, is evaluated on the live pairs as one flat axis: each call
-    takes every phi node the Cauchy rule asks for against a block of
-    whole outer v rows' pairs, as many rows as keep omega x phi x pairs
-    within _BLOCK_ELEMENTS (at least one).  The orders
-    2c(omega + phi) then sit on the rows of one Bessel table against the
-    block's (v, v') arguments, so the phi nodes share its series' power
-    table (``specfun._log_bessel_table``).  The phi-free factor
-    h(t_k, v'; t_i, omega) is taken once per period on the live pairs; at
-    omega = -i (the terminal-price weight) it is exactly
-    e^{(r - q)(t_i - t_k)}, which ``transforms._log_h_vec`` returns
-    without a Kummer call.
+    number.  g, from t_{k-1}, is evaluated on the live pairs as one flat
+    axis and summed per outer node: each call takes every phi node the
+    Cauchy rule asks for against a block of whole outer v rows' pairs, as
+    many rows as keep omega x phi x pairs within _BLOCK_ELEMENTS (at
+    least one).  The orders 2c(omega + phi) then sit on the rows of one
+    Bessel table against the block's (v, v') arguments, so the phi nodes
+    share its series' power table (``specfun._log_bessel_table``).  The
+    phi-free factor h(t_k, v'; t_i, omega) is taken once per period on
+    the live pairs; at omega = -i (the terminal-price weight) it is
+    exactly e^{(r - q)(t_i - t_k)}, which ``transforms._log_h_vec``
+    returns without a Kummer call.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     # A purely imaginary omega makes the weight e^{i omega X} real.
@@ -1185,26 +1176,31 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                 d_v = _cauchy_moment(m, lambda p: np.exp(tr._log_h_vec(
                     t_km1, v, t_k, p[:, None], 0.0, params)), True, starts)
                 total += _g1_contract(params, rows, t_km1, v, k,
-                                      (w * d_v)[None])
+                                      (w * d_v)[None, :, None])[:, 0]
                 continue
-            wv = w * _g1_contract(params, rows, t_km1, v, k)
-
-            def f(phis):
-                out = []
-                for p in _phi_chunks(phis, wv.size):
-                    h = np.exp(tr._log_h_vec(t_km1, v, t_k, omega[:, None]
-                                             + p[:, None, None], 0.0, params))
-                    h *= wv
-                    out.append(np.add.reduceat(h, starts, axis=-1))
-                return np.concatenate(out)
-            total += _cauchy_moment(m, f, real_weight,
-                                    np.arange(starts.size)).sum(axis=-1)
+            # the rules per node on h(omega + phi), a chunk of omega rows
+            # at a time, contracted against g1 per period
+            step = max(1, _BLOCK_ELEMENTS // (phi_evals * v.size))
+            rules = np.concatenate([_cauchy_rules(m, lambda p: np.exp(
+                tr._log_h_vec(t_km1, v, t_k, omega[j:j + step, None]
+                              + p[:, None, None], 0.0, params)), real_weight)
+                for j in range(0, omega.size, step)])
+            total += _checked_sum(m, params, rows, t_km1, v, k, w, rules)
     tower = [p for p in periods if p[2] > p[1]]
     grids = _period_grids(params, cfg, [p[:2] for p in tower], omega)
     for (t_km1, t_k, t_i), grid in zip(tower, grids):
         total += _tower_moment(params, cfg, m, t_km1, t_k, t_i, omega,
                                real_weight, grid, rows)
     return total
+
+
+def _checked_sum(m: int, params: ModelParams, rows, t_km1, v, k, w, rules):
+    """The sum over a block of periods of g1 contracted against w D, D the
+    full rule of ``rules`` (the Cauchy rules per omega and node, on a last
+    axis of 2: full, half), after ``_cauchy_check`` of each period's
+    g1-weighted rules: shape (n_omega,)."""
+    sums = _g1_contract(params, rows, t_km1, v, k, w[:, None] * rules, True)
+    return _cauchy_check(m, sums, np.arange(sums.shape[1])).sum(axis=-1)
 
 
 def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
@@ -1214,31 +1210,31 @@ def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     from its v grid at t_{k-1} (``_period_grids``) and g1's row terms
     (``_g1_rows``)."""
     v, w, t_from, _, k = grid
-    wv = w * _g1_contract(params, rows, t_from, v, k)
     inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg,
                                    float(np.max(np.abs(omega.real))))
 
     def f(phis):
-        # g on the live (v, v') pairs of every omega + phi, flat, a block
-        # of whole outer rows per call
+        # the inner sum per outer node v, from g on the live (v, v') pairs
+        # of every omega + phi, flat, a block of whole outer rows per call
         live = _live_nodes(params, t_km1, v[:, None], t_k, inner, w_in,
                            (omega[:, None] + phis).imag)
         v_in = inner[live]
-        weight = wv[:, np.nonzero(live)[0]] * w_in[live] * np.exp(
+        weight = w_in[live] * np.exp(
             tr._log_h_vec(t_k, v_in, t_i, omega[:, None], 0.0, params))
-        pairs = (np.broadcast_to(v[:, None], live.shape)[live], v_in, weight.T)
-        ends = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
-        outer = zip(*(np.split(x, ends) for x in pairs))
-        total = 0.0
-        for v_b, v_in_b, weight_b, _ in _blocks(outer,
-                                                omega.size * phis.size):
+        counts = np.count_nonzero(live, axis=1)
+        pairs = (np.repeat(v, counts), v_in, weight.T)
+        outer = zip(*(np.split(x, np.cumsum(counts)[:-1]) for x in pairs))
+        sums = []
+        for v_b, v_in_b, weight_b, starts in _blocks(outer,
+                                                     omega.size * phis.size):
             g = _split_exp(*tr._log_g_vec(
                 t_km1, v_b, t_k, omega[:, None] + phis[:, None, None], 0.0,
                 v_in_b, params))
             g *= weight_b.T
-            total = total + g.sum(axis=-1)
-        return total
-    return _cauchy_moment(m, f, real_weight)
+            sums.append(np.add.reduceat(g, starts, axis=-1))
+        return np.concatenate(sums, axis=-1)
+    return _checked_sum(m, params, rows, t_from, v, k, w,
+                        _cauchy_rules(m, f, real_weight))
 
 
 def expected_quadratic_variation(params: ModelParams,

@@ -7,8 +7,8 @@ Implemented here, each with numpy broadcasting:
   in the variance argument), in split form,
 * ``_g_contract``        - g on uniform v' rules from one (t, v), from its
   row and column factors (``_lattice_columns``) with no exp per element,
-  contracted against a factor (the timer kernel's v' sums, the swaps'
-  g1 against w D(v)) or as a table (the swaps' g1 weights),
+  contracted against a factor of K columns (the timer kernel's v' sums,
+  the swaps' g1 against w D(v)),
 * ``_log_density_v_vec`` - log of the transition density of the
   instantaneous variance (g at omega = eta = 0),
 * ``_log_h_vec``         - log of the joint characteristic function h of
@@ -195,16 +195,16 @@ def _lattice_columns(params: ModelParams, t_prime, v_prime, k) -> _GColumns:
                      lav, e0)
 
 
-def _g_contract(rows, cols: _GColumns, factor=None, work=None):
-    """sum_j g_ij factor[i, j], g from one (t, v) (``_GColumns``) on rows
+def _g_contract(rows, cols: _GColumns, factor, work=None, per_run=False):
+    """sum_j g_ij factor[i, j, :], g from one (t, v) (``_GColumns``) on rows
     ``rows`` = (a, b0, nu, log Gamma(nu + 1)), each of shape (n_omega,
-    n_eta), against ``factor`` of shape (n_omega or 1, columns): shape
-    (n_omega, n_eta), with no exp per element where the Bessel function
-    takes its series.  Without ``factor``, g itself on the columns: shape
-    (n_omega, n_eta, columns).  The timer kernel sums its v' rules
-    against w phi_j (``pricers._timer_w_matrix``); the moment swaps take
-    g1 on their period lattices, with eta = 0, summed against w D(v) or
-    as a table (``pricers._g1_contract``).
+    n_eta), against ``factor`` of shape (n_omega or 1, columns, K): shape
+    (n_omega, n_eta, K), or with ``per_run`` each run's sum apart, (n_omega,
+    n_eta, runs, K), with no exp per element where the Bessel function
+    takes its series.  The timer kernel sums its v' rules against w phi_j
+    (``pricers._timer_w_matrix``, K = 1); the moment swaps sum g1 on their
+    period lattices, with eta = 0, against w D(v) (``pricers._g1_contract``,
+    K = 2 per period where both Cauchy rules are checked on the sums).
 
     On a run's rule u_j = u_0 + n_j du (n_j = k_j less the run's first k),
     so log(z/2) and lav are affine in n and g's series exponent is
@@ -218,19 +218,20 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
     for every run at once (``specfun._exp_table``: a few exps per row and
     run), n = 0..L-1 with L the longest run's span of indices, shifted by
     each row's largest real part over the runs, top_i, so that no entry
-    passes 1 whatever the rows; e^{top_i} joins the row's sums (or its
-    table) through ``specfun._split_exp``, by logs where it passes the
-    double range.  (On the timer's rules the real parts of R_i + gamma_i n
-    span about e^-103 to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)
-    Where every run fills the table (L columns, n = 0..L-1: the timer's
-    tiles) it is built in place; runs of unequal spans or with gaps (the
-    swaps' pruned lattices) gather their columns from it, runs x L
-    entries per row (the swaps' blocks count it so, ``pricers._blocks``).
-    The series sums S (``specfun._log_bessel_series``) times the powers
-    are then one product against the factor.  Elements with an exponent
-    of another form take their own exp (``specfun._split_exp``): the
-    asymptotic Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi
-    z), and any series element whose sum needed a log scale.
+    passes 1 whatever the rows; e^{top_i} joins the row's sums through
+    ``specfun._split_exp``, by logs where it passes the double range.  (On
+    the timer's rules the real parts of R_i + gamma_i n span about e^-103
+    to e^32 and e0 about e^-288 to e^1.4, N = 4 to 52.)  Where every run
+    fills the table (L columns, n = 0..L-1: the timer's tiles) it is built
+    in place; runs of unequal spans or with gaps (the swaps' pruned
+    lattices) gather their columns from it, runs x L entries per row (the
+    swaps' blocks count it so, ``pricers._blocks``).  The series sums S
+    (``specfun._log_bessel_series``) times the powers are then one
+    product against the factor, or with ``per_run`` one sum per run of
+    their products with it.  Elements with an exponent of another
+    form take their own exp (``specfun._split_exp``): the asymptotic
+    Bessel elements, E = a dt + b0 lav + e0 + z - 1/2 log(2 pi z), and
+    any series element whose sum needed a log scale.
 
     ``work``, a pair of complex arrays of at least rows x columns elements
     each, holds the series sums (its first) and, in turn, the series'
@@ -241,19 +242,22 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
     shape = rows[0].shape
     a, b0, nu, lgam = (np.reshape(x, -1) for x in rows)
     m = cols.z.size
-    out = np.zeros((a.size, m) if factor is None else a.size, dtype=complex)
+    starts, ends = _runs(cols.dt)
+    run = np.repeat(np.arange(starts.size), ends - starts)
+    out = np.zeros((a.size, starts.size if per_run else 1, factor.shape[-1]),
+                   dtype=complex)
 
     def own(r, c, e_bessel, s):
         # e^E S of the elements (r, c) that take their own exp, E from
-        # their Bessel exponent and the row and column terms, into ``out``
+        # their Bessel exponent and the row and column terms, against the
+        # factor into ``out``
         e = a[r] * cols.dt[c] + b0[r] * cols.lav[c] + cols.e0[c] + e_bessel
-        val = specfun._split_exp(e, s)
-        if factor is None:
-            out[r, c] = val
-            return
-        acc = np.zeros(a.size, dtype=complex)
-        np.add.at(acc, r, val * factor[
-            r // shape[1] if factor.shape[0] > 1 else 0, c])
+        val = specfun._split_exp(e, s)[:, None] * factor[
+            r // shape[1] if factor.shape[0] > 1 else 0, c]
+        acc = np.zeros_like(out)
+        n, k = out.shape[1:]  # one flat index per (row, run, k): add.at's
+        at = (r * n + (run[c] if per_run else 0))[:, None] * k  # fast path
+        np.add.at(acc.reshape(-1), (at + np.arange(k)).ravel(), val.ravel())
         out[...] += acc
 
     pick = slice(None)  # the columns some element takes the series in
@@ -266,7 +270,7 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
         own(r, c, *specfun._log_bessel_asym(nu[r], cols.z[c]))
         series = ~np.all(asym, axis=0)
         if not np.any(series):
-            return out.reshape(shape + out.shape[1:])
+            return out.reshape(shape + out.shape[2 - per_run:])
         if not np.all(series):
             pick = np.flatnonzero(series)
         if r.size:
@@ -281,7 +285,6 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
         own(r, c_all, nu[r] * np.log(0.5 * cols.z[c_all]) - lgam[r]
             + scale[r, c], s[r, c])
         skip = scaled if skip is None else skip | scaled
-    starts, ends = _runs(cols.dt)
     span = int((cols.k[ends - 1] - cols.k[starts]).max()) + 1
     mu = np.maximum.reduceat(cols.e0, starts)
     weight = np.exp(cols.e0 - np.repeat(mu, ends - starts))
@@ -298,26 +301,24 @@ def _g_contract(rows, cols: _GColumns, factor=None, work=None):
         specfun._exp_table(r0 - top, g, span - 1, out=powers.reshape(
             starts.size, span, a.size).swapaxes(0, 1))
     else:
-        run = np.repeat(np.arange(starts.size), ends - starts)
         powers = specfun._exp_table(r0 - top, g, span - 1).reshape(
             span, -1, a.size)[cols.k - cols.k[starts][run], run]
     s *= powers[pick].T
     del powers
     if skip is not None:
         s[skip] = 0.0
-    if factor is None:
-        s *= weight[pick]
-        big = np.abs(top) > 700.0  # where e^top alone leaves the range
-        s *= np.exp(np.where(big, 0.0, top))[:, None]
-        if np.any(big):
-            s[big] = specfun._split_exp(np.broadcast_to(
-                top[big, None], s[big].shape).astype(complex), s[big])
-        out[:, pick] += s
-        return out.reshape(shape + (m,))
-    f = (factor * weight)[:, pick]
-    out += specfun._split_exp(top.astype(complex), (
-        s.reshape(shape + (-1,)) @ f[:, :, None]).reshape(-1))
-    return out.reshape(shape)
+    f = (factor * weight[:, None])[:, pick]
+    s = s.reshape(shape + (-1,))
+    if out.shape[1] == 1:  # one sum for every run
+        s = s @ f
+    else:  # each run's sum apart, over its picked columns (0 if none)
+        ends = np.searchsorted(run[pick], np.arange(starts.size + 1))
+        s = np.add.reduceat(s[..., None] * f[:, None], np.minimum(
+            ends[:-1], ends[-1] - 1), axis=-2)
+        s[..., ends[:-1] == ends[1:], :] = 0.0
+    out += specfun._split_exp(np.broadcast_to(
+        top[:, None, None], out.shape).astype(complex), s.reshape(out.shape))
+    return out.reshape(shape + out.shape[2 - per_run:])
 
 
 def _log_density_v_vec(t, v, t_prime, v_prime, params: ModelParams):

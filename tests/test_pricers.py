@@ -523,12 +523,14 @@ class TestFactoredContraction:
         # 800 (e^R and the unshifted powers overflow), and the factor
         # e^-400 brings the sums back into range: the shift per row keeps
         # every table entry at most 1, and e^{top_i} joins the sums by
-        # their logs.  Exponents near 800 carry about 800 eps of roundoff.
+        # their logs, on each column of a factor of two (K = 2).
+        # Exponents near 800 carry about 800 eps of roundoff.
         kernel = pricers._TimerKernel(1.0, 4, timer_params, QuadratureConfig())
         omega, eta = _talbot_points(timer_params)
         a, b0, nu, lgam = self.rows(kernel, omega, eta)
         cols = kernel.g_columns.take(kernel.columns(slice(0, 1)))
-        factor = kernel.inner(omega, slice(0, 1))
+        phi = kernel.inner(omega, slice(0, 1))
+        factor = np.stack([phi, 1j * np.conj(phi)], axis=-1)
         want = tr._g_contract((a, b0, nu, lgam), cols, factor) * np.exp(400.0)
         r0 = (a * cols.dt[0] + b0 * cols.lav[0] + nu * np.log(0.5 * cols.z[0])
               - lgam + 800.0 + cols.e0.max())
@@ -536,42 +538,29 @@ class TestFactoredContraction:
             assert np.any(np.isinf(np.exp(r0)))
         got = tr._g_contract((a, b0, nu, lgam - 800.0), cols,
                              factor * np.exp(-400.0))
-        assert np.all(np.isfinite(got))
+        assert got.shape == eta.shape + (2,) and np.all(np.isfinite(got))
         assert (np.max(np.abs(got - want))
                 <= 1000.0 * np.finfo(float).eps * np.max(np.abs(want)))
 
 
-    def test_a_table_row_past_the_double_range(self, timer_params):
-        # g as a table (no factor) with log Gamma(2c + 1) lowered by 760:
-        # every row's shift top_i passes 700, so e^{top_i} joins the row by
-        # logs, and each entry is g e^760, or inf where that passes the
-        # double range.  Exponents near 760 carry about 760 eps of
-        # roundoff.
-        kernel = pricers._TimerKernel(1.0, 4, timer_params, QuadratureConfig())
-        omega, eta = _talbot_points(timer_params)
-        a, b0, nu, lgam = self.rows(kernel, omega, eta)
-        cols = kernel.g_columns.take(kernel.columns(slice(0, 1)))
-        table = tr._g_contract((a, b0, nu, lgam), cols)
-        got = tr._g_contract((a, b0, nu, lgam - 760.0), cols)
-        log_want = np.log(table) + 760.0
-        fits = log_want.real < 700.0
-        assert np.any(fits) and np.any(~fits)
-        assert np.all(np.isinf(got[log_want.real > 710.0]))
-        assert np.all(np.abs(got[fits] - np.exp(log_want[fits]))
-                      <= 2000.0 * np.finfo(float).eps
-                      * np.abs(got[fits]))
+def _tabulated_sums(g1, t_km1, factor, per_period=False):
+    """sum_j g1[i, j] factor[i, j, :] for a table of g1 per omega and node
+    (``oracles.g1_tabulated``), over every node or per period (the runs of
+    ``t_km1``), and the same sums of the terms' moduli."""
+    terms = g1[..., None] * factor
+    if not per_period:
+        return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    starts = np.flatnonzero(np.r_[True, t_km1[1:] != t_km1[:-1]])
+    return (np.add.reduceat(terms, starts, axis=1),
+            np.add.reduceat(np.abs(terms), starts, axis=1))
 
 
 class TestSwapG1Contraction:
-    """The swaps take g1 from its row and column factors
-    (``pricers._g1_contract``, ``transforms._g_contract``), summed against
-    a factor or as a table, where the tabulated route
-    (``oracles.g1_tabulated``) takes each element's value by its own exp.
-    They differ by roundoff only: a sum within 1e-13 of the sum of its
-    terms' moduli, a table entry within 1e-13 of its row's largest entry
-    (each entry's exponent, up to a few hundred, carries its own roundoff
-    in the tabulated route: entries 1e-14 of their row's largest are
-    1.2e-13 apart, relative to themselves, on the lag-0 corridor)."""
+    """The swaps contract g1 from its row and column factors
+    (``pricers._g1_contract``, ``transforms._g_contract``) against a
+    factor, where the tabulated route (``oracles.g1_tabulated``) takes
+    each element's value by its own exp.  They differ by roundoff only: a
+    sum within 1e-13 of the sum of its terms' moduli."""
 
     @pytest.mark.parametrize("fields", [
         (2, 2, "corridor", 0, 80.0, 120.0),
@@ -581,6 +570,10 @@ class TestSwapG1Contraction:
         ids=lambda f: "-".join(map(str, f[:4])))
     def test_against_the_tabulated_route(self, snp_params, monkeypatch,
                                          fields):
+        # Every call of a swap, against the tabulated g1; where the factor
+        # has more than one column, also against one call per column
+        # (they round apart: within 4 eps of the terms' moduli).
+        eps = np.finfo(float).eps
         calls, current = [], {}
         moment, contract = pricers._weighted_moment, pricers._g1_contract
 
@@ -589,49 +582,50 @@ class TestSwapG1Contraction:
                                                         dtype=complex))
             return moment(params, cfg, m, periods, omega)
 
-        def contract_spy(params, rows, t_km1, v, k, factor=None):
-            got = contract(params, rows, t_km1, v, k, factor)
-            calls.append((current["omega"], t_km1, v, factor, got))
+        def contract_spy(params, rows, t_km1, v, k, factor, per_period=False):
+            got = contract(params, rows, t_km1, v, k, factor, per_period)
+            calls.append((current["omega"], rows, t_km1, v, k, factor,
+                          per_period, got))
             return got
         monkeypatch.setattr(pricers, "_weighted_moment", moment_spy)
         monkeypatch.setattr(pricers, "_g1_contract", contract_spy)
         fair_strike_weighted(MomentSwapSpec(1.0, *fields), snp_params,
                              QuadratureConfig())
-        kinds = set()
-        for omega, t_km1, v, factor, got in calls:
-            want = g1_tabulated(snp_params, t_km1, v, omega)
-            kinds.add(factor is None)
-            if factor is None:
-                scale = np.max(np.abs(want), axis=1, keepdims=True)
-            else:
-                want = want * factor
-                scale = np.sum(np.abs(want), axis=1)
-                want = np.sum(want, axis=1)
+        columns = set()
+        for omega, rows, t_km1, v, k, factor, per_period, got in calls:
+            want, scale = _tabulated_sums(
+                g1_tabulated(snp_params, t_km1, v, omega), t_km1, factor,
+                per_period)
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            columns.add(factor.shape[-1])
+            for j in range(factor.shape[-1] if factor.shape[-1] > 1 else 0):
+                one = contract(snp_params, rows, t_km1, v, k,
+                               factor[..., j:j + 1], per_period)[..., 0]
+                assert np.all(np.abs(got[..., j] - one)
+                              <= 4.0 * eps * scale[..., j])
         # the weight at t_{k-1} sums g1 against w D(v); at t_k (lag 0) and
-        # on the tower (the terminal price) g1 is a table
-        table = (fields[2] == "terminal_price"
-                 or fields[2] != "constant" and fields[3] == 0)
-        assert kinds == {table}
+        # on the tower (the terminal price) against w times both Cauchy
+        # rules, each period apart for the rules' check
+        both = (fields[2] == "terminal_price"
+                or fields[2] != "constant" and fields[3] == 0)
+        assert columns == ({2} if both else {1})
 
     @pytest.mark.parametrize("fields", [
         (12, 2, "price_ratio", 0), (12, 2, "terminal_price", 0),
-        (12, 2, "price_ratio", 1)],
+        (12, 2, "price_ratio", 1), (2, 2, "corridor", 0, 80.0, 120.0)],
         ids=lambda f: "-".join(map(str, f[:4])))
     def test_prices_move_as_a_ulp_of_g1_moves_them(self, snp_params,
                                                    swap_price, monkeypatch,
                                                    fields):
-        # Where g1 weighs h(omega + phi) (the weight at t_k, the tower),
-        # each Cauchy node's product g1 h rounds on its own, and the rule's
-        # m!/r^m = 32 against a period's second moment, about 6e-3 of |f|,
-        # amplifies that up to some 5000-fold: g1 from the tabulated route
-        # scaled by 1 + eps or 1 - eps/2 moves these two prices by 1.9e-14
-        # to 7.9e-14 relative (87 to 357 eps).
-        # With the weight at t_{k-1} g1 weighs the moment D(v), taken
-        # before it, and the price moves by 1.5 eps at most.  The factored
-        # g1 is a few eps off the tabulated one, so it moves the prices by
-        # 1.1 and 1.8 times the larger one-ulp move (6.6e-14 and 1.4e-13)
-        # and the lag-1 price ratio by 4.5 eps.
+        # Every route contracts g1 against the moment it weighs, taken per
+        # node before it, so g1 enters the price linearly: the tabulated
+        # g1 scaled by 1 + eps or 1 - eps/2 moves these prices by at most
+        # 2 eps relative (0.8-1.6 eps measured).  Where g1 weighed
+        # h(omega + phi) before the Cauchy rule, each node's product g1 h
+        # rounded on its own and the rule's m!/r^m amplified it: 40 eps on
+        # the lag-0 corridor, 259 and 357 eps on the lag-0 price ratio and
+        # the terminal price.  The factored g1 is a few eps off the
+        # tabulated one, and so are the prices (1.7-6.0 eps measured).
         eps = np.finfo(float).eps
         spec = MomentSwapSpec(1.0, *fields)
         factored = swap_price(spec)
@@ -639,45 +633,49 @@ class TestSwapG1Contraction:
         monkeypatch.setattr(pricers, "_g1_rows", lambda params, omega: omega)
 
         def price(scale):
-            def tabulated(params, omega, t_km1, v, k, factor=None):
-                g1 = g1_tabulated(params, t_km1, v, omega) * scale
-                return g1 if factor is None else np.sum(g1 * factor, axis=1)
+            def tabulated(params, omega, t_km1, v, k, factor,
+                          per_period=False):
+                return _tabulated_sums(
+                    g1_tabulated(params, t_km1, v, omega) * scale, t_km1,
+                    factor, per_period)[0]
             monkeypatch.setattr(pricers, "_g1_contract", tabulated)
             return fair_strike_weighted(spec, snp_params, QuadratureConfig())
 
         tabulated = price(1.0)
         ulp = max(abs(price(s) - tabulated) for s in (1.0 + eps,
                                                       1.0 - eps / 2))
-        assert (ulp > 1e-14 * abs(tabulated)) == (spec.lag == 0)
-        assert abs(factored - tabulated) <= (4.0 * ulp
-                                             + 8.0 * eps * abs(tabulated))
-
+        assert ulp <= 2.0 * eps * abs(tabulated)
+        assert abs(factored - tabulated) <= 8.0 * eps * abs(tabulated)
 
     @pytest.mark.parametrize("case", ["timer-dates", "pruned-lattices"])
     def test_many_runs_as_one_call_per_run(self, snp_params, timer_params,
                                            case):
         # One _g_contract call over several date runs against one call per
-        # run: the N = 12 timer's first five inner dates (whole rules, the
-        # table built in place, the first with asymptotic elements), or
-        # four period lattices of the lag-1 corridor, each pruned to start
-        # above index 0, one with an inner node dropped as a prune may drop
-        # it (the table gathered).  The shift top_i is the largest over the
-        # call's runs, so one call rounds its exp table from another shift
-        # than a call per run, and sums its terms in another order: sums
-        # agree within 4 eps of their terms' moduli and table entries
-        # within 4 eps of their row's largest (2.5 and 1.7 eps measured).
+        # run and against one call per column of a factor of three (K =
+        # 3), in all and per run: the N = 12 timer's first five inner
+        # dates (whole rules, the table built in place, the first with
+        # asymptotic elements), or four period lattices of the lag-1
+        # corridor, each pruned to start above index 0, one with an inner
+        # node dropped as a prune may drop it (the table gathered).  The
+        # shift top_i is the largest over the call's runs, so one call
+        # rounds its exp table from another shift than a call per run,
+        # and sums its terms in another order: sums agree within 4 eps of
+        # their terms' moduli (2.5 eps measured), 8 eps per column.
         eps = np.finfo(float).eps
         if case == "timer-dates":
-            kernel = pricers._TimerKernel(1.0, 12, timer_params,
-                                          QuadratureConfig())
-            omega, eta = _talbot_points(timer_params)
+            p = timer_params
+            kernel = pricers._TimerKernel(1.0, 12, p, QuadratureConfig())
+            omega, eta = _talbot_points(p)
             rows = TestFactoredContraction.rows(kernel, omega, eta)
             runs = [kernel.columns(slice(j, j + 1)) for j in range(5)]
             whole = kernel.columns(slice(0, 5))
-            factor = kernel.inner(omega, slice(0, 5))
+            phi = kernel.inner(omega, slice(0, 5))
+            g = _split_exp(*tr._log_g_vec(
+                0.0, p.v0, kernel.t[whole], omega[:, None, None],
+                eta[:, :, None], kernel.nodes[whole], p))
             cols = kernel.g_columns.take
-            part = [(cols(c), factor[:, c.start:c.stop]) for c in runs]
-            cols = cols(whole)
+            bounds = [(c.start, c.stop) for c in runs]
+            cols, part = cols(whole), [cols(c) for c in runs]
         else:
             p = snp_params
             omega = np.array([0.0, 20.0, 60.0]) + 1j * pricers.CORRIDOR_DAMPING
@@ -693,18 +691,28 @@ class TestSwapG1Contraction:
             def lattice(gs):
                 return tr._lattice_columns(p, *(np.concatenate(
                     [g[i] for g in gs]) for i in (2, 0, 4)))
-            part = [(lattice([g]), g[1][None]) for g in grids]
-            cols, factor = lattice(grids), np.concatenate(
-                [g[1] for g in grids])[None]
+            t_km1, v = (np.concatenate([g[i] for g in grids]) for i in (2, 0))
+            phi = np.concatenate([g[1] for g in grids])[None]
+            g = g1_tabulated(p, t_km1, v, omega)[:, None]
+            ends = np.cumsum([gr[0].size for gr in grids])
+            bounds = list(zip(np.r_[0, ends[:-1]], ends))
+            cols, part = lattice(grids), [lattice([gr]) for gr in grids]
+        factor = np.stack([phi, np.conj(phi), 1j * phi], axis=-1)
+        terms = np.abs(g[..., None] * factor[:, None])
+        scale = terms.sum(axis=-2)
         got = tr._g_contract(rows, cols, factor)
-        want = sum(tr._g_contract(rows, c, f) for c, f in part)
-        table = np.concatenate([tr._g_contract(rows, c) for c, _ in part],
-                               axis=-1)
-        scale = np.sum(np.abs(table * factor[:, None]), axis=-1)
-        assert np.all(np.abs(got - want) <= 4.0 * eps * scale)
-        got = tr._g_contract(rows, cols)
-        assert np.all(np.abs(got - table) <= 4.0 * eps * np.max(
-            np.abs(table), axis=-1, keepdims=True))
+        ones = [tr._g_contract(rows, c, factor[:, i:j]) for c, (i, j)
+                in zip(part, bounds)]
+        assert np.all(np.abs(got - sum(ones)) <= 4.0 * eps * scale)
+        for j in range(3):  # another product per column: 5.6 eps measured
+            one = tr._g_contract(rows, cols, factor[..., j:j + 1])[..., 0]
+            assert np.all(np.abs(got[..., j] - one) <= 8.0 * eps
+                          * scale[..., j])
+        got = tr._g_contract(rows, cols, factor, per_run=True)
+        assert got.shape == scale.shape[:-1] + (len(part), 3)
+        for run, (one, (i, j)) in enumerate(zip(ones, bounds)):
+            assert np.all(np.abs(got[..., run, :] - one) <= 4.0 * eps
+                          * terms[..., i:j, :].sum(axis=-2))
 
 
 class TestTimerBuildOnce:
@@ -1146,6 +1154,42 @@ class TestCauchyMoment:
         with pytest.raises(QuadratureNonConvergenceError):
             _cauchy_moment(2, pair, False, np.array([0, 1]))
 
+    def test_half_rule_alias_is_imaginary(self):
+        # A real variable's CF is conjugate-symmetric, and the 4-node
+        # rule's nodes are not closed under phi -> -conj phi, so its
+        # leading alias is imaginary: at sigma = 2 it is 2.8e-3 of the
+        # moment, where the real parts agree to 8.5e-16.
+        def wide(phi):
+            return np.exp(1j * self.MU * phi - 2.0 * phi * phi)
+        full, half = pricers._cauchy_rules(2, wide, True)
+        assert abs(full - half.real) <= 1e-14 * abs(full) and full.imag == 0
+        with pytest.raises(QuadratureNonConvergenceError):
+            _cauchy_moment(2, wide, True)
+
+    @pytest.mark.parametrize("radius, raising", [
+        (4.0, {"constant", "price_ratio", "terminal_price", "corridor"}),
+        (2.0, {"constant", "corridor"})])
+    def test_check_fires_on_every_route(self, snp_params, monkeypatch, radius,
+                                        raising):
+        # Past the radius where the swaps' moments stay analytic on the
+        # circle, each route's 8- and 4-node rules part and the swap
+        # raises: the weight at t_{k-1} (the variance swap), at t_k (the
+        # lag-0 price ratio and corridor) and the tower (the terminal
+        # price).  At radius 2 only the variance swap and the corridor
+        # raise.
+        monkeypatch.setattr(pricers, "MOMENT_RADIUS", radius)
+        for fields in [(12, 2, "constant", 0), (12, 2, "price_ratio", 0),
+                       (12, 2, "terminal_price", 0),
+                       (2, 2, "corridor", 0, 80.0, 120.0)]:
+            spec = MomentSwapSpec(1.0, *fields)
+            if fields[2] in raising:
+                with pytest.raises(QuadratureNonConvergenceError,
+                                   match="Cauchy moment"):
+                    fair_strike_weighted(spec, snp_params, QuadratureConfig())
+            else:
+                assert np.isfinite(fair_strike_weighted(
+                    spec, snp_params, QuadratureConfig()))
+
     def test_segment_below_the_calls_roundoff_passes(self):
         # A segment some 1e-33 of its call-mate: its own 8/4-node gap is
         # large, but it is judged against eps times the largest segment,
@@ -1266,25 +1310,33 @@ class TestSwapPeriodBlocks:
         assert abs(alone - batched) <= 1e-13 * abs(batched) + floor
 
     @pytest.mark.parametrize("fields", [
-        (12, 2, "corridor", 1, 80.0, 120.0), (252, 2, "constant", 0)],
+        (12, 2, "corridor", 1, 80.0, 120.0), (252, 2, "constant", 0),
+        (12, 2, "price_ratio", 0), (2, 2, "corridor", 0, 80.0, 120.0),
+        (12, 2, "terminal_price", 0)],
         ids=lambda f: "-".join(map(str, f[:4])))
     def test_weight_at_start_tables_within_the_cap(self, snp_params,
                                                     swap_price, monkeypatch,
                                                     fields):
-        # With the weight at t_{k-1} g1's contraction holds omega x nodes
-        # (its series sums) and omega x runs x the longest run's span of
-        # lattice indices (its exp table, padded where a prune shortened
-        # or split a lattice), and h is phi x nodes: a block of several
+        # g1's contraction holds omega x nodes (its series sums) and omega
+        # x runs x the longest run's span of lattice indices (its exp
+        # table, padded where a prune shortened or split a lattice).  With
+        # the weight at t_{k-1} h is phi x nodes: a block of several
         # periods keeps each within _BLOCK_ELEMENTS.  On the lag-1
         # corridor omega x phi x nodes passes it, where sizing blocks by
         # that product gave each period its own; the constant swap's one
-        # omega must not let h's phi x nodes pass it.
+        # omega must not let h's phi x nodes pass it.  With the weight at
+        # t_k h is phi x omega x nodes, taken a chunk of omega rows at a
+        # time where one period alone passes the cap (the lag-0
+        # corridor), and the Cauchy rules' value table is MOMENT_NODES /
+        # phi of it.  The tower's blocks of outer rows keep g's table,
+        # phi x omega x live pairs, within the cap.
         spec = MomentSwapSpec(1.0, *fields)
         blocks, current = [], {}
         make_blocks = pricers._blocks
 
         def spy_blocks(grids, per_node, per_span=0):
             for block in make_blocks(grids, per_node, per_span):
+                # a block of periods, or of the tower's outer rows
                 current["tables"] = {"periods": block[-1].size}
                 blocks.append(current["tables"])
                 yield block
@@ -1295,34 +1347,57 @@ class TestSwapPeriodBlocks:
             return starts.size * (int(np.max(cols.k[ends - 1]
                                              - cols.k[starts])) + 1)
 
-        def spy(name, fn):
-            def kernel(*args):
-                out = fn(*args)
-                if "tables" in current:
-                    table = ((args[0][0].shape[0], args[1].z.size,
-                              padded(args[1]))
-                             if name == "_g_contract" else out.shape)
-                    current["tables"].setdefault(name, []).append(table)
+        def record(name, table):
+            if "tables" in current:
+                current["tables"].setdefault(name, []).append(table)
+
+        def spy(name, fn, table):
+            def kernel(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                record(name, table(args, out))
                 return out
             monkeypatch.setattr(pricers.tr, name, kernel)
 
+        def spy_rules(m, f, conj_symmetric, rules=pricers._cauchy_rules):
+            def values(phis):
+                out = f(phis)
+                record("values", (pricers.MOMENT_NODES,) + out.shape[1:])
+                return out
+            return rules(m, values, conj_symmetric)
+
         monkeypatch.setattr(pricers, "_blocks", spy_blocks)
-        for name in ("_g_contract", "_log_h_vec"):
-            spy(name, getattr(pricers.tr, name))
+        monkeypatch.setattr(pricers, "_cauchy_rules", spy_rules)
+        spy("_g_contract", tr._g_contract, lambda args, out: (
+            args[0][0].shape[0], args[1].z.size, padded(args[1])))
+        spy("_log_h_vec", tr._log_h_vec, lambda args, out: out.shape)
+        spy("_log_g_vec", tr._log_g_vec, lambda args, out: out[0].shape)
         price = fair_strike_weighted(spec, snp_params, QuadratureConfig())
         assert price == swap_price(spec)
         cap = pricers._BLOCK_ELEMENTS
         stacked_past_product = False
         for b in blocks:
-            shapes = [(rows, n) for rows, *cols in b.get("_g_contract", [])
-                      for n in cols] + b.get("_log_h_vec", [])
+            shapes = ([(rows, n) for rows, *cols in b.get("_g_contract", [])
+                       for n in cols] + b.get("_log_h_vec", [])
+                      + b.get("_log_g_vec", []))
             if b["periods"] > 1:
                 assert max(math.prod(s) for s in shapes) <= cap, b
-            for (rows, *_), (phis, nodes) in zip(b.get("_g_contract", []),
-                                                 b["_log_h_vec"]):
+            h = b.get("_log_h_vec", [])
+            for phis, *rest in (s for s in h if len(s) == 3):
+                assert phis * math.prod(rest) <= cap, b
+            for table in b.get("values", []):
+                assert (math.prod(table) <= pricers.MOMENT_NODES
+                        / max(s[0] for s in h) * cap), b
+            for (rows, *_), (phis, nodes) in zip(
+                    b.get("_g_contract", []), (s for s in h if len(s) == 2)):
                 stacked_past_product |= (b["periods"] > 1
                                          and rows * phis * nodes > cap)
-        assert stacked_past_product == (spec.weight_kind == "corridor")
+        assert stacked_past_product == (spec.weight_kind == "corridor"
+                                        and spec.lag == 1)
+        routes = {len(s) for b in blocks for s in b.get("_log_h_vec", [])}
+        assert routes == ({2} if spec.lag or spec.weight_kind == "constant"
+                          else {3})
+        assert any("_log_g_vec" in b and b["periods"] > 1
+                   for b in blocks) == (spec.weight_kind == "terminal_price")
 
     def test_tower_one_outer_row_per_call(self, snp_params, swap_price,
                                           monkeypatch):

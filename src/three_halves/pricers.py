@@ -490,9 +490,10 @@ class _TimerKernel:
 # moment swaps alike: the timer's (omega, eta) pairs x v' columns for g and
 # omega x v' columns for h (``_timer_h_tilde``); the swaps' omega x nodes
 # for g1, phi x nodes for h with the weight at t_{k-1}, phi x omega x
-# nodes with it at t_k, and phi x omega x live (v, v') pairs on the tower
-# route (``_weighted_moment``).  g's kernel (``transforms._g_contract``)
-# holds two tables of its size, the series sums and the exp table; on a
+# nodes with it at t_k (omega in chunks where one period passes the cap),
+# and phi x omega x live (v, v') pairs on the tower route
+# (``_weighted_moment``).  g's kernel (``transforms._g_contract``) holds
+# two tables of its size, the series sums and the exp table; on a
 # block of pruned period lattices the exp table is padded to the block's
 # longest span of lattice indices, and the blocks are sized so that the
 # padded table stays within the cap too (``_blocks``), while the columns

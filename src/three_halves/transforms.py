@@ -255,8 +255,8 @@ def _g_contract(rows, cols: _GColumns, factor, work=None, per_run=False):
         val = specfun._split_exp(e, s)[:, None] * factor[
             r // shape[1] if factor.shape[0] > 1 else 0, c]
         acc = np.zeros_like(out)
-        n, k = out.shape[1:]  # one flat index per (row, run, k): add.at's
-        at = (r * n + (run[c] if per_run else 0))[:, None] * k  # fast path
+        n, k = out.shape[1:]  # a flat index per entry: add.at's fast path
+        at = (r * n + (run[c] if per_run else 0))[:, None] * k
         np.add.at(acc.reshape(-1), (at + np.arange(k)).ravel(), val.ravel())
         out[...] += acc
 
@@ -312,10 +312,10 @@ def _g_contract(rows, cols: _GColumns, factor, work=None, per_run=False):
     if out.shape[1] == 1:  # one sum for every run
         s = s @ f
     else:  # each run's sum apart, over its picked columns (0 if none)
-        ends = np.searchsorted(run[pick], np.arange(starts.size + 1))
+        bounds = np.searchsorted(run[pick], np.arange(starts.size + 1))
         s = np.add.reduceat(s[..., None] * f[:, None], np.minimum(
-            ends[:-1], ends[-1] - 1), axis=-2)
-        s[..., ends[:-1] == ends[1:], :] = 0.0
+            bounds[:-1], bounds[-1] - 1), axis=-2)
+        s[..., bounds[:-1] == bounds[1:], :] = 0.0
     out += specfun._split_exp(np.broadcast_to(
         top[:, None, None], out.shape).astype(complex), s.reshape(out.shape))
     return out.reshape(shape + out.shape[2 - per_run:])

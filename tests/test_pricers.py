@@ -566,13 +566,15 @@ class TestSwapG1Contraction:
         (2, 2, "corridor", 0, 80.0, 120.0),
         (12, 2, "corridor", 1, 80.0, 120.0), (252, 2, "constant", 0),
         (12, 2, "price_ratio", 0), (12, 2, "price_ratio", 1),
-        (12, 2, "terminal_price", 0)],
+        (12, 2, "terminal_price", 0), (252, 2, "price_ratio", 0)],
         ids=lambda f: "-".join(map(str, f[:4])))
     def test_against_the_tabulated_route(self, snp_params, monkeypatch,
                                          fields):
         # Every call of a swap, against the tabulated g1; where the factor
         # has more than one column, also against one call per column
-        # (they round apart: within 4 eps of the terms' moduli).
+        # (they round apart: within 4 eps of the terms' moduli).  At
+        # N = 252 the lattice from t = 1/252 takes g1 by the asymptotic
+        # Bessel branch alone, so its period's sums have no series term.
         eps = np.finfo(float).eps
         calls, current = [], {}
         moment, contract = pricers._weighted_moment, pricers._g1_contract
@@ -647,20 +649,25 @@ class TestSwapG1Contraction:
         assert ulp <= 2.0 * eps * abs(tabulated)
         assert abs(factored - tabulated) <= 8.0 * eps * abs(tabulated)
 
-    @pytest.mark.parametrize("case", ["timer-dates", "pruned-lattices"])
+    @pytest.mark.parametrize("case", ["timer-dates", "pruned-lattices",
+                                      "asymptotic-run"])
     def test_many_runs_as_one_call_per_run(self, snp_params, timer_params,
                                            case):
         # One _g_contract call over several date runs against one call per
         # run and against one call per column of a factor of three (K =
         # 3), in all and per run: the N = 12 timer's first five inner
         # dates (whole rules, the table built in place, the first with
-        # asymptotic elements), or four period lattices of the lag-1
+        # asymptotic elements), four period lattices of the lag-1
         # corridor, each pruned to start above index 0, one with an inner
-        # node dropped as a prune may drop it (the table gathered).  The
-        # shift top_i is the largest over the call's runs, so one call
-        # rounds its exp table from another shift than a call per run,
-        # and sums its terms in another order: sums agree within 4 eps of
-        # their terms' moduli (2.5 eps measured), 8 eps per column.
+        # node dropped as a prune may drop it (the table gathered), or the
+        # N = 252 price ratio's lattices from 1/252, where g1 takes the
+        # asymptotic branch alone, and 2/252, cut to start at its largest
+        # node, against 1 / g1 (a run with no series column sums to its
+        # asymptotic terms alone).  The shift top_i is the largest over
+        # the call's runs, so one call rounds its exp table from another
+        # shift than a call per run, and sums its terms in another order:
+        # sums agree within 4 eps of their terms' moduli (2.5 eps
+        # measured), 8 eps per column.
         eps = np.finfo(float).eps
         if case == "timer-dates":
             p = timer_params
@@ -678,14 +685,23 @@ class TestSwapG1Contraction:
             cols, part = cols(whole), [cols(c) for c in runs]
         else:
             p = snp_params
-            omega = np.array([0.0, 20.0, 60.0]) + 1j * pricers.CORRIDOR_DAMPING
-            grids = list(pricers._period_grids(
-                p, QuadratureConfig(),
-                [(k / 12.0, (k + 1) / 12.0) for k in (1, 4, 7, 10)], omega))
-            inner = np.arange(grids[1][0].size) != grids[1][0].size // 2
-            grids[1] = tuple(x[inner] for x in grids[1])
+            if case == "pruned-lattices":
+                omega = (np.array([0.0, 20.0, 60.0])
+                         + 1j * pricers.CORRIDOR_DAMPING)
+                spans = [(k / 12.0, (k + 1) / 12.0) for k in (1, 4, 7, 10)]
+            else:
+                omega = np.array([-1j])
+                spans = [(k / 252.0, (k + 1) / 252.0) for k in (1, 2)]
+            grids = list(pricers._period_grids(p, QuadratureConfig(), spans,
+                                               omega))
+            if case == "pruned-lattices":
+                inner = np.arange(grids[1][0].size) != grids[1][0].size // 2
+                grids[1] = tuple(x[inner] for x in grids[1])
+                assert np.any(np.diff(grids[1][4]) > 1)
+            else:
+                top = np.argmax(g1_tabulated(p, *grids[1][2::-2], omega))
+                grids[1] = tuple(x[top:] for x in grids[1])
             assert all(g[4][0] > 0 for g in grids)
-            assert np.any(np.diff(grids[1][4]) > 1)
             rows = pricers._g1_rows(p, omega)
 
             def lattice(gs):
@@ -694,6 +710,8 @@ class TestSwapG1Contraction:
             t_km1, v = (np.concatenate([g[i] for g in grids]) for i in (2, 0))
             phi = np.concatenate([g[1] for g in grids])[None]
             g = g1_tabulated(p, t_km1, v, omega)[:, None]
+            if case == "asymptotic-run":  # every term 1, however far out
+                phi = 1.0 / g[:, 0]
             ends = np.cumsum([gr[0].size for gr in grids])
             bounds = list(zip(np.r_[0, ends[:-1]], ends))
             cols, part = lattice(grids), [lattice([gr]) for gr in grids]

@@ -622,12 +622,11 @@ class TestSwapG1Contraction:
         # Every route contracts g1 against the moment it weighs, taken per
         # node before it, so g1 enters the price linearly: the tabulated
         # g1 scaled by 1 + eps or 1 - eps/2 moves these prices by at most
-        # 2 eps relative (0.8-1.6 eps measured).  Where g1 weighed
-        # h(omega + phi) before the Cauchy rule, each node's product g1 h
-        # rounded on its own and the rule's m!/r^m amplified it: 40 eps on
-        # the lag-0 corridor, 259 and 357 eps on the lag-0 price ratio and
-        # the terminal price.  The factored g1 is a few eps off the
-        # tabulated one, and so are the prices (1.7-6.0 eps measured).
+        # 2 eps relative (0.8-1.6 eps measured).  g1 weighing h(omega +
+        # phi) before the Cauchy rule would round each node's product on
+        # its own and let the rule's m!/r^m amplify it (40 to 357 eps on
+        # these swaps).  The factored g1 is a few eps off the tabulated
+        # one, and so are the prices (1.7-6.0 eps measured).
         eps = np.finfo(float).eps
         spec = MomentSwapSpec(1.0, *fields)
         factored = swap_price(spec)

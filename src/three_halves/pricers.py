@@ -120,6 +120,7 @@ places it on the rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -155,6 +156,18 @@ _REL_IMAG_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def _check_fields(spec, positive, integers):
+    """Raise InvalidParametersError naming the first field of ``spec`` in
+    ``positive`` that is not finite and > 0, or in ``integers`` (name:
+    least, most) not an integer in its range: NaN, inf and 2.0 fail."""
+    for name in (*positive, *integers):
+        x = getattr(spec, name)
+        if not (x > 0.0 and math.isfinite(x) if name in positive else
+                isinstance(x, numbers.Integral)
+                and integers[name][0] <= x <= integers[name][1]):
+            raise InvalidParametersError(f"invalid {name}: {x!r}")
+
+
 @dataclass(frozen=True)
 class EuropeanSpec:
     strike: float
@@ -162,8 +175,7 @@ class EuropeanSpec:
     is_call: bool = True
 
     def __post_init__(self):
-        if self.strike <= 0.0 or self.maturity <= 0.0:
-            raise InvalidParametersError("strike and maturity must be positive")
+        _check_fields(self, ("strike", "maturity"), {})
 
 
 @dataclass(frozen=True)
@@ -180,12 +192,9 @@ class TimerOptionSpec:
     variance_budget: float
 
     def __post_init__(self):
-        if self.strike <= 0.0 or self.mandatory_maturity <= 0.0:
-            raise InvalidParametersError("strike and maturity must be positive")
-        if self.n_monitoring < 1:
-            raise InvalidParametersError("n_monitoring must be >= 1")
-        if self.variance_budget <= 0.0:
-            raise InvalidParametersError("variance budget must be positive")
+        _check_fields(
+            self, ("strike", "mandatory_maturity", "variance_budget"),
+            {"n_monitoring": (1, math.inf)})
 
     def date(self, j: int) -> float:
         # j*T/N evaluated directly (never accumulated), so monitoring dates
@@ -221,20 +230,16 @@ class MomentSwapSpec:
     corridor_upper: Optional[float] = None
 
     def __post_init__(self):
-        if self.maturity <= 0.0 or self.n_periods < 1:
-            raise InvalidParametersError("maturity and n_periods must be positive")
-        if self.m not in (2, 3):
-            raise InvalidParametersError("moment order m must be 2 or 3")
+        _check_fields(self, ("maturity",), {"n_periods": (1, math.inf),
+                                            "m": (2, 3), "lag": (0, 1)})
         if self.weight_kind not in _WEIGHT_KINDS:
             raise InvalidParametersError(
                 f"weight_kind must be one of {_WEIGHT_KINDS}")
-        if self.lag not in (0, 1):
-            raise InvalidParametersError("lag must be 0 (i_k=k) or 1 (i_k=k-1)")
         if self.weight_kind == "corridor":
             lo, up = self.corridor_lower, self.corridor_upper
             if lo is None or up is None or not 0.0 < lo < up:
-                raise InvalidParametersError(
-                    "corridor weight needs bounds 0 < lower < upper")
+                raise InvalidParametersError("a corridor needs 0 < "
+                                             "corridor_lower < corridor_upper")
 
     def date(self, k: int) -> float:
         return self.maturity * k / self.n_periods
@@ -456,9 +461,6 @@ class _TimerKernel:
             params, self.t, self.nodes,
             np.arange(self.starts[-1]) - np.repeat(self.starts[:-1],
                                                    self.sizes))
-
-    def date(self, j: int) -> float:
-        return self.T * j / self.N
 
     def columns(self, dates: slice) -> slice:
         """The v' columns of the inner dates ``dates``, a slice of

@@ -36,11 +36,11 @@ their log scale apart.  Kummer's lost-digits proxy is log(sum of |terms|
 / |M|), +inf where the sum cancels to exactly 0.
 
 The Bessel call takes its regime per element of that table
-(``_log_bessel_table``): the asymptotic expansion for large |z|, the
-series elsewhere.  It takes Re z >= 0 and z != 0 only and raises
-SpecfunDomainError otherwise (the transforms' arguments are positive).
+(``_log_bessel_table``): the asymptotic expansion for large z, the
+series elsewhere.  It takes real z > 0 only, the transforms' arguments,
+and raises SpecfunDomainError otherwise.
 
-Both asymptotic branches, I_nu(z) for large |z| and the joint CF's
+Both asymptotic branches, I_nu(z) for large z and the joint CF's
 M(a, b, -x) for large x, are one divergent 2F0 summed to its smallest
 term per element by one kernel (``_asym_sum``).
 
@@ -61,10 +61,10 @@ from .errors import SeriesNonConvergenceError, SpecfunDomainError
 SERIES_MAX_TERMS = 10_000
 SERIES_STOP_REL = 1e-16
 
-# Large-argument regime for I_nu(z).  The asymptotic expansion is used only
-# when |z| exceeds BESSEL_ASYMPTOTIC_MIN_Z *and* the order is moderate
-# relative to the argument (|nu|^2 <= FACTOR * |z|, where the expansion's
-# optimally truncated tail still reaches ~1e-13; see
+# Large-argument regime for I_nu(z), real z > 0.  The asymptotic expansion
+# is used only when z exceeds BESSEL_ASYMPTOTIC_MIN_Z *and* the order is
+# moderate relative to the argument (|nu|^2 <= FACTOR * z, where the
+# expansion's optimally truncated tail still reaches ~1e-13; see
 # tests/test_specfun.py::TestBesselRegimes for the accuracy study).  The
 # rescaled power series owns everything else.
 BESSEL_ASYMPTOTIC_MIN_Z = 30.0
@@ -79,7 +79,8 @@ KUMMER_ASYM_MIN_X = 60.0
 # 300 / rho in x for Kummer's (see _log_series_outer).
 _SERIES_BAND_WIDTH = 300.0
 # Size of the row blocks of the coefficient table and of the column blocks
-# of the power table in the series.
+# of the power table in the series.  The column blocks are counted in
+# 8-byte powers, so the Bessel series' complex power tables take twice it.
 _SERIES_BLOCK_BYTES = 2**19
 # Tables with at least this many columns are multiplied row by row.
 _CUMPROD_LOOP_MIN_COLUMNS = 64
@@ -188,7 +189,7 @@ def _log_gamma_vec(z):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel function of the first kind, complex order and argument.
+# Modified Bessel function of the first kind, complex order.
 # ---------------------------------------------------------------------------
 
 
@@ -217,8 +218,8 @@ def _log_bessel_series(nu, z, work=None):
     parts.  Bands group the columns by |z|: for Re(nu) >= -1/2 and real z,
     d log(sum)/d|z| = I_{nu+1}/I_nu <= 1, so a band _SERIES_BAND_WIDTH wide
     in |z| keeps every column's sum within e^-300 of the band's largest.
-    Re z >= 0 and z != 0, as ``_log_bessel_i_vec`` checks.  ``work`` is
-    a caller's workspace for the sums (``_log_series_outer``).
+    It sums complex z too; ``_log_bessel_i_vec`` takes real z > 0.  ``work``
+    is a caller's workspace for the sums (``_log_series_outer``).
     """
     _check_bessel_order(nu)
     s, scale, _ = _log_series_outer(nu[:, 0], z * z * 0.25, np.abs(z),
@@ -567,10 +568,9 @@ def _ldexp_inplace(c, e):
     np.ldexp(c.imag, e, out=c.imag)
 
 
-def _asym_sum(mid, half2, y, mirror=False):
+def _asym_sum(mid, half2, y):
     """The optimally truncated 2F0(p, q; y) = sum_k (p)_k (q)_k y^k / k!,
-    p, q = mid -+ h with h^2 = ``half2``, per element of the broadcast;
-    with ``mirror`` also the same terms summed at -y, as a second table.
+    p, q = mid -+ h with h^2 = ``half2``, per element of the broadcast.
 
     Term k + 1 is term k times y ((k + mid)^2 - h^2) / (k + 1), so the
     Bessel branch (mid = 1/2, h = nu) takes no product of nu -+ 1/2.  Each
@@ -586,7 +586,6 @@ def _asym_sum(mid, half2, y, mirror=False):
     shape = np.broadcast_shapes(np.shape(mid), np.shape(half2), np.shape(y))
     term = np.ones(shape, dtype=complex)
     total = np.ones(shape, dtype=complex)
-    other = np.ones(shape, dtype=complex) if mirror else None
     contrib = np.empty(shape, dtype=complex)
     # contrib's memory doubles as two real tables (memory peaks in Kummer's)
     part, limit = contrib.reshape(-1).view(float).reshape((2,) + shape)
@@ -610,8 +609,6 @@ def _asym_sum(mid, half2, y, mirror=False):
         np.minimum(floor_mag, tm, out=floor_mag)
         np.multiply(term, active, out=contrib)
         total += contrib
-        if mirror:  # term k + 1 has the sign (-1)^(k + 1) at -y
-            (np.add if k % 2 else np.subtract)(other, contrib, out=other)
         _mag_into(total, limit, part)
         limit *= 1e-17
         np.greater(tm, limit, out=going)
@@ -623,38 +620,29 @@ def _asym_sum(mid, half2, y, mirror=False):
         raise SeriesNonConvergenceError(
             "asymptotic series cannot reach tolerance; argument too small "
             "relative to parameters")
-    return (total, other) if mirror else total
+    return total
 
 
 def _log_bessel_asym(nu, z):
-    """I_nu(z) by the large-|z| expansion (DLMF 10.40.5) in split form,
-    in the broadcast shape: E = z - 1/2 log(2 pi z) and S = 2F0(1/2 - nu,
-    1/2 + nu; 1/(2z)) plus its e^{-z} companion, e^{i sigma pi (nu + 1/2)
-    - 2z} times the same terms at -1/(2z) (``_asym_sum``'s mirror), which
-    matters near the edge of the sector the caller gates on
-    (Re(z) >= 0.35 |z|).
+    """I_nu(z) by the large-z expansion (DLMF 10.40.1) in split form, for
+    real z > 0, in the broadcast shape: E = z - 1/2 log(2 pi z) and S =
+    2F0(1/2 - nu, 1/2 + nu; 1/(2z)).  On the real axis it has no second
+    series: the e^{-z} companion of the sector form (DLMF 10.40.5) is at
+    most e^{-2z + pi sqrt(2.5 z)} of S inside the gate (5.7e-15 at z =
+    30), and on the transforms' elements it moved S by 6.3e-17 at most.
     """
-    s, s_plus = _asym_sum(0.5, nu * nu, 0.5 / z, mirror=True)
-    sigma = np.where(z.imag >= 0.0, 1.0, -1.0)
-    w = sigma * (nu + 0.5) * 1j * np.pi - 2.0 * z
-    recessive = np.zeros(s.shape, dtype=complex)  # e^w is 0 below -746
-    np.exp(w, out=recessive, where=w.real > -746.0)
-    s += recessive * s_plus
+    s = _asym_sum(0.5, nu * nu, 0.5 / z)
     return np.broadcast_to(z - 0.5 * _clog(2.0 * np.pi * z),
                            s.shape).copy(), s
 
 
 def _bessel_asym_mask(nu, z):
     """Where I_nu(z) takes the asymptotic branch, per element of the
-    broadcast: |z| beyond BESSEL_ASYMPTOTIC_MIN_Z, |nu|^2 within
-    BESSEL_ASYMPTOTIC_ORDER_FACTOR |z| and z away from the imaginary axis."""
-    abs_z = np.abs(z)
+    broadcast: z beyond BESSEL_ASYMPTOTIC_MIN_Z and |nu|^2 within
+    BESSEL_ASYMPTOTIC_ORDER_FACTOR z."""
     abs_nu2 = nu.real * nu.real + nu.imag * nu.imag
-    return (
-        (abs_z > BESSEL_ASYMPTOTIC_MIN_Z)
-        & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * abs_z)
-        & (z.real >= 0.35 * abs_z)
-    )
+    return ((z.real > BESSEL_ASYMPTOTIC_MIN_Z)
+            & (abs_nu2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR * z.real))
 
 
 def _kummer_asym_mask(at, bt, x):
@@ -722,21 +710,19 @@ def _rows_by_columns(fn, params, args):
 
 def _log_bessel_i_vec(nu, z):
     """Vectorized I_nu(z) in split form, (E, S) with I_nu(z) = e^E S, for
-    orders ``nu`` and arguments ``z`` that vary along disjoint axes, in the
-    shape of their broadcast (the transforms' order 2c varies with the
-    transform variables, the argument with the variances and dates), laid
-    out as orders x arguments for ``_log_bessel_table``.
+    orders ``nu`` and real arguments ``z`` > 0 that vary along disjoint
+    axes, in the shape of their broadcast (the transforms' order 2c varies
+    with the transform variables, the argument with the variances and
+    dates), laid out as orders x arguments for ``_log_bessel_table``.
 
     Raises:
         SpecfunDomainError: an order and an argument vary along one axis;
-            some z is 0 or has Re z < 0; an order sits at a negative
+            some z is not real and positive; an order sits at a negative
             integer.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(z == 0.0):
-        raise SpecfunDomainError("log I_nu(z) takes z != 0 only")
-    if np.any(z.real < 0.0):
-        raise SpecfunDomainError("log I_nu(z) takes Re z >= 0 only")
+    if np.any(z.imag != 0.0) or not np.all(z.real > 0.0):
+        raise SpecfunDomainError("log I_nu(z) takes real z > 0 only")
     return _rows_by_columns(_log_bessel_table,
                             (np.asarray(nu, dtype=complex),), (z,))
 
@@ -744,7 +730,7 @@ def _log_bessel_i_vec(nu, z):
 def _log_bessel_table(nu, z):
     """I_nu(z) in split form on orders ``nu`` as (n, 1) rows x arguments
     ``z`` as (m,) columns, the regime taken per element
-    (``_bessel_asym_mask``: asymptotic where |z| is large against the
+    (``_bessel_asym_mask``: asymptotic where z is large against the
     threshold and |nu|^2, the rescaled power series elsewhere).  The series
     is summed on every row of each column that some row needs it in,
     sharing one power table; ``_log_bessel_asym`` takes the columns every

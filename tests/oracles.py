@@ -4,8 +4,9 @@ v' integral, the paper's two-date joint characteristic function built on
 it, the swaps' g1 tabulated per element and the omega rule summed one
 panel per batch.
 
-They share no quadrature with the pricers (whose v' rules are fixed
-trapezoids from ``quadrature.log_density_grid``), and the factorization no
+They share no quadrature with the pricers, whose v' rules are fixed
+trapezoids: the timer's from ``quadrature.log_density_grid``, the swaps'
+lattices from ``pricers._transition_grid``.  The factorization shares no
 algebra with the closed form beyond the Bessel kernel, so agreement
 between the two is a check on both.
 """

@@ -149,7 +149,7 @@ class TestLogDensityGrid:
         kernel = pricers._TimerKernel(1.0, n, p, cfg)
         for j in range(1, n):
             want = log_density_grid(lambda vp: tr._log_density_v_vec(
-                0.0, p.v0, kernel.date(j), vp, p), cfg)
+                0.0, p.v0, kernel.T * j / kernel.N, vp, p), cfg)
             cols = kernel.columns(slice(j - 1, j))
             for got, ref in zip((kernel.nodes[cols], kernel.w[cols]), want):
                 assert np.max(np.abs(got - ref) / ref) <= 1e-15, j

@@ -108,9 +108,10 @@ class TestBesselI:
         assert rel_err(bessel(0.5, 2.0), want) < 1e-13
 
     def test_complex_order_frozen_oracle(self):
-        # Brute-force 300-term extended-precision partial sum (mpmath, 40 dps):
+        # Brute-force 300-term extended-precision partial sum (mpmath, 40 dps)
+        # against the series kernel, the one route that takes a complex z
         want = complex(4.0125767613721858133, -9.2495463541737218248)
-        got = bessel(1.3 + 0.7j, 4 - 1j)
+        got = np.exp(bessel_point(1.3 + 0.7j, 4 - 1j))
         assert rel_err(got, want) < 1e-10
 
     def test_real_order_real_argument_is_real(self):
@@ -142,8 +143,9 @@ class TestBesselRegimes:
     """Accuracy study around the series/asymptotic switch.
 
     BESSEL_ASYMPTOTIC_MIN_Z = 30 is the documented threshold; the branch map
-    additionally requires |z| >= |nu|^2 + 25 and a sector away from the
-    imaginary axis.  This test sweeps both sides of every gate.
+    additionally requires |nu|^2 <= BESSEL_ASYMPTOTIC_ORDER_FACTOR z, on
+    the real z > 0 the kernel takes.  These tests sweep both sides of both
+    gates and the asymptotic branch along their edges.
     """
 
     def test_switch_continuity_real_axis(self):
@@ -166,16 +168,24 @@ class TestBesselRegimes:
                 ) * mp.e ** (-mp.mpf(z))
                 assert rel_err(got, complex(want)) < 1e-9, (nu, z)
 
-    def test_complex_argument_sector(self):
-        # Arguments off the real axis but inside the asymptotic sector.
-        for z in (60.0 + 30.0j, 120.0 - 60.0j, 45.0 + 10.0j):
-            for nu in (1.0, 2.5 + 1.5j):
-                got = np.exp(log_i(nu, z) - complex(z).real)
-                want = mp.besseli(
-                    mp.mpc(complex(nu).real, complex(nu).imag),
-                    mp.mpc(complex(z).real, complex(z).imag),
-                ) * mp.e ** (-complex(z).real)
-                assert rel_err(got, complex(want)) < 1e-9, (nu, z)
+    def test_asymptotic_branch_at_the_gate_edges(self):
+        # Just inside both gates, z from 30.01 and |nu| = 0.999 sqrt(2.5 z)
+        # at 13 angles from -pi/2 to pi/2: the expansion's tail is largest
+        # there, and the e^{-z} companion of the sector form, which the
+        # branch leaves out on the real axis, at most e^{-2z + pi sqrt(2.5
+        # z)} of the sum.
+        z = np.array([30.01, 31.0, 40.0, 60.0, 100.0])
+        arg = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 13)
+        nu = (0.999 * np.sqrt(
+            specfun.BESSEL_ASYMPTOTIC_ORDER_FACTOR * z)[:, None]
+            * np.exp(1j * arg))
+        assert np.all(specfun._bessel_asym_mask(nu, z[:, None]))
+        got = np.vectorize(log_i, otypes=[complex])(nu, z[:, None])
+        for (i, j), log_got in np.ndenumerate(got):
+            want = mp.besseli(mp.mpc(nu[i, j].real, nu[i, j].imag),
+                              mp.mpf(z[i]))
+            err = abs(mp.exp(mp.mpc(log_got.real, log_got.imag)) / want - 1)
+            assert err <= 3e-14, (nu[i, j], z[i], float(err))
 
 
 def log_err(got, want):
@@ -511,17 +521,17 @@ class TestBesselTable:
         table = self.table_and_elements(monkeypatch, nu, z)
         assert table.shape == (4, 4)
 
-    @pytest.mark.parametrize("edge", [0.0, -3.0 + 1.0j])
+    @pytest.mark.parametrize("edge", [0.0, -3.0 + 1.0j, 60.0 + 30.0j])
     def test_zero_or_left_argument_raises(self, monkeypatch, edge):
-        # z = 0 and Re z < 0 are outside the kernel: a typed error naming
-        # the cause, before any series is summed
+        # z = 0, Re z < 0 and a complex z past the asymptotic threshold are
+        # outside the kernel: a typed error naming the cause, before any
+        # series is summed
         nu = np.array([0.5, 1.0, 14.0])[:, None].astype(complex)
         z = np.array([edge, 2.0, 35.0, 80.0], dtype=complex)[None, :]
         shapes = series_layouts(monkeypatch)
-        cause = "z != 0" if edge == 0.0 else "Re z >= 0"
-        with pytest.raises(SpecfunDomainError, match=cause):
+        with pytest.raises(SpecfunDomainError, match="real z > 0"):
             specfun._log_bessel_i_vec(nu, z)
-        with pytest.raises(SpecfunDomainError, match=cause):
+        with pytest.raises(SpecfunDomainError, match="real z > 0"):
             specfun._log_bessel_i_vec(1.2 + 0.4j, edge)
         assert shapes == []
 
@@ -1130,22 +1140,6 @@ class TestAsymSum:
         assert not specfun._kummer_asym_mask(a, b, x)[0]
         with pytest.raises(SeriesNonConvergenceError):
             specfun._log_kummer_asym_sum(a, b, x)
-
-    @pytest.mark.parametrize("kind", ["bessel", "kummer"])
-    def test_mirror_is_the_sum_at_minus_y(self, kind):
-        if kind == "bessel":
-            nu = np.array([[0.3], [1.3 + 0.4j], [2.5 - 1.0j]])
-            z = np.array([35.0, 40.0 + 10.0j, 80.0 - 20.0j, 300.0 + 5.0j])
-            mid, half2, y = 0.5, nu * nu, 0.5 / z
-        else:
-            a = np.array([0.9 + 0.4j, 2.0 - 1.0j, -0.3])
-            b = np.array([2.6 + 0.8j, 4.5 + 2.0j, 1.2])
-            h = 0.5 * (1.0 - b)
-            mid, half2, y = a + h, h * h, 1.0 / np.array([80.0, 150.0, 61.0])
-        total, mirror = specfun._asym_sum(mid, half2, y, mirror=True)
-        np.testing.assert_array_equal(total, specfun._asym_sum(mid, half2, y))
-        np.testing.assert_allclose(mirror, specfun._asym_sum(mid, half2, -y),
-                                   rtol=1e-15, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

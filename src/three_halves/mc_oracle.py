@@ -26,7 +26,8 @@ The log-price uses the pathwise identity obtained by integrating d(ln V):
 where the last integral is exactly N(0, int V) given the variance path
 (W2 is independent), and int V over a fine step is approximated by the
 trapezoid rule.  Jumps are superposed as compound Poisson with normal
-sizes; squared jump sizes accrue to the quadratic variation.
+sizes; squared jump sizes accrue to the quadratic variation.  This is the
+one scheme; the tests check it against an Euler one of their own.
 
 RNG: counter-based Philox streams spawned per fixed-size path chunk (and
 separately for diffusion vs jumps), so results are bit-identical however
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -46,25 +47,18 @@ from .model import ModelParams, coef_A, coef_C, require_valid
 
 CHUNK_PATHS = 16384
 
-_SCHEMES = ("exact_variance_transition", "euler_full_truncation")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
     n_paths: int = 100_000
     steps_per_year: int = 512
     seed: int = 20260809
-    scheme: str = "exact_variance_transition"
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise InvalidParametersError("n_paths must be >= 1")
         if self.steps_per_year < 12:
             raise InvalidParametersError("steps_per_year must be >= 12")
-        if self.scheme not in _SCHEMES:
-            raise InvalidParametersError(
-                f"scheme must be one of {_SCHEMES}, got {self.scheme!r}"
-            )
 
 
 @dataclass
@@ -81,11 +75,6 @@ class PathEnsemble:
     i: np.ndarray
     i_discrete: np.ndarray
     v: np.ndarray
-    jump_counts: Optional[np.ndarray] = None
-
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass
@@ -140,20 +129,19 @@ def _chunk_seeds(seed: int, n_chunks: int):
 
 def _add_jumps(x, ivar, dt: float, jp, rng: np.random.Generator):
     """Superpose one step of compound-Poisson normal jumps on x, and their
-    squares on ivar, in place; returns the jump counts."""
+    squares on ivar, in place."""
     counts = rng.poisson(jp.lam * dt, size=x.size)
     for k in range(int(counts.max()) if x.size else 0):
         idx = np.nonzero(counts > k)[0]
         sizes = rng.normal(jp.mu, jp.sigma, size=len(idx))
         x[idx] += sizes
         ivar[idx] += sizes * sizes
-    return counts
 
 
 def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
-                    params: ModelParams, scheme: str,
+                    params: ModelParams,
                     chunk_seed: np.random.SeedSequence):
-    """Simulate one chunk; returns (x, i, v, jump_counts) at kept indices."""
+    """Simulate one chunk; returns (x, i, v) at kept indices."""
     diff_ss, jump_ss = chunk_seed.spawn(2)
     rng = np.random.Generator(np.random.Philox(diff_ss))
     jp = params.jumps
@@ -169,7 +157,6 @@ def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
     x = np.full(n, params.x0)
     ivar = np.zeros(n)
     v = np.full(n, params.v0)
-    jumps_total = np.zeros(n, dtype=np.int64)
 
     keep_x = np.empty((n, len(keep_idx)))
     keep_i = np.empty((n, len(keep_idx)))
@@ -181,41 +168,29 @@ def _simulate_chunk(n: int, times: np.ndarray, keep_idx: np.ndarray,
         keep_i[:, k0] = ivar
         keep_v[:, k0] = v
 
-    exact = scheme == "exact_variance_transition"
     u = 1.0 / v
     for s in range(n_steps):
         t0, t1 = times[s], times[s + 1]
         dt = t1 - t0
-        if exact:
-            u = sample_variance_transition(u, dt, params, rng, t=t0)
-            v_next = 1.0 / u
-            iv_step = 0.5 * (v + v_next) * dt
-            z = rng.standard_normal(n)
-            x = (x + drift_rq * dt
-                 + rho_over_eps * (np.log(v_next) - np.log(v)
-                                   - math.log(coef_A(params.theta, t0, t1)))
-                 + slope * iv_step
-                 + sq1mr2 * np.sqrt(iv_step) * z)
-            ivar = ivar + iv_step
-            v = v_next
-        else:  # euler_full_truncation
-            th = params.theta.value_at(t0)
-            vp = np.maximum(v, 0.0)
-            z1 = rng.standard_normal(n)
-            z2 = rng.standard_normal(n)
-            x = (x + (drift_rq - 0.5 * vp) * dt
-                 + np.sqrt(vp * dt) * (params.rho * z1 + sq1mr2 * z2))
-            ivar = ivar + vp * dt
-            v = (v + vp * (th - params.kappa * vp) * dt
-                 + params.epsilon * vp**1.5 * math.sqrt(dt) * z1)
+        u = sample_variance_transition(u, dt, params, rng, t=t0)
+        v_next = 1.0 / u
+        iv_step = 0.5 * (v + v_next) * dt
+        z = rng.standard_normal(n)
+        x = (x + drift_rq * dt
+             + rho_over_eps * (np.log(v_next) - np.log(v)
+                               - math.log(coef_A(params.theta, t0, t1)))
+             + slope * iv_step
+             + sq1mr2 * np.sqrt(iv_step) * z)
+        ivar = ivar + iv_step
+        v = v_next
         if has_jumps:
-            jumps_total += _add_jumps(x, ivar, dt, jp, rng_jump)
+            _add_jumps(x, ivar, dt, jp, rng_jump)
         if (s + 1) in keep_pos:
             k0 = keep_pos[s + 1]
             keep_x[:, k0] = x
             keep_i[:, k0] = ivar
-            keep_v[:, k0] = v if exact else np.maximum(v, 1e-14)
-    return keep_x, keep_i, keep_v, jumps_total
+            keep_v[:, k0] = v
+    return keep_x, keep_i, keep_v
 
 
 def _chunks(horizon: float, monitoring_schedule: Sequence[float],
@@ -231,21 +206,20 @@ def _chunks(horizon: float, monitoring_schedule: Sequence[float],
         raise InvalidParametersError("last monitoring date must equal horizon")
     times, midx = _fine_grid(monitoring, sim_cfg.steps_per_year)
     keep_times = np.concatenate([[0.0], monitoring])
-    has_jumps = params.jumps is not None and params.jumps.lam > 0.0
 
-    def ensemble(x, ivar, v, jumps):
+    def ensemble(x, ivar, v):
         dx = np.diff(x, axis=1)
         i_disc = np.concatenate(
             [np.zeros((x.shape[0], 1)), np.cumsum(dx * dx, axis=1)], axis=1)
         return PathEnsemble(times=keep_times, x=x, i=ivar, i_discrete=i_disc,
-                            v=v, jump_counts=jumps if has_jumps else None)
+                            v=v)
 
     n = sim_cfg.n_paths
     n_chunks = (n + CHUNK_PATHS - 1) // CHUNK_PATHS
     seeds = _chunk_seeds(sim_cfg.seed, n_chunks)
     return [use(ensemble(*_simulate_chunk(
         min(CHUNK_PATHS, n - c * CHUNK_PATHS), times, midx, params,
-        sim_cfg.scheme, seeds[c]))) for c in range(n_chunks)]
+        seeds[c]))) for c in range(n_chunks)]
 
 
 def simulate_paths(horizon: float, monitoring_schedule: Sequence[float],
@@ -262,12 +236,9 @@ def simulate_paths(horizon: float, monitoring_schedule: Sequence[float],
     chunks = _chunks(horizon, monitoring_schedule, params, sim_cfg,
                      lambda ens: ens)
 
-    def stacked(name):
-        parts = [getattr(ens, name) for ens in chunks]
-        return None if parts[0] is None else np.concatenate(parts)
-
-    return PathEnsemble(chunks[0].times, *map(stacked, (
-        "x", "i", "i_discrete", "v", "jump_counts")))
+    return PathEnsemble(chunks[0].times, *(
+        np.concatenate([getattr(ens, name) for ens in chunks])
+        for name in ("x", "i", "i_discrete", "v")))
 
 
 def _mean_se(values: np.ndarray) -> Tuple[float, float]:
@@ -351,6 +322,6 @@ def _floating_leg(spec, ens: PathEnsemble, params: ModelParams) -> np.ndarray:
     powered = dx**spec.m
     total = np.zeros(len(s))
     for k in range(1, n_periods + 1):
-        w = spec.weight_value(s[:, spec.weight_index(k, n_periods)], params)
+        w = spec.weight_value(s[:, spec.weight_index(k)], params)
         total += w * powered[:, k - 1]
     return total / spec.maturity

@@ -247,13 +247,13 @@ class MomentSwapSpec:
     def schedule_times(self) -> list:
         return [self.date(k) for k in range(1, self.n_periods + 1)]
 
-    def weight_index(self, k: int, n_periods: int) -> int:
+    def weight_index(self, k: int) -> int:
         """Column index i_k into the (N+1)-column monitoring arrays; the
         unit weight of "constant" is read at i_k = k - 1."""
         if self.weight_kind == "constant":
             return k - 1
         if self.weight_kind == "terminal_price":
-            return n_periods
+            return self.n_periods
         return k - self.lag
 
     def weight_value(self, s, params: ModelParams):
@@ -326,7 +326,7 @@ def _price_european_detailed(maturity: float, strikes: Sequence[float],
     def pt(w):
         return _call_transform(w, column)
 
-    undiscounted, diag = fourier_invert_1d(cf, pt, cfg)
+    undiscounted, diag = fourier_invert_1d(cf, pt, cfg, damping=CALL_DAMPING)
     discount = math.exp(-params.r * T)
     return [PriceResult(float(discount * value), float(discount * err), {
         **diag, "err_estimate": float(err), "omega_tail": float(tail)})
@@ -671,12 +671,12 @@ def _budget_integrals(kernel, B, strikes, omega, counts, offsets,
     return (rows, float(residual)) if mirrored else rows
 
 
-def _spot_check(kernel, budget, strikes, cfg):
+def _spot_check(kernel, budget, strikes):
     """The Hermitian residual of H_tilde and each strike's Talbot term: ten
     times the gaps of the sums on M and M + TALBOT_STEP nodes at omega_R = 3
     and 12 (whose mirrors give the residual), times the omega_R each stands
     for, 0-7.5 and 7.5-16.5.  With jumps M's error peaks near omega_R = 10."""
-    omega = np.array([3.0, 12.0]) + 1j * cfg.damping_omega
+    omega = np.array([3.0, 12.0]) + 1j * CALL_DAMPING
     (j_m, j_next), herm = _budget_integrals(
         kernel, budget, strikes, omega,
         _talbot_counts(budget, kernel.T, omega, kernel.params),
@@ -716,7 +716,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
             kernels[T, N] = _TimerKernel(T, N, params, cfg)
         kernel = kernels[T, N]
         strikes = np.array([specs[i].strike for i in indices])
-        herm, talbot = _spot_check(kernel, B, strikes, cfg)
+        herm, talbot = _spot_check(kernel, B, strikes)
         if not herm <= _REL_IMAG_TOL:
             raise ThreeHalvesError(
                 f"timer kernel failed the Hermitian-symmetry check "
@@ -734,7 +734,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                 out = _budget_integrals(kernel, B, strikes, omega, m, [offset])
                 counts.append(m)  # not a batch that raised: the rule retries
                 return out
-            return omega_integral(rows, cfg, cfg.damping_omega,
+            return omega_integral(rows, cfg, CALL_DAMPING,
                                   0.5 / math.pi**2, base, panels)
 
         # the first pass fixes the omega grid; growth passes sum on it
@@ -1269,7 +1269,7 @@ def fair_strike_weighted(spec: MomentSwapSpec, params: ModelParams,
     def moments(omega, periods):
         return _weighted_moment(params, cfg, spec.m, [
             (spec.date(k - 1), spec.date(k),
-             spec.date(spec.weight_index(k, n))) for k in periods], omega)
+             spec.date(spec.weight_index(k))) for k in periods], omega)
 
     if spec.weight_kind != "corridor":
         omega = 0.0 if spec.weight_kind == "constant" else -1j
@@ -1303,8 +1303,13 @@ def _realize(val: complex, what: str) -> float:
     return float(val.real)
 
 
+# The payoff transforms' contours Im(omega) = const: the call's
+# (``_call_transform``; European, timer) needs < -1, the corridor's < 0.
+CALL_DAMPING = -1.5
 CORRIDOR_DAMPING = -0.5
 
 
 def _corridor_fhat(omega, lower: float, upper: float):
-    return (upper ** (-1j * omega) - lower ** (-1j * omega)) / (-1j * omega)
+    """Transform of 1{lower < e^x <= upper}; upper = inf adds nothing."""
+    top = 0.0 if math.isinf(upper) else upper ** (-1j * omega)
+    return (top - lower ** (-1j * omega)) / (-1j * omega)

@@ -6,7 +6,7 @@ for every Fourier inversion over the log-price frequency omega.
   flattens both the essential singularity exp(-const/v') at the origin and
   the power-law tail.
 * Every omega integral (the European call, the timer's Parseval integral,
-  the corridor swap) runs along a damped contour Im(omega) = const, folded
+  the corridor swap) runs along its payoff's contour Im(omega) = const, folded
   to omega_R >= 0 since its result is real, and is summed by one rule,
   ``omega_integral``: graded Clenshaw-Curtis panels added outward until
   the integrand is spent, so each product's cutoff is measured, not set.
@@ -72,14 +72,13 @@ class QuadratureConfig:
     needs other values passes ``dataclasses.replace(cfg, ...)``.
 
     ``v_nodes`` sizes the v' rules; ``rel_tol`` and ``abs_tol`` stop the
-    omega rule's panels and the timer's Talbot contours.  The call and
-    timer contours sit at Im(omega) = ``damping_omega``, which their
-    payoff transforms need below -1.  The omega rule's panels are fixed
-    by measurement.
+    omega rule's panels and the timer's Talbot contours.  The omega
+    rule's panels are fixed by measurement, and each payoff's contour
+    Im(omega) = const is its pricer's (``pricers.CALL_DAMPING``,
+    ``pricers.CORRIDOR_DAMPING``).
     """
 
     v_nodes: int = 64
-    damping_omega: float = -1.5
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
 
@@ -90,9 +89,6 @@ class QuadratureConfig:
         for name in ("rel_tol", "abs_tol"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0")
-        if not self.damping_omega < -1.0:
-            problems.append("damping_omega must be < -1 (call and timer "
-                            "payoff transforms)")
         if problems:
             raise InvalidParametersError(
                 "bad quadrature config: " + "; ".join(problems)
@@ -297,10 +293,9 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
 
 
 def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
-                      cfg: QuadratureConfig,
-                      damping: Optional[float] = None):
-    """(1/2pi) int payoff_transform(w) cf(w) dw_R along Im(w) = damping
-    (default ``cfg.damping_omega``), by the omega rule.
+                      cfg: QuadratureConfig, damping: float):
+    """(1/2pi) int payoff_transform(w) cf(w) dw_R along the payoff's
+    contour Im(w) = damping, by the omega rule.
 
     The integrand may be a vector: ``payoff_transform`` (or ``cf``) may
     return leading axes before the points' axis, one integral per leading
@@ -316,13 +311,12 @@ def fourier_invert_1d(cf: Callable, payoff_transform: Callable,
     err_estimate and last panel's share are floats for a scalar integrand
     and arrays of its leading shape otherwise.
     """
-    damp = cfg.damping_omega if damping is None else damping
     value, err, diag = omega_integral(
         lambda w: np.asarray(payoff_transform(w), dtype=complex) * cf(w),
-        cfg, damp, 1.0 / math.pi)  # folding doubles the half-axis integral
+        cfg, damping, 1.0 / math.pi)  # folding doubles the half-axis integral
 
     def real(x):
         return float(x) if np.ndim(x) == 0 else x
     diag.update(err_estimate=real(err), omega_tail=real(diag["omega_tail"]),
-                damping=damp)
+                damping=damping)
     return real(value), diag

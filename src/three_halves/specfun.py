@@ -86,8 +86,8 @@ _SERIES_BLOCK_BYTES = 2**19
 _CUMPROD_LOOP_MIN_COLUMNS = 64
 
 _RESCALE_LIMIT = 1e250
-_RESCALE_SHIFT = 2.0**-512
-_RESCALE_LOG = 512.0 * math.log(2.0)
+_RESCALE_BITS = 512  # a rescaled series is shifted down by 2^-512 at a time
+_RESCALE_LOG = _RESCALE_BITS * math.log(2.0)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -524,7 +524,7 @@ def _scaled_cumprod(ratio):
     shifts = np.ceil(peak, out=peak).astype(int)
     del peak
     step = np.diff(shifts, axis=0, prepend=0)
-    step *= -512
+    step *= -_RESCALE_BITS
     _ldexp_inplace(r, step)
     del step
     shifted = _cumprod_rows(r)
@@ -534,7 +534,7 @@ def _scaled_cumprod(ratio):
     lag[0] = final
     np.subtract(final, shifts, out=lag[1:])
     del shifts
-    lag *= -512
+    lag *= -_RESCALE_BITS
     _ldexp_inplace(shifted, lag)
     coef[:, big] = shifted
     row_scale[big] = final * _RESCALE_LOG

@@ -1,8 +1,8 @@
 """Reference routes that only the tests use: the paper's second derivation
 of the partial transform g (its probabilistic factorization), an adaptive
 v' integral, the paper's two-date joint characteristic function built on
-it, the swaps' g1 tabulated per element and the omega rule summed one
-panel per batch.
+it, the swaps' g1 tabulated per element, the omega rule summed one
+panel per batch and a full-truncation Euler scheme for the log price.
 
 They share no quadrature with the pricers, whose v' rules are fixed
 trapezoids: the timer's from ``quadrature.log_density_grid``, the swaps'
@@ -272,3 +272,39 @@ def omega_integral_panel_by_panel(f: Callable, cfg: QuadratureConfig,
     return value, np.abs(value - coarse), {
         "omega_panels": stop, "omega_cutoff": float(nodes[-1, -1]),
         "omega_tail": tail}
+
+
+# ---------------------------------------------------------------------------
+# A second Monte Carlo scheme: full-truncation Euler in (X, V).
+# ---------------------------------------------------------------------------
+
+
+def euler_terminal_log_price(horizon: float, params, n_paths: int,
+                             steps_per_year: int, seed: int) -> np.ndarray:
+    """X_T per path by the full-truncation Euler scheme of the diffusion
+    (no jumps), on round(steps_per_year T) equal steps:
+
+        V+ = max(V, 0),
+        X' = X + (r - q - V+/2) dt + sqrt(V+ dt) (rho Z1 + sqrt(1-rho^2) Z2),
+        V' = V + V+ (theta(t) - kappa V+) dt + eps V+^{3/2} sqrt(dt) Z1.
+
+    It shares no step with the package's exact sampler, whose
+    noncentral chi-square transitions it checks to within its O(dt) bias.
+    """
+    if params.jumps is not None and params.jumps.lam > 0.0:
+        raise ValueError("the Euler oracle simulates the diffusion only")
+    rng = np.random.default_rng(seed)
+    n_steps = max(1, round(steps_per_year * horizon))
+    dt = horizon / n_steps
+    sq1mr2 = math.sqrt(1.0 - params.rho**2)
+    x = np.full(n_paths, params.x0)
+    v = np.full(n_paths, params.v0)
+    for s in range(n_steps):
+        vp = np.maximum(v, 0.0)
+        z1 = rng.standard_normal(n_paths)
+        z2 = rng.standard_normal(n_paths)
+        x = (x + (params.r - params.q - 0.5 * vp) * dt
+             + np.sqrt(vp * dt) * (params.rho * z1 + sq1mr2 * z2))
+        v = (v + vp * (params.theta.value_at(s * dt) - params.kappa * vp) * dt
+             + params.epsilon * vp**1.5 * math.sqrt(dt) * z1)
+    return x

@@ -98,10 +98,16 @@ def test_spec_rejects_a_malformed_field(cls, fields, name, bad):
         cls(**{**fields, name: bad})
 
 
-def test_one_sided_corridor_is_a_spec():
-    # an infinite upper bound is a corridor open above
-    spec = MomentSwapSpec(**{**SWAP, "corridor_upper": INF})
-    assert spec.corridor_upper == INF
+def test_one_sided_corridor_prices_as_a_far_bound(snp_params):
+    # An infinite upper bound is a corridor open above.  Its transform
+    # drops the upper term, which at a bound of 1e300 is 1e-150 of the
+    # lower one, so both bounds give the same bits (1e300's are stated
+    # here), and with no RuntimeWarning (the filter makes one an error).
+    for n_periods, lag, price in [(2, 0, 0.0342664985800499),
+                                  (12, 1, 0.06721258860471417)]:
+        spec = MomentSwapSpec(1.0, n_periods, 2, "corridor", lag, 80.0, INF)
+        assert fair_strike_weighted(spec, snp_params,
+                                    QuadratureConfig()) == price, n_periods
 
 
 class TestTimerIdentities:
@@ -158,7 +164,7 @@ class TestTimerIdentities:
         # ("contour") where those are summed.  The spot check, which sums
         # the same way, is passed over, so the Parseval pass meets the NaN.
         monkeypatch.setattr(pricers, "_spot_check",
-                            lambda kernel, B, strikes, cfg:
+                            lambda kernel, B, strikes:
                             (0.0, np.zeros(strikes.size)))
         match = stage
         if stage == "kernel":
@@ -231,7 +237,7 @@ def _per_date_h_tilde(kernel, omega, eta):
 def _talbot_points(params, T=1.0, budget=0.087):
     """Three omegas on the timer contour and four etas on each one's Talbot
     contour, from its start to its end."""
-    omega = np.array([0.3, 5.0, 40.0]) + 1j * QuadratureConfig().damping_omega
+    omega = np.array([0.3, 5.0, 40.0]) + 1j * pricers.CALL_DAMPING
     m = int(pricers._talbot_counts(budget, T, omega, params).max())
     s = pricers._talbot_contour(m, budget, T, omega, params)[0]
     return omega, 1j * s[:, [0, m // 4, m // 2, m - 1]]
@@ -251,7 +257,7 @@ def _talbot_sums(params, n, budget, strikes, offsets):
                                 for k in strikes], params, cfg)
     panels = results[0].diagnostics["omega_panels"]
     nodes = (quadrature._panels(0, panels)[0].ravel()
-             + 1j * cfg.damping_omega)
+             + 1j * pricers.CALL_DAMPING)
     extra = (results[0].diagnostics["talbot_nodes"]
              - pricers._talbot_counts(budget, 1.0, nodes, params).max())
     kernel = pricers._TimerKernel(1.0, n, params, cfg)
@@ -262,7 +268,7 @@ def _talbot_sums(params, n, budget, strikes, offsets):
             pricers._talbot_counts(budget, 1.0, omega, params),
             [extra + offset for offset in offsets])
         return np.concatenate([j, np.abs(j[:1] - j[-1:])])
-    sums = quadrature.omega_integral(rows, cfg, cfg.damping_omega,
+    sums = quadrature.omega_integral(rows, cfg, pricers.CALL_DAMPING,
                                      0.5 / math.pi**2, panels=panels)[0]
     return results, sums[:-1], sums[-1]
 
@@ -446,7 +452,7 @@ class TestTimerKernel:
         p = timer_params
         kernel = pricers._TimerKernel(1.0, n, p, QuadratureConfig())
         omega = (np.linspace(0.3, 40.0, 21)
-                 + 1j * QuadratureConfig().damping_omega)
+                 + 1j * pricers.CALL_DAMPING)
         eta = 1j * pricers._talbot_contour(24, 0.087, 1.0, omega, p)[0]
         mirror = -np.conj(omega), -np.conj(eta)
         both = pricers._timer_h_tilde(kernel, np.concatenate([omega,
@@ -515,7 +521,7 @@ class TestFactoredContraction:
         p = request.getfixturevalue(params)
         kernel = pricers._TimerKernel(1.0, n, p, QuadratureConfig())
         omega = (np.array([0.3, 5.0, 40.0, 150.0])
-                 + 1j * QuadratureConfig().damping_omega)
+                 + 1j * pricers.CALL_DAMPING)
         m = int(pricers._talbot_counts(budget, 1.0, omega, p).max())
         eta = np.concatenate([np.zeros((omega.size, 1)), 1j * pricers
                               ._talbot_contour(m, budget, 1.0, omega, p)[0]],
@@ -976,6 +982,31 @@ class TestEuropeanBases:
         assert calls == [(1.0, list(self.STRIKES)),
                          (0.5, list(self.STRIKES))]
         assert len(inversions) == 2
+
+
+class TestCallContour:
+    def test_damping_is_below_minus_one(self):
+        # the call payoff's transform converges on Im(omega) < -1 only
+        assert pricers.CALL_DAMPING < -1.0
+
+    def test_calls_do_not_depend_on_the_damping(self, snp_params):
+        # Cauchy's theorem moves the contour freely below Im(omega) = -1
+        # while the CF is finite there: the calls inverted on
+        # CALL_DAMPING and on -2.5 agree within their err_estimates (they
+        # were measured to agree to 2e-11, the estimates reading 1e-10 to
+        # 8e-7).
+        p, cfg = snp_params, QuadratureConfig()
+        strikes = np.array([80.0, 100.0, 120.0])
+        for T in (0.25, 1.0, 2.0):
+            def cf(w):
+                return np.exp(1j * w * p.x0
+                              + tr._log_h_vec(0.0, p.v0, T, w, 0.0, p))
+
+            (a, diag_a), (b, diag_b) = (quadrature.fourier_invert_1d(
+                cf, lambda w: pricers._call_transform(w, strikes[:, None]),
+                cfg, damping) for damping in (pricers.CALL_DAMPING, -2.5))
+            assert np.all(np.abs(a - b) <= diag_a["err_estimate"]
+                          + diag_b["err_estimate"]), T
 
 
 class TestTimerMemory:
@@ -1758,7 +1789,7 @@ class TestCorridorVGrid:
     def integrand(self, monkeypatch, params, v_nodes, omega_r):
         captured = {}
 
-        def capture(cf, payoff_transform, cfg, damping=None):
+        def capture(cf, payoff_transform, cfg, damping):
             captured["at"] = lambda w: complex(
                 payoff_transform(w) * cf(np.array([w]))[0])
             captured["damping"] = damping

@@ -225,8 +225,8 @@ def running_bessel_series(nu, z):
                 break
             small_prev = small
             big = sm > specfun._RESCALE_LIMIT
-            term[big] *= specfun._RESCALE_SHIFT
-            total[big] *= specfun._RESCALE_SHIFT
+            term[big] *= 2.0**-specfun._RESCALE_BITS
+            total[big] *= 2.0**-specfun._RESCALE_BITS
             scale[big] += specfun._RESCALE_LOG
     else:
         raise SeriesNonConvergenceError("oracle series did not converge")
@@ -258,9 +258,9 @@ def running_kummer_taylor(a, b, z):
                 break
             small_prev = small
             big = abs_total > specfun._RESCALE_LIMIT
-            term[big] *= specfun._RESCALE_SHIFT
-            total[big] *= specfun._RESCALE_SHIFT
-            abs_total[big] *= specfun._RESCALE_SHIFT
+            term[big] *= 2.0**-specfun._RESCALE_BITS
+            total[big] *= 2.0**-specfun._RESCALE_BITS
+            abs_total[big] *= 2.0**-specfun._RESCALE_BITS
             scale[big] += specfun._RESCALE_LOG
     else:
         raise SeriesNonConvergenceError("oracle series did not converge")
@@ -307,7 +307,8 @@ class TestBesselSeriesOuter:
         # grid.
         p = timer_params
         cfg = QuadratureConfig()
-        omega = _panels(0, FIRST_BATCH)[0].ravel()[::13] + 1j * cfg.damping_omega
+        omega = (_panels(0, FIRST_BATCH)[0].ravel()[::13]
+                 + 1j * pricers.CALL_DAMPING)
         s = pricers._talbot_contour(pricers.TALBOT_NODES, 0.087, 1.0, omega,
                                     p)[0]
         t_j = 0.25
@@ -447,7 +448,7 @@ class TestBesselTable:
         A = coef_A(p.theta, 0.0, t_j)
         C = coef_C(p.theta, p.epsilon, 0.0, t_j)
         z = ((2.0 / C) * np.sqrt(A / (p.v0 * nodes)))[None, None, :]
-        omega = np.linspace(30.0, 70.0, 6) + 1j * cfg.damping_omega
+        omega = np.linspace(30.0, 70.0, 6) + 1j * pricers.CALL_DAMPING
         s = pricers._talbot_contour(pricers.TALBOT_NODES, 0.087, 1.0, omega,
                                     p)[0]
         nu = 2.0 * tr._c_exponent(omega[:, None, None], 1j * s[:, ::4, None],

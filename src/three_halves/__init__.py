@@ -1,6 +1,6 @@
 """Transform-based pricing engine for the 3/2 stochastic volatility model."""
 
-from .model import JumpParams, ModelParams, ThetaCurve, coef_A, coef_C, validate
+from .model import JumpParams, ModelParams, ThetaCurve, coef_A, coef_C
 from .pricers import (
     EuropeanSpec,
     MomentSwapSpec,
@@ -28,7 +28,6 @@ __all__ = [
     "price_european",
     "price_timer_call",
     "price_timer_grid",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -13,10 +13,6 @@ class SpecfunDomainError(ThreeHalvesError):
 class SeriesNonConvergenceError(ThreeHalvesError):
     """A series did not meet its stopping rule within the term budget."""
 
-    def __init__(self, message, worst_index=None):
-        super().__init__(message)
-        self.worst_index = worst_index
-
 
 class DeltaRegimeError(ThreeHalvesError):
     """Time separation too small: the quantity degenerates to a Dirac mass."""
@@ -29,17 +25,9 @@ class CurveDomainError(ThreeHalvesError):
 class InvalidParametersError(ThreeHalvesError):
     """Model or product parameters violate a structural constraint."""
 
-    def __init__(self, message, violations=None):
-        super().__init__(message)
-        self.violations = tuple(violations or ())
-
 
 class QuadratureNonConvergenceError(ThreeHalvesError):
     """Adaptive integration failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 class BranchCutWarning(UserWarning):

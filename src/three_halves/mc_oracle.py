@@ -43,7 +43,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParametersError
-from .model import ModelParams, coef_A, coef_C, require_valid
+from .model import ModelParams, coef_A, coef_C
 
 CHUNK_PATHS = 16384
 
@@ -198,7 +198,6 @@ def _chunks(horizon: float, monitoring_schedule: Sequence[float],
     """``use(ensemble)`` of each chunk of at most CHUNK_PATHS paths, in path
     order, each chunk's ensemble dropped once used (see
     ``simulate_paths``)."""
-    require_valid(params)
     monitoring = np.asarray(sorted(monitoring_schedule), dtype=float)
     if len(monitoring) == 0 or monitoring[0] <= 0.0:
         raise InvalidParametersError("monitoring dates must be positive")

@@ -21,6 +21,7 @@ curve's segments on one more axis.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,12 +32,36 @@ import numpy as np
 from .errors import BranchCutWarning, CurveDomainError, InvalidParametersError
 
 
+def _check_fields(obj, positive=(), finite=(), integers=None, more=()):
+    """Raise InvalidParametersError naming every field of ``obj`` in
+    ``positive`` that is not finite and > 0, in ``finite`` that is not
+    finite, or in ``integers`` (name: least, most) that is not an integer
+    in its range (NaN, inf and 2.0 fail), and every violation in ``more``:
+    each parameter object checks itself so at construction."""
+    integers = integers or {}
+    bad = []
+    for name in (*positive, *finite, *integers):
+        x = getattr(obj, name)
+        if name in integers:
+            least, most = integers[name]
+            ok = isinstance(x, numbers.Integral) and least <= x <= most
+        else:
+            ok = math.isfinite(x) and (name in finite or x > 0.0)
+        if not ok:
+            bad.append(f"invalid {name}: {x!r}")
+    bad += more
+    if bad:
+        raise InvalidParametersError(
+            f"{type(obj).__name__}: " + "; ".join(bad))
+
+
 @dataclass(frozen=True)
 class ThetaCurve:
     """Piecewise-constant deterministic mean-reversion level theta_t.
 
     ``breakpoints`` are the right edges of the segments (strictly
-    increasing; the last one is the domain horizon and may be ``inf``);
+    increasing and finite; the last one is the domain horizon and may be
+    ``inf``);
     ``values[i]`` applies on ``[breakpoints[i-1], breakpoints[i])`` with the
     first segment starting at 0.  A constant curve is the single-segment
     case.
@@ -54,14 +79,18 @@ class ThetaCurve:
             raise InvalidParametersError(
                 "ThetaCurve needs one value per segment and at least one segment"
             )
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])) or bps[0] <= 0.0:
-            raise InvalidParametersError("ThetaCurve breakpoints must be increasing")
+        # negated, so that NaN fails; an inf but the last fails too
+        if not (bps[0] > 0.0
+                and all(b1 < b2 for b1, b2 in zip(bps, bps[1:]))):
+            raise InvalidParametersError(
+                "ThetaCurve breakpoints must be increasing from above 0 "
+                f"and finite but the last: {bps}")
         if not all(math.isfinite(v) for v in vals):
             raise InvalidParametersError("ThetaCurve values must be finite")
 
     @classmethod
-    def constant(cls, theta: float, horizon: float = math.inf) -> "ThetaCurve":
-        return cls(breakpoints=(horizon,), values=(float(theta),))
+    def constant(cls, theta: float) -> "ThetaCurve":
+        return cls(breakpoints=(math.inf,), values=(float(theta),))
 
     @property
     def horizon(self) -> float:
@@ -120,8 +149,9 @@ class JumpParams:
     sigma: float
 
     def __post_init__(self):
-        if self.lam < 0.0 or self.sigma < 0.0:
-            raise InvalidParametersError("jump intensity and size std must be >= 0")
+        _check_fields(self, finite=("lam", "mu", "sigma"), more=[
+            f"{name} must be >= 0" for name in ("lam", "sigma")
+            if getattr(self, name) < 0.0])
 
     @property
     def compensator(self) -> float:
@@ -131,7 +161,11 @@ class JumpParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter set of the 3/2 model (optionally with jumps)."""
+    """Parameter set of the 3/2 model (optionally with jumps), checked at
+    construction: kappa, r and q finite, epsilon, s0 and v0 finite and
+    > 0, rho in [-1, 1], and the admissibility constraint
+    kappa - rho*eps >= -eps^2/2, which guarantees non-explosion of V and
+    the martingale property of the discounted price."""
 
     kappa: float
     epsilon: float
@@ -142,6 +176,17 @@ class ModelParams:
     v0: float
     theta: ThetaCurve
     jumps: Optional[JumpParams] = None
+
+    def __post_init__(self):
+        more = ([] if -1.0 <= self.rho <= 1.0
+                else [f"rho must lie in [-1, 1] (got {self.rho!r})"])
+        if self.kappa - self.rho * self.epsilon + 0.5 * self.eps2 < 0.0:
+            more.append(
+                "admissibility violated: kappa - rho*eps >= -eps^2/2 fails "
+                f"({self.kappa} - {self.rho}*{self.epsilon} < "
+                f"{-0.5 * self.eps2})")
+        _check_fields(self, ("epsilon", "s0", "v0"), ("kappa", "r", "q"),
+                      more=more)
 
     @classmethod
     def with_constant_theta(cls, kappa, theta, epsilon, rho, r, q, s0, v0,
@@ -156,41 +201,6 @@ class ModelParams:
     @property
     def x0(self) -> float:
         return math.log(self.s0)
-
-
-def validate(params: ModelParams) -> Tuple[str, ...]:
-    """Check every structural constraint; returns the violations (empty = ok).
-
-    The admissibility constraint kappa - rho*eps >= -eps^2/2 guarantees
-    non-explosion of V and the martingale property of the discounted price.
-    """
-    v = []
-    if not params.epsilon > 0.0:
-        v.append(f"epsilon must be > 0 (got {params.epsilon})")
-    if not params.s0 > 0.0:
-        v.append(f"s0 must be > 0 (got {params.s0})")
-    if not params.v0 > 0.0:
-        v.append(f"v0 must be > 0 (got {params.v0})")
-    if not -1.0 <= params.rho <= 1.0:
-        v.append(f"rho must lie in [-1, 1] (got {params.rho})")
-    if params.epsilon > 0.0:
-        slack = params.kappa - params.rho * params.epsilon + 0.5 * params.eps2
-        if slack < 0.0:
-            v.append(
-                "admissibility violated: kappa - rho*eps >= -eps^2/2 fails "
-                f"({params.kappa} - {params.rho}*{params.epsilon} < "
-                f"{-0.5 * params.eps2})"
-            )
-    return tuple(v)
-
-
-def require_valid(params: ModelParams) -> None:
-    violations = validate(params)
-    if violations:
-        raise InvalidParametersError(
-            "invalid model parameters: " + "; ".join(violations),
-            violations=violations,
-        )
 
 
 def coef_A(theta: ThetaCurve, t, t_prime):

@@ -120,7 +120,6 @@ places it on the rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -135,11 +134,11 @@ from .errors import (
 )
 from .model import (
     ModelParams,
+    _check_fields,
     _drift_a_vec,
     _jump_exponent,
     coef_A,
     coef_C,
-    require_valid,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -156,18 +155,6 @@ _REL_IMAG_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _check_fields(spec, positive, integers):
-    """Raise InvalidParametersError naming the first field of ``spec`` in
-    ``positive`` that is not finite and > 0, or in ``integers`` (name:
-    least, most) not an integer in its range: NaN, inf and 2.0 fail."""
-    for name in (*positive, *integers):
-        x = getattr(spec, name)
-        if not (x > 0.0 and math.isfinite(x) if name in positive else
-                isinstance(x, numbers.Integral)
-                and integers[name][0] <= x <= integers[name][1]):
-            raise InvalidParametersError(f"invalid {name}: {x!r}")
-
-
 @dataclass(frozen=True)
 class EuropeanSpec:
     strike: float
@@ -175,7 +162,7 @@ class EuropeanSpec:
     is_call: bool = True
 
     def __post_init__(self):
-        _check_fields(self, ("strike", "maturity"), {})
+        _check_fields(self, ("strike", "maturity"))
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ class TimerOptionSpec:
     def __post_init__(self):
         _check_fields(
             self, ("strike", "mandatory_maturity", "variance_budget"),
-            {"n_monitoring": (1, math.inf)})
+            integers={"n_monitoring": (1, math.inf)})
 
     def date(self, j: int) -> float:
         # j*T/N evaluated directly (never accumulated), so monitoring dates
@@ -230,8 +217,8 @@ class MomentSwapSpec:
     corridor_upper: Optional[float] = None
 
     def __post_init__(self):
-        _check_fields(self, ("maturity",), {"n_periods": (1, math.inf),
-                                            "m": (2, 3), "lag": (0, 1)})
+        _check_fields(self, ("maturity",), integers={
+            "n_periods": (1, math.inf), "m": (2, 3), "lag": (0, 1)})
         if self.weight_kind not in _WEIGHT_KINDS:
             raise InvalidParametersError(
                 f"weight_kind must be one of {_WEIGHT_KINDS}")
@@ -314,7 +301,6 @@ def _price_european_detailed(maturity: float, strikes: Sequence[float],
     transforms, a row per strike: the CF is taken once for all strikes,
     and each strike's value is its own sum on the omega grid, which runs
     until every row is spent."""
-    require_valid(params)
     T = maturity
     x0 = params.x0
     column = np.asarray(strikes, dtype=float)[:, None]
@@ -561,11 +547,9 @@ def _timer_w_matrix(kernel: _TimerKernel, dates: slice, omega: np.ndarray,
     (|z| > BESSEL_ASYMPTOTIC_MIN_Z, the first dates from N = 12 on) run
     first, on tables of their own, so the workspace is never held beside
     the asymptotic branch's tables and the peak memory stays flat in N."""
-    p = kernel.params
     first, last, _ = dates.indices(kernel.dates.size)
     base = kernel.starts[first]
-    a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], eta, p))
-    rows = a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
+    rows = tr._g_contract_rows(omega[:, None], eta, kernel.params)
     tiles = [(tile, kernel.columns(slice(first + group.start,
                                          first + group.stop)))
              for tile, group in _tiles(omega.size, kernel.sizes[first:last],
@@ -697,7 +681,6 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
     integral, a row per strike, and the European bases of every strike at
     one T come from one inversion (``_price_european_detailed``), whatever
     their N and B."""
-    require_valid(params)
     groups = {}
     strikes_at = {}
     for idx, spec in enumerate(specs):
@@ -752,8 +735,7 @@ def price_timer_grid(specs: Sequence[TimerOptionSpec], params: ModelParams,
                     * np.finfo(float).eps > cfg.rel_tol):
                 raise QuadratureNonConvergenceError(
                     f"the Talbot error of M nodes is {talbot.max():.2e} at "
-                    f"B = {B}, and roundoff bars a larger M",
-                    achieved=float(talbot.max()))
+                    f"B = {B}, and roundoff bars a larger M")
             coarse, extra = fine, extra + TALBOT_STEP
             before = diag
             (fine,), (q_err,), diag = integral(extra, diag["omega_panels"])
@@ -1000,7 +982,7 @@ def _cauchy_check(m: int, rules, starts=None):
             f"Cauchy moment of order {m}: the {MOMENT_NODES}- and "
             f"{MOMENT_NODES // 2}-node rules disagree by {gap:.3e} relative "
             f"to {size:.3e}; the function is not analytic "
-            f"on the disc of radius {MOMENT_RADIUS}", achieved=float(gap))
+            f"on the disc of radius {MOMENT_RADIUS}")
     return full
 
 
@@ -1040,18 +1022,12 @@ def _period_grids(params: ModelParams, cfg: QuadratureConfig, spans, omega):
             yield v, w, np.full(v.size, t_km1), np.full(v.size, t_k), k
 
 
-def _g1_rows(params: ModelParams, omega):
-    """g's row terms (``transforms._g_contract``) of g1 at the transform
-    points ``omega`` with eta = 0, each of shape (n_omega, 1)."""
-    a, b0, nu = np.broadcast_arrays(*tr._g_rows(omega[:, None], 0.0, params))
-    return a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
-
-
 def _g1_contract(params: ModelParams, rows, t_km1, v, k, factor,
                  per_period=False):
     """sum_j g1(0, V0; t_{k-1}, omega, v_j) factor[i, j, :] over the nodes
     of period grids (``_period_grids``: v with each node's t_{k-1} and
-    lattice index k) for the omegas of ``rows`` (``_g1_rows``), against
+    lattice index k) for the omegas of ``rows`` (g1's row terms,
+    ``transforms._g_contract_rows`` with eta = 0), against
     ``factor`` of shape (n_omega or 1, nodes, K): shape (n_omega, K), or
     per period, (n_omega, periods, K).  g1 comes from its row and column
     factors (``transforms._g_contract``), each period's lattice one run of
@@ -1162,7 +1138,7 @@ def _weighted_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
     omega = np.atleast_1d(np.asarray(omega, dtype=complex))
     # A purely imaginary omega makes the weight e^{i omega X} real.
     real_weight = not np.any(omega.real)
-    rows = _g1_rows(params, omega)
+    rows = tr._g_contract_rows(omega[:, None], 0.0, params)
     total = np.zeros(omega.size, dtype=complex)
     for weight_at_start in (True, False):
         spans = [(a, b) for a, b, i in periods
@@ -1211,7 +1187,7 @@ def _tower_moment(params: ModelParams, cfg: QuadratureConfig, m: int,
                   real_weight: bool, grid, rows):
     """One period's term of ``_weighted_moment`` on the route t_i > t_k,
     from its v grid at t_{k-1} (``_period_grids``) and g1's row terms
-    (``_g1_rows``)."""
+    (``transforms._g_contract_rows``)."""
     v, w, t_from, _, k = grid
     inner, w_in = _transition_grid(params, t_km1, t_k, v, cfg,
                                    float(np.max(np.abs(omega.real))))
@@ -1263,7 +1239,6 @@ def fair_strike_weighted(spec: MomentSwapSpec, params: ModelParams,
     omega integral collapses; the corridor weight integrates
     f_hat(omega) = (u^{-i w} - l^{-i w})/(-i w) along Im(omega) = -1/2.
     """
-    require_valid(params)
     T, n = spec.maturity, spec.n_periods
 
     def moments(omega, periods):

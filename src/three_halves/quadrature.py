@@ -286,8 +286,7 @@ def omega_integral(f: Callable, cfg: QuadratureConfig, damping: float,
         if left < 1:
             raise QuadratureNonConvergenceError(
                 f"omega integrand is not spent by omega_R = {cutoff:g}: "
-                f"its last panel still contributes {np.max(tail):.3e}",
-                achieved=float(np.max(tail)))
+                f"its last panel still contributes {np.max(tail):.3e}")
         stop = summed + (1 if alone else max(1, min(
             _panels_to_spend(last, thresh), summed // 2, left)))
 

@@ -195,6 +195,14 @@ def _lattice_columns(params: ModelParams, t_prime, v_prime, k) -> _GColumns:
                      lav, e0)
 
 
+def _g_contract_rows(omega, eta, params: ModelParams):
+    """``_g_contract``'s rows at the broadcast arrays ``omega`` and
+    ``eta``: g's row terms (``_g_rows``) broadcast to one shape, and
+    log Gamma(nu + 1)."""
+    a, b0, nu = np.broadcast_arrays(*_g_rows(omega, eta, params))
+    return a, b0, nu, specfun._log_gamma_vec(nu + 1.0)
+
+
 def _g_contract(rows, cols: _GColumns, factor, work=None, per_run=False):
     """sum_j g_ij factor[i, j, :], g from one (t, v) (``_GColumns``) on rows
     ``rows`` = (a, b0, nu, log Gamma(nu + 1)), each of shape (n_omega,
@@ -348,10 +356,10 @@ def _log_h_vec(t, v, t_prime, omega, eta, params: ModelParams):
     * at = 0 exactly, on whole rows: M(0, bt, -x) = 1, the Gamma ratio is
       1 and x^0 = 1, so log h = a dt.  With eta = 0 this is omega = -i,
       where h is E[S_{t'}/S_t | v] = e^{(r - q)(t' - t)} by the martingale
-      property (``model.validate``: b0 = 1/2 + (kappa - rho eps)/eps^2 >=
-      0, so c = sqrt(b0^2) = b0 and at comes out exactly 0.0, unless
-      rounding leaves b0 a hair below 0 at the admissibility boundary),
-      and omega = 0, where h = 1;
+      property (admissible ``model.ModelParams``: b0 = 1/2 + (kappa -
+      rho eps)/eps^2 >= 0, so c = sqrt(b0^2) = b0 and at comes out
+      exactly 0.0, unless rounding leaves b0 a hair below 0 at the
+      admissibility boundary), and omega = 0, where h = 1;
     * large x, per element (``specfun._kummer_asym_mask``: x beyond
       KUMMER_ASYM_MIN_X and beyond mx^2 + 50, mx = max(|at|,
       |at - bt + 1|)): the algebraic asymptotic branch, in which the Gamma

@@ -207,9 +207,7 @@ def integrate_semi_infinite(f: Callable, cfg: QuadratureConfig,
         prev = cur
     raise QuadratureNonConvergenceError(
         f"semi-infinite integral did not converge below rel_tol={cfg.rel_tol} "
-        f"within {MAX_REFINEMENTS} doublings",
-        achieved=abs(cur - prev) if "cur" in locals() else None,
-    )
+        f"within {MAX_REFINEMENTS} doublings")
 
 
 def bivariate_cf_phi(t: float, state: Tuple[float, float, float], t1: float,
@@ -266,8 +264,7 @@ def omega_integral_panel_by_panel(f: Callable, cfg: QuadratureConfig,
                                      cfg.rel_tol * np.abs(base + value))):
             break
         if nodes[-1, -1] + MAX_PANEL > OMEGA_LIMIT:
-            raise QuadratureNonConvergenceError(
-                "omega integrand is not spent", achieved=float(np.max(tail)))
+            raise QuadratureNonConvergenceError("omega integrand is not spent")
         start, stop = stop, stop + 1
     return value, np.abs(value - coarse), {
         "omega_panels": stop, "omega_cutoff": float(nodes[-1, -1]),

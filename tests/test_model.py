@@ -19,10 +19,11 @@ from three_halves.model import (
     _drift_a_vec,
     coef_A,
     coef_C,
-    validate,
 )
 
 mp.mp.dps = 30
+
+NAN, INF = math.nan, math.inf
 
 
 def make_params(**over):
@@ -33,32 +34,71 @@ def make_params(**over):
 
 
 class TestValidate:
+    """ModelParams, JumpParams and ThetaCurve validate themselves at
+    construction, so no pricer checks them again per call: a field out of
+    its domain raises InvalidParametersError naming it."""
+
     def test_table_params_admissible(self, snp_params):
-        assert validate(snp_params) == ()
+        assert ModelParams(**vars(snp_params)) == snp_params
 
     def test_inadmissible_combination(self):
         # kappa=0, rho=1, eps=1: 0 - 1 < -0.5
-        params = make_params(kappa=0.0, rho=1.0, epsilon=1.0)
-        violations = validate(params)
-        assert len(violations) == 1
-        assert "admissibility" in violations[0]
+        with pytest.raises(InvalidParametersError) as info:
+            make_params(kappa=0.0, rho=1.0, epsilon=1.0)
+        assert str(info.value) == (
+            "ModelParams: admissibility violated: kappa - rho*eps >= "
+            "-eps^2/2 fails (0.0 - 1.0*1.0 < -0.5)")
 
     def test_boundary_inside(self):
         # kappa=1, rho=0, eps=2: 1 >= -2
-        assert validate(make_params(kappa=1.0, rho=0.0, epsilon=2.0)) == ()
+        make_params(kappa=1.0, rho=0.0, epsilon=2.0)
+        # kappa - rho eps = -eps^2/2 exactly: on the boundary, admitted
+        make_params(kappa=0.5, rho=1.0, epsilon=1.0)
 
     def test_multiple_violations_all_named(self):
-        params = ModelParams.with_constant_theta(
-            kappa=0.0, theta=1.0, epsilon=-1.0, rho=2.0, r=0.0, q=0.0,
-            s0=-5.0, v0=-0.1)
-        msgs = "\n".join(validate(params))
-        for name in ("epsilon", "s0", "v0", "rho"):
-            assert name in msgs
+        with pytest.raises(InvalidParametersError) as info:
+            ModelParams.with_constant_theta(
+                kappa=NAN, theta=1.0, epsilon=-1.0, rho=2.0, r=INF, q=0.0,
+                s0=-5.0, v0=-0.1)
+        for name in ("kappa", "epsilon", "s0", "v0", "rho", "r"):
+            assert f"invalid {name}: " in str(info.value) or (
+                f"{name} must" in str(info.value)), name
 
-    def test_pure_predicate(self, snp_params):
-        before = snp_params
-        validate(snp_params)
-        assert snp_params == before
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("name", ["kappa", "epsilon", "rho", "r", "q",
+                                      "s0", "v0"])
+    def test_model_field_not_finite(self, name, bad):
+        # a NaN kappa once passed every check and spent a second in
+        # Kummer's series before its SeriesNonConvergenceError
+        with pytest.raises(InvalidParametersError,
+                           match=rf"invalid {name}: |{name} must"):
+            make_params(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("name", ["lam", "mu", "sigma"])
+    def test_jump_field_not_finite(self, name, bad):
+        fields = dict(lam=0.5, mu=-0.1, sigma=0.2)
+        JumpParams(**fields)
+        with pytest.raises(InvalidParametersError, match=f"invalid {name}: "):
+            JumpParams(**{**fields, name: bad})
+
+    @pytest.mark.parametrize("name", ["lam", "sigma"])
+    def test_jump_field_negative(self, name):
+        with pytest.raises(InvalidParametersError, match=f"{name} must"):
+            JumpParams(**{**dict(lam=0.5, mu=-0.1, sigma=0.2), name: -0.1})
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("field", ["breakpoints", "values"])
+    @pytest.mark.parametrize("n,at", [(1, 0), (2, 0), (2, 1)])
+    def test_theta_curve_field_not_finite(self, n, at, field, bad):
+        # the last breakpoint is the domain's horizon, and may be +inf
+        fields = dict(breakpoints=[1.0, 2.0][:n], values=[3.0, 4.0][:n])
+        fields[field][at] = bad
+        if (field, at, bad) == ("breakpoints", n - 1, INF):
+            assert ThetaCurve(**fields).horizon == INF
+            return
+        with pytest.raises(InvalidParametersError, match=field):
+            ThetaCurve(**fields)
 
 
 class TestThetaCurve:
